@@ -212,7 +212,7 @@ class TangentFrame:
     ``tau`` holds the six tangential fields (orthonormal against the sphere
     measure and pointwise orthogonal to ``omega``); ``gamma`` the three
     normal-direction generators ``2 c0 (k omega_l + delta_l3)`` as columns.
-    The nine nodal generators stack into :meth:`basis_matrix`.
+    :meth:`generators` lists the nine nodal generators.
     """
 
     params: CurvatureParams
@@ -221,20 +221,12 @@ class TangentFrame:
     gamma: np.ndarray
     c0: float = C0
 
-    def gamma_field(self, ell):
-        k = self.params.k
-        g = self.grid
-        dx = 2.0 * C0 * k * g.domega_dx[:, ell]
-        dy = 2.0 * C0 * k * g.domega_dy[:, ell]
-        return SphereField(g, self.gamma[:, ell].copy(), dx, dy)
-
-    def basis_matrix(self):
-        """Stacked nodal generators, columns = 6 tau's then 3 gamma-normals."""
-        g = self.grid
-        cols = [stack_field(t.values) for t in self.tau]
-        for ell in range(3):
-            cols.append(stack_field(self.gamma[:, ell, None] * g.omega))
-        return np.stack(cols, axis=1)
+    def generators(self):
+        """The nine nodal generators as ``(N, 3)`` arrays: the six tau's,
+        then the three normal fields ``gamma_l omega``."""
+        gens = [t.values for t in self.tau]
+        return gens + [self.gamma[:, ell, None] * self.grid.omega
+                       for ell in range(3)]
 
     def tau_gram(self):
         w = self.grid.weights
@@ -244,19 +236,6 @@ class TangentFrame:
     def gamma_gram(self):
         w = self.grid.weights
         return np.einsum("na,nb,n->ab", self.gamma, self.gamma, w)
-
-
-def stack_field(values):
-    """Flatten (N, 3) nodal values component-major; scalars pass through."""
-    values = np.asarray(values)
-    if values.ndim == 1:
-        return values.copy()
-    return values.T.reshape(-1)
-
-
-def unstack_field(vec, grid):
-    """Inverse of :func:`stack_field` for vector fields."""
-    return vec.reshape(3, grid.size).T
 
 
 def _z_combination(grid, a, b, da, db):
@@ -330,8 +309,7 @@ def tangent_project(f, frame, metric="L2"):
     if metric not in ("L2", "star"):
         raise ValueError(f"unknown metric {metric!r}")
     grid, params = frame.grid, frame.params
-    gens = [t.values for t in frame.tau]
-    gens += [frame.gamma[:, ell, None] * grid.omega for ell in range(3)]
+    gens = frame.generators()
     if metric == "L2":
         w = grid.weights
         inner = lambda a, b: float(np.einsum("ij,ij,i->", a, b, w))

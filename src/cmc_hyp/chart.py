@@ -21,7 +21,6 @@ import json
 
 import numpy as np
 
-from .defaults import DEFAULTS
 from .errors import NumericsError
 
 R_CUT = 1.5
@@ -76,6 +75,41 @@ def omega_second(z):
         [2.0 * mu3 * x * y * y - mu2 * x, -3.0 * mu2 * y + 2.0 * mu3 * y**3,
          mu2 - 2.0 * mu3 * y * y], axis=-1)
     return dxx, dxy, dyy
+
+
+def identity_defects(z):
+    """Sup-norm defects of the fourteen closed-form chart identities.
+
+    At chart points ``z`` of shape ``(N, 2)``: unit length, orthogonality and
+    length of the chart derivatives, the three wedge relations, the
+    Laplacian, and the six reparametrization flows written through ``omega``.
+    Every entry vanishes analytically, so the values measure roundoff.
+    """
+    z = np.asarray(z, dtype=float)
+    om, mu, dx, dy = omega_mu(z)
+    dxx, dxy, dyy = omega_second(z)
+    x, y = z[:, 0, None], z[:, 1, None]
+    e1, e2, e3 = np.eye(3)
+    mu2 = mu[:, None] ** 2
+    sup = lambda a: float(np.max(np.abs(a)))
+    return {
+        "unit_norm": sup(np.einsum("ij,ij->i", om, om) - 1.0),
+        "grad_orthogonal": sup(np.einsum("ij,ij->i", dx, dy)),
+        "grad_norm_x": sup(np.einsum("ij,ij->i", dx, dx) - mu**2),
+        "grad_norm_y": sup(np.einsum("ij,ij->i", dy, dy) - mu**2),
+        "wedge_x": sup(np.cross(dx, om) - dy),
+        "wedge_y": sup(np.cross(om, dy) - dx),
+        "wedge_xy": sup(np.cross(dx, dy) + mu2 * om),
+        "laplacian": sup(dxx + dyy + 2.0 * mu2 * om),
+        "flow_dx": sup(dx - (e1 - om[:, 0, None] * om - np.cross(e2, om))),
+        "flow_dy": sup(dy - (e2 - om[:, 1, None] * om + np.cross(e1, om))),
+        "flow_z": sup(x * dx + y * dy - (e3 - om[:, 2, None] * om)),
+        "flow_iz": sup(-y * dx + x * dy - np.cross(e3, om)),
+        "flow_z2": sup((x * x - y * y) * dx + (2 * x * y) * dy
+                       + (e1 - om[:, 0, None] * om + np.cross(e2, om))),
+        "flow_iz2": sup((-2 * x * y) * dx + (x * x - y * y) * dy
+                        - (e2 - om[:, 1, None] * om - np.cross(e1, om))),
+    }
 
 
 def invert_chart(z):
@@ -163,10 +197,6 @@ class SphereGrid:
     @property
     def size(self):
         return self.nodes.shape[0]
-
-    @property
-    def cache_key(self):
-        return self.n
 
     def inverted_nodes(self):
         """Coordinates of every node in the inverted chart."""
@@ -263,14 +293,6 @@ class SphereField:
     @property
     def has_derivatives(self):
         return self.dx is not None and self.dy is not None
-
-    def component(self, i):
-        return SphereField(self.grid, self.values[:, i],
-                           None if self.dx is None else self.dx[:, i],
-                           None if self.dy is None else self.dy[:, i])
-
-    def drop_derivatives(self):
-        return SphereField(self.grid, self.values)
 
 
 def constant_field(grid, value):
@@ -530,10 +552,8 @@ def overlap_consistency(f, patch=3):
     return worst
 
 
-def check_overlap(f, tol=None):
+def check_overlap(f, tol=1e-3):
     """Raise :class:`NumericsError` when the overlap mismatch exceeds ``tol``."""
-    if tol is None:
-        tol = DEFAULTS["overlap_warn"]
     mism = overlap_consistency(f)
     if mism > tol:
         raise NumericsError(

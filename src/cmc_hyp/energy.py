@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chart as ch
-from .defaults import DEFAULTS
 from .linearized import j_residual
+
+# Gauss order of the vertical antiderivative behind every weighted volume
+VERTICAL_QUAD_ORDER = 24
 
 
 @dataclass
@@ -33,14 +35,12 @@ class VolumeVectorField:
         return self.evaluator(np.asarray(pts, dtype=float))
 
 
-def build_Q(K, anchor=1.0, order=None):
+def build_Q(K, anchor=1.0, order=VERTICAL_QUAD_ORDER):
     """Vertical-antiderivative vector field for the weight ``K``.
 
     ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``; constants use the
     closed form, everything else a Gauss rule on the segment.
     """
-    if order is None:
-        order = DEFAULTS["vertical_quad_order"]
     if K.constant_value is not None:
         c = K.constant_value
 
@@ -90,7 +90,7 @@ def divergence_defect(Q, K, rng=None, n=100, h=1e-5):
     return worst
 
 
-def volume_V(K, u, order=None):
+def volume_V(K, u, order=VERTICAL_QUAD_ORDER):
     """Weighted volume ``int Q_K(u) . (d_x u ^ d_y u) dz`` of a surface field.
 
     ``K`` may be a prescribed function (its antiderivative field is built on
@@ -98,19 +98,19 @@ def volume_V(K, u, order=None):
     """
     Q = K if isinstance(K, VolumeVectorField) else build_Q(K, order=order)
     u = ch.differentiate(u)
-    if np.any(u.values[..., 2] <= 0):
+    if not np.all(u.values[..., 2] > 0):
         raise ValueError("surface leaves the half-space")
     cross = np.cross(u.dx, u.dy)
     integrand = np.einsum("ij,ij->i", Q(u.values), cross)
     return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
 
 
-def energy_E(u, params, eps=0.0, phi=None, order=None):
+def energy_E(u, params, eps=0.0, phi=None, order=VERTICAL_QUAD_ORDER):
     """Surface energy: Dirichlet part, constant-curvature volume term, and
     ``2 eps`` times the prescribed-weight volume."""
     u = ch.differentiate(u)
     u3 = u.values[:, 2]
-    if np.any(u3 <= 0):
+    if not np.all(u3 > 0):
         raise ValueError("surface leaves the half-space")
     g = u.grid
     wz = g.weights / g.mu**2

@@ -12,8 +12,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .defaults import DEFAULTS
 from .errors import NumericsError
+
+# per-axis order of the solid-ball rule shared by the reduced-function layer
+BALL_QUAD_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,13 @@ def _as_array(p):
     return np.asarray(p, dtype=float)
 
 
-def dist(p, q, clamp=None):
+def dist(p, q, clamp=1e-14):
     """Hyperbolic distance between points of the half-space model.
 
     Computed as ``arccosh(1 + |p-q|^2 / (2 p3 q3))``.  The argument is >= 1
-    analytically; deficits up to ``clamp`` (default 1e-14) are attributed to
-    roundoff and clamped, anything worse raises :class:`NumericsError`.
+    analytically; deficits up to ``clamp`` are attributed to roundoff
+    and clamped, anything worse raises :class:`NumericsError`.
     """
-    if clamp is None:
-        clamp = DEFAULTS["acosh_clamp"]
     pa, qa = _as_array(p), _as_array(q)
     ch = 1.0 + np.sum((pa - qa) ** 2, axis=-1) / (2.0 * pa[..., 2] * qa[..., 2])
     deficit = 1.0 - ch
@@ -175,10 +175,8 @@ def unit_ball_rule(order):
     return pts, w
 
 
-def ball_quadrature(ball, order=None):
+def ball_quadrature(ball, order=BALL_QUAD_ORDER):
     """Quadrature nodes and plain-Lebesgue weights for a Euclidean ball."""
-    if order is None:
-        order = DEFAULTS["ball_quad_order"]
     pts, w = unit_ball_rule(order)
     return ball.center_array + ball.radius * pts, ball.radius**3 * w
 

@@ -28,11 +28,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import chart as ch
-from .bubbles import make_params, stack_field, unstack_field, tangent_frame
+from .bubbles import make_params, tangent_frame
 from .chart import SphereField
-from .defaults import DEFAULTS
 from .errors import AmbiguousKernelError, ConvergenceError, NumericsError
 from .halfspace import HyperbolicPoint
+
+# singular-value ratio that declares a numerical kernel
+KERNEL_GAP_FACTOR = 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,7 @@ class _ModalPack:
     def frame_modal(self):
         if self._frame_modal is None:
             self._frame_modal = self.project_vector(
-                np.stack([unstack_field(col, self.grid)
-                          for col in self.frame.basis_matrix().T], axis=0))
+                np.stack(self.frame.generators()))
         return self._frame_modal
 
     @property
@@ -198,10 +199,6 @@ class _ModalPack:
         return 0.5 * (A + A.T)
 
     # -- projections between nodal and modal representations ----------------
-
-    def project_scalar(self, values):
-        """Modal coefficients of the sphere-measure projection of scalars."""
-        return self.phi.T @ (self.grid.weights * values)
 
     def project_vector(self, fields):
         """Coefficients of vector nodal data ``(batch, N, 3)``, comp-major."""
@@ -295,7 +292,7 @@ def j_residual(u, params, curvature=None, eps=0.0):
 
 def _j_nodal(values, dx, dy, dxx, dyy, params, curvature, eps):
     u3 = values[:, 2]
-    if np.any(u3 <= 0):
+    if not np.all(u3 > 0):
         raise NumericsError("surface left the half-space: min u3 = %g" % u3.min())
     k = params.k
     K = np.full(u3.shape, k)
@@ -325,8 +322,7 @@ class LinearizedSystem:
     modal basis (so the modal mass is the identity); ``mass`` is the nodal
     quadrature diagonal used by every inner product.  ``apply_direct``
     evaluates the strong operator through collocation, independently of the
-    Galerkin route; ``operator_matrix`` materializes it as a dense matrix on
-    stacked node values (diagnostic use, built on demand).
+    Galerkin route.
     """
 
     grid: ch.SphereGrid
@@ -385,20 +381,6 @@ class LinearizedSystem:
             vals = pack.apply_strong_scalar(f.values, f.dx, f.dy, dxx, dyy)
         return SphereField(self.grid, scale * vals)
 
-    def operator_matrix(self):
-        """Dense strong operator on stacked node values (diagnostic)."""
-        N = self.grid.size
-        dim = self.block * N
-        out = np.empty((dim, dim))
-        eye = np.zeros(dim)
-        for j in range(dim):
-            eye[j] = 1.0
-            fld = SphereField(self.grid, unstack_field(eye, self.grid)
-                              if self.block == 3 else eye.copy())
-            out[:, j] = stack_field(self.apply_direct(fld).values)
-            eye[j] = 0.0
-        return out
-
 
 def assemble_linearized(params, q, grid, degree=None):
     """Assemble the linearized system at the sphere about ``q``.
@@ -435,7 +417,7 @@ class QuadraticFormCheck:
     difference: float
 
 
-def tangential_quadratic_form(psi, params, ortho_tol=None):
+def tangential_quadratic_form(psi, params, ortho_tol=1e-10):
     """Evaluate both sides of the tangential quadratic-form identity.
 
     ``psi`` must be pointwise orthogonal to ``omega``.  The left side applies
@@ -443,8 +425,6 @@ def tangential_quadratic_form(psi, params, ortho_tol=None):
     manifestly nonnegative integral of the two squared first-order
     expressions.  Both are returned together with their difference.
     """
-    if ortho_tol is None:
-        ortho_tol = DEFAULTS["constraint_tol"]
     grid = psi.grid
     scale = max(np.max(np.abs(psi.values)), 1e-300)
     defect = np.max(np.abs(np.einsum("ij,ij->i", psi.values, grid.omega))) / scale
@@ -502,7 +482,7 @@ class SpectrumReport:
         return doc
 
 
-def spectrum_normal(params, grid, count=8, residual_tol=None, degree=None):
+def spectrum_normal(params, grid, count=8, residual_tol=1e-7, degree=None):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
     Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
@@ -511,8 +491,6 @@ def spectrum_normal(params, grid, count=8, residual_tol=None, degree=None):
     """
     if count < 5:
         raise ValueError("ask for at least 5 eigenvalues")
-    if residual_tol is None:
-        residual_tol = DEFAULTS["eig_residual"]
     pack = operator_pack(grid, params, degree)
     K, B = pack.K_sc, pack.B_sc
     if count > K.shape[0]:
@@ -561,8 +539,21 @@ class KernelReport:
                 json.dump(doc, fh, sort_keys=True, indent=1)
         return doc
 
+    def frame_residual(self, system):
+        """Worst relative residual of reconstructing the nine frame
+        generators (modal coefficients) from this kernel basis by least
+        squares; it is at roundoff level when the kernel is the frame's span.
+        """
+        pack = system.pack
+        B = np.stack([pack.project_vector(b.values) for b in self.basis],
+                     axis=1)
+        fm = pack.frame_modal.T
+        coef = np.linalg.lstsq(B, fm, rcond=None)[0]
+        return float(np.max(np.linalg.norm(fm - B @ coef, axis=0)
+                            / np.linalg.norm(fm, axis=0)))
 
-def kernel(system, gap_factor=None):
+
+def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     """Numerical kernel of the system by singular-value gap detection.
 
     The singular values of the (symmetric) modal matrix are scanned in
@@ -571,8 +562,6 @@ def kernel(system, gap_factor=None):
     otherwise :class:`AmbiguousKernelError` is raised.  The returned nodal
     basis is orthonormal in the mass inner product.
     """
-    if gap_factor is None:
-        gap_factor = DEFAULTS["kernel_gap_factor"]
     sigma = np.sort(np.abs(sla.eigvalsh(system.modal_matrix)))
     window = min(16, sigma.size - 1)
     floor = max(sigma[0], 1e-300)

@@ -10,14 +10,17 @@ gradient smooth in ``q`` and removes any domain motion from the formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import csv
 
 import numpy as np
 
-from .defaults import DEFAULTS
-from .halfspace import HyperbolicPoint, dist, unit_ball_rule
+from .halfspace import BALL_QUAD_ORDER, HyperbolicPoint, dist, unit_ball_rule
+
+# margin by which a derivative must keep one sign over the lattice to count
+# as an obstruction
+OBSTRUCTION_MARGIN = 1e-10
 
 
 @dataclass
@@ -106,7 +109,6 @@ def _cosh_dist_parts(p, a):
 
 def _dist2_chain(c):
     # 2 d / sqrt(c^2 - 1) with its smooth continuation through c = 1
-    out = np.empty(np.shape(c))
     small = c - 1.0 < 1e-6
     cs = np.where(small, 2.0, c)   # keep sqrt arguments legal
     out = 2.0 * np.arccosh(np.maximum(cs, 1.0)) / np.sqrt(cs**2 - 1.0)
@@ -155,10 +157,8 @@ def _reference_rule(params, order):
     return params.r * pts, params.r**3 * w
 
 
-def f_value(phi, params, q, order=None):
+def f_value(phi, params, q, order=BALL_QUAD_ORDER):
     """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
-    if order is None:
-        order = DEFAULTS["ball_quad_order"]
     q = HyperbolicPoint.of(q)
     pts, w = _reference_rule(params, order)
     kr = params.k * params.r
@@ -167,7 +167,7 @@ def f_value(phi, params, q, order=None):
     return float(np.sum(w * dens * np.asarray(phi.evaluate(target), dtype=float)))
 
 
-def f_gradient(phi, params, q, order=None):
+def f_gradient(phi, params, q, order=BALL_QUAD_ORDER):
     """Analytic gradient of :func:`f_value` in the ball center ``q``.
 
     Horizontal components integrate the corresponding derivative of ``phi``;
@@ -176,8 +176,6 @@ def f_gradient(phi, params, q, order=None):
     """
     if phi.gradient is None:
         raise ValueError("prescribed function has no gradient evaluator")
-    if order is None:
-        order = DEFAULTS["ball_quad_order"]
     q = HyperbolicPoint.of(q)
     pts, w = _reference_rule(params, order)
     kr = params.k * params.r
@@ -192,7 +190,7 @@ def f_gradient(phi, params, q, order=None):
     return out
 
 
-def hessian_estimate(phi, params, q, order=None, step=1e-4):
+def hessian_estimate(phi, params, q, order=BALL_QUAD_ORDER, step=1e-4):
     """Symmetrized central-difference Hessian of the reduced function."""
     q = HyperbolicPoint.of(q).array
     H = np.empty((3, 3))
@@ -207,10 +205,6 @@ def hessian_estimate(phi, params, q, order=None, step=1e-4):
 
 # ---------------------------------------------------------------------------
 # critical points
-
-
-CLASSIFICATIONS = ("nondegenerate_min", "nondegenerate_max", "saddle",
-                   "degenerate")
 
 
 @dataclass
@@ -231,9 +225,7 @@ class MelnikovResult:
         }
 
 
-def classify_hessian(H, value, tol=None):
-    if tol is None:
-        tol = DEFAULTS["classify_tol"]
+def classify_hessian(H, value, tol=1e-6):
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
     scale = float(np.max(np.abs(eigs)))
     if scale <= tol * max(1.0, abs(value)):
@@ -252,7 +244,9 @@ def _inside(qa, box):
             and box[4] <= qa[2] <= box[5])
 
 
-def _check_box(box):
+def check_box(box):
+    """Validate a search box ``x0,x1,y0,y1,z0,z1`` with ordered bounds inside
+    the half-space; returns it as a tuple of floats."""
     box = tuple(float(b) for b in box)
     if len(box) != 6 or box[0] >= box[1] or box[2] >= box[3] or box[4] >= box[5]:
         raise ValueError("box must be x0,x1,y0,y1,z0,z1 with ordered bounds")
@@ -261,8 +255,8 @@ def _check_box(box):
     return box
 
 
-def find_critical(phi, params, box, seeds=27, order=None, gtol=None,
-                  max_iter=40, rng=None, dedupe=None):
+def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
+                  gtol=1e-10, max_iter=40, rng=None, dedupe=1e-6):
     """Search the box for critical points of the reduced function.
 
     Newton iterations with Levenberg damping start from a jittered lattice of
@@ -270,11 +264,7 @@ def find_critical(phi, params, box, seeds=27, order=None, gtol=None,
     hyperbolic distance and classified through the finite-difference Hessian.
     An empty list is a valid outcome (no critical point in the box).
     """
-    box = _check_box(box)
-    if gtol is None:
-        gtol = 1e-10
-    if dedupe is None:
-        dedupe = DEFAULTS["dedupe_dist"]
+    box = check_box(box)
     rng = rng or np.random.default_rng(0)
     m = max(1, round(seeds ** (1.0 / 3.0)))
     axes = [np.linspace(box[2 * i], box[2 * i + 1], m + 2)[1:-1] for i in range(3)]
@@ -337,7 +327,8 @@ def find_critical(phi, params, box, seeds=27, order=None, gtol=None,
 # monotonicity obstructions
 
 
-def monotone_obstruction(phi, params, box, lattice=3, order=None, margin=None):
+def monotone_obstruction(phi, params, box, lattice=3, order=BALL_QUAD_ORDER,
+                         margin=OBSTRUCTION_MARGIN):
     """Scan the box for uniformly signed derivatives of the reduced function.
 
     Reports, for the two horizontal directions and the radial pairing, the
@@ -345,9 +336,7 @@ def monotone_obstruction(phi, params, box, lattice=3, order=None, margin=None):
     uniformly signed derivative rules out critical points (and hence
     perturbed spheres organized by them) in the box.
     """
-    box = _check_box(box)
-    if margin is None:
-        margin = DEFAULTS["obstruction_margin"]
+    box = check_box(box)
     axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     grads = np.array([f_gradient(phi, params, p, order) for p in pts])
@@ -369,9 +358,9 @@ def monotone_obstruction(phi, params, box, lattice=3, order=None, margin=None):
     return report
 
 
-def scan_to_csv(phi, params, box, path, lattice=8, order=None):
+def scan_to_csv(phi, params, box, path, lattice=8, order=BALL_QUAD_ORDER):
     """Write a lattice of reduced-function values and gradients as CSV."""
-    box = _check_box(box)
+    box = check_box(box)
     axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     with open(path, "w", newline="") as fh:

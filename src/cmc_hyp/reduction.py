@@ -8,10 +8,10 @@ operator frozen at the unperturbed sphere does the work; the bordered modal
 matrix is factorized once per ``(grid, k)`` and shared across base points,
 since moving ``q`` only rescales the operator.
 
-``solve_bubble`` then drives the reduced gradient -- an explicit linear
-expression in the multipliers -- to zero over ``q``; at such points the
-multipliers themselves vanish and the corrected surface solves the full
-prescribed-curvature problem.
+``continuation`` then drives the reduced gradient -- an explicit linear
+expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
+schedule; at such points the multipliers themselves vanish and the corrected
+surface solves the full prescribed-curvature problem.
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ import scipy.linalg as sla
 from . import chart as ch
 from .bubbles import C0, bubble, make_params, tangent_frame
 from .chart import SphereField
-from .defaults import DEFAULTS
 from .energy import conformality_residual, energy_E, first_variation
 from .errors import ConvergenceError, NoCriticalPointError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, j_residual, operator_pack
-from .melnikov import f_gradient, f_value, find_critical
+from .melnikov import f_value, find_critical
+
+# sup-norm target of the projected-equation residual in the corrector
+NEWTON_RESIDUAL = 1e-9
 
 
 @dataclass
@@ -76,14 +78,6 @@ def _bordered_lu(n, k, degree):
     return sla.lu_factor(KKT)
 
 
-def _frame_nodal_columns(pack):
-    grid = pack.grid
-    frame = pack.frame
-    cols = [t.values for t in frame.tau]
-    cols += [frame.gamma[:, ell, None] * grid.omega for ell in range(3)]
-    return cols
-
-
 def _surface_jet(params, q, grid, pack, c):
     """Values and derivative jets of ``U_q + nu`` for modal coefficients c."""
     U = bubble(params, q, grid)
@@ -97,8 +91,8 @@ def _surface_jet(params, q, grid, pack, c):
     return vals, dx, dy, sxx + nxx, syy + nyy
 
 
-def correct(eps, q, phi, params, grid, tol=None, max_iter=None, warm=None,
-            degree=None):
+def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, max_iter=60,
+            warm=None, degree=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
@@ -107,15 +101,11 @@ def correct(eps, q, phi, params, grid, tol=None, max_iter=None, warm=None,
     enforced inside the solve and stay at roundoff.  At ``eps = 0`` the
     iteration returns the zero correction immediately.
     """
-    if tol is None:
-        tol = DEFAULTS["newton_residual"]
-    if max_iter is None:
-        max_iter = DEFAULTS["newton_max_iter"]
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params, degree)
     lu = _bordered_lu(grid.n, params.k, pack.degree)
     nm3 = pack.H_vec.shape[0]
-    gens = _frame_nodal_columns(pack)
+    gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
 
@@ -266,11 +256,9 @@ def verify_side1(u, q, phi, params, eps):
     return out
 
 
-def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=None,
+def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
               max_outer=25, fd_step=1e-4, degree=None):
-    if gtol is None:
-        gtol = DEFAULTS["outer_grad_tol"]
-    itol = min(DEFAULTS["newton_residual"], 0.2 * gtol)
+    itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     q = HyperbolicPoint.of(q_start)
     state = correct(eps, q, phi, params, grid, warm=warm, tol=itol,
                     degree=degree)
@@ -347,46 +335,31 @@ def _report(state, phi, params, proxy=None):
     return u, rep
 
 
-def solve_bubble(eps, phi, params, box, grid, seeds=27, gtol=None,
-                 degree=None):
-    """Construct a perturbed-curvature sphere organized by the search box.
-
-    A stable critical point of the reduced function must exist in ``box``
-    (otherwise :class:`NoCriticalPointError` is raised, which the command
-    line maps to its dedicated exit code); the corrected surface at the
-    reduced critical point is returned with its diagnostics.
-    """
-    crits = find_critical(phi, params, box, seeds=seeds)
-    stable = [c for c in crits if c.classification != "degenerate"]
-    if not stable:
-        raise NoCriticalPointError(
-            "no stable critical point of the reduced function in the box")
-    best = stable[0]
-    if eps == 0.0:
-        state = correct(0.0, best.q, phi, params, grid, degree=degree)
-        u, rep = _report(state, phi, params, proxy=best.classification)
-        return u, best.q, rep
-    state = _solve_at(eps, phi, params, grid, best.q, gtol=gtol, degree=degree)
-    u, rep = _report(state, phi, params, proxy=best.classification)
-    rep["melnikov_q"] = [best.q.p1, best.q.p2, best.q.p3]
-    rep["distance_to_melnikov_q"] = float(
-        np.linalg.norm(state.q.array - best.q.array))
-    return u, state.q, rep
-
-
-def continuation(eps_schedule, phi, params, box, grid, seeds=27, degree=None):
-    """Warm-started family of solves along a monotone ``eps`` schedule.
-
-    Stops at the first failure, keeping every completed report; each report
-    carries the per-step diagnostics of :func:`solve_bubble`.
-    """
+def check_schedule(eps_schedule):
+    """Validate an ``eps`` schedule, which must be monotone in ``|eps|``;
+    returns it as a list of floats."""
     eps_schedule = [float(e) for e in eps_schedule]
     mags = [abs(e) for e in eps_schedule]
     up = all(b >= a - 1e-15 for a, b in zip(mags, mags[1:]))
     down = all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
     if not (up or down):
-        raise ValueError("schedule must be monotone in |eps|")
-    crits = find_critical(phi, params, box, seeds=seeds)
+        raise ValueError("eps schedule must be monotone in |eps|")
+    return eps_schedule
+
+
+def continuation(eps_schedule, phi, params, box, grid, seeds=27, degree=None,
+                 rng=None):
+    """Construct perturbed-curvature spheres along a monotone ``eps`` schedule.
+
+    A stable critical point of the reduced function must exist in ``box``
+    (otherwise :class:`NoCriticalPointError` is raised, which the command
+    line maps to its dedicated exit code); ``rng`` jitters the search seeds.
+    The solve at each ``eps`` is warm-started from the previous one.  Stops
+    at the first failure, keeping every completed report with the corrected
+    surface's diagnostics.
+    """
+    eps_schedule = check_schedule(eps_schedule)
+    crits = find_critical(phi, params, box, seeds=seeds, rng=rng)
     stable = [c for c in crits if c.classification != "degenerate"]
     if not stable:
         raise NoCriticalPointError(

@@ -6,6 +6,7 @@ import pytest
 from cmc_hyp.cli import main
 
 BOX = "-0.4,0.4,-0.4,0.4,0.6,1.6"
+BUMP = "exp(-hypdist(0,0,1)^2)"
 
 
 def read_summary(out):
@@ -125,13 +126,56 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "v")]) == 2
 
 
-def test_determinism(tmp_path):
+def test_tolerance_overrides_are_honoured(tmp_path):
+    def run(command, tolerances, *args):
+        cfg, out = tmp_path / f"{command}.json", tmp_path / command
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        rc = main([command, "--k", "2", "--config", str(cfg),
+                   "--out", str(out), *args])
+        return rc, out
+
+    rc, out = run("kernel", {"kernel_gap_factor": 1e30}, "--grid-n", "16")
+    assert rc == 3
+    assert read_summary(out)["config"]["tolerances"]["kernel_gap_factor"] == 1e30
+    rc, out = run("obstruction", {"obstruction_margin": 1e30},
+                  "--phi", "p1", "--box=" + BOX)
+    assert rc == 0
+    assert read_summary(out)["result"]["obstructed"] == []
+    rc, out = run("verify", {"quad_area_tol": 1e-16}, "--grid-n", "16")
+    doc = read_summary(out)
+    assert rc == 3 and doc["status"] == "failed_checks"
+    assert doc["result"]["checks"]["area"]["value"] > 1e-16
+    assert not doc["result"]["checks"]["area"]["pass"]
+    # only the tolerances passed down to a computation may be set
+    rc, _ = run("solve", {"newton_residual": 1e-30, "newton_max_iter": 1},
+                "--grid-n", "16", "--phi", BUMP, "--eps", "0.01",
+                "--box=" + BOX)
+    assert rc == 2
+
+
+DETERMINISM_ARGS = {
+    "verify": ["--grid-n", "16"],
+    "spectrum": ["--grid-n", "16"],
+    "kernel": ["--grid-n", "16"],
+    "melnikov": ["--phi", BUMP, "--box=" + BOX],
+    "solve": ["--grid-n", "16", "--phi", BUMP, "--eps", "0.01",
+              "--box=" + BOX],
+    "energy-curve": ["--grid-n", "16"],
+    "obstruction": ["--phi", "p1", "--box=" + BOX],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DETERMINISM_ARGS))
+def test_determinism(tmp_path, command):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
-    args = ["melnikov", "--k", "2", "--phi", "exp(-hypdist(0,0,1)^2)",
-            "--box=" + BOX]
+    args = [command, "--k", "2"] + DETERMINISM_ARGS[command]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     s1 = (out1 / "summary.json").read_text().replace(str(out1), "OUT")
     s2 = (out2 / "summary.json").read_text().replace(str(out2), "OUT")
     assert s1 == s2
-    assert (out1 / "scan.csv").read_text() == (out2 / "scan.csv").read_text()
+    names = sorted(f.name for f in out1.iterdir())
+    assert names == sorted(f.name for f in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_text().replace(str(out1), "OUT") == \
+            (out2 / name).read_text().replace(str(out2), "OUT")

@@ -31,6 +31,10 @@ def test_j_residual_detects_nonsolutions(grid16, params2, rng):
     bad = ch.SphereField(grid16, U.values - np.array([0, 0, 1.0]))
     with pytest.raises(NumericsError):
         lin.j_residual(bad, params2)
+    nan_height = U.values.copy()
+    nan_height[0, 2] = np.nan
+    with pytest.raises(NumericsError):
+        lin.j_residual(ch.SphereField(grid16, nan_height, U.dx, U.dy), params2)
 
 
 def test_linearization_kills_frame(sys16, grid16, params2):

@@ -65,10 +65,11 @@ def test_reduced_gradient(grid16, params2, bump):
     assert gd.A_eps.shape == (6, 6)
 
 
-def test_solve_bubble_radial(grid16, params2, bump):
+def test_continuation_single_step_radial(grid16, params2, bump):
     eps = 0.01
-    u, q, rep = red.solve_bubble(eps, bump, params2, BOX, grid16)
-    assert np.linalg.norm(q.array - np.array([0, 0, 1])) < 5 * eps
+    rep, = red.continuation([eps], bump, params2, BOX, grid16)
+    q = np.array(rep["q"])
+    assert np.linalg.norm(q - np.array([0, 0, 1])) < 5 * eps
     assert rep["residual_sup"] < 1e-8
     assert rep["xi_sup"] < 1e-8 and rep["alpha_sup"] < 1e-8
     assert rep["conformality"] < 1e-6
@@ -77,16 +78,16 @@ def test_solve_bubble_radial(grid16, params2, bump):
     assert max(abs(s1["e1"]), abs(s1["e2"]), abs(s1["u"])) < 1e-7
 
 
-def test_solve_bubble_eps_zero(grid16, params2, bump):
-    u, q, rep = red.solve_bubble(0.0, bump, params2, BOX, grid16)
+def test_continuation_single_step_eps_zero(grid16, params2, bump):
+    rep, = red.continuation([0.0], bump, params2, BOX, grid16)
     assert rep["residual_sup"] < 1e-10
     assert rep["c0_distance"] == 0.0
-    assert np.allclose(q.array, [0, 0, 1], atol=1e-7)
+    assert np.allclose(rep["q"], [0, 0, 1], atol=1e-7)
 
 
-def test_solve_bubble_refuses_obstructed(grid16, params2):
+def test_continuation_refuses_obstructed(grid16, params2):
     with pytest.raises(NoCriticalPointError):
-        red.solve_bubble(0.01, mel.phi_coordinate(0), params2, BOX, grid16)
+        red.continuation([0.01], mel.phi_coordinate(0), params2, BOX, grid16)
 
 
 def test_continuation_and_asymptotics(grid16, params2, bump):
