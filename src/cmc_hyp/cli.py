@@ -5,14 +5,15 @@ output directory with the fully resolved configuration (including the
 defaulted tolerances in :data:`TOLERANCES`) echoed back, so identical
 configurations produce byte-identical summaries.  Exit codes: 0 success,
 2 configuration error, 3 numeric failure, 4 no critical point in the search
-box.
+box.  An unknown config key or a missing required input (see
+:data:`REQUIRED`) is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (AmbiguousKernelError, ConvergenceError,
 from .halfspace import HyperbolicPoint
 from .linearized import (KERNEL_GAP_FACTOR, assemble_linearized, kernel,
                          spectrum_normal)
-from .phi_expr import PhiSyntaxError, phi_to_prescribed
+from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
 COMMANDS = ("verify", "spectrum", "kernel", "melnikov", "solve",
@@ -48,6 +49,13 @@ TOLERANCES = {
     "quad_area_tol": 1e-10,
 }
 
+# The inputs each command cannot run without: config key -> flag.
+REQUIRED = {
+    "melnikov": {"box": "--box", "phi_source": "--phi"},
+    "obstruction": {"box": "--box", "phi_source": "--phi"},
+    "solve": {"box": "--box", "phi_source": "--phi", "eps_schedule": "--eps"},
+}
+
 
 @dataclass
 class JobConfig:
@@ -61,7 +69,6 @@ class JobConfig:
     seeds: int = 27
     lattice: int = 3
     t_range: tuple = (2.0, 1.02, 25)
-    degree: int | None = None
     seed: int = 0
     tolerances: dict = dc_field(default_factory=dict)
     out_dir: str = "."
@@ -79,14 +86,17 @@ class JobConfig:
         if self.box is not None:
             mel.check_box(self.box)
         check_schedule(self.eps_schedule)
+        required = REQUIRED.get(self.command, {})
+        missing = [flag for name, flag in required.items()
+                   if not getattr(self, name)]
+        if missing:
+            raise ValueError(f"{self.command} needs {' and '.join(missing)}")
         unknown = set(self.tolerances) - set(TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
 
     def phi(self):
         src = self.phi_source
-        if src is None:
-            raise ValueError("this command needs a prescribed function (--phi)")
         if isinstance(src, str):
             return phi_to_prescribed(src, probe_box=self.box)
         if isinstance(src, dict) and "catalog" in src:
@@ -97,7 +107,7 @@ class JobConfig:
         raise ValueError("phi_source must be an expression or catalog mapping")
 
     def echo(self):
-        doc = {
+        return {
             "command": self.command,
             "k": self.k,
             "grid_n": self.grid_n,
@@ -108,16 +118,14 @@ class JobConfig:
             "seeds": self.seeds,
             "lattice": self.lattice,
             "t_range": list(self.t_range),
-            "degree": self.degree,
             "seed": self.seed,
             "out_dir": str(self.out_dir),
             "tolerances": {name: self.tol(name) for name in sorted(TOLERANCES)},
         }
-        return doc
 
 
-def _parse_list(text, count=None, cast=float):
-    vals = tuple(cast(v) for v in str(text).split(",") if v != "")
+def _parse_list(text, count=None):
+    vals = tuple(float(v) for v in str(text).split(",") if v != "")
     if count is not None and len(vals) != count:
         raise ValueError(f"expected {count} comma-separated values")
     return vals
@@ -128,17 +136,17 @@ def load_config(args):
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    cfg = JobConfig(command=args.command)
-    for key in ("k", "grid_n", "phi_source", "count", "seeds", "lattice",
-                "degree", "seed", "out_dir", "tolerances"):
-        if key in doc:
-            setattr(cfg, key, doc[key])
-    if "box" in doc and doc["box"] is not None:
-        cfg.box = tuple(float(v) for v in doc["box"])
-    if "eps_schedule" in doc:
-        cfg.eps_schedule = tuple(float(v) for v in doc["eps_schedule"])
-    if "t_range" in doc:
-        cfg.t_range = tuple(doc["t_range"])
+    if not isinstance(doc, dict):
+        raise ValueError("the config document must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(JobConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    doc.pop("command", None)    # the command argument wins
+    cfg = JobConfig(command=args.command, **doc)
+    if cfg.box is not None:
+        cfg.box = tuple(float(v) for v in cfg.box)
+    cfg.eps_schedule = tuple(float(v) for v in cfg.eps_schedule)
+    cfg.t_range = tuple(cfg.t_range)
     # flags win over the config document
     if args.k is not None:
         cfg.k = args.k
@@ -199,7 +207,7 @@ def _cmd_verify(cfg, out):
 def _cmd_spectrum(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    rep = spectrum_normal(params, grid, count=cfg.count, degree=cfg.degree)
+    rep = spectrum_normal(params, grid, count=cfg.count)
     rep.to_json(out / "spectrum.json")
     doc = rep.to_json()
     doc["low_eigenvalue"] = float(rep.eigenvalues[0])
@@ -212,8 +220,7 @@ def _cmd_spectrum(cfg, out):
 def _cmd_kernel(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid,
-                                 degree=cfg.degree)
+    system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
     rep = kernel(system, gap_factor=cfg.tol("kernel_gap_factor"))
     rep.to_json(out / "kernel.json")
     doc = rep.to_json()
@@ -222,8 +229,6 @@ def _cmd_kernel(cfg, out):
 
 
 def _cmd_melnikov(cfg, out):
-    if cfg.box is None:
-        raise ValueError("melnikov needs a search box")
     params = make_params(cfg.k)
     phi = cfg.phi()
     rows = mel.scan_to_csv(phi, params, cfg.box, out / "scan.csv",
@@ -242,15 +247,11 @@ def _cmd_melnikov(cfg, out):
 
 
 def _cmd_solve(cfg, out):
-    if cfg.box is None:
-        raise ValueError("solve needs a search box")
-    if not cfg.eps_schedule:
-        raise ValueError("solve needs an eps schedule")
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
     phi = cfg.phi()
     reports = continuation(cfg.eps_schedule, phi, params, cfg.box, grid,
-                           seeds=cfg.seeds, degree=cfg.degree,
+                           seeds=cfg.seeds,
                            rng=np.random.default_rng(cfg.seed))
     steps = []
     for rep in reports:
@@ -283,8 +284,6 @@ def _cmd_energy_curve(cfg, out):
 
 
 def _cmd_obstruction(cfg, out):
-    if cfg.box is None:
-        raise ValueError("obstruction needs a search box")
     params = make_params(cfg.k)
     phi = cfg.phi()
     rep = mel.monotone_obstruction(phi, params, cfg.box, lattice=cfg.lattice,
@@ -326,11 +325,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args)
-        phi_probe = cfg.phi_source
-        if phi_probe is not None:
+        if cfg.phi_source is not None:
             cfg.phi()   # surface syntax errors as config errors
-    except (ValueError, OSError, KeyError, PhiSyntaxError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # phi syntax, JSON too
         print(f"configuration error: {exc}")
         return 2
 

@@ -35,11 +35,12 @@ class VolumeVectorField:
         return self.evaluator(np.asarray(pts, dtype=float))
 
 
-def build_Q(K, anchor=1.0, order=VERTICAL_QUAD_ORDER):
+def build_Q(K, anchor=1.0):
     """Vertical-antiderivative vector field for the weight ``K``.
 
     ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``; constants use the
-    closed form, everything else a Gauss rule on the segment.
+    closed form, everything else a ``VERTICAL_QUAD_ORDER`` Gauss rule on the
+    segment.
     """
     if K.constant_value is not None:
         c = K.constant_value
@@ -51,7 +52,7 @@ def build_Q(K, anchor=1.0, order=VERTICAL_QUAD_ORDER):
 
         return VolumeVectorField(evaluator, f"const-antiderivative:{c:g}", anchor)
 
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
 
@@ -90,13 +91,13 @@ def divergence_defect(Q, K, rng=None, n=100, h=1e-5):
     return worst
 
 
-def volume_V(K, u, order=VERTICAL_QUAD_ORDER):
+def volume_V(K, u):
     """Weighted volume ``int Q_K(u) . (d_x u ^ d_y u) dz`` of a surface field.
 
     ``K`` may be a prescribed function (its antiderivative field is built on
     the fly) or an already constructed :class:`VolumeVectorField`.
     """
-    Q = K if isinstance(K, VolumeVectorField) else build_Q(K, order=order)
+    Q = K if isinstance(K, VolumeVectorField) else build_Q(K)
     u = ch.differentiate(u)
     if not np.all(u.values[..., 2] > 0):
         raise ValueError("surface leaves the half-space")
@@ -105,7 +106,7 @@ def volume_V(K, u, order=VERTICAL_QUAD_ORDER):
     return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
 
 
-def energy_E(u, params, eps=0.0, phi=None, order=VERTICAL_QUAD_ORDER):
+def energy_E(u, params, eps=0.0, phi=None):
     """Surface energy: Dirichlet part, constant-curvature volume term, and
     ``2 eps`` times the prescribed-weight volume."""
     u = ch.differentiate(u)
@@ -121,7 +122,7 @@ def energy_E(u, params, eps=0.0, phi=None, order=VERTICAL_QUAD_ORDER):
     if eps != 0.0:
         if phi is None:
             raise ValueError("eps != 0 needs the prescribed function")
-        out += 2.0 * eps * volume_V(phi, u, order=order)
+        out += 2.0 * eps * volume_V(phi, u)
     return float(out)
 
 

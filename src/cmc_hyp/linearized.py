@@ -20,7 +20,7 @@ consistency checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import json
 
@@ -54,29 +54,27 @@ def _gegenbauer_table(jmax, lam, x):
 
 
 class _ModalPack:
-    """Per-(grid, k) basis and Galerkin matrices, cached by :func:`_pack`.
+    """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
-    ``phi`` holds the orthonormal scalar basis nodally, ``dphix``/``dphiy``
-    its analytic chart derivatives; the vector basis is ``phi`` times the
-    coordinate directions, ordered component-major.
+    ``phi`` holds the orthonormal scalar basis (degree ``max(2, n - 6)``)
+    nodally, ``dphix``/``dphiy`` its analytic chart derivatives; the vector
+    basis is ``phi`` times the coordinate directions, ordered component-major.
+    ``H_vec``, the frame tables and the corrector's bordered LU are built on
+    first use.
     """
 
-    def __init__(self, grid, params, degree=None):
-        if degree is None:
-            degree = max(2, grid.n - 6)
+    def __init__(self, grid, params):
+        degree = max(2, grid.n - 6)
         if degree > grid.n - 6:
             raise ValueError(
                 f"degree {degree} exceeds what grid n={grid.n} integrates exactly")
         self.grid = grid
         self.params = params
-        self.degree = degree
-        N = grid.size
         k = params.k
         w = grid.weights
         mu, om = grid.mu, grid.omega
         ok = om[:, 2] + k
         self.ok = ok
-        self.mass3 = np.concatenate([w, w, w])
 
         nt, ns = grid.ntheta, grid.ns
         tt = np.tile(grid.theta, ns)
@@ -84,7 +82,7 @@ class _ModalPack:
         rr = np.repeat(grid.rho, nt)
         x, sins = grid.x, grid.sin_s
 
-        cols, dxs, dys, degs, ords = [], [], [], [], []
+        cols, dxs, dys = [], [], []
         for m in range(degree + 1):
             tab = _gegenbauer_table(degree - m, m + 0.5, x)
             prof = sins**m
@@ -105,13 +103,9 @@ class _ModalPack:
                     cols.append(base / nrm)
                     dxs.append((ct * drho - st / rr * b_dt) / nrm)
                     dys.append((st * drho + ct / rr * b_dt) / nrm)
-                    degs.append(m + j)
-                    ords.append(m)
         self.phi = np.stack(cols, axis=1)
         self.dphix = np.stack(dxs, axis=1)
         self.dphiy = np.stack(dys, axis=1)
-        self.mode_degree = np.array(degs)
-        self.mode_order = np.array(ords)
         nm = self.phi.shape[1]
         self.nmodes = nm
 
@@ -120,79 +114,66 @@ class _ModalPack:
         self.K_sc = self._sym(self.dphix.T @ (C2[:, None] * self.dphix)
                               + self.dphiy.T @ (C2[:, None] * self.dphiy))
         self.B_sc = self._sym(self.phi.T @ ((w / ok**3)[:, None] * self.phi))
-        self._H_vec = None
-        self._frame = None
-        self._frame_modal = None
-        self._star_rows = None
 
-    @property
+    @cached_property
     def H_vec(self):
-        """Weak matrix of ``r^2 J'(U)`` on vector modes (built lazily)."""
-        if self._H_vec is None:
-            grid, params = self.grid, self.params
-            N, nm, k = grid.size, self.nmodes, params.k
-            w, mu, om, ok = grid.weights, grid.mu, grid.omega, self.ok
-            dox, doy = grid.domega_dx, grid.domega_dy
-            C2 = w / (mu**2 * ok**2)
-            Ctan = w / (mu**4 * ok**2)
-            H = np.zeros((3 * nm, 3 * nm))
-            for fac in ("s1", "s2"):
-                S = np.empty((N, 3 * nm))
-                for c in range(3):
-                    sl = slice(c * nm, (c + 1) * nm)
-                    if fac == "s1":
-                        S[:, sl] = (dox[:, c, None] * self.dphix
-                                    - doy[:, c, None] * self.dphiy)
-                    else:
-                        S[:, sl] = (doy[:, c, None] * self.dphix
-                                    + dox[:, c, None] * self.dphiy)
-                H += S.T @ (Ctan[:, None] * S)
-                del S
-            # the scalar normal block acts on the omega components
-            for kind in ("dx", "dy", "mass"):
-                NB = np.empty((N, 3 * nm))
-                for c in range(3):
-                    sl = slice(c * nm, (c + 1) * nm)
-                    if kind == "dx":
-                        NB[:, sl] = (om[:, c, None] * self.dphix
-                                     + dox[:, c, None] * self.phi)
-                    elif kind == "dy":
-                        NB[:, sl] = (om[:, c, None] * self.dphiy
-                                     + doy[:, c, None] * self.phi)
-                    else:
-                        NB[:, sl] = om[:, c, None] * self.phi
-                if kind == "mass":
-                    H -= 2.0 * k * (NB.T @ ((w / ok**3)[:, None] * NB))
-                else:
-                    H += NB.T @ (C2[:, None] * NB)
-                del NB
-            self._H_vec = self._sym(H)
-        return self._H_vec
+        """Weak matrix of ``r^2 J'(U)`` on vector modes: five terms
+        ``coef * B^T diag(weight) B``, the two first-order tangential
+        expressions, then the scalar normal block on the omega components
+        (two derivative parts and the mass part), one nodal table at a time."""
+        grid, nm, k = self.grid, self.nmodes, self.params.k
+        w, mu, om, ok = grid.weights, grid.mu, grid.omega, self.ok
+        dox, doy = grid.domega_dx, grid.domega_dy
+        px, py, p0 = self.dphix, self.dphiy, self.phi
+        C2 = w / (mu**2 * ok**2)
+        Ctan = w / (mu**4 * ok**2)
+        terms = (
+            (lambda c: dox[:, c, None] * px - doy[:, c, None] * py, Ctan, 1.0),
+            (lambda c: doy[:, c, None] * px + dox[:, c, None] * py, Ctan, 1.0),
+            (lambda c: om[:, c, None] * px + dox[:, c, None] * p0, C2, 1.0),
+            (lambda c: om[:, c, None] * py + doy[:, c, None] * p0, C2, 1.0),
+            (lambda c: om[:, c, None] * p0, w / ok**3, -2.0 * k),
+        )
+        H = np.zeros((3 * nm, 3 * nm))
+        for block, weight, coef in terms:
+            B = np.empty((grid.size, 3 * nm))
+            for c in range(3):
+                B[:, c * nm:(c + 1) * nm] = block(c)
+            G = B.T @ (weight[:, None] * B)
+            G *= coef
+            H += G
+            del B, G
+        return self._sym(H)
 
-    @property
+    @cached_property
     def frame(self):
-        if self._frame is None:
-            self._frame = tangent_frame(self.params, self.grid)
-        return self._frame
+        return tangent_frame(self.params, self.grid)
 
-    @property
+    @cached_property
     def frame_modal(self):
-        if self._frame_modal is None:
-            self._frame_modal = self.project_vector(
-                np.stack(self.frame.generators()))
-        return self._frame_modal
+        return self.project_vector(np.stack(self.frame.generators()))
 
-    @property
+    @cached_property
     def star_rows(self):
-        if self._star_rows is None:
-            ok, om = self.ok, self.grid.omega
-            rows = [self.project_vector(
-                t.values[None] / ok[None, :, None]**2) for t in self.frame.tau]
-            rows += [self.project_vector(
-                ((self.frame.gamma[:, ell] / ok**3)[:, None] * om)[None])
-                for ell in range(3)]
-            self._star_rows = np.concatenate(rows, axis=0)
-        return self._star_rows
+        ok, om = self.ok, self.grid.omega
+        rows = [self.project_vector(
+            t.values[None] / ok[None, :, None]**2) for t in self.frame.tau]
+        rows += [self.project_vector(
+            ((self.frame.gamma[:, ell] / ok**3)[:, None] * om)[None])
+            for ell in range(3)]
+        return np.concatenate(rows, axis=0)
+
+    @cached_property
+    def bordered_lu(self):
+        """LU factors of ``H_vec`` bordered by the nine frame rows, the
+        corrector's saddle matrix; every base point shares it, since moving
+        the base point only rescales the operator."""
+        m = self.H_vec.shape[0]
+        KKT = np.zeros((m + 9, m + 9))
+        KKT[:m, :m] = self.H_vec
+        KKT[:m, m:] = -self.frame_modal.T
+        KKT[m:, :m] = self.frame_modal
+        return sla.lu_factor(KKT)
 
     @staticmethod
     def _sym(A):
@@ -259,14 +240,12 @@ class _ModalPack:
 
 
 @lru_cache(maxsize=4)
-def _pack(n, k, degree):
-    return _ModalPack(ch.build_grid(n), make_params(k), degree)
+def _pack(n, k):
+    return _ModalPack(ch.build_grid(n), make_params(k))
 
 
-def operator_pack(grid, params, degree=None):
-    if degree is None:
-        degree = max(2, grid.n - 6)
-    return _pack(grid.n, params.k, degree)
+def operator_pack(grid, params):
+    return _pack(grid.n, params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,31 +298,22 @@ class LinearizedSystem:
 
     ``modal_matrix`` is the symmetric Galerkin matrix of the bilinear form
     ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the orthonormal
-    modal basis (so the modal mass is the identity); ``mass`` is the nodal
-    quadrature diagonal used by every inner product.  ``apply_direct``
-    evaluates the strong operator through collocation, independently of the
-    Galerkin route.
+    modal basis (so the modal mass is the identity); ``scale`` is the factor
+    ``1 / (q3^2 r^2)`` that takes the pack's ``r^2``-normalized operator to
+    the one at the base point.  ``apply_direct`` evaluates the strong
+    operator through collocation, independently of the Galerkin route.
     """
 
     grid: ch.SphereGrid
     params: object
-    q: object
+    pack: _ModalPack
+    scale: float
     modal_matrix: np.ndarray
-    mass: np.ndarray
     block: int = 3
-    degree: int | None = None
 
     @property
     def size(self):
         return self.modal_matrix.shape[0]
-
-    @property
-    def pack(self):
-        return operator_pack(self.grid, self.params, self.degree)
-
-    def _scale(self):
-        q3 = 1.0 if self.q is None else HyperbolicPoint.of(self.q).p3
-        return 1.0 / (q3**2 * self.params.r**2)
 
     def selfadjoint_defect(self, rng=None, pairs=10):
         """Worst asymmetry of the modal form on random normalized vectors."""
@@ -370,7 +340,6 @@ class LinearizedSystem:
     def apply_direct(self, f):
         """Strong collocation of ``J'(U_q)`` on a field (independent route)."""
         pack = self.pack
-        scale = self._scale()
         f = ch.differentiate(f)
         if self.block == 3:
             dxx, dxy, dyy = ch.second_derivatives(f)
@@ -379,10 +348,10 @@ class LinearizedSystem:
             dxx, _ = ch.spectral_derivatives(self.grid, f.dx)
             _, dyy = ch.spectral_derivatives(self.grid, f.dy)
             vals = pack.apply_strong_scalar(f.values, f.dx, f.dy, dxx, dyy)
-        return SphereField(self.grid, scale * vals)
+        return SphereField(self.grid, self.scale * vals)
 
 
-def assemble_linearized(params, q, grid, degree=None):
+def assemble_linearized(params, q, grid):
     """Assemble the linearized system at the sphere about ``q``.
 
     Translating the base point only rescales the operator by ``q3^-2``, so
@@ -390,20 +359,18 @@ def assemble_linearized(params, q, grid, degree=None):
     base points.
     """
     q = HyperbolicPoint.of(q)
-    pack = operator_pack(grid, params, degree)
+    pack = operator_pack(grid, params)
     scale = 1.0 / (q.p3**2 * params.r**2)
-    return LinearizedSystem(grid=grid, params=params, q=q,
-                            modal_matrix=scale * pack.H_vec, mass=pack.mass3,
-                            block=3, degree=pack.degree)
+    return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale,
+                            modal_matrix=scale * pack.H_vec, block=3)
 
 
-def normal_operator(params, grid, degree=None):
+def normal_operator(params, grid):
     """Scalar operator governing normal perturbations ``eta * omega``."""
-    pack = operator_pack(grid, params, degree)
+    pack = operator_pack(grid, params)
     mat = (pack.K_sc - 2.0 * params.k * pack.B_sc) / params.r**2
-    return LinearizedSystem(grid=grid, params=params, q=None,
-                            modal_matrix=mat, mass=grid.weights.copy(),
-                            block=1, degree=pack.degree)
+    return LinearizedSystem(grid=grid, params=params, pack=pack,
+                            scale=1.0 / params.r**2, modal_matrix=mat, block=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +449,7 @@ class SpectrumReport:
         return doc
 
 
-def spectrum_normal(params, grid, count=8, residual_tol=1e-7, degree=None):
+def spectrum_normal(params, grid, count=8, residual_tol=1e-7):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
     Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
@@ -491,7 +458,7 @@ def spectrum_normal(params, grid, count=8, residual_tol=1e-7, degree=None):
     """
     if count < 5:
         raise ValueError("ask for at least 5 eigenvalues")
-    pack = operator_pack(grid, params, degree)
+    pack = operator_pack(grid, params)
     K, B = pack.K_sc, pack.B_sc
     if count > K.shape[0]:
         raise ValueError("grid too coarse for that many eigenvalues")

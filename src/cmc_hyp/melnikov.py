@@ -6,6 +6,7 @@ are the organizing centers for perturbed constant-curvature spheres.  The
 quadrature is pulled back to a fixed reference ball (integrand
 ``(p3 + k r)^-3 phi(q3 p + q^k)``), which makes the value and its analytic
 gradient smooth in ``q`` and removes any domain motion from the formulas.
+Both raise :class:`~cmc_hyp.errors.NumericsError` where ``phi`` is not finite.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 
 import numpy as np
 
+from .errors import NumericsError
 from .halfspace import BALL_QUAD_ORDER, HyperbolicPoint, dist, unit_ball_rule
 
 # margin by which a derivative must keep one sign over the lattice to count
@@ -152,22 +154,32 @@ def phi_radial_gaussian(center):
 # the reduced function and its derivatives
 
 
-def _reference_rule(params, order):
-    pts, w = unit_ball_rule(order)
-    return params.r * pts, params.r**3 * w
-
-
-def f_value(phi, params, q, order=BALL_QUAD_ORDER):
-    """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
-    q = HyperbolicPoint.of(q)
-    pts, w = _reference_rule(params, order)
+def _ball_rule(params, q):
+    """The reference rule for the ball about ``q``: points, weights times
+    the pulled-back density, and the points' images in the ball."""
+    pts, w = unit_ball_rule(BALL_QUAD_ORDER)
+    pts, w = params.r * pts, params.r**3 * w
     kr = params.k * params.r
     target = q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
-    dens = (pts[:, 2] + kr) ** -3.0
-    return float(np.sum(w * dens * np.asarray(phi.evaluate(target), dtype=float)))
+    return pts, w * (pts[:, 2] + kr) ** -3.0, target
 
 
-def f_gradient(phi, params, q, order=BALL_QUAD_ORDER):
+def _check_finite(value, q):
+    if not np.all(np.isfinite(value)):
+        raise NumericsError("prescribed function is not finite on the ball "
+                            f"about {q.array.tolist()}")
+    return value
+
+
+def f_value(phi, params, q):
+    """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
+    q = HyperbolicPoint.of(q)
+    _, wd, target = _ball_rule(params, q)
+    vals = np.asarray(phi.evaluate(target), dtype=float)
+    return _check_finite(float(np.sum(wd * vals)), q)
+
+
+def f_gradient(phi, params, q):
     """Analytic gradient of :func:`f_value` in the ball center ``q``.
 
     Horizontal components integrate the corresponding derivative of ``phi``;
@@ -177,28 +189,25 @@ def f_gradient(phi, params, q, order=BALL_QUAD_ORDER):
     if phi.gradient is None:
         raise ValueError("prescribed function has no gradient evaluator")
     q = HyperbolicPoint.of(q)
-    pts, w = _reference_rule(params, order)
-    kr = params.k * params.r
-    target = q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
-    dens = (pts[:, 2] + kr) ** -3.0
+    pts, wd, target = _ball_rule(params, q)
     gphi = np.asarray(phi.gradient(target), dtype=float)
     out = np.empty(3)
-    out[0] = np.sum(w * dens * gphi[:, 0])
-    out[1] = np.sum(w * dens * gphi[:, 1])
-    out[2] = np.sum(w * dens * (gphi[:, 0] * pts[:, 0] + gphi[:, 1] * pts[:, 1]
-                                + gphi[:, 2] * (pts[:, 2] + kr)))
-    return out
+    out[0] = np.sum(wd * gphi[:, 0])
+    out[1] = np.sum(wd * gphi[:, 1])
+    out[2] = np.sum(wd * (gphi[:, 0] * pts[:, 0] + gphi[:, 1] * pts[:, 1]
+                          + gphi[:, 2] * (pts[:, 2] + params.k * params.r)))
+    return _check_finite(out, q)
 
 
-def hessian_estimate(phi, params, q, order=BALL_QUAD_ORDER, step=1e-4):
+def hessian_estimate(phi, params, q, step=1e-4):
     """Symmetrized central-difference Hessian of the reduced function."""
     q = HyperbolicPoint.of(q).array
     H = np.empty((3, 3))
     for j in range(3):
         e = np.zeros(3)
         e[j] = step * max(1.0, abs(q[j]))
-        gp = f_gradient(phi, params, q + e, order)
-        gm = f_gradient(phi, params, q - e, order)
+        gp = f_gradient(phi, params, q + e)
+        gm = f_gradient(phi, params, q - e)
         H[:, j] = (gp - gm) / (2 * e[j])
     return 0.5 * (H + H.T)
 
@@ -255,8 +264,8 @@ def check_box(box):
     return box
 
 
-def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
-                  gtol=1e-10, max_iter=40, rng=None, dedupe=1e-6):
+def find_critical(phi, params, box, seeds=27, gtol=1e-10, max_iter=40,
+                  rng=None, dedupe=1e-6):
     """Search the box for critical points of the reduced function.
 
     Newton iterations with Levenberg damping start from a jittered lattice of
@@ -279,12 +288,12 @@ def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
         lam = 0.0
         ok = False
         for _ in range(max_iter):
-            g = f_gradient(phi, params, qa, order)
+            g = f_gradient(phi, params, qa)
             gn = np.linalg.norm(g)
             if gn <= gtol:
                 ok = True
                 break
-            H = hessian_estimate(phi, params, qa, order)
+            H = hessian_estimate(phi, params, qa)
             hscale = max(np.max(np.abs(H)), 1e-12)
             for _ in range(8):
                 try:
@@ -296,7 +305,7 @@ def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
                 if qn[2] <= 0.25 * box[4]:
                     lam = max(4.0 * lam, 1e-4)
                     continue
-                if np.linalg.norm(f_gradient(phi, params, qn, order)) < gn:
+                if np.linalg.norm(f_gradient(phi, params, qn)) < gn:
                     qa = qn
                     lam = lam / 3.0 if lam > 1e-8 else 0.0
                     break
@@ -308,11 +317,11 @@ def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
                 break
         if not ok or not _inside(qa, box):
             continue
-        H = hessian_estimate(phi, params, qa, order)
-        val = f_value(phi, params, qa, order)
+        H = hessian_estimate(phi, params, qa)
+        val = f_value(phi, params, qa)
         found.append(MelnikovResult(
             q=HyperbolicPoint.of(qa), value=val,
-            gradient=f_gradient(phi, params, qa, order), hessian=H,
+            gradient=f_gradient(phi, params, qa), hessian=H,
             classification=classify_hessian(H, val)))
 
     found.sort(key=lambda r: (r.value, r.q.p1, r.q.p2, r.q.p3))
@@ -327,7 +336,7 @@ def find_critical(phi, params, box, seeds=27, order=BALL_QUAD_ORDER,
 # monotonicity obstructions
 
 
-def monotone_obstruction(phi, params, box, lattice=3, order=BALL_QUAD_ORDER,
+def monotone_obstruction(phi, params, box, lattice=3,
                          margin=OBSTRUCTION_MARGIN):
     """Scan the box for uniformly signed derivatives of the reduced function.
 
@@ -339,7 +348,7 @@ def monotone_obstruction(phi, params, box, lattice=3, order=BALL_QUAD_ORDER,
     box = check_box(box)
     axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    grads = np.array([f_gradient(phi, params, p, order) for p in pts])
+    grads = np.array([f_gradient(phi, params, p) for p in pts])
     radial = np.einsum("ij,ij->i", pts, grads)
     report = {"lattice": pts.tolist(), "margin": margin, "directions": {}}
     obstructed = []
@@ -358,7 +367,7 @@ def monotone_obstruction(phi, params, box, lattice=3, order=BALL_QUAD_ORDER,
     return report
 
 
-def scan_to_csv(phi, params, box, path, lattice=8, order=BALL_QUAD_ORDER):
+def scan_to_csv(phi, params, box, path, lattice=8):
     """Write a lattice of reduced-function values and gradients as CSV."""
     box = check_box(box)
     axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
@@ -367,7 +376,7 @@ def scan_to_csv(phi, params, box, path, lattice=8, order=BALL_QUAD_ORDER):
         wr = csv.writer(fh)
         wr.writerow(["q1", "q2", "q3", "F", "dF1", "dF2", "dF3"])
         for p in pts:
-            g = f_gradient(phi, params, p, order)
+            g = f_gradient(phi, params, p)
             wr.writerow([f"{v:.17g}" for v in
-                         (*p, f_value(phi, params, p, order), *g)])
+                         (*p, f_value(phi, params, p), *g)])
     return pts.shape[0]

@@ -76,13 +76,16 @@ def to_text(node, parent_prec=0):
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        inner = to_text(node.arg, 4)
-        return f"-{inner}"
+        # a negated base of ``^`` needs parentheses: ``-a ^ b`` is ``-(a ^ b)``
+        text = f"-{to_text(node.arg, 4)}"
+        return f"({text})" if parent_prec > 3 else text
     if isinstance(node, Call):
         return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
     prec = _PRECEDENCE[node.op]
-    left = to_text(node.left, prec)
-    right = to_text(node.right, prec + (0 if node.op == "^" else 1))
+    # ``^`` binds right, so its left operand needs the tighter context
+    lp, rp = (prec + 1, prec) if node.op == "^" else (prec, prec + 1)
+    left = to_text(node.left, lp)
+    right = to_text(node.right, rp)
     text = f"{left} {node.op} {right}"
     if prec < parent_prec:
         return f"({text})"
@@ -112,6 +115,8 @@ def _tokenize(text):
                 val = float(text[i:j])
             except ValueError:
                 raise PhiSyntaxError(f"bad number {text[i:j]!r}", i) from None
+            if not np.isfinite(val):
+                raise PhiSyntaxError(f"number {text[i:j]!r} is not finite", i)
             tokens.append((("num", val), i))
             i = j
         elif c.isalpha() or c == "_":

@@ -4,9 +4,9 @@
 correction ``nu`` orthogonal to the nine tangent generators together with
 multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
-operator frozen at the unperturbed sphere does the work; the bordered modal
-matrix is factorized once per ``(grid, k)`` and shared across base points,
-since moving ``q`` only rescales the operator.
+operator frozen at the unperturbed sphere does the work, each step one
+triangular solve against the operator pack's ``bordered_lu``, factorized once
+per ``(grid, k)`` and shared across base points.
 
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
@@ -17,16 +17,15 @@ surface solves the full prescribed-curvature problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import chart as ch
-from .bubbles import C0, bubble, make_params, tangent_frame
+from .bubbles import C0, bubble, tangent_frame
 from .chart import SphereField
 from .energy import conformality_residual, energy_E, first_variation
-from .errors import ConvergenceError, NoCriticalPointError
+from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, j_residual, operator_pack
 from .melnikov import f_value, find_critical
@@ -67,17 +66,6 @@ class ReducedGradientData:
     grad_fd: np.ndarray | None = None
 
 
-@lru_cache(maxsize=4)
-def _bordered_lu(n, k, degree):
-    pack = operator_pack(ch.build_grid(n), make_params(k), degree)
-    m = pack.H_vec.shape[0]
-    KKT = np.zeros((m + 9, m + 9))
-    KKT[:m, :m] = pack.H_vec
-    KKT[:m, m:] = -pack.frame_modal.T
-    KKT[m:, :m] = pack.frame_modal
-    return sla.lu_factor(KKT)
-
-
 def _surface_jet(params, q, grid, pack, c):
     """Values and derivative jets of ``U_q + nu`` for modal coefficients c."""
     U = bubble(params, q, grid)
@@ -92,18 +80,18 @@ def _surface_jet(params, q, grid, pack, c):
 
 
 def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, max_iter=60,
-            warm=None, degree=None):
+            warm=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one triangular solve of
     the cached bordered factorization; the orthogonality constraints are
     enforced inside the solve and stay at roundoff.  At ``eps = 0`` the
-    iteration returns the zero correction immediately.
+    iteration returns the zero correction immediately.  A non-finite
+    residual raises :class:`NumericsError` at once.
     """
     q = HyperbolicPoint.of(q)
-    pack = operator_pack(grid, params, degree)
-    lu = _bordered_lu(grid.n, params.k, pack.degree)
+    pack = operator_pack(grid, params)
     nm3 = pack.H_vec.shape[0]
     gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
@@ -124,11 +112,13 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, max_iter=60,
         rmod = pack.project_vector(F1)
         R2 = pack.frame_modal @ c
         sup = float(np.max(np.abs(F1)))
+        if not np.isfinite(sup):
+            raise NumericsError(f"non-finite residual at chord step {it}")
         if np.linalg.norm(rmod) <= tol and np.max(np.abs(R2)) <= tol:
             converged = True
             break
         rhs = np.concatenate([-scale * rmod, -R2])
-        delta = sla.lu_solve(lu, rhs)
+        delta = sla.lu_solve(pack.bordered_lu, rhs)
         c = c + delta[:nm3]
         m = m + delta[nm3:] / scale
     if not converged:
@@ -185,8 +175,7 @@ def _correction_flows(grid, nu):
     ]
 
 
-def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3,
-                     grid=None):
+def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3):
     """Gradient of the reduced energy at the state's base point.
 
     The gradient is the constant-matrix expression in the multipliers; with
@@ -196,7 +185,7 @@ def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3,
     """
     if not state.converged:
         raise ValueError("stale state: the corrector did not converge")
-    grid = grid or state.nu.grid
+    grid = state.nu.grid
     M, Theta = constant_matrices(params)
     grad = (M @ state.xi + Theta @ state.alpha) / (2.0 * C0)
     frame = tangent_frame(params, grid)
@@ -257,11 +246,10 @@ def verify_side1(u, q, phi, params, eps):
 
 
 def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
-              max_outer=25, fd_step=1e-4, degree=None):
+              max_outer=25, fd_step=1e-4):
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     q = HyperbolicPoint.of(q_start)
-    state = correct(eps, q, phi, params, grid, warm=warm, tol=itol,
-                    degree=degree)
+    state = correct(eps, q, phi, params, grid, warm=warm, tol=itol)
     g = reduced_gradient(state, phi, params).grad_q
     for _ in range(max_outer):
         if np.max(np.abs(g)) <= gtol:
@@ -271,7 +259,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
             e = np.zeros(3)
             e[i] = fd_step * max(1.0, q.p3)
             sp = correct(eps, HyperbolicPoint.of(q.array + e), phi, params,
-                         grid, warm=state, tol=itol, degree=degree)
+                         grid, warm=state, tol=itol)
             jac[:, i] = (reduced_gradient(sp, phi, params).grad_q - g) / e[i]
         try:
             step = np.linalg.solve(jac, -g)
@@ -283,7 +271,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
             qn = q.array + tfac * step
             if qn[2] > 0:
                 sn = correct(eps, HyperbolicPoint.of(qn), phi, params, grid,
-                             warm=state, tol=itol, degree=degree)
+                             warm=state, tol=itol)
                 gn = reduced_gradient(sn, phi, params).grad_q
                 if np.max(np.abs(gn)) < np.max(np.abs(g)):
                     q, state, g = HyperbolicPoint.of(qn), sn, gn
@@ -301,8 +289,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
             raise ConvergenceError(
                 f"no reduced critical point after {max_outer} outer steps "
                 f"(|grad| = {np.max(np.abs(g)):.3e})")
-    state = correct(eps, q, phi, params, grid, warm=state,
-                    tol=min(itol, 2e-10), degree=degree)
+    state = correct(eps, q, phi, params, grid, warm=state, tol=min(itol, 2e-10))
     return state
 
 
@@ -347,8 +334,7 @@ def check_schedule(eps_schedule):
     return eps_schedule
 
 
-def continuation(eps_schedule, phi, params, box, grid, seeds=27, degree=None,
-                 rng=None):
+def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
     """Construct perturbed-curvature spheres along a monotone ``eps`` schedule.
 
     A stable critical point of the reduced function must exist in ``box``
@@ -371,10 +357,9 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27, degree=None,
     for eps in eps_schedule:
         try:
             if eps == 0.0:
-                st = correct(0.0, q_prev, phi, params, grid, degree=degree)
+                st = correct(0.0, q_prev, phi, params, grid)
             else:
-                st = _solve_at(eps, phi, params, grid, q_prev, warm=state,
-                               degree=degree)
+                st = _solve_at(eps, phi, params, grid, q_prev, warm=state)
         except (ConvergenceError, FloatingPointError) as exc:
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "hint": "retry with smaller eps steps"})

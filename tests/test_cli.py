@@ -126,6 +126,42 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "v")]) == 2
 
 
+@pytest.mark.parametrize("command,args", [
+    ("melnikov", ["--phi", "p1"]),
+    ("melnikov", ["--box=" + BOX]),
+    ("obstruction", ["--box=" + BOX]),
+    ("obstruction", ["--phi", "p1"]),
+    ("solve", ["--phi", BUMP, "--box=" + BOX]),
+    ("solve", ["--phi", BUMP, "--eps", "0.01"]),
+    ("solve", ["--eps", "0.01", "--box=" + BOX]),
+])
+def test_missing_required_input_is_config_error(tmp_path, command, args):
+    out = tmp_path / "m"
+    assert main([command, "--k", "2", *args, "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_unknown_config_keys_are_config_errors(tmp_path):
+    for doc in ({"grid-n": 48}, {"degree": 10}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "u")]) == 2
+
+
+@pytest.mark.parametrize("command", ["obstruction", "melnikov"])
+def test_non_finite_phi_is_numeric_failure(tmp_path, command):
+    out = tmp_path / command
+    rc = main([command, "--k", "2", "--phi", "sqrt(0.3 - p1^2)",
+               "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    doc = read_summary(out)
+    assert doc["status"] == "numeric_failure"
+    assert "not finite" in doc["error"]
+    json.loads((out / "summary.json").read_text(),
+               parse_constant=lambda c: pytest.fail(f"{c} in summary"))
+
+
 def test_tolerance_overrides_are_honoured(tmp_path):
     def run(command, tolerances, *args):
         cfg, out = tmp_path / f"{command}.json", tmp_path / command

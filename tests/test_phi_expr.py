@@ -81,6 +81,9 @@ def test_syntax_errors_with_position():
         pe.parse_phi("hypdist(0, 0, -1)")
     with pytest.raises(pe.PhiSyntaxError):
         pe.parse_phi("1 +")
+    with pytest.raises(pe.PhiSyntaxError, match="not finite") as err:
+        pe.parse_phi("exp(-1e999)")
+    assert err.value.position == 5
 
 
 def test_non_finite_rejected():

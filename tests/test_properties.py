@@ -1,0 +1,75 @@
+"""Property tests: invariances the construction guarantees, checked on
+generated inputs."""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from cmc_hyp import phi_expr as pe
+from cmc_hyp.bubbles import bubble
+from cmc_hyp.energy import energy_E
+from cmc_hyp.halfspace import HyperbolicPoint
+from cmc_hyp.linearized import j_residual
+
+FEW = settings(max_examples=25, deadline=None)
+
+# ---------------------------------------------------------------------------
+# phi expressions: printing and parsing are inverse
+
+
+literals = st.floats(min_value=0.0, max_value=1e300, allow_nan=False,
+                     allow_infinity=False)
+leaves = st.one_of(literals.map(pe.Num),
+                   st.sampled_from(["p1", "p2", "p3"]).map(pe.Var))
+anchors = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 3))
+
+
+def _extend(children):
+    unary = st.sampled_from(["exp", "log", "sqrt", "sin", "cos", "tanh",
+                             "atanh"])
+    return st.one_of(
+        children.map(pe.Neg),
+        st.builds(pe.Bin, st.sampled_from(["+", "-", "*", "/", "^"]),
+                  children, children),
+        st.builds(lambda name, arg: pe.Call(name, (arg,)), unary, children),
+        anchors.map(lambda a: pe.Call("hypdist", tuple(map(pe.Num, a)))),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+
+
+@FEW
+@given(trees)
+@example(pe.parse_phi("(p1^2)^3"))      # a power as the base of a power
+@example(pe.parse_phi("(-p1)^2"))       # a negation as the base of a power
+def test_print_parse_roundtrip(tree):
+    assert pe.parse_phi(pe.to_text(tree)) == tree
+
+
+@FEW
+@given(st.integers(1, 9), st.integers(-400, 400))
+def test_literals_parse_finite_or_raise(mantissa, exponent):
+    text = f"exp(-{mantissa}e{exponent}) * p1"
+    try:
+        tree = pe.parse_phi(text)
+    except pe.PhiSyntaxError as err:
+        assert "not finite" in str(err)
+        return
+    assert pe.parse_phi(pe.to_text(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# the sphere family: translating the center changes neither the energy nor
+# the (vanishing) curvature residual
+
+centers = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.25, 4))
+
+
+@FEW
+@given(centers)
+def test_bubble_energy_and_residual_translation_invariant(grid16, params2, q):
+    q = HyperbolicPoint(*q)
+    e0 = energy_E(bubble(params2, HyperbolicPoint(0, 0, 1), grid16), params2)
+    u = bubble(params2, q, grid16)
+    assert abs(energy_E(u, params2) - e0) <= 1e-12 * abs(e0)
+    assert np.max(np.abs(j_residual(u, params2).values)) <= 1e-8

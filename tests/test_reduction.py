@@ -6,7 +6,7 @@ from cmc_hyp import chart as ch
 from cmc_hyp import energy as en
 from cmc_hyp import melnikov as mel
 from cmc_hyp import reduction as red
-from cmc_hyp.errors import NoCriticalPointError
+from cmc_hyp.errors import NoCriticalPointError, NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
 Q0 = HyperbolicPoint(0, 0, 1)
@@ -33,6 +33,14 @@ def test_correct_linear_smallness(grid16, params2, bump):
         assert st.residual_norm < 1e-8
         ratios.append(ch.cm_norm(ch.differentiate(st.nu), 1) / eps)
     assert max(ratios) < 1.5 * min(ratios)
+
+
+def test_correct_rejects_non_finite_residual(grid16, params2):
+    def nan_phi(p):
+        return np.full(np.shape(p)[:-1], np.nan)
+
+    with pytest.raises(NumericsError, match="non-finite"):
+        red.correct(0.01, Q0, nan_phi, params2, grid16)
 
 
 def test_correct_off_center(grid16, params2, bump):
