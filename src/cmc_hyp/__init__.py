@@ -16,14 +16,14 @@ from .linearized import (LinearizedSystem, SpectrumReport, j_residual,
                          assemble_linearized, normal_operator,
                          tangential_quadratic_form, spectrum_normal, kernel,
                          solve_orthogonal)
-from .melnikov import (PrescribedFunction, MelnikovResult, f_value, f_gradient,
-                       find_critical, monotone_obstruction, check_box)
+from .melnikov import (MelnikovResult, f_value, f_gradient, find_critical,
+                       monotone_obstruction, check_box)
 from .energy import (VolumeVectorField, build_Q, volume_V, energy_E,
                      first_variation, conformality_residual, horosphere_energy)
 from .reduction import (ReductionState, ReducedGradientData, correct,
                         reduced_gradient, continuation, check_schedule,
                         verify_side1)
-from .phi_expr import parse_phi, phi_to_prescribed
+from .phi_expr import PrescribedFunction, parse_phi, phi_to_prescribed
 from .errors import (NumericsError, AmbiguousKernelError, ConvergenceError,
                      NoCriticalPointError)
 

@@ -253,15 +253,17 @@ def _z_combination(grid, a, b, da, db):
     return SphereField(grid, vals, dx, dy)
 
 
-@lru_cache(maxsize=16)
-def _frame_cached(n, k):
-    grid = ch.build_grid(n)
-    params = make_params(k)
-    N = grid.size
-    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    one, zero = np.ones(N), np.zeros(N)
+def flow_coefficients(x, y):
+    """The six reparametrization flows ``a d_x + b d_y`` of the chart.
+
+    At chart points ``(x, y)``, one ``(a, b, grad a, grad b, cf)`` per flow:
+    the coefficients, their chart gradients ``(d_x, d_y)`` and the flow's
+    normalization.  In order: the two translations, the radial and rotation
+    flows, and the two quadratic flows.
+    """
+    one, zero = np.ones_like(x), np.zeros_like(x)
     s2 = np.sqrt(2.0)
-    combos = [
+    return [
         (one, zero, (zero, zero), (zero, zero), C0),           # d/dx
         (zero, one, (zero, zero), (zero, zero), C0),           # d/dy
         (x, y, (one, zero), (zero, one), C0 * s2),             # radial flow
@@ -269,8 +271,15 @@ def _frame_cached(n, k):
         (x * x - y * y, 2 * x * y, (2 * x, -2 * y), (2 * y, 2 * x), C0),
         (-2 * x * y, x * x - y * y, (-2 * y, -2 * x), (2 * x, -2 * y), C0),
     ]
+
+
+@lru_cache(maxsize=16)
+def _frame_cached(n, k):
+    grid = ch.build_grid(n)
+    params = make_params(k)
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
     tau = []
-    for a, b, da, db, cf in combos:
+    for a, b, da, db, cf in flow_coefficients(x, y):
         f = _z_combination(grid, a, b, da, db)
         tau.append(SphereField(grid, cf * f.values, cf * f.dx, cf * f.dy))
     gamma = 2.0 * C0 * (k * grid.omega + np.array([0.0, 0.0, 1.0]))

@@ -33,14 +33,6 @@ from .reduction import check_schedule, continuation
 COMMANDS = ("verify", "spectrum", "kernel", "melnikov", "solve",
             "energy-curve", "obstruction")
 
-_CATALOG = {
-    "constant": lambda p: mel.phi_constant(p.get("value", 1.0)),
-    "coordinate": lambda p: mel.phi_coordinate(p.get("index", 0)),
-    "norm": lambda p: mel.phi_norm(),
-    "radial_gaussian": lambda p: mel.phi_radial_gaussian(p.get("center", (0, 0, 1))),
-    "dist_squared": lambda p: mel.phi_dist_squared(p.get("center", (0, 0, 1))),
-}
-
 # The tolerances a config document may override, with their defaults; each
 # one is passed down to the computation that uses it.
 TOLERANCES = {
@@ -62,7 +54,7 @@ class JobConfig:
     command: str
     k: float = 2.0
     grid_n: int = 24
-    phi_source: object = None
+    phi_source: str | None = None
     box: tuple | None = None
     eps_schedule: tuple = ()
     count: int = 8
@@ -96,15 +88,9 @@ class JobConfig:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
 
     def phi(self):
-        src = self.phi_source
-        if isinstance(src, str):
-            return phi_to_prescribed(src, probe_box=self.box)
-        if isinstance(src, dict) and "catalog" in src:
-            name = src["catalog"]
-            if name not in _CATALOG:
-                raise ValueError(f"unknown catalog entry {name!r}")
-            return _CATALOG[name](src)
-        raise ValueError("phi_source must be an expression or catalog mapping")
+        if not isinstance(self.phi_source, str):
+            raise ValueError("phi_source must be an expression string")
+        return phi_to_prescribed(self.phi_source, probe_box=self.box)
 
     def echo(self):
         return {

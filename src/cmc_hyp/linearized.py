@@ -256,7 +256,7 @@ def j_residual(u, params, curvature=None, eps=0.0):
     """Pointwise residual of the prescribed-curvature system at ``u``.
 
     ``curvature`` is the spatially varying part (a
-    :class:`~cmc_hyp.melnikov.PrescribedFunction` or plain callable); the
+    :class:`~cmc_hyp.phi_expr.PrescribedFunction` or plain callable); the
     total curvature is ``k + eps * curvature``.  Fields sampled from analytic
     surfaces use exact derivatives, everything else the spectral rule.  The
     result vanishes (to discretization accuracy) exactly at solutions.

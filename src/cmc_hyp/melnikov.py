@@ -7,6 +7,11 @@ quadrature is pulled back to a fixed reference ball (integrand
 ``(p3 + k r)^-3 phi(q3 p + q^k)``), which makes the value and its analytic
 gradient smooth in ``q`` and removes any domain motion from the formulas.
 Both raise :class:`~cmc_hyp.errors.NumericsError` where ``phi`` is not finite.
+
+The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
+``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
+the :mod:`~cmc_hyp.phi_expr` language, so their gradients come from the
+same dual-number walk as any user expression.
 """
 
 from __future__ import annotations
@@ -19,135 +24,41 @@ import numpy as np
 
 from .errors import NumericsError
 from .halfspace import BALL_QUAD_ORDER, HyperbolicPoint, dist, unit_ball_rule
+# PrescribedFunction is re-exported: the catalog's functions are its instances
+from .phi_expr import PrescribedFunction, phi_to_prescribed
 
 # margin by which a derivative must keep one sign over the lattice to count
 # as an obstruction
 OBSTRUCTION_MARGIN = 1e-10
 
 
-@dataclass
-class PrescribedFunction:
-    """A scalar function on the half-space with its Euclidean gradient.
-
-    ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to
-    ``(..., 3)`` Euclidean gradients; ``descriptor`` documents the source.
-    ``constant_value`` is set for constants so downstream quadratures can use
-    closed forms.
-    """
-
-    evaluate: object
-    gradient: object
-    descriptor: str = ""
-    constant_value: float | None = None
-
-    def validate_gradient(self, rng=None, probes=None, h=1e-6, tol=1e-6):
-        """Worst relative finite-difference defect of the gradient."""
-        if probes is None:
-            rng = rng or np.random.default_rng(0)
-            probes = np.stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20),
-                               rng.uniform(0.5, 2.0, 20)], axis=-1)
-        worst = 0.0
-        for p in np.atleast_2d(probes):
-            g = np.asarray(self.gradient(p), dtype=float)
-            fd = np.empty(3)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h * max(1.0, abs(p[j]))
-                fd[j] = (self.evaluate(p + e) - self.evaluate(p - e)) / (2 * e[j])
-            scale = max(np.linalg.norm(g), 1.0)
-            worst = max(worst, float(np.linalg.norm(g - fd) / scale))
-        if worst > tol:
-            raise ValueError(
-                f"gradient disagrees with finite differences by {worst:.2e}")
-        return worst
-
-
 # ---------------------------------------------------------------------------
-# catalog
+# catalog: expressions compiled by :func:`~cmc_hyp.phi_expr.phi_to_prescribed`
+
+
+def _anchor(center):
+    return ", ".join(f"{float(v)!r}" for v in HyperbolicPoint.of(center).array)
 
 
 def phi_constant(c):
-    c = float(c)
-    return PrescribedFunction(
-        evaluate=lambda p: np.full(np.shape(np.asarray(p)[..., 0]), c),
-        gradient=lambda p: np.zeros(np.shape(p)),
-        descriptor=f"const:{c:g}", constant_value=c)
+    return phi_to_prescribed(f"{float(c)!r}")
 
 
 def phi_coordinate(j):
-    j = int(j)
-    if j not in (0, 1, 2):
-        raise ValueError("coordinate index must be 0, 1 or 2")
-
-    def grad(p):
-        g = np.zeros(np.shape(p))
-        g[..., j] = 1.0
-        return g
-
-    return PrescribedFunction(
-        evaluate=lambda p: np.asarray(p, dtype=float)[..., j],
-        gradient=grad, descriptor=f"coordinate:{j}")
+    return phi_to_prescribed(f"p{int(j) + 1}")
 
 
 def phi_norm():
-    return PrescribedFunction(
-        evaluate=lambda p: np.linalg.norm(np.asarray(p, dtype=float), axis=-1),
-        gradient=lambda p: np.asarray(p, dtype=float)
-        / np.linalg.norm(np.asarray(p, dtype=float), axis=-1)[..., None],
-        descriptor="norm")
-
-
-def _cosh_dist_parts(p, a):
-    p = np.asarray(p, dtype=float)
-    d2 = np.sum((p - a) ** 2, axis=-1)
-    c = 1.0 + d2 / (2.0 * p[..., 2] * a[2])
-    gc = np.empty(np.shape(p))
-    gc[..., 0] = (p[..., 0] - a[0]) / (p[..., 2] * a[2])
-    gc[..., 1] = (p[..., 1] - a[1]) / (p[..., 2] * a[2])
-    gc[..., 2] = (p[..., 2] - a[2]) / (p[..., 2] * a[2]) \
-        - d2 / (2.0 * p[..., 2] ** 2 * a[2])
-    return c, gc
-
-
-def _dist2_chain(c):
-    # 2 d / sqrt(c^2 - 1) with its smooth continuation through c = 1
-    small = c - 1.0 < 1e-6
-    cs = np.where(small, 2.0, c)   # keep sqrt arguments legal
-    out = 2.0 * np.arccosh(np.maximum(cs, 1.0)) / np.sqrt(cs**2 - 1.0)
-    series = 2.0 - 2.0 * (c - 1.0) / 3.0
-    return np.where(small, series, out)
+    return phi_to_prescribed("sqrt(p1^2 + p2^2 + p3^2)")
 
 
 def phi_dist_squared(center):
-    a = HyperbolicPoint.of(center).array
-
-    def ev(p):
-        c, _ = _cosh_dist_parts(p, a)
-        return np.arccosh(np.maximum(c, 1.0)) ** 2
-
-    def grad(p):
-        c, gc = _cosh_dist_parts(p, a)
-        return _dist2_chain(c)[..., None] * gc
-
-    return PrescribedFunction(ev, grad,
-                              descriptor=f"dist2:{tuple(a)}")
+    return phi_to_prescribed(f"hypdist({_anchor(center)})^2")
 
 
 def phi_radial_gaussian(center):
     """``exp(-d_H(p, center)^2)``: a smooth bump centered at ``center``."""
-    a = HyperbolicPoint.of(center).array
-
-    def ev(p):
-        c, _ = _cosh_dist_parts(p, a)
-        return np.exp(-np.arccosh(np.maximum(c, 1.0)) ** 2)
-
-    def grad(p):
-        c, gc = _cosh_dist_parts(p, a)
-        val = np.exp(-np.arccosh(np.maximum(c, 1.0)) ** 2)
-        return -val[..., None] * _dist2_chain(c)[..., None] * gc
-
-    return PrescribedFunction(ev, grad,
-                              descriptor=f"radial_gaussian:{tuple(a)}")
+    return phi_to_prescribed(f"exp(-hypdist({_anchor(center)})^2)")
 
 
 # ---------------------------------------------------------------------------

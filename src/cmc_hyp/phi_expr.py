@@ -7,9 +7,13 @@ is the hyperbolic distance from the evaluation point to the fixed anchor
 ``(a, b, c)``; the anchor must be numeric literals so the syntax tree stays
 a pure function of ``p``.
 
-Evaluation is numpy-vectorized; gradients come from forward-mode dual
-numbers pushed through the same tree, which keeps values and derivatives
-consistent by construction.
+Evaluation is one numpy-vectorized walk of the tree in which every node is
+a numpy ufunc (``np.add``, ``np.power``, ``np.exp``, ...).  On plain arrays
+the walk gives values.  On forward-mode :class:`Dual` numbers, whose
+``__array_ufunc__`` looks each ufunc's partial derivatives up in one rule
+table, the same walk gives gradients, so values and derivatives agree by
+construction.  :func:`phi_to_prescribed` compiles an expression into a
+:class:`PrescribedFunction`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .halfspace import HyperbolicPoint
-from .melnikov import PrescribedFunction
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "atanh", "hypdist")
 _CONSTANTS = {"pi": np.pi}
@@ -246,145 +247,164 @@ def parse_phi(text):
 
 
 # ---------------------------------------------------------------------------
-# dual numbers (value + 3-component gradient, numpy-vectorized)
+# evaluation: one tree walk through numpy ufuncs
 
 
-class Dual:
+class Dual(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value ``v`` with its Euclidean gradient ``g`` (shape ``(3,) + v.shape``).
+
+    A numpy ufunc applied to duals computes the value from the plain values
+    and the gradient by the chain rule, with the partial derivatives from
+    :data:`_RULES`; a result that depends on no dual is a plain value.
+    """
+
     __slots__ = ("v", "g")
 
     def __init__(self, v, g):
-        self.v = np.asarray(v, dtype=float)
-        self.g = np.asarray(g, dtype=float)   # shape (3,) + v.shape
+        self.v = v
+        self.g = g
 
-    @classmethod
-    def variable(cls, v, index, shape):
-        g = np.zeros((3,) + shape)
-        g[index] = 1.0
-        return cls(v, g)
-
-    @classmethod
-    def constant(cls, v, shape):
-        return cls(np.broadcast_to(np.asarray(v, dtype=float), shape).copy(),
-                   np.zeros((3,) + shape))
-
-    def __add__(self, o):
-        return Dual(self.v + o.v, self.g + o.g)
-
-    def __sub__(self, o):
-        return Dual(self.v - o.v, self.g - o.g)
-
-    def __neg__(self):
-        return Dual(-self.v, -self.g)
-
-    def __mul__(self, o):
-        return Dual(self.v * o.v, self.g * o.v + o.g * self.v)
-
-    def __truediv__(self, o):
-        inv = 1.0 / o.v
-        return Dual(self.v * inv, (self.g - o.g * (self.v * inv)) * inv)
-
-    def chain(self, value, slope):
-        return Dual(value, self.g * slope)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        vals = [x.v if isinstance(x, Dual) else x for x in inputs]
+        out = ufunc(*vals)
+        rules = _RULES[ufunc]
+        if ufunc is np.power and not (isinstance(inputs[1], Dual)
+                                      and inputs[1].g.any()):
+            rules = _CONSTANT_EXPONENT
+        g = None
+        for x, rule in zip(inputs, rules):
+            if isinstance(x, Dual) and rule is not None:
+                term = x.g * rule(*vals, out)
+                g = term if g is None else g + term
+        return out if g is None else Dual(out, g)
 
 
-def _dual_pow(a, b):
-    if np.all(b.g == 0):
-        e = b.v
-        val = a.v**e
-        return Dual(val, a.g * (e * a.v**(np.where(e == 0, 1.0, e) - 1.0)))
-    loga = np.log(a.v)
-    val = np.exp(b.v * loga)
-    return Dual(val, val * (b.g * loga + b.v * a.g / a.v))
-
-
-def _dual_hypdist(p1, p2, p3, anchor):
-    a1, a2, a3 = anchor
-    d2 = (p1 - Dual.constant(a1, p1.v.shape)) * (p1 - Dual.constant(a1, p1.v.shape)) \
-        + (p2 - Dual.constant(a2, p1.v.shape)) * (p2 - Dual.constant(a2, p1.v.shape)) \
-        + (p3 - Dual.constant(a3, p1.v.shape)) * (p3 - Dual.constant(a3, p1.v.shape))
-    ch = Dual.constant(1.0, p1.v.shape) + d2 / (Dual.constant(2.0 * a3, p1.v.shape) * p3)
-    c = np.maximum(ch.v, 1.0)
-    val = np.arccosh(c)
+def _arccosh_slope(c):
     # the distance is not differentiable at the anchor itself; report a zero
     # slope there instead of propagating NaNs
     denom = np.sqrt(np.maximum(c * c - 1.0, 0.0))
-    slope = np.where(denom > 1e-150, 1.0 / np.maximum(denom, 1e-150), 0.0)
-    return ch.chain(val, slope)
+    return np.where(denom > 1e-150, 1.0 / np.maximum(denom, 1e-150), 0.0)
 
 
-def _eval(node, env):
+# partial derivatives of each ufunc in each argument, given the arguments'
+# values and the result
+_RULES = {
+    np.negative: (lambda a, out: -1.0,),
+    np.add: (lambda a, b, out: 1.0, lambda a, b, out: 1.0),
+    np.subtract: (lambda a, b, out: 1.0, lambda a, b, out: -1.0),
+    np.multiply: (lambda a, b, out: b, lambda a, b, out: a),
+    np.divide: (lambda a, b, out: 1.0 / b, lambda a, b, out: -out / b),
+    # ``a ^ b`` with a dual exponent, as ``exp(b log a)``
+    np.power: (lambda a, b, out: out * b / a, lambda a, b, out: out * np.log(a)),
+    np.maximum: (lambda a, b, out: a >= b, lambda a, b, out: a < b),
+    np.exp: (lambda a, out: out,),
+    np.log: (lambda a, out: 1.0 / a,),
+    np.sqrt: (lambda a, out: 0.5 / out,),
+    np.sin: (lambda a, out: np.cos(a),),
+    np.cos: (lambda a, out: -np.sin(a),),
+    np.tanh: (lambda a, out: 1.0 - out * out,),
+    np.arctanh: (lambda a, out: 1.0 / (1.0 - a * a),),
+    np.arccosh: (lambda a, out: _arccosh_slope(a),),
+}
+# ``a ^ e`` with an exponent that carries no gradient: ``e a^(e-1)``, which
+# keeps the slope of ``a ^ 0`` at zero wherever ``a`` is
+_CONSTANT_EXPONENT = (
+    lambda a, e, out: e * np.power(a, np.where(e == 0, 1.0, e) - 1.0), None)
+
+# ``^`` is ``np.power`` itself, not ``**``, which would take numpy's
+# ``square`` fast path for ``x ^ 2`` and change the last bits of values
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+           "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "atanh": np.arctanh}
+
+
+def hypdist(p1, p2, p3, anchor):
+    """Hyperbolic distance from ``(p1, p2, p3)`` to the point ``anchor``."""
+    a1, a2, a3 = anchor
+    d1, d2, d3 = p1 - a1, p2 - a2, p3 - a3
+    c = 1.0 + (d1 * d1 + d2 * d2 + d3 * d3) / (2.0 * p3 * a3)
+    return np.arccosh(np.maximum(c, 1.0))
+
+
+def _eval(node, p):
     if isinstance(node, Num):
-        return Dual.constant(node.value, env["shape"]) if env["dual"] \
-            else np.broadcast_to(node.value, env["shape"])
+        return node.value
     if isinstance(node, Var):
-        return env[node.name]
+        return p[_VARIABLES.index(node.name)]
     if isinstance(node, Neg):
-        return -_eval(node.arg, env)
+        return np.negative(_eval(node.arg, p))
     if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return _dual_pow(a, b) if env["dual"] else a**b
+        return _UFUNCS[node.op](_eval(node.left, p), _eval(node.right, p))
     if isinstance(node, Call):
         if node.name == "hypdist":
-            anchor = tuple(a.value for a in node.args)
-            if env["dual"]:
-                return _dual_hypdist(env["p1"], env["p2"], env["p3"], anchor)
-            p = np.stack([env["p1"], env["p2"],
-                          np.broadcast_to(env["p3"], env["shape"])], axis=-1)
-            d2 = np.sum((p - np.array(anchor)) ** 2, axis=-1)
-            c = 1.0 + d2 / (2.0 * p[..., 2] * anchor[2])
-            return np.arccosh(np.maximum(c, 1.0))
-        a = _eval(node.args[0], env)
-        if env["dual"]:
-            v = a.v
-            if node.name == "exp":
-                e = np.exp(v)
-                return a.chain(e, e)
-            if node.name == "log":
-                return a.chain(np.log(v), 1.0 / v)
-            if node.name == "sqrt":
-                rt = np.sqrt(v)
-                return a.chain(rt, 0.5 / rt)
-            if node.name == "sin":
-                return a.chain(np.sin(v), np.cos(v))
-            if node.name == "cos":
-                return a.chain(np.cos(v), -np.sin(v))
-            if node.name == "tanh":
-                t = np.tanh(v)
-                return a.chain(t, 1.0 - t * t)
-            return a.chain(np.arctanh(v), 1.0 / (1.0 - v * v))
-        table = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
-                 "cos": np.cos, "tanh": np.tanh, "atanh": np.arctanh}
-        return table[node.name](a)
+            return hypdist(*p, tuple(a.value for a in node.args))
+        return _UFUNCS[node.name](_eval(node.args[0], p))
     raise TypeError(f"unknown node {node!r}")
 
 
 def evaluate(tree, pts):
     """Values of the expression at points ``(..., 3)``."""
     pts = np.asarray(pts, dtype=float)
-    shape = pts.shape[:-1]
-    env = {"dual": False, "shape": shape, "p1": pts[..., 0],
-           "p2": pts[..., 1], "p3": pts[..., 2]}
-    return np.asarray(_eval(tree, env), dtype=float)
+    out = _eval(tree, np.moveaxis(pts, -1, 0))
+    return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
 
 
 def evaluate_gradient(tree, pts):
     """Euclidean gradients of the expression at points ``(..., 3)``."""
     pts = np.asarray(pts, dtype=float)
     shape = pts.shape[:-1]
-    env = {"dual": True, "shape": shape}
-    for i, name in enumerate(_VARIABLES):
-        env[name] = Dual.variable(pts[..., i], i, shape)
-    out = _eval(tree, env)
+    duals = []
+    for i in range(3):
+        g = np.zeros((3,) + shape)
+        g[i] = 1.0
+        duals.append(Dual(pts[..., i], g))
+    out = _eval(tree, duals)
+    if not isinstance(out, Dual):
+        return np.zeros(shape + (3,))
     return np.moveaxis(out.g, 0, -1)
+
+
+# ---------------------------------------------------------------------------
+# compiled functions
+
+
+@dataclass
+class PrescribedFunction:
+    """A scalar function on the half-space with its Euclidean gradient.
+
+    ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to
+    ``(..., 3)`` Euclidean gradients; ``descriptor`` documents the source.
+    ``constant_value`` is set for constants so downstream quadratures can use
+    closed forms.
+    """
+
+    evaluate: object
+    gradient: object
+    descriptor: str = ""
+    constant_value: float | None = None
+
+    def validate_gradient(self, rng=None, probes=None, h=1e-6, tol=1e-6):
+        """Worst relative finite-difference defect of the gradient."""
+        if probes is None:
+            rng = rng or np.random.default_rng(0)
+            probes = np.stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20),
+                               rng.uniform(0.5, 2.0, 20)], axis=-1)
+        worst = 0.0
+        for p in np.atleast_2d(probes):
+            g = np.asarray(self.gradient(p), dtype=float)
+            fd = np.empty(3)
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h * max(1.0, abs(p[j]))
+                fd[j] = (self.evaluate(p + e) - self.evaluate(p - e)) / (2 * e[j])
+            scale = max(np.linalg.norm(g), 1.0)
+            worst = max(worst, float(np.linalg.norm(g - fd) / scale))
+        if worst > tol:
+            raise ValueError(
+                f"gradient disagrees with finite differences by {worst:.2e}")
+        return worst
 
 
 def phi_to_prescribed(text, probe_box=None):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import chart as ch
-from .bubbles import C0, bubble, tangent_frame
+from .bubbles import C0, bubble, flow_coefficients, tangent_frame
 from .chart import SphereField
 from .energy import conformality_residual, energy_E, first_variation
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
@@ -163,16 +163,8 @@ def constant_matrices(params):
 def _correction_flows(grid, nu):
     """The six reparametrization flows of the correction field."""
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    dx, dy = nu.dx, nu.dy
-    s2 = np.sqrt(2.0)
-    return [
-        C0 * dx,
-        C0 * dy,
-        C0 * s2 * (x[:, None] * dx + y[:, None] * dy),
-        C0 * s2 * (-y[:, None] * dx + x[:, None] * dy),
-        C0 * ((x * x - y * y)[:, None] * dx + (2 * x * y)[:, None] * dy),
-        C0 * ((-2 * x * y)[:, None] * dx + (x * x - y * y)[:, None] * dy),
-    ]
+    return [cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
+            for a, b, _, _, cf in flow_coefficients(x, y)]
 
 
 def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3):

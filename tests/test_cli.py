@@ -126,6 +126,14 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "v")]) == 2
 
 
+def test_phi_source_must_be_an_expression(tmp_path):
+    cfg, out = tmp_path / "catalog.json", tmp_path / "c"
+    cfg.write_text(json.dumps({"phi_source": {"catalog": "norm"}}))
+    assert main(["obstruction", "--k", "2", "--config", str(cfg),
+                 "--box=" + BOX, "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command,args", [
     ("melnikov", ["--phi", "p1"]),
     ("melnikov", ["--box=" + BOX]),

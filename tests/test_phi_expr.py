@@ -105,3 +105,14 @@ def test_constants_pi():
     phi = pe.phi_to_prescribed("pi * p3")
     assert float(phi.evaluate(np.array([0, 0, 2.0]))) == pytest.approx(
         2 * np.pi)
+
+
+def test_zero_exponent_has_zero_slope():
+    # the probe lattice holds p1 = 0, where 0 * 0^-1 would not be finite
+    phi = pe.phi_to_prescribed("p1^0")
+    assert np.array_equal(phi.gradient(np.array([0.0, 0.3, 1.0])), np.zeros(3))
+
+
+def test_hypdist_slope_is_zero_at_its_anchor():
+    phi = pe.phi_to_prescribed("exp(-hypdist(0.1, 0.2, 1.1)^2)")
+    assert np.array_equal(phi.gradient(np.array([0.1, 0.2, 1.1])), np.zeros(3))

@@ -2,7 +2,7 @@
 generated inputs."""
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_hyp import phi_expr as pe
 from cmc_hyp.bubbles import bubble
@@ -56,6 +56,43 @@ def test_literals_parse_finite_or_raise(mantissa, exponent):
         assert "not finite" in str(err)
         return
     assert pe.parse_phi(pe.to_text(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# phi expressions: dual gradients agree with central differences
+
+
+small_literals = st.floats(min_value=0.1, max_value=3.0)
+small_trees = st.recursive(
+    st.one_of(small_literals.map(pe.Num),
+              st.sampled_from(["p1", "p2", "p3"]).map(pe.Var)),
+    _extend, max_leaves=8)
+# horizontal coordinates stay away from 0, where ``sqrt(p1)`` and its kin
+# are too ill-conditioned for a central difference at this step
+points = st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5),
+                   st.floats(0.7, 1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_trees, points)
+# constant base, dual exponent and zero exponent of ``^``
+@example(pe.parse_phi("2^p1 + p3^p1 + p1^0"), (0.3, -0.2, 1.1))
+# the zero slope of ``hypdist`` at its anchor
+@example(pe.parse_phi("exp(-hypdist(0.1,0.2,1.1)^2)"), (0.1, 0.2, 1.1))
+def test_dual_gradient_matches_finite_differences(tree, p):
+    h = 1e-6
+    p = np.array(p)
+    with np.errstate(all="ignore"):
+        f = float(pe.evaluate(tree, p))
+        g = pe.evaluate_gradient(tree, p)
+        fp = pe.evaluate(tree, p + h * np.eye(3))
+        fm = pe.evaluate(tree, p - h * np.eye(3))
+    assume(np.isfinite(f) and np.all(np.isfinite(g))
+           and np.all(np.isfinite(fp)) and np.all(np.isfinite(fm)))
+    second = np.abs(fp - 2.0 * f + fm) / h**2
+    assume(abs(f) <= 1e6 and np.max(second) <= 1e6)
+    fd = (fp - fm) / (2.0 * h)
+    assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g), abs(f))
 
 
 # ---------------------------------------------------------------------------
