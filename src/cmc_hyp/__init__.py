@@ -18,7 +18,7 @@ from .linearized import (LinearizedSystem, SpectrumReport, j_residual,
                          solve_orthogonal)
 from .melnikov import (MelnikovResult, f_value, f_gradient, find_critical,
                        monotone_obstruction, check_box)
-from .energy import (VolumeVectorField, build_Q, volume_V, energy_E,
+from .energy import (build_Q, volume_V, energy_E,
                      first_variation, conformality_residual, horosphere_energy)
 from .reduction import (ReductionState, ReducedGradientData, correct,
                         reduced_gradient, continuation, check_schedule,

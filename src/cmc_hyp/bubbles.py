@@ -11,7 +11,6 @@ projections onto that frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,10 +145,6 @@ class MoebiusMap:
     def rotation(cls, angle):
         return cls(np.exp(1j * angle), 0.0, 0.0, 1.0)
 
-    @classmethod
-    def dilation(cls, t):
-        return cls(complex(t), 0.0, 0.0, 1.0)
-
     @property
     def is_identity(self):
         return self.b == 0 and self.c == 0 and self.a == self.d
@@ -273,22 +268,16 @@ def flow_coefficients(x, y):
     ]
 
 
-@lru_cache(maxsize=16)
-def _frame_cached(n, k):
-    grid = ch.build_grid(n)
-    params = make_params(k)
+def tangent_frame(params, grid):
+    """Frame of the nine nodal generators at curvature ``k`` on ``grid``,
+    built afresh; the operator pack's ``frame`` is the shared copy."""
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
     tau = []
     for a, b, da, db, cf in flow_coefficients(x, y):
         f = _z_combination(grid, a, b, da, db)
         tau.append(SphereField(grid, cf * f.values, cf * f.dx, cf * f.dy))
-    gamma = 2.0 * C0 * (k * grid.omega + np.array([0.0, 0.0, 1.0]))
+    gamma = 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
     return TangentFrame(params=params, grid=grid, tau=tuple(tau), gamma=gamma)
-
-
-def tangent_frame(params, grid):
-    """Frame of the nine nodal generators at curvature ``k`` (cached)."""
-    return _frame_cached(grid.n, params.k)
 
 
 def star_inner(grid, params, f, g):

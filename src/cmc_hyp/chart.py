@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-import json
-
 import numpy as np
 
 from .errors import NumericsError
@@ -182,7 +180,6 @@ class SphereGrid:
     nodes: np.ndarray        # (N, 2)
     weights: np.ndarray      # (N,)
     chart_tag: np.ndarray    # (N,) uint8
-    s: np.ndarray            # (ns,) polar angles, ascending
     theta: np.ndarray        # (ntheta,)
     rho: np.ndarray          # (ns,) = tan(s/2)
     x: np.ndarray            # (ns,) = cos(s)
@@ -242,10 +239,10 @@ def build_grid(n):
 
     grid = SphereGrid(
         n=n, ns=n, ntheta=ntheta, nodes=nodes, weights=w2d, chart_tag=tag,
-        s=s, theta=theta, rho=rho, x=x, sin_s=np.sin(s), mu=mu, omega=omega,
+        theta=theta, rho=rho, x=x, sin_s=np.sin(s), mu=mu, omega=omega,
         domega_dx=dox, domega_dy=doy, Dleg=Dleg, bary_wx=bwx,
     )
-    _freeze(nodes, w2d, tag, s, theta, rho, x, grid.sin_s, mu, omega, dox,
+    _freeze(nodes, w2d, tag, theta, rho, x, grid.sin_s, mu, omega, dox,
             doy, Dleg, bwx)
     return grid
 
@@ -498,7 +495,7 @@ def interpolate(f, pts):
 # chart-overlap consistency
 
 
-def overlap_consistency(f, patch=3):
+def overlap_consistency(f):
     """Worst scaled derivative mismatch across the chart transition.
 
     For every node in the overlap band the stored main-chart derivatives are
@@ -525,7 +522,7 @@ def overlap_consistency(f, patch=3):
     powers = [(a, b) for tot in range(7) for a in range(tot + 1)
               for b in (tot - a,)]
     worst = 0.0
-    offsets = range(-patch, patch + 1)
+    offsets = range(-3, 4)
     for idx in band:
         i, j = divmod(int(idx), grid.ntheta)
         ii = [i + a for a in offsets if 0 <= i + a < grid.ns]
@@ -552,12 +549,12 @@ def overlap_consistency(f, patch=3):
     return worst
 
 
-def check_overlap(f, tol=1e-3):
-    """Raise :class:`NumericsError` when the overlap mismatch exceeds ``tol``."""
+def check_overlap(f):
+    """Raise :class:`NumericsError` when the overlap mismatch exceeds 1e-3."""
     mism = overlap_consistency(f)
-    if mism > tol:
+    if mism > 1e-3:
         raise NumericsError(
-            f"chart-overlap derivative mismatch {mism:.3e} exceeds {tol:g}; "
+            f"chart-overlap derivative mismatch {mism:.3e} exceeds 0.001; "
             "the grid is too coarse for this field")
     return mism
 
@@ -609,35 +606,6 @@ def field_from_csv(path, grid):
     return SphereField(grid, vals, dx, dy)
 
 
-def field_to_json(f, path=None):
-    """Serialize a field (grid resolution + samples) to JSON."""
-    doc = {
-        "grid_n": f.grid.n,
-        "vector": f.is_vector,
-        "values": f.values.tolist(),
-    }
-    if f.has_derivatives:
-        doc["dx"] = f.dx.tolist()
-        doc["dy"] = f.dy.tolist()
-    if path is None:
-        return doc
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    return doc
-
-
-def field_from_json(doc_or_path):
-    if isinstance(doc_or_path, dict):
-        doc = doc_or_path
-    else:
-        with open(doc_or_path) as fh:
-            doc = json.load(fh)
-    grid = build_grid(doc["grid_n"])
-    dx = np.asarray(doc["dx"]) if "dx" in doc else None
-    dy = np.asarray(doc["dy"]) if "dy" in doc else None
-    return SphereField(grid, np.asarray(doc["values"]), dx, dy)
-
-
 # ---------------------------------------------------------------------------
 # smooth test fields
 
@@ -679,8 +647,8 @@ def smooth_field(grid, coeffs):
     return SphereField(grid, vals, dx, dy)
 
 
-def random_smooth_field(grid, rng, vector=True, amplitude=1.0):
+def random_smooth_field(grid, rng, vector=True):
     """Seeded random smooth field (see :func:`smooth_field`)."""
     d = 3 if vector else 1
-    coeffs = amplitude * rng.standard_normal((len(_MONOMIALS), d))
+    coeffs = rng.standard_normal((len(_MONOMIALS), d))
     return smooth_field(grid, coeffs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,21 +93,8 @@ class JobConfig:
         return phi_to_prescribed(self.phi_source, probe_box=self.box)
 
     def echo(self):
-        return {
-            "command": self.command,
-            "k": self.k,
-            "grid_n": self.grid_n,
-            "phi_source": self.phi_source,
-            "box": list(self.box) if self.box else None,
-            "eps_schedule": list(self.eps_schedule),
-            "count": self.count,
-            "seeds": self.seeds,
-            "lattice": self.lattice,
-            "t_range": list(self.t_range),
-            "seed": self.seed,
-            "out_dir": str(self.out_dir),
-            "tolerances": {name: self.tol(name) for name in sorted(TOLERANCES)},
-        }
+        return dict(asdict(self), out_dir=str(self.out_dir),
+                    tolerances={name: self.tol(name) for name in TOLERANCES})
 
 
 def _parse_list(text, count=None):
@@ -194,8 +181,8 @@ def _cmd_spectrum(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
     rep = spectrum_normal(params, grid, count=cfg.count)
-    rep.to_json(out / "spectrum.json")
     doc = rep.to_json()
+    _write_json(out / "spectrum.json", doc)
     doc["low_eigenvalue"] = float(rep.eigenvalues[0])
     doc["triple_at_2k_error"] = float(
         np.max(np.abs(rep.eigenvalues[1:4] - 2.0 * cfg.k)))
@@ -208,8 +195,8 @@ def _cmd_kernel(cfg, out):
     params = make_params(cfg.k)
     system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
     rep = kernel(system, gap_factor=cfg.tol("kernel_gap_factor"))
-    rep.to_json(out / "kernel.json")
     doc = rep.to_json()
+    _write_json(out / "kernel.json", doc)
     doc["frame_reconstruction_residual"] = rep.frame_residual(system)
     return doc, True
 
@@ -227,8 +214,7 @@ def _cmd_melnikov(cfg, out):
         "stable": [c.as_dict() for c in crits
                    if c.classification != "degenerate"],
     }
-    with open(out / "critical_points.json", "w") as fh:
-        json.dump(doc["critical_points"], fh, sort_keys=True, indent=1)
+    _write_json(out / "critical_points.json", doc["critical_points"])
     return doc, True
 
 
@@ -288,9 +274,10 @@ _DISPATCH = {
 }
 
 
-def _write_summary(out_dir, doc):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "summary.json", "w") as fh:
+def _write_json(path, doc):
+    """Write one JSON artifact with sorted keys and a one-space indent, so
+    that identical documents give identical bytes."""
+    with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
 
 
@@ -325,19 +312,19 @@ def main(argv=None):
         summary["result"] = result
         if not ok:
             summary["status"] = "failed_checks"
-        _write_summary(out, summary)
+        _write_json(out / "summary.json", summary)
         return 0 if ok else 3
     except NoCriticalPointError as exc:
         summary.update(status="no_critical_point", error_class="no_critical_point",
                        error=str(exc))
-        _write_summary(out, summary)
+        _write_json(out / "summary.json", summary)
         print(f"no critical point: {exc}")
         return 4
     except (NumericsError, ConvergenceError, AmbiguousKernelError,
             np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         summary.update(status="numeric_failure", error_class="numeric_failure",
                        error=str(exc))
-        _write_summary(out, summary)
+        _write_json(out / "summary.json", summary)
         print(f"numeric failure: {exc}")
         return 3
 

@@ -10,8 +10,6 @@ Dirichlet part with the constant-curvature volume term and, at first order in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chart as ch
@@ -21,36 +19,24 @@ from .linearized import j_residual
 VERTICAL_QUAD_ORDER = 24
 
 
-@dataclass
-class VolumeVectorField:
-    """Vector field with divergence ``p3^-3 K(p)``, built as a vertical
-    antiderivative anchored at ``p3 = anchor`` (the anchor is pure gauge on
-    closed surfaces)."""
-
-    evaluator: object
-    tag: str
-    anchor: float = 1.0
-
-    def __call__(self, pts):
-        return self.evaluator(np.asarray(pts, dtype=float))
-
-
 def build_Q(K, anchor=1.0):
     """Vertical-antiderivative vector field for the weight ``K``.
 
-    ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``; constants use the
-    closed form, everything else a ``VERTICAL_QUAD_ORDER`` Gauss rule on the
-    segment.
+    Returns the function ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``
+    of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor is
+    pure gauge on closed surfaces.  Constants use the closed form, everything
+    else a ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment.
     """
     if K.constant_value is not None:
         c = K.constant_value
 
         def evaluator(pts):
+            pts = np.asarray(pts, dtype=float)
             out = np.zeros(np.shape(pts))
             out[..., 2] = -(c / 2.0) * (pts[..., 2] ** -2.0 - anchor ** -2.0)
             return out
 
-        return VolumeVectorField(evaluator, f"const-antiderivative:{c:g}", anchor)
+        return evaluator
 
     xg, wg = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
     xi = 0.5 * (xg + 1.0)
@@ -71,12 +57,13 @@ def build_Q(K, anchor=1.0):
         out[:, 2] = q3
         return out.reshape(np.shape(pts))
 
-    return VolumeVectorField(evaluator, f"antiderivative:{K.descriptor}", anchor)
+    return evaluator
 
 
-def divergence_defect(Q, K, rng=None, n=100, h=1e-5):
+def divergence_defect(Q, K, rng=None):
     """Worst relative finite-difference defect of ``div Q = p3^-3 K``."""
     rng = rng or np.random.default_rng(0)
+    n, h = 100, 1e-5
     pts = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
                     rng.uniform(0.5, 2.0, n)], axis=-1)
     worst = 0.0
@@ -95,9 +82,9 @@ def volume_V(K, u):
     """Weighted volume ``int Q_K(u) . (d_x u ^ d_y u) dz`` of a surface field.
 
     ``K`` may be a prescribed function (its antiderivative field is built on
-    the fly) or an already constructed :class:`VolumeVectorField`.
+    the fly) or a field already built by :func:`build_Q`.
     """
-    Q = K if isinstance(K, VolumeVectorField) else build_Q(K)
+    Q = K if callable(K) else build_Q(K)
     u = ch.differentiate(u)
     if not np.all(u.values[..., 2] > 0):
         raise ValueError("surface leaves the half-space")
@@ -150,11 +137,11 @@ def conformality_residual(u):
     return sup, (ch.SphereField(u.grid, a), ch.SphereField(u.grid, b))
 
 
-def branch_point_suspects(u, rel_tol=1e-8):
+def branch_point_suspects(u):
     """Node indices where ``|d_x u|`` collapses relative to the field scale."""
     u = ch.differentiate(u)
     mag = np.linalg.norm(u.dx, axis=1)
-    return np.where(mag < rel_tol * max(np.max(mag), 1e-300))[0]
+    return np.where(mag < 1e-8 * max(np.max(mag), 1e-300))[0]
 
 
 def horosphere_energy(k, t):

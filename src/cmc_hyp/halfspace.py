@@ -61,10 +61,10 @@ class EuclideanBall:
     def center_array(self):
         return np.array(self.center)
 
-    def contains(self, pts, tol=0.0):
+    def contains(self, pts):
         pts = np.asarray(pts, dtype=float)
         d = np.linalg.norm(pts - self.center_array, axis=-1)
-        return d <= self.radius + tol
+        return d <= self.radius
 
 
 def _as_array(p):

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import json
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -59,8 +57,10 @@ class _ModalPack:
     ``phi`` holds the orthonormal scalar basis (degree ``max(2, n - 6)``)
     nodally, ``dphix``/``dphiy`` its analytic chart derivatives; the vector
     basis is ``phi`` times the coordinate directions, ordered component-major.
-    ``H_vec``, the frame tables and the corrector's bordered LU are built on
-    first use.
+    ``H_vec``, the tangent frame (the one shared copy), its modal tables and
+    the corrector's bordered LU are built on first use.  :func:`_pack` keeps
+    one pack: every command and solve works at a single ``(n, k)``, and one
+    pack at n = 48 holds about 0.5 GB.
     """
 
     def __init__(self, grid, params):
@@ -207,45 +207,46 @@ class _ModalPack:
         dy = np.stack([self.dphiy @ c for c in cs], axis=-1)
         return vals, dx, dy
 
-    # -- strong (collocation) applications ----------------------------------
-
-    def apply_strong(self, values, dx, dy, dxx, dxy, dyy):
-        """Nodal values of ``r^2 J'(U) phi`` from the field's derivative jets."""
-        g, k = self.grid, self.params.k
-        mu, om = g.mu, g.omega
-        dox, doy = g.domega_dx, g.domega_dy
-        ok = self.ok
-        x, y = g.nodes[:, 0], g.nodes[:, 1]
-        lap = dxx + dyy
-        out = -lap / ok[:, None] ** 2 \
-            + (2.0 * mu**2 / ok**3)[:, None] * (x[:, None] * dx + y[:, None] * dy)
-        grad3 = dx[:, 2, None] * dox + dy[:, 2, None] * doy
-        gdot = np.einsum("ij,ij->i", dx, dox) + np.einsum("ij,ij->i", dy, doy)
-        bracket = grad3.copy()
-        bracket[:, 2] -= gdot
-        bracket += (mu**2 * values[:, 2])[:, None] * om
-        bracket += k * (np.cross(dx, doy) + np.cross(dox, dy))
-        out += (2.0 / ok**3)[:, None] * bracket
-        return out
-
-    def apply_strong_scalar(self, eta, dx, dy, dxx, dyy):
-        """Nodal values of the scalar normal operator times ``r^2``."""
-        g, k = self.grid, self.params.k
-        mu = g.mu
-        ok = self.ok
-        x, y = g.nodes[:, 0], g.nodes[:, 1]
-        lap = dxx + dyy
-        return -lap / ok**2 + 2.0 * mu**2 / ok**3 * (x * dx + y * dy) \
-            - 2.0 * k * mu**2 / ok**3 * eta
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _pack(n, k):
     return _ModalPack(ch.build_grid(n), make_params(k))
 
 
 def operator_pack(grid, params):
     return _pack(grid.n, params.k)
+
+
+# ---------------------------------------------------------------------------
+# strong (collocation) applications, independent of the modal pack
+
+
+def apply_strong(grid, k, values, dx, dy, dxx, dxy, dyy):
+    """Nodal values of ``r^2 J'(U) phi`` from the field's derivative jets."""
+    mu, om = grid.mu, grid.omega
+    dox, doy = grid.domega_dx, grid.domega_dy
+    ok = om[:, 2] + k
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    lap = dxx + dyy
+    out = -lap / ok[:, None] ** 2 \
+        + (2.0 * mu**2 / ok**3)[:, None] * (x[:, None] * dx + y[:, None] * dy)
+    grad3 = dx[:, 2, None] * dox + dy[:, 2, None] * doy
+    gdot = np.einsum("ij,ij->i", dx, dox) + np.einsum("ij,ij->i", dy, doy)
+    bracket = grad3.copy()
+    bracket[:, 2] -= gdot
+    bracket += (mu**2 * values[:, 2])[:, None] * om
+    bracket += k * (np.cross(dx, doy) + np.cross(dox, dy))
+    out += (2.0 / ok**3)[:, None] * bracket
+    return out
+
+
+def apply_strong_scalar(grid, k, eta, dx, dy, dxx, dyy):
+    """Nodal values of the scalar normal operator times ``r^2``."""
+    mu = grid.mu
+    ok = grid.omega[:, 2] + k
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    lap = dxx + dyy
+    return -lap / ok**2 + 2.0 * mu**2 / ok**3 * (x * dx + y * dy) \
+        - 2.0 * k * mu**2 / ok**3 * eta
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +316,11 @@ class LinearizedSystem:
     def size(self):
         return self.modal_matrix.shape[0]
 
-    def selfadjoint_defect(self, rng=None, pairs=10):
+    def selfadjoint_defect(self, rng=None):
         """Worst asymmetry of the modal form on random normalized vectors."""
         rng = rng or np.random.default_rng(0)
         worst = 0.0
-        for _ in range(pairs):
+        for _ in range(10):
             a = rng.standard_normal(self.size)
             b = rng.standard_normal(self.size)
             a /= np.linalg.norm(a)
@@ -339,16 +340,16 @@ class LinearizedSystem:
 
     def apply_direct(self, f):
         """Strong collocation of ``J'(U_q)`` on a field (independent route)."""
-        pack = self.pack
+        grid, k = self.grid, self.params.k
         f = ch.differentiate(f)
         if self.block == 3:
             dxx, dxy, dyy = ch.second_derivatives(f)
-            vals = pack.apply_strong(f.values, f.dx, f.dy, dxx, dxy, dyy)
+            vals = apply_strong(grid, k, f.values, f.dx, f.dy, dxx, dxy, dyy)
         else:
-            dxx, _ = ch.spectral_derivatives(self.grid, f.dx)
-            _, dyy = ch.spectral_derivatives(self.grid, f.dy)
-            vals = pack.apply_strong_scalar(f.values, f.dx, f.dy, dxx, dyy)
-        return SphereField(self.grid, self.scale * vals)
+            dxx, _ = ch.spectral_derivatives(grid, f.dx)
+            _, dyy = ch.spectral_derivatives(grid, f.dy)
+            vals = apply_strong_scalar(grid, k, f.values, f.dx, f.dy, dxx, dyy)
+        return SphereField(grid, self.scale * vals)
 
 
 def assemble_linearized(params, q, grid):
@@ -384,7 +385,7 @@ class QuadraticFormCheck:
     difference: float
 
 
-def tangential_quadratic_form(psi, params, ortho_tol=1e-10):
+def tangential_quadratic_form(psi, params):
     """Evaluate both sides of the tangential quadratic-form identity.
 
     ``psi`` must be pointwise orthogonal to ``omega``.  The left side applies
@@ -395,20 +396,20 @@ def tangential_quadratic_form(psi, params, ortho_tol=1e-10):
     grid = psi.grid
     scale = max(np.max(np.abs(psi.values)), 1e-300)
     defect = np.max(np.abs(np.einsum("ij,ij->i", psi.values, grid.omega))) / scale
-    if defect > ortho_tol:
+    if defect > 1e-10:
         raise ValueError(
             f"field is not pointwise orthogonal to omega (defect {defect:.2e})")
     psi = ch.differentiate(psi)
-    pack = operator_pack(grid, params)
     dxx, dxy, dyy = ch.second_derivatives(psi)
-    strong = pack.apply_strong(psi.values, psi.dx, psi.dy, dxx, dxy, dyy)
+    strong = apply_strong(grid, params.k, psi.values, psi.dx, psi.dy,
+                          dxx, dxy, dyy)
     form = float(np.sum(grid.weights / grid.mu**2
                         * np.einsum("ij,ij->i", strong, psi.values))) / params.r**2
     s1 = (np.einsum("ij,ij->i", psi.dx, grid.domega_dx)
           - np.einsum("ij,ij->i", psi.dy, grid.domega_dy))
     s2 = (np.einsum("ij,ij->i", psi.dx, grid.domega_dy)
           + np.einsum("ij,ij->i", psi.dy, grid.domega_dx))
-    ok = pack.ok
+    ok = grid.omega[:, 2] + params.k
     explicit = float(np.sum(grid.weights * (s1**2 + s2**2)
                             / (grid.mu**4 * ok**2))) / params.r**2
     return QuadraticFormCheck(form, explicit, form - explicit)
@@ -422,7 +423,6 @@ def tangential_quadratic_form(psi, params, ortho_tol=1e-10):
 class SpectrumReport:
     eigenvalues: np.ndarray
     multiplicities: list
-    eigenfields: list
     residuals: np.ndarray
     k: float
     grid_n: int
@@ -434,8 +434,9 @@ class SpectrumReport:
             i += m
         return out
 
-    def to_json(self, path=None):
-        doc = {
+    def to_json(self):
+        """The report as a JSON document (a dict of plain values)."""
+        return {
             "k": self.k,
             "grid_n": self.grid_n,
             "eigenvalues": self.eigenvalues.tolist(),
@@ -443,18 +444,14 @@ class SpectrumReport:
             "residuals": self.residuals.tolist(),
             "cluster_starts": self.cluster_starts(),
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-        return doc
 
 
-def spectrum_normal(params, grid, count=8, residual_tol=1e-7):
+def spectrum_normal(params, grid, count=8):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
     Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
-    mass), returning ascending eigenvalues, clustered multiplicities, and
-    nodal eigenfields normalized in the weighted measure.
+    mass), returning a :class:`SpectrumReport` of the ascending eigenvalues,
+    their clustered multiplicities and each pair's relative residual.
     """
     if count < 5:
         raise ValueError("ask for at least 5 eigenvalues")
@@ -467,9 +464,9 @@ def spectrum_normal(params, grid, count=8, residual_tol=1e-7):
         np.linalg.norm(K @ vecs[:, i] - vals[i] * (B @ vecs[:, i]))
         / ((1.0 + abs(vals[i])) * np.linalg.norm(B @ vecs[:, i]))
         for i in range(count)])
-    if np.any(res > residual_tol):
+    if np.any(res > 1e-7):
         raise ConvergenceError(
-            f"eigenpair residual {res.max():.2e} above {residual_tol:g}")
+            f"eigenpair residual {res.max():.2e} above 1e-07")
     scale = max(1.0, abs(vals[-1]))
     mult, i = [], 0
     while i < count:
@@ -478,9 +475,7 @@ def spectrum_normal(params, grid, count=8, residual_tol=1e-7):
             j += 1
         mult.append(j - i + 1)
         i = j + 1
-    fields = [SphereField(grid, pack.phi @ vecs[:, i]) for i in range(count)]
-    return SpectrumReport(eigenvalues=vals, multiplicities=mult,
-                          eigenfields=fields, residuals=res,
+    return SpectrumReport(eigenvalues=vals, multiplicities=mult, residuals=res,
                           k=params.k, grid_n=grid.n)
 
 
@@ -495,16 +490,14 @@ class KernelReport:
     gap: float
     singular_values: np.ndarray
 
-    def to_json(self, path=None):
-        doc = {
+    def to_json(self):
+        """The report as a JSON document; the singular values are cut to
+        the smallest sixteen."""
+        return {
             "dimension": self.dimension,
             "gap": self.gap,
             "singular_values": self.singular_values[:16].tolist(),
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
-        return doc
 
     def frame_residual(self, system):
         """Worst relative residual of reconstructing the nine frame
@@ -558,24 +551,23 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
 # constrained (bordered) solve
 
 
-def solve_orthogonal(system, v, proj_tol=1e-8):
+def solve_orthogonal(system, v):
     """Invert the linearized operator against ``v mu^2`` away from its kernel.
 
     ``v`` must be orthogonal (in the sphere-measure inner product) to the
     nine tangent generators; the modal Galerkin matrix is bordered with the
     nine weighted (star-product) constraint rows, which pin the solution
-    uniquely.  The returned field carries the Lagrange multipliers as
-    ``multipliers`` and the strong-equation residual as ``direct_residual``.
+    uniquely.  The returned field carries the strong-equation residual as
+    ``direct_residual``.
     """
     if system.block != 3:
         raise ValueError("constrained solves apply to the full vector system")
-    grid, params = system.grid, system.params
-    pack = system.pack
+    grid, pack = system.grid, system.pack
     vmodal = pack.project_vector(v.values)
     coef = np.linalg.solve(pack.frame_modal @ pack.frame_modal.T,
                            pack.frame_modal @ vmodal)
     vnorm = np.linalg.norm(vmodal)
-    if vnorm > 0 and np.linalg.norm(coef) > proj_tol * max(1.0, vnorm):
+    if vnorm > 0 and np.linalg.norm(coef) > 1e-8 * max(1.0, vnorm):
         raise ValueError(
             f"right-hand side has a tangent component of size "
             f"{np.linalg.norm(coef):.2e}; project it away first")
@@ -588,7 +580,6 @@ def solve_orthogonal(system, v, proj_tol=1e-8):
     sol = sla.lu_solve(sla.lu_factor(KKT), rhs)
     vals, dx, dy = pack.nodal_vector_jet(sol[:n])
     phi = SphereField(grid, vals, dx, dy)
-    phi.multipliers = sol[n:]
     resid = system.apply_direct(phi).values - v.values * grid.mu[:, None] ** 2
     phi.direct_residual = float(np.max(np.abs(resid)))
     return phi

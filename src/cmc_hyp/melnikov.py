@@ -6,7 +6,8 @@ are the organizing centers for perturbed constant-curvature spheres.  The
 quadrature is pulled back to a fixed reference ball (integrand
 ``(p3 + k r)^-3 phi(q3 p + q^k)``), which makes the value and its analytic
 gradient smooth in ``q`` and removes any domain motion from the formulas.
-Both raise :class:`~cmc_hyp.errors.NumericsError` where ``phi`` is not finite.
+Both sample ``phi`` with numpy's floating-point warnings off and raise
+:class:`~cmc_hyp.errors.NumericsError` where it is not finite.
 
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
@@ -86,8 +87,9 @@ def f_value(phi, params, q):
     """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
     q = HyperbolicPoint.of(q)
     _, wd, target = _ball_rule(params, q)
-    vals = np.asarray(phi.evaluate(target), dtype=float)
-    return _check_finite(float(np.sum(wd * vals)), q)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(phi.evaluate(target), dtype=float)
+        return _check_finite(float(np.sum(wd * vals)), q)
 
 
 def f_gradient(phi, params, q):
@@ -101,22 +103,23 @@ def f_gradient(phi, params, q):
         raise ValueError("prescribed function has no gradient evaluator")
     q = HyperbolicPoint.of(q)
     pts, wd, target = _ball_rule(params, q)
-    gphi = np.asarray(phi.gradient(target), dtype=float)
-    out = np.empty(3)
-    out[0] = np.sum(wd * gphi[:, 0])
-    out[1] = np.sum(wd * gphi[:, 1])
-    out[2] = np.sum(wd * (gphi[:, 0] * pts[:, 0] + gphi[:, 1] * pts[:, 1]
-                          + gphi[:, 2] * (pts[:, 2] + params.k * params.r)))
-    return _check_finite(out, q)
+    with np.errstate(all="ignore"):
+        gphi = np.asarray(phi.gradient(target), dtype=float)
+        out = np.empty(3)
+        out[0] = np.sum(wd * gphi[:, 0])
+        out[1] = np.sum(wd * gphi[:, 1])
+        out[2] = np.sum(wd * (gphi[:, 0] * pts[:, 0] + gphi[:, 1] * pts[:, 1]
+                              + gphi[:, 2] * (pts[:, 2] + params.k * params.r)))
+        return _check_finite(out, q)
 
 
-def hessian_estimate(phi, params, q, step=1e-4):
+def hessian_estimate(phi, params, q):
     """Symmetrized central-difference Hessian of the reduced function."""
     q = HyperbolicPoint.of(q).array
     H = np.empty((3, 3))
     for j in range(3):
         e = np.zeros(3)
-        e[j] = step * max(1.0, abs(q[j]))
+        e[j] = 1e-4 * max(1.0, abs(q[j]))
         gp = f_gradient(phi, params, q + e)
         gm = f_gradient(phi, params, q - e)
         H[:, j] = (gp - gm) / (2 * e[j])
@@ -145,10 +148,10 @@ class MelnikovResult:
         }
 
 
-def classify_hessian(H, value, tol=1e-6):
+def classify_hessian(H, value):
     eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
     scale = float(np.max(np.abs(eigs)))
-    if scale <= tol * max(1.0, abs(value)):
+    if scale <= 1e-6 * max(1.0, abs(value)):
         return "degenerate"
     if np.min(np.abs(eigs)) <= 1e-3 * scale:
         return "degenerate"
@@ -175,8 +178,7 @@ def check_box(box):
     return box
 
 
-def find_critical(phi, params, box, seeds=27, gtol=1e-10, max_iter=40,
-                  rng=None, dedupe=1e-6):
+def find_critical(phi, params, box, seeds=27, rng=None):
     """Search the box for critical points of the reduced function.
 
     Newton iterations with Levenberg damping start from a jittered lattice of
@@ -198,10 +200,10 @@ def find_critical(phi, params, box, seeds=27, gtol=1e-10, max_iter=40,
         qa = seed.copy()
         lam = 0.0
         ok = False
-        for _ in range(max_iter):
+        for _ in range(40):
             g = f_gradient(phi, params, qa)
             gn = np.linalg.norm(g)
-            if gn <= gtol:
+            if gn <= 1e-10:
                 ok = True
                 break
             H = hessian_estimate(phi, params, qa)
@@ -238,7 +240,7 @@ def find_critical(phi, params, box, seeds=27, gtol=1e-10, max_iter=40,
     found.sort(key=lambda r: (r.value, r.q.p1, r.q.p2, r.q.p3))
     unique = []
     for r in found:
-        if all(dist(r.q, u.q) > dedupe for u in unique):
+        if all(dist(r.q, u.q) > 1e-6 for u in unique):
             unique.append(r)
     return unique
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import chart as ch
-from .bubbles import C0, bubble, flow_coefficients, tangent_frame
+from .bubbles import C0, bubble, flow_coefficients
 from .chart import SphereField
 from .energy import conformality_residual, energy_E, first_variation
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
@@ -58,9 +58,6 @@ class ReductionState:
 
 @dataclass
 class ReducedGradientData:
-    M_k: np.ndarray          # 3 x 6
-    Theta_k: np.ndarray      # 3 x 3
-    sigma: np.ndarray        # 3 x 6, Theta^-1 M
     A_eps: np.ndarray        # 6 x 6
     grad_q: np.ndarray       # 3
     grad_fd: np.ndarray | None = None
@@ -79,8 +76,7 @@ def _surface_jet(params, q, grid, pack, c):
     return vals, dx, dy, sxx + nxx, syy + nyy
 
 
-def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, max_iter=60,
-            warm=None):
+def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
@@ -103,7 +99,7 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, max_iter=60,
     sup = np.inf
     it = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, 61):
         vals, dx, dy, dxx, dyy = _surface_jet(params, q, grid, pack, c)
         J = _j_nodal(vals, dx, dy, dxx, dyy, params, phi, eps)
         F1 = J / mu2
@@ -167,7 +163,7 @@ def _correction_flows(grid, nu):
             for a, b, _, _, cf in flow_coefficients(x, y)]
 
 
-def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3):
+def reduced_gradient(state, phi, params, fd_check=False):
     """Gradient of the reduced energy at the state's base point.
 
     The gradient is the constant-matrix expression in the multipliers; with
@@ -180,8 +176,8 @@ def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3):
     grid = state.nu.grid
     M, Theta = constant_matrices(params)
     grad = (M @ state.xi + Theta @ state.alpha) / (2.0 * C0)
-    frame = tangent_frame(params, grid)
-    sigma = np.linalg.solve(Theta, M)
+    frame = operator_pack(grid, params).frame
+    sigma = np.linalg.solve(Theta, M)   # 3 x 6
     flows = _correction_flows(grid, state.nu)
     w = grid.weights
     om = grid.omega
@@ -192,13 +188,12 @@ def reduced_gradient(state, phi, params, fd_check=False, fd_step=1e-3):
             A[j, h] = np.sum(w * np.einsum("ij,ij->i", frame.tau[h].values, fl))
             A[j, h] -= sum(sigma[ell, h] * np.sum(w * frame.gamma[:, ell] * fo)
                            for ell in range(3))
-    data = ReducedGradientData(M_k=M, Theta_k=Theta, sigma=sigma, A_eps=A,
-                               grad_q=grad)
+    data = ReducedGradientData(A_eps=A, grad_q=grad)
     if fd_check:
         fd = np.empty(3)
         for i in range(3):
             e = np.zeros(3)
-            e[i] = fd_step * max(1.0, state.q.p3)
+            e[i] = 1e-3 * max(1.0, state.q.p3)
             qp = HyperbolicPoint.of(state.q.array + e)
             qm = HyperbolicPoint.of(state.q.array - e)
             sp = correct(state.eps, qp, phi, params, grid, warm=state)
@@ -237,19 +232,19 @@ def verify_side1(u, q, phi, params, eps):
     return out
 
 
-def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
-              max_outer=25, fd_step=1e-4):
+def _solve_at(eps, phi, params, grid, q_start, warm=None):
+    gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     q = HyperbolicPoint.of(q_start)
     state = correct(eps, q, phi, params, grid, warm=warm, tol=itol)
     g = reduced_gradient(state, phi, params).grad_q
-    for _ in range(max_outer):
+    for _ in range(25):
         if np.max(np.abs(g)) <= gtol:
             break
         jac = np.empty((3, 3))
         for i in range(3):
             e = np.zeros(3)
-            e[i] = fd_step * max(1.0, q.p3)
+            e[i] = 1e-4 * max(1.0, q.p3)
             sp = correct(eps, HyperbolicPoint.of(q.array + e), phi, params,
                          grid, warm=state, tol=itol)
             jac[:, i] = (reduced_gradient(sp, phi, params).grad_q - g) / e[i]
@@ -279,7 +274,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None, gtol=1e-9,
     else:
         if np.max(np.abs(g)) > 50.0 * gtol:
             raise ConvergenceError(
-                f"no reduced critical point after {max_outer} outer steps "
+                f"no reduced critical point after 25 outer steps "
                 f"(|grad| = {np.max(np.abs(g)):.3e})")
     state = correct(eps, q, phi, params, grid, warm=state, tol=min(itol, 2e-10))
     return state

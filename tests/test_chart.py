@@ -175,17 +175,13 @@ def test_overlap_consistency(grid24):
     assert m48 < 0.5 * m24
 
 
-def test_csv_json_roundtrip(tmp_path, grid16, rng):
+def test_csv_roundtrip(tmp_path, grid16, rng):
     f = ch.random_smooth_field(grid16, rng)
     path = tmp_path / "field.csv"
     ch.field_to_csv(f, path)
     back = ch.field_from_csv(path, grid16)
     assert np.allclose(back.values, f.values, atol=1e-12)
     assert np.allclose(back.dx, f.dx, atol=1e-12)
-    doc = ch.field_to_json(f, tmp_path / "field.json")
-    again = ch.field_from_json(tmp_path / "field.json")
-    assert np.allclose(again.values, f.values)
-    assert doc["grid_n"] == 16
 
 
 def test_field_validation(grid16):

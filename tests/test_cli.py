@@ -157,6 +157,7 @@ def test_unknown_config_keys_are_config_errors(tmp_path):
                      "--out", str(tmp_path / "u")]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["obstruction", "melnikov"])
 def test_non_finite_phi_is_numeric_failure(tmp_path, command):
     out = tmp_path / command

@@ -244,3 +244,11 @@ def test_solve_orthogonal(grid24, params2, rng):
     assert np.max(np.abs(both.values - p1.values - p2.values)) < 1e-8
     with pytest.raises(ValueError):
         lin.solve_orthogonal(sys24, v1)   # tangent part not removed
+
+
+def test_operator_cache_holds_one_pack(grid16, grid24, params2):
+    # one pack at n = 48 holds about 0.5 GB, and no caller alternates (n, k)
+    lin.operator_pack(grid16, params2)
+    pack = lin.operator_pack(grid24, params2)
+    assert lin._pack.cache_info().currsize == 1
+    assert lin.operator_pack(grid24, params2) is pack

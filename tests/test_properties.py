@@ -5,10 +5,11 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_hyp import phi_expr as pe
-from cmc_hyp.bubbles import bubble
+from cmc_hyp.bubbles import MoebiusMap, bubble, make_params, moebius_pullback
 from cmc_hyp.energy import energy_E
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.linearized import j_residual
+from cmc_hyp.reduction import correct
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -110,3 +111,50 @@ def test_bubble_energy_and_residual_translation_invariant(grid16, params2, q):
     u = bubble(params2, q, grid16)
     assert abs(energy_E(u, params2) - e0) <= 1e-12 * abs(e0)
     assert np.max(np.abs(j_residual(u, params2).values)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Moebius equivariance: reparametrizing by a holomorphic chart map ``g``
+# scales the curvature residual by ``|g'|^2`` and moves it to ``g(z)``
+
+
+discs = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi))
+
+
+@FEW
+@given(centers, st.floats(0.7, 1.4), st.floats(0.0, 2 * np.pi), discs, discs)
+def test_j_residual_moebius_equivariant(grid16, params2, q, t, theta, b, c):
+    # ``u`` solves the k = 2 problem, so at k = 2.7 its residual is the
+    # nonzero 2 (2.7 - 2) / u3^3 (u_x ^ u_y)
+    params = make_params(2.7)
+    g = MoebiusMap(t * np.exp(1j * theta), 0.3 * b[0] * np.exp(1j * b[1]),
+                   0.2 * c[0] * np.exp(1j * c[1]), 1.0)
+    u = bubble(params2, HyperbolicPoint(*q), grid16)
+    res = j_residual(moebius_pullback(u, g), params).values
+    w = g.apply(grid16.nodes)
+    u3 = u.surface.value(w)[:, 2]
+    ux, uy = u.surface.first(w)
+    gp2 = np.abs(g.cderiv(grid16.nodes)) ** 2
+    want = (gp2 * 2.0 * (2.7 - 2.0) / u3**3)[:, None] * np.cross(ux, uy)
+    assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# sign symmetry: the curvature k + eps phi is unchanged by eps -> -eps,
+# phi -> -phi, and so is the corrected surface with its multipliers
+
+BUMP = "exp(-hypdist(0.1,-0.05,1.1)^2)"
+
+
+@FEW
+@given(st.floats(-0.02, 0.02),
+       st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                 st.floats(0.7, 1.4)))
+def test_correct_eps_sign_symmetry(grid16, params2, eps, q):
+    phi = pe.phi_to_prescribed(BUMP)
+    neg = pe.phi_to_prescribed(f"-({BUMP})")
+    a = correct(-eps, q, phi, params2, grid16)
+    b = correct(eps, q, neg, params2, grid16)
+    for x, y in ((a.nu.values, b.nu.values), (a.xi, b.xi),
+                 (a.alpha, b.alpha)):
+        assert np.max(np.abs(x - y)) <= 1e-13
