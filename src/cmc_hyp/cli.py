@@ -5,8 +5,8 @@ output directory with the fully resolved configuration (including the
 defaulted tolerances in :data:`TOLERANCES`) echoed back, so identical
 configurations produce byte-identical summaries.  Exit codes: 0 success,
 2 configuration error, 3 numeric failure, 4 no critical point in the search
-box.  An unknown config key or a missing required input (see
-:data:`REQUIRED`) is a configuration error.
+box.  An unknown config key, a value of the wrong type or a missing required
+input (see :data:`REQUIRED`) is a configuration error.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ class JobConfig:
             raise ValueError("grid_n must be at least 4")
         if self.box is not None:
             mel.check_box(self.box)
+        mel.check_seeds(self.seeds)
         check_schedule(self.eps_schedule)
         required = REQUIRED.get(self.command, {})
         missing = [flag for name, flag in required.items()
@@ -88,13 +89,66 @@ class JobConfig:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
 
     def phi(self):
-        if not isinstance(self.phi_source, str):
-            raise ValueError("phi_source must be an expression string")
         return phi_to_prescribed(self.phi_source, probe_box=self.box)
 
     def echo(self):
         return dict(asdict(self), out_dir=str(self.out_dir),
                     tolerances={name: self.tol(name) for name in TOLERANCES})
+
+
+def _real(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError
+    return float(v)
+
+
+def _integer(v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError
+    return v
+
+
+def _text(v):
+    if not isinstance(v, str):
+        raise TypeError
+    return v
+
+
+def _reals(v):
+    if not isinstance(v, list):
+        raise TypeError
+    return tuple(_real(x) for x in v)
+
+
+def _t_range(v):
+    if len(_reals(v)) != 3:
+        raise TypeError
+    return tuple(v)
+
+
+def _tolerances(v):
+    if not isinstance(v, dict):
+        raise TypeError
+    return {name: _read(f"tolerances.{name}", x, _real)
+            for name, x in v.items()}
+
+
+# How a config document's value is read, per key; a value of any other type
+# (or ``null`` where the default is not ``None``) is a configuration error.
+_READERS = {
+    "k": _real, "grid_n": _integer, "phi_source": _text, "box": _reals,
+    "eps_schedule": _reals, "count": _integer, "seeds": _integer,
+    "lattice": _integer, "t_range": _t_range, "seed": _integer,
+    "tolerances": _tolerances, "out_dir": _text,
+}
+
+
+def _read(name, value, reader):
+    try:
+        return reader(value)
+    except TypeError:
+        raise ValueError(f"config key {name!r} has a value of the wrong "
+                         f"type: {value!r}") from None
 
 
 def _parse_list(text, count=None):
@@ -111,15 +165,15 @@ def load_config(args):
             doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("the config document must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(JobConfig)}
+    defaults = {f.name: f.default for f in fields(JobConfig)}
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     doc.pop("command", None)    # the command argument wins
+    doc = {name: _read(name, value, _READERS[name])
+           for name, value in doc.items()
+           if not (value is None and defaults[name] is None)}
     cfg = JobConfig(command=args.command, **doc)
-    if cfg.box is not None:
-        cfg.box = tuple(float(v) for v in cfg.box)
-    cfg.eps_schedule = tuple(float(v) for v in cfg.eps_schedule)
-    cfg.t_range = tuple(cfg.t_range)
     # flags win over the config document
     if args.k is not None:
         cfg.k = args.k

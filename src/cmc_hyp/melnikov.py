@@ -9,6 +9,9 @@ gradient smooth in ``q`` and removes any domain motion from the formulas.
 Both sample ``phi`` with numpy's floating-point warnings off and raise
 :class:`~cmc_hyp.errors.NumericsError` where it is not finite.
 
+:func:`newton` is the one damped Newton over the ball center, shared by
+:func:`find_critical` and the outer solve of :mod:`~cmc_hyp.reduction`.
+
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
 the :mod:`~cmc_hyp.phi_expr` language, so their gradients come from the
@@ -178,63 +181,80 @@ def check_box(box):
     return box
 
 
+def check_seeds(seeds):
+    """Validate a seed count, a positive perfect cube ``m^3``; returns ``m``."""
+    m = round(abs(seeds) ** (1.0 / 3.0))
+    if seeds <= 0 or m**3 != seeds:
+        raise ValueError(f"seeds must be a positive perfect cube, not {seeds!r}")
+    return m
+
+
+def newton(gradient, hessian, q, gtol, inside, max_iter=40):
+    """Levenberg-damped Newton from ``q`` for a zero of ``gradient``.
+
+    A trial solves ``(H + lam max|H| I) s = -g`` and is accepted when it
+    lowers ``|g|_2`` (then ``lam /= 3``, else ``lam *= 4`` from 1e-4; eight
+    tries a step).  A trial outside ``inside`` ends the iteration unevaluated.
+    Returns the last accepted ``(q, g)``; the caller judges ``|g|``.
+    """
+    g = gradient(q)
+    gn = np.linalg.norm(g)
+    lam = 0.0
+    for _ in range(max_iter):
+        if gn <= gtol:
+            break
+        H = hessian(q)
+        hscale = max(np.max(np.abs(H)), 1e-12)
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
+            except np.linalg.LinAlgError:
+                lam = max(4.0 * lam, 1e-4)
+                continue
+            qn = q + step
+            if not inside(qn):
+                return q, g
+            gnew = gradient(qn)
+            if np.linalg.norm(gnew) < gn:
+                q, g, gn = qn, gnew, np.linalg.norm(gnew)
+                lam = lam / 3.0 if lam > 1e-8 else 0.0
+                break
+            lam = max(4.0 * lam, 1e-4)
+        else:
+            break
+    return q, g
+
+
 def find_critical(phi, params, box, seeds=27, rng=None):
     """Search the box for critical points of the reduced function.
 
-    Newton iterations with Levenberg damping start from a jittered lattice of
-    ``seeds`` points; converged interior points are deduplicated by
-    hyperbolic distance and classified through the finite-difference Hessian.
-    An empty list is a valid outcome (no critical point in the box).
+    :func:`newton` with the finite-difference Hessian starts from a jittered
+    lattice of ``seeds`` points and roams a widened box; converged points in
+    ``box`` are deduplicated by hyperbolic distance and classified through
+    the Hessian.  An empty list is a valid outcome (no critical point).
     """
     box = check_box(box)
+    m = check_seeds(seeds)
     rng = rng or np.random.default_rng(0)
-    m = max(1, round(seeds ** (1.0 / 3.0)))
     axes = [np.linspace(box[2 * i], box[2 * i + 1], m + 2)[1:-1] for i in range(3)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     cell = np.array([(box[2 * i + 1] - box[2 * i]) / (m + 1) for i in range(3)])
     pts = pts + 0.3 * cell * rng.uniform(-1, 1, pts.shape)
     pts[:, 2] = np.clip(pts[:, 2], 0.51 * box[4], None)
+    wide = (box[0] - 1, box[1] + 1, box[2] - 1, box[3] + 1,
+            0.25 * box[4], 4 * box[5])
 
     found = []
     for seed in pts:
-        qa = seed.copy()
-        lam = 0.0
-        ok = False
-        for _ in range(40):
-            g = f_gradient(phi, params, qa)
-            gn = np.linalg.norm(g)
-            if gn <= 1e-10:
-                ok = True
-                break
-            H = hessian_estimate(phi, params, qa)
-            hscale = max(np.max(np.abs(H)), 1e-12)
-            for _ in range(8):
-                try:
-                    step = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
-                except np.linalg.LinAlgError:
-                    lam = max(4.0 * lam, 1e-4)
-                    continue
-                qn = qa + step
-                if qn[2] <= 0.25 * box[4]:
-                    lam = max(4.0 * lam, 1e-4)
-                    continue
-                if np.linalg.norm(f_gradient(phi, params, qn)) < gn:
-                    qa = qn
-                    lam = lam / 3.0 if lam > 1e-8 else 0.0
-                    break
-                lam = max(4.0 * lam, 1e-4)
-            else:
-                break
-            if not _inside(qa, [box[0] - 1, box[1] + 1, box[2] - 1, box[3] + 1,
-                                box[4] * 0.25, box[5] * 4]):
-                break
-        if not ok or not _inside(qa, box):
+        qa, g = newton(lambda qa: f_gradient(phi, params, qa),
+                       lambda qa: hessian_estimate(phi, params, qa),
+                       seed, 1e-10, lambda qa: _inside(qa, wide))
+        if np.linalg.norm(g) > 1e-10 or not _inside(qa, box):
             continue
         H = hessian_estimate(phi, params, qa)
         val = f_value(phi, params, qa)
         found.append(MelnikovResult(
-            q=HyperbolicPoint.of(qa), value=val,
-            gradient=f_gradient(phi, params, qa), hessian=H,
+            q=HyperbolicPoint.of(qa), value=val, gradient=g, hessian=H,
             classification=classify_hessian(H, val)))
 
     found.sort(key=lambda r: (r.value, r.q.p1, r.q.p2, r.q.p3))

@@ -11,7 +11,8 @@ per ``(grid, k)`` and shared across base points.
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
 schedule; at such points the multipliers themselves vanish and the corrected
-surface solves the full prescribed-curvature problem.
+surface solves the full prescribed-curvature problem.  The outer solve is
+:func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .energy import conformality_residual, energy_E, first_variation
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, j_residual, operator_pack
-from .melnikov import f_value, find_critical
+from .melnikov import f_value, find_critical, hessian_estimate, newton
 
-# sup-norm target of the projected-equation residual in the corrector
+# target of the 2-norm of the corrector's modal projected-equation residual
 NEWTON_RESIDUAL = 1e-9
 
 
@@ -63,14 +64,14 @@ class ReducedGradientData:
     grad_fd: np.ndarray | None = None
 
 
-def _surface_jet(params, q, grid, pack, c):
-    """Values and derivative jets of ``U_q + nu`` for modal coefficients c."""
-    U = bubble(params, q, grid)
+def _surface_jet(U, second, grid, pack, c):
+    """Values and derivative jets of ``U_q + nu`` for modal coefficients c,
+    given the sphere ``U`` and its ``second`` derivatives at the nodes."""
     nv, ndx, ndy = pack.nodal_vector_jet(c)
     vals = U.values + nv
     dx = U.dx + ndx
     dy = U.dy + ndy
-    sxx, sxy, syy = U.surface.second(grid.nodes)
+    sxx, _, syy = second
     nxx, _ = ch.spectral_derivatives(grid, ndx)
     _, nyy = ch.spectral_derivatives(grid, ndy)
     return vals, dx, dy, sxx + nxx, syy + nyy
@@ -92,6 +93,8 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
+    U = bubble(params, q, grid)
+    second = U.surface.second(grid.nodes)
 
     c = np.zeros(nm3) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
@@ -100,7 +103,7 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     it = 0
     converged = False
     for it in range(1, 61):
-        vals, dx, dy, dxx, dyy = _surface_jet(params, q, grid, pack, c)
+        vals, dx, dy, dxx, dyy = _surface_jet(U, second, grid, pack, c)
         J = _j_nodal(vals, dx, dy, dxx, dyy, params, phi, eps)
         F1 = J / mu2
         for mj, gen in zip(m, gens):
@@ -233,51 +236,27 @@ def verify_side1(u, q, phi, params, eps):
 
 
 def _solve_at(eps, phi, params, grid, q_start, warm=None):
+    """Newton over ``q`` at one ``eps`` with the Jacobian ``-2 eps Hess f``
+    of ``grad_q = -2 eps grad f(q) + O(eps^2)``; 50 gtol is the noise floor."""
     gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
-    q = HyperbolicPoint.of(q_start)
-    state = correct(eps, q, phi, params, grid, warm=warm, tol=itol)
-    g = reduced_gradient(state, phi, params).grad_q
-    for _ in range(25):
-        if np.max(np.abs(g)) <= gtol:
-            break
-        jac = np.empty((3, 3))
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1e-4 * max(1.0, q.p3)
-            sp = correct(eps, HyperbolicPoint.of(q.array + e), phi, params,
-                         grid, warm=state, tol=itol)
-            jac[:, i] = (reduced_gradient(sp, phi, params).grad_q - g) / e[i]
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        tfac = 1.0
-        improved = False
-        for _ in range(6):
-            qn = q.array + tfac * step
-            if qn[2] > 0:
-                sn = correct(eps, HyperbolicPoint.of(qn), phi, params, grid,
-                             warm=state, tol=itol)
-                gn = reduced_gradient(sn, phi, params).grad_q
-                if np.max(np.abs(gn)) < np.max(np.abs(g)):
-                    q, state, g = HyperbolicPoint.of(qn), sn, gn
-                    improved = True
-                    break
-            tfac *= 0.5
-        if not improved:
-            # the gradient is at the solver's noise floor; accept if close
-            if np.max(np.abs(g)) <= 50.0 * gtol:
-                break
-            raise ConvergenceError(
-                f"outer iteration stalled with |grad| = {np.max(np.abs(g)):.3e}")
-    else:
-        if np.max(np.abs(g)) > 50.0 * gtol:
-            raise ConvergenceError(
-                f"no reduced critical point after 25 outer steps "
-                f"(|grad| = {np.max(np.abs(g)):.3e})")
-    state = correct(eps, q, phi, params, grid, warm=state, tol=min(itol, 2e-10))
-    return state
+    state = warm
+
+    def gradient(qa):
+        nonlocal state
+        state = correct(eps, HyperbolicPoint.of(qa), phi, params, grid,
+                        warm=state, tol=itol)
+        return reduced_gradient(state, phi, params).grad_q
+
+    q, g = newton(gradient,
+                  lambda qa: -2.0 * eps * hessian_estimate(phi, params, qa),
+                  HyperbolicPoint.of(q_start).array, gtol,
+                  lambda qa: qa[2] > 0, max_iter=25)
+    if np.linalg.norm(g) > 50.0 * gtol:
+        raise ConvergenceError("no reduced critical point: outer iteration "
+                               f"stopped at |grad| = {np.linalg.norm(g):.3e}")
+    return correct(eps, HyperbolicPoint.of(q), phi, params, grid, warm=state,
+                   tol=itol)
 
 
 def _report(state, phi, params, proxy=None):

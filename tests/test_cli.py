@@ -157,6 +157,33 @@ def test_unknown_config_keys_are_config_errors(tmp_path):
                      "--out", str(tmp_path / "u")]) == 2
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"k": "2"}, "k"),
+    ({"eps_schedule": 0.01}, "eps_schedule"),
+    ({"box": 5}, "box"),
+    ({"tolerances": {"kernel_gap_factor": "big"}},
+     "tolerances.kernel_gap_factor"),
+])
+def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys, doc,
+                                                       key):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "t"
+    cfg.write_text(json.dumps(doc))
+    assert main(["kernel", "--grid-n", "16", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("seeds", [-5, 0, 10])
+def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "s"
+    cfg.write_text(json.dumps({"seeds": seeds}))
+    assert main(["melnikov", "--k", "2", "--phi", BUMP, "--box=" + BOX,
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    assert "perfect cube" in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["obstruction", "melnikov"])
 def test_non_finite_phi_is_numeric_failure(tmp_path, command):

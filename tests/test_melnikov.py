@@ -114,6 +114,46 @@ def test_find_critical_monotone_empty(params2):
     assert res == []
 
 
+def test_find_critical_seeds_must_be_a_positive_cube(params2):
+    for seeds in (-5, 0, 10):
+        with pytest.raises(ValueError, match="perfect cube"):
+            mel.find_critical(mel.phi_constant(1.0), params2, BOX, seeds=seeds)
+
+
+A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+B = np.array([1.0, -2.0, 0.5])
+
+
+def _recorded_quadratic():
+    """Gradient of ``q.A q / 2 - B.q`` and the list of points it saw."""
+    seen = []
+
+    def gradient(q):
+        seen.append(q)
+        return A @ q - B
+    return gradient, seen
+
+
+def test_newton_one_step_on_a_quadratic():
+    gradient, seen = _recorded_quadratic()
+    q, g = mel.newton(gradient, lambda q: A, np.zeros(3), 1e-12,
+                      lambda q: True)
+    assert np.allclose(q, np.linalg.solve(A, B), rtol=0, atol=1e-14)
+    assert np.linalg.norm(g) <= 1e-12
+    assert len(seen) == 2       # the start and the one exact step
+
+
+def test_newton_never_evaluates_outside():
+    # the exact step from the start lands at z = 24/17 > 1, outside
+    inside = lambda q: q[2] < 1.0
+    start = np.zeros(3)
+    assert not inside(np.linalg.solve(A, B))
+    gradient, seen = _recorded_quadratic()
+    q, g = mel.newton(gradient, lambda q: A, start, 1e-12, inside)
+    assert all(inside(p) for p in seen)
+    assert np.array_equal(q, start) and np.array_equal(g, A @ start - B)
+
+
 def test_obstruction_reports(params2):
     rep = mel.monotone_obstruction(mel.phi_coordinate(0), params2, BOX)
     assert "e1" in rep["obstructed"]

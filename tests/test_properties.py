@@ -9,7 +9,8 @@ from cmc_hyp.bubbles import MoebiusMap, bubble, make_params, moebius_pullback
 from cmc_hyp.energy import energy_E
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.linearized import j_residual
-from cmc_hyp.reduction import correct
+from cmc_hyp.melnikov import f_gradient
+from cmc_hyp.reduction import correct, reduced_gradient
 
 FEW = settings(max_examples=25, deadline=None)
 
@@ -158,3 +159,26 @@ def test_correct_eps_sign_symmetry(grid16, params2, eps, q):
     for x, y in ((a.nu.values, b.nu.values), (a.xi, b.xi),
                  (a.alpha, b.alpha)):
         assert np.max(np.abs(x - y)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the Melnikov relation: the reduced gradient is -2 eps grad f(q) + O(eps^2),
+# f the weighted-ball volume, so the outer Newton may borrow -2 eps Hess f
+
+
+@FEW
+@given(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                 st.floats(0.8, 1.3)))
+def test_reduced_gradient_melnikov_relation(grid16, params2, q):
+    phi = pe.phi_to_prescribed(f"{BUMP} + 0.03*p1")
+    gf = f_gradient(phi, params2, q)
+    ratios, defects = [], []
+    for eps in (0.02, 0.01, 0.005):
+        g = reduced_gradient(correct(eps, q, phi, params2, grid16), phi,
+                             params2).grad_q
+        ratios.append(g @ gf / (eps * gf @ gf))
+        defects.append(np.linalg.norm(g / eps + 2.0 * gf) / eps)
+    # the ratio along grad f tends to -2 ...
+    assert abs(ratios[0] + 2) > abs(ratios[1] + 2) > abs(ratios[2] + 2)
+    # ... because the defect is O(eps^2): divided by eps^2 it stays put
+    assert max(defects) <= 1.25 * min(defects)
