@@ -20,8 +20,8 @@ from .melnikov import (MelnikovResult, f_value, f_gradient, find_critical,
                        monotone_obstruction, check_box)
 from .energy import (build_Q, volume_V, energy_E,
                      first_variation, conformality_residual, horosphere_energy)
-from .reduction import (ReductionState, ReducedGradientData, correct,
-                        reduced_gradient, continuation, check_schedule,
+from .reduction import (ReductionState, correct, reduced_gradient,
+                        interaction_matrix, continuation, check_schedule,
                         verify_side1)
 from .phi_expr import PrescribedFunction, parse_phi, phi_to_prescribed
 from .errors import (NumericsError, AmbiguousKernelError, ConvergenceError,

@@ -555,31 +555,28 @@ def solve_orthogonal(system, v):
     """Invert the linearized operator against ``v mu^2`` away from its kernel.
 
     ``v`` must be orthogonal (in the sphere-measure inner product) to the
-    nine tangent generators; the modal Galerkin matrix is bordered with the
-    nine weighted (star-product) constraint rows, which pin the solution
-    uniquely.  The returned field carries the strong-equation residual as
-    ``direct_residual``.
+    nine tangent generators.  The pack's ``bordered_lu`` solves the operator
+    off its kernel (the frame span); one 9 x 9 solve then moves the result
+    along the frame until the nine weighted (star-product) constraint rows
+    vanish, which pins it uniquely.  The returned field carries the
+    strong-equation residual as ``direct_residual``.
     """
     if system.block != 3:
         raise ValueError("constrained solves apply to the full vector system")
     grid, pack = system.grid, system.pack
+    F, S = pack.frame_modal, pack.star_rows
     vmodal = pack.project_vector(v.values)
-    coef = np.linalg.solve(pack.frame_modal @ pack.frame_modal.T,
-                           pack.frame_modal @ vmodal)
+    coef = np.linalg.solve(F @ F.T, F @ vmodal)
     vnorm = np.linalg.norm(vmodal)
     if vnorm > 0 and np.linalg.norm(coef) > 1e-8 * max(1.0, vnorm):
         raise ValueError(
             f"right-hand side has a tangent component of size "
             f"{np.linalg.norm(coef):.2e}; project it away first")
     n = system.size
-    KKT = np.zeros((n + 9, n + 9))
-    KKT[:n, :n] = system.modal_matrix
-    KKT[:n, n:] = pack.star_rows.T
-    KKT[n:, :n] = pack.star_rows
-    rhs = np.concatenate([vmodal, np.zeros(9)])
-    sol = sla.lu_solve(sla.lu_factor(KKT), rhs)
-    vals, dx, dy = pack.nodal_vector_jet(sol[:n])
-    phi = SphereField(grid, vals, dx, dy)
+    c = sla.lu_solve(pack.bordered_lu,
+                     np.concatenate([vmodal / system.scale, np.zeros(9)]))[:n]
+    c -= F.T @ np.linalg.solve(S @ F.T, S @ c)
+    phi = SphereField(grid, *pack.nodal_vector_jet(c))
     resid = system.apply_direct(phi).values - v.values * grid.mu[:, None] ** 2
     phi.direct_residual = float(np.max(np.abs(resid)))
     return phi

@@ -12,7 +12,10 @@ per ``(grid, k)`` and shared across base points.
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
 schedule; at such points the multipliers themselves vanish and the corrected
 surface solves the full prescribed-curvature problem.  The outer solve is
-:func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``.
+:func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``;
+each of its gradient evaluations is one ``correct``, and the state it reports
+is the one computed at the accepted point, so a report's ``iterations`` are
+the chord-loop passes of that call.
 """
 
 from __future__ import annotations
@@ -42,7 +45,10 @@ class ReductionState:
     ``nu`` is the correction field (exact modal derivatives attached),
     ``xi``/``alpha`` the generator multipliers; ``residual_norm`` is the sup
     norm of the projected-equation residual at the nodes and
-    ``constraint_defect`` the worst orthogonality violation.
+    ``constraint_defect`` the worst orthogonality violation.  ``iterations``
+    counts the residual evaluations of the chord loop that produced the
+    state, one more than its triangular solves (1 for a converged warm
+    start).
     """
 
     eps: float
@@ -54,20 +60,12 @@ class ReductionState:
     residual_norm: float
     constraint_defect: float
     iterations: int
-    converged: bool
 
 
-@dataclass
-class ReducedGradientData:
-    A_eps: np.ndarray        # 6 x 6
-    grad_q: np.ndarray       # 3
-    grad_fd: np.ndarray | None = None
-
-
-def _surface_jet(U, second, grid, pack, c):
-    """Values and derivative jets of ``U_q + nu`` for modal coefficients c,
-    given the sphere ``U`` and its ``second`` derivatives at the nodes."""
-    nv, ndx, ndy = pack.nodal_vector_jet(c)
+def _surface_jet(U, second, grid, jet):
+    """Values and derivative jets of ``U_q + nu`` for the nodal ``jet`` of
+    ``nu``, given the sphere ``U`` and its ``second`` derivatives."""
+    nv, ndx, ndy = jet
     vals = U.values + nv
     dx = U.dx + ndx
     dy = U.dy + ndy
@@ -99,12 +97,9 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     c = np.zeros(nm3) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
 
-    sup = np.inf
-    it = 0
-    converged = False
     for it in range(1, 61):
-        vals, dx, dy, dxx, dyy = _surface_jet(U, second, grid, pack, c)
-        J = _j_nodal(vals, dx, dy, dxx, dyy, params, phi, eps)
+        jet = pack.nodal_vector_jet(c)
+        J = _j_nodal(*_surface_jet(U, second, grid, jet), params, phi, eps)
         F1 = J / mu2
         for mj, gen in zip(m, gens):
             F1 = F1 - mj * gen
@@ -114,23 +109,19 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
         if not np.isfinite(sup):
             raise NumericsError(f"non-finite residual at chord step {it}")
         if np.linalg.norm(rmod) <= tol and np.max(np.abs(R2)) <= tol:
-            converged = True
             break
         rhs = np.concatenate([-scale * rmod, -R2])
         delta = sla.lu_solve(pack.bordered_lu, rhs)
         c = c + delta[:nm3]
         m = m + delta[nm3:] / scale
-    if not converged:
+    else:
         raise ConvergenceError(
             f"projected solve stalled at residual {sup:.3e} after {it} steps")
 
-    nv, ndx, ndy = pack.nodal_vector_jet(c)
-    nu = SphereField(grid, nv, ndx, ndy)
     return ReductionState(
-        eps=eps, q=q, nu=nu, nu_modal=c, xi=m[:6].copy(), alpha=m[6:].copy(),
-        residual_norm=sup,
-        constraint_defect=float(np.max(np.abs(pack.frame_modal @ c))),
-        iterations=it, converged=True)
+        eps=eps, q=q, nu=SphereField(grid, *jet), nu_modal=c,
+        xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=sup,
+        constraint_defect=float(np.max(np.abs(R2))), iterations=it)
 
 
 def corrected_surface(state, params):
@@ -166,19 +157,19 @@ def _correction_flows(grid, nu):
             for a, b, _, _, cf in flow_coefficients(x, y)]
 
 
-def reduced_gradient(state, phi, params, fd_check=False):
-    """Gradient of the reduced energy at the state's base point.
+def reduced_gradient(state, params):
+    """Gradient of the reduced energy at the state's base point, the
+    constant-matrix expression ``(M xi + Theta alpha) / (2 c0)`` in the
+    state's multipliers."""
+    M, Theta = constant_matrices(params)
+    return (M @ state.xi + Theta @ state.alpha) / (2.0 * C0)
 
-    The gradient is the constant-matrix expression in the multipliers; with
-    ``fd_check`` it is also differenced directly through re-corrected
-    energies at shifted base points, and the interaction matrix ``A_eps``
-    (which contracts to zero with ``eps``) is always reported.
-    """
-    if not state.converged:
-        raise ValueError("stale state: the corrector did not converge")
+
+def interaction_matrix(state, params):
+    """The 6 x 6 interaction matrix ``A_eps`` of the correction's flows with
+    the frame; it contracts to zero with ``eps``."""
     grid = state.nu.grid
     M, Theta = constant_matrices(params)
-    grad = (M @ state.xi + Theta @ state.alpha) / (2.0 * C0)
     frame = operator_pack(grid, params).frame
     sigma = np.linalg.solve(Theta, M)   # 3 x 6
     flows = _correction_flows(grid, state.nu)
@@ -191,21 +182,7 @@ def reduced_gradient(state, phi, params, fd_check=False):
             A[j, h] = np.sum(w * np.einsum("ij,ij->i", frame.tau[h].values, fl))
             A[j, h] -= sum(sigma[ell, h] * np.sum(w * frame.gamma[:, ell] * fo)
                            for ell in range(3))
-    data = ReducedGradientData(A_eps=A, grad_q=grad)
-    if fd_check:
-        fd = np.empty(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1e-3 * max(1.0, state.q.p3)
-            qp = HyperbolicPoint.of(state.q.array + e)
-            qm = HyperbolicPoint.of(state.q.array - e)
-            sp = correct(state.eps, qp, phi, params, grid, warm=state)
-            sm = correct(state.eps, qm, phi, params, grid, warm=state)
-            Ep = energy_E(corrected_surface(sp, params), params, state.eps, phi)
-            Em = energy_E(corrected_surface(sm, params), params, state.eps, phi)
-            fd[i] = (Ep - Em) / (2.0 * e[i])
-        data.grad_fd = fd
-    return data
+    return A
 
 
 def verify_side1(u, q, phi, params, eps):
@@ -237,16 +214,19 @@ def verify_side1(u, q, phi, params, eps):
 
 def _solve_at(eps, phi, params, grid, q_start, warm=None):
     """Newton over ``q`` at one ``eps`` with the Jacobian ``-2 eps Hess f``
-    of ``grad_q = -2 eps grad f(q) + O(eps^2)``; 50 gtol is the noise floor."""
+    of ``grad_q = -2 eps grad f(q) + O(eps^2)``; 50 gtol is the noise floor.
+    Returns the corrector state computed at the point Newton accepted."""
     gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     state = warm
+    states = {}
 
     def gradient(qa):
         nonlocal state
         state = correct(eps, HyperbolicPoint.of(qa), phi, params, grid,
                         warm=state, tol=itol)
-        return reduced_gradient(state, phi, params).grad_q
+        states[qa.tobytes()] = state
+        return reduced_gradient(state, params)
 
     q, g = newton(gradient,
                   lambda qa: -2.0 * eps * hessian_estimate(phi, params, qa),
@@ -255,8 +235,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None):
     if np.linalg.norm(g) > 50.0 * gtol:
         raise ConvergenceError("no reduced critical point: outer iteration "
                                f"stopped at |grad| = {np.linalg.norm(g):.3e}")
-    return correct(eps, HyperbolicPoint.of(q), phi, params, grid, warm=state,
-                   tol=itol)
+    return states[q.tobytes()]
 
 
 def _report(state, phi, params, proxy=None):
@@ -333,7 +312,7 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
         u, rep = _report(st, phi, params, proxy=stable[0].classification)
         rep["status"] = "ok"
         rep["_surface"] = u
-        A = reduced_gradient(st, phi, params).A_eps
+        A = interaction_matrix(st, params)
         rep["A_eps_norm"] = float(np.linalg.norm(A, 2))
         reports.append(rep)
         state, q_prev = st, st.q

@@ -184,7 +184,6 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["obstruction", "melnikov"])
 def test_non_finite_phi_is_numeric_failure(tmp_path, command):
     out = tmp_path / command

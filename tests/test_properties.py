@@ -174,8 +174,7 @@ def test_reduced_gradient_melnikov_relation(grid16, params2, q):
     gf = f_gradient(phi, params2, q)
     ratios, defects = [], []
     for eps in (0.02, 0.01, 0.005):
-        g = reduced_gradient(correct(eps, q, phi, params2, grid16), phi,
-                             params2).grad_q
+        g = reduced_gradient(correct(eps, q, phi, params2, grid16), params2)
         ratios.append(g @ gf / (eps * gf @ gf))
         defects.append(np.linalg.norm(g / eps + 2.0 * gf) / eps)
     # the ratio along grad f tends to -2 ...

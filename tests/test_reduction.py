@@ -46,7 +46,7 @@ def test_correct_rejects_non_finite_residual(grid16, params2):
 def test_correct_off_center(grid16, params2, bump):
     st = red.correct(0.01, HyperbolicPoint(0.2, -0.1, 1.2), bump, params2,
                      grid16)
-    assert st.converged and st.constraint_defect < 1e-10
+    assert st.constraint_defect < 1e-10
     # multipliers pick up the broken symmetry
     assert np.max(np.abs(st.xi)) > 1e-6 or np.max(np.abs(st.alpha)) > 1e-6
 
@@ -61,16 +61,37 @@ def test_constant_matrices(params2):
     assert Theta[2, 2] == pytest.approx(4.041451884327381, abs=1e-12)
 
 
+def _reduced_gradient_fd(state, phi, params):
+    """The reduced gradient differenced directly through re-corrected
+    energies at shifted base points."""
+    grid = state.nu.grid
+    fd = np.empty(3)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = 1e-3 * max(1.0, state.q.p3)
+        qp = HyperbolicPoint.of(state.q.array + e)
+        qm = HyperbolicPoint.of(state.q.array - e)
+        sp = red.correct(state.eps, qp, phi, params, grid, warm=state)
+        sm = red.correct(state.eps, qm, phi, params, grid, warm=state)
+        Ep = en.energy_E(red.corrected_surface(sp, params), params, state.eps,
+                         phi)
+        Em = en.energy_E(red.corrected_surface(sm, params), params, state.eps,
+                         phi)
+        fd[i] = (Ep - Em) / (2.0 * e[i])
+    return fd
+
+
 def test_reduced_gradient(grid16, params2, bump):
     st0 = red.correct(0.0, Q0, bump, params2, grid16)
-    g0 = red.reduced_gradient(st0, bump, params2)
-    assert np.allclose(g0.grad_q, 0.0)
+    g0 = red.reduced_gradient(st0, params2)
+    assert np.allclose(g0, 0.0)
     st = red.correct(0.01, HyperbolicPoint(0.1, -0.05, 1.1), bump, params2,
                      grid16)
-    gd = red.reduced_gradient(st, bump, params2, fd_check=True)
-    scale = max(np.max(np.abs(gd.grad_q)), 1e-12)
-    assert np.max(np.abs(gd.grad_q - gd.grad_fd)) <= max(1e-6, 1e-3 * scale)
-    assert gd.A_eps.shape == (6, 6)
+    grad_q = red.reduced_gradient(st, params2)
+    grad_fd = _reduced_gradient_fd(st, bump, params2)
+    scale = max(np.max(np.abs(grad_q)), 1e-12)
+    assert np.max(np.abs(grad_q - grad_fd)) <= max(1e-6, 1e-3 * scale)
+    assert red.interaction_matrix(st, params2).shape == (6, 6)
 
 
 def test_continuation_single_step_radial(grid16, params2, bump):
@@ -111,6 +132,29 @@ def test_continuation_and_asymptotics(grid16, params2, bump):
     assert anorms[0] > anorms[1] > anorms[2]       # interaction matrix -> 0
     with pytest.raises(ValueError):
         red.continuation([0.01, 0.03, 0.02], bump, params2, BOX, grid16)
+
+
+def test_continuation_reports_the_accepted_state(grid16, params2, bump,
+                                                 monkeypatch):
+    calls = []
+    correct = red.correct
+
+    def recording(eps, q, *args, **kwargs):
+        st = correct(eps, q, *args, **kwargs)
+        calls.append((st.eps, (st.q.p1, st.q.p2, st.q.p3), st.iterations))
+        return st
+
+    monkeypatch.setattr(red, "correct", recording)
+    reports = red.continuation([0.02, 0.01, 0.005], bump, params2, BOX,
+                               grid16)
+    assert all(r["status"] == "ok" for r in reports)
+    # no call repeats the one before it, which would re-solve a state
+    # the outer Newton already has
+    assert all(a[:2] != b[:2] for a, b in zip(calls, calls[1:]))
+    for rep in reports:
+        at_q = [it for eps, q, it in calls
+                if eps == rep["eps"] and q == tuple(rep["q"])]
+        assert at_q and rep["iterations"] == at_q[0]
 
 
 def test_continuation_sign_symmetry(grid16, params2, bump):
