@@ -3,8 +3,9 @@
 The linearized curvature operator at an exact sphere has a nine-dimensional
 kernel: six reparametrization directions and three translation-induced
 normal modes.  This script prints the normal-perturbation spectrum (zero,
-then a triple eigenvalue at 2k, then a gap) and the singular-value profile
-of the full operator showing the 9/10 jump.
+then a triple eigenvalue at 2k, then a gap) with each eigenvalue's
+azimuthal order, and the singular-value profile of the full operator
+showing the 9/10 jump.
 """
 
 import numpy as np
@@ -18,14 +19,15 @@ params = make_params(k)
 
 print(f"== normal spectrum at k = {k} ==")
 rep = spectrum_normal(params, grid, count=8)
-for lam, res in zip(rep.eigenvalues, rep.residuals):
-    print(f"  lambda = {lam:12.8f}   residual {res:.1e}")
+for lam, res, m in zip(rep.eigenvalues, rep.residuals, rep.orders):
+    print(f"  lambda = {lam:12.8f}   residual {res:.1e}   order m = {m}")
 print(f"multiplicity pattern: {rep.multiplicities}   (2k = {2 * k})")
 
 print("\n== kernel of the full linearized operator ==")
 system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
 ker = kernel(system)
 print(f"dimension {ker.dimension}, spectral gap {ker.gap:.3e}")
+print(f"modes per azimuthal order |M|: {ker.to_json()['orders']}")
 print("smallest singular values:")
 for i, s in enumerate(ker.singular_values[:12]):
     marker = "  <- kernel" if i < ker.dimension else ""

@@ -12,6 +12,10 @@ side on purpose:
   construction.  The tangential block uses the two first-order expressions
   whose squares make up the nonnegative quadratic form; the normal block is
   the scalar operator ``-div(grad ./ (omega3+k)^2) - 2 k mu^2/(omega3+k)^3``.
+  The base sphere is axisymmetric, so the Galerkin matrices are assembled
+  and solved per block, one block per azimuthal order and parity; the dense
+  matrix is only scattered from the blocks where a caller asks for it (the
+  corrector's bordered LU).
 
 Their mutual agreement on smooth fields is one of the package's standing
 consistency checks.
@@ -51,16 +55,87 @@ def _gegenbauer_table(jmax, lam, x):
     return out
 
 
+class _Ring:
+    """The grid's polar nodes times ``L`` equispaced azimuths, flattened
+    like the grid (azimuth fastest).  Its weights integrate exactly every
+    product whose azimuthal degree is below ``L``; ``L = ntheta`` gives the
+    grid itself."""
+
+    def __init__(self, grid, L):
+        self.L = L
+        self.tt = np.tile(2.0 * np.pi * np.arange(L) / L, grid.ns)
+        self.rr = np.repeat(grid.rho, L)
+        self.omega, self.mu, self.domega_dx, self.domega_dy = ch.omega_mu(
+            np.stack([self.rr * np.cos(self.tt), self.rr * np.sin(self.tt)],
+                     axis=-1))
+        self.weights = np.repeat(
+            grid.node_shape(grid.weights)[:, 0] * (grid.ntheta / L), L)
+
+    def modes(self, P, dP_ds, m, odd):
+        """Values and chart derivatives ``(d/dx, d/dy)`` of the profiles
+        ``P`` (polar nodes x j) times ``cos(m theta)``, or ``sin`` if odd."""
+        tt, ct, st = self.tt, np.cos(self.tt), np.sin(self.tt)
+        if odd:
+            tr, dtr = np.sin(m * tt), m * np.cos(m * tt)
+        else:
+            tr, dtr = np.cos(m * tt), -m * np.sin(m * tt)
+        rep = lambda a: np.repeat(a, self.L, axis=0)
+        base = rep(P) * tr[:, None]
+        drho = self.mu[:, None] * (rep(dP_ds) * tr[:, None])
+        b_dt = rep(P) * dtr[:, None]
+        dx = ct[:, None] * drho - (st / self.rr)[:, None] * b_dt
+        dy = st[:, None] * drho + (ct / self.rr)[:, None] * b_dt
+        return base, dx, dy
+
+
+def _vector_groups(M, odd, degree):
+    """Column groups of the real vector block ``(M, odd)``: for each scalar
+    order ``m`` it draws on, the ``(component, sin?, coefficient)`` pattern
+    its columns put on the scalar modes ``(m, j)``, j = 0..degree - m."""
+    r = np.sqrt(0.5)
+    groups = []
+    if M <= degree and (M > 0 or not odd):
+        groups.append((M, [(2, odd, 1.0)]))                     # e3 Y
+    m = M - 1                                                   # e+ at m
+    if m == 0:
+        groups.append((0, [(odd, 0, 1.0)]))                     # e1 / e2 Y
+    elif 0 < m <= degree:
+        groups.append((m, [(0, odd, r), (1, 1 - odd, r if odd else -r)]))
+    m = M + 1                                                   # e- at m
+    if m <= degree:
+        groups.append((m, [(0, odd, r), (1, 1 - odd, -r if odd else r)]))
+    return groups
+
+
+def _scatter(blocks, size):
+    """Dense ``sum_b Q_b A_b Q_b^T`` of ``(rows, Q_b, A_b)`` blocks, each
+    with its columns ``Q_b`` on the modal ``rows`` it touches."""
+    H = np.zeros((size, size))
+    for rows, Q, A in blocks:
+        H[np.ix_(rows, rows)] += Q @ A @ Q.T
+    return H
+
+
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
     ``phi`` holds the orthonormal scalar basis (degree ``max(2, n - 6)``)
     nodally, ``dphix``/``dphiy`` its analytic chart derivatives; the vector
     basis is ``phi`` times the coordinate directions, ordered component-major.
-    ``H_vec``, the tangent frame (the one shared copy), its modal tables and
-    the corrector's bordered LU are built on first use.  :func:`_pack` keeps
-    one pack: every command and solve works at a single ``(n, k)``, and one
-    pack at n = 48 holds about 0.5 GB.
+
+    The operators are held as real blocks.  The base sphere is invariant
+    under rotations about the z-axis and under ``y -> -y``, so the vector
+    operator splits by total azimuthal order ``|M|`` and parity
+    (``vector_blocks``) and the scalar normal pencil by order ``m`` and
+    cos/sin (``scalar_blocks``).  Each block is assembled on a ring of
+    azimuths just over twice its order, which integrates its products
+    exactly, so no dense operator or nodal table of the vector basis is
+    formed; ``H_vec`` scatters the blocks into the dense matrix on request.
+    The blocks, the tangent frame (the one shared copy), its modal tables and
+    the corrector's bordered LU are built on first use.  :func:`_pack`
+    keeps one pack: every command and solve works at a single ``(n, k)``.
+    After a certificate at n = 48 a pack holds 0.21 GB, 0.20 GB of it the
+    three nodal tables; the bordered LU of a solve adds 0.25 GB.
     """
 
     def __init__(self, grid, params):
@@ -70,80 +145,140 @@ class _ModalPack:
                 f"degree {degree} exceeds what grid n={grid.n} integrates exactly")
         self.grid = grid
         self.params = params
-        k = params.k
-        w = grid.weights
-        mu, om = grid.mu, grid.omega
-        ok = om[:, 2] + k
-        self.ok = ok
-
-        nt, ns = grid.ntheta, grid.ns
-        tt = np.tile(grid.theta, ns)
-        ct, st = np.cos(tt), np.sin(tt)
-        rr = np.repeat(grid.rho, nt)
+        self.degree = degree
+        self.ok = grid.omega[:, 2] + params.k
         x, sins = grid.x, grid.sin_s
+        w = grid.weights
 
-        cols, dxs, dys = [], [], []
+        nm = sum((degree - m + 1) * (2 if m else 1) for m in range(degree + 1))
+        self.nmodes = nm
+        self.phi, self.dphix, self.dphiy = (
+            np.empty((grid.size, nm)) for _ in range(3))
+        self._norms = np.empty(nm)
+        self._profiles, self._offsets = [], []
+        full = _Ring(grid, grid.ntheta)
+        start = 0
         for m in range(degree + 1):
             tab = _gegenbauer_table(degree - m, m + 0.5, x)
-            prof = sins**m
-            P = prof[:, None] * tab
+            P = (sins**m)[:, None] * tab
             dP_ds = -(sins**(m + 1))[:, None] * (grid.Dleg @ tab)
             if m > 0:
                 dP_ds += (m * sins**(m - 1) * x)[:, None] * tab
-            trigs = [(np.cos(m * tt), -m * np.sin(m * tt))]
-            if m > 0:
-                trigs.append((np.sin(m * tt), m * np.cos(m * tt)))
-            for tr, dtr in trigs:
-                for j in range(degree - m + 1):
-                    base = np.repeat(P[:, j], nt) * tr
-                    b_ds = np.repeat(dP_ds[:, j], nt) * tr
-                    b_dt = np.repeat(P[:, j], nt) * dtr
-                    drho = mu * b_ds
-                    nrm = np.sqrt(np.sum(w * base**2))
-                    cols.append(base / nrm)
-                    dxs.append((ct * drho - st / rr * b_dt) / nrm)
-                    dys.append((st * drho + ct / rr * b_dt) / nrm)
-        self.phi = np.stack(cols, axis=1)
-        self.dphix = np.stack(dxs, axis=1)
-        self.dphiy = np.stack(dys, axis=1)
-        nm = self.phi.shape[1]
-        self.nmodes = nm
+            self._profiles.append((P, dP_ds))
+            self._offsets.append(start)
+            for odd in (0, 1) if m else (0,):
+                cols = slice(start, start + P.shape[1])
+                base, dx, dy = full.modes(P, dP_ds, m, odd)
+                nrm = np.sqrt([np.sum(w * b**2) for b in base.T])
+                np.divide(base, nrm, out=self.phi[:, cols])
+                np.divide(dx, nrm, out=self.dphix[:, cols])
+                np.divide(dy, nrm, out=self.dphiy[:, cols])
+                self._norms[cols] = nrm
+                start = cols.stop
 
-        # scalar normal-operator matrices (eigenproblem form)
-        C2 = w / (mu**2 * ok**2)
-        self.K_sc = self._sym(self.dphix.T @ (C2[:, None] * self.dphix)
-                              + self.dphiy.T @ (C2[:, None] * self.dphiy))
-        self.B_sc = self._sym(self.phi.T @ ((w / ok**3)[:, None] * self.phi))
+    def _index(self, m, odd):
+        """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
+        J = self.degree - m + 1
+        return self._offsets[m] + odd * J + np.arange(J)
+
+    def _modes(self, ring, m, odd):
+        """Values and chart derivatives of the orthonormal scalar modes of
+        order ``m``, cos (or sin if odd), on a ring."""
+        nrm = self._norms[self._index(m, odd)]
+        return [t / nrm for t in ring.modes(*self._profiles[m], m, odd)]
 
     @cached_property
-    def H_vec(self):
-        """Weak matrix of ``r^2 J'(U)`` on vector modes: five terms
-        ``coef * B^T diag(weight) B``, the two first-order tangential
-        expressions, then the scalar normal block on the omega components
-        (two derivative parts and the mass part), one nodal table at a time."""
-        grid, nm, k = self.grid, self.nmodes, self.params.k
-        w, mu, om, ok = grid.weights, grid.mu, grid.omega, self.ok
-        dox, doy = grid.domega_dx, grid.domega_dy
-        px, py, p0 = self.dphix, self.dphiy, self.phi
-        C2 = w / (mu**2 * ok**2)
-        Ctan = w / (mu**4 * ok**2)
+    def vector_blocks(self):
+        """``{(|M|, parity): (rows, Q, H)}``: the weak matrix of ``r^2 J'(U)``
+        on the real vector modes of total azimuthal order ``|M|``, even
+        (parity 0) or odd under ``y -> -y``.  ``Q`` holds the block's
+        orthonormal columns on the modal ``rows`` they touch: ``e3 Y`` for a
+        scalar mode ``Y`` of order ``M``, ``e1 Y`` or ``e2 Y`` for ``Y`` of
+        order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2`` for the cos/sin
+        pair ``(Y, Y')`` of order ``M -+ 1``.  For
+        ``M > 0`` the rotation by ``pi / 2M`` takes the even columns onto the
+        odd ones, so the two parities share one matrix."""
+        nm, deg = self.nmodes, self.degree
+        blocks = {}
+        for M in range(deg + 2):
+            for odd in (0, 1):
+                groups = _vector_groups(M, odd, deg)
+                size = sum(deg - m + 1 for m, _ in groups)
+                rows, Q, start = [], [], 0
+                for m, pattern in groups:
+                    J = deg - m + 1
+                    for comp, sin, coef in pattern:
+                        rows.append(comp * nm + self._index(m, sin))
+                        Q.append(coef * np.eye(J, size, start))
+                    start += J
+                # the block's fields have azimuthal degree at most M + 4 (an
+                # order M + 1 mode, one derivative, degree-2 chart factors)
+                if odd and M:
+                    H = blocks[(M, 0)][2]
+                else:
+                    H = self._vector_gram(_Ring(self.grid, 2 * M + 9), groups,
+                                          size)
+                blocks[(M, odd)] = (np.concatenate(rows), np.vstack(Q), H)
+        return blocks
+
+    def _vector_gram(self, ring, groups, size):
+        """One vector block's matrix on a ring wide enough for its products:
+        the sum of five terms ``coef * B^T diag(weight) B``, the two
+        first-order tangential expressions, then the scalar normal block on
+        the omega components (two derivative parts and the mass part)."""
+        k = self.params.k
+        w, mu, om = ring.weights, ring.mu, ring.omega
+        dox, doy = ring.domega_dx, ring.domega_dy
+        ok = om[:, 2] + k
+        U = np.zeros((3, 3, w.size, size))    # value/dx/dy, comp, node, col
+        start = 0
+        for m, pattern in groups:
+            J = self.degree - m + 1
+            for comp, sin, coef in pattern:
+                for kind, t in enumerate(self._modes(ring, m, sin)):
+                    U[kind, comp, :, start:start + J] = coef * t
+            start += J
+        v, ux, uy = U
+        dot = lambda a, b: np.einsum("pc,cpj->pj", a, b)
+        Ctan, C2 = w / (mu**4 * ok**2), w / (mu**2 * ok**2)
         terms = (
-            (lambda c: dox[:, c, None] * px - doy[:, c, None] * py, Ctan, 1.0),
-            (lambda c: doy[:, c, None] * px + dox[:, c, None] * py, Ctan, 1.0),
-            (lambda c: om[:, c, None] * px + dox[:, c, None] * p0, C2, 1.0),
-            (lambda c: om[:, c, None] * py + doy[:, c, None] * p0, C2, 1.0),
-            (lambda c: om[:, c, None] * p0, w / ok**3, -2.0 * k),
+            (dot(dox, ux) - dot(doy, uy), Ctan, 1.0),
+            (dot(doy, ux) + dot(dox, uy), Ctan, 1.0),
+            (dot(om, ux) + dot(dox, v), C2, 1.0),
+            (dot(om, uy) + dot(doy, v), C2, 1.0),
+            (dot(om, v), w / ok**3, -2.0 * k),
         )
-        H = np.zeros((3 * nm, 3 * nm))
-        for block, weight, coef in terms:
-            B = np.empty((grid.size, 3 * nm))
-            for c in range(3):
-                B[:, c * nm:(c + 1) * nm] = block(c)
-            G = B.T @ (weight[:, None] * B)
-            G *= coef
-            H += G
-            del B, G
+        H = np.zeros((size, size))
+        for B, weight, coef in terms:
+            H += coef * (B.T @ (weight[:, None] * B))
         return self._sym(H)
+
+    @cached_property
+    def scalar_blocks(self):
+        """``{(m, sin?): (rows, K, B)}``: the scalar normal pencil (stiffness
+        ``K`` and the ``(omega3+k)^-3`` weighted mass ``B``) on the scalar
+        modes of order ``m``, cos or sin, found at the modal ``rows``.  The
+        cos and sin blocks of one order are rotations of each other and
+        share their matrices."""
+        k, blocks = self.params.k, {}
+        for m in range(self.degree + 1):
+            ring = _Ring(self.grid, 2 * m + 3)      # degree m + 1 with d/dx
+            w, mu = ring.weights, ring.mu
+            ok = ring.omega[:, 2] + k
+            C2 = w / (mu**2 * ok**2)
+            p0, px, py = self._modes(ring, m, 0)
+            K = self._sym(px.T @ (C2[:, None] * px)
+                          + py.T @ (C2[:, None] * py))
+            B = self._sym(p0.T @ ((w / ok**3)[:, None] * p0))
+            for odd in (0, 1) if m else (0,):
+                blocks[(m, odd)] = (self._index(m, odd), K, B)
+        return blocks
+
+    @property
+    def H_vec(self):
+        """Dense weak matrix of ``r^2 J'(U)`` on the vector modes, scattered
+        from ``vector_blocks`` on each access."""
+        return _scatter(self.vector_blocks.values(), 3 * self.nmodes)
 
     @cached_property
     def frame(self):
@@ -168,7 +303,7 @@ class _ModalPack:
         """LU factors of ``H_vec`` bordered by the nine frame rows, the
         corrector's saddle matrix; every base point shares it, since moving
         the base point only rescales the operator."""
-        m = self.H_vec.shape[0]
+        m = 3 * self.nmodes
         KKT = np.zeros((m + 9, m + 9))
         KKT[:m, :m] = self.H_vec
         KKT[:m, m:] = -self.frame_modal.T
@@ -297,36 +432,57 @@ def _j_nodal(values, dx, dy, dxx, dyy, params, curvature, eps):
 class LinearizedSystem:
     """The linearized operator at a sphere of the family, in both guises.
 
-    ``modal_matrix`` is the symmetric Galerkin matrix of the bilinear form
+    ``blocks`` holds the symmetric Galerkin matrix of the bilinear form
     ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the orthonormal
-    modal basis (so the modal mass is the identity); ``scale`` is the factor
-    ``1 / (q3^2 r^2)`` that takes the pack's ``r^2``-normalized operator to
-    the one at the base point.  ``apply_direct`` evaluates the strong
-    operator through collocation, independently of the Galerkin route.
+    modal basis (so the modal mass is the identity), one symmetry block of
+    the pack at a time; ``modal_matrix`` is the dense matrix scattered from
+    them on request.  ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes
+    the pack's ``r^2``-normalized operator to the one at the base point.
+    ``block`` is the number of field components: 3 for the vector
+    operator, 1 for the scalar normal one.  ``apply_direct`` evaluates the
+    strong operator through collocation, independently of the Galerkin
+    route.
     """
 
     grid: ch.SphereGrid
     params: object
     pack: _ModalPack
     scale: float
-    modal_matrix: np.ndarray
     block: int = 3
 
     @property
     def size(self):
-        return self.modal_matrix.shape[0]
+        return self.block * self.pack.nmodes
+
+    @property
+    def blocks(self):
+        """``{label: (rows, Q, A)}``: the operator ``A`` on each symmetry
+        block, whose orthonormal columns ``Q`` live on the modal ``rows``;
+        labels are ``(order, parity)``."""
+        if self.block == 3:
+            return {key: (rows, Q, self.scale * H)
+                    for key, (rows, Q, H) in self.pack.vector_blocks.items()}
+        k = self.params.k
+        return {key: (rows, np.eye(rows.size), self.scale * (K - 2.0 * k * B))
+                for key, (rows, K, B) in self.pack.scalar_blocks.items()}
+
+    @property
+    def modal_matrix(self):
+        """The dense Galerkin matrix, scattered from ``blocks`` on each
+        access."""
+        return _scatter(self.blocks.values(), self.size)
 
     def selfadjoint_defect(self, rng=None):
         """Worst asymmetry of the modal form on random normalized vectors."""
         rng = rng or np.random.default_rng(0)
+        A = self.modal_matrix
         worst = 0.0
         for _ in range(10):
             a = rng.standard_normal(self.size)
             b = rng.standard_normal(self.size)
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
-            worst = max(worst, abs(
-                a @ (self.modal_matrix @ b) - b @ (self.modal_matrix @ a)))
+            worst = max(worst, abs(a @ (A @ b) - b @ (A @ a)))
         return worst
 
     def form(self, f, g):
@@ -356,22 +512,22 @@ def assemble_linearized(params, q, grid):
     """Assemble the linearized system at the sphere about ``q``.
 
     Translating the base point only rescales the operator by ``q3^-2``, so
-    the heavy modal matrices are cached per ``(grid, k)`` and shared between
-    base points.
+    the operator blocks are built once per ``(grid, k)``, here on first use,
+    and shared between base points.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
+    pack.vector_blocks
     scale = 1.0 / (q.p3**2 * params.r**2)
     return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale,
-                            modal_matrix=scale * pack.H_vec, block=3)
+                            block=3)
 
 
 def normal_operator(params, grid):
     """Scalar operator governing normal perturbations ``eta * omega``."""
     pack = operator_pack(grid, params)
-    mat = (pack.K_sc - 2.0 * params.k * pack.B_sc) / params.r**2
     return LinearizedSystem(grid=grid, params=params, pack=pack,
-                            scale=1.0 / params.r**2, modal_matrix=mat, block=1)
+                            scale=1.0 / params.r**2, block=1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +582,7 @@ class SpectrumReport:
     residuals: np.ndarray
     k: float
     grid_n: int
+    orders: list            # azimuthal order m of each eigenvalue
 
     def cluster_starts(self):
         out, i = [], 0
@@ -443,6 +600,7 @@ class SpectrumReport:
             "multiplicities": self.multiplicities,
             "residuals": self.residuals.tolist(),
             "cluster_starts": self.cluster_starts(),
+            "orders": self.orders,
         }
 
 
@@ -450,20 +608,26 @@ def spectrum_normal(params, grid, count=8):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
     Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
-    mass), returning a :class:`SpectrumReport` of the ascending eigenvalues,
-    their clustered multiplicities and each pair's relative residual.
+    mass) on each azimuthal block of the pack and merges the block spectra,
+    returning a :class:`SpectrumReport` of the ascending eigenvalues, their
+    clustered multiplicities, each pair's relative residual and azimuthal
+    order.
     """
     if count < 5:
         raise ValueError("ask for at least 5 eigenvalues")
     pack = operator_pack(grid, params)
-    K, B = pack.K_sc, pack.B_sc
-    if count > K.shape[0]:
+    if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
-    vals, vecs = sla.eigh(K, B, subset_by_index=[0, count - 1])
-    res = np.array([
-        np.linalg.norm(K @ vecs[:, i] - vals[i] * (B @ vecs[:, i]))
-        / ((1.0 + abs(vals[i])) * np.linalg.norm(B @ vecs[:, i]))
-        for i in range(count)])
+    pairs = []
+    for (m, _), (_, K, B) in pack.scalar_blocks.items():
+        top = min(count, K.shape[0])
+        vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
+        for lam, v in zip(vals, vecs.T):
+            Bv = B @ v
+            pairs.append((lam, m, np.linalg.norm(K @ v - lam * Bv)
+                          / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
+    pairs.sort(key=lambda p: p[0])
+    vals, orders, res = (np.array(c) for c in zip(*pairs[:count]))
     if np.any(res > 1e-7):
         raise ConvergenceError(
             f"eigenpair residual {res.max():.2e} above 1e-07")
@@ -476,7 +640,7 @@ def spectrum_normal(params, grid, count=8):
         mult.append(j - i + 1)
         i = j + 1
     return SpectrumReport(eigenvalues=vals, multiplicities=mult, residuals=res,
-                          k=params.k, grid_n=grid.n)
+                          k=params.k, grid_n=grid.n, orders=orders.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +653,17 @@ class KernelReport:
     basis: list
     gap: float
     singular_values: np.ndarray
+    orders: list            # azimuthal order |M| of each basis field
 
     def to_json(self):
         """The report as a JSON document; the singular values are cut to
-        the smallest sixteen."""
+        the smallest sixteen, the orders counted per ``|M|``."""
         return {
             "dimension": self.dimension,
             "gap": self.gap,
             "singular_values": self.singular_values[:16].tolist(),
+            "orders": {str(m): self.orders.count(m)
+                       for m in sorted(set(self.orders))},
         }
 
     def frame_residual(self, system):
@@ -516,35 +683,41 @@ class KernelReport:
 def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     """Numerical kernel of the system by singular-value gap detection.
 
-    The singular values of the (symmetric) modal matrix are scanned in
-    ascending order; the kernel dimension is declared at the largest ratio
-    jump within the smallest sixteen, which must reach ``gap_factor``,
-    otherwise :class:`AmbiguousKernelError` is raised.  The returned nodal
-    basis is orthonormal in the mass inner product.
+    The singular values of the (symmetric) modal matrix, the union of its
+    block spectra, are scanned in ascending order; the kernel dimension is
+    declared at the largest ratio jump within the smallest sixteen, which
+    must reach ``gap_factor``, otherwise :class:`AmbiguousKernelError` is
+    raised.  A ratio's denominator is at least the roundoff level of the
+    largest singular value, since blocks of different sizes leave exact
+    zeros at different roundoff levels (down to 1e-31 for the rotation
+    about the z-axis).  The returned nodal basis is orthonormal in the mass
+    inner product: the in-window block eigenvectors, labelled by block order.
     """
-    sigma = np.sort(np.abs(sla.eigvalsh(system.modal_matrix)))
+    eigs = [(key[0], rows, Q) + tuple(sla.eigh(A))
+            for key, (rows, Q, A) in system.blocks.items()]
+    sigma = np.sort(np.abs(np.concatenate([e[3] for e in eigs])))
     window = min(16, sigma.size - 1)
-    floor = max(sigma[0], 1e-300)
-    ratios = sigma[1:window + 1] / np.maximum(sigma[:window], floor * 1e-6)
+    floor = np.finfo(float).eps * sigma[-1]
+    ratios = sigma[1:window + 1] / np.maximum(sigma[:window], floor)
     split = int(np.argmax(ratios))
     if ratios[split] < gap_factor:
         raise AmbiguousKernelError(sigma[split], sigma[split + 1], gap_factor)
     dim = split + 1
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
-    _, vecs = sla.eigh(system.modal_matrix, subset_by_value=[-cut, cut])
-    if vecs.shape[1] != dim:
-        raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
     pack = system.pack
-    basis = []
-    for i in range(dim):
-        v = vecs[:, i]
-        if system.block == 3:
-            basis.append(SphereField(system.grid, pack.nodal_vector(v)))
-        else:
-            basis.append(SphereField(system.grid, pack.phi @ v))
+    basis, orders = [], []
+    for order, rows, Q, vals, vecs in eigs:
+        for v in vecs[:, np.abs(vals) <= cut].T:
+            c = np.zeros(system.size)
+            c[rows] = Q @ v
+            basis.append(SphereField(system.grid, pack.nodal_vector(c)
+                                     if system.block == 3 else pack.phi @ c))
+            orders.append(order)
+    if len(basis) != dim:
+        raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
     return KernelReport(dimension=dim, basis=basis,
                         gap=float(sigma[dim] / sigma[dim - 1]),
-                        singular_values=sigma)
+                        singular_values=sigma, orders=orders)
 
 
 # ---------------------------------------------------------------------------

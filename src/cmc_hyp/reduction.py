@@ -80,14 +80,16 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one triangular solve of
-    the cached bordered factorization; the orthogonality constraints are
-    enforced inside the solve and stay at roundoff.  At ``eps = 0`` the
-    iteration returns the zero correction immediately.  A non-finite
-    residual raises :class:`NumericsError` at once.
+    the pack's bordered factorization, which the first call builds; the
+    orthogonality constraints are enforced inside the solve and stay at
+    roundoff.  At ``eps = 0`` the iteration returns the zero correction
+    immediately.  A non-finite residual raises :class:`NumericsError` at
+    once.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
-    nm3 = pack.H_vec.shape[0]
+    lu = pack.bordered_lu
+    nm3 = 3 * pack.nmodes
     gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
@@ -111,7 +113,7 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
         if np.linalg.norm(rmod) <= tol and np.max(np.abs(R2)) <= tol:
             break
         rhs = np.concatenate([-scale * rmod, -R2])
-        delta = sla.lu_solve(pack.bordered_lu, rhs)
+        delta = sla.lu_solve(lu, rhs)
         c = c + delta[:nm3]
         m = m + delta[nm3:] / scale
     else:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
@@ -247,8 +250,119 @@ def test_solve_orthogonal(grid24, params2, rng):
 
 
 def test_operator_cache_holds_one_pack(grid16, grid24, params2):
-    # one pack at n = 48 holds about 0.5 GB, and no caller alternates (n, k)
+    # one pack at n = 48 holds about 0.2 GB, and no caller alternates (n, k)
     lin.operator_pack(grid16, params2)
     pack = lin.operator_pack(grid24, params2)
     assert lin._pack.cache_info().currsize == 1
     assert lin.operator_pack(grid24, params2) is pack
+
+
+# ---------------------------------------------------------------------------
+# the block route against a dense reference
+
+
+def _dense_reference(pack):
+    """The dense Galerkin matrices from the pack's nodal tables: the weak
+    matrix of ``r^2 J'(U)`` on vector modes as five terms
+    ``coef * B^T diag(weight) B`` (the two first-order tangential
+    expressions, then the scalar normal block on the omega components: two
+    derivative parts and the mass part), and the scalar normal pencil."""
+    grid, nm, k = pack.grid, pack.nmodes, pack.params.k
+    w, mu, om, ok = grid.weights, grid.mu, grid.omega, pack.ok
+    dox, doy = grid.domega_dx, grid.domega_dy
+    px, py, p0 = pack.dphix, pack.dphiy, pack.phi
+    C2 = w / (mu**2 * ok**2)
+    Ctan = w / (mu**4 * ok**2)
+    terms = (
+        (lambda c: dox[:, c, None] * px - doy[:, c, None] * py, Ctan, 1.0),
+        (lambda c: doy[:, c, None] * px + dox[:, c, None] * py, Ctan, 1.0),
+        (lambda c: om[:, c, None] * px + dox[:, c, None] * p0, C2, 1.0),
+        (lambda c: om[:, c, None] * py + doy[:, c, None] * p0, C2, 1.0),
+        (lambda c: om[:, c, None] * p0, w / ok**3, -2.0 * k),
+    )
+    H = np.zeros((3 * nm, 3 * nm))
+    for block, weight, coef in terms:
+        B = np.empty((grid.size, 3 * nm))
+        for c in range(3):
+            B[:, c * nm:(c + 1) * nm] = block(c)
+        H += coef * (B.T @ (weight[:, None] * B))
+    K = px.T @ (C2[:, None] * px) + py.T @ (C2[:, None] * py)
+    Bm = p0.T @ ((w / ok**3)[:, None] * p0)
+    sym = lambda A: 0.5 * (A + A.T)
+    return sym(H), sym(K), sym(Bm)
+
+
+def _frame_residual(pack, vecs):
+    fm = pack.frame_modal.T
+    coef = np.linalg.lstsq(vecs, fm, rcond=None)[0]
+    return float(np.max(np.linalg.norm(fm - vecs @ coef, axis=0)
+                        / np.linalg.norm(fm, axis=0)))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("k", [1.5, 2.0, 5.0])
+def test_blocks_match_dense_reference(n, k):
+    grid, params = ch.build_grid(n), bb.make_params(k)
+    system = lin.assemble_linearized(params, Q0, grid)
+    pack = system.pack
+    H, K, B = _dense_reference(pack)
+    top = np.max(np.abs(H))
+    assert np.max(np.abs(pack.H_vec - H)) <= 1e-13 * top
+    union = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(A) for *_, A in pack.vector_blocks.values()]))
+    vals, vecs = sla.eigh(H)
+    assert np.max(np.abs(union - vals)) <= 1e-13 * top
+    # the kernel reconstructs the frame to roundoff, or as well as the
+    # dense kernel where the grid's own kernel error is larger (n = 16)
+    dense = _frame_residual(pack, vecs[:, np.argsort(np.abs(vals))[:9]])
+    rep = lin.kernel(system)
+    assert rep.dimension == 9
+    assert rep.frame_residual(system) <= max(1e-10, 2.0 * dense)
+    spec = lin.spectrum_normal(params, grid, count=8)
+    ref = sla.eigh(K, B, eigvals_only=True, subset_by_index=[0, 7])
+    assert np.all(np.abs(spec.eigenvalues - ref)
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_certificate_never_forms_the_dense_operator(grid24, params2,
+                                                    monkeypatch):
+    def dense(*args):
+        raise AssertionError("the dense operator was scattered")
+
+    lin._pack.cache_clear()
+    monkeypatch.setattr(lin, "_scatter", dense)
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    lin.kernel(system)
+    lin.spectrum_normal(params2, grid24, count=8)
+    pack = system.pack
+    nm, N = pack.nmodes, grid24.size
+    dense_shapes = {(3 * nm, 3 * nm), (N, 3 * nm), (3 * nm, N), (nm, nm)}
+
+    def arrays(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (list, tuple)):
+            for v in value:
+                yield from arrays(v)
+        elif hasattr(value, "shape"):
+            yield value
+
+    assert "H_vec" not in vars(pack)
+    held = [a.shape for v in vars(pack).values() for a in arrays(v)]
+    held += [a.shape for f in dataclasses.fields(system)
+             for a in arrays(getattr(system, f.name))]
+    assert not dense_shapes.intersection(held)
+
+
+def test_mode_labels(grid24, params2):
+    spec = lin.spectrum_normal(params2, grid24, count=8)
+    ev, orders = spec.eigenvalues, spec.orders
+    assert orders[0] == 0 and abs(ev[0]) < 1e-8
+    assert sorted(orders[1:4]) == [0, 1, 1]
+    assert orders[4] == 0 and ev[4] == pytest.approx(11.079, abs=1e-3)
+    assert orders[5:7] == [1, 1]
+    assert np.allclose(ev[5:7], 11.182, atol=1e-3)
+    assert orders[7] == 2 and ev[7] == pytest.approx(11.490, abs=1e-3)
+    assert spec.to_json()["orders"] == orders
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    assert lin.kernel(system).to_json()["orders"] == {"0": 3, "1": 6}
