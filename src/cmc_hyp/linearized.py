@@ -693,9 +693,9 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     about the z-axis).  The returned nodal basis is orthonormal in the mass
     inner product: the in-window block eigenvectors, labelled by block order.
     """
-    eigs = [(key[0], rows, Q) + tuple(sla.eigh(A))
-            for key, (rows, Q, A) in system.blocks.items()]
-    sigma = np.sort(np.abs(np.concatenate([e[3] for e in eigs])))
+    blocks = system.blocks
+    eigs = {key: sla.eigh(A) for key, (_, _, A) in blocks.items()}
+    sigma = np.sort(np.abs(np.concatenate([w for w, _ in eigs.values()])))
     window = min(16, sigma.size - 1)
     floor = np.finfo(float).eps * sigma[-1]
     ratios = sigma[1:window + 1] / np.maximum(sigma[:window], floor)
@@ -706,13 +706,14 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
     pack = system.pack
     basis, orders = [], []
-    for order, rows, Q, vals, vecs in eigs:
+    for key, (vals, vecs) in eigs.items():
+        rows, Q, _ = blocks[key]
         for v in vecs[:, np.abs(vals) <= cut].T:
             c = np.zeros(system.size)
             c[rows] = Q @ v
             basis.append(SphereField(system.grid, pack.nodal_vector(c)
                                      if system.block == 3 else pack.phi @ c))
-            orders.append(order)
+            orders.append(key[0])
     if len(basis) != dim:
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
     return KernelReport(dimension=dim, basis=basis,
