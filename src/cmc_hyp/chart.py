@@ -343,17 +343,23 @@ def _polar_derivatives(grid, values):
 
 def spectral_derivatives(grid, values):
     """Main-chart derivatives of per-node samples (global spectral rule)."""
-    values = np.asarray(values, dtype=float)
-    ds, dt = _polar_derivatives(grid, values)
-    shape = (grid.size,) + (1,) * (values.ndim - 1)
-    rr = np.repeat(grid.rho, grid.ntheta).reshape(shape)
-    mu = grid.mu.reshape(shape)
-    tt = np.tile(grid.theta, grid.ns).reshape(shape)
-    ct, st = np.cos(tt), np.sin(tt)
-    drho = mu * ds
+    return polar_to_chart(grid, *_polar_derivatives(
+        grid, np.asarray(values, dtype=float)))
+
+
+def polar_to_chart(grid, ds, dt):
+    """Main-chart ``(d/dx, d/dy)`` from per-node ``(d/ds, d/dtheta)`` samples
+    of shape ``(N, ...)``."""
+    extra = (1,) * (ds.ndim - 1)
+    ct = np.cos(grid.theta).reshape((1, -1) + extra)
+    st = np.sin(grid.theta).reshape((1, -1) + extra)
+    rr = grid.rho.reshape((-1, 1) + extra)
+    mu = grid.mu.reshape((grid.ns, grid.ntheta) + extra)
+    drho = mu * grid.node_shape(ds)
+    dt = grid.node_shape(dt)
     dx = ct * drho - st / rr * dt
     dy = st * drho + ct / rr * dt
-    return dx, dy
+    return dx.reshape(ds.shape), dy.reshape(ds.shape)
 
 
 def differentiate(f):

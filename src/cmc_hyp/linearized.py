@@ -13,9 +13,9 @@ side on purpose:
   whose squares make up the nonnegative quadratic form; the normal block is
   the scalar operator ``-div(grad ./ (omega3+k)^2) - 2 k mu^2/(omega3+k)^3``.
   The base sphere is axisymmetric, so the Galerkin matrices are assembled
-  and solved per block, one block per azimuthal order and parity; the dense
-  matrix is only scattered from the blocks where a caller asks for it (the
-  corrector's bordered LU).
+  and solved per block, one block per azimuthal order and parity, the
+  corrector's bordered saddle matrix included; the dense matrix is only
+  scattered from the blocks where a caller asks for it (the tests).
 
 Their mutual agreement on smooth fields is one of the package's standing
 consistency checks.
@@ -119,9 +119,14 @@ def _scatter(blocks, size):
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
-    ``phi`` holds the orthonormal scalar basis (degree ``max(2, n - 6)``)
-    nodally, ``dphix``/``dphiy`` its analytic chart derivatives; the vector
-    basis is ``phi`` times the coordinate directions, ordered component-major.
+    The scalar basis (degree ``max(2, n - 6)``) is ``P_{m,j}(s) cos(m theta)``
+    and ``P_{m,j}(s) sin(m theta)``, orthonormal against the sphere measure;
+    the vector basis is the scalar one times the coordinate directions,
+    ordered component-major.  The pack keeps only the normalized profiles
+    ``P`` and ``dP/ds`` per order ``m``; :meth:`synthesis` and
+    :meth:`analysis` move between modal coefficients and nodal values by one
+    profile product per order and an FFT in the azimuth, O(n^3) work where a
+    nodal table of the basis would cost O(n^4).
 
     The operators are held as real blocks.  The base sphere is invariant
     under rotations about the z-axis and under ``y -> -y``, so the vector
@@ -129,13 +134,14 @@ class _ModalPack:
     (``vector_blocks``) and the scalar normal pencil by order ``m`` and
     cos/sin (``scalar_blocks``).  Each block is assembled on a ring of
     azimuths just over twice its order, which integrates its products
-    exactly, so no dense operator or nodal table of the vector basis is
-    formed; ``H_vec`` scatters the blocks into the dense matrix on request.
-    The blocks, the tangent frame (the one shared copy), its modal tables and
-    the corrector's bordered LU are built on first use.  :func:`_pack`
-    keeps one pack: every command and solve works at a single ``(n, k)``.
-    After a certificate at n = 48 a pack holds 0.21 GB, 0.20 GB of it the
-    three nodal tables; the bordered LU of a solve adds 0.25 GB.
+    exactly, so no dense operator or nodal table of the basis is formed;
+    ``H_vec`` scatters the blocks into the dense matrix on request (tests
+    only).  The blocks, the tangent frame (the one shared copy), its modal
+    tables and the corrector's per-block saddle factorizations are built on
+    first use.  :func:`_pack` keeps one pack: every command and solve works
+    at a single ``(n, k)``.  At n = 48 a pack holds about 15 MB after a
+    certificate and a solve: 10 MB of vector blocks, 2.2 MB of saddle
+    factors and 1.4 MB of profiles.
     """
 
     def __init__(self, grid, params):
@@ -148,44 +154,60 @@ class _ModalPack:
         self.degree = degree
         self.ok = grid.omega[:, 2] + params.k
         x, sins = grid.x, grid.sin_s
-        w = grid.weights
+        ring = grid.node_shape(grid.weights)[:, 0]
 
-        nm = sum((degree - m + 1) * (2 if m else 1) for m in range(degree + 1))
-        self.nmodes = nm
-        self.phi, self.dphix, self.dphiy = (
-            np.empty((grid.size, nm)) for _ in range(3))
-        self._norms = np.empty(nm)
-        self._profiles, self._offsets = [], []
-        full = _Ring(grid, grid.ntheta)
-        start = 0
-        for m in range(degree + 1):
+        D = degree + 1
+        # [m, 0 or 1, polar node, j]: P_{m,j} and dP_{m,j}/ds, normalized
+        self._profiles = np.zeros((D, 2, grid.ns, D))
+        for m in range(D):
             tab = _gegenbauer_table(degree - m, m + 0.5, x)
             P = (sins**m)[:, None] * tab
             dP_ds = -(sins**(m + 1))[:, None] * (grid.Dleg @ tab)
             if m > 0:
                 dP_ds += (m * sins**(m - 1) * x)[:, None] * tab
-            self._profiles.append((P, dP_ds))
-            self._offsets.append(start)
-            for odd in (0, 1) if m else (0,):
-                cols = slice(start, start + P.shape[1])
-                base, dx, dy = full.modes(P, dP_ds, m, odd)
-                nrm = np.sqrt([np.sum(w * b**2) for b in base.T])
-                np.divide(base, nrm, out=self.phi[:, cols])
-                np.divide(dx, nrm, out=self.dphix[:, cols])
-                np.divide(dy, nrm, out=self.dphiy[:, cols])
-                self._norms[cols] = nrm
-                start = cols.stop
+            # sum of cos^2 (or sin^2) of m theta over the ring: ntheta for
+            # m = 0, ntheta / 2 otherwise, since m < ntheta / 2
+            nrm = np.sqrt((grid.ntheta / (2 if m else 1)) * (ring @ P**2))
+            self._profiles[m, 0, :, :D - m] = P / nrm
+            self._profiles[m, 1, :, :D - m] = dP_ds / nrm
+        # modes are ordered by m, cos before sin, then j; _slots holds each
+        # one's flat position in a (cos/sin, m, j) array, _modal the inverse
+        self._slots = np.concatenate(
+            [(odd * D + m) * D + np.arange(D - m)
+             for m in range(D) for odd in ((0, 1) if m else (0,))])
+        self.nmodes = self._slots.size
+        self._modal = np.full((2, D, D), -1)
+        self._modal.flat[self._slots] = np.arange(self.nmodes)
+        # irfft weight of order m: a cos + b sin = Re((a - i b) e^{i m theta})
+        self._fourier = np.full(D, grid.ntheta / 2.0)
+        self._fourier[0] = grid.ntheta
 
     def _index(self, m, odd):
         """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
-        J = self.degree - m + 1
-        return self._offsets[m] + odd * J + np.arange(J)
+        return self._modal[odd, m, :self.degree - m + 1]
 
     def _modes(self, ring, m, odd):
         """Values and chart derivatives of the orthonormal scalar modes of
         order ``m``, cos (or sin if odd), on a ring."""
-        nrm = self._norms[self._index(m, odd)]
-        return [t / nrm for t in ring.modes(*self._profiles[m], m, odd)]
+        P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
+        return ring.modes(P, dP_ds, m, odd)
+
+    @property
+    def mode_degrees(self):
+        """Polynomial degree ``m + j`` of each scalar mode."""
+        D = self.degree + 1
+        _, m, j = np.unravel_index(self._slots, (2, D, D))
+        return m + j
+
+    def tail_ratio(self, coeffs):
+        """The largest modal vector coefficient of degree in the top tenth
+        of the pack's, relative to the largest overall (0 for the zero
+        field): near roundoff for a resolved field, large for an
+        under-resolved one."""
+        coeffs = np.abs(coeffs.reshape(3, self.nmodes))
+        top = coeffs.max()
+        tail = coeffs[:, self.mode_degrees >= 0.9 * self.degree]
+        return float(tail.max() / top) if top > 0 else 0.0
 
     @cached_property
     def vector_blocks(self):
@@ -299,22 +321,126 @@ class _ModalPack:
         return np.concatenate(rows, axis=0)
 
     @cached_property
-    def bordered_lu(self):
-        """LU factors of ``H_vec`` bordered by the nine frame rows, the
-        corrector's saddle matrix; every base point shares it, since moving
-        the base point only rescales the operator."""
-        m = 3 * self.nmodes
-        KKT = np.zeros((m + 9, m + 9))
-        KKT[:m, :m] = self.H_vec
-        KKT[:m, m:] = -self.frame_modal.T
-        KKT[m:, :m] = self.frame_modal
-        return sla.lu_factor(KKT)
+    def saddle_factors(self):
+        """The corrector's saddle matrix ``[[H, -F^T], [F, 0]]`` (``F`` the
+        nine frame rows) factorized block by block, as ``(T, entries)``.
+
+        ``T = (rows, cols, vals)`` holds the nonzeros of the orthogonal map
+        from modal coefficients to the blocks' coordinates, concatenated in
+        entry order; each row has one or two.  Each entry
+        ``(keys, lu, gens)`` factorizes one or two blocks.  Every frame
+        generator lies in one vector block (to 1e-12 relative, or
+        :class:`NumericsError` is raised), which is bordered by its own
+        generators ``gens``; the two parities of an order without generators
+        share one unbordered factorization and are solved together."""
+        F, blocks = self.frame_modal, self.vector_blocks
+        coords = {key: Q.T @ F[:, rows].T
+                  for key, (rows, Q, _) in blocks.items()}
+        norms = {key: np.sum(Y**2, axis=0) for key, Y in coords.items()}
+        owner = []
+        for g in range(F.shape[0]):
+            key = max(norms, key=lambda b: norms[b][g])
+            off = sum(v[g] for b, v in norms.items() if b != key)
+            if off > 1e-24 * norms[key][g]:
+                raise NumericsError(
+                    f"frame generator {g} spreads over several operator "
+                    f"blocks ({np.sqrt(off / norms[key][g]):.1e} relative "
+                    "off its main one)")
+            owner.append(key)
+        entries = []
+        for M in range(self.degree + 2):
+            keys = [(M, 0), (M, 1)]
+            if M and not set(keys) & set(owner):
+                entries.append((keys, sla.lu_factor(blocks[keys[0]][2]), []))
+                continue
+            for key in keys:
+                gens = [g for g, b in enumerate(owner) if b == key]
+                H, Y = blocks[key][2], coords[key][:, gens]
+                size = H.shape[0]
+                KKT = np.zeros((size + len(gens),) * 2)
+                KKT[:size, :size] = H
+                KKT[:size, size:] = -Y
+                KKT[size:, :size] = Y.T
+                entries.append(([key], sla.lu_factor(KKT), gens))
+        rows, cols, vals, start = [], [], [], 0
+        for key in (key for keys, _, _ in entries for key in keys):
+            modal, Q, _ = blocks[key]
+            i, j = np.nonzero(Q)
+            rows.append(start + j)
+            cols.append(modal[i])
+            vals.append(Q[i, j])
+            start += Q.shape[1]
+        T = tuple(np.concatenate(a) for a in (rows, cols, vals))
+        return T, entries
+
+    def saddle_solve(self, r, s):
+        """``(c, m)`` with ``H_vec c - F^T m = r`` and ``F c = s``, ``F`` the
+        nine frame rows: one small solve per entry of ``saddle_factors``."""
+        (rows, cols, vals), entries = self.saddle_factors
+        x = np.bincount(rows, vals * r[cols], minlength=r.size)
+        m = np.zeros(len(s))
+        start = 0
+        for keys, lu, gens in entries:
+            size = lu[0].shape[0] - len(gens)
+            stop = start + len(keys) * size
+            rhs = x[start:stop].reshape(len(keys), size).T
+            if gens:
+                rhs = np.concatenate([rhs, s[gens, None]])
+            sol = sla.lu_solve(lu, rhs, check_finite=False)
+            x[start:stop] = sol[:size].T.ravel()
+            if gens:
+                m[gens] = sol[size:, 0]
+            start = stop
+        return np.bincount(cols, vals * x[rows], minlength=r.size), m
 
     @staticmethod
     def _sym(A):
         return 0.5 * (A + A.T)
 
-    # -- projections between nodal and modal representations ----------------
+    # -- transforms between modal coefficients and nodal values --------------
+
+    def synthesis(self, coeffs, jet=False):
+        """Nodal values ``(N, ...)`` of scalar modal coefficients
+        ``(nmodes, ...)``; with ``jet`` also their exact chart derivatives
+        ``d/dx`` and ``d/dy``."""
+        grid, D = self.grid, self.degree + 1
+        coeffs = np.asarray(coeffs, dtype=float)
+        batch = coeffs.shape[1:]
+        B = int(np.prod(batch))
+        R = np.zeros((2 * D * D, B))
+        R[self._slots] = coeffs.reshape(-1, B)
+        # (m, j, cos/sin x batch) against the profiles of each order m
+        R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3).reshape(D, D, 2 * B)
+        tables = self._profiles if jet else self._profiles[:, :1]
+        X = tables.reshape(D, -1, D) @ R
+        X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
+        X = X.reshape(D, -1, grid.ns, B)            # m, value/ds, node, batch
+        if jet:
+            X = np.concatenate([X, 1j * np.arange(D)[:, None, None, None]
+                                * X[:, :1]], axis=1)
+        F = np.zeros((X.shape[1], grid.ns, grid.ntheta // 2 + 1, B), complex)
+        F[:, :, :D] = X.transpose(1, 2, 0, 3)
+        out = np.fft.irfft(F, n=grid.ntheta, axis=2).reshape(
+            (-1, grid.size) + batch)
+        if not jet:
+            return out[0]
+        return (out[0],) + ch.polar_to_chart(grid, out[1], out[2])
+
+    def analysis(self, values):
+        """Modal coefficients ``(nmodes, ...)`` of nodal values ``(N, ...)``:
+        the quadrature inner products with the orthonormal scalar modes, the
+        adjoint of :meth:`synthesis`."""
+        grid, D = self.grid, self.degree + 1
+        values = np.asarray(values, dtype=float)
+        batch = values.shape[1:]
+        B = int(np.prod(batch))
+        wv = grid.weights[:, None] * values.reshape(grid.size, B)
+        G = np.fft.rfft(wv.reshape(grid.ns, grid.ntheta, B), axis=1)[:, :D]
+        G = G.transpose(1, 0, 2)                      # m, node, batch
+        G = np.concatenate([G.real, -G.imag], axis=2)
+        R = np.swapaxes(self._profiles[:, 0], 1, 2) @ G   # m, j, cos/sin x B
+        R = R.reshape(D, D, 2, B).transpose(2, 0, 1, 3).reshape(-1, B)
+        return R[self._slots].reshape((self.nmodes,) + batch)
 
     def project_vector(self, fields):
         """Coefficients of vector nodal data ``(batch, N, 3)``, comp-major."""
@@ -322,25 +448,18 @@ class _ModalPack:
         single = fields.ndim == 2
         if single:
             fields = fields[None]
-        wf = self.grid.weights[None, :, None] * fields
-        out = np.concatenate(
-            [wf[:, :, c] @ self.phi for c in range(3)], axis=1)
+        out = self.analysis(np.moveaxis(fields, 1, 0))    # nmodes, batch, 3
+        out = out.transpose(1, 2, 0).reshape(fields.shape[0], -1)
         return out[0] if single else out
 
     def nodal_vector(self, coeffs):
         """Nodal (N, 3) values of modal vector coefficients."""
-        nm = self.nmodes
-        return np.stack([self.phi @ coeffs[c * nm:(c + 1) * nm]
-                         for c in range(3)], axis=-1)
+        return self.synthesis(coeffs.reshape(3, self.nmodes).T)
 
     def nodal_vector_jet(self, coeffs):
         """Nodal values and exact first derivatives of a modal vector field."""
-        nm = self.nmodes
-        cs = [coeffs[c * nm:(c + 1) * nm] for c in range(3)]
-        vals = np.stack([self.phi @ c for c in cs], axis=-1)
-        dx = np.stack([self.dphix @ c for c in cs], axis=-1)
-        dy = np.stack([self.dphiy @ c for c in cs], axis=-1)
-        return vals, dx, dy
+        return self.synthesis(coeffs.reshape(3, self.nmodes).T, jet=True)
+
 
 @lru_cache(maxsize=1)
 def _pack(n, k):
@@ -712,7 +831,8 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
             c = np.zeros(system.size)
             c[rows] = Q @ v
             basis.append(SphereField(system.grid, pack.nodal_vector(c)
-                                     if system.block == 3 else pack.phi @ c))
+                                     if system.block == 3
+                                     else pack.synthesis(c)))
             orders.append(key[0])
     if len(basis) != dim:
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
@@ -729,11 +849,12 @@ def solve_orthogonal(system, v):
     """Invert the linearized operator against ``v mu^2`` away from its kernel.
 
     ``v`` must be orthogonal (in the sphere-measure inner product) to the
-    nine tangent generators.  The pack's ``bordered_lu`` solves the operator
-    off its kernel (the frame span); one 9 x 9 solve then moves the result
-    along the frame until the nine weighted (star-product) constraint rows
-    vanish, which pins it uniquely.  The returned field carries the
-    strong-equation residual as ``direct_residual``.
+    nine tangent generators.  The pack's block-bordered
+    :meth:`~_ModalPack.saddle_solve` inverts the operator off its kernel (the
+    frame span); one 9 x 9 solve then moves the result along the frame until
+    the nine weighted (star-product) constraint rows vanish, which pins it
+    uniquely.  The returned field carries the strong-equation residual as
+    ``direct_residual``.
     """
     if system.block != 3:
         raise ValueError("constrained solves apply to the full vector system")
@@ -746,9 +867,7 @@ def solve_orthogonal(system, v):
         raise ValueError(
             f"right-hand side has a tangent component of size "
             f"{np.linalg.norm(coef):.2e}; project it away first")
-    n = system.size
-    c = sla.lu_solve(pack.bordered_lu,
-                     np.concatenate([vmodal / system.scale, np.zeros(9)]))[:n]
+    c, _ = pack.saddle_solve(vmodal / system.scale, np.zeros(9))
     c -= F.T @ np.linalg.solve(S @ F.T, S @ c)
     phi = SphereField(grid, *pack.nodal_vector_jet(c))
     resid = system.apply_direct(phi).values - v.values * grid.mu[:, None] ** 2

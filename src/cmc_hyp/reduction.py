@@ -4,9 +4,11 @@
 correction ``nu`` orthogonal to the nine tangent generators together with
 multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
-operator frozen at the unperturbed sphere does the work, each step one
-triangular solve against the operator pack's ``bordered_lu``, factorized once
-per ``(grid, k)`` and shared across base points.
+operator frozen at the unperturbed sphere does the work.  Each step moves
+between nodal and modal values with the operator pack's FFT transforms and
+makes one block-by-block saddle solve (the pack's ``saddle_solve``), whose
+small factorizations are built once per ``(grid, k)`` and shared across base
+points.
 
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import chart as ch
 from .bubbles import C0, bubble, flow_coefficients
@@ -47,8 +48,7 @@ class ReductionState:
     norm of the projected-equation residual at the nodes and
     ``constraint_defect`` the worst orthogonality violation.  ``iterations``
     counts the residual evaluations of the chord loop that produced the
-    state, one more than its triangular solves (1 for a converged warm
-    start).
+    state, one more than its saddle solves (1 for a converged warm start).
     """
 
     eps: float
@@ -79,24 +79,23 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
-    problem is exactly linear), so each step costs one triangular solve of
-    the pack's bordered factorization, which the first call builds; the
-    orthogonality constraints are enforced inside the solve and stay at
+    problem is exactly linear), so each step costs one block-by-block saddle
+    solve against the pack's factorizations, which the first call builds;
+    the orthogonality constraints are enforced inside the solve and stay at
     roundoff.  At ``eps = 0`` the iteration returns the zero correction
     immediately.  A non-finite residual raises :class:`NumericsError` at
     once.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
-    lu = pack.bordered_lu
-    nm3 = 3 * pack.nmodes
+    pack.saddle_factors
     gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
     second = U.surface.second(grid.nodes)
 
-    c = np.zeros(nm3) if warm is None else warm.nu_modal.copy()
+    c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
 
     for it in range(1, 61):
@@ -112,10 +111,9 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
             raise NumericsError(f"non-finite residual at chord step {it}")
         if np.linalg.norm(rmod) <= tol and np.max(np.abs(R2)) <= tol:
             break
-        rhs = np.concatenate([-scale * rmod, -R2])
-        delta = sla.lu_solve(lu, rhs)
-        c = c + delta[:nm3]
-        m = m + delta[nm3:] / scale
+        dc, dm = pack.saddle_solve(-scale * rmod, -R2)
+        c = c + dc
+        m = m + dm / scale
     else:
         raise ConvergenceError(
             f"projected solve stalled at residual {sup:.3e} after {it} steps")
@@ -259,6 +257,7 @@ def _report(state, phi, params, proxy=None):
         "conformality": conf,
         "c0_distance": float(np.max(np.linalg.norm(state.nu.values, axis=1))),
         "c1_distance": ch.cm_norm(nu1, 1),
+        "nu_tail": operator_pack(grid, params).tail_ratio(state.nu_modal),
         "energy": energy_E(u, params, state.eps, phi),
         "f_value": f_value(phi, params, state.q),
         "side1": verify_side1(u, state.q, phi, params, state.eps),

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cmc_hyp import build_grid, make_params
+
+# CI runs with --hypothesis-profile=ci, so a property failure there replays
+# locally with the same examples; local runs keep the default profile
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

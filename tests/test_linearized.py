@@ -1,12 +1,12 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
 from cmc_hyp import linearized as lin
+from cmc_hyp import phi_expr, reduction
 from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
@@ -250,7 +250,7 @@ def test_solve_orthogonal(grid24, params2, rng):
 
 
 def test_operator_cache_holds_one_pack(grid16, grid24, params2):
-    # one pack at n = 48 holds about 0.2 GB, and no caller alternates (n, k)
+    # one pack at n = 48 holds about 15 MB, and no caller alternates (n, k)
     lin.operator_pack(grid16, params2)
     pack = lin.operator_pack(grid24, params2)
     assert lin._pack.cache_info().currsize == 1
@@ -261,8 +261,22 @@ def test_operator_cache_holds_one_pack(grid16, grid24, params2):
 # the block route against a dense reference
 
 
+def _nodal_tables(pack):
+    """The orthonormal scalar modes and their chart derivatives at every grid
+    node, as three N x nmodes tables built from the pack's profiles on the
+    full ring of azimuths."""
+    full = lin._Ring(pack.grid, pack.grid.ntheta)
+    tables = [np.empty((pack.grid.size, pack.nmodes)) for _ in range(3)]
+    for m in range(pack.degree + 1):
+        for odd in (0, 1) if m else (0,):
+            cols = pack._index(m, odd)
+            for table, modes in zip(tables, pack._modes(full, m, odd)):
+                table[:, cols] = modes
+    return tables
+
+
 def _dense_reference(pack):
-    """The dense Galerkin matrices from the pack's nodal tables: the weak
+    """The dense Galerkin matrices from nodal tables of the basis: the weak
     matrix of ``r^2 J'(U)`` on vector modes as five terms
     ``coef * B^T diag(weight) B`` (the two first-order tangential
     expressions, then the scalar normal block on the omega components: two
@@ -270,7 +284,7 @@ def _dense_reference(pack):
     grid, nm, k = pack.grid, pack.nmodes, pack.params.k
     w, mu, om, ok = grid.weights, grid.mu, grid.omega, pack.ok
     dox, doy = grid.domega_dx, grid.domega_dy
-    px, py, p0 = pack.dphix, pack.dphiy, pack.phi
+    p0, px, py = _nodal_tables(pack)
     C2 = w / (mu**2 * ok**2)
     Ctan = w / (mu**4 * ok**2)
     terms = (
@@ -324,20 +338,9 @@ def test_blocks_match_dense_reference(n, k):
                   <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_certificate_never_forms_the_dense_operator(grid24, params2,
-                                                    monkeypatch):
-    def dense(*args):
-        raise AssertionError("the dense operator was scattered")
-
-    lin._pack.cache_clear()
-    monkeypatch.setattr(lin, "_scatter", dense)
-    system = lin.assemble_linearized(params2, Q0, grid24)
-    lin.kernel(system)
-    lin.spectrum_normal(params2, grid24, count=8)
-    pack = system.pack
-    nm, N = pack.nmodes, grid24.size
-    dense_shapes = {(3 * nm, 3 * nm), (N, 3 * nm), (3 * nm, N), (nm, nm)}
-
+def _held_shapes(*objects):
+    """Shapes of every array held in the objects' fields, looking into
+    dicts, lists and tuples."""
     def arrays(value):
         if isinstance(value, dict):
             value = list(value.values())
@@ -347,11 +350,46 @@ def test_certificate_never_forms_the_dense_operator(grid24, params2,
         elif hasattr(value, "shape"):
             yield value
 
+    return [a.shape for obj in objects for v in vars(obj).values()
+            for a in arrays(v)]
+
+
+def _forbid_scatter(monkeypatch):
+    def dense(*args):
+        raise AssertionError("the dense operator was scattered")
+
+    lin._pack.cache_clear()
+    monkeypatch.setattr(lin, "_scatter", dense)
+
+
+def test_certificate_never_forms_the_dense_operator(grid24, params2,
+                                                    monkeypatch):
+    _forbid_scatter(monkeypatch)
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    lin.kernel(system)
+    lin.spectrum_normal(params2, grid24, count=8)
+    pack = system.pack
+    nm, N = pack.nmodes, grid24.size
+    dense_shapes = {(3 * nm, 3 * nm), (N, 3 * nm), (3 * nm, N), (nm, nm)}
     assert "H_vec" not in vars(pack)
-    held = [a.shape for v in vars(pack).values() for a in arrays(v)]
-    held += [a.shape for f in dataclasses.fields(system)
-             for a in arrays(getattr(system, f.name))]
-    assert not dense_shapes.intersection(held)
+    assert not dense_shapes.intersection(_held_shapes(pack, system))
+
+
+def test_solves_never_form_the_dense_operator(grid24, params2, rng,
+                                              monkeypatch):
+    _forbid_scatter(monkeypatch)
+    phi = phi_expr.phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
+    state = reduction.correct(0.01, HyperbolicPoint(0.05, 0.0, 1.0), phi,
+                              params2, grid24)
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    _, v = bb.tangent_project(ch.random_smooth_field(grid24, rng),
+                              system.pack.frame, "L2")
+    lin.solve_orthogonal(system, v)
+    pack = system.pack
+    nm, N = pack.nmodes, grid24.size
+    dense_shapes = {(N, nm), (nm, N), (N, 3 * nm), (3 * nm, N),
+                    (3 * nm + 9, 3 * nm + 9)}
+    assert not dense_shapes.intersection(_held_shapes(pack, system, state))
 
 
 def test_mode_labels(grid24, params2):
@@ -366,3 +404,86 @@ def test_mode_labels(grid24, params2):
     assert spec.to_json()["orders"] == orders
     system = lin.assemble_linearized(params2, Q0, grid24)
     assert lin.kernel(system).to_json()["orders"] == {"0": 3, "1": 6}
+
+
+# ---------------------------------------------------------------------------
+# the FFT transforms and the block-bordered solve
+
+
+@pytest.mark.parametrize("n", [16, 24, 40])
+def test_transforms_match_nodal_tables(n, params2):
+    pack = lin.operator_pack(ch.build_grid(n), params2)
+    tables = _nodal_tables(pack)
+    rng = np.random.default_rng(n)
+    coeffs = rng.standard_normal((pack.nmodes, 3))
+    for fast, table in zip(pack.synthesis(coeffs, jet=True), tables):
+        ref = table @ coeffs
+        assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+    fields = rng.standard_normal((2, pack.grid.size, 3))
+    ref = np.stack([((pack.grid.weights[:, None] * f).T @ tables[0]).ravel()
+                    for f in fields])
+    fast = pack.project_vector(fields)
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([8, 12, 16, 24]), st.integers(0, 2**32 - 1),
+       st.integers(0, 6))
+def test_analysis_inverts_synthesis(n, seed, decades):
+    pack = lin._ModalPack(ch.build_grid(n), bb.make_params(2.0))
+    rng = np.random.default_rng(seed)
+    # coefficients spread over several decades, as a resolved field's are
+    coeffs = rng.standard_normal(pack.nmodes) * 10.0 ** (
+        -decades * pack.mode_degrees / pack.degree)
+    back = pack.analysis(pack.synthesis(coeffs))
+    assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("k", [1.5, 2.0, 5.0])
+def test_saddle_solve_matches_dense_kkt(n, k):
+    pack = lin.operator_pack(ch.build_grid(n), bb.make_params(k))
+    size, F = 3 * pack.nmodes, pack.frame_modal
+    KKT = np.zeros((size + 9, size + 9))
+    KKT[:size, :size] = pack.H_vec
+    KKT[:size, size:] = -F.T
+    KKT[size:, :size] = F
+    rng = np.random.default_rng(7)
+    r, s = rng.standard_normal(size), rng.standard_normal(9)
+    ref = np.linalg.solve(KKT, np.concatenate([r, s]))
+    c, m = pack.saddle_solve(r, s)
+    assert np.max(np.abs(c - ref[:size])) <= 1e-12 * np.max(np.abs(ref[:size]))
+    assert np.max(np.abs(m - ref[size:])) <= 1e-12 * np.max(np.abs(ref[size:]))
+
+
+def test_saddle_solve_rejects_a_frame_across_blocks(grid16, params2):
+    pack = lin._ModalPack(grid16, params2)
+    F = pack.frame_modal.copy()
+    F[0] += 1e-9 * F[3]                   # mix two generators' blocks
+    pack.frame_modal = F
+    with pytest.raises(NumericsError, match="several operator blocks"):
+        pack.saddle_factors
+
+
+# ---------------------------------------------------------------------------
+# spectral convergence in n
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0])
+def test_resolution(k):
+    """The triple eigenvalue at 2k converges geometrically in n down to a
+    roundoff floor, and the kernel gap holds at every n."""
+    params = bb.make_params(k)
+    errors = []
+    for n in (8, 12, 16, 20, 24, 32, 48, 64):
+        grid = ch.build_grid(n)
+        ev = lin.spectrum_normal(params, grid, count=8).eigenvalues
+        errors.append(float(np.max(np.abs(ev[1:4] - 2.0 * k)) / (2.0 * k)))
+        rep = lin.kernel(lin.assemble_linearized(params, Q0, grid))
+        assert rep.gap >= 100.0, (n, rep.gap)
+        assert n < 12 or rep.dimension == 9, (n, rep.dimension)
+    for coarse, fine in zip(errors, errors[1:]):
+        if coarse > 1e-12:
+            assert fine <= 0.1 * coarse, errors
+        else:
+            assert fine <= 1e-12, errors

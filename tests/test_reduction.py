@@ -8,6 +8,7 @@ from cmc_hyp import melnikov as mel
 from cmc_hyp import reduction as red
 from cmc_hyp.errors import NoCriticalPointError, NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
+from cmc_hyp.phi_expr import phi_to_prescribed
 
 Q0 = HyperbolicPoint(0, 0, 1)
 BOX = (-0.4, 0.4, -0.4, 0.4, 0.6, 1.6)
@@ -194,3 +195,19 @@ def test_verify_side1_eps_zero_any_q(grid16, params2, bump, rng):
         U = bb.bubble(params2, q, grid16)
         out = red.verify_side1(U, q, bump, params2, eps=0.0)
         assert max(abs(out["e1"]), abs(out["e2"]), abs(out["u"])) < 1e-7
+
+
+def test_nu_tail_reports_resolution(params2):
+    # the same corrected sphere on finer grids: the top tenth of the modal
+    # degrees holds geometrically less of the correction
+    phi = phi_to_prescribed("exp(-4*hypdist(0.1,0,1)^2)")
+    q = HyperbolicPoint(0.05, 0.0, 1.0)
+    tails = []
+    for n in (12, 16, 24):
+        state = red.correct(0.02, q, phi, params2, ch.build_grid(n))
+        tails.append(red._report(state, phi, params2)[1]["nu_tail"])
+    assert tails[0] > 1e-5
+    assert tails[1] < 0.1 * tails[0] and tails[2] < 0.1 * tails[1]
+    assert tails[2] < 1e-9
+    zero = red.correct(0.0, q, phi, params2, ch.build_grid(12))
+    assert red._report(zero, phi, params2)[1]["nu_tail"] == 0.0
