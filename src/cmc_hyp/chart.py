@@ -14,7 +14,7 @@ stored coordinates and derivative slots refer to the main chart, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -169,9 +169,9 @@ class SphereGrid:
     ``nodes`` holds main-chart coordinates, ``weights`` the premultiplied
     quadrature weights (their sum is the sphere area ``4 pi``), ``chart_tag``
     is 0 on the main chart and 1 on the inverted one.  The polar direction
-    carries Gauss-Legendre nodes in ``cos(s)``, the azimuth ``2 n`` equispaced
-    nodes; ``Dleg`` differentiates polynomials sampled at the ``cos(s)``
-    nodes, which the spectral rules combine with the azimuthal FFT.
+    carries ``n`` Gauss-Legendre nodes in ``cos(s)``, the azimuth ``ntheta``
+    equispaced nodes; ``Dleg`` differentiates polynomials sampled at the
+    ``cos(s)`` nodes, which the spectral rules combine with the azimuthal FFT.
     """
 
     n: int
@@ -219,32 +219,38 @@ def build_grid(n):
     """
     if n < 4:
         raise ValueError(f"resolution must be at least 4, got {n}")
-    ntheta = 2 * n
     xg, wg = np.polynomial.legendre.leggauss(n)
     s = np.arccos(xg)[::-1]          # ascending polar angle
     wg = wg[::-1]
     x = np.cos(s)
-    rho = np.tan(0.5 * s)
-    theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
-    w2d = np.repeat(wg, ntheta) * (2.0 * np.pi / ntheta)
+    polar = dict(rho=np.tan(0.5 * s), x=x, sin_s=np.sin(s),
+                 Dleg=_diff_matrix(x), bary_wx=_barycentric_weights(x))
+    _freeze(*polar.values())
+    return SphereGrid(n=n, ns=n, **polar, **_azimuths(
+        polar["rho"], wg * (2.0 * np.pi / (2 * n)), 2 * n))
 
-    rr = np.repeat(rho, ntheta)
-    tt = np.tile(theta, n)
+
+def with_azimuths(grid, L):
+    """The grid's polar nodes times ``L`` equispaced azimuths, weighted to
+    integrate exactly every product of azimuthal degree below ``L``; not
+    cached (the modal pack builds one per operator block)."""
+    return replace(grid, **_azimuths(
+        grid.rho, grid.node_shape(grid.weights)[:, 0] * (grid.ntheta / L), L))
+
+
+def _azimuths(rho, ring_weights, L):
+    """The fields of ``L`` equispaced azimuths at each polar node ``rho``,
+    weighted ``ring_weights``, flattened azimuth fastest."""
+    theta = 2.0 * np.pi * np.arange(L) / L
+    rr = np.repeat(rho, L)
+    tt = np.tile(theta, rho.size)
     nodes = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
     omega, mu, dox, doy = omega_mu(nodes)
-    tag = (rr > R_CUT).astype(np.uint8)
-
-    Dleg = _diff_matrix(x)
-    bwx = _barycentric_weights(x)
-
-    grid = SphereGrid(
-        n=n, ns=n, ntheta=ntheta, nodes=nodes, weights=w2d, chart_tag=tag,
-        theta=theta, rho=rho, x=x, sin_s=np.sin(s), mu=mu, omega=omega,
-        domega_dx=dox, domega_dy=doy, Dleg=Dleg, bary_wx=bwx,
-    )
-    _freeze(nodes, w2d, tag, theta, rho, x, grid.sin_s, mu, omega, dox,
-            doy, Dleg, bwx)
-    return grid
+    fields = dict(theta=theta, nodes=nodes, weights=np.repeat(ring_weights, L),
+                  chart_tag=(rr > R_CUT).astype(np.uint8), mu=mu, omega=omega,
+                  domega_dx=dox, domega_dy=doy)
+    _freeze(*fields.values())
+    return dict(fields, ntheta=L)
 
 
 # ---------------------------------------------------------------------------

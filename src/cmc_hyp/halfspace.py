@@ -144,6 +144,17 @@ def hyp_gradient(grad, p):
     return pa[..., 2, None] ** 2 * g if g.ndim > 1 else pa[2] ** 2 * g
 
 
+def box_lattice(box, count, interior=False):
+    """The ``count^3`` points of the product lattice on a box
+    ``x0,x1,y0,y1,z0,z1``, last coordinate fastest: ``count`` equispaced
+    values per axis from bound to bound, or strictly between the bounds if
+    ``interior``."""
+    trim = slice(1, -1) if interior else slice(None)
+    axes = [np.linspace(box[2 * i], box[2 * i + 1], count + 2 * interior)[trim]
+            for i in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 @lru_cache(maxsize=8)
 def unit_ball_rule(order):
     """Product quadrature on the closed unit ball in R^3.

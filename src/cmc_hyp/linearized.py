@@ -12,10 +12,10 @@ side on purpose:
   construction.  The tangential block uses the two first-order expressions
   whose squares make up the nonnegative quadratic form; the normal block is
   the scalar operator ``-div(grad ./ (omega3+k)^2) - 2 k mu^2/(omega3+k)^3``.
-  The base sphere is axisymmetric, so the Galerkin matrices are assembled
-  and solved per block, one block per azimuthal order and parity, the
-  corrector's bordered saddle matrix included; the dense matrix is only
-  scattered from the blocks where a caller asks for it (the tests).
+  The base sphere is axisymmetric, so the Galerkin matrices are assembled,
+  applied and solved per block, one block per azimuthal order and parity,
+  the corrector's bordered saddle matrix included; no dense matrix is
+  formed.
 
 Their mutual agreement on smooth fields is one of the package's standing
 consistency checks.
@@ -55,39 +55,6 @@ def _gegenbauer_table(jmax, lam, x):
     return out
 
 
-class _Ring:
-    """The grid's polar nodes times ``L`` equispaced azimuths, flattened
-    like the grid (azimuth fastest).  Its weights integrate exactly every
-    product whose azimuthal degree is below ``L``; ``L = ntheta`` gives the
-    grid itself."""
-
-    def __init__(self, grid, L):
-        self.L = L
-        self.tt = np.tile(2.0 * np.pi * np.arange(L) / L, grid.ns)
-        self.rr = np.repeat(grid.rho, L)
-        self.omega, self.mu, self.domega_dx, self.domega_dy = ch.omega_mu(
-            np.stack([self.rr * np.cos(self.tt), self.rr * np.sin(self.tt)],
-                     axis=-1))
-        self.weights = np.repeat(
-            grid.node_shape(grid.weights)[:, 0] * (grid.ntheta / L), L)
-
-    def modes(self, P, dP_ds, m, odd):
-        """Values and chart derivatives ``(d/dx, d/dy)`` of the profiles
-        ``P`` (polar nodes x j) times ``cos(m theta)``, or ``sin`` if odd."""
-        tt, ct, st = self.tt, np.cos(self.tt), np.sin(self.tt)
-        if odd:
-            tr, dtr = np.sin(m * tt), m * np.cos(m * tt)
-        else:
-            tr, dtr = np.cos(m * tt), -m * np.sin(m * tt)
-        rep = lambda a: np.repeat(a, self.L, axis=0)
-        base = rep(P) * tr[:, None]
-        drho = self.mu[:, None] * (rep(dP_ds) * tr[:, None])
-        b_dt = rep(P) * dtr[:, None]
-        dx = ct[:, None] * drho - (st / self.rr)[:, None] * b_dt
-        dy = st[:, None] * drho + (ct / self.rr)[:, None] * b_dt
-        return base, dx, dy
-
-
 def _vector_groups(M, odd, degree):
     """Column groups of the real vector block ``(M, odd)``: for each scalar
     order ``m`` it draws on, the ``(component, sin?, coefficient)`` pattern
@@ -107,15 +74,6 @@ def _vector_groups(M, odd, degree):
     return groups
 
 
-def _scatter(blocks, size):
-    """Dense ``sum_b Q_b A_b Q_b^T`` of ``(rows, Q_b, A_b)`` blocks, each
-    with its columns ``Q_b`` on the modal ``rows`` it touches."""
-    H = np.zeros((size, size))
-    for rows, Q, A in blocks:
-        H[np.ix_(rows, rows)] += Q @ A @ Q.T
-    return H
-
-
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
@@ -132,11 +90,11 @@ class _ModalPack:
     under rotations about the z-axis and under ``y -> -y``, so the vector
     operator splits by total azimuthal order ``|M|`` and parity
     (``vector_blocks``) and the scalar normal pencil by order ``m`` and
-    cos/sin (``scalar_blocks``).  Each block is assembled on a ring of
-    azimuths just over twice its order, which integrates its products
-    exactly, so no dense operator or nodal table of the basis is formed;
-    ``H_vec`` scatters the blocks into the dense matrix on request (tests
-    only).  The blocks, the tangent frame (the one shared copy), its modal
+    cos/sin (``scalar_blocks``).  Each block is assembled on a grid of the
+    polar nodes times a ring of azimuths just over twice its order
+    (:func:`~cmc_hyp.chart.with_azimuths`), which integrates its products
+    exactly, so no dense operator or nodal table of the basis is formed.
+    The blocks, the tangent frame (the one shared copy), its modal
     tables and the corrector's per-block saddle factorizations are built on
     first use.  :func:`_pack` keeps one pack: every command and solve works
     at a single ``(n, k)``.  At n = 48 a pack holds about 15 MB after a
@@ -186,11 +144,17 @@ class _ModalPack:
         """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
         return self._modal[odd, m, :self.degree - m + 1]
 
-    def _modes(self, ring, m, odd):
-        """Values and chart derivatives of the orthonormal scalar modes of
-        order ``m``, cos (or sin if odd), on a ring."""
+    def _modes(self, grid, m, odd):
+        """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
+        scalar modes of order ``m``, cos (or sin if odd), at the nodes of a
+        grid with the pack's polar nodes."""
         P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
-        return ring.modes(P, dP_ds, m, odd)
+        cos, sin = np.cos(m * grid.theta), np.sin(m * grid.theta)
+        tr, dtr = (sin, m * cos) if odd else (cos, -m * sin)
+        outer = lambda a, t: (a[:, None, :] * t[None, :, None]).reshape(
+            grid.size, -1)
+        return (outer(P, tr),) + ch.polar_to_chart(
+            grid, outer(dP_ds, tr), outer(P, dtr))
 
     @property
     def mode_degrees(self):
@@ -238,16 +202,17 @@ class _ModalPack:
                 if odd and M:
                     H = blocks[(M, 0)][2]
                 else:
-                    H = self._vector_gram(_Ring(self.grid, 2 * M + 9), groups,
-                                          size)
+                    H = self._vector_gram(
+                        ch.with_azimuths(self.grid, 2 * M + 9), groups, size)
                 blocks[(M, odd)] = (np.concatenate(rows), np.vstack(Q), H)
         return blocks
 
     def _vector_gram(self, ring, groups, size):
-        """One vector block's matrix on a ring wide enough for its products:
-        the sum of five terms ``coef * B^T diag(weight) B``, the two
-        first-order tangential expressions, then the scalar normal block on
-        the omega components (two derivative parts and the mass part)."""
+        """One vector block's matrix on a grid ``ring`` with enough azimuths
+        for its products: the sum of five terms ``coef * B^T diag(weight) B``,
+        the two first-order tangential expressions, then the scalar normal
+        block on the omega components (two derivative parts and the mass
+        part)."""
         k = self.params.k
         w, mu, om = ring.weights, ring.mu, ring.omega
         dox, doy = ring.domega_dx, ring.domega_dy
@@ -284,7 +249,7 @@ class _ModalPack:
         share their matrices."""
         k, blocks = self.params.k, {}
         for m in range(self.degree + 1):
-            ring = _Ring(self.grid, 2 * m + 3)      # degree m + 1 with d/dx
+            ring = ch.with_azimuths(self.grid, 2 * m + 3)   # m + 1 with d/dx
             w, mu = ring.weights, ring.mu
             ok = ring.omega[:, 2] + k
             C2 = w / (mu**2 * ok**2)
@@ -295,12 +260,6 @@ class _ModalPack:
             for odd in (0, 1) if m else (0,):
                 blocks[(m, odd)] = (self._index(m, odd), K, B)
         return blocks
-
-    @property
-    def H_vec(self):
-        """Dense weak matrix of ``r^2 J'(U)`` on the vector modes, scattered
-        from ``vector_blocks`` on each access."""
-        return _scatter(self.vector_blocks.values(), 3 * self.nmodes)
 
     @cached_property
     def frame(self):
@@ -374,8 +333,9 @@ class _ModalPack:
         return T, entries
 
     def saddle_solve(self, r, s):
-        """``(c, m)`` with ``H_vec c - F^T m = r`` and ``F c = s``, ``F`` the
-        nine frame rows: one small solve per entry of ``saddle_factors``."""
+        """``(c, m)`` with ``H c - F^T m = r`` and ``F c = s``, ``H`` the
+        vector operator of ``vector_blocks`` and ``F`` the nine frame rows:
+        one small solve per entry of ``saddle_factors``."""
         (rows, cols, vals), entries = self.saddle_factors
         x = np.bincount(rows, vals * r[cols], minlength=r.size)
         m = np.zeros(len(s))
@@ -553,61 +513,57 @@ class LinearizedSystem:
 
     ``blocks`` holds the symmetric Galerkin matrix of the bilinear form
     ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the orthonormal
-    modal basis (so the modal mass is the identity), one symmetry block of
-    the pack at a time; ``modal_matrix`` is the dense matrix scattered from
-    them on request.  ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes
-    the pack's ``r^2``-normalized operator to the one at the base point.
-    ``block`` is the number of field components: 3 for the vector
-    operator, 1 for the scalar normal one.  ``apply_direct`` evaluates the
-    strong operator through collocation, independently of the Galerkin
-    route.
+    modal vector basis (so the modal mass is the identity), one symmetry
+    block of the pack at a time, and ``apply_modal`` applies it block by
+    block.  ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes the pack's
+    ``r^2``-normalized operator to the one at the base point.
+    ``apply_direct`` evaluates the strong operator through collocation,
+    independently of the Galerkin route: the vector operator on vector
+    fields, the scalar normal one on scalar fields.
     """
 
     grid: ch.SphereGrid
     params: object
     pack: _ModalPack
     scale: float
-    block: int = 3
 
     @property
     def size(self):
-        return self.block * self.pack.nmodes
+        return 3 * self.pack.nmodes
 
     @property
     def blocks(self):
         """``{label: (rows, Q, A)}``: the operator ``A`` on each symmetry
         block, whose orthonormal columns ``Q`` live on the modal ``rows``;
         labels are ``(order, parity)``."""
-        if self.block == 3:
-            return {key: (rows, Q, self.scale * H)
-                    for key, (rows, Q, H) in self.pack.vector_blocks.items()}
-        k = self.params.k
-        return {key: (rows, np.eye(rows.size), self.scale * (K - 2.0 * k * B))
-                for key, (rows, K, B) in self.pack.scalar_blocks.items()}
+        return {key: (rows, Q, self.scale * H)
+                for key, (rows, Q, H) in self.pack.vector_blocks.items()}
 
-    @property
-    def modal_matrix(self):
-        """The dense Galerkin matrix, scattered from ``blocks`` on each
-        access."""
-        return _scatter(self.blocks.values(), self.size)
+    def apply_modal(self, c):
+        """The Galerkin matrix times modal coefficients ``c``, a vector or
+        a matrix of column vectors, applied one block at a time."""
+        out = np.zeros(np.shape(c))
+        for rows, Q, A in self.blocks.values():
+            out[rows] += Q @ (A @ (Q.T @ c[rows]))
+        return out
 
     def selfadjoint_defect(self, rng=None):
         """Worst asymmetry of the modal form on random normalized vectors."""
         rng = rng or np.random.default_rng(0)
-        A = self.modal_matrix
         worst = 0.0
         for _ in range(10):
             a = rng.standard_normal(self.size)
             b = rng.standard_normal(self.size)
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
-            worst = max(worst, abs(a @ (A @ b) - b @ (A @ a)))
+            Aa, Ab = self.apply_modal(np.stack([a, b], axis=1)).T
+            worst = max(worst, abs(a @ Ab - b @ Aa))
         return worst
 
     def form(self, f, g):
         """The bilinear form ``integral J'(U_q) f . g dz`` via collocation."""
         jf = self.apply_direct(f)
-        if self.block == 3:
+        if f.is_vector:
             integrand = np.einsum("ij,ij->i", jf.values, g.values)
         else:
             integrand = jf.values * g.values
@@ -617,7 +573,7 @@ class LinearizedSystem:
         """Strong collocation of ``J'(U_q)`` on a field (independent route)."""
         grid, k = self.grid, self.params.k
         f = ch.differentiate(f)
-        if self.block == 3:
+        if f.is_vector:
             dxx, dxy, dyy = ch.second_derivatives(f)
             vals = apply_strong(grid, k, f.values, f.dx, f.dy, dxx, dxy, dyy)
         else:
@@ -638,15 +594,14 @@ def assemble_linearized(params, q, grid):
     pack = operator_pack(grid, params)
     pack.vector_blocks
     scale = 1.0 / (q.p3**2 * params.r**2)
-    return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale,
-                            block=3)
+    return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale)
 
 
 def normal_operator(params, grid):
-    """Scalar operator governing normal perturbations ``eta * omega``."""
-    pack = operator_pack(grid, params)
-    return LinearizedSystem(grid=grid, params=params, pack=pack,
-                            scale=1.0 / params.r**2, block=1)
+    """The system at the base point ``(0, 0, 1)``; its :meth:`apply_direct`
+    on a scalar ``eta`` is the operator on normal perturbations
+    ``eta * omega``."""
+    return assemble_linearized(params, HyperbolicPoint(0.0, 0.0, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +656,7 @@ class SpectrumReport:
     residuals: np.ndarray
     k: float
     grid_n: int
-    orders: list            # azimuthal order m of each eigenvalue
+    orders: list            # azimuthal orders m, ascending within a cluster
 
     def cluster_starts(self):
         out, i = [], 0
@@ -729,8 +684,8 @@ def spectrum_normal(params, grid, count=8):
     Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
     mass) on each azimuthal block of the pack and merges the block spectra,
     returning a :class:`SpectrumReport` of the ascending eigenvalues, their
-    clustered multiplicities, each pair's relative residual and azimuthal
-    order.
+    clustered multiplicities, each pair's relative residual, and the
+    azimuthal orders, ascending within each cluster.
     """
     if count < 5:
         raise ValueError("ask for at least 5 eigenvalues")
@@ -757,6 +712,7 @@ def spectrum_normal(params, grid, count=8):
         while j + 1 < count and vals[j + 1] - vals[j] <= 1e-6 * scale:
             j += 1
         mult.append(j - i + 1)
+        orders[i:j + 1].sort()      # roundoff must not order the labels
         i = j + 1
     return SpectrumReport(eigenvalues=vals, multiplicities=mult, residuals=res,
                           k=params.k, grid_n=grid.n, orders=orders.tolist())
@@ -830,9 +786,7 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
         for v in vecs[:, np.abs(vals) <= cut].T:
             c = np.zeros(system.size)
             c[rows] = Q @ v
-            basis.append(SphereField(system.grid, pack.nodal_vector(c)
-                                     if system.block == 3
-                                     else pack.synthesis(c)))
+            basis.append(SphereField(system.grid, pack.nodal_vector(c)))
             orders.append(key[0])
     if len(basis) != dim:
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
@@ -856,8 +810,6 @@ def solve_orthogonal(system, v):
     uniquely.  The returned field carries the strong-equation residual as
     ``direct_residual``.
     """
-    if system.block != 3:
-        raise ValueError("constrained solves apply to the full vector system")
     grid, pack = system.grid, system.pack
     F, S = pack.frame_modal, pack.star_rows
     vmodal = pack.project_vector(v.values)

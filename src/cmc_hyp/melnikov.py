@@ -27,7 +27,8 @@ import csv
 import numpy as np
 
 from .errors import NumericsError
-from .halfspace import BALL_QUAD_ORDER, HyperbolicPoint, dist, unit_ball_rule
+from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, box_lattice, dist,
+                        unit_ball_rule)
 # PrescribedFunction is re-exported: the catalog's functions are its instances
 from .phi_expr import PrescribedFunction, phi_to_prescribed
 
@@ -236,8 +237,7 @@ def find_critical(phi, params, box, seeds=27, rng=None):
     box = check_box(box)
     m = check_seeds(seeds)
     rng = rng or np.random.default_rng(0)
-    axes = [np.linspace(box[2 * i], box[2 * i + 1], m + 2)[1:-1] for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = box_lattice(box, m, interior=True)
     cell = np.array([(box[2 * i + 1] - box[2 * i]) / (m + 1) for i in range(3)])
     pts = pts + 0.3 * cell * rng.uniform(-1, 1, pts.shape)
     pts[:, 2] = np.clip(pts[:, 2], 0.51 * box[4], None)
@@ -278,9 +278,7 @@ def monotone_obstruction(phi, params, box, lattice=3,
     uniformly signed derivative rules out critical points (and hence
     perturbed spheres organized by them) in the box.
     """
-    box = check_box(box)
-    axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = box_lattice(check_box(box), lattice)
     grads = np.array([f_gradient(phi, params, p) for p in pts])
     radial = np.einsum("ij,ij->i", pts, grads)
     report = {"lattice": pts.tolist(), "margin": margin, "directions": {}}
@@ -302,9 +300,7 @@ def monotone_obstruction(phi, params, box, lattice=3,
 
 def scan_to_csv(phi, params, box, path, lattice=8):
     """Write a lattice of reduced-function values and gradients as CSV."""
-    box = check_box(box)
-    axes = [np.linspace(box[2 * i], box[2 * i + 1], lattice) for i in range(3)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = box_lattice(check_box(box), lattice)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["q1", "q2", "q3", "F", "dF1", "dF2", "dF3"])

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .halfspace import box_lattice
+
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "atanh", "hypdist")
 _CONSTANTS = {"pi": np.pi}
 _VARIABLES = ("p1", "p2", "p3")
@@ -429,9 +431,7 @@ def phi_to_prescribed(text, probe_box=None):
     tree = parse_phi(text)
     if probe_box is None:
         probe_box = (-1.0, 1.0, -1.0, 1.0, 0.5, 2.0)
-    axes = [np.linspace(probe_box[2 * i], probe_box[2 * i + 1], 3)
-            for i in range(3)]
-    probes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    probes = box_lattice(probe_box, 3)
     with np.errstate(all="ignore"):
         vals = evaluate(tree, probes)
         grads = evaluate_gradient(tree, probes)

@@ -12,6 +12,26 @@ def test_build_grid_area_and_symmetry(grid16):
         ch.build_grid(3)
 
 
+def test_with_azimuths_reproduces_the_grid(grid16):
+    same = ch.with_azimuths(grid16, grid16.ntheta)
+    assert same.ntheta == grid16.ntheta
+    for name in ("nodes", "weights", "chart_tag", "theta", "omega", "mu",
+                 "domega_dx", "domega_dy"):
+        assert np.array_equal(getattr(same, name), getattr(grid16, name)), name
+    assert ch.build_grid(16) is grid16
+
+
+@pytest.mark.parametrize("L", [3, 7, 12])
+def test_ring_integrates_azimuthal_degrees_below_L(grid16, L):
+    ring = ch.with_azimuths(grid16, L)
+    assert ring.size == grid16.ns * L
+    theta = np.tile(ring.theta, ring.ns)
+    for j in range(L):
+        exact = 4 * np.pi if j == 0 else 0.0
+        assert abs(ch.integrate(np.cos(j * theta), ring) - exact) < 1e-13
+    assert ch.integrate(np.cos(L * theta), ring) == pytest.approx(4 * np.pi)
+
+
 def test_quadrature_refinement():
     # smooth but not polynomial: errors must at least halve under doubling
     ref = None

@@ -51,7 +51,7 @@ def test_linearization_kills_frame(sys16, grid16, params2):
         assert np.max(np.abs(out.values)) < 1e-7
     # the modal matrix annihilates the same directions
     pack = sys16.pack
-    assert np.max(np.abs(sys16.modal_matrix @ pack.frame_modal.T)) < 1e-8
+    assert np.max(np.abs(sys16.apply_modal(pack.frame_modal.T))) < 1e-8
 
 
 def test_selfadjointness(sys16, grid16, rng):
@@ -67,8 +67,8 @@ def test_modal_vs_direct_forms(sys16, grid16, rng):
     for _ in range(5):
         a = ch.random_smooth_field(grid16, rng)
         b = ch.random_smooth_field(grid16, rng)
-        weak = pack.project_vector(a.values) @ (
-            sys16.modal_matrix @ pack.project_vector(b.values))
+        weak = pack.project_vector(a.values) @ sys16.apply_modal(
+            pack.project_vector(b.values))
         direct = sys16.form(b, a)
         assert weak == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
@@ -263,14 +263,12 @@ def test_operator_cache_holds_one_pack(grid16, grid24, params2):
 
 def _nodal_tables(pack):
     """The orthonormal scalar modes and their chart derivatives at every grid
-    node, as three N x nmodes tables built from the pack's profiles on the
-    full ring of azimuths."""
-    full = lin._Ring(pack.grid, pack.grid.ntheta)
+    node, as three N x nmodes tables built from the pack's profiles."""
     tables = [np.empty((pack.grid.size, pack.nmodes)) for _ in range(3)]
     for m in range(pack.degree + 1):
         for odd in (0, 1) if m else (0,):
             cols = pack._index(m, odd)
-            for table, modes in zip(tables, pack._modes(full, m, odd)):
+            for table, modes in zip(tables, pack._modes(pack.grid, m, odd)):
                 table[:, cols] = modes
     return tables
 
@@ -306,6 +304,13 @@ def _dense_reference(pack):
     return sym(H), sym(K), sym(Bm)
 
 
+def _block_matrix(pack):
+    """The pack's vector operator as one dense matrix, applied block by
+    block to the identity."""
+    system = lin.LinearizedSystem(pack.grid, pack.params, pack, scale=1.0)
+    return system.apply_modal(np.eye(system.size))
+
+
 def _frame_residual(pack, vecs):
     fm = pack.frame_modal.T
     coef = np.linalg.lstsq(vecs, fm, rcond=None)[0]
@@ -321,7 +326,7 @@ def test_blocks_match_dense_reference(n, k):
     pack = system.pack
     H, K, B = _dense_reference(pack)
     top = np.max(np.abs(H))
-    assert np.max(np.abs(pack.H_vec - H)) <= 1e-13 * top
+    assert np.max(np.abs(_block_matrix(pack) - H)) <= 1e-13 * top
     union = np.sort(np.concatenate(
         [np.linalg.eigvalsh(A) for *_, A in pack.vector_blocks.values()]))
     vals, vecs = sla.eigh(H)
@@ -354,17 +359,17 @@ def _held_shapes(*objects):
             for a in arrays(v)]
 
 
-def _forbid_scatter(monkeypatch):
+def _forbid_modal_products(monkeypatch):
     def dense(*args):
-        raise AssertionError("the dense operator was scattered")
+        raise AssertionError("the operator was applied to modal vectors")
 
     lin._pack.cache_clear()
-    monkeypatch.setattr(lin, "_scatter", dense)
+    monkeypatch.setattr(lin.LinearizedSystem, "apply_modal", dense)
 
 
 def test_certificate_never_forms_the_dense_operator(grid24, params2,
                                                     monkeypatch):
-    _forbid_scatter(monkeypatch)
+    _forbid_modal_products(monkeypatch)
     system = lin.assemble_linearized(params2, Q0, grid24)
     lin.kernel(system)
     lin.spectrum_normal(params2, grid24, count=8)
@@ -377,7 +382,7 @@ def test_certificate_never_forms_the_dense_operator(grid24, params2,
 
 def test_solves_never_form_the_dense_operator(grid24, params2, rng,
                                               monkeypatch):
-    _forbid_scatter(monkeypatch)
+    _forbid_modal_products(monkeypatch)
     phi = phi_expr.phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
     state = reduction.correct(0.01, HyperbolicPoint(0.05, 0.0, 1.0), phi,
                               params2, grid24)
@@ -404,6 +409,26 @@ def test_mode_labels(grid24, params2):
     assert spec.to_json()["orders"] == orders
     system = lin.assemble_linearized(params2, Q0, grid24)
     assert lin.kernel(system).to_json()["orders"] == {"0": 3, "1": 6}
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("k", [1.5, 3.0])
+def test_cluster_orders_ascend(n, k):
+    # roundoff orders the eigenvalues inside a degenerate cluster; its
+    # labels must not follow it, and each must label one of its eigenvalues
+    params, grid = bb.make_params(k), ch.build_grid(n)
+    spec = lin.spectrum_normal(params, grid, count=8)
+    blocks = lin.operator_pack(grid, params).scalar_blocks
+    start = 0
+    for mult in spec.multiplicities:
+        orders = spec.orders[start:start + mult]
+        assert orders == sorted(orders), (start, orders)
+        lo, hi = spec.eigenvalues[[start, start + mult - 1]]
+        tol = 1e-12 * max(1.0, abs(hi))
+        for m in orders:
+            ev = sla.eigh(*blocks[(m, 0)][1:], eigvals_only=True)
+            assert np.any((ev >= lo - tol) & (ev <= hi + tol)), (lo, m)
+        start += mult
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +470,7 @@ def test_saddle_solve_matches_dense_kkt(n, k):
     pack = lin.operator_pack(ch.build_grid(n), bb.make_params(k))
     size, F = 3 * pack.nmodes, pack.frame_modal
     KKT = np.zeros((size + 9, size + 9))
-    KKT[:size, :size] = pack.H_vec
+    KKT[:size, :size] = _block_matrix(pack)
     KKT[:size, size:] = -F.T
     KKT[size:, :size] = F
     rng = np.random.default_rng(7)

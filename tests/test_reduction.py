@@ -4,6 +4,7 @@ import pytest
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
 from cmc_hyp import energy as en
+from cmc_hyp import linearized as lin
 from cmc_hyp import melnikov as mel
 from cmc_hyp import reduction as red
 from cmc_hyp.errors import NoCriticalPointError, NumericsError
@@ -184,7 +185,8 @@ def test_natural_constraint_energy_gap(grid16, params2, bump):
 def test_verify_side1_detects_wrong_center(grid16, params2, bump):
     wrong_q = HyperbolicPoint(0.25, 0.0, 1.2)
     U = bb.bubble(params2, wrong_q, grid16)
-    out = red.verify_side1(U, wrong_q, bump, params2, eps=0.01)
+    res = lin.j_residual(U, params2, curvature=bump, eps=0.01)
+    out = red.verify_side1(U, res, eps=0.01)
     assert max(abs(out["e1"]), abs(out["e2"]), abs(out["u"])) > 1e-3
 
 
@@ -193,7 +195,7 @@ def test_verify_side1_eps_zero_any_q(grid16, params2, bump, rng):
         q = HyperbolicPoint(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                             rng.uniform(0.7, 1.4))
         U = bb.bubble(params2, q, grid16)
-        out = red.verify_side1(U, q, bump, params2, eps=0.0)
+        out = red.verify_side1(U, lin.j_residual(U, params2), eps=0.0)
         assert max(abs(out["e1"]), abs(out["e2"]), abs(out["u"])) < 1e-7
 
 
