@@ -543,9 +543,9 @@ class LinearizedSystem:
         """The Galerkin matrix times modal coefficients ``c``, a vector or
         a matrix of column vectors, applied one block at a time."""
         out = np.zeros(np.shape(c))
-        for rows, Q, A in self.blocks.values():
-            out[rows] += Q @ (A @ (Q.T @ c[rows]))
-        return out
+        for rows, Q, H in self.pack.vector_blocks.values():
+            out[rows] += Q @ (H @ (Q.T @ c[rows]))
+        return self.scale * out
 
     def selfadjoint_defect(self, rng=None):
         """Worst asymmetry of the modal form on random normalized vectors."""

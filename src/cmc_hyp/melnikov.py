@@ -3,11 +3,19 @@
 ``f_value`` integrates a prescribed function over the hyperbolic ball of
 radius ``rho_k`` about ``q``; stable critical points of that function in ``q``
 are the organizing centers for perturbed constant-curvature spheres.  The
-quadrature is pulled back to a fixed reference ball (integrand
-``(p3 + k r)^-3 phi(q3 p + q^k)``), which makes the value and its analytic
-gradient smooth in ``q`` and removes any domain motion from the formulas.
-Both sample ``phi`` with numpy's floating-point warnings off and raise
-:class:`~cmc_hyp.errors.NumericsError` where it is not finite.
+quadrature is pulled back to a fixed reference ball ``|p| <= r`` (integrand
+``w phi(q3 p + q^k)``, ``w = (p3 + k r)^-3``), which removes any domain
+motion from the formulas.
+
+The ball moves by hyperbolic Killing fields, the horizontal translations
+and the dilation, so the derivatives of the volume are boundary fluxes:
+``f_gradient`` integrates values of ``phi`` over the reference boundary
+sphere, and ``f_hessian``, the flux's own derivative, is the exact Hessian
+from one gradient sweep on the same points.  The boundary rule is the chart
+grid ``build_grid(BOUNDARY_GRID_N)``.  All three sample ``phi`` with numpy's
+floating-point warnings off and raise
+:class:`~cmc_hyp.errors.NumericsError` where a sampled value or gradient is
+not finite.
 
 :func:`newton` is the one damped Newton over the ball center, shared by
 :func:`find_critical` and the outer solve of :mod:`~cmc_hyp.reduction`.
@@ -26,11 +34,17 @@ import csv
 
 import numpy as np
 
+from .chart import build_grid
 from .errors import NumericsError
 from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, box_lattice, dist,
                         unit_ball_rule)
 # PrescribedFunction is re-exported: the catalog's functions are its instances
 from .phi_expr import PrescribedFunction, phi_to_prescribed
+
+# chart resolution of the boundary-sphere rule of the flux gradient and
+# Hessian: build_grid(24) is 1152 points, exact on spherical harmonics of
+# degree below 48
+BOUNDARY_GRID_N = 24
 
 # margin by which a derivative must keep one sign over the lattice to count
 # as an obstruction
@@ -71,63 +85,76 @@ def phi_radial_gaussian(center):
 
 
 def _ball_rule(params, q):
-    """The reference rule for the ball about ``q``: points, weights times
-    the pulled-back density, and the points' images in the ball."""
+    """The reference rule for the ball about ``q``: weights times the
+    pulled-back density, and the points' images in the ball."""
     pts, w = unit_ball_rule(BALL_QUAD_ORDER)
     pts, w = params.r * pts, params.r**3 * w
     kr = params.k * params.r
     target = q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
-    return pts, w * (pts[:, 2] + kr) ** -3.0, target
+    return w * (pts[:, 2] + kr) ** -3.0, target
 
 
-def _check_finite(value, q):
-    if not np.all(np.isfinite(value)):
+def _flux_rule(params, q):
+    """The reference boundary sphere ``|p| = r`` for the ball about ``q``:
+    the flux weights ``w a dS / q3`` per point ``(N, 3)``, the dilation
+    field ``p + k r e3`` and the points' images on the ball's boundary."""
+    grid = build_grid(BOUNDARY_GRID_N)
+    om, r, kr = grid.omega, params.r, params.k * params.r
+    lift = r * om + np.array([0.0, 0.0, kr])
+    a = np.stack([om[:, 0], om[:, 1], r + kr * om[:, 2]], axis=-1)
+    wa = (r**2 / q.p3 * grid.weights * lift[:, 2] ** -3.0)[:, None] * a
+    target = q.p3 * lift + np.array([q.p1, q.p2, 0.0])
+    return wa, lift, target
+
+
+def _sample(fn, target, q):
+    """``fn`` at the points ``target``, with numpy's floating-point warnings
+    off; raises :class:`NumericsError` on any value that is not finite."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(fn(target), dtype=float)
+    if not np.all(np.isfinite(vals)):
         raise NumericsError("prescribed function is not finite on the ball "
                             f"about {q.array.tolist()}")
-    return value
+    return vals
 
 
 def f_value(phi, params, q):
     """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
     q = HyperbolicPoint.of(q)
-    _, wd, target = _ball_rule(params, q)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(phi.evaluate(target), dtype=float)
-        return _check_finite(float(np.sum(wd * vals)), q)
+    wd, target = _ball_rule(params, q)
+    return float(np.sum(wd * _sample(phi.evaluate, target, q)))
 
 
 def f_gradient(phi, params, q):
-    """Analytic gradient of :func:`f_value` in the ball center ``q``.
+    """Gradient of :func:`f_value` in the ball center ``q``, as the flux
+    ``(1/q3) int_{|p|=r} w phi a dS`` through the boundary sphere.
 
-    Horizontal components integrate the corresponding derivative of ``phi``;
-    the vertical one pairs the gradient with the scaling direction
-    ``p + k r e3`` of the moving ball.
+    The moving-ball fields are Killing fields: the horizontal shifts ``e1``,
+    ``e2`` and the dilation ``p + k r e3``, along which the density
+    ``w = (p3 + k r)^-3`` is divergence-free; so the volume derivatives are
+    boundary fluxes with ``a = (n1, n2, r + k r n3)``, and only values of
+    ``phi`` are sampled.
     """
+    q = HyperbolicPoint.of(q)
+    wa, _, target = _flux_rule(params, q)
+    return _sample(phi.evaluate, target, q) @ wa
+
+
+def f_hessian(phi, params, q):
+    """Exact Hessian of :func:`f_value`: the derivative of the flux
+    :func:`f_gradient`, ``H_ij = (1/q3) int w a_i grad phi . d_j dS
+    - delta_j3 g_i / q3`` with the ball motions ``d = (e1, e2, p + k r e3)``,
+    from one gradient sweep on the boundary points."""
     if phi.gradient is None:
         raise ValueError("prescribed function has no gradient evaluator")
     q = HyperbolicPoint.of(q)
-    pts, wd, target = _ball_rule(params, q)
-    with np.errstate(all="ignore"):
-        gphi = np.asarray(phi.gradient(target), dtype=float)
-        out = np.empty(3)
-        out[0] = np.sum(wd * gphi[:, 0])
-        out[1] = np.sum(wd * gphi[:, 1])
-        out[2] = np.sum(wd * (gphi[:, 0] * pts[:, 0] + gphi[:, 1] * pts[:, 1]
-                              + gphi[:, 2] * (pts[:, 2] + params.k * params.r)))
-        return _check_finite(out, q)
-
-
-def hessian_estimate(phi, params, q):
-    """Symmetrized central-difference Hessian of the reduced function."""
-    q = HyperbolicPoint.of(q).array
-    H = np.empty((3, 3))
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1e-4 * max(1.0, abs(q[j]))
-        gp = f_gradient(phi, params, q + e)
-        gm = f_gradient(phi, params, q - e)
-        H[:, j] = (gp - gm) / (2 * e[j])
-    return 0.5 * (H + H.T)
+    wa, lift, target = _flux_rule(params, q)
+    g = _sample(phi.evaluate, target, q) @ wa
+    G = _sample(phi.gradient, target, q)
+    H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
+                        axis=-1)
+    H[:, 2] -= g / q.p3
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +256,11 @@ def newton(gradient, hessian, q, gtol, inside, max_iter=40):
 def find_critical(phi, params, box, seeds=27, rng=None):
     """Search the box for critical points of the reduced function.
 
-    :func:`newton` with the finite-difference Hessian starts from a jittered
-    lattice of ``seeds`` points and roams a widened box; converged points in
-    ``box`` are deduplicated by hyperbolic distance and classified through
-    the Hessian.  An empty list is a valid outcome (no critical point).
+    :func:`newton` with the exact Hessian :func:`f_hessian` starts from a
+    jittered lattice of ``seeds`` points and roams a widened box; converged
+    points in ``box`` are deduplicated by hyperbolic distance and classified
+    through the same Hessian.  An empty list is a valid outcome (no critical
+    point).
     """
     box = check_box(box)
     m = check_seeds(seeds)
@@ -247,11 +275,11 @@ def find_critical(phi, params, box, seeds=27, rng=None):
     found = []
     for seed in pts:
         qa, g = newton(lambda qa: f_gradient(phi, params, qa),
-                       lambda qa: hessian_estimate(phi, params, qa),
+                       lambda qa: f_hessian(phi, params, qa),
                        seed, 1e-10, lambda qa: _inside(qa, wide))
         if np.linalg.norm(g) > 1e-10 or not _inside(qa, box):
             continue
-        H = hessian_estimate(phi, params, qa)
+        H = f_hessian(phi, params, qa)
         val = f_value(phi, params, qa)
         found.append(MelnikovResult(
             q=HyperbolicPoint.of(qa), value=val, gradient=g, hessian=H,

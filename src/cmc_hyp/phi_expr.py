@@ -356,30 +356,18 @@ def evaluate(tree, pts):
     return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
 
 
-# points per gradient sweep: a gradient of 4096 points (96 kB) stays under
-# glibc's default 128 kB mmap threshold, so the sweep's temporaries are
-# recycled from the heap; whole 8192-point balls had every one mapped and
-# its pages faulted in afresh (about 1300 page faults per evaluation)
-GRADIENT_BLOCK = 4096
-
-
 def evaluate_gradient(tree, pts):
-    """Euclidean gradients of the expression at points ``(..., 3)``, taken
-    :data:`GRADIENT_BLOCK` points at a time."""
+    """Euclidean gradients of the expression at points ``(..., 3)``."""
     pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    out = np.zeros_like(flat)
-    for start in range(0, len(flat), GRADIENT_BLOCK):
-        block = flat[start:start + GRADIENT_BLOCK]
-        duals = []
-        for i in range(3):
-            g = np.zeros((3, len(block)))
-            g[i] = 1.0
-            duals.append(Dual(block[:, i], g))
-        value = _eval(tree, duals)
-        if isinstance(value, Dual):
-            out[start:start + GRADIENT_BLOCK] = value.g.T
-    return out.reshape(pts.shape)
+    duals = []
+    for i in range(3):
+        g = np.zeros((3,) + pts.shape[:-1])
+        g[i] = 1.0
+        duals.append(Dual(pts[..., i], g))
+    value = _eval(tree, duals)
+    if not isinstance(value, Dual):
+        return np.zeros_like(pts)
+    return np.moveaxis(value.g, 0, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, j_residual, operator_pack
-from .melnikov import f_value, find_critical, hessian_estimate, newton
+from .melnikov import f_hessian, f_value, find_critical, newton
 
 # target of the 2-norm of the corrector's modal projected-equation residual
 NEWTON_RESIDUAL = 1e-9
@@ -208,7 +208,8 @@ def verify_side1(u, res, eps):
 
 def _solve_at(eps, phi, params, grid, q_start, warm=None):
     """Newton over ``q`` at one ``eps`` with the Jacobian ``-2 eps Hess f``
-    of ``grad_q = -2 eps grad f(q) + O(eps^2)``; 50 gtol is the noise floor.
+    of ``grad_q = -2 eps grad f(q) + O(eps^2)``, ``Hess f`` the exact flux
+    Hessian :func:`~cmc_hyp.melnikov.f_hessian`; 50 gtol is the noise floor.
     Returns the corrector state computed at the point Newton accepted."""
     gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
@@ -223,7 +224,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None):
         return reduced_gradient(state, params)
 
     q, g = newton(gradient,
-                  lambda qa: -2.0 * eps * hessian_estimate(phi, params, qa),
+                  lambda qa: -2.0 * eps * f_hessian(phi, params, qa),
                   HyperbolicPoint.of(q_start).array, gtol,
                   lambda qa: qa[2] > 0, max_iter=25)
     if np.linalg.norm(g) > 50.0 * gtol:

@@ -33,7 +33,26 @@ def test_kernel_command(tmp_path):
     doc = read_summary(out)
     assert doc["result"]["dimension"] == 9
     assert doc["result"]["gap"] > 100
+    assert doc["result"]["resolved"] is True
     assert (out / "kernel.json").exists()
+
+
+def test_kernel_resolution_verdict(tmp_path):
+    # k = 1.5 at n = 24 is an acceptance setting; at k = 1.05 the same grid
+    # loses three generators from the kernel while the singular-value gap
+    # still looks confident, so the certificate fails its checks
+    assert main(["kernel", "--k", "1.5", "--grid-n", "24",
+                 "--out", str(tmp_path / "ok")]) == 0
+    doc = read_summary(tmp_path / "ok")
+    assert doc["status"] == "ok" and doc["result"]["resolved"] is True
+    assert main(["kernel", "--k", "1.05", "--grid-n", "24",
+                 "--out", str(tmp_path / "coarse")]) == 3
+    doc = read_summary(tmp_path / "coarse")
+    assert doc["status"] == "failed_checks"
+    assert doc["result"]["resolved"] is False
+    assert doc["result"]["dimension"] == 6
+    assert doc["result"]["gap"] > 1e7
+    assert doc["result"]["frame_reconstruction_residual"] > 1e-6
 
 
 def test_spectrum_command(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from cmc_hyp import halfspace as hs
 from cmc_hyp import melnikov as mel
 from cmc_hyp.bubbles import make_params
+from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
 BOX = (-0.4, 0.4, -0.4, 0.4, 0.6, 1.6)
@@ -46,6 +47,83 @@ def test_gradient_finite_differences(params2, rng):
             fd[j] = (mel.f_value(phi, params2, q + e)
                      - mel.f_value(phi, params2, q - e)) / (2 * e[j])
         assert np.linalg.norm(g - fd) <= 1e-4 * max(np.linalg.norm(g), 1e-6)
+
+
+# one bump of each kind the solves are benchmarked on: plain, tilted and a
+# sum of two
+DESIGN_BUMPS = (
+    "exp(-hypdist(0.1, -0.05, 1.1)^2)",
+    "exp(-hypdist(-0.15, 0.1, 0.9)^2) + 0.03*p2",
+    "exp(-hypdist(0.05, 0.15, 1.25)^2) + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)",
+)
+
+
+def _ball_rule_gradient(phi, params, q):
+    """The volume form of the gradient: ``grad phi`` against the ball
+    motions ``(e1, e2, p + k r e3)``, integrated over the reference ball."""
+    q = HyperbolicPoint.of(q)
+    pts, w = hs.unit_ball_rule(hs.BALL_QUAD_ORDER)
+    pts, w = params.r * pts, params.r**3 * w
+    lift = pts + np.array([0.0, 0.0, params.k * params.r])
+    wd = w * lift[:, 2] ** -3.0
+    g = phi.gradient(q.p3 * lift + np.array([q.p1, q.p2, 0.0]))
+    return np.array([wd @ g[:, 0], wd @ g[:, 1],
+                     wd @ np.einsum("ij,ij->i", g, lift)])
+
+
+def _random_q(rng):
+    return np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4),
+                     rng.uniform(0.6, 1.6)])
+
+
+def test_flux_gradient_matches_the_ball_rule(params2, rng):
+    for text in DESIGN_BUMPS:
+        phi = mel.phi_to_prescribed(text)
+        for _ in range(5):
+            q = _random_q(rng)
+            g = mel.f_gradient(phi, params2, q)
+            ref = _ball_rule_gradient(phi, params2, q)
+            assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_exact_hessian_matches_differences(params2, rng):
+    for text in DESIGN_BUMPS:
+        phi = mel.phi_to_prescribed(text)
+        for _ in range(3):
+            q = _random_q(rng)
+            H = mel.f_hessian(phi, params2, q)
+            scale = np.max(np.abs(H))
+            assert np.max(np.abs(H - H.T)) <= 1e-12 * scale
+            fd = np.empty((3, 3))
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = 1e-4 * max(1.0, abs(q[j]))
+                fd[:, j] = (mel.f_gradient(phi, params2, q + e)
+                            - mel.f_gradient(phi, params2, q - e)) / (2 * e[j])
+            # the central difference's own error is O(e^2) ~ 1e-8
+            assert np.max(np.abs(H - fd)) <= 1e-6 * scale
+
+
+def test_flux_gradient_needs_no_phi_gradient(params2):
+    bump = mel.phi_radial_gaussian((0.1, 0.0, 1.0))
+    values_only = mel.PrescribedFunction(evaluate=bump.evaluate,
+                                         gradient=None, descriptor="values")
+    q = (0.05, -0.1, 1.1)
+    assert np.array_equal(mel.f_gradient(values_only, params2, q),
+                          mel.f_gradient(bump, params2, q))
+    with pytest.raises(ValueError, match="no gradient"):
+        mel.f_hessian(values_only, params2, q)
+
+
+def test_flux_layer_refuses_non_finite_phi(params2):
+    # finite at the ball's center, not finite on its boundary sphere
+    q = (0.0, 0.0, 1.0)
+    phi = mel.phi_to_prescribed("sqrt(0.3 - p1^2)",
+                                probe_box=(-0.1, 0.1, -0.1, 0.1, 0.9, 1.1))
+    assert np.isfinite(phi.evaluate(np.array(q)))
+    for fn in (mel.f_gradient, mel.f_hessian):
+        with pytest.raises(NumericsError, match="not finite"):
+            fn(phi, params2, q)
 
 
 def test_coordinate_shift_is_affine(params2):

@@ -118,19 +118,18 @@ def test_hypdist_slope_is_zero_at_its_anchor():
     assert np.array_equal(phi.gradient(np.array([0.1, 0.2, 1.1])), np.zeros(3))
 
 
-def test_gradient_blocks_are_seamless():
-    # the gradient sweep runs GRADIENT_BLOCK points at a time; every point's
-    # gradient is the one it has when evaluated alone
+def test_gradient_batched_shapes():
+    # a batch of points in any shape gives each point's own gradient; an
+    # expression without variables has the zero gradient
     tree = pe.parse_phi("exp(-hypdist(0.1,0,1)^2) * p1 + sin(p2) / p3")
     rng = np.random.default_rng(3)
-    n = 2 * pe.GRADIENT_BLOCK + 5
-    pts = rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 1.5], size=(n, 3))
-    grads = pe.evaluate_gradient(tree, pts)
-    for i in (0, pe.GRADIENT_BLOCK - 1, pe.GRADIENT_BLOCK, n - 1):
-        np.testing.assert_allclose(grads[i], pe.evaluate_gradient(tree, pts[i]),
-                                   rtol=1e-14, atol=1e-15)
-    batched = pe.evaluate_gradient(tree, pts[:-5].reshape(2, -1, 3))
-    np.testing.assert_allclose(batched.reshape(-1, 3), grads[:-5],
+    pts = rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 1.5], size=(2, 50, 3))
+    batched = pe.evaluate_gradient(tree, pts)
+    assert batched.shape == pts.shape
+    flat = pe.evaluate_gradient(tree, pts.reshape(-1, 3))
+    np.testing.assert_allclose(batched.reshape(-1, 3), flat,
+                               rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(flat[7], pe.evaluate_gradient(tree, pts[0, 7]),
                                rtol=1e-14, atol=1e-15)
     assert np.array_equal(pe.evaluate_gradient(pe.parse_phi("2"), pts),
                           np.zeros_like(pts))

@@ -181,3 +181,34 @@ def test_reduced_gradient_melnikov_relation(grid16, params2, q):
     assert abs(ratios[0] + 2) > abs(ratios[1] + 2) > abs(ratios[2] + 2)
     # ... because the defect is O(eps^2): divided by eps^2 it stays put
     assert max(defects) <= 1.25 * min(defects)
+
+
+# ---------------------------------------------------------------------------
+# the flux gradient commutes with the ball motions: a horizontal shift or a
+# dilation of the bump's anchor moves its reduced function the same way
+
+
+def _bump(anchor):
+    return pe.phi_to_prescribed(
+        "exp(-hypdist({!r}, {!r}, {!r})^2)".format(*map(float, anchor)))
+
+
+@FEW
+@given(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+                 st.floats(0.85, 1.3)),
+       st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                 st.floats(0.8, 1.3)),
+       st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+       st.floats(0.5, 2.0))
+def test_flux_gradient_killing_equivariance(params2, anchor, q, shift, lam):
+    anchor, q = np.array(anchor), np.array(q)
+    g = f_gradient(_bump(anchor), params2, q)
+    # roundoff of the flux sums, whose terms are of order one
+    tol = 1e-12 * max(np.linalg.norm(g), 1.0)
+    s = np.array([*shift, 0.0])
+    # f_{a+s}(q + s) = f_a(q), so the gradients agree
+    gs = f_gradient(_bump(anchor + s), params2, q + s)
+    assert np.linalg.norm(gs - g) <= tol
+    # f_{lam a}(lam q) = f_a(q), so lam grad f_{lam a}(lam q) = grad f_a(q)
+    gl = f_gradient(_bump(lam * anchor), params2, lam * q)
+    assert np.linalg.norm(lam * gl - g) <= tol
