@@ -233,7 +233,8 @@ def build_grid(n):
 def with_azimuths(grid, L):
     """The grid's polar nodes times ``L`` equispaced azimuths, weighted to
     integrate exactly every product of azimuthal degree below ``L``; not
-    cached (the modal pack builds one per operator block)."""
+    cached.  With ``L = 1`` each polar node carries its whole ring's weight
+    (the modal pack's meridian)."""
     return replace(grid, **_azimuths(
         grid.rho, grid.node_shape(grid.weights)[:, 0] * (grid.ntheta / L), L))
 

@@ -44,6 +44,10 @@ TOLERANCES = {
 # Largest frame-reconstruction residual of a resolved kernel certificate.
 KERNEL_FRAME_RESIDUAL = 1e-6
 
+# Largest relative error of the triple eigenvalue 2k in a resolved normal
+# spectrum (the acceptance bound on the coarser of its grids).
+SPECTRUM_TRIPLE_REL = 1e-3
+
 # The inputs each command cannot run without: config key -> flag.
 REQUIRED = {
     "melnikov": {"box": "--box", "phi_source": "--phi"},
@@ -244,7 +248,12 @@ def _cmd_spectrum(cfg, out):
     doc["triple_at_2k_error"] = float(
         np.max(np.abs(rep.eigenvalues[1:4] - 2.0 * cfg.k)))
     doc["gap_after_triple"] = float(rep.eigenvalues[4] - 2.0 * cfg.k)
-    return doc, True
+    # the continuum spectrum starts 0, 2k (x3); a split triple or a far one
+    # means the grid does not resolve the operator at this k
+    doc["resolved"] = (rep.multiplicities[:2] == [1, 3]
+                       and doc["triple_at_2k_error"] / (2.0 * cfg.k)
+                       <= SPECTRUM_TRIPLE_REL)
+    return doc, doc["resolved"]
 
 
 def _cmd_kernel(cfg, out):

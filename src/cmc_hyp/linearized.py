@@ -15,7 +15,8 @@ side on purpose:
   The base sphere is axisymmetric, so the Galerkin matrices are assembled,
   applied and solved per block, one block per azimuthal order and parity,
   the corrector's bordered saddle matrix included; no dense matrix is
-  formed.
+  formed.  Each block is assembled from the polar nodes at one azimuth,
+  since its integrands are invariant under the rotations.
 
 Their mutual agreement on smooth fields is one of the package's standing
 consistency checks.
@@ -57,20 +58,22 @@ def _gegenbauer_table(jmax, lam, x):
 
 def _vector_groups(M, odd, degree):
     """Column groups of the real vector block ``(M, odd)``: for each scalar
-    order ``m`` it draws on, the ``(component, sin?, coefficient)`` pattern
-    its columns put on the scalar modes ``(m, j)``, j = 0..degree - m."""
+    order ``m`` it draws on, a complex direction ``d`` whose columns are the
+    real parts of ``d P_{m,j}(s) e^{i m theta}``, j = 0..degree - m, so
+    ``Re d`` on the cos modes and ``-Im d`` on the sin ones.  These complex
+    fields turn with one rotation phase ``e^{i M theta}``."""
     r = np.sqrt(0.5)
+    phase = (-1j)**odd                  # sin m theta = Re(-i e^{i m theta})
+    plus, minus = np.array([1, 1j, 0]), np.array([1, -1j, 0])
     groups = []
     if M <= degree and (M > 0 or not odd):
-        groups.append((M, [(2, odd, 1.0)]))                     # e3 Y
-    m = M - 1                                                   # e+ at m
-    if m == 0:
-        groups.append((0, [(odd, 0, 1.0)]))                     # e1 / e2 Y
-    elif 0 < m <= degree:
-        groups.append((m, [(0, odd, r), (1, 1 - odd, r if odd else -r)]))
-    m = M + 1                                                   # e- at m
-    if m <= degree:
-        groups.append((m, [(0, odd, r), (1, 1 - odd, -r if odd else r)]))
+        groups.append((M, phase * np.array([0, 0, 1])))         # e3 Y
+    if M == 1:
+        groups.append((0, phase * plus))                        # e1 / e2 Y
+    elif 1 < M <= degree + 1:
+        groups.append((M - 1, r * phase * plus))                # e+ at M - 1
+    if M + 1 <= degree:
+        groups.append((M + 1, r * phase * minus))               # e- at M + 1
     return groups
 
 
@@ -90,10 +93,12 @@ class _ModalPack:
     under rotations about the z-axis and under ``y -> -y``, so the vector
     operator splits by total azimuthal order ``|M|`` and parity
     (``vector_blocks``) and the scalar normal pencil by order ``m`` and
-    cos/sin (``scalar_blocks``).  Each block is assembled on a grid of the
-    polar nodes times a ring of azimuths just over twice its order
-    (:func:`~cmc_hyp.chart.with_azimuths`), which integrates its products
-    exactly, so no dense operator or nodal table of the basis is formed.
+    cos/sin (``scalar_blocks``).  The Gram weights depend on the polar angle
+    alone and every integrand is a rotation-invariant density, so each
+    block is assembled from the polar nodes at the single azimuth
+    ``theta = 0`` (``meridian``, :func:`~cmc_hyp.chart.with_azimuths` with
+    one azimuth), each weighted by its whole ring; no dense operator or
+    nodal table of the basis is formed.
     The blocks, the tangent frame (the one shared copy), its modal
     tables and the corrector's per-block saddle factorizations are built on
     first use.  :func:`_pack` keeps one pack: every command and solve works
@@ -139,22 +144,18 @@ class _ModalPack:
         # irfft weight of order m: a cos + b sin = Re((a - i b) e^{i m theta})
         self._fourier = np.full(D, grid.ntheta / 2.0)
         self._fourier[0] = grid.ntheta
+        self.meridian = ch.with_azimuths(grid, 1)
 
     def _index(self, m, odd):
         """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
         return self._modal[odd, m, :self.degree - m + 1]
 
-    def _modes(self, grid, m, odd):
+    def _meridian_modes(self, m):
         """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
-        scalar modes of order ``m``, cos (or sin if odd), at the nodes of a
-        grid with the pack's polar nodes."""
+        scalar modes ``P_{m,j}(s) e^{i m theta}`` of order ``m`` at the
+        meridian nodes."""
         P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
-        cos, sin = np.cos(m * grid.theta), np.sin(m * grid.theta)
-        tr, dtr = (sin, m * cos) if odd else (cos, -m * sin)
-        outer = lambda a, t: (a[:, None, :] * t[None, :, None]).reshape(
-            grid.size, -1)
-        return (outer(P, tr),) + ch.polar_to_chart(
-            grid, outer(dP_ds, tr), outer(P, dtr))
+        return (P,) + ch.polar_to_chart(self.meridian, dP_ds, 1j * m * P)
 
     @property
     def mode_degrees(self):
@@ -191,54 +192,72 @@ class _ModalPack:
                 groups = _vector_groups(M, odd, deg)
                 size = sum(deg - m + 1 for m, _ in groups)
                 rows, Q, start = [], [], 0
-                for m, pattern in groups:
+                for m, d in groups:
                     J = deg - m + 1
-                    for comp, sin, coef in pattern:
-                        rows.append(comp * nm + self._index(m, sin))
-                        Q.append(coef * np.eye(J, size, start))
+                    for comp in range(3):
+                        for sin, coef in enumerate((d[comp].real,
+                                                    -d[comp].imag)):
+                            if coef and (m or not sin):   # sin 0 theta = 0
+                                rows.append(comp * nm + self._index(m, sin))
+                                Q.append(coef * np.eye(J, size, start))
                     start += J
-                # the block's fields have azimuthal degree at most M + 4 (an
-                # order M + 1 mode, one derivative, degree-2 chart factors)
                 if odd and M:
                     H = blocks[(M, 0)][2]
                 else:
-                    H = self._vector_gram(
-                        ch.with_azimuths(self.grid, 2 * M + 9), groups, size)
+                    H = self._vector_gram(M, groups, size)
                 blocks[(M, odd)] = (np.concatenate(rows), np.vstack(Q), H)
         return blocks
 
-    def _vector_gram(self, ring, groups, size):
-        """One vector block's matrix on a grid ``ring`` with enough azimuths
-        for its products: the sum of five terms ``coef * B^T diag(weight) B``,
-        the two first-order tangential expressions, then the scalar normal
-        block on the omega components (two derivative parts and the mass
-        part)."""
-        k = self.params.k
-        w, mu, om = ring.weights, ring.mu, ring.omega
-        dox, doy = ring.domega_dx, ring.domega_dy
+    def _vector_gram(self, M, groups, size):
+        """One vector block's matrix, the sum of five terms
+        ``coef * B^T diag(weight) B``: the two first-order tangential
+        expressions, then the scalar normal block on the omega components
+        (two derivative parts and the mass part).  The block's columns are
+        taken as their complex fields of rotation phase ``e^{i M theta}``
+        (:func:`_vector_groups`) at the meridian; terms 1 and 2 make up
+        ``(dox + i doy) . (ux + i uy)``, terms 3 and 4 a chart 2-vector and
+        term 5 a scalar, so each one's density turns with that phase."""
+        k, mer = self.params.k, self.meridian
+        w, mu, om = mer.weights, mer.mu, mer.omega
+        dox, doy = mer.domega_dx, mer.domega_dy
         ok = om[:, 2] + k
-        U = np.zeros((3, 3, w.size, size))    # value/dx/dy, comp, node, col
+        # value/dx/dy, component, meridian node, column
+        U = np.zeros((3, 3, w.size, size), complex)
         start = 0
-        for m, pattern in groups:
+        for m, d in groups:
             J = self.degree - m + 1
-            for comp, sin, coef in pattern:
-                for kind, t in enumerate(self._modes(ring, m, sin)):
-                    U[kind, comp, :, start:start + J] = coef * t
+            for kind, t in enumerate(self._meridian_modes(m)):
+                U[kind, :, :, start:start + J] = d[:, None, None] * t
             start += J
         v, ux, uy = U
         dot = lambda a, b: np.einsum("pc,cpj->pj", a, b)
         Ctan, C2 = w / (mu**4 * ok**2), w / (mu**2 * ok**2)
-        terms = (
+        return self._meridian_gram(M, (
             (dot(dox, ux) - dot(doy, uy), Ctan, 1.0),
             (dot(doy, ux) + dot(dox, uy), Ctan, 1.0),
             (dot(om, ux) + dot(dox, v), C2, 1.0),
             (dot(om, uy) + dot(doy, v), C2, 1.0),
             (dot(om, v), w / ok**3, -2.0 * k),
-        )
-        H = np.zeros((size, size))
-        for B, weight, coef in terms:
-            H += coef * (B.T @ (weight[:, None] * B))
-        return self._sym(H)
+        ))
+
+    @staticmethod
+    def _meridian_gram(M, terms):
+        """The sphere integral ``sum coef * B^T diag(weight) B`` of terms
+        ``(B, weight, coef)`` whose columns ``B`` are meridian values of
+        complex fields of rotation phase ``e^{i M theta}``, standing for
+        their real parts, with each node's ``weight`` its whole ring's.
+        Over a ring, ``Re(a) Re(b)`` averages to ``Re(a conj(b)) / 2`` for
+        ``M > 0``, since ``a b`` turns with ``e^{2 i M theta}``; for
+        ``M = 0`` the real parts' own density is invariant."""
+        B = np.concatenate([b for b, _, _ in terms])
+        weight = np.concatenate([coef * wt for _, wt, coef in terms])
+        if M:
+            B = np.concatenate([B.real, B.imag])
+            weight = 0.5 * np.concatenate([weight, weight])
+        else:
+            B = B.real
+        G = B.T @ (weight[:, None] * B)
+        return 0.5 * (G + G.T)
 
     @cached_property
     def scalar_blocks(self):
@@ -247,16 +266,14 @@ class _ModalPack:
         modes of order ``m``, cos or sin, found at the modal ``rows``.  The
         cos and sin blocks of one order are rotations of each other and
         share their matrices."""
-        k, blocks = self.params.k, {}
+        mer, blocks = self.meridian, {}
+        w, mu = mer.weights, mer.mu
+        ok = mer.omega[:, 2] + self.params.k
+        C2 = w / (mu**2 * ok**2)
         for m in range(self.degree + 1):
-            ring = ch.with_azimuths(self.grid, 2 * m + 3)   # m + 1 with d/dx
-            w, mu = ring.weights, ring.mu
-            ok = ring.omega[:, 2] + k
-            C2 = w / (mu**2 * ok**2)
-            p0, px, py = self._modes(ring, m, 0)
-            K = self._sym(px.T @ (C2[:, None] * px)
-                          + py.T @ (C2[:, None] * py))
-            B = self._sym(p0.T @ ((w / ok**3)[:, None] * p0))
+            p0, px, py = self._meridian_modes(m)
+            K = self._meridian_gram(m, ((px, C2, 1.0), (py, C2, 1.0)))
+            B = self._meridian_gram(m, ((p0, w / ok**3, 1.0),))
             for odd in (0, 1) if m else (0,):
                 blocks[(m, odd)] = (self._index(m, odd), K, B)
         return blocks
@@ -352,10 +369,6 @@ class _ModalPack:
                 m[gens] = sol[size:, 0]
             start = stop
         return np.bincount(cols, vals * x[rows], minlength=r.size), m
-
-    @staticmethod
-    def _sym(A):
-        return 0.5 * (A + A.T)
 
     # -- transforms between modal coefficients and nodal values --------------
 
@@ -511,11 +524,11 @@ def _j_nodal(values, dx, dy, dxx, dyy, params, curvature, eps):
 class LinearizedSystem:
     """The linearized operator at a sphere of the family, in both guises.
 
-    ``blocks`` holds the symmetric Galerkin matrix of the bilinear form
-    ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the orthonormal
-    modal vector basis (so the modal mass is the identity), one symmetry
-    block of the pack at a time, and ``apply_modal`` applies it block by
-    block.  ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes the pack's
+    ``apply_modal`` applies the symmetric Galerkin matrix of the bilinear
+    form ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the
+    orthonormal modal vector basis (so the modal mass is the identity), one
+    symmetry block of the pack (``pack.vector_blocks``) at a time.
+    ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes the pack's
     ``r^2``-normalized operator to the one at the base point.
     ``apply_direct`` evaluates the strong operator through collocation,
     independently of the Galerkin route: the vector operator on vector
@@ -530,14 +543,6 @@ class LinearizedSystem:
     @property
     def size(self):
         return 3 * self.pack.nmodes
-
-    @property
-    def blocks(self):
-        """``{label: (rows, Q, A)}``: the operator ``A`` on each symmetry
-        block, whose orthonormal columns ``Q`` live on the modal ``rows``;
-        labels are ``(order, parity)``."""
-        return {key: (rows, Q, self.scale * H)
-                for key, (rows, Q, H) in self.pack.vector_blocks.items()}
 
     def apply_modal(self, c):
         """The Galerkin matrix times modal coefficients ``c``, a vector or
@@ -692,14 +697,17 @@ def spectrum_normal(params, grid, count=8):
     pack = operator_pack(grid, params)
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
-    pairs = []
+    pairs, solved = [], {}
     for (m, _), (_, K, B) in pack.scalar_blocks.items():
-        top = min(count, K.shape[0])
-        vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
-        for lam, v in zip(vals, vecs.T):
-            Bv = B @ v
-            pairs.append((lam, m, np.linalg.norm(K @ v - lam * Bv)
-                          / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
+        if m not in solved:             # the cos and sin blocks share K, B
+            top = min(count, K.shape[0])
+            vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
+            solved[m] = []
+            for lam, v in zip(vals, vecs.T):
+                Bv = B @ v
+                solved[m].append((lam, m, np.linalg.norm(K @ v - lam * Bv)
+                                  / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
+        pairs += solved[m]
     pairs.sort(key=lambda p: p[0])
     vals, orders, res = (np.array(c) for c in zip(*pairs[:count]))
     if np.any(res > 1e-7):
@@ -768,8 +776,12 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     about the z-axis).  The returned nodal basis is orthonormal in the mass
     inner product: the in-window block eigenvectors, labelled by block order.
     """
-    blocks = system.blocks
-    eigs = {key: sla.eigh(A) for key, (_, _, A) in blocks.items()}
+    pack = system.pack
+    blocks, eigs, solved = pack.vector_blocks, {}, {}
+    for key, (_, _, H) in blocks.items():
+        if id(H) not in solved:     # the parities of an order M > 0 share H
+            solved[id(H)] = sla.eigh(system.scale * H)
+        eigs[key] = solved[id(H)]
     sigma = np.sort(np.abs(np.concatenate([w for w, _ in eigs.values()])))
     window = min(16, sigma.size - 1)
     floor = np.finfo(float).eps * sigma[-1]
@@ -779,7 +791,6 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
         raise AmbiguousKernelError(sigma[split], sigma[split + 1], gap_factor)
     dim = split + 1
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
-    pack = system.pack
     basis, orders = [], []
     for key, (vals, vecs) in eigs.items():
         rows, Q, _ = blocks[key]

@@ -61,7 +61,24 @@ def test_spectrum_command(tmp_path):
                  "--out", str(out)]) == 0
     doc = read_summary(out)
     assert doc["result"]["triple_at_2k_error"] < 1e-6
+    assert doc["result"]["resolved"] is True
     assert (out / "spectrum.json").exists()
+
+
+def test_spectrum_resolution_verdict(tmp_path):
+    # at the default settings the triple at 2k is resolved; at k = 1.05 the
+    # same grid splits it while its eigenvalues stay within the bound
+    assert main(["spectrum", "--out", str(tmp_path / "ok")]) == 0
+    doc = read_summary(tmp_path / "ok")
+    assert doc["status"] == "ok" and doc["result"]["resolved"] is True
+    assert doc["result"]["multiplicities"][:2] == [1, 3]
+    assert main(["spectrum", "--k", "1.05", "--grid-n", "24",
+                 "--out", str(tmp_path / "coarse")]) == 3
+    doc = read_summary(tmp_path / "coarse")
+    assert doc["status"] == "failed_checks"
+    assert doc["result"]["resolved"] is False
+    assert doc["result"]["multiplicities"][:3] == [1, 2, 1]
+    assert doc["result"]["triple_at_2k_error"] / 2.1 <= 1e-3
 
 
 def test_solve_command_and_artifacts(tmp_path):

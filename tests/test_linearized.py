@@ -261,6 +261,20 @@ def test_operator_cache_holds_one_pack(grid16, grid24, params2):
 # the block route against a dense reference
 
 
+def _trig_modes(pack, grid, m, odd):
+    """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
+    scalar modes ``P_{m,j}(s) cos(m theta)`` (``sin`` if odd) of order
+    ``m`` at the nodes of a grid with the pack's polar nodes, from real
+    trigonometric tables of the grid's azimuths."""
+    P, dP_ds = pack._profiles[m, :, :, :pack.degree - m + 1]
+    cos, sin = np.cos(m * grid.theta), np.sin(m * grid.theta)
+    tr, dtr = (sin, m * cos) if odd else (cos, -m * sin)
+    outer = lambda a, t: (a[:, None, :] * t[None, :, None]).reshape(
+        grid.size, -1)
+    return (outer(P, tr),) + ch.polar_to_chart(
+        grid, outer(dP_ds, tr), outer(P, dtr))
+
+
 def _nodal_tables(pack):
     """The orthonormal scalar modes and their chart derivatives at every grid
     node, as three N x nmodes tables built from the pack's profiles."""
@@ -268,9 +282,63 @@ def _nodal_tables(pack):
     for m in range(pack.degree + 1):
         for odd in (0, 1) if m else (0,):
             cols = pack._index(m, odd)
-            for table, modes in zip(tables, pack._modes(pack.grid, m, odd)):
+            for table, modes in zip(tables, _trig_modes(pack, pack.grid, m,
+                                                        odd)):
                 table[:, cols] = modes
     return tables
+
+
+def _ring_blocks(pack):
+    """The pack's vector blocks ``{(M, parity): H}`` and scalar pencils
+    ``{(m, sin?): (K, B)}`` by quadrature over whole rings of azimuths: each
+    block's real columns sampled on the polar nodes times enough azimuths
+    (``chart.with_azimuths``) to integrate their products exactly, since a
+    vector block of order M carries azimuthal degrees up to M + 4 and a
+    scalar one up to m + 1."""
+    k, deg = pack.params.k, pack.degree
+    vector, scalar = {}, {}
+    for M in range(deg + 2):
+        for odd in (0, 1):
+            ring = ch.with_azimuths(pack.grid, 2 * M + 9)
+            groups = lin._vector_groups(M, odd, deg)
+            size = sum(deg - m + 1 for m, _ in groups)
+            U = np.zeros((3, 3, ring.size, size))  # value/dx/dy, comp
+            start = 0
+            for m, d in groups:
+                J = deg - m + 1
+                cos, sin = (_trig_modes(pack, ring, m, odd) for odd in (0, 1))
+                for kind in range(3):
+                    U[kind, :, :, start:start + J] = (
+                        d.real[:, None, None] * cos[kind]
+                        - d.imag[:, None, None] * sin[kind])
+                start += J
+            w, mu, om = ring.weights, ring.mu, ring.omega
+            dox, doy = ring.domega_dx, ring.domega_dy
+            ok = om[:, 2] + k
+            v, ux, uy = U
+            dot = lambda a, b: np.einsum("pc,cpj->pj", a, b)
+            Ctan, C2 = w / (mu**4 * ok**2), w / (mu**2 * ok**2)
+            terms = (
+                (dot(dox, ux) - dot(doy, uy), Ctan, 1.0),
+                (dot(doy, ux) + dot(dox, uy), Ctan, 1.0),
+                (dot(om, ux) + dot(dox, v), C2, 1.0),
+                (dot(om, uy) + dot(doy, v), C2, 1.0),
+                (dot(om, v), w / ok**3, -2.0 * k),
+            )
+            H = sum(coef * (B.T @ (weight[:, None] * B))
+                    for B, weight, coef in terms)
+            vector[(M, odd)] = 0.5 * (H + H.T)
+    for m in range(deg + 1):
+        for odd in (0, 1) if m else (0,):
+            ring = ch.with_azimuths(pack.grid, 2 * m + 3)
+            w, mu = ring.weights, ring.mu
+            ok = ring.omega[:, 2] + k
+            C2 = w / (mu**2 * ok**2)
+            p0, px, py = _trig_modes(pack, ring, m, odd)
+            K = px.T @ (C2[:, None] * px) + py.T @ (C2[:, None] * py)
+            B = p0.T @ ((w / ok**3)[:, None] * p0)
+            scalar[(m, odd)] = (0.5 * (K + K.T), 0.5 * (B + B.T))
+    return vector, scalar
 
 
 def _dense_reference(pack):
@@ -341,6 +409,24 @@ def test_blocks_match_dense_reference(n, k):
     ref = sla.eigh(K, B, eigvals_only=True, subset_by_index=[0, 7])
     assert np.all(np.abs(spec.eigenvalues - ref)
                   <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [40, 56])
+@pytest.mark.parametrize("k", [1.1, 3.0])
+def test_blocks_match_ring_quadrature(n, k):
+    # one azimuth with whole-ring weights against the exact ring rule
+    pack = lin._ModalPack(ch.build_grid(n), bb.make_params(k))
+    vector, scalar = _ring_blocks(pack)
+    assert vector.keys() == pack.vector_blocks.keys()
+    assert scalar.keys() == pack.scalar_blocks.keys()
+    top = max(np.max(np.abs(H)) for H in vector.values())
+    for key, (_, _, H) in pack.vector_blocks.items():
+        assert np.max(np.abs(H - vector[key])) <= 1e-13 * top, key
+    for i in (0, 1):
+        top = max(np.max(np.abs(pencil[i])) for pencil in scalar.values())
+        for key, (_, *pencil) in pack.scalar_blocks.items():
+            diff = np.max(np.abs(pencil[i] - scalar[key][i]))
+            assert diff <= 1e-13 * top, (key, i)
 
 
 def _held_shapes(*objects):
@@ -511,3 +597,17 @@ def test_resolution(k):
             assert fine <= 0.1 * coarse, errors
         else:
             assert fine <= 1e-12, errors
+
+
+def test_certificate_near_k_one():
+    """Towards k = 1 the triple's error falls only by about
+    ``(k + sqrt(k^2 - 1))^2`` per unit of n, so k = 1.01 needs n near 112;
+    a certificate there takes a few seconds."""
+    params, grid = bb.make_params(1.01), ch.build_grid(112)
+    system = lin.assemble_linearized(params, Q0, grid)
+    rep = lin.kernel(system)
+    assert rep.dimension == 9
+    assert rep.frame_residual(system) <= 1e-6
+    spec = lin.spectrum_normal(params, grid, count=8)
+    assert spec.multiplicities[:2] == [1, 3]
+    assert np.max(np.abs(spec.eigenvalues[1:4] - 2.02)) / 2.02 <= 1e-3
