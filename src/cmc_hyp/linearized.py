@@ -38,6 +38,8 @@ from .halfspace import HyperbolicPoint
 
 # singular-value ratio that declares a numerical kernel
 KERNEL_GAP_FACTOR = 100.0
+# LAPACK's real LU back-substitution, called by _ModalPack.saddle_solve
+_GETRS, = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,10 @@ class _ModalPack:
     def saddle_solve(self, r, s):
         """``(c, m)`` with ``H c - F^T m = r`` and ``F c = s``, ``H`` the
         vector operator of ``vector_blocks`` and ``F`` the nine frame rows:
-        one small solve per entry of ``saddle_factors``."""
+        one small solve per entry of ``saddle_factors``, each a direct call
+        of LAPACK ``getrs`` on the entry's LU factors (the same arithmetic
+        as ``scipy.linalg.lu_solve``, without its per-call argument
+        checks, which cost more than the solves at these sizes)."""
         (rows, cols, vals), entries = self.saddle_factors
         x = np.bincount(rows, vals * r[cols], minlength=r.size)
         m = np.zeros(len(s))
@@ -363,7 +368,9 @@ class _ModalPack:
             rhs = x[start:stop].reshape(len(keys), size).T
             if gens:
                 rhs = np.concatenate([rhs, s[gens, None]])
-            sol = sla.lu_solve(lu, rhs, check_finite=False)
+            sol, info = _GETRS(*lu, rhs)
+            if info:
+                raise ValueError(f"getrs: illegal argument {-info}")
             x[start:stop] = sol[:size].T.ravel()
             if gens:
                 m[gens] = sol[size:, 0]
@@ -433,6 +440,17 @@ class _ModalPack:
         """Nodal values and exact first derivatives of a modal vector field."""
         return self.synthesis(coeffs.reshape(3, self.nmodes).T, jet=True)
 
+    def nodal_vector_laplacian(self, coeffs):
+        """Nodal chart Laplacian ``d_xx + d_yy`` of a modal vector field.
+        Each mode is a spherical harmonic of degree ``l = m + j``, and the
+        conformal chart has ``d_xx + d_yy = mu^2 Delta_S2``, so this is
+        ``mu^2`` times the synthesis of ``-l(l + 1)`` times the
+        coefficients: one transform, exact as the grid integrates the
+        pack's degrees exactly."""
+        deg = self.mode_degrees
+        lap = -(deg * (deg + 1.0))[:, None] * coeffs.reshape(3, self.nmodes).T
+        return self.grid.mu[:, None] ** 2 * self.synthesis(lap)
+
 
 @lru_cache(maxsize=1)
 def _pack(n, k):
@@ -492,12 +510,15 @@ def j_residual(u, params, curvature=None, eps=0.0):
     if not u.is_vector:
         raise ValueError("the residual needs a 3-vector surface field")
     u = ch.differentiate(u)
-    dxx, dxy, dyy = ch.second_derivatives(u)
+    dxx, _, dyy = ch.second_derivatives(u)
     return SphereField(u.grid, _j_nodal(
-        u.values, u.dx, u.dy, dxx, dyy, params, curvature, eps))
+        u.values, u.dx, u.dy, dxx + dyy, params, curvature, eps))
 
 
-def _j_nodal(values, dx, dy, dxx, dyy, params, curvature, eps):
+def _j_nodal(values, dx, dy, lap, params, curvature, eps):
+    """Nodal residual of the prescribed-curvature system from a surface's
+    values, chart derivatives ``dx``, ``dy`` and chart Laplacian ``lap``
+    (the operator uses the second derivatives only through their sum)."""
     u3 = values[:, 2]
     if not np.all(u3 > 0):
         raise NumericsError("surface left the half-space: min u3 = %g" % u3.min())
@@ -506,7 +527,6 @@ def _j_nodal(values, dx, dy, dxx, dyy, params, curvature, eps):
     if curvature is not None and eps != 0.0:
         evaluator = getattr(curvature, "evaluate", curvature)
         K = k + eps * np.asarray(evaluator(values), dtype=float)
-    lap = dxx + dyy
     grad3 = dx[:, 2, None] * dx + dy[:, 2, None] * dy
     norm2 = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy)
     cross = np.cross(dx, dy)
@@ -770,11 +790,16 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     block spectra, are scanned in ascending order; the kernel dimension is
     declared at the largest ratio jump within the smallest sixteen, which
     must reach ``gap_factor``, otherwise :class:`AmbiguousKernelError` is
-    raised.  A ratio's denominator is at least the roundoff level of the
-    largest singular value, since blocks of different sizes leave exact
-    zeros at different roundoff levels (down to 1e-31 for the rotation
-    about the z-axis).  The returned nodal basis is orthonormal in the mass
-    inner product: the in-window block eigenvectors, labelled by block order.
+    raised.  A ratio's denominator is at least the roundoff level of its
+    own block's largest singular value, since blocks of different sizes
+    leave exact zeros at different roundoff levels (down to 1e-31 for the
+    rotation about the z-axis).  The floor is per block because the blocks'
+    scales differ by many decades towards k = 1: at k = 1.01, n = 128 the
+    ``(omega3 + k)^-3`` weight puts the largest singular value at 5.9e16,
+    and one floor for the whole operator would lie above the whole jump
+    from the kernel to the range.  The returned nodal basis is orthonormal
+    in the mass inner product: the in-window block eigenvectors, labelled by
+    block order.
     """
     pack = system.pack
     blocks, eigs, solved = pack.vector_blocks, {}, {}
@@ -782,10 +807,14 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
         if id(H) not in solved:     # the parities of an order M > 0 share H
             solved[id(H)] = sla.eigh(system.scale * H)
         eigs[key] = solved[id(H)]
-    sigma = np.sort(np.abs(np.concatenate([w for w, _ in eigs.values()])))
+    sigma = [np.abs(w) for w, _ in eigs.values()]
+    floored = np.concatenate(
+        [np.maximum(v, np.finfo(float).eps * v.max()) for v in sigma])
+    sigma = np.concatenate(sigma)
+    order = np.argsort(sigma)
+    sigma, floored = sigma[order], floored[order]
     window = min(16, sigma.size - 1)
-    floor = np.finfo(float).eps * sigma[-1]
-    ratios = sigma[1:window + 1] / np.maximum(sigma[:window], floor)
+    ratios = sigma[1:window + 1] / floored[:window]
     split = int(np.argmax(ratios))
     if ratios[split] < gap_factor:
         raise AmbiguousKernelError(sigma[split], sigma[split + 1], gap_factor)

@@ -5,8 +5,11 @@ correction ``nu`` orthogonal to the nine tangent generators together with
 multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
 operator frozen at the unperturbed sphere does the work.  Each step moves
-between nodal and modal values with the operator pack's FFT transforms and
-makes one block-by-block saddle solve (the pack's ``saddle_solve``), whose
+between nodal and modal values with the operator pack's FFT transforms --
+the correction's first derivatives exactly from the modal profiles, its
+chart Laplacian from the modes' degrees (``nodal_vector_laplacian``), so no
+step differentiates nodal values -- and makes one block-by-block saddle
+solve (the pack's ``saddle_solve``, direct LAPACK ``getrs`` calls), whose
 small factorizations are built once per ``(grid, k)`` and shared across base
 points.
 
@@ -62,25 +65,14 @@ class ReductionState:
     iterations: int
 
 
-def _surface_jet(U, second, grid, jet):
-    """Values and derivative jets of ``U_q + nu`` for the nodal ``jet`` of
-    ``nu``, given the sphere ``U`` and its ``second`` derivatives."""
-    nv, ndx, ndy = jet
-    vals = U.values + nv
-    dx = U.dx + ndx
-    dy = U.dy + ndy
-    sxx, _, syy = second
-    nxx, _ = ch.spectral_derivatives(grid, ndx)
-    _, nyy = ch.spectral_derivatives(grid, ndy)
-    return vals, dx, dy, sxx + nxx, syy + nyy
-
-
 def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one block-by-block saddle
-    solve against the pack's factorizations, which the first call builds;
+    solve against the pack's factorizations, which the first call builds,
+    and the residual's jet of the correction: values and first derivatives
+    from one transform, the Laplacian from the modes' degrees in another;
     the orthogonality constraints are enforced inside the solve and stay at
     roundoff.  At ``eps = 0`` the iteration returns the zero correction
     immediately.  A non-finite residual raises :class:`NumericsError` at
@@ -93,14 +85,17 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
-    second = U.surface.second(grid.nodes)
+    sxx, _, syy = U.surface.second(grid.nodes)
+    U_lap = sxx + syy
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
 
     for it in range(1, 61):
-        jet = pack.nodal_vector_jet(c)
-        J = _j_nodal(*_surface_jet(U, second, grid, jet), params, phi, eps)
+        nv, ndx, ndy = jet = pack.nodal_vector_jet(c)
+        lap = U_lap + pack.nodal_vector_laplacian(c)
+        J = _j_nodal(U.values + nv, U.dx + ndx, U.dy + ndy, lap, params, phi,
+                     eps)
         F1 = J / mu2
         for mj, gen in zip(m, gens):
             F1 = F1 - mj * gen

@@ -536,6 +536,22 @@ def test_transforms_match_nodal_tables(n, params2):
     assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [16, 24, 40])
+def test_modal_laplacian_matches_spectral(n, params2):
+    # the Laplacian from the modes' degrees against spectral second
+    # derivatives of the exact first ones, on a field with a real tail
+    pack = lin.operator_pack(ch.build_grid(n), params2)
+    rng = np.random.default_rng(n)
+    decay = 10.0 ** (-6.0 * pack.mode_degrees / pack.degree)
+    coeffs = (rng.standard_normal((3, pack.nmodes)) * decay).ravel()
+    _, dx, dy = pack.nodal_vector_jet(coeffs)
+    dxx, _ = ch.spectral_derivatives(pack.grid, dx)
+    _, dyy = ch.spectral_derivatives(pack.grid, dy)
+    ref = dxx + dyy
+    lap = pack.nodal_vector_laplacian(coeffs)
+    assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([8, 12, 16, 24]), st.integers(0, 2**32 - 1),
        st.integers(0, 6))
@@ -564,6 +580,28 @@ def test_saddle_solve_matches_dense_kkt(n, k):
     c, m = pack.saddle_solve(r, s)
     assert np.max(np.abs(c - ref[:size])) <= 1e-12 * np.max(np.abs(ref[:size]))
     assert np.max(np.abs(m - ref[size:])) <= 1e-12 * np.max(np.abs(ref[size:]))
+
+
+def test_saddle_solve_is_lu_solve(grid24, params2, monkeypatch):
+    # the direct getrs calls give the bits of scipy's lu_solve on the
+    # same factors, and saddle_solve never goes through the wrapper
+    pack = lin.operator_pack(grid24, params2)
+    rng = np.random.default_rng(3)
+    r, s = rng.standard_normal(3 * pack.nmodes), rng.standard_normal(9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("saddle_solve called scipy.linalg.lu_solve")
+
+    monkeypatch.setattr(sla, "lu_solve", refuse)
+    c, m = pack.saddle_solve(r, s)
+    monkeypatch.undo()
+    monkeypatch.setattr(lin, "_GETRS", lambda lu, piv, b: (
+        sla.lu_solve((lu, piv), b, check_finite=False), 0))
+    c_ref, m_ref = pack.saddle_solve(r, s)
+    assert np.array_equal(c, c_ref) and np.array_equal(m, m_ref)
+    monkeypatch.setattr(lin, "_GETRS", lambda lu, piv, b: (b, -3))
+    with pytest.raises(ValueError, match="getrs"):
+        pack.saddle_solve(r, s)
 
 
 def test_saddle_solve_rejects_a_frame_across_blocks(grid16, params2):
@@ -599,11 +637,35 @@ def test_resolution(k):
             assert fine <= 1e-12, errors
 
 
-def test_certificate_near_k_one():
+@pytest.mark.parametrize("k, sizes", [(1.05, range(16, 37, 4)),
+                                      (1.02, range(24, 57, 8))])
+def test_resolution_rate(k, sizes):
+    """Towards k = 1 the triple at 2k converges by ``rho^2`` per unit of n,
+    ``rho = k + sqrt(k^2 - 1)``: the Bernstein ellipse of the pole of the
+    mass weight ``(cos s + k)^-3`` at ``cos s = -k``.  The measured per-n
+    factor rises towards ``rho^2`` (1.685 to 1.769 against 1.877 at
+    k = 1.05, 1.399 to 1.435 against 1.491 at k = 1.02) and stays below."""
+    params = bb.make_params(k)
+    rho2 = (k + np.sqrt(k * k - 1.0)) ** 2
+    errors = []
+    for n in sizes:
+        ev = lin.spectrum_normal(params, ch.build_grid(n), count=8).eigenvalues
+        errors.append(float(np.max(np.abs(ev[1:4] - 2.0 * k)) / (2.0 * k)))
+    factors = [(coarse / fine) ** (1.0 / sizes.step)
+               for coarse, fine in zip(errors, errors[1:])]
+    assert all(a < b for a, b in zip(factors, factors[1:])), factors
+    assert 0.9 * rho2 <= factors[-1] <= rho2, (factors, rho2)
+
+
+@pytest.mark.parametrize("n", [112, 128])
+def test_certificate_near_k_one(n):
     """Towards k = 1 the triple's error falls only by about
     ``(k + sqrt(k^2 - 1))^2`` per unit of n, so k = 1.01 needs n near 112;
-    a certificate there takes a few seconds."""
-    params, grid = bb.make_params(1.01), ch.build_grid(112)
+    a certificate there takes a few seconds.  At n = 128 the largest
+    singular value is 5.9e16, so a ratio floor of eps times it (13) would
+    cover the kernel's whole jump from 1.3e-11 to 3.3e-4; each block's own
+    floor keeps the certificate."""
+    params, grid = bb.make_params(1.01), ch.build_grid(n)
     system = lin.assemble_linearized(params, Q0, grid)
     rep = lin.kernel(system)
     assert rep.dimension == 9

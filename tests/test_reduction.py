@@ -53,6 +53,18 @@ def test_correct_off_center(grid16, params2, bump):
     assert np.max(np.abs(st.xi)) > 1e-6 or np.max(np.abs(st.alpha)) > 1e-6
 
 
+def test_correct_never_calls_spectral_derivatives(grid16, params2, bump,
+                                                  monkeypatch):
+    # the chord step takes nu's Laplacian from its modal degrees
+    def refuse(*args, **kwargs):
+        raise AssertionError("correct called chart.spectral_derivatives")
+
+    monkeypatch.setattr(ch, "spectral_derivatives", refuse)
+    st = red.correct(0.01, HyperbolicPoint(0.2, -0.1, 1.2), bump, params2,
+                     grid16)
+    assert st.iterations > 1 and st.constraint_defect < 1e-10
+
+
 def test_constant_matrices(params2):
     M, Theta = red.constant_matrices(params2)
     assert M[2, 2] == pytest.approx(np.sqrt(2.0) * 2.0 / np.sqrt(3.0),
@@ -157,6 +169,22 @@ def test_continuation_reports_the_accepted_state(grid16, params2, bump,
         at_q = [it for eps, q, it in calls
                 if eps == rep["eps"] and q == tuple(rep["q"])]
         assert at_q and rep["iterations"] == at_q[0]
+
+
+def test_continuation_sharp_second_bump_at_n32(params2):
+    # a narrow second bump leaves nu a modal tail of 1e-10 at n = 24; at
+    # n = 32 the tail is at roundoff, and residual_sup sits at 2e-10, the
+    # floor set by the solver's stopping tolerance (NEWTON_RESIDUAL, with
+    # the outer Newton's gtol of 1e-9), not by the resolution
+    phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)"
+                            " + 0.25*exp(-4*hypdist(0.2,0.1,0.9)^2)",
+                            probe_box=BOX)
+    reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX,
+                               ch.build_grid(32))
+    assert [r["status"] for r in reports] == ["ok"] * 3
+    for rep in reports:
+        assert rep["nu_tail"] <= 1e-12, rep["nu_tail"]
+        assert rep["residual_sup"] <= 1e-9, rep["residual_sup"]
 
 
 def test_continuation_sign_symmetry(grid16, params2, bump):
