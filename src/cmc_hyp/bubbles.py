@@ -72,9 +72,9 @@ class BubbleSurface:
         _, _, dx, dy = ch.omega_mu(z)
         return self.scale * dx, self.scale * dy
 
-    def second(self, z):
-        dxx, dxy, dyy = ch.omega_second(z)
-        return self.scale * dxx, self.scale * dxy, self.scale * dyy
+    def laplacian(self, z):
+        dxx, _, dyy = ch.omega_second(z)
+        return self.scale * dxx + self.scale * dyy
 
 
 class MoebiusSurface:
@@ -94,18 +94,11 @@ class MoebiusSurface:
         a, b = gp.real[..., None], gp.imag[..., None]
         return a * ux + b * uy, -b * ux + a * uy
 
-    def second(self, z):
-        w = self.g.apply(z)
-        ux, uy = self.base.first(w)
-        uxx, uxy, uyy = self.base.second(w)
+    def laplacian(self, z):
+        # g is holomorphic, so the chart Laplacian picks up |g'|^2 alone
         gp = self.g.cderiv(z)
-        gpp = self.g.csecond(z)
-        a, b = gp.real[..., None], gp.imag[..., None]
-        A, B = gpp.real[..., None], gpp.imag[..., None]
-        fxx = A * ux + B * uy + a * (a * uxx + b * uxy) + b * (a * uxy + b * uyy)
-        fxy = -B * ux + A * uy + a * (-b * uxx + a * uxy) + b * (-b * uxy + a * uyy)
-        fyy = -A * ux - B * uy - b * (-b * uxx + a * uxy) + a * (-b * uxy + a * uyy)
-        return fxx, fxy, fyy
+        return (gp.real**2 + gp.imag**2)[..., None] * self.base.laplacian(
+            self.g.apply(z))
 
 
 def bubble(params, q, grid):
@@ -163,10 +156,6 @@ class MoebiusMap:
     def cderiv(self, z):
         den = self.c * self._z(z) + self.d
         return (self.a * self.d - self.b * self.c) / den**2
-
-    def csecond(self, z):
-        den = self.c * self._z(z) + self.d
-        return -2.0 * self.c * (self.a * self.d - self.b * self.c) / den**3
 
 
 def moebius_pullback(u, g):

@@ -4,7 +4,10 @@ The sphere is identified with the compactified plane via the inward conformal
 parametrization ``omega(x, y) = (mu x, mu y, 1 - mu)``, ``mu = 2/(1+|z|^2)``.
 Grids couple Gauss-Legendre nodes in the polar angle with equispaced azimuths;
 weights are stored premultiplied so that ``sum(w_i f_i)`` approximates the
-integral of ``f`` against the spherical measure ``mu^2 dz``.
+integral of ``f`` against the spherical measure ``mu^2 dz``.  Fields carry
+values and first chart derivatives; the one second-order quantity is the
+chart Laplacian ``d_xx + d_yy`` (:func:`laplacian`), through which alone the
+prescribed-curvature system and its linearization see second derivatives.
 
 Nodes with ``|z| <= R_CUT`` are tagged as living in the main chart, the rest
 in the inverted chart reached through ``z -> 1/z`` (complex reciprocal); all
@@ -85,7 +88,7 @@ def identity_defects(z):
     """
     z = np.asarray(z, dtype=float)
     om, mu, dx, dy = omega_mu(z)
-    dxx, dxy, dyy = omega_second(z)
+    dxx, _, dyy = omega_second(z)
     x, y = z[:, 0, None], z[:, 1, None]
     e1, e2, e3 = np.eye(3)
     mu2 = mu[:, None] ** 2
@@ -265,7 +268,7 @@ class SphereField:
     ``values`` has shape ``(N,)`` or ``(N, 3)``; the optional ``dx``/``dy``
     slots hold main-chart derivatives of the same shape.  ``surface`` may
     point to an analytic evaluator (see :mod:`cmc_hyp.bubbles`) used for
-    exact off-grid evaluation and second derivatives.  Treat instances as
+    exact off-grid evaluation and the Laplacian.  Treat instances as
     immutable: arrays are write-locked at construction.
     """
 
@@ -381,19 +384,18 @@ def differentiate(f):
     return SphereField(f.grid, f.values, dx, dy, surface=f.surface)
 
 
-def second_derivatives(f):
-    """Second main-chart derivatives (dxx, dxy, dyy) of a field.
+def laplacian(f):
+    """Main-chart Laplacian ``d_xx + d_yy`` of a field.
 
     Uses the analytic evaluator when available, otherwise differentiates the
-    (possibly spectral) first derivatives once more, symmetrizing the mixed
-    one.
+    (possibly spectral) first derivatives once more.
     """
-    if f.surface is not None and hasattr(f.surface, "second"):
-        return f.surface.second(f.grid.nodes)
+    if f.surface is not None:
+        return f.surface.laplacian(f.grid.nodes)
     g = differentiate(f)
-    dxx, dxy1 = spectral_derivatives(f.grid, g.dx)
-    dyx2, dyy = spectral_derivatives(f.grid, g.dy)
-    return dxx, 0.5 * (dxy1 + dyx2), dyy
+    dxx, _ = spectral_derivatives(f.grid, g.dx)
+    _, dyy = spectral_derivatives(f.grid, g.dy)
+    return dxx + dyy
 
 
 def integrate(f, grid=None):

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .chart import build_grid
 from .errors import NumericsError
 
 # per-axis order of the solid-ball rule shared by the reduced-function layer
@@ -160,27 +161,17 @@ def unit_ball_rule(order):
     """Product quadrature on the closed unit ball in R^3.
 
     Gauss-Legendre in the radius (Jacobian ``r**2`` folded into the weights)
-    and in the polar cosine, equispaced in azimuth.  Returns ``(points,
-    weights)`` with ``sum(w * f(points))`` approximating the plain Lebesgue
-    integral; the rule integrates polynomials of degree ~``2*order`` exactly.
+    times the sphere rule of :func:`~cmc_hyp.chart.build_grid` at the same
+    ``order`` (Gauss-Legendre in the polar cosine, ``2*order`` azimuths).
+    Returns ``(points, weights)`` with ``sum(w * f(points))`` approximating
+    the plain Lebesgue integral; the rule integrates polynomials of degree
+    ~``2*order`` exactly.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    sphere = build_grid(order)
     xr, wr = np.polynomial.legendre.leggauss(order)
     r = 0.5 * (xr + 1.0)
-    wr = 0.5 * wr * r**2
-    xc, wc = np.polynomial.legendre.leggauss(order)
-    naz = 2 * order
-    theta = 2.0 * np.pi * np.arange(naz) / naz
-    waz = 2.0 * np.pi / naz
-    st = np.sqrt(1.0 - xc**2)
-    pts = np.empty((order, order, naz, 3))
-    pts[..., 0] = r[:, None, None] * st[None, :, None] * np.cos(theta)[None, None, :]
-    pts[..., 1] = r[:, None, None] * st[None, :, None] * np.sin(theta)[None, None, :]
-    pts[..., 2] = r[:, None, None] * xc[None, :, None]
-    w = wr[:, None, None] * wc[None, :, None] * waz
-    pts = pts.reshape(-1, 3)
-    w = np.broadcast_to(w, (order, order, naz)).reshape(-1).copy()
+    pts = (r[:, None, None] * sphere.omega).reshape(-1, 3)
+    w = np.outer(0.5 * wr * r**2, sphere.weights).ravel()
     pts.flags.writeable = False
     w.flags.writeable = False
     return pts, w

@@ -82,10 +82,10 @@ def _vector_groups(M, odd, degree):
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
-    The scalar basis (degree ``max(2, n - 6)``) is ``P_{m,j}(s) cos(m theta)``
-    and ``P_{m,j}(s) sin(m theta)``, orthonormal against the sphere measure;
-    the vector basis is the scalar one times the coordinate directions,
-    ordered component-major.  The pack keeps only the normalized profiles
+    The scalar basis (degree ``n - 6``, so ``n >= 8``) is
+    ``P_{m,j}(s) cos(m theta)`` and ``P_{m,j}(s) sin(m theta)``, orthonormal
+    against the sphere measure; the vector basis is the scalar one times the
+    coordinate directions, ordered component-major.  The pack keeps only the normalized profiles
     ``P`` and ``dP/ds`` per order ``m``; :meth:`synthesis` and
     :meth:`analysis` move between modal coefficients and nodal values by one
     profile product per order and an FFT in the azimuth, O(n^3) work where a
@@ -110,10 +110,10 @@ class _ModalPack:
     """
 
     def __init__(self, grid, params):
-        degree = max(2, grid.n - 6)
-        if degree > grid.n - 6:
+        degree = grid.n - 6
+        if degree < 2:
             raise ValueError(
-                f"degree {degree} exceeds what grid n={grid.n} integrates exactly")
+                f"the operator pack needs a grid with n >= 8, got n={grid.n}")
         self.grid = grid
         self.params = params
         self.degree = degree
@@ -465,13 +465,13 @@ def operator_pack(grid, params):
 # strong (collocation) applications, independent of the modal pack
 
 
-def apply_strong(grid, k, values, dx, dy, dxx, dxy, dyy):
-    """Nodal values of ``r^2 J'(U) phi`` from the field's derivative jets."""
+def apply_strong(grid, k, values, dx, dy, lap):
+    """Nodal values of ``r^2 J'(U) phi`` from the field's values, chart
+    derivatives and chart Laplacian."""
     mu, om = grid.mu, grid.omega
     dox, doy = grid.domega_dx, grid.domega_dy
     ok = om[:, 2] + k
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    lap = dxx + dyy
     out = -lap / ok[:, None] ** 2 \
         + (2.0 * mu**2 / ok**3)[:, None] * (x[:, None] * dx + y[:, None] * dy)
     grad3 = dx[:, 2, None] * dox + dy[:, 2, None] * doy
@@ -484,12 +484,11 @@ def apply_strong(grid, k, values, dx, dy, dxx, dxy, dyy):
     return out
 
 
-def apply_strong_scalar(grid, k, eta, dx, dy, dxx, dyy):
+def apply_strong_scalar(grid, k, eta, dx, dy, lap):
     """Nodal values of the scalar normal operator times ``r^2``."""
     mu = grid.mu
     ok = grid.omega[:, 2] + k
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    lap = dxx + dyy
     return -lap / ok**2 + 2.0 * mu**2 / ok**3 * (x * dx + y * dy) \
         - 2.0 * k * mu**2 / ok**3 * eta
 
@@ -503,22 +502,22 @@ def j_residual(u, params, curvature=None, eps=0.0):
 
     ``curvature`` is the spatially varying part (a
     :class:`~cmc_hyp.phi_expr.PrescribedFunction` or plain callable); the
-    total curvature is ``k + eps * curvature``.  Fields sampled from analytic
-    surfaces use exact derivatives, everything else the spectral rule.  The
-    result vanishes (to discretization accuracy) exactly at solutions.
+    total curvature is ``k + eps * curvature``.  The system uses the surface's
+    second derivatives only through its chart Laplacian
+    (:func:`~cmc_hyp.chart.laplacian`): exact on fields sampled from analytic
+    surfaces, spectral on everything else.  The result vanishes (to
+    discretization accuracy) exactly at solutions.
     """
     if not u.is_vector:
         raise ValueError("the residual needs a 3-vector surface field")
     u = ch.differentiate(u)
-    dxx, _, dyy = ch.second_derivatives(u)
     return SphereField(u.grid, _j_nodal(
-        u.values, u.dx, u.dy, dxx + dyy, params, curvature, eps))
+        u.values, u.dx, u.dy, ch.laplacian(u), params, curvature, eps))
 
 
 def _j_nodal(values, dx, dy, lap, params, curvature, eps):
     """Nodal residual of the prescribed-curvature system from a surface's
-    values, chart derivatives ``dx``, ``dy`` and chart Laplacian ``lap``
-    (the operator uses the second derivatives only through their sum)."""
+    values, chart derivatives ``dx``, ``dy`` and chart Laplacian ``lap``."""
     u3 = values[:, 2]
     if not np.all(u3 > 0):
         raise NumericsError("surface left the half-space: min u3 = %g" % u3.min())
@@ -596,16 +595,11 @@ class LinearizedSystem:
 
     def apply_direct(self, f):
         """Strong collocation of ``J'(U_q)`` on a field (independent route)."""
-        grid, k = self.grid, self.params.k
         f = ch.differentiate(f)
-        if f.is_vector:
-            dxx, dxy, dyy = ch.second_derivatives(f)
-            vals = apply_strong(grid, k, f.values, f.dx, f.dy, dxx, dxy, dyy)
-        else:
-            dxx, _ = ch.spectral_derivatives(grid, f.dx)
-            _, dyy = ch.spectral_derivatives(grid, f.dy)
-            vals = apply_strong_scalar(grid, k, f.values, f.dx, f.dy, dxx, dyy)
-        return SphereField(grid, self.scale * vals)
+        strong = apply_strong if f.is_vector else apply_strong_scalar
+        vals = strong(self.grid, self.params.k, f.values, f.dx, f.dy,
+                      ch.laplacian(f))
+        return SphereField(self.grid, self.scale * vals)
 
 
 def assemble_linearized(params, q, grid):
@@ -655,9 +649,8 @@ def tangential_quadratic_form(psi, params):
         raise ValueError(
             f"field is not pointwise orthogonal to omega (defect {defect:.2e})")
     psi = ch.differentiate(psi)
-    dxx, dxy, dyy = ch.second_derivatives(psi)
     strong = apply_strong(grid, params.k, psi.values, psi.dx, psi.dy,
-                          dxx, dxy, dyy)
+                          ch.laplacian(psi))
     form = float(np.sum(grid.weights / grid.mu**2
                         * np.einsum("ij,ij->i", strong, psi.values))) / params.r**2
     s1 = (np.einsum("ij,ij->i", psi.dx, grid.domega_dx)

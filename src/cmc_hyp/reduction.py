@@ -47,11 +47,12 @@ class ReductionState:
     """Converged data of the projected problem at ``(eps, q)``.
 
     ``nu`` is the correction field (exact modal derivatives attached),
-    ``xi``/``alpha`` the generator multipliers; ``residual_norm`` is the sup
-    norm of the projected-equation residual at the nodes and
-    ``constraint_defect`` the worst orthogonality violation.  ``iterations``
-    counts the residual evaluations of the chord loop that produced the
-    state, one more than its saddle solves (1 for a converged warm start).
+    ``xi``/``alpha`` the generator multipliers; ``residual_norm`` is the
+    modal 2-norm of the projected-equation residual, the quantity the chord
+    loop stops on, and ``constraint_defect`` the worst orthogonality
+    violation.  ``iterations`` counts the residual evaluations of the chord
+    loop that produced the state, one more than its saddle solves (1 for a
+    converged warm start).
     """
 
     eps: float
@@ -85,8 +86,7 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
-    sxx, _, syy = U.surface.second(grid.nodes)
-    U_lap = sxx + syy
+    U_lap = U.surface.laplacian(grid.nodes)
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
@@ -101,21 +101,21 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
             F1 = F1 - mj * gen
         rmod = pack.project_vector(F1)
         R2 = pack.frame_modal @ c
-        sup = float(np.max(np.abs(F1)))
-        if not np.isfinite(sup):
+        rnorm = float(np.linalg.norm(rmod))
+        if not np.isfinite(rnorm):
             raise NumericsError(f"non-finite residual at chord step {it}")
-        if np.linalg.norm(rmod) <= tol and np.max(np.abs(R2)) <= tol:
+        if rnorm <= tol and np.max(np.abs(R2)) <= tol:
             break
         dc, dm = pack.saddle_solve(-scale * rmod, -R2)
         c = c + dc
         m = m + dm / scale
     else:
         raise ConvergenceError(
-            f"projected solve stalled at residual {sup:.3e} after {it} steps")
+            f"projected solve stalled at residual {rnorm:.3e} after {it} steps")
 
     return ReductionState(
         eps=eps, q=q, nu=SphereField(grid, *jet), nu_modal=c,
-        xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=sup,
+        xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=rnorm,
         constraint_defect=float(np.max(np.abs(R2))), iterations=it)
 
 
@@ -233,7 +233,6 @@ def _report(state, phi, params, proxy=None):
     u = corrected_surface(state, params)
     res = j_residual(u, params, curvature=phi, eps=state.eps)
     conf, _ = conformality_residual(u)
-    nu1 = ch.differentiate(state.nu)
     rep = {
         "eps": state.eps,
         "q": [state.q.p1, state.q.p2, state.q.p3],
@@ -246,7 +245,7 @@ def _report(state, phi, params, proxy=None):
         "constraint_defect": state.constraint_defect,
         "conformality": conf,
         "c0_distance": float(np.max(np.linalg.norm(state.nu.values, axis=1))),
-        "c1_distance": ch.cm_norm(nu1, 1),
+        "c1_distance": ch.cm_norm(state.nu, 1),
         "nu_tail": operator_pack(grid, params).tail_ratio(state.nu_modal),
         "energy": energy_E(u, params, state.eps, phi),
         "f_value": f_value(phi, params, state.q),

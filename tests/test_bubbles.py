@@ -73,6 +73,22 @@ def test_moebius_pullback_solves(grid24, params2):
     assert np.max(np.abs(res2.values)) < 1e-6
 
 
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("g", [None, bb.MoebiusMap(1.2 * np.exp(0.3j), 0.1,
+                                                   0.1j, 1.0)])
+def test_surface_laplacian_matches_spectral(n, g, params2):
+    # the analytic chart Laplacian of a bubble and of a Moebius pullback,
+    # where |g'| varies over the chart, against the spectral rule on the
+    # same values sampled without the surface
+    grid = ch.build_grid(n)
+    u = bb.bubble(params2, hs.HyperbolicPoint(0.1, -0.2, 1.3), grid)
+    if g is not None:
+        u = bb.moebius_pullback(u, g)
+    exact = ch.laplacian(u)
+    spectral = ch.laplacian(ch.SphereField(grid, u.values))
+    assert np.max(np.abs(exact - spectral)) <= 1e-10 * np.max(np.abs(exact))
+
+
 def test_moebius_pullback_sampled_matches_analytic(grid24, rng):
     g = bb.MoebiusMap(np.exp(0.3j), 0.05, 0.0, 1.0)
     f = ch.random_smooth_field(grid24, rng, vector=False)
