@@ -15,7 +15,8 @@ import numpy as np
 from .chart import build_grid
 from .errors import NumericsError
 
-# per-axis order of the solid-ball rule shared by the reduced-function layer
+# per-axis order of the solid-ball rule: ``ball_quadrature``'s default and
+# the reduced-function layer's lowest order (see melnikov.ball_rule_order)
 BALL_QUAD_ORDER = 16
 
 

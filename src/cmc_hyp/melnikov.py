@@ -12,10 +12,12 @@ and the dilation, so the derivatives of the volume are boundary fluxes:
 ``f_gradient`` integrates values of ``phi`` over the reference boundary
 sphere, and ``f_hessian``, the flux's own derivative, is the exact Hessian
 from one gradient sweep on the same points.  The boundary rule is the chart
-grid ``build_grid(BOUNDARY_GRID_N)``.  All three sample ``phi`` with numpy's
-floating-point warnings off and raise
-:class:`~cmc_hyp.errors.NumericsError` where a sampled value or gradient is
-not finite.
+grid ``build_grid(BOUNDARY_GRID_N)``.  The solid-ball rule of ``f_value``
+takes its order from :func:`ball_rule_order`, which grows towards k = 1.
+Both rules are built once per curvature, and a ball center only rescales
+and translates them.  All three sample ``phi`` with numpy's floating-point
+warnings off and raise :class:`~cmc_hyp.errors.NumericsError` where a
+sampled value or gradient is not finite.
 
 :func:`newton` is the one damped Newton over the ball center, shared by
 :func:`find_critical` and the outer solve of :mod:`~cmc_hyp.reduction`.
@@ -29,6 +31,7 @@ same dual-number walk as any user expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import csv
 
@@ -84,27 +87,68 @@ def phi_radial_gaussian(center):
 # the reduced function and its derivatives
 
 
+def ball_rule_order(k):
+    """Per-axis order of :func:`f_value`'s solid-ball rule at curvature ``k``.
+
+    The pulled-back density ``(p3 + k r)^-3`` is singular at ``p3 = -k r``,
+    so the Gauss rule's error decays as ``rho^(-2 order)`` with
+    ``rho = k + sqrt(k^2 - 1)``.  The order is the smallest multiple of 8 in
+    ``BALL_QUAD_ORDER``...64 whose ``rho^(-2 order)`` is at most that of
+    order 16 at k = 1.5; every ``k >= 1.5`` keeps order 16.
+    """
+    def log_rho(k):
+        return np.log(k + np.sqrt(k * k - 1.0))
+    for order in range(BALL_QUAD_ORDER, 64, 8):
+        if 2 * order * log_rho(k) >= 32 * log_rho(1.5):
+            return order
+    return 64
+
+
+# an entry holds up to 17 MB (order 64)
+@lru_cache(maxsize=4)
+def _reference_ball(r, k):
+    """The reference ball ``|p| <= r`` at curvature ``k``, the part of the
+    solid-ball rule that no ball center changes: its points and the weights
+    times the pulled-back density ``w = (p3 + k r)^-3``, both read-only."""
+    pts, w = unit_ball_rule(ball_rule_order(k))
+    pts, w = r * pts, r**3 * w
+    wd = w * (pts[:, 2] + k * r) ** -3.0
+    pts.flags.writeable = False
+    wd.flags.writeable = False
+    return pts, wd
+
+
 def _ball_rule(params, q):
     """The reference rule for the ball about ``q``: weights times the
     pulled-back density, and the points' images in the ball."""
-    pts, w = unit_ball_rule(BALL_QUAD_ORDER)
-    pts, w = params.r * pts, params.r**3 * w
+    pts, wd = _reference_ball(params.r, params.k)
     kr = params.k * params.r
-    target = q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
-    return w * (pts[:, 2] + kr) ** -3.0, target
+    return wd, q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
+
+
+@lru_cache(maxsize=8)
+def _boundary_rule(r, k):
+    """The reference boundary sphere ``|p| = r`` at curvature ``k``, the
+    part of the flux rule that no ball center changes: the flux weights
+    ``w a dS`` per point ``(N, 3)`` and the dilation field ``p + k r e3``,
+    both read-only."""
+    grid = build_grid(BOUNDARY_GRID_N)
+    om, kr = grid.omega, k * r
+    lift = r * om + np.array([0.0, 0.0, kr])
+    a = np.stack([om[:, 0], om[:, 1], r + kr * om[:, 2]], axis=-1)
+    wa = (r**2 * grid.weights * lift[:, 2] ** -3.0)[:, None] * a
+    wa.flags.writeable = False
+    lift.flags.writeable = False
+    return wa, lift
 
 
 def _flux_rule(params, q):
-    """The reference boundary sphere ``|p| = r`` for the ball about ``q``:
-    the flux weights ``w a dS / q3`` per point ``(N, 3)``, the dilation
-    field ``p + k r e3`` and the points' images on the ball's boundary."""
-    grid = build_grid(BOUNDARY_GRID_N)
-    om, r, kr = grid.omega, params.r, params.k * params.r
-    lift = r * om + np.array([0.0, 0.0, kr])
-    a = np.stack([om[:, 0], om[:, 1], r + kr * om[:, 2]], axis=-1)
-    wa = (r**2 / q.p3 * grid.weights * lift[:, 2] ** -3.0)[:, None] * a
+    """The reference boundary sphere for the ball about ``q``: the flux
+    weights ``w a dS / q3`` per point ``(N, 3)``, the dilation field
+    ``p + k r e3`` and the points' images on the ball's boundary."""
+    wa, lift = _boundary_rule(params.r, params.k)
     target = q.p3 * lift + np.array([q.p1, q.p2, 0.0])
-    return wa, lift, target
+    return wa / q.p3, lift, target
 
 
 def _sample(fn, target, q):
@@ -258,9 +302,9 @@ def find_critical(phi, params, box, seeds=27, rng=None):
 
     :func:`newton` with the exact Hessian :func:`f_hessian` starts from a
     jittered lattice of ``seeds`` points and roams a widened box; converged
-    points in ``box`` are deduplicated by hyperbolic distance and classified
-    through the same Hessian.  An empty list is a valid outcome (no critical
-    point).
+    points in ``box`` are sorted by value, deduplicated by hyperbolic
+    distance, and only the kept ones are classified through the same
+    Hessian.  An empty list is a valid outcome (no critical point).
     """
     box = check_box(box)
     m = check_seeds(seeds)
@@ -279,17 +323,16 @@ def find_critical(phi, params, box, seeds=27, rng=None):
                        seed, 1e-10, lambda qa: _inside(qa, wide))
         if np.linalg.norm(g) > 1e-10 or not _inside(qa, box):
             continue
-        H = f_hessian(phi, params, qa)
-        val = f_value(phi, params, qa)
-        found.append(MelnikovResult(
-            q=HyperbolicPoint.of(qa), value=val, gradient=g, hessian=H,
-            classification=classify_hessian(H, val)))
+        found.append((f_value(phi, params, qa), HyperbolicPoint.of(qa), g))
 
-    found.sort(key=lambda r: (r.value, r.q.p1, r.q.p2, r.q.p3))
+    found.sort(key=lambda f: (f[0], f[1].p1, f[1].p2, f[1].p3))
     unique = []
-    for r in found:
-        if all(dist(r.q, u.q) > 1e-6 for u in unique):
-            unique.append(r)
+    for val, q, g in found:
+        if all(dist(q, u.q) > 1e-6 for u in unique):
+            H = f_hessian(phi, params, q)
+            unique.append(MelnikovResult(
+                q=q, value=val, gradient=g, hessian=H,
+                classification=classify_hessian(H, val)))
     return unique
 
 

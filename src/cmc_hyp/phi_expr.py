@@ -12,7 +12,9 @@ a numpy ufunc (``np.add``, ``np.power``, ``np.exp``, ...).  On plain arrays
 the walk gives values.  On forward-mode :class:`Dual` numbers, whose
 ``__array_ufunc__`` looks each ufunc's partial derivatives up in one rule
 table, the same walk gives gradients, so values and derivatives agree by
-construction.  :func:`phi_to_prescribed` compiles an expression into a
+construction.  ``hypdist`` is one node of the walk: on duals it computes its
+value by the same ufuncs and its gradient in closed form.
+:func:`phi_to_prescribed` compiles an expression into a
 :class:`PrescribedFunction`.
 """
 
@@ -303,7 +305,6 @@ _RULES = {
     np.divide: (lambda a, b, out: 1.0 / b, lambda a, b, out: -out / b),
     # ``a ^ b`` with a dual exponent, as ``exp(b log a)``
     np.power: (lambda a, b, out: out * b / a, lambda a, b, out: out * np.log(a)),
-    np.maximum: (lambda a, b, out: a >= b, lambda a, b, out: a < b),
     np.exp: (lambda a, out: out,),
     np.log: (lambda a, out: 1.0 / a,),
     np.sqrt: (lambda a, out: 0.5 / out,),
@@ -311,7 +312,6 @@ _RULES = {
     np.cos: (lambda a, out: -np.sin(a),),
     np.tanh: (lambda a, out: 1.0 - out * out,),
     np.arctanh: (lambda a, out: 1.0 / (1.0 - a * a),),
-    np.arccosh: (lambda a, out: _arccosh_slope(a),),
 }
 # ``a ^ e`` with an exponent that carries no gradient: ``e a^(e-1)``, which
 # keeps the slope of ``a ^ 0`` at zero wherever ``a`` is
@@ -326,11 +326,28 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 
 
 def hypdist(p1, p2, p3, anchor):
-    """Hyperbolic distance from ``(p1, p2, p3)`` to the point ``anchor``."""
+    """Hyperbolic distance from ``(p1, p2, p3)`` to the point ``anchor``.
+
+    On :class:`Dual` coordinates the value comes from the same ufuncs on the
+    plain values, and the gradient from the closed form
+    ``arccosh'(max(c, 1)) [c >= 1] (d1, d2, d3 - (c - 1) a3) / (p3 a3)``
+    with ``c = 1 + |d|^2 / (2 p3 a3)``, ``d = p - anchor``.
+    """
+    dual = isinstance(p1, Dual)
+    v1, v2, v3 = (p1.v, p2.v, p3.v) if dual else (p1, p2, p3)
     a1, a2, a3 = anchor
-    d1, d2, d3 = p1 - a1, p2 - a2, p3 - a3
-    c = 1.0 + (d1 * d1 + d2 * d2 + d3 * d3) / (2.0 * p3 * a3)
-    return np.arccosh(np.maximum(c, 1.0))
+    d1, d2, d3 = v1 - a1, v2 - a2, v3 - a3
+    t = (d1 * d1 + d2 * d2 + d3 * d3) / (2.0 * v3 * a3)
+    c = 1.0 + t
+    m = np.maximum(c, 1.0)
+    out = np.arccosh(m)
+    if not dual:
+        return out
+    # ``c - 1`` is taken as the quotient ``t``, which keeps its digits where
+    # ``c`` rounds towards 1 near the anchor
+    s = _arccosh_slope(m) * (c >= 1.0) / (v3 * a3)
+    return Dual(out, p1.g * (s * d1) + p2.g * (s * d2)
+                + p3.g * (s * (d3 - t * a3)))
 
 
 def _eval(node, p):

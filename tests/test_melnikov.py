@@ -4,6 +4,7 @@ import pytest
 from cmc_hyp import halfspace as hs
 from cmc_hyp import melnikov as mel
 from cmc_hyp.bubbles import make_params
+from cmc_hyp.chart import build_grid
 from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
@@ -124,6 +125,101 @@ def test_flux_layer_refuses_non_finite_phi(params2):
     for fn in (mel.f_gradient, mel.f_hessian):
         with pytest.raises(NumericsError, match="not finite"):
             fn(phi, params2, q)
+
+
+def _reference_ball_value(phi, params, q, order=96):
+    """``f_value`` by an uncached ``order``-point solid-ball rule, summed one
+    radial shell at a time."""
+    q = HyperbolicPoint.of(q)
+    pts, w = hs.unit_ball_rule.__wrapped__(order)
+    kr = params.k * params.r
+    total = 0.0
+    for P, W in zip(pts.reshape(order, -1, 3), w.reshape(order, -1)):
+        P = params.r * P
+        target = q.p3 * P + np.array([q.p1, q.p2, kr * q.p3])
+        total += np.sum(params.r**3 * W * (P[:, 2] + kr) ** -3.0
+                        * phi.evaluate(target))
+    return total
+
+
+def test_ball_rule_order_resolves_near_k_one():
+    # the 16-point rule misses by 5.7e-4, 7.5e-6 and 1.7e-8 here
+    phi = mel.phi_to_prescribed(DESIGN_BUMPS[0])
+    one = mel.phi_constant(1.0)
+    q = (0.05, 0.0, 1.0)
+    for k in (1.05, 1.1, 1.2):
+        params = make_params(k)
+        ref = _reference_ball_value(phi, params, q)
+        assert abs(mel.f_value(phi, params, q) - ref) <= 1e-10 * abs(ref)
+        vol = hs.hyperbolic_ball_volume(params.rho)
+        assert abs(mel.f_value(one, params, q) - vol) <= 1e-10 * vol
+    orders = [mel.ball_rule_order(k) for k in (1.0001, 1.05, 1.1, 1.2, 1.5,
+                                               2.0, 50.0)]
+    assert orders == [64, 56, 40, 32, 16, 16, 16]
+
+
+def _uncached_flux(phi, params, q):
+    """Gradient and Hessian of the reduced function from the boundary rule
+    built in full for one ball center."""
+    q = HyperbolicPoint.of(q)
+    grid = build_grid(mel.BOUNDARY_GRID_N)
+    om, r, kr = grid.omega, params.r, params.k * params.r
+    lift = r * om + np.array([0.0, 0.0, kr])
+    a = np.stack([om[:, 0], om[:, 1], r + kr * om[:, 2]], axis=-1)
+    wa = (r**2 / q.p3 * grid.weights * lift[:, 2] ** -3.0)[:, None] * a
+    target = q.p3 * lift + np.array([q.p1, q.p2, 0.0])
+    g = phi.evaluate(target) @ wa
+    G = phi.gradient(target)
+    H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
+                        axis=-1)
+    H[:, 2] -= g / q.p3
+    return g, H
+
+
+def _uncached_value(phi, params, q):
+    """``f_value`` with the solid-ball rule built in full for one ball
+    center."""
+    q = HyperbolicPoint.of(q)
+    pts, w = hs.unit_ball_rule(mel.ball_rule_order(params.k))
+    pts, w = params.r * pts, params.r**3 * w
+    kr = params.k * params.r
+    target = q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
+    return float(np.sum(w * (pts[:, 2] + kr) ** -3.0 * phi.evaluate(target)))
+
+
+def test_cached_reference_rules(rng):
+    for rule in (mel._boundary_rule, mel._reference_ball):
+        assert rule.cache_info().maxsize is not None
+    for k in (1.2, 2.0):
+        params = make_params(k)
+        for rule in (mel._boundary_rule, mel._reference_ball):
+            for arr in rule(params.r, params.k):
+                assert not arr.flags.writeable
+        for text in DESIGN_BUMPS:
+            phi = mel.phi_to_prescribed(text)
+            for _ in range(3):
+                q = _random_q(rng)
+                assert mel.f_value(phi, params, q) == \
+                    _uncached_value(phi, params, q)
+                g, H = _uncached_flux(phi, params, q)
+                assert np.linalg.norm(mel.f_gradient(phi, params, q) - g) \
+                    <= 1e-14 * np.linalg.norm(g)
+                assert np.linalg.norm(mel.f_hessian(phi, params, q) - H) \
+                    <= 1e-14 * np.linalg.norm(H)
+
+
+def test_find_critical_classifies_only_kept_points(params2, monkeypatch):
+    calls = []
+    classify = mel.classify_hessian
+
+    def counted(H, value):
+        calls.append(value)
+        return classify(H, value)
+    monkeypatch.setattr(mel, "classify_hessian", counted)
+    phi = mel.phi_radial_gaussian((0.1, -0.05, 1.1))
+    res = mel.find_critical(phi, params2, BOX)
+    assert len(res) == 1
+    assert calls == [r.value for r in res]
 
 
 def test_coordinate_shift_is_affine(params2):

@@ -133,3 +133,47 @@ def test_gradient_batched_shapes():
                                rtol=1e-14, atol=1e-15)
     assert np.array_equal(pe.evaluate_gradient(pe.parse_phi("2"), pts),
                           np.zeros_like(pts))
+
+
+def _composed_hypdist(p1, p2, p3, anchor):
+    a1, a2, a3 = anchor
+    d1, d2, d3 = p1 - a1, p2 - a2, p3 - a3
+    c = 1.0 + (d1 * d1 + d2 * d2 + d3 * d3) / (2.0 * p3 * a3)
+    return np.arccosh(np.maximum(c, 1.0))
+
+
+def test_hypdist_closed_form_slope_matches_the_ufunc_chain(monkeypatch):
+    designs = ("exp(-hypdist(0.1, -0.05, 1.1)^2)",
+               "exp(-hypdist(-0.15, 0.1, 0.9)^2) + 0.03*p2",
+               "exp(-hypdist(0.05, 0.15, 1.25)^2)"
+               " + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)")
+    rng = np.random.default_rng(11)
+    anchor = np.array([0.1, -0.05, 1.1])
+    pts = rng.uniform([-1.0, -1.0, 0.3], [1.0, 1.0, 2.5], (20000, 3))
+    # the anchor itself and points so close to it that c rounds to 1, and
+    # points below the boundary plane, where c < 1
+    pts[:10] = anchor
+    pts[10:110] = anchor * (1.0 + 1e-9 * rng.uniform(-1, 1, (100, 3)))
+    pts[110:160, 2] *= -1.0
+    c = 1.0 + np.sum((pts - anchor) ** 2, axis=-1) / (2.0 * pts[:, 2] * 1.1)
+    assert np.sum(c == 1.0) >= 100 and np.sum(c < 1.0) == 50
+    # the dual's value is the plain value, bit for bit
+    seeds = [pe.Dual(pts[:, i], np.outer(np.eye(3)[i], np.ones(len(pts))))
+             for i in range(3)]
+    assert np.array_equal(pe.hypdist(*seeds, tuple(anchor)).v,
+                          _composed_hypdist(*pts.T, tuple(anchor)))
+    closed = {text: (pe.evaluate(pe.parse_phi(text), pts),
+                     pe.evaluate_gradient(pe.parse_phi(text), pts))
+              for text in designs}
+    # the reference: the composed chain through the dual rule table
+    monkeypatch.setattr(pe, "hypdist", _composed_hypdist)
+    monkeypatch.setitem(pe._RULES, np.maximum,
+                        (lambda a, b, out: a >= b, lambda a, b, out: a < b))
+    monkeypatch.setitem(pe._RULES, np.arccosh,
+                        (lambda a, out: pe._arccosh_slope(a),))
+    for text, (values, grads) in closed.items():
+        tree = pe.parse_phi(text)
+        assert np.array_equal(values, pe.evaluate(tree, pts))
+        ref = pe.evaluate_gradient(tree, pts)
+        assert np.all(np.linalg.norm(grads - ref, axis=-1)
+                      <= 1e-13 * np.linalg.norm(ref, axis=-1))

@@ -81,6 +81,8 @@ points = st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5),
 @example(pe.parse_phi("2^p1 + p3^p1 + p1^0"), (0.3, -0.2, 1.1))
 # the zero slope of ``hypdist`` at its anchor
 @example(pe.parse_phi("exp(-hypdist(0.1,0.2,1.1)^2)"), (0.1, 0.2, 1.1))
+# the closed-form slope of ``hypdist`` under a product
+@example(pe.parse_phi("exp(-hypdist(0.1,0.2,1.1)^2) * p1"), (0.3, 0.25, 0.9))
 def test_dual_gradient_matches_finite_differences(tree, p):
     h = 1e-6
     p = np.array(p)
