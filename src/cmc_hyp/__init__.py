@@ -4,11 +4,10 @@ the explicit solution family, its linearization and spectra, the reduced
 volume functional, and the perturbative solver."""
 
 from .halfspace import (HyperbolicPoint, EuclideanBall, dist, ball_to_euclidean,
-                        translate, translation_compose, translation_inverse,
-                        hyp_gradient, ball_quadrature, hyperbolic_ball_volume)
+                        translate, ball_quadrature, hyperbolic_ball_volume)
 from .chart import (SphereGrid, SphereField, build_grid, omega_mu, integrate,
                     differentiate, project_P, cm_norm, interpolate,
-                    overlap_consistency, omega_field, constant_field)
+                    omega_field, constant_field)
 from .bubbles import (CurvatureParams, make_params, bubble, MoebiusMap,
                       moebius_pullback, TangentFrame, tangent_frame,
                       tangent_project)

@@ -11,8 +11,7 @@ prescribed-curvature system and its linearization see second derivatives.
 
 Nodes with ``|z| <= R_CUT`` are tagged as living in the main chart, the rest
 in the inverted chart reached through ``z -> 1/z`` (complex reciprocal); all
-stored coordinates and derivative slots refer to the main chart, and
-:func:`overlap_consistency` checks the transition on the overlap band.
+stored coordinates and derivative slots refer to the main chart.
 """
 
 from __future__ import annotations
@@ -22,10 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError
-
 R_CUT = 1.5
-OVERLAP_BAND = (1.0 / R_CUT, R_CUT)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +109,6 @@ def identity_defects(z):
     }
 
 
-def invert_chart(z):
-    """Transition ``z -> 1/z`` (complex reciprocal) in real coordinates."""
-    z = np.asarray(z, dtype=float)
-    r2 = z[..., 0] ** 2 + z[..., 1] ** 2
-    return np.stack([z[..., 0] / r2, -z[..., 1] / r2], axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # differentiation matrices
 
@@ -197,10 +186,6 @@ class SphereGrid:
     @property
     def size(self):
         return self.nodes.shape[0]
-
-    def inverted_nodes(self):
-        """Coordinates of every node in the inverted chart."""
-        return invert_chart(self.nodes)
 
     def node_shape(self, values):
         """Reshape a flat per-node array to (ns, ntheta, ...)."""
@@ -507,75 +492,7 @@ def interpolate(f, pts):
 
 
 # ---------------------------------------------------------------------------
-# chart-overlap consistency
-
-
-def overlap_consistency(f):
-    """Worst scaled derivative mismatch across the chart transition.
-
-    For every node in the overlap band the stored main-chart derivatives are
-    compared against a local degree-six least-squares fit carried out in the
-    inverted chart and mapped back through the transition Jacobian.  The
-    mismatch is measured relative to ``mu`` and to the field's C1 scale, so
-    the returned number is dimensionless; values above ~1e-3 indicate a grid
-    too coarse for the sampled function.
-    """
-    if not f.has_derivatives:
-        raise ValueError("field has no derivative slots to check")
-    grid = f.grid
-    lo, hi = OVERLAP_BAND
-    rr = np.repeat(grid.rho, grid.ntheta)
-    band = np.where((rr >= lo) & (rr <= hi))[0]
-    if band.size == 0:
-        return 0.0
-    vals = f.values if f.is_vector else f.values[:, None]
-    dxs = f.dx if f.is_vector else f.dx[:, None]
-    dys = f.dy if f.is_vector else f.dy[:, None]
-    grad_scale = np.sqrt(np.sum(dxs**2, axis=-1) + np.sum(dys**2, axis=-1))
-    scale = max(np.max(np.abs(vals)), np.max(grad_scale / grid.mu), 1e-300)
-    winv = grid.inverted_nodes()
-    powers = [(a, b) for tot in range(7) for a in range(tot + 1)
-              for b in (tot - a,)]
-    worst = 0.0
-    offsets = range(-3, 4)
-    for idx in band:
-        i, j = divmod(int(idx), grid.ntheta)
-        ii = [i + a for a in offsets if 0 <= i + a < grid.ns]
-        jj = [(j + b) % grid.ntheta for b in offsets]
-        sel = np.array([a * grid.ntheta + b for a in ii for b in jj])
-        w = winv[sel] - winv[idx]
-        h = max(np.max(np.abs(w)), 1e-300)
-        u, v = w[:, 0] / h, w[:, 1] / h
-        basis = np.stack([u**a * v**b for a, b in powers], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, vals[sel], rcond=None)
-        iu = powers.index((1, 0))
-        iv = powers.index((0, 1))
-        gw = np.stack([coef[iu] / h, coef[iv] / h], axis=0)   # (2, d)
-        x, y = grid.nodes[idx]
-        r2 = x * x + y * y
-        j11 = (y * y - x * x) / r2**2
-        j12 = -2.0 * x * y / r2**2
-        # d/dx = j11 * d/dw1 + (-j12) * d/dw2 ; d/dy = j12 * d/dw1 + j11 * d/dw2
-        fit_dx = j11 * gw[0] - j12 * gw[1]
-        fit_dy = j12 * gw[0] + j11 * gw[1]
-        mism = np.sqrt(np.sum((fit_dx - dxs[idx]) ** 2)
-                       + np.sum((fit_dy - dys[idx]) ** 2))
-        worst = max(worst, mism / (grid.mu[idx] * scale))
-    return worst
-
-
-def check_overlap(f):
-    """Raise :class:`NumericsError` when the overlap mismatch exceeds 1e-3."""
-    mism = overlap_consistency(f)
-    if mism > 1e-3:
-        raise NumericsError(
-            f"chart-overlap derivative mismatch {mism:.3e} exceeds 0.001; "
-            "the grid is too coarse for this field")
-    return mism
-
-
-# ---------------------------------------------------------------------------
-# export / import
+# export
 
 
 def field_to_csv(f, path):
@@ -598,27 +515,6 @@ def field_to_csv(f, path):
             header.append(f"dy{c}")
     data = np.stack(cols, axis=1)
     np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
-
-def field_from_csv(path, grid):
-    """Read a field written by :func:`field_to_csv` back onto ``grid``."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    nodes = np.stack([data["x"], data["y"]], axis=1)
-    if nodes.shape[0] != grid.size or not np.allclose(nodes, grid.nodes, atol=1e-12):
-        raise ValueError("CSV nodes do not match the target grid")
-    vcols = sorted(n for n in data.dtype.names if n.startswith("v"))
-    vals = np.stack([data[c] for c in vcols], axis=1)
-    if vals.shape[1] == 1:
-        vals = vals[:, 0]
-    dx = dy = None
-    if any(n.startswith("dx") for n in data.dtype.names):
-        dxc = sorted(n for n in data.dtype.names if n.startswith("dx"))
-        dyc = sorted(n for n in data.dtype.names if n.startswith("dy"))
-        dx = np.stack([data[c] for c in dxc], axis=1)
-        dy = np.stack([data[c] for c in dyc], axis=1)
-        if vals.ndim == 1:
-            dx, dy = dx[:, 0], dy[:, 0]
-    return SphereField(grid, vals, dx, dy)
 
 
 # ---------------------------------------------------------------------------

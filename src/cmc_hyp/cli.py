@@ -41,13 +41,6 @@ TOLERANCES = {
     "quad_area_tol": 1e-10,
 }
 
-# Largest frame-reconstruction residual of a resolved kernel certificate.
-KERNEL_FRAME_RESIDUAL = 1e-6
-
-# Largest relative error of the triple eigenvalue 2k in a resolved normal
-# spectrum (the acceptance bound on the coarser of its grids).
-SPECTRUM_TRIPLE_REL = 1e-3
-
 # The inputs each command cannot run without: config key -> flag.
 REQUIRED = {
     "melnikov": {"box": "--box", "phi_source": "--phi"},
@@ -244,15 +237,7 @@ def _cmd_spectrum(cfg, out):
     rep = spectrum_normal(params, grid, count=cfg.count)
     doc = rep.to_json()
     _write_json(out / "spectrum.json", doc)
-    doc["low_eigenvalue"] = float(rep.eigenvalues[0])
-    doc["triple_at_2k_error"] = float(
-        np.max(np.abs(rep.eigenvalues[1:4] - 2.0 * cfg.k)))
-    doc["gap_after_triple"] = float(rep.eigenvalues[4] - 2.0 * cfg.k)
-    # the continuum spectrum starts 0, 2k (x3); a split triple or a far one
-    # means the grid does not resolve the operator at this k
-    doc["resolved"] = (rep.multiplicities[:2] == [1, 3]
-                       and doc["triple_at_2k_error"] / (2.0 * cfg.k)
-                       <= SPECTRUM_TRIPLE_REL)
+    doc.update(rep.verdict())
     return doc, doc["resolved"]
 
 
@@ -263,12 +248,7 @@ def _cmd_kernel(cfg, out):
     rep = kernel(system, gap_factor=cfg.tol("kernel_gap_factor"))
     doc = rep.to_json()
     _write_json(out / "kernel.json", doc)
-    resid = rep.frame_residual(system)
-    doc["frame_reconstruction_residual"] = resid
-    # the nine generators are exact kernel elements of the continuum
-    # operator, so a smaller kernel, or one that misses the frame, means the
-    # grid does not resolve the operator at this k, never a degeneracy
-    doc["resolved"] = rep.dimension >= 9 and resid <= KERNEL_FRAME_RESIDUAL
+    doc.update(rep.verdict(system))
     return doc, doc["resolved"]
 
 
@@ -303,10 +283,7 @@ def _cmd_solve(cfg, out):
             ch.field_to_csv(surface, out / f"surface_{rep['eps']:g}.csv")
         steps.append(rep)
     ok = all(r.get("status") == "ok" for r in steps)
-    doc = {"steps": steps, "all_converged": ok}
-    if not ok:
-        raise ConvergenceError("continuation halted; see summary steps")
-    return doc, ok
+    return {"steps": steps, "all_converged": ok}, ok
 
 
 def _cmd_energy_curve(cfg, out):

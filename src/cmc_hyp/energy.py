@@ -60,24 +60,6 @@ def build_Q(K, anchor=1.0):
     return evaluator
 
 
-def divergence_defect(Q, K, rng=None):
-    """Worst relative finite-difference defect of ``div Q = p3^-3 K``."""
-    rng = rng or np.random.default_rng(0)
-    n, h = 100, 1e-5
-    pts = np.stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n),
-                    rng.uniform(0.5, 2.0, n)], axis=-1)
-    worst = 0.0
-    for p in pts:
-        div = 0.0
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            div += (Q(p + e)[j] - Q(p - e)[j]) / (2 * h)
-        target = K.evaluate(p) / p[2] ** 3
-        worst = max(worst, abs(div - target) / max(1.0, abs(target)))
-    return worst
-
-
 def volume_V(K, u):
     """Weighted volume ``int Q_K(u) . (d_x u ^ d_y u) dz`` of a surface field.
 
@@ -135,13 +117,6 @@ def conformality_residual(u):
     b = -np.einsum("ij,ij->i", u.dx, u.dy) / u3**2
     sup = float(np.max(np.hypot(a, b)))
     return sup, (ch.SphereField(u.grid, a), ch.SphereField(u.grid, b))
-
-
-def branch_point_suspects(u):
-    """Node indices where ``|d_x u|`` collapses relative to the field scale."""
-    u = ch.differentiate(u)
-    mag = np.linalg.norm(u.dx, axis=1)
-    return np.where(mag < 1e-8 * max(np.max(mag), 1e-300))[0]
 
 
 def horosphere_energy(k, t):

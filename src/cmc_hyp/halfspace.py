@@ -63,11 +63,6 @@ class EuclideanBall:
     def center_array(self):
         return np.array(self.center)
 
-    def contains(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        d = np.linalg.norm(pts - self.center_array, axis=-1)
-        return d <= self.radius
-
 
 def _as_array(p):
     if isinstance(p, HyperbolicPoint):
@@ -118,32 +113,6 @@ def translate(x, q):
         return HyperbolicPoint.of(qa[2] * x.array + shift)
     xa = np.asarray(x, dtype=float)
     return qa[2] * xa + shift
-
-
-def translation_compose(outer, inner):
-    """Parameter of the composition ``translate(., outer) o translate(., inner)``."""
-    oa, ia = _as_array(HyperbolicPoint.of(outer)), _as_array(HyperbolicPoint.of(inner))
-    return HyperbolicPoint(
-        oa[2] * ia[0] + oa[0], oa[2] * ia[1] + oa[1], oa[2] * ia[2]
-    )
-
-
-def translation_inverse(q):
-    """Parameter of the inverse translation."""
-    qa = _as_array(HyperbolicPoint.of(q))
-    return HyperbolicPoint(-qa[0] / qa[2], -qa[1] / qa[2], 1.0 / qa[2])
-
-
-def hyp_gradient(grad, p):
-    """Hyperbolic gradient ``p3**2 * grad`` at ``p``.
-
-    ``grad`` is the Euclidean gradient of the scalar field at ``p``, either as
-    a 3-vector or as a callable evaluated at ``p``.  The two gradients vanish
-    simultaneously.
-    """
-    pa = _as_array(p)
-    g = np.asarray(grad(pa) if callable(grad) else grad, dtype=float)
-    return pa[..., 2, None] ** 2 * g if g.ndim > 1 else pa[2] ** 2 * g
 
 
 def box_lattice(box, count, interior=False):

@@ -38,6 +38,14 @@ from .halfspace import HyperbolicPoint
 
 # singular-value ratio that declares a numerical kernel
 KERNEL_GAP_FACTOR = 100.0
+# largest frame-reconstruction residual of a resolved kernel certificate
+KERNEL_FRAME_RESIDUAL = 1e-6
+# largest |lambda_0| of a resolved normal spectrum, relative to the larger of
+# 1 and its top computed eigenvalue
+SPECTRUM_LOW_REL = 1e-8
+# largest relative error of the triple eigenvalue 2k in a resolved normal
+# spectrum (the acceptance bound on the coarser of its grids)
+SPECTRUM_TRIPLE_REL = 1e-3
 # LAPACK's real LU back-substitution, called by _ModalPack.saddle_solve
 _GETRS, = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
 
@@ -571,19 +579,6 @@ class LinearizedSystem:
             out[rows] += Q @ (H @ (Q.T @ c[rows]))
         return self.scale * out
 
-    def selfadjoint_defect(self, rng=None):
-        """Worst asymmetry of the modal form on random normalized vectors."""
-        rng = rng or np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(10):
-            a = rng.standard_normal(self.size)
-            b = rng.standard_normal(self.size)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            Aa, Ab = self.apply_modal(np.stack([a, b], axis=1)).T
-            worst = max(worst, abs(a @ Ab - b @ Aa))
-        return worst
-
     def form(self, f, g):
         """The bilinear form ``integral J'(U_q) f . g dz`` via collocation."""
         jf = self.apply_direct(f)
@@ -695,6 +690,24 @@ class SpectrumReport:
             "orders": self.orders,
         }
 
+    def verdict(self):
+        """The certificate's numbers and whether they pass: the continuum
+        spectrum starts ``0, 2k (x3)``, so a lowest eigenvalue off zero, a
+        split triple or a far one means the grid does not resolve the
+        operator at this k."""
+        lam, two_k = self.eigenvalues, 2.0 * self.k
+        low = float(lam[0])
+        triple = float(np.max(np.abs(lam[1:4] - two_k)))
+        return {
+            "low_eigenvalue": low,
+            "triple_at_2k_error": triple,
+            "gap_after_triple": float(lam[4] - two_k),
+            "resolved": bool(
+                abs(low) <= SPECTRUM_LOW_REL * max(1.0, lam[-1])
+                and self.multiplicities[:2] == [1, 3]
+                and triple / two_k <= SPECTRUM_TRIPLE_REL),
+        }
+
 
 def spectrum_normal(params, grid, count=8):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
@@ -774,6 +787,17 @@ class KernelReport:
         coef = np.linalg.lstsq(B, fm, rcond=None)[0]
         return float(np.max(np.linalg.norm(fm - B @ coef, axis=0)
                             / np.linalg.norm(fm, axis=0)))
+
+    def verdict(self, system):
+        """The certificate's frame residual and whether it passes: the nine
+        generators are exact kernel elements of the continuum operator and
+        span its kernel, so a smaller kernel, or one that misses the frame,
+        means the grid does not resolve the operator at this k, and a
+        larger one would be a degeneracy."""
+        resid = self.frame_residual(system)
+        return {"frame_reconstruction_residual": resid,
+                "resolved": self.dimension == 9
+                and resid <= KERNEL_FRAME_RESIDUAL}
 
 
 def kernel(system, gap_factor=KERNEL_GAP_FACTOR):

@@ -406,26 +406,6 @@ class PrescribedFunction:
     descriptor: str = ""
     constant_value: float | None = None
 
-    def validate_gradient(self, rng=None):
-        """Worst relative finite-difference defect of the gradient."""
-        rng = rng or np.random.default_rng(0)
-        probes = np.stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20),
-                           rng.uniform(0.5, 2.0, 20)], axis=-1)
-        worst = 0.0
-        for p in probes:
-            g = np.asarray(self.gradient(p), dtype=float)
-            fd = np.empty(3)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = 1e-6 * max(1.0, abs(p[j]))
-                fd[j] = (self.evaluate(p + e) - self.evaluate(p - e)) / (2 * e[j])
-            scale = max(np.linalg.norm(g), 1.0)
-            worst = max(worst, float(np.linalg.norm(g - fd) / scale))
-        if worst > 1e-6:
-            raise ValueError(
-                f"gradient disagrees with finite differences by {worst:.2e}")
-        return worst
-
 
 def phi_to_prescribed(text, probe_box=None):
     """Compile an expression into a prescribed function with its gradient.

@@ -9,6 +9,20 @@ from cmc_hyp import build_grid, make_params
 settings.register_profile("ci", derandomize=True)
 
 
+def selfadjoint_defect(system, rng):
+    """Worst asymmetry of the system's modal form on random normalized
+    vectors."""
+    worst = 0.0
+    for _ in range(10):
+        a = rng.standard_normal(system.size)
+        b = rng.standard_normal(system.size)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        Aa, Ab = system.apply_modal(np.stack([a, b], axis=1)).T
+        worst = max(worst, abs(a @ Ab - b @ Aa))
+    return worst
+
+
 @pytest.fixture(scope="session")
 def grid16():
     return build_grid(16)

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import selfadjoint_defect
 
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
@@ -100,7 +101,7 @@ def test_criterion_05_split_consistency():
         min_form = min(min_form, qf.form_value)
         worst_form = max(worst_form, abs(qf.difference)
                          / max(abs(qf.explicit_value), 1.0))
-    sa = system.selfadjoint_defect(np.random.default_rng(6))
+    sa = selfadjoint_defect(system, np.random.default_rng(6))
     assert worst_split <= 1e-6
     assert sa <= 1e-8
     assert min_form >= -1e-8

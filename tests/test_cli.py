@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from cmc_hyp import reduction
 from cmc_hyp.cli import main
+from cmc_hyp.errors import ConvergenceError
 
 BOX = "-0.4,0.4,-0.4,0.4,0.6,1.6"
 BUMP = "exp(-hypdist(0,0,1)^2)"
@@ -94,6 +96,30 @@ def test_solve_command_and_artifacts(tmp_path):
     assert (out / "surface_0.005.csv").exists()
     q = doc["result"]["steps"][0]["q"]
     assert np.linalg.norm(np.array(q) - [0, 0, 1]) < 0.05
+
+
+def test_halted_solve_keeps_its_steps(tmp_path, monkeypatch):
+    solve_at = reduction._solve_at
+
+    def fail_after_first(eps, *args, **kwargs):
+        if eps != 0.01:
+            raise ConvergenceError("forced failure")
+        return solve_at(eps, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_solve_at", fail_after_first)
+    out = tmp_path / "halt"
+    rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
+               "--eps", "0.01,0.005", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    doc = read_summary(out)
+    assert doc["status"] == "failed_checks"
+    assert doc["result"]["all_converged"] is False
+    first, second = doc["result"]["steps"]
+    assert first["status"] == "ok" and first["eps"] == 0.01
+    assert second["status"] == "failed" and second["eps"] == 0.005
+    assert second["error"] == "forced failure" and second["hint"]
+    assert sorted(f.name for f in out.glob("surface_*.csv")) == \
+        ["surface_0.01.csv"]
 
 
 def test_solve_refuses_without_critical_point(tmp_path):

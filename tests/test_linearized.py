@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import selfadjoint_defect
 from hypothesis import given, settings, strategies as st
 
 from cmc_hyp import bubbles as bb
@@ -55,7 +58,7 @@ def test_linearization_kills_frame(sys16, grid16, params2):
 
 
 def test_selfadjointness(sys16, grid16, rng):
-    assert sys16.selfadjoint_defect(rng) < 1e-12
+    assert selfadjoint_defect(sys16, rng) < 1e-12
     a = ch.random_smooth_field(grid16, rng)
     b = ch.random_smooth_field(grid16, rng)
     defect = abs(sys16.form(a, b) - sys16.form(b, a))
@@ -225,6 +228,30 @@ def test_kernel_refinement(params2):
         g = ch.build_grid(n)
         system = lin.assemble_linearized(params2, Q0, g)
         assert lin.kernel(system).dimension == 9
+
+
+def test_spectrum_verdict_needs_a_zero_eigenvalue(grid16, params2):
+    # the same report with lambda_0 = 1e-3 keeps its clusters and its triple
+    rep = lin.spectrum_normal(params2, grid16, count=8)
+    assert rep.verdict()["resolved"] is True
+    lam = rep.eigenvalues.copy()
+    lam[0] = 1e-3
+    off = replace(rep, eigenvalues=lam).verdict()
+    assert off["low_eigenvalue"] == 1e-3
+    assert off["triple_at_2k_error"] == rep.verdict()["triple_at_2k_error"]
+    assert off["resolved"] is False
+
+
+def test_kernel_verdict_needs_exactly_nine(grid16, sys16):
+    # a tenth direction still reconstructs the frame, but it is a degeneracy
+    rep = lin.kernel(sys16)
+    assert rep.verdict(sys16)["resolved"] is True
+    extra = ch.random_smooth_field(grid16, np.random.default_rng(0))
+    wide = replace(rep, dimension=10, basis=rep.basis + [extra],
+                   orders=rep.orders + [0])
+    verdict = wide.verdict(sys16)
+    assert verdict["frame_reconstruction_residual"] <= 1e-6
+    assert verdict["resolved"] is False
 
 
 def test_solve_orthogonal(grid24, params2, rng):
