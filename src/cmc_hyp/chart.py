@@ -9,9 +9,10 @@ values and first chart derivatives; the one second-order quantity is the
 chart Laplacian ``d_xx + d_yy`` (:func:`laplacian`), through which alone the
 prescribed-curvature system and its linearization see second derivatives.
 
-Nodes with ``|z| <= R_CUT`` are tagged as living in the main chart, the rest
-in the inverted chart reached through ``z -> 1/z`` (complex reciprocal); all
-stored coordinates and derivative slots refer to the main chart.
+All stored coordinates and derivative slots refer to the one chart above;
+no computation changes chart.  Each node carries a ``chart_tag``, 0 for
+``|z| <= R_CUT`` and 1 beyond, which only labels the rows of the field CSV
+(:func:`field_to_csv`).
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ class SphereGrid:
 
     ``nodes`` holds main-chart coordinates, ``weights`` the premultiplied
     quadrature weights (their sum is the sphere area ``4 pi``), ``chart_tag``
-    is 0 on the main chart and 1 on the inverted one.  The polar direction
+    is 0 for ``|z| <= R_CUT`` and 1 beyond, a label of the field CSV's
+    rows that no computation reads.  The polar direction
     carries ``n`` Gauss-Legendre nodes in ``cos(s)``, the azimuth ``ntheta``
     equispaced nodes; ``Dleg`` differentiates polynomials sampled at the
     ``cos(s)`` nodes, which the spectral rules combine with the azimuthal FFT.

@@ -4,9 +4,10 @@ One process runs one command; every run writes ``summary.json`` into the
 output directory with the fully resolved configuration (including the
 defaulted tolerances in :data:`TOLERANCES`) echoed back, so identical
 configurations produce byte-identical summaries.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 no critical point in the search
-box.  An unknown config key, a value of the wrong type or a missing required
-input (see :data:`REQUIRED`) is a configuration error.
+2 configuration error, 3 numeric failure or failed checks (an unresolved
+certificate or solve step), 4 no critical point in the search box.  An
+unknown config key, a value of the wrong type or a missing required input
+(see :data:`REQUIRED`) is a configuration error.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from . import chart as ch
 from . import melnikov as mel
 from .bubbles import make_params, tangent_frame
 from .energy import energy_curve, horosphere_energy
-from .errors import (AmbiguousKernelError, ConvergenceError,
-                     NoCriticalPointError, NumericsError)
+from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import (KERNEL_GAP_FACTOR, assemble_linearized, kernel,
                          spectrum_normal)
@@ -282,8 +282,9 @@ def _cmd_solve(cfg, out):
         if surface is not None:
             ch.field_to_csv(surface, out / f"surface_{rep['eps']:g}.csv")
         steps.append(rep)
-    ok = all(r.get("status") == "ok" for r in steps)
-    return {"steps": steps, "all_converged": ok}, ok
+    converged = all(r.get("status") == "ok" for r in steps)
+    return ({"steps": steps, "all_converged": converged},
+            converged and all(r["resolved"] for r in steps))
 
 
 def _cmd_energy_curve(cfg, out):
@@ -368,8 +369,8 @@ def main(argv=None):
         _write_json(out / "summary.json", summary)
         print(f"no critical point: {exc}")
         return 4
-    except (NumericsError, ConvergenceError, AmbiguousKernelError,
-            np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+    except (NumericsError, np.linalg.LinAlgError, FloatingPointError,
+            ValueError) as exc:
         summary.update(status="numeric_failure", error_class="numeric_failure",
                        error=str(exc))
         _write_json(out / "summary.json", summary)

@@ -87,34 +87,45 @@ def _vector_groups(M, odd, degree):
     return groups
 
 
+def _sum_into(dst, src, vals, a):
+    """``out[dst] += vals * a[src]`` over the nonzeros of a square map, ``a``
+    a vector or a matrix of column vectors."""
+    out = np.zeros(np.shape(a))
+    np.add.at(out, dst, vals.reshape((-1,) + (1,) * (out.ndim - 1)) * a[src])
+    return out
+
+
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
     The scalar basis (degree ``n - 6``, so ``n >= 8``) is
     ``P_{m,j}(s) cos(m theta)`` and ``P_{m,j}(s) sin(m theta)``, orthonormal
     against the sphere measure; the vector basis is the scalar one times the
-    coordinate directions, ordered component-major.  The pack keeps only the normalized profiles
-    ``P`` and ``dP/ds`` per order ``m``; :meth:`synthesis` and
-    :meth:`analysis` move between modal coefficients and nodal values by one
-    profile product per order and an FFT in the azimuth, O(n^3) work where a
-    nodal table of the basis would cost O(n^4).
+    coordinate directions, ordered component-major.  The pack keeps only
+    the normalized profiles ``P`` and ``dP/ds`` per order ``m``;
+    :meth:`synthesis` and :meth:`analysis` move between modal coefficients
+    and nodal values by one profile product per order and an FFT in the
+    azimuth, O(n^3) work where a nodal table of the basis would cost O(n^4).
 
     The operators are held as real blocks.  The base sphere is invariant
     under rotations about the z-axis and under ``y -> -y``, so the vector
     operator splits by total azimuthal order ``|M|`` and parity
     (``vector_blocks``) and the scalar normal pencil by order ``m`` and
-    cos/sin (``scalar_blocks``).  The Gram weights depend on the polar angle
-    alone and every integrand is a rotation-invariant density, so each
-    block is assembled from the polar nodes at the single azimuth
-    ``theta = 0`` (``meridian``, :func:`~cmc_hyp.chart.with_azimuths` with
-    one azimuth), each weighted by its whole ring; no dense operator or
-    nodal table of the basis is formed.
+    cos/sin (``scalar_blocks``); the two parities of an order share one
+    matrix, held once with the ranges it acts on.  The orthogonal map from
+    modal coefficients to the vector blocks' coordinates is held once, as
+    its nonzeros (:meth:`to_blocks`, :meth:`from_blocks`).  The Gram
+    weights depend on the polar angle alone and every integrand is a
+    rotation-invariant density, so each block is assembled from the polar
+    nodes at the single azimuth ``theta = 0`` (``meridian``,
+    :func:`~cmc_hyp.chart.with_azimuths` with one azimuth), each weighted by
+    its whole ring; no dense operator or nodal table of the basis is formed.
     The blocks, the tangent frame (the one shared copy), its modal
     tables and the corrector's per-block saddle factorizations are built on
     first use.  :func:`_pack` keeps one pack: every command and solve works
-    at a single ``(n, k)``.  At n = 48 a pack holds about 15 MB after a
-    certificate and a solve: 10 MB of vector blocks, 2.2 MB of saddle
-    factors and 1.4 MB of profiles.
+    at a single ``(n, k)``.  At n = 48 a pack holds about 9 MB after a
+    certificate and a solve: 2.1 MB of vector blocks and their map, 2.1 MB
+    of saddle factors, 2.1 MB of tangent frame and 1.4 MB of profiles.
     """
 
     def __init__(self, grid, params):
@@ -186,37 +197,48 @@ class _ModalPack:
 
     @cached_property
     def vector_blocks(self):
-        """``{(|M|, parity): (rows, Q, H)}``: the weak matrix of ``r^2 J'(U)``
-        on the real vector modes of total azimuthal order ``|M|``, even
-        (parity 0) or odd under ``y -> -y``.  ``Q`` holds the block's
-        orthonormal columns on the modal ``rows`` they touch: ``e3 Y`` for a
-        scalar mode ``Y`` of order ``M``, ``e1 Y`` or ``e2 Y`` for ``Y`` of
-        order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2`` for the cos/sin
-        pair ``(Y, Y')`` of order ``M -+ 1``.  For
-        ``M > 0`` the rotation by ``pi / 2M`` takes the even columns onto the
-        odd ones, so the two parities share one matrix."""
+        """``(blocks, coords)``: each entry ``(M, H, spans)`` of ``blocks``
+        is the weak matrix ``H`` of ``r^2 J'(U)`` on the real vector modes of
+        total azimuthal order ``M`` and the ranges of block coordinates it
+        acts on, which follow each other: for ``M > 0`` even, then odd under
+        ``y -> -y`` (the rotation by ``pi / 2M`` takes one onto the other),
+        and one entry per parity for ``M = 0``.  The block columns are
+        ``e3 Y`` for a scalar mode ``Y`` of order ``M``, ``e1 Y`` or ``e2 Y``
+        for ``Y`` of order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2``
+        for the cos/sin pair ``(Y, Y')`` of order ``M -+ 1``;
+        ``coords = (rows, cols, vals)`` holds the nonzeros of this
+        orthogonal map from modal coefficients to block coordinates."""
         nm, deg = self.nmodes, self.degree
-        blocks = {}
+        blocks, rows, cols, vals, at = [], [], [], [], 0
         for M in range(deg + 2):
             for odd in (0, 1):
                 groups = _vector_groups(M, odd, deg)
                 size = sum(deg - m + 1 for m, _ in groups)
-                rows, Q, start = [], [], 0
+                if not (odd and M):
+                    blocks.append((M, self._vector_gram(M, groups, size), []))
+                blocks[-1][2].append(slice(at, at + size))
                 for m, d in groups:
                     J = deg - m + 1
                     for comp in range(3):
                         for sin, coef in enumerate((d[comp].real,
                                                     -d[comp].imag)):
                             if coef and (m or not sin):   # sin 0 theta = 0
-                                rows.append(comp * nm + self._index(m, sin))
-                                Q.append(coef * np.eye(J, size, start))
-                    start += J
-                if odd and M:
-                    H = blocks[(M, 0)][2]
-                else:
-                    H = self._vector_gram(M, groups, size)
-                blocks[(M, odd)] = (np.concatenate(rows), np.vstack(Q), H)
-        return blocks
+                                rows.append(at + np.arange(J))
+                                cols.append(comp * nm + self._index(m, sin))
+                                vals.append(np.full(J, coef))
+                    at += J
+        coords = tuple(np.concatenate(a) for a in (rows, cols, vals))
+        return blocks, coords
+
+    def to_blocks(self, c):
+        """Block coordinates of modal vector coefficients (or columns)."""
+        rows, cols, vals = self.vector_blocks[1]
+        return _sum_into(rows, cols, vals, c)
+
+    def from_blocks(self, x):
+        """Modal vector coefficients of block coordinates (or columns)."""
+        rows, cols, vals = self.vector_blocks[1]
+        return _sum_into(cols, rows, vals, x)
 
     def _vector_gram(self, M, groups, size):
         """One vector block's matrix, the sum of five terms
@@ -271,12 +293,12 @@ class _ModalPack:
 
     @cached_property
     def scalar_blocks(self):
-        """``{(m, sin?): (rows, K, B)}``: the scalar normal pencil (stiffness
-        ``K`` and the ``(omega3+k)^-3`` weighted mass ``B``) on the scalar
-        modes of order ``m``, cos or sin, found at the modal ``rows``.  The
-        cos and sin blocks of one order are rotations of each other and
-        share their matrices."""
-        mer, blocks = self.meridian, {}
+        """``[(m, K, B, spans)]``: the scalar normal pencil (stiffness ``K``
+        and the ``(omega3+k)^-3`` weighted mass ``B``) on the scalar modes of
+        order ``m``, with the ranges of modal indices it acts on: the cos
+        modes, then for ``m > 0`` the sin modes, which are their rotations
+        by ``pi / 2m``."""
+        mer, blocks, at = self.meridian, [], 0
         w, mu = mer.weights, mer.mu
         ok = mer.omega[:, 2] + self.params.k
         C2 = w / (mu**2 * ok**2)
@@ -284,8 +306,11 @@ class _ModalPack:
             p0, px, py = self._meridian_modes(m)
             K = self._meridian_gram(m, ((px, C2, 1.0), (py, C2, 1.0)))
             B = self._meridian_gram(m, ((p0, w / ok**3, 1.0),))
-            for odd in (0, 1) if m else (0,):
-                blocks[(m, odd)] = (self._index(m, odd), K, B)
+            J = self.degree - m + 1
+            spans = [slice(at + i * J, at + (i + 1) * J)
+                     for i in range(2 if m else 1)]     # sin 0 theta = 0
+            blocks.append((m, K, B, spans))
+            at = spans[-1].stop
         return blocks
 
     @cached_property
@@ -309,55 +334,37 @@ class _ModalPack:
     @cached_property
     def saddle_factors(self):
         """The corrector's saddle matrix ``[[H, -F^T], [F, 0]]`` (``F`` the
-        nine frame rows) factorized block by block, as ``(T, entries)``.
+        nine frame rows) factorized block by block, as entries
+        ``(span, lu, gens)``, each on a range ``span`` of block coordinates.
 
-        ``T = (rows, cols, vals)`` holds the nonzeros of the orthogonal map
-        from modal coefficients to the blocks' coordinates, concatenated in
-        entry order; each row has one or two.  Each entry
-        ``(keys, lu, gens)`` factorizes one or two blocks.  Every frame
-        generator lies in one vector block (to 1e-12 relative, or
-        :class:`NumericsError` is raised), which is bordered by its own
-        generators ``gens``; the two parities of an order without generators
-        share one unbordered factorization and are solved together."""
-        F, blocks = self.frame_modal, self.vector_blocks
-        coords = {key: Q.T @ F[:, rows].T
-                  for key, (rows, Q, _) in blocks.items()}
-        norms = {key: np.sum(Y**2, axis=0) for key, Y in coords.items()}
-        owner = []
-        for g in range(F.shape[0]):
-            key = max(norms, key=lambda b: norms[b][g])
-            off = sum(v[g] for b, v in norms.items() if b != key)
-            if off > 1e-24 * norms[key][g]:
+        Every frame generator lies in one range of ``vector_blocks`` (to
+        1e-12 relative, or :class:`NumericsError` is raised), which is
+        bordered by its own generators ``gens``; the parity ranges of a
+        block without generators share one unbordered factorization and are
+        solved together."""
+        Y, blocks = self.to_blocks(self.frame_modal.T), self.vector_blocks[0]
+        starts = np.array([s.start for _, _, ss in blocks for s in ss])
+        norms = np.add.reduceat(Y**2, starts)
+        main = np.argmax(norms, axis=0)
+        for g, b in enumerate(main):
+            off = np.sum(np.delete(norms[:, g], b))
+            if off > 1e-24 * norms[b, g]:
                 raise NumericsError(
                     f"frame generator {g} spreads over several operator "
-                    f"blocks ({np.sqrt(off / norms[key][g]):.1e} relative "
+                    f"blocks ({np.sqrt(off / norms[b, g]):.1e} relative "
                     "off its main one)")
-            owner.append(key)
-        entries = []
-        for M in range(self.degree + 2):
-            keys = [(M, 0), (M, 1)]
-            if M and not set(keys) & set(owner):
-                entries.append((keys, sla.lu_factor(blocks[keys[0]][2]), []))
+        owner, entries = starts[main], []
+        for _, H, ss in blocks:
+            gens = [np.flatnonzero(owner == s.start).tolist() for s in ss]
+            if not any(gens):
+                entries.append((slice(ss[0].start, ss[-1].stop),
+                                sla.lu_factor(H), []))
                 continue
-            for key in keys:
-                gens = [g for g, b in enumerate(owner) if b == key]
-                H, Y = blocks[key][2], coords[key][:, gens]
-                size = H.shape[0]
-                KKT = np.zeros((size + len(gens),) * 2)
-                KKT[:size, :size] = H
-                KKT[:size, size:] = -Y
-                KKT[size:, :size] = Y.T
-                entries.append(([key], sla.lu_factor(KKT), gens))
-        rows, cols, vals, start = [], [], [], 0
-        for key in (key for keys, _, _ in entries for key in keys):
-            modal, Q, _ = blocks[key]
-            i, j = np.nonzero(Q)
-            rows.append(start + j)
-            cols.append(modal[i])
-            vals.append(Q[i, j])
-            start += Q.shape[1]
-        T = tuple(np.concatenate(a) for a in (rows, cols, vals))
-        return T, entries
+            for s, gs in zip(ss, gens):
+                KKT = np.block([[H, -Y[s, gs]],
+                                [Y[s, gs].T, np.zeros((len(gs),) * 2)]])
+                entries.append((s, sla.lu_factor(KKT), gs))
+        return entries
 
     def saddle_solve(self, r, s):
         """``(c, m)`` with ``H c - F^T m = r`` and ``F c = s``, ``H`` the
@@ -366,24 +373,20 @@ class _ModalPack:
         of LAPACK ``getrs`` on the entry's LU factors (the same arithmetic
         as ``scipy.linalg.lu_solve``, without its per-call argument
         checks, which cost more than the solves at these sizes)."""
-        (rows, cols, vals), entries = self.saddle_factors
-        x = np.bincount(rows, vals * r[cols], minlength=r.size)
+        x = self.to_blocks(r)
         m = np.zeros(len(s))
-        start = 0
-        for keys, lu, gens in entries:
+        for span, lu, gens in self.saddle_factors:
             size = lu[0].shape[0] - len(gens)
-            stop = start + len(keys) * size
-            rhs = x[start:stop].reshape(len(keys), size).T
+            rhs = x[span].reshape(-1, size).T
             if gens:
                 rhs = np.concatenate([rhs, s[gens, None]])
             sol, info = _GETRS(*lu, rhs)
             if info:
                 raise ValueError(f"getrs: illegal argument {-info}")
-            x[start:stop] = sol[:size].T.ravel()
+            x[span] = sol[:size].T.ravel()
             if gens:
                 m[gens] = sol[size:, 0]
-            start = stop
-        return np.bincount(cols, vals * x[rows], minlength=r.size), m
+        return self.from_blocks(x), m
 
     # -- transforms between modal coefficients and nodal values --------------
 
@@ -574,10 +577,11 @@ class LinearizedSystem:
     def apply_modal(self, c):
         """The Galerkin matrix times modal coefficients ``c``, a vector or
         a matrix of column vectors, applied one block at a time."""
-        out = np.zeros(np.shape(c))
-        for rows, Q, H in self.pack.vector_blocks.values():
-            out[rows] += Q @ (H @ (Q.T @ c[rows]))
-        return self.scale * out
+        x = self.pack.to_blocks(c)
+        for _, H, spans in self.pack.vector_blocks[0]:
+            for s in spans:
+                x[s] = H @ x[s]
+        return self.scale * self.pack.from_blocks(x)
 
     def form(self, f, g):
         """The bilinear form ``integral J'(U_q) f . g dz`` via collocation."""
@@ -723,17 +727,16 @@ def spectrum_normal(params, grid, count=8):
     pack = operator_pack(grid, params)
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
-    pairs, solved = [], {}
-    for (m, _), (_, K, B) in pack.scalar_blocks.items():
-        if m not in solved:             # the cos and sin blocks share K, B
-            top = min(count, K.shape[0])
-            vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
-            solved[m] = []
-            for lam, v in zip(vals, vecs.T):
-                Bv = B @ v
-                solved[m].append((lam, m, np.linalg.norm(K @ v - lam * Bv)
-                                  / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
-        pairs += solved[m]
+    pairs = []
+    for m, K, B, spans in pack.scalar_blocks:
+        top = min(count, K.shape[0])
+        vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
+        solved = []
+        for lam, v in zip(vals, vecs.T):
+            Bv = B @ v
+            solved.append((lam, m, np.linalg.norm(K @ v - lam * Bv)
+                           / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
+        pairs += solved * len(spans)
     pairs.sort(key=lambda p: p[0])
     vals, orders, res = (np.array(c) for c in zip(*pairs[:count]))
     if np.any(res > 1e-7):
@@ -806,25 +809,21 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     The singular values of the (symmetric) modal matrix, the union of its
     block spectra, are scanned in ascending order; the kernel dimension is
     declared at the largest ratio jump within the smallest sixteen, which
-    must reach ``gap_factor``, otherwise :class:`AmbiguousKernelError` is
-    raised.  A ratio's denominator is at least the roundoff level of its
-    own block's largest singular value, since blocks of different sizes
-    leave exact zeros at different roundoff levels (down to 1e-31 for the
-    rotation about the z-axis).  The floor is per block because the blocks'
-    scales differ by many decades towards k = 1: at k = 1.01, n = 128 the
-    ``(omega3 + k)^-3`` weight puts the largest singular value at 5.9e16,
-    and one floor for the whole operator would lie above the whole jump
-    from the kernel to the range.  The returned nodal basis is orthonormal
-    in the mass inner product: the in-window block eigenvectors, labelled by
-    block order.
+    must reach ``gap_factor`` (the report's ``gap`` is that ratio),
+    otherwise :class:`AmbiguousKernelError` is raised.  A ratio's
+    denominator is at least the roundoff level of its own block's largest
+    singular value: blocks leave exact zeros at different roundoff levels
+    (down to 1e-31 for the rotation about the z-axis), and their scales
+    differ by many decades towards k = 1 (at k = 1.01, n = 128 the largest
+    singular value is 5.9e16), so one floor for the whole operator would
+    lie above the whole jump from the kernel to the range.  The returned
+    nodal basis is orthonormal in the mass inner product: the in-window
+    block eigenvectors, once per parity range, labelled by block order.
     """
-    pack = system.pack
-    blocks, eigs, solved = pack.vector_blocks, {}, {}
-    for key, (_, _, H) in blocks.items():
-        if id(H) not in solved:     # the parities of an order M > 0 share H
-            solved[id(H)] = sla.eigh(system.scale * H)
-        eigs[key] = solved[id(H)]
-    sigma = [np.abs(w) for w, _ in eigs.values()]
+    pack, (blocks, _) = system.pack, system.pack.vector_blocks
+    eigs = [sla.eigh(system.scale * H) for _, H, _ in blocks]
+    sigma = [np.abs(w) for (_, _, spans), (w, _) in zip(blocks, eigs)
+             for _ in spans]
     floored = np.concatenate(
         [np.maximum(v, np.finfo(float).eps * v.max()) for v in sigma])
     sigma = np.concatenate(sigma)
@@ -838,17 +837,17 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     dim = split + 1
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
     basis, orders = [], []
-    for key, (vals, vecs) in eigs.items():
-        rows, Q, _ = blocks[key]
-        for v in vecs[:, np.abs(vals) <= cut].T:
-            c = np.zeros(system.size)
-            c[rows] = Q @ v
-            basis.append(SphereField(system.grid, pack.nodal_vector(c)))
-            orders.append(key[0])
+    for (M, _, spans), (vals, vecs) in zip(blocks, eigs):
+        for s in spans:
+            for v in vecs[:, np.abs(vals) <= cut].T:
+                x = np.zeros(system.size)
+                x[s] = v
+                basis.append(SphereField(
+                    system.grid, pack.nodal_vector(pack.from_blocks(x))))
+                orders.append(M)
     if len(basis) != dim:
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
-    return KernelReport(dimension=dim, basis=basis,
-                        gap=float(sigma[dim] / sigma[dim - 1]),
+    return KernelReport(dimension=dim, basis=basis, gap=float(ratios[split]),
                         singular_values=sigma, orders=orders)
 
 

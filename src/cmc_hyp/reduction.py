@@ -40,6 +40,10 @@ from .melnikov import f_hessian, f_value, find_critical, newton
 
 # target of the 2-norm of the corrector's modal projected-equation residual
 NEWTON_RESIDUAL = 1e-9
+# largest sup of the curvature residual and of the multipliers xi, alpha in
+# a resolved solve step, and its largest conformality residual
+SOLVE_RESIDUAL = 1e-8
+SOLVE_CONFORMALITY = 1e-6
 
 
 @dataclass
@@ -244,7 +248,7 @@ def _report(state, phi, params, proxy=None):
         "projected_residual": state.residual_norm,
         "constraint_defect": state.constraint_defect,
         "conformality": conf,
-        "c0_distance": float(np.max(np.linalg.norm(state.nu.values, axis=1))),
+        "c0_distance": ch.cm_norm(state.nu, 0),
         "c1_distance": ch.cm_norm(state.nu, 1),
         "nu_tail": operator_pack(grid, params).tail_ratio(state.nu_modal),
         "energy": energy_E(u, params, state.eps, phi),
@@ -252,6 +256,9 @@ def _report(state, phi, params, proxy=None):
         "side1": verify_side1(u, res, state.eps),
         "iterations": state.iterations,
     }
+    rep["resolved"] = bool(
+        max(rep["residual_sup"], rep["xi_sup"], rep["alpha_sup"])
+        <= SOLVE_RESIDUAL and conf <= SOLVE_CONFORMALITY)
     if proxy is not None:
         rep["stability_proxy"] = proxy
     return u, rep
@@ -277,7 +284,11 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
     line maps to its dedicated exit code); ``rng`` jitters the search seeds.
     The solve at each ``eps`` is warm-started from the previous one.  Stops
     at the first failure, keeping every completed report with the corrected
-    surface's diagnostics.
+    surface's diagnostics.  A step's ``status`` says whether its solve
+    converged, its ``resolved`` whether the grid resolves the solution: the
+    sup of the curvature residual and of the multipliers at most
+    :data:`SOLVE_RESIDUAL`, the conformality residual at most
+    :data:`SOLVE_CONFORMALITY`.
     """
     eps_schedule = check_schedule(eps_schedule)
     crits = find_critical(phi, params, box, seeds=seeds, rng=rng)

@@ -221,6 +221,7 @@ def test_criterion_09_end_to_end():
         assert r["residual_sup"] <= 1e-8
         assert r["xi_sup"] <= 1e-8 and r["alpha_sup"] <= 1e-8
         assert r["conformality"] <= 1e-6
+        assert r["resolved"]
         dq = np.linalg.norm(np.array(r["q"]) - np.array([0, 0, 1]))
         assert dq <= 5 * abs(r["eps"])
         ratios.append(r["c0_distance"] / abs(r["eps"]))

@@ -54,7 +54,8 @@ def test_kernel_resolution_verdict(tmp_path):
     assert doc["status"] == "failed_checks"
     assert doc["result"]["resolved"] is False
     assert doc["result"]["dimension"] == 6
-    assert doc["result"]["gap"] > 1e7
+    # the tested ratio, 8.8e6: four decades above the gap factor
+    assert doc["result"]["gap"] > 1e6
     assert doc["result"]["frame_reconstruction_residual"] > 1e-6
 
 
@@ -92,6 +93,7 @@ def test_solve_command_and_artifacts(tmp_path):
     assert rc == 0
     doc = read_summary(out)
     assert doc["result"]["all_converged"]
+    assert all(step["resolved"] for step in doc["result"]["steps"])
     assert (out / "surface_0.01.csv").exists()
     assert (out / "surface_0.005.csv").exists()
     q = doc["result"]["steps"][0]["q"]
@@ -120,6 +122,24 @@ def test_halted_solve_keeps_its_steps(tmp_path, monkeypatch):
     assert second["error"] == "forced failure" and second["hint"]
     assert sorted(f.name for f in out.glob("surface_*.csv")) == \
         ["surface_0.01.csv"]
+
+
+def test_unresolved_solve_fails_its_checks(tmp_path):
+    # a tilt plus a narrow bump: the corrector converges at n = 24, but the
+    # grid does not resolve the solution (residual_sup near 6e-4 and 3e-4)
+    out = tmp_path / "sharp"
+    rc = main(["solve", "--k", "2", "--grid-n", "24", "--phi",
+               "0.02*p1 + exp(-(hypdist(-0.2,0,0.85)/0.1)^2)",
+               "--eps", "0.01,0.005", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    doc = read_summary(out)
+    assert doc["status"] == "failed_checks"
+    assert doc["result"]["all_converged"] is True
+    for step in doc["result"]["steps"]:
+        assert step["status"] == "ok" and step["resolved"] is False
+        assert step["residual_sup"] > 1e-8
+    assert sorted(f.name for f in out.glob("surface_*.csv")) == \
+        ["surface_0.005.csv", "surface_0.01.csv"]
 
 
 def test_solve_refuses_without_critical_point(tmp_path):

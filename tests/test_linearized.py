@@ -10,7 +10,7 @@ from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
 from cmc_hyp import linearized as lin
 from cmc_hyp import phi_expr, reduction
-from cmc_hyp.errors import NumericsError
+from cmc_hyp.errors import AmbiguousKernelError, NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
 Q0 = HyperbolicPoint(0, 0, 1)
@@ -223,6 +223,15 @@ def test_kernel(grid16, params2, sys16):
     assert np.max(np.abs(gram - np.eye(9))) < 1e-10
 
 
+def test_kernel_gap_is_the_tested_ratio(sys16):
+    # the reported gap is the ratio compared with gap_factor: the kernel
+    # certifies at its own gap and refuses just above it
+    rep = lin.kernel(sys16)
+    assert lin.kernel(sys16, gap_factor=rep.gap).dimension == 9
+    with pytest.raises(AmbiguousKernelError):
+        lin.kernel(sys16, gap_factor=rep.gap * (1 + 1e-12))
+
+
 def test_kernel_refinement(params2):
     for n in (16, 32):
         g = ch.build_grid(n)
@@ -423,7 +432,8 @@ def test_blocks_match_dense_reference(n, k):
     top = np.max(np.abs(H))
     assert np.max(np.abs(_block_matrix(pack) - H)) <= 1e-13 * top
     union = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(A) for *_, A in pack.vector_blocks.values()]))
+        [np.linalg.eigvalsh(A) for _, A, spans in pack.vector_blocks[0]
+         for _ in spans]))
     vals, vecs = sla.eigh(H)
     assert np.max(np.abs(union - vals)) <= 1e-13 * top
     # the kernel reconstructs the frame to roundoff, or as well as the
@@ -444,32 +454,38 @@ def test_blocks_match_ring_quadrature(n, k):
     # one azimuth with whole-ring weights against the exact ring rule
     pack = lin._ModalPack(ch.build_grid(n), bb.make_params(k))
     vector, scalar = _ring_blocks(pack)
-    assert vector.keys() == pack.vector_blocks.keys()
-    assert scalar.keys() == pack.scalar_blocks.keys()
+    # each parity range of a held block, in layout order: (M, even), (M, odd)
+    held_vector = [(M, H) for M, H, spans in pack.vector_blocks[0]
+                   for _ in spans]
+    held_scalar = [(m, (K, B)) for m, K, B, spans in pack.scalar_blocks
+                   for _ in spans]
+    assert [M for M, _ in held_vector] == [M for M, _ in vector]
+    assert [m for m, _ in held_scalar] == [m for m, _ in scalar]
     top = max(np.max(np.abs(H)) for H in vector.values())
-    for key, (_, _, H) in pack.vector_blocks.items():
+    for key, (_, H) in zip(vector, held_vector):
         assert np.max(np.abs(H - vector[key])) <= 1e-13 * top, key
     for i in (0, 1):
         top = max(np.max(np.abs(pencil[i])) for pencil in scalar.values())
-        for key, (_, *pencil) in pack.scalar_blocks.items():
+        for key, (_, pencil) in zip(scalar, held_scalar):
             diff = np.max(np.abs(pencil[i] - scalar[key][i]))
             assert diff <= 1e-13 * top, (key, i)
 
 
-def _held_shapes(*objects):
-    """Shapes of every array held in the objects' fields, looking into
-    dicts, lists and tuples."""
-    def arrays(value):
-        if isinstance(value, dict):
-            value = list(value.values())
-        if isinstance(value, (list, tuple)):
-            for v in value:
-                yield from arrays(v)
-        elif hasattr(value, "shape"):
-            yield value
+def _arrays(value):
+    """Every array held in a value, looking into dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _arrays(v)
+    elif hasattr(value, "shape"):
+        yield value
 
+
+def _held_shapes(*objects):
+    """Shapes of every array held in the objects' fields."""
     return [a.shape for obj in objects for v in vars(obj).values()
-            for a in arrays(v)]
+            for a in _arrays(v)]
 
 
 def _forbid_modal_products(monkeypatch):
@@ -509,6 +525,21 @@ def test_solves_never_form_the_dense_operator(grid24, params2, rng,
     assert not dense_shapes.intersection(_held_shapes(pack, system, state))
 
 
+def test_vector_blocks_hold_square_matrices(grid24, params2):
+    # the map between modal coefficients and block coordinates is held once,
+    # as index data of its nonzeros, not as a coordinate matrix per block
+    lin._pack.cache_clear()
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    lin.kernel(system)
+    phi = phi_expr.phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
+    reduction.correct(0.01, HyperbolicPoint(0.05, 0.0, 1.0), phi, params2,
+                      grid24)
+    held = list(_arrays(system.pack.vector_blocks))
+    assert all(a.shape[0] == a.shape[1] for a in held if a.ndim == 2)
+    index = sum(a.size for a in held if a.ndim == 1)
+    assert index <= 3 * 2 * (3 * system.pack.nmodes)
+
+
 def test_mode_labels(grid24, params2):
     spec = lin.spectrum_normal(params2, grid24, count=8)
     ev, orders = spec.eigenvalues, spec.orders
@@ -530,7 +561,8 @@ def test_cluster_orders_ascend(n, k):
     # labels must not follow it, and each must label one of its eigenvalues
     params, grid = bb.make_params(k), ch.build_grid(n)
     spec = lin.spectrum_normal(params, grid, count=8)
-    blocks = lin.operator_pack(grid, params).scalar_blocks
+    pencils = {m: (K, B)
+               for m, K, B, _ in lin.operator_pack(grid, params).scalar_blocks}
     start = 0
     for mult in spec.multiplicities:
         orders = spec.orders[start:start + mult]
@@ -538,7 +570,7 @@ def test_cluster_orders_ascend(n, k):
         lo, hi = spec.eigenvalues[[start, start + mult - 1]]
         tol = 1e-12 * max(1.0, abs(hi))
         for m in orders:
-            ev = sla.eigh(*blocks[(m, 0)][1:], eigvals_only=True)
+            ev = sla.eigh(*pencils[m], eigvals_only=True)
             assert np.any((ev >= lo - tol) & (ev <= hi + tol)), (lo, m)
         start += mult
 
