@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +26,15 @@ from .bubbles import make_params, tangent_frame
 from .energy import energy_curve, horosphere_energy
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
-from .linearized import (KERNEL_GAP_FACTOR, assemble_linearized, kernel,
-                         spectrum_normal)
+from .linearized import (KERNEL_GAP_FACTOR, PACK_MIN_N, assemble_linearized,
+                         kernel, spectrum_normal)
 from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
 COMMANDS = ("verify", "spectrum", "kernel", "melnikov", "solve",
             "energy-curve", "obstruction")
+# the commands that build the operator pack, and so need its smallest grid
+PACK_COMMANDS = ("spectrum", "kernel", "solve")
 
 # The tolerances a config document may override, with their defaults; each
 # one is passed down to the computation that uses it.
@@ -73,8 +76,9 @@ class JobConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.k > 1:
             raise ValueError("k must exceed 1")
-        if self.grid_n < 4:
-            raise ValueError("grid_n must be at least 4")
+        floor = PACK_MIN_N if self.command in PACK_COMMANDS else 4
+        if self.grid_n < floor:
+            raise ValueError(f"{self.command} needs grid_n >= {floor}")
         if self.box is not None:
             mel.check_box(self.box)
         mel.check_seeds(self.seeds)
@@ -88,7 +92,9 @@ class JobConfig:
         if unknown:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
 
+    @cached_property
     def phi(self):
+        """The prescribed function, compiled (and probed) once per run."""
         return phi_to_prescribed(self.phi_source, probe_box=self.box)
 
     def echo(self):
@@ -254,7 +260,7 @@ def _cmd_kernel(cfg, out):
 
 def _cmd_melnikov(cfg, out):
     params = make_params(cfg.k)
-    phi = cfg.phi()
+    phi = cfg.phi
     rows = mel.scan_to_csv(phi, params, cfg.box, out / "scan.csv",
                            lattice=max(cfg.lattice, 4))
     crits = mel.find_critical(phi, params, cfg.box, seeds=cfg.seeds,
@@ -272,8 +278,7 @@ def _cmd_melnikov(cfg, out):
 def _cmd_solve(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    phi = cfg.phi()
-    reports = continuation(cfg.eps_schedule, phi, params, cfg.box, grid,
+    reports = continuation(cfg.eps_schedule, cfg.phi, params, cfg.box, grid,
                            seeds=cfg.seeds,
                            rng=np.random.default_rng(cfg.seed))
     steps = []
@@ -306,8 +311,8 @@ def _cmd_energy_curve(cfg, out):
 
 def _cmd_obstruction(cfg, out):
     params = make_params(cfg.k)
-    phi = cfg.phi()
-    rep = mel.monotone_obstruction(phi, params, cfg.box, lattice=cfg.lattice,
+    rep = mel.monotone_obstruction(cfg.phi, params, cfg.box,
+                                   lattice=cfg.lattice,
                                    margin=cfg.tol("obstruction_margin"))
     return rep, True
 
@@ -348,7 +353,7 @@ def main(argv=None):
     try:
         cfg = load_config(args)
         if cfg.phi_source is not None:
-            cfg.phi()   # surface syntax errors as config errors
+            cfg.phi     # surface syntax errors as config errors
     except (ValueError, OSError, KeyError) as exc:  # phi syntax, JSON too
         print(f"configuration error: {exc}")
         return 2

@@ -46,6 +46,8 @@ SPECTRUM_LOW_REL = 1e-8
 # largest relative error of the triple eigenvalue 2k in a resolved normal
 # spectrum (the acceptance bound on the coarser of its grids)
 SPECTRUM_TRIPLE_REL = 1e-3
+# smallest grid of the operator pack, whose scalar basis has degree n - 6 >= 2
+PACK_MIN_N = 8
 # LAPACK's real LU back-substitution, called by _ModalPack.saddle_solve
 _GETRS, = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
 
@@ -89,16 +91,21 @@ def _vector_groups(M, odd, degree):
 
 def _sum_into(dst, src, vals, a):
     """``out[dst] += vals * a[src]`` over the nonzeros of a square map, ``a``
-    a vector or a matrix of column vectors."""
+    a vector or a matrix of column vectors, summed one column at a time
+    (``np.add.at`` is four times slower on a 2-D target)."""
     out = np.zeros(np.shape(a))
-    np.add.at(out, dst, vals.reshape((-1,) + (1,) * (out.ndim - 1)) * a[src])
+    if out.ndim == 1:
+        np.add.at(out, dst, vals * a[src])
+    else:
+        for j in range(out.shape[1]):
+            np.add.at(out[:, j], dst, vals * a[src, j])
     return out
 
 
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
-    The scalar basis (degree ``n - 6``, so ``n >= 8``) is
+    The scalar basis (degree ``n - 6``, so ``n >=`` :data:`PACK_MIN_N`) is
     ``P_{m,j}(s) cos(m theta)`` and ``P_{m,j}(s) sin(m theta)``, orthonormal
     against the sphere measure; the vector basis is the scalar one times the
     coordinate directions, ordered component-major.  The pack keeps only
@@ -129,10 +136,10 @@ class _ModalPack:
     """
 
     def __init__(self, grid, params):
+        if grid.n < PACK_MIN_N:
+            raise ValueError(f"the operator pack needs a grid with "
+                             f"n >= {PACK_MIN_N}, got n={grid.n}")
         degree = grid.n - 6
-        if degree < 2:
-            raise ValueError(
-                f"the operator pack needs a grid with n >= 8, got n={grid.n}")
         self.grid = grid
         self.params = params
         self.degree = degree

@@ -20,7 +20,9 @@ surface solves the full prescribed-curvature problem.  The outer solve is
 :func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``;
 each of its gradient evaluations is one ``correct``, and the state it reports
 is the one computed at the accepted point, so a report's ``iterations`` are
-the chord-loop passes of that call.
+the chord-loop passes of that call.  A step's surface ``U_q + nu`` and
+``residual_sup`` come from the corrector's last chord pass (exact modal
+Laplacian); the spectral ``j_residual`` route is a test cross-check.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .chart import SphereField
 from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
-from .linearized import _j_nodal, j_residual, operator_pack
+from .linearized import _j_nodal, operator_pack
 from .melnikov import f_hessian, f_value, find_critical, newton
 
 # target of the 2-norm of the corrector's modal projected-equation residual
@@ -51,17 +53,22 @@ class ReductionState:
     """Converged data of the projected problem at ``(eps, q)``.
 
     ``nu`` is the correction field (exact modal derivatives attached),
-    ``xi``/``alpha`` the generator multipliers; ``residual_norm`` is the
-    modal 2-norm of the projected-equation residual, the quantity the chord
-    loop stops on, and ``constraint_defect`` the worst orthogonality
-    violation.  ``iterations`` counts the residual evaluations of the chord
-    loop that produced the state, one more than its saddle solves (1 for a
-    converged warm start).
+    ``surface`` (with chart derivatives) and ``residual`` the corrected
+    surface ``U_q + nu`` and its nodal curvature residual from the chord
+    loop's last pass, ``xi``/``alpha`` the generator multipliers;
+    ``residual_norm`` is the modal 2-norm of the projected-equation
+    residual, the quantity the chord loop stops on, and
+    ``constraint_defect`` the worst orthogonality violation.
+    ``iterations`` counts the residual evaluations of the chord loop that
+    produced the state, one more than its saddle solves (1 for a converged
+    warm start).
     """
 
     eps: float
     q: HyperbolicPoint
     nu: SphereField
+    surface: SphereField
+    residual: SphereField
     nu_modal: np.ndarray
     xi: np.ndarray
     alpha: np.ndarray
@@ -86,7 +93,6 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
     pack.saddle_factors
-    gens = pack.frame.generators()
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
@@ -97,13 +103,11 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
 
     for it in range(1, 61):
         nv, ndx, ndy = jet = pack.nodal_vector_jet(c)
+        u = (U.values + nv, U.dx + ndx, U.dy + ndy)
         lap = U_lap + pack.nodal_vector_laplacian(c)
-        J = _j_nodal(U.values + nv, U.dx + ndx, U.dy + ndy, lap, params, phi,
-                     eps)
-        F1 = J / mu2
-        for mj, gen in zip(m, gens):
-            F1 = F1 - mj * gen
-        rmod = pack.project_vector(F1)
+        J = _j_nodal(*u, lap, params, phi, eps)
+        # the generators' projections are the pack's frame_modal rows
+        rmod = pack.project_vector(J / mu2) - pack.frame_modal.T @ m
         R2 = pack.frame_modal @ c
         rnorm = float(np.linalg.norm(rmod))
         if not np.isfinite(rnorm):
@@ -118,17 +122,10 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
             f"projected solve stalled at residual {rnorm:.3e} after {it} steps")
 
     return ReductionState(
-        eps=eps, q=q, nu=SphereField(grid, *jet), nu_modal=c,
-        xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=rnorm,
+        eps=eps, q=q, nu=SphereField(grid, *jet),
+        surface=SphereField(grid, *u), residual=SphereField(grid, J),
+        nu_modal=c, xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=rnorm,
         constraint_defect=float(np.max(np.abs(R2))), iterations=it)
-
-
-def corrected_surface(state, params):
-    """The surface ``U_q + nu`` as a field with first-derivative slots."""
-    grid = state.nu.grid
-    U = bubble(params, state.q, grid)
-    return SphereField(grid, U.values + state.nu.values,
-                       U.dx + state.nu.dx, U.dy + state.nu.dy)
 
 
 def constant_matrices(params):
@@ -149,13 +146,6 @@ def constant_matrices(params):
     return M, Theta
 
 
-def _correction_flows(grid, nu):
-    """The six reparametrization flows of the correction field."""
-    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    return [cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
-            for a, b, _, _, cf in flow_coefficients(x, y)]
-
-
 def reduced_gradient(state, params):
     """Gradient of the reduced energy at the state's base point, the
     constant-matrix expression ``(M xi + Theta alpha) / (2 c0)`` in the
@@ -166,22 +156,19 @@ def reduced_gradient(state, params):
 
 def interaction_matrix(state, params):
     """The 6 x 6 interaction matrix ``A_eps`` of the correction's flows with
-    the frame; it contracts to zero with ``eps``."""
-    grid = state.nu.grid
+    the frame, their tau parts less their gamma parts times ``Theta^-1 M``;
+    it contracts to zero with ``eps``."""
+    nu, grid = state.nu, state.nu.grid
     M, Theta = constant_matrices(params)
     frame = operator_pack(grid, params).frame
-    sigma = np.linalg.solve(Theta, M)   # 3 x 6
-    flows = _correction_flows(grid, state.nu)
-    w = grid.weights
-    om = grid.omega
-    A = np.empty((6, 6))
-    for j, fl in enumerate(flows):
-        fo = np.einsum("ij,ij->i", fl, om)
-        for h in range(6):
-            A[j, h] = np.sum(w * np.einsum("ij,ij->i", frame.tau[h].values, fl))
-            A[j, h] -= sum(sigma[ell, h] * np.sum(w * frame.gamma[:, ell] * fo)
-                           for ell in range(3))
-    return A
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    flows = grid.weights[:, None] * np.array(
+        [cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
+         for a, b, _, _, cf in flow_coefficients(x, y)])
+    tau = np.stack([t.values for t in frame.tau])
+    A = np.einsum("jnc,hnc->jh", flows, tau)
+    normal = np.einsum("jnc,nc->jn", flows, grid.omega)
+    return A - normal @ frame.gamma @ np.linalg.solve(Theta, M)
 
 
 def verify_side1(u, res, eps):
@@ -233,9 +220,7 @@ def _solve_at(eps, phi, params, grid, q_start, warm=None):
 
 
 def _report(state, phi, params, proxy=None):
-    grid = state.nu.grid
-    u = corrected_surface(state, params)
-    res = j_residual(u, params, curvature=phi, eps=state.eps)
+    grid, u, res = state.nu.grid, state.surface, state.residual
     conf, _ = conformality_residual(u)
     rep = {
         "eps": state.eps,

@@ -257,6 +257,24 @@ def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys, doc,
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command,n", [
+    ("kernel", 6), ("spectrum", 7), ("solve", 7)])
+def test_grid_below_the_pack_floor_is_config_error(tmp_path, capsys, command,
+                                                   n):
+    # the commands that build the operator pack need n >= 8; verify and
+    # energy-curve keep the chart's n >= 4
+    out = tmp_path / command
+    extra = (["--phi", BUMP, "--eps", "0.01", "--box=" + BOX]
+             if command == "solve" else [])
+    assert main([command, "--k", "2", "--grid-n", str(n), *extra,
+                 "--out", str(out)]) == 2
+    assert "grid_n >= 8" in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+    for small in ("verify", "energy-curve"):
+        assert main([small, "--k", "2", "--grid-n", "4",
+                     "--out", str(tmp_path / small)]) == 0
+
+
 @pytest.mark.parametrize("seeds", [-5, 0, 10])
 def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     cfg, out = tmp_path / "cfg.json", tmp_path / "s"

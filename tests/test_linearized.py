@@ -540,6 +540,16 @@ def test_vector_blocks_hold_square_matrices(grid24, params2):
     assert index <= 3 * 2 * (3 * system.pack.nmodes)
 
 
+def test_block_map_takes_matrices_column_by_column(grid24, params2, rng):
+    # a matrix goes through the map one column at a time, with the bits of
+    # the single-vector calls, and the map is orthogonal
+    pack = lin.operator_pack(grid24, params2)
+    X = rng.standard_normal((3 * pack.nmodes, 9))
+    for f in (pack.to_blocks, pack.from_blocks):
+        assert np.array_equal(f(X), np.stack([f(x) for x in X.T], axis=1))
+    assert np.max(np.abs(pack.from_blocks(pack.to_blocks(X)) - X)) <= 1e-14
+
+
 def test_mode_labels(grid24, params2):
     spec = lin.spectrum_normal(params2, grid24, count=8)
     ev, orders = spec.eigenvalues, spec.orders

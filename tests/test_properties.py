@@ -171,16 +171,18 @@ def test_correct_eps_sign_symmetry(grid16, params2, eps, q):
 @FEW
 @given(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
                  st.floats(0.8, 1.3)))
+# the defect's projection on grad f vanishes at first order here, so
+# |ratio + 2| along grad f is 3.9e-4, 3.0e-6, 5.2e-5: not monotone
+@example((0.20703125, 0.0, 1.28125))
 def test_reduced_gradient_melnikov_relation(grid16, params2, q):
     phi = pe.phi_to_prescribed(f"{BUMP} + 0.03*p1")
     gf = f_gradient(phi, params2, q)
-    ratios, defects = [], []
+    defects = []
     for eps in (0.02, 0.01, 0.005):
         g = reduced_gradient(correct(eps, q, phi, params2, grid16), params2)
-        ratios.append(g @ gf / (eps * gf @ gf))
         defects.append(np.linalg.norm(g / eps + 2.0 * gf) / eps)
-    # the ratio along grad f tends to -2 ...
-    assert abs(ratios[0] + 2) > abs(ratios[1] + 2) > abs(ratios[2] + 2)
+    # g / eps tends to -2 grad f, its defect vector shrinking with eps ...
+    assert 0.02 * defects[0] > 0.01 * defects[1] > 0.005 * defects[2]
     # ... because the defect is O(eps^2): divided by eps^2 it stays put
     assert max(defects) <= 1.25 * min(defects)
 

@@ -68,6 +68,45 @@ def test_correct_never_calls_spectral_derivatives(grid16, params2, bump,
     assert st.iterations > 1 and st.constraint_defect < 1e-10
 
 
+def test_correct_keeps_its_last_pass(grid24, params2, bump):
+    # the state's surface and residual are the last chord pass's; the
+    # spectral route takes the Laplacian of the whole surface independently
+    for eps, q in ((0.01, Q0), (0.02, HyperbolicPoint(0.2, -0.1, 1.2))):
+        st = red.correct(eps, q, bump, params2, grid24)
+        U = bb.bubble(params2, q, grid24)
+        assert np.array_equal(st.surface.values, U.values + st.nu.values)
+        assert np.array_equal(st.surface.dx, U.dx + st.nu.dx)
+        ref = lin.j_residual(st.surface, params2, curvature=bump, eps=eps)
+        sup = np.max(np.abs(ref.values))
+        assert np.max(np.abs(st.residual.values - ref.values)) \
+            <= 1e-12 * max(1.0, sup)
+
+
+def test_continuation_never_calls_spectral_derivatives(grid24, params2,
+                                                       monkeypatch):
+    # every step's surface and residual come from the corrector, which
+    # alone samples the sphere
+    def refuse(*args, **kwargs):
+        raise AssertionError("continuation called chart.spectral_derivatives")
+
+    counts = {"bubble": 0, "correct": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ch, "spectral_derivatives", refuse)
+    monkeypatch.setattr(red, "bubble", counting("bubble", red.bubble))
+    monkeypatch.setattr(red, "correct", counting("correct", red.correct))
+    phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
+    reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX, grid24)
+    assert [r["status"] for r in reports] == ["ok"] * 3
+    assert all(r["resolved"] for r in reports)
+    assert counts["bubble"] == counts["correct"] > 0
+
+
 def test_constant_matrices(params2):
     M, Theta = red.constant_matrices(params2)
     assert M[2, 2] == pytest.approx(np.sqrt(2.0) * 2.0 / np.sqrt(3.0),
@@ -90,12 +129,43 @@ def _reduced_gradient_fd(state, phi, params):
         qm = HyperbolicPoint.of(state.q.array - e)
         sp = red.correct(state.eps, qp, phi, params, grid, warm=state)
         sm = red.correct(state.eps, qm, phi, params, grid, warm=state)
-        Ep = en.energy_E(red.corrected_surface(sp, params), params, state.eps,
-                         phi)
-        Em = en.energy_E(red.corrected_surface(sm, params), params, state.eps,
-                         phi)
+        Ep = en.energy_E(sp.surface, params, state.eps, phi)
+        Em = en.energy_E(sm.surface, params, state.eps, phi)
         fd[i] = (Ep - Em) / (2.0 * e[i])
     return fd
+
+
+def _interaction_matrix_entrywise(state, params):
+    """``A_eps`` entry by entry from its definition: the weighted product
+    of flow ``j`` of the correction with ``tau_h``, less ``sigma[l, h]``
+    times that of the flow's normal part with ``gamma_l``, ``sigma`` being
+    ``Theta^-1 M``."""
+    grid, nu = state.nu.grid, state.nu
+    M, Theta = red.constant_matrices(params)
+    sigma = np.linalg.solve(Theta, M)
+    frame = bb.tangent_frame(params, grid)
+    x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    w, om = grid.weights, grid.omega
+    A = np.empty((6, 6))
+    for j, (a, b, _, _, cf) in enumerate(bb.flow_coefficients(x, y)):
+        fl = cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
+        fo = np.einsum("ij,ij->i", fl, om)
+        for h in range(6):
+            A[j, h] = np.sum(w * np.einsum("ij,ij->i", frame.tau[h].values,
+                                           fl))
+            A[j, h] -= sum(sigma[ell, h] * np.sum(w * frame.gamma[:, ell] * fo)
+                           for ell in range(3))
+    return A
+
+
+def test_interaction_matrix_matches_entrywise(grid16, grid24, params2, bump):
+    for grid in (grid16, grid24):
+        st = red.correct(0.02, HyperbolicPoint(0.2, -0.1, 1.2), bump,
+                         params2, grid)
+        A = red.interaction_matrix(st, params2)
+        ref = _interaction_matrix_entrywise(st, params2)
+        assert np.max(np.abs(ref)) > 1e-4
+        assert np.max(np.abs(A - ref)) <= 1e-14
 
 
 def test_reduced_gradient(grid16, params2, bump):
@@ -207,7 +277,7 @@ def test_natural_constraint_energy_gap(grid16, params2, bump):
     gaps = []
     for eps in (0.02, 0.01, 0.005):
         st = red.correct(eps, q, bump, params2, grid16)
-        u = red.corrected_surface(st, params2)
+        u = st.surface
         gaps.append(abs(en.energy_E(u, params2, eps, bump)
                         - en.energy_E(Uq, params2, eps, bump)) / eps)
     assert gaps[0] > gaps[1] > gaps[2]
