@@ -20,14 +20,18 @@ surface solves the full prescribed-curvature problem.  The outer solve is
 :func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``;
 each of its gradient evaluations is one ``correct``, and the state it reports
 is the one computed at the accepted point, so a report's ``iterations`` are
-the chord-loop passes of that call.  A step's surface ``U_q + nu`` and
+the chord-loop passes of that call.  Each step after a nonzero ``eps`` starts
+from the branch's first-order expansion (:func:`_predict`): the branch is
+C^1 in ``eps``, so ``q0 + (eps/eps_prev)(q_prev - q0)``, with the previous
+correction and multipliers scaled by the same ratio, is ``O(eps^2)`` from
+the step's solution.  A step's surface ``U_q + nu`` and
 ``residual_sup`` come from the corrector's last chord pass (exact modal
 Laplacian); the spectral ``j_residual`` route is a test cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,13 +265,40 @@ def check_schedule(eps_schedule):
     return eps_schedule
 
 
+def _predict(q0, state, eps):
+    """Start of the solve at ``eps`` after the step that produced ``state``.
+
+    The branch is C^1 in ``eps``: ``q(eps) = q0 + eps q1 + O(eps^2)`` with
+    ``q0`` the Melnikov critical point, and ``nu``, ``xi``, ``alpha`` are
+    ``eps`` times a smooth function of ``q`` plus ``O(eps^2)``.  So with
+    ``t = eps / eps_prev`` the start ``q0 + t (q_prev - q0)`` and the
+    previous correction and multipliers times ``t`` are ``O(eps^2)`` from
+    the solution, where the previous state itself is ``O(eps)`` away.  A
+    start at ``p3 <= 0`` (a large ``|t|``) falls back to ``q_prev``.  The
+    first step starts from ``q0`` cold, a step after ``eps = 0`` from the
+    previous state as it is.
+    """
+    if state is None:
+        return q0, None
+    if state.eps == 0.0:
+        return state.q, state
+    t = eps / state.eps
+    q_start = q0.array + t * (state.q.array - q0.array)
+    if not q_start[2] > 0.0:
+        q_start = state.q.array
+    warm = replace(state, nu_modal=t * state.nu_modal, xi=t * state.xi,
+                   alpha=t * state.alpha)
+    return HyperbolicPoint.of(q_start), warm
+
+
 def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
     """Construct perturbed-curvature spheres along a monotone ``eps`` schedule.
 
     A stable critical point of the reduced function must exist in ``box``
     (otherwise :class:`NoCriticalPointError` is raised, which the command
     line maps to its dedicated exit code); ``rng`` jitters the search seeds.
-    The solve at each ``eps`` is warm-started from the previous one.  Stops
+    The solve at each ``eps`` starts from the first-order prediction of
+    :func:`_predict`, ``O(eps^2)`` from its solution.  Stops
     at the first failure, keeping every completed report with the corrected
     surface's diagnostics.  A step's ``status`` says whether its solve
     converged, its ``resolved`` whether the grid resolves the solution: the
@@ -290,7 +321,8 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
             if eps == 0.0:
                 st = correct(0.0, q_prev, phi, params, grid)
             else:
-                st = _solve_at(eps, phi, params, grid, q_prev, warm=state)
+                q_start, warm = _predict(q0, state, eps)
+                st = _solve_at(eps, phi, params, grid, q_start, warm=warm)
         except (ConvergenceError, FloatingPointError) as exc:
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "hint": "retry with smaller eps steps"})

@@ -1,10 +1,13 @@
 """Property tests: invariances the construction guarantees, checked on
 generated inputs."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_hyp import phi_expr as pe
+from cmc_hyp import reduction
 from cmc_hyp.bubbles import MoebiusMap, bubble, make_params, moebius_pullback
 from cmc_hyp.energy import energy_E
 from cmc_hyp.halfspace import HyperbolicPoint
@@ -185,6 +188,38 @@ def test_reduced_gradient_melnikov_relation(grid16, params2, q):
     assert 0.02 * defects[0] > 0.01 * defects[1] > 0.005 * defects[2]
     # ... because the defect is O(eps^2): divided by eps^2 it stays put
     assert max(defects) <= 1.25 * min(defects)
+
+
+# ---------------------------------------------------------------------------
+# the branch is C^1 in eps, q(eps) = q0 + eps q1 + O(eps^2): continuation's
+# first-order start is O(eps^2) from the solution, the previous one O(eps)
+
+
+@FEW
+@given(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+                 st.floats(0.85, 1.3)),
+       st.floats(-0.04, 0.04))
+def test_continuation_start_is_first_order(grid16, params2, anchor, tilt):
+    phi = pe.phi_to_prescribed(
+        "exp(-hypdist({!r}, {!r}, {!r})^2)".format(*map(float, anchor))
+        + f" + {float(tilt)!r}*p1")
+    starts = []
+    predict = reduction._predict
+
+    def recording(*args):
+        q_start, warm = predict(*args)
+        starts.append(q_start.array)
+        return q_start, warm
+
+    with mock.patch.object(reduction, "_predict", recording):
+        reports = reduction.continuation(
+            [0.02, 0.01, 0.005], phi, params2,
+            (-0.4, 0.4, -0.4, 0.4, 0.6, 1.6), grid16)
+    assert [r["status"] for r in reports] == ["ok"] * 3
+    qs = [np.array(r["q"]) for r in reports]
+    for start, q_prev, q_eps in zip(starts[1:], qs, qs[1:]):
+        assert (np.linalg.norm(start - q_eps)
+                <= 0.5 * np.linalg.norm(q_prev - q_eps))
 
 
 # ---------------------------------------------------------------------------

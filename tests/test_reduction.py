@@ -244,6 +244,57 @@ def test_continuation_reports_the_accepted_state(grid16, params2, bump,
         assert at_q and rep["iterations"] == at_q[0]
 
 
+def _synthetic_state(eps, q):
+    return red.ReductionState(
+        eps=eps, q=HyperbolicPoint.of(q), nu=None, surface=None,
+        residual=None, nu_modal=np.arange(4.0), xi=np.arange(6.0),
+        alpha=np.arange(3.0), residual_norm=0.0, constraint_defect=0.0,
+        iterations=1)
+
+
+def test_predict_first_order_expansion():
+    prev = _synthetic_state(0.005, (0.1, -0.05, 0.9))
+    assert red._predict(Q0, None, 0.01) == (Q0, None)
+    # a sign change (t = -2) is a legal schedule and keeps predicting
+    q, warm = red._predict(Q0, prev, -0.01)
+    assert np.allclose(q.array, [-0.2, 0.1, 1.2], rtol=0, atol=1e-15)
+    assert np.array_equal(warm.nu_modal, -2.0 * prev.nu_modal)
+    assert np.array_equal(warm.xi, -2.0 * prev.xi)
+    assert np.array_equal(warm.alpha, -2.0 * prev.alpha)
+    assert warm.q == prev.q and np.array_equal(prev.xi, np.arange(6.0))
+    # after eps = 0 the previous state is the start, as it is
+    zero = _synthetic_state(0.0, (0.1, -0.05, 0.9))
+    assert red._predict(Q0, zero, 0.01) == (zero.q, zero)
+
+
+def test_predict_falls_back_inside_the_half_space():
+    # t = 4 extrapolates p3 to 1 + 4 (0.3 - 1) = -1.8: start from q_prev
+    prev = _synthetic_state(0.005, (0.0, 0.0, 0.3))
+    q, warm = red._predict(Q0, prev, 0.02)
+    assert q == prev.q
+    assert np.array_equal(warm.xi, 4.0 * prev.xi)
+
+
+def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
+    # starting each later step from the first-order expansion makes 10
+    # corrector calls (42 chord passes) here, where starting from the
+    # previous step's solution made 13 (57)
+    calls = []
+    correct = red.correct
+
+    def recording(*args, **kwargs):
+        st = correct(*args, **kwargs)
+        calls.append(st.iterations)
+        return st
+
+    monkeypatch.setattr(red, "correct", recording)
+    phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
+    reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX,
+                               grid16)
+    assert all(r["status"] == "ok" and r["resolved"] for r in reports)
+    assert len(calls) <= 10, calls
+
+
 def test_continuation_sharp_second_bump_at_n32(params2):
     # a narrow second bump leaves nu a modal tail of 1e-10 at n = 24; at
     # n = 32 the tail is at roundoff, and residual_sup sits at 2e-10, the
