@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chart as ch
+from .halfspace import positive_heights
 from .linearized import j_residual
 
 # Gauss order of the vertical antiderivative behind every weighted volume
@@ -24,20 +25,9 @@ def build_Q(K, anchor=1.0):
 
     Returns the function ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``
     of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor is
-    pure gauge on closed surfaces.  Constants use the closed form, everything
-    else a ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment.
+    pure gauge on closed surfaces.  The integral is a
+    ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment.
     """
-    if K.constant_value is not None:
-        c = K.constant_value
-
-        def evaluator(pts):
-            pts = np.asarray(pts, dtype=float)
-            out = np.zeros(np.shape(pts))
-            out[..., 2] = -(c / 2.0) * (pts[..., 2] ** -2.0 - anchor ** -2.0)
-            return out
-
-        return evaluator
-
     xg, wg = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
     xi = 0.5 * (xg + 1.0)
     wxi = 0.5 * wg
@@ -51,8 +41,7 @@ def build_Q(K, anchor=1.0):
         probe[..., 0] = flat[:, 0, None]
         probe[..., 1] = flat[:, 1, None]
         probe[..., 2] = t
-        vals = np.asarray(K.evaluate(probe), dtype=float)
-        q3 = span * np.sum(wxi * vals / t**3, axis=1)
+        q3 = span * np.sum(wxi * K.evaluate(probe) / t**3, axis=1)
         out = np.zeros_like(flat)
         out[:, 2] = q3
         return out.reshape(np.shape(pts))
@@ -68,8 +57,7 @@ def volume_V(K, u):
     """
     Q = K if callable(K) else build_Q(K)
     u = ch.differentiate(u)
-    if not np.all(u.values[..., 2] > 0):
-        raise ValueError("surface leaves the half-space")
+    positive_heights(u.values)
     cross = np.cross(u.dx, u.dy)
     integrand = np.einsum("ij,ij->i", Q(u.values), cross)
     return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
@@ -79,9 +67,7 @@ def energy_E(u, params, eps=0.0, phi=None):
     """Surface energy: Dirichlet part, constant-curvature volume term, and
     ``2 eps`` times the prescribed-weight volume."""
     u = ch.differentiate(u)
-    u3 = u.values[:, 2]
-    if not np.all(u3 > 0):
-        raise ValueError("surface leaves the half-space")
+    u3 = positive_heights(u.values)
     g = u.grid
     wz = g.weights / g.mu**2
     norm2 = np.einsum("ij,ij->i", u.dx, u.dx) + np.einsum("ij,ij->i", u.dy, u.dy)

@@ -64,6 +64,16 @@ class EuclideanBall:
         return np.array(self.center)
 
 
+def positive_heights(values):
+    """The heights ``p3`` of points ``(..., 3)`` of a surface; raises
+    :class:`NumericsError` unless every one is positive."""
+    u3 = values[..., 2]
+    if not np.all(u3 > 0):
+        raise NumericsError("surface left the half-space: min u3 = %g"
+                            % u3.min())
+    return u3
+
+
 def _as_array(p):
     if isinstance(p, HyperbolicPoint):
         return p.array

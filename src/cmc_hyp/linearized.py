@@ -34,7 +34,7 @@ from . import chart as ch
 from .bubbles import make_params, tangent_frame
 from .chart import SphereField
 from .errors import AmbiguousKernelError, ConvergenceError, NumericsError
-from .halfspace import HyperbolicPoint
+from .halfspace import HyperbolicPoint, positive_heights
 
 # singular-value ratio that declares a numerical kernel
 KERNEL_GAP_FACTOR = 100.0
@@ -519,8 +519,8 @@ def j_residual(u, params, curvature=None, eps=0.0):
     """Pointwise residual of the prescribed-curvature system at ``u``.
 
     ``curvature`` is the spatially varying part (a
-    :class:`~cmc_hyp.phi_expr.PrescribedFunction` or plain callable); the
-    total curvature is ``k + eps * curvature``.  The system uses the surface's
+    :class:`~cmc_hyp.phi_expr.PrescribedFunction`); the total curvature is
+    ``k + eps * curvature``.  The system uses the surface's
     second derivatives only through its chart Laplacian
     (:func:`~cmc_hyp.chart.laplacian`): exact on fields sampled from analytic
     surfaces, spectral on everything else.  The result vanishes (to
@@ -536,14 +536,11 @@ def j_residual(u, params, curvature=None, eps=0.0):
 def _j_nodal(values, dx, dy, lap, params, curvature, eps):
     """Nodal residual of the prescribed-curvature system from a surface's
     values, chart derivatives ``dx``, ``dy`` and chart Laplacian ``lap``."""
-    u3 = values[:, 2]
-    if not np.all(u3 > 0):
-        raise NumericsError("surface left the half-space: min u3 = %g" % u3.min())
+    u3 = positive_heights(values)
     k = params.k
     K = np.full(u3.shape, k)
     if curvature is not None and eps != 0.0:
-        evaluator = getattr(curvature, "evaluate", curvature)
-        K = k + eps * np.asarray(evaluator(values), dtype=float)
+        K = k + eps * curvature.evaluate(values)
     grad3 = dx[:, 2, None] * dx + dy[:, 2, None] * dy
     norm2 = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy)
     cross = np.cross(dx, dy)

@@ -15,9 +15,7 @@ from one gradient sweep on the same points.  The boundary rule is the chart
 grid ``build_grid(BOUNDARY_GRID_N)``.  The solid-ball rule of ``f_value``
 takes its order from :func:`ball_rule_order`, which grows towards k = 1.
 Both rules are built once per curvature, and a ball center only rescales
-and translates them.  All three sample ``phi`` with numpy's floating-point
-warnings off and raise :class:`~cmc_hyp.errors.NumericsError` where a
-sampled value or gradient is not finite.
+and translates them.
 
 :func:`newton` is the one damped Newton over the ball center, shared by
 :func:`find_critical` and the outer solve of :mod:`~cmc_hyp.reduction`.
@@ -38,7 +36,6 @@ import csv
 import numpy as np
 
 from .chart import build_grid
-from .errors import NumericsError
 from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, box_lattice, dist,
                         unit_ball_rule)
 # PrescribedFunction is re-exported: the catalog's functions are its instances
@@ -151,22 +148,11 @@ def _flux_rule(params, q):
     return wa / q.p3, lift, target
 
 
-def _sample(fn, target, q):
-    """``fn`` at the points ``target``, with numpy's floating-point warnings
-    off; raises :class:`NumericsError` on any value that is not finite."""
-    with np.errstate(all="ignore"):
-        vals = np.asarray(fn(target), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericsError("prescribed function is not finite on the ball "
-                            f"about {q.array.tolist()}")
-    return vals
-
-
 def f_value(phi, params, q):
     """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
     q = HyperbolicPoint.of(q)
     wd, target = _ball_rule(params, q)
-    return float(np.sum(wd * _sample(phi.evaluate, target, q)))
+    return float(np.sum(wd * phi.evaluate(target)))
 
 
 def f_gradient(phi, params, q):
@@ -181,7 +167,7 @@ def f_gradient(phi, params, q):
     """
     q = HyperbolicPoint.of(q)
     wa, _, target = _flux_rule(params, q)
-    return _sample(phi.evaluate, target, q) @ wa
+    return phi.evaluate(target) @ wa
 
 
 def f_hessian(phi, params, q):
@@ -193,8 +179,8 @@ def f_hessian(phi, params, q):
         raise ValueError("prescribed function has no gradient evaluator")
     q = HyperbolicPoint.of(q)
     wa, lift, target = _flux_rule(params, q)
-    g = _sample(phi.evaluate, target, q) @ wa
-    G = _sample(phi.gradient, target, q)
+    g = phi.evaluate(target) @ wa
+    G = phi.gradient(target)
     H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
                         axis=-1)
     H[:, 2] -= g / q.p3

@@ -15,7 +15,10 @@ table, the same walk gives gradients, so values and derivatives agree by
 construction.  ``hypdist`` is one node of the walk: on duals it computes its
 value by the same ufuncs and its gradient in closed form.
 :func:`phi_to_prescribed` compiles an expression into a
-:class:`PrescribedFunction`.
+:class:`PrescribedFunction` whose callables sample ``phi`` with numpy's
+floating-point warnings off and raise :class:`~cmc_hyp.errors.NumericsError`
+where a sampled value or gradient is not finite; the raw walks
+:func:`evaluate` and :func:`evaluate_gradient` check nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
 from .halfspace import box_lattice
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "atanh", "hypdist")
@@ -397,40 +401,49 @@ class PrescribedFunction:
 
     ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to
     ``(..., 3)`` Euclidean gradients; ``descriptor`` documents the source.
-    ``constant_value`` is set for constants so downstream quadratures can use
-    closed forms.
     """
 
     evaluate: object
     gradient: object
     descriptor: str = ""
-    constant_value: float | None = None
+
+
+def _checked(walk, tree, name):
+    """``walk(tree, p)`` with numpy's floating-point warnings off; raises
+    :class:`NumericsError` naming ``name`` and the first point where an
+    output is not finite."""
+    def sample(p):
+        with np.errstate(all="ignore"):
+            out = walk(tree, p)
+        if not np.isfinite(out).all():
+            pts = np.asarray(p, dtype=float)
+            ok = np.isfinite(out).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
+            raise NumericsError(
+                f"{name} is not finite at {pts[~ok][0].tolist()}")
+        return out
+    return sample
 
 
 def phi_to_prescribed(text, probe_box=None):
     """Compile an expression into a prescribed function with its gradient.
 
-    Probes a small lattice (inside ``probe_box`` when given) and refuses
-    expressions that evaluate to non-finite values there.
+    Every sample of the result is checked for finiteness.  The same checks
+    probe a small lattice (inside ``probe_box`` when given) and refuse, as
+    ``ValueError``, expressions that are not finite there.
     """
     tree = parse_phi(text)
+    descriptor = to_text(tree)
+    phi = PrescribedFunction(
+        evaluate=_checked(evaluate, tree, f"phi = {descriptor}"),
+        gradient=_checked(evaluate_gradient, tree,
+                          f"the gradient of phi = {descriptor}"),
+        descriptor=descriptor)
     if probe_box is None:
         probe_box = (-1.0, 1.0, -1.0, 1.0, 0.5, 2.0)
     probes = box_lattice(probe_box, 3)
-    with np.errstate(all="ignore"):
-        vals = evaluate(tree, probes)
-        grads = evaluate_gradient(tree, probes)
-    finite = np.isfinite(vals) & np.all(np.isfinite(grads), axis=-1)
-    if not np.all(finite):
-        bad = probes[~finite][0]
-        raise ValueError(
-            f"expression is not finite near {bad.tolist()}")
-    const = None
-    if isinstance(tree, Num):
-        const = tree.value
-    elif isinstance(tree, Neg) and isinstance(tree.arg, Num):
-        const = -tree.arg.value
-    return PrescribedFunction(
-        evaluate=lambda p: evaluate(tree, p),
-        gradient=lambda p: evaluate_gradient(tree, p),
-        descriptor=to_text(tree), constant_value=const)
+    try:
+        phi.evaluate(probes)
+        phi.gradient(probes)
+    except NumericsError as exc:
+        raise ValueError(str(exc)) from None
+    return phi

@@ -285,11 +285,18 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("command", ["obstruction", "melnikov"])
-def test_non_finite_phi_is_numeric_failure(tmp_path, command):
+@pytest.mark.parametrize("command, phi, box, args", [
+    ("obstruction", "sqrt(0.3 - p1^2)", BOX, []),
+    ("melnikov", "sqrt(0.3 - p1^2)", BOX, []),
+    # finite on every ball and surface, not on the energy's vertical
+    # segments down to the gauge anchor p3 = 1
+    ("solve", "exp(-hypdist(0,0,2.5)^2) + 0.01*sqrt(p3 - 1.1)",
+     "-0.4,0.4,-0.4,0.4,2.0,3.0", ["--grid-n", "24", "--eps", "0.01"]),
+], ids=["obstruction", "melnikov", "solve"])
+def test_non_finite_phi_is_numeric_failure(tmp_path, command, phi, box, args):
     out = tmp_path / command
-    rc = main([command, "--k", "2", "--phi", "sqrt(0.3 - p1^2)",
-               "--box=" + BOX, "--out", str(out)])
+    rc = main([command, "--k", "2", "--phi", phi, "--box=" + box,
+               "--out", str(out), *args])
     assert rc == 3
     doc = read_summary(out)
     assert doc["status"] == "numeric_failure"

@@ -1,7 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from cmc_hyp import bubbles as bb
+from cmc_hyp import linearized as lin
 from cmc_hyp import phi_expr as pe
+from cmc_hyp.errors import NumericsError
+from cmc_hyp.halfspace import HyperbolicPoint
 
 
 def fd_gradient(phi, p, h=1e-6):
@@ -15,7 +21,6 @@ def fd_gradient(phi, p, h=1e-6):
 
 def test_constant_and_coordinate():
     one = pe.phi_to_prescribed("1")
-    assert one.constant_value == 1.0
     assert float(one.evaluate(np.array([0.3, 0.2, 1.5]))) == 1.0
     assert np.allclose(one.gradient(np.array([0.3, 0.2, 1.5])), 0.0)
     p1 = pe.phi_to_prescribed("p1")
@@ -91,6 +96,24 @@ def test_non_finite_rejected():
         pe.phi_to_prescribed("log(p1)")   # negative probes
     with pytest.raises(ValueError, match="not finite"):
         pe.phi_to_prescribed("sqrt(p1 - 2)")
+
+
+def test_compiled_samples_are_checked(grid16, params2):
+    phi = pe.phi_to_prescribed("sqrt(p3 - 1.1)",
+                               probe_box=(-0.1, 0.1, -0.1, 0.1, 1.2, 1.5))
+    for fn in (phi.evaluate, phi.gradient):
+        assert list(inspect.signature(fn).parameters) == ["p"]
+    pts = np.array([[0.0, 0.0, 1.3], [0.2, 0.1, 1.0], [0.0, 0.0, 0.5]])
+    # filterwarnings = error turns a leaked RuntimeWarning into a failure
+    for fn in (phi.evaluate, phi.gradient):
+        with pytest.raises(NumericsError, match=r"sqrt\(p3 - 1\.1\) is not "
+                           r"finite at \[0\.2, 0\.1, 1\.0\]"):
+            fn(pts)
+    assert np.isfinite(phi.gradient(pts[:1])).all()
+    # the corrector's residual samples phi through the same check
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, 1), grid16)
+    with pytest.raises(NumericsError, match="not finite"):
+        lin.j_residual(U, params2, curvature=phi, eps=0.01)
 
 
 def test_hypdist_matches_halfspace():

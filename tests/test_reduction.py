@@ -38,9 +38,9 @@ def test_correct_linear_smallness(grid16, params2, bump):
 
 
 def test_correct_rejects_non_finite_residual(grid16, params2):
-    def nan_phi(p):
-        return np.full(np.shape(p)[:-1], np.nan)
-
+    # a value-only function built by hand checks nothing itself
+    nan_phi = mel.PrescribedFunction(
+        lambda p: np.full(np.shape(p)[:-1], np.nan), None, "nan")
     with pytest.raises(NumericsError, match="non-finite"):
         red.correct(0.01, Q0, nan_phi, params2, grid16)
 
