@@ -1,11 +1,13 @@
 """Variational layer: weighted enclosed volumes and the surface energy.
 
-The weighted volume ``V_K(u)`` integrates any vector field whose divergence
-is ``p3^-3 K`` against the surface normal; its value is gauge independent,
-and for embedded spheres with inward normal it equals minus the enclosed
-hyperbolic ``K``-volume.  The energy couples the conformally invariant
-Dirichlet part with the constant-curvature volume term and, at first order in
-``eps``, the prescribed perturbation.
+The weighted volume ``V_K(u)`` integrates a vertical antiderivative of
+``p3^-3 K`` against the surface normal; for embedded spheres with inward
+normal it equals minus the enclosed hyperbolic ``K``-volume.  The
+antiderivative's anchor height is pure gauge on a closed surface and is taken
+at the surface's lowest height, so ``K`` is sampled only at heights the
+surface spans.  The energy couples the conformally invariant Dirichlet part
+with the constant-curvature volume term and, at first order in ``eps``, the
+prescribed perturbation.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from .linearized import j_residual
 VERTICAL_QUAD_ORDER = 24
 
 
-def build_Q(K, anchor=1.0):
+def build_Q(K, anchor):
     """Vertical-antiderivative vector field for the weight ``K``.
 
     Returns the function ``Q(p) = (0, 0, int_anchor^p3 t^-3 K(p1, p2, t) dt)``
-    of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor is
-    pure gauge on closed surfaces.  The integral is a
-    ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment.
+    of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor
+    height is pure gauge on closed surfaces.  The integral is a
+    ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment between ``anchor`` and
+    ``p3``, so ``K`` is sampled only there.
     """
     xg, wg = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
     xi = 0.5 * (xg + 1.0)
@@ -52,12 +55,11 @@ def build_Q(K, anchor=1.0):
 def volume_V(K, u):
     """Weighted volume ``int Q_K(u) . (d_x u ^ d_y u) dz`` of a surface field.
 
-    ``K`` may be a prescribed function (its antiderivative field is built on
-    the fly) or a field already built by :func:`build_Q`.
+    ``Q_K`` is :func:`build_Q` anchored at the surface's lowest height, so
+    every sample of ``K`` lies between the lowest and highest point of ``u``.
     """
-    Q = K if callable(K) else build_Q(K)
     u = ch.differentiate(u)
-    positive_heights(u.values)
+    Q = build_Q(K, positive_heights(u.values).min())
     cross = np.cross(u.dx, u.dy)
     integrand = np.einsum("ij,ij->i", Q(u.values), cross)
     return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
@@ -81,10 +83,8 @@ def energy_E(u, params, eps=0.0, phi=None):
     return float(out)
 
 
-def first_variation(u, params, eps=0.0, phi=None, test=None):
+def first_variation(u, params, eps, phi, test):
     """Directional derivative of the energy: ``int J_eps(u) . test dz``."""
-    if test is None:
-        raise ValueError("a test field is required")
     res = j_residual(u, params, curvature=phi, eps=eps)
     integrand = np.einsum("ij,ij->i", res.values, test.values)
     return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))

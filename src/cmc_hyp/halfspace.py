@@ -65,11 +65,11 @@ class EuclideanBall:
 
 
 def positive_heights(values):
-    """The heights ``p3`` of points ``(..., 3)`` of a surface; raises
-    :class:`NumericsError` unless every one is positive."""
+    """The heights ``p3`` of points ``(..., 3)``, such as a surface's nodes;
+    raises :class:`NumericsError` unless every one is positive."""
     u3 = values[..., 2]
     if not np.all(u3 > 0):
-        raise NumericsError("surface left the half-space: min u3 = %g"
+        raise NumericsError("point left the half-space: min p3 = %g"
                             % u3.min())
     return u3
 
@@ -80,21 +80,16 @@ def _as_array(p):
     return np.asarray(p, dtype=float)
 
 
-def dist(p, q, clamp=1e-14):
+def dist(p, q):
     """Hyperbolic distance between points of the half-space model.
 
-    Computed as ``arccosh(1 + |p-q|^2 / (2 p3 q3))``.  The argument is >= 1
-    analytically; deficits up to ``clamp`` are attributed to roundoff
-    and clamped, anything worse raises :class:`NumericsError`.
+    Computed as ``arccosh(1 + |p-q|^2 / (2 p3 q3))``; raises
+    :class:`NumericsError` unless every height is positive, and with positive
+    heights the argument is at least 1 in floating point too.
     """
     pa, qa = _as_array(p), _as_array(q)
-    ch = 1.0 + np.sum((pa - qa) ** 2, axis=-1) / (2.0 * pa[..., 2] * qa[..., 2])
-    deficit = 1.0 - ch
-    if np.any(deficit > clamp):
-        raise NumericsError(
-            f"cosh(distance) fell below 1 by {np.max(deficit):.3e} (> {clamp:g})"
-        )
-    return np.arccosh(np.maximum(ch, 1.0))
+    return np.arccosh(1.0 + np.sum((pa - qa) ** 2, axis=-1)
+                      / (2.0 * positive_heights(pa) * positive_heights(qa)))
 
 
 def ball_to_euclidean(p, rho):

@@ -288,10 +288,7 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
 @pytest.mark.parametrize("command, phi, box, args", [
     ("obstruction", "sqrt(0.3 - p1^2)", BOX, []),
     ("melnikov", "sqrt(0.3 - p1^2)", BOX, []),
-    # finite on every ball and surface, not on the energy's vertical
-    # segments down to the gauge anchor p3 = 1
-    ("solve", "exp(-hypdist(0,0,2.5)^2) + 0.01*sqrt(p3 - 1.1)",
-     "-0.4,0.4,-0.4,0.4,2.0,3.0", ["--grid-n", "24", "--eps", "0.01"]),
+    ("solve", "sqrt(0.3 - p1^2)", BOX, ["--grid-n", "16", "--eps", "0.01"]),
 ], ids=["obstruction", "melnikov", "solve"])
 def test_non_finite_phi_is_numeric_failure(tmp_path, command, phi, box, args):
     out = tmp_path / command
@@ -303,6 +300,20 @@ def test_non_finite_phi_is_numeric_failure(tmp_path, command, phi, box, args):
     assert "not finite" in doc["error"]
     json.loads((out / "summary.json").read_text(),
                parse_constant=lambda c: pytest.fail(f"{c} in summary"))
+
+
+def test_solve_samples_phi_only_where_the_surface_reaches(tmp_path):
+    # phi is not finite below p3 = 1.1, far under the search box and every
+    # surface the solve visits, so the energy must not sample it there
+    out = tmp_path / "solve"
+    rc = main(["solve", "--k", "2", "--grid-n", "24", "--phi",
+               "exp(-hypdist(0,0,2.5)^2) + 0.01*sqrt(p3 - 1.1)",
+               "--eps", "0.01", "--box=-0.4,0.4,-0.4,0.4,2.0,3.0",
+               "--out", str(out)])
+    assert rc == 0
+    (step,) = read_summary(out)["result"]["steps"]
+    assert step["resolved"]
+    assert np.isfinite(step["energy"])
 
 
 def test_tolerance_overrides_are_honoured(tmp_path):

@@ -12,13 +12,13 @@ Q0 = HyperbolicPoint(0, 0, 1)
 
 
 def test_build_Q_constant_closed_form():
-    Q = en.build_Q(mel.phi_constant(2.0))
+    Q = en.build_Q(mel.phi_constant(2.0), anchor=1.0)
     pts = np.array([[0.3, -0.2, 1.7], [0.0, 0.0, 0.4]])
     vals = Q(pts)
     expect = -(2.0 / 2.0) * (pts[:, 2] ** -2.0 - 1.0)
     assert np.allclose(vals[:, 2], expect, atol=1e-14)
     assert np.allclose(vals[:, :2], 0.0)
-    Q0f = en.build_Q(mel.phi_constant(0.0))
+    Q0f = en.build_Q(mel.phi_constant(0.0), anchor=1.0)
     assert np.allclose(Q0f(pts), 0.0)
 
 
@@ -42,7 +42,7 @@ def _divergence_defect(Q, K, rng):
 def test_build_Q_divergence(rng):
     # volume_V is the flux of Q, so it needs div Q = p3^-3 K
     phi = mel.phi_radial_gaussian((0.2, 0.0, 1.0))
-    Q = en.build_Q(phi)
+    Q = en.build_Q(phi, anchor=1.0)
     assert _divergence_defect(Q, phi, rng) < 1e-6
 
 
@@ -54,12 +54,37 @@ def test_volume_of_bubble(grid16, params2):
     assert en.volume_V(mel.phi_constant(0.0), U) == 0.0
 
 
+def _flux(Q, u):
+    """``int Q(u) . (d_x u ^ d_y u) dz`` for a given vector field ``Q``."""
+    u = ch.differentiate(u)
+    integrand = np.einsum("ij,ij->i", Q(u.values), np.cross(u.dx, u.dy))
+    return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
+
+
 def test_volume_gauge_independence(grid16, params2):
     phi = mel.phi_radial_gaussian((0.0, 0.1, 1.1))
     U = bb.bubble(params2, Q0, grid16)
-    v1 = en.volume_V(en.build_Q(phi, anchor=1.0), U)
-    v2 = en.volume_V(en.build_Q(phi, anchor=2.0), U)
-    assert abs(v1 - v2) < 1e-8
+    v = en.volume_V(phi, U)
+    for anchor in (1.0, 2.0):
+        assert abs(v - _flux(en.build_Q(phi, anchor=anchor), U)) < 1e-8
+
+
+def test_volume_samples_within_the_surface_heights(grid16, params2):
+    # the antiderivative's segments end at the surface's lowest height, so
+    # phi is never sampled above or below the surface
+    phi = mel.phi_radial_gaussian((0.0, 0.0, 2.5))
+    seen = []
+
+    class Recording:
+        def evaluate(self, p):
+            seen.append(np.array(p).reshape(-1, 3))
+            return phi.evaluate(p)
+
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, 2.5), grid16)
+    assert en.volume_V(Recording(), U) == en.volume_V(phi, U)
+    heights = np.concatenate(seen)[:, 2]
+    assert U.values[:, 2].min() <= heights.min()
+    assert heights.max() <= U.values[:, 2].max()
 
 
 def test_volume_equals_reduced_function(grid16, params2):

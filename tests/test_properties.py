@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cmc_hyp import phi_expr as pe
 from cmc_hyp import reduction
 from cmc_hyp.bubbles import MoebiusMap, bubble, make_params, moebius_pullback
-from cmc_hyp.energy import energy_E
+from cmc_hyp.energy import energy_E, volume_V
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.linearized import j_residual
 from cmc_hyp.melnikov import f_gradient
@@ -251,3 +251,22 @@ def test_flux_gradient_killing_equivariance(params2, anchor, q, shift, lam):
     # f_{lam a}(lam q) = f_a(q), so lam grad f_{lam a}(lam q) = grad f_a(q)
     gl = f_gradient(_bump(lam * anchor), params2, lam * q)
     assert np.linalg.norm(lam * gl - g) <= tol
+
+
+@FEW
+@given(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+                 st.floats(0.85, 1.3)),
+       st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                 st.floats(0.8, 1.3)),
+       st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+       st.floats(0.5, 2.0))
+def test_weighted_volume_translation_invariant(grid16, params2, anchor, q,
+                                               shift, lam):
+    # q -> lam q + s is an isometry, so moving both the bubble and the
+    # bump's anchor leaves the enclosed weighted volume unchanged
+    anchor, q = np.array(anchor), np.array(q)
+    s = np.array([*shift, 0.0])
+    v = volume_V(_bump(anchor), bubble(params2, HyperbolicPoint(*q), grid16))
+    vt = volume_V(_bump(lam * anchor + s),
+                  bubble(params2, HyperbolicPoint(*(lam * q + s)), grid16))
+    assert abs(vt - v) <= 1e-12 * abs(v)
