@@ -26,8 +26,8 @@ from .bubbles import make_params, tangent_frame
 from .energy import energy_curve, horosphere_energy
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
-from .linearized import (KERNEL_GAP_FACTOR, PACK_MIN_N, assemble_linearized,
-                         kernel, spectrum_normal)
+from .linearized import (KERNEL_GAP_FACTOR, PACK_MIN_N, SPECTRUM_MIN_COUNT,
+                         assemble_linearized, kernel, spectrum_normal)
 from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
@@ -83,6 +83,15 @@ class JobConfig:
             mel.check_box(self.box)
         mel.check_seeds(self.seeds)
         check_schedule(self.eps_schedule)
+        if self.lattice < 1:
+            raise ValueError("lattice must be at least 1")
+        if self.count < SPECTRUM_MIN_COUNT:
+            raise ValueError(f"count must be at least {SPECTRUM_MIN_COUNT}")
+        t0, t1, points = self.t_range
+        if not (t0 > 1 and t1 > 1 and points >= 1
+                and float(points).is_integer()):
+            raise ValueError("t_range needs t0 > 1, t1 > 1 and a whole "
+                             "count >= 1")
         required = REQUIRED.get(self.command, {})
         missing = [flag for name, flag in required.items()
                    if not getattr(self, name)]

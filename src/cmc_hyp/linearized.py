@@ -46,6 +46,9 @@ SPECTRUM_LOW_REL = 1e-8
 # largest relative error of the triple eigenvalue 2k in a resolved normal
 # spectrum (the acceptance bound on the coarser of its grids)
 SPECTRUM_TRIPLE_REL = 1e-3
+# fewest eigenvalues of a normal spectrum: 0, the triple 2k and the first
+# past the gap
+SPECTRUM_MIN_COUNT = 5
 # smallest grid of the operator pack, whose scalar basis has degree n - 6 >= 2
 PACK_MIN_N = 8
 # LAPACK's real LU back-substitution, called by _ModalPack.saddle_solve
@@ -726,8 +729,9 @@ def spectrum_normal(params, grid, count=8):
     clustered multiplicities, each pair's relative residual, and the
     azimuthal orders, ascending within each cluster.
     """
-    if count < 5:
-        raise ValueError("ask for at least 5 eigenvalues")
+    if count < SPECTRUM_MIN_COUNT:
+        raise ValueError(
+            f"ask for at least {SPECTRUM_MIN_COUNT} eigenvalues")
     pack = operator_pack(grid, params)
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")

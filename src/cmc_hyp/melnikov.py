@@ -17,8 +17,8 @@ takes its order from :func:`ball_rule_order`, which grows towards k = 1.
 Both rules are built once per curvature, and a ball center only rescales
 and translates them.
 
-:func:`newton` is the one damped Newton over the ball center, shared by
-:func:`find_critical` and the outer solve of :mod:`~cmc_hyp.reduction`.
+:func:`newton` is the damped Newton over the ball center that
+:func:`find_critical` runs from each seed.
 
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
@@ -45,6 +45,9 @@ from .phi_expr import PrescribedFunction, phi_to_prescribed
 # Hessian: build_grid(24) is 1152 points, exact on spherical harmonics of
 # degree below 48
 BOUNDARY_GRID_N = 24
+
+# Newton iterations per seed of the critical-point search
+NEWTON_MAX_ITER = 40
 
 # margin by which a derivative must keep one sign over the lattice to count
 # as an obstruction
@@ -247,7 +250,7 @@ def check_seeds(seeds):
     return m
 
 
-def newton(gradient, hessian, q, gtol, inside, max_iter=40):
+def newton(gradient, hessian, q, gtol, inside):
     """Levenberg-damped Newton from ``q`` for a zero of ``gradient``.
 
     A trial solves ``(H + lam max|H| I) s = -g`` and is accepted when it
@@ -258,7 +261,7 @@ def newton(gradient, hessian, q, gtol, inside, max_iter=40):
     g = gradient(q)
     gn = np.linalg.norm(g)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if gn <= gtol:
             break
         H = hessian(q)

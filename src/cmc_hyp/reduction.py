@@ -16,11 +16,11 @@ points.
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
 schedule; at such points the multipliers themselves vanish and the corrected
-surface solves the full prescribed-curvature problem.  The outer solve is
-:func:`~cmc_hyp.melnikov.newton` with the Melnikov Jacobian ``-2 eps Hess f``;
-each of its gradient evaluations is one ``correct``, and the state it reports
-is the one computed at the accepted point, so a report's ``iterations`` are
-the chord-loop passes of that call.  Each step after a nonzero ``eps`` starts
+surface solves the full prescribed-curvature problem.  The outer solve is a
+chord iteration too, frozen at ``-2 eps`` times the Hessian of ``f`` that
+:func:`find_critical` classified at the Melnikov point; each pass is one
+``correct``, and a step reports the state of its smallest reduced gradient,
+so its ``iterations`` are that call's chord-loop passes.  Each step starts
 from the branch's first-order expansion (:func:`_predict`): the branch is
 C^1 in ``eps``, so ``q0 + (eps/eps_prev)(q_prev - q0)``, with the previous
 correction and multipliers scaled by the same ratio, is ``O(eps^2)`` from
@@ -42,7 +42,7 @@ from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, operator_pack
-from .melnikov import f_hessian, f_value, find_critical, newton
+from .melnikov import f_value, find_critical
 
 # target of the 2-norm of the corrector's modal projected-equation residual
 NEWTON_RESIDUAL = 1e-9
@@ -196,31 +196,32 @@ def verify_side1(u, res, eps):
     return out
 
 
-def _solve_at(eps, phi, params, grid, q_start, warm=None):
-    """Newton over ``q`` at one ``eps`` with the Jacobian ``-2 eps Hess f``
-    of ``grad_q = -2 eps grad f(q) + O(eps^2)``, ``Hess f`` the exact flux
-    Hessian :func:`~cmc_hyp.melnikov.f_hessian`; 50 gtol is the noise floor.
-    Returns the corrector state computed at the point Newton accepted."""
+def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
+    """Chord iteration over ``q`` at one ``eps`` on the Melnikov Jacobian
+    ``-2 eps hessian`` of ``grad_q = -2 eps grad f(q) + O(eps^2)``: at most
+    25 passes of one warm-started :func:`correct`, until ``|g|`` stops
+    falling or a step leaves the half-space.  Returns the state of smallest
+    ``|g|``, which must be within the noise floor 50 gtol."""
     gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
-    state = warm
-    states = {}
-
-    def gradient(qa):
-        nonlocal state
-        state = correct(eps, HyperbolicPoint.of(qa), phi, params, grid,
+    jac = -2.0 * eps * hessian
+    q, state, gn = HyperbolicPoint.of(q_start).array, warm, np.inf
+    for _ in range(25):
+        trial = correct(eps, HyperbolicPoint.of(q), phi, params, grid,
                         warm=state, tol=itol)
-        states[qa.tobytes()] = state
-        return reduced_gradient(state, params)
-
-    q, g = newton(gradient,
-                  lambda qa: -2.0 * eps * f_hessian(phi, params, qa),
-                  HyperbolicPoint.of(q_start).array, gtol,
-                  lambda qa: qa[2] > 0, max_iter=25)
-    if np.linalg.norm(g) > 50.0 * gtol:
+        g = reduced_gradient(trial, params)
+        if not np.linalg.norm(g) < gn:
+            break
+        state, gn = trial, np.linalg.norm(g)
+        if gn <= gtol:
+            break
+        q = q - np.linalg.solve(jac, g)
+        if not q[2] > 0.0:
+            break
+    if gn > 50.0 * gtol:
         raise ConvergenceError("no reduced critical point: outer iteration "
-                               f"stopped at |grad| = {np.linalg.norm(g):.3e}")
-    return states[q.tobytes()]
+                               f"stopped at |grad| = {gn:.3e}")
+    return state
 
 
 def _report(state, phi, params, proxy=None):
@@ -275,13 +276,11 @@ def _predict(q0, state, eps):
     previous correction and multipliers times ``t`` are ``O(eps^2)`` from
     the solution, where the previous state itself is ``O(eps)`` away.  A
     start at ``p3 <= 0`` (a large ``|t|``) falls back to ``q_prev``.  The
-    first step starts from ``q0`` cold, a step after ``eps = 0`` from the
-    previous state as it is.
+    first step, a step at ``eps = 0`` and a step after one start from
+    ``q0`` cold.
     """
-    if state is None:
+    if state is None or state.eps == 0.0 or eps == 0.0:
         return q0, None
-    if state.eps == 0.0:
-        return state.q, state
     t = eps / state.eps
     q_start = q0.array + t * (state.q.array - q0.array)
     if not q_start[2] > 0.0:
@@ -312,26 +311,22 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
     if not stable:
         raise NoCriticalPointError(
             "no stable critical point of the reduced function in the box")
-    q0 = stable[0].q
+    q0, hessian = stable[0].q, stable[0].hessian
     reports = []
     state = None
-    q_prev = q0
     for eps in eps_schedule:
         try:
-            if eps == 0.0:
-                st = correct(0.0, q_prev, phi, params, grid)
-            else:
-                q_start, warm = _predict(q0, state, eps)
-                st = _solve_at(eps, phi, params, grid, q_start, warm=warm)
-        except (ConvergenceError, FloatingPointError) as exc:
+            q_start, warm = _predict(q0, state, eps)
+            state = _solve_at(eps, phi, params, grid, q_start, hessian,
+                              warm=warm)
+        except (NumericsError, FloatingPointError) as exc:
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "hint": "retry with smaller eps steps"})
             break
-        u, rep = _report(st, phi, params, proxy=stable[0].classification)
+        u, rep = _report(state, phi, params, proxy=stable[0].classification)
         rep["status"] = "ok"
         rep["_surface"] = u
-        A = interaction_matrix(st, params)
+        A = interaction_matrix(state, params)
         rep["A_eps_norm"] = float(np.linalg.norm(A, 2))
         reports.append(rep)
-        state, q_prev = st, st.q
     return reports

@@ -285,6 +285,27 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("obstruction", {"lattice": 0}),
+    ("obstruction", {"lattice": -2}),
+    ("spectrum", {"count": 2}),
+    ("energy-curve", {"t_range": [2.0, 1.02, 0]}),
+    ("energy-curve", {"t_range": [2.0, 1.02, 2.5]}),
+    ("energy-curve", {"t_range": [0.5, 1.02, 5]}),
+], ids=["lattice-0", "lattice-negative", "count", "t_range-count",
+        "t_range-fractional-count", "t_range-below-1"])
+def test_out_of_range_config_values_are_config_errors(tmp_path, capsys,
+                                                      command, doc):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r"
+    cfg.write_text(json.dumps(doc))
+    extra = (["--phi", "p1", "--box=" + BOX] if command == "obstruction"
+             else ["--grid-n", "16"])
+    assert main([command, "--k", "2", *extra, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command, phi, box, args", [
     ("obstruction", "sqrt(0.3 - p1^2)", BOX, []),
     ("melnikov", "sqrt(0.3 - p1^2)", BOX, []),
@@ -300,6 +321,23 @@ def test_non_finite_phi_is_numeric_failure(tmp_path, command, phi, box, args):
     assert "not finite" in doc["error"]
     json.loads((out / "summary.json").read_text(),
                parse_constant=lambda c: pytest.fail(f"{c} in summary"))
+
+
+def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
+    # the eps = 2 step drives the surface below the plane; that halts the
+    # schedule as a failed step, and the converged eps = 0.01 step stays
+    out = tmp_path / "solve"
+    rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
+               "--eps", "0.01,2.0", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    doc = read_summary(out)
+    assert doc["status"] == "failed_checks"
+    first, second = doc["result"]["steps"]
+    assert first["eps"] == 0.01 and first["status"] == "ok"
+    assert second["eps"] == 2.0 and second["status"] == "failed"
+    assert "left the half-space" in second["error"]
+    assert sorted(f.name for f in out.glob("surface_*.csv")) == \
+        ["surface_0.01.csv"]
 
 
 def test_solve_samples_phi_only_where_the_surface_reaches(tmp_path):

@@ -168,7 +168,7 @@ def test_correct_eps_sign_symmetry(grid16, params2, eps, q):
 
 # ---------------------------------------------------------------------------
 # the Melnikov relation: the reduced gradient is -2 eps grad f(q) + O(eps^2),
-# f the weighted-ball volume, so the outer Newton may borrow -2 eps Hess f
+# f the weighted-ball volume, so the outer chord loop may borrow -2 eps Hess f
 
 
 @FEW

@@ -236,7 +236,7 @@ def test_continuation_reports_the_accepted_state(grid16, params2, bump,
                                grid16)
     assert all(r["status"] == "ok" for r in reports)
     # no call repeats the one before it, which would re-solve a state
-    # the outer Newton already has
+    # the outer loop already has
     assert all(a[:2] != b[:2] for a, b in zip(calls, calls[1:]))
     for rep in reports:
         at_q = [it for eps, q, it in calls
@@ -262,9 +262,10 @@ def test_predict_first_order_expansion():
     assert np.array_equal(warm.xi, -2.0 * prev.xi)
     assert np.array_equal(warm.alpha, -2.0 * prev.alpha)
     assert warm.q == prev.q and np.array_equal(prev.xi, np.arange(6.0))
-    # after eps = 0 the previous state is the start, as it is
+    # a step at eps = 0, and a step after one, starts cold from q0
     zero = _synthetic_state(0.0, (0.1, -0.05, 0.9))
-    assert red._predict(Q0, zero, 0.01) == (zero.q, zero)
+    assert red._predict(Q0, zero, 0.01) == (Q0, None)
+    assert red._predict(Q0, prev, 0.0) == (Q0, None)
 
 
 def test_predict_falls_back_inside_the_half_space():
@@ -276,9 +277,9 @@ def test_predict_falls_back_inside_the_half_space():
 
 
 def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
-    # starting each later step from the first-order expansion makes 10
-    # corrector calls (42 chord passes) here, where starting from the
-    # previous step's solution made 13 (57)
+    # starting each later step from the first-order expansion, with the
+    # outer Jacobian frozen at the Melnikov point, makes 9 corrector calls
+    # (38 chord passes) here
     calls = []
     correct = red.correct
 
@@ -292,14 +293,42 @@ def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
     reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX,
                                grid16)
     assert all(r["status"] == "ok" and r["resolved"] for r in reports)
-    assert len(calls) <= 10, calls
+    assert len(calls) <= 9, calls
+
+
+def test_continuation_reuses_the_melnikov_hessian(grid16, params2, bump):
+    # the outer chord loop's Jacobian is the Hessian find_critical already
+    # classified, so a continuation samples grad phi (which only f_hessian
+    # does) exactly as often as the critical-point search alone
+    calls = []
+
+    def gradient(p):
+        calls.append(1)
+        return bump.gradient(p)
+
+    phi = mel.PrescribedFunction(bump.evaluate, gradient, bump.descriptor)
+    mel.find_critical(phi, params2, BOX)
+    alone = len(calls)
+    reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX,
+                               grid16)
+    assert all(r["status"] == "ok" for r in reports)
+    assert len(calls) == 2 * alone, (alone, len(calls) - alone)
+
+
+def test_continuation_to_eps_zero_returns_to_the_critical_point(
+        grid16, params2, bump):
+    q0 = mel.find_critical(bump, params2, BOX)[0].q
+    reports = red.continuation([0.01, 0.0], bump, params2, BOX, grid16)
+    assert [r["status"] for r in reports] == ["ok", "ok"]
+    assert reports[-1]["q"] == [q0.p1, q0.p2, q0.p3]
+    assert reports[-1]["c0_distance"] == 0.0
 
 
 def test_continuation_sharp_second_bump_at_n32(params2):
     # a narrow second bump leaves nu a modal tail of 1e-10 at n = 24; at
-    # n = 32 the tail is at roundoff, and residual_sup sits at 2e-10, the
+    # n = 32 the tail is at roundoff, and residual_sup sits below 7e-10, the
     # floor set by the solver's stopping tolerance (NEWTON_RESIDUAL, with
-    # the outer Newton's gtol of 1e-9), not by the resolution
+    # the outer loop's gtol of 1e-9), not by the resolution
     phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)"
                             " + 0.25*exp(-4*hypdist(0.2,0.1,0.9)^2)",
                             probe_box=BOX)
