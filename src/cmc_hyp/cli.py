@@ -1,20 +1,21 @@
 """Command-line driver.
 
 One process runs one command; every run writes ``summary.json`` into the
-output directory with the fully resolved configuration (including the
-defaulted tolerances in :data:`TOLERANCES`) echoed back, so identical
+output directory with the fully resolved configuration, inputs only (each
+verdict's bound is its module's constant), echoed back, so identical
 configurations produce byte-identical summaries.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure or failed checks (an unresolved
-certificate or solve step), 4 no critical point in the search box.  An
-unknown config key, a value of the wrong type or a missing required input
-(see :data:`REQUIRED`) is a configuration error.
+2 configuration error, 3 numeric failure (a result that is not finite
+too) or failed checks, 4 no critical point in the search box.  An unknown
+config key, a value of the wrong type or not finite, or a missing required
+input (see :data:`REQUIRED`) is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict, dataclass, field as dc_field, fields
+import math
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from .bubbles import make_params, tangent_frame
 from .energy import energy_curve, horosphere_energy
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
-from .linearized import (KERNEL_GAP_FACTOR, PACK_MIN_N, SPECTRUM_MIN_COUNT,
-                         assemble_linearized, kernel, spectrum_normal)
+from .linearized import (PACK_MIN_N, SPECTRUM_MIN_COUNT, assemble_linearized,
+                         kernel, spectrum_normal)
 from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
@@ -35,14 +36,6 @@ COMMANDS = ("verify", "spectrum", "kernel", "melnikov", "solve",
             "energy-curve", "obstruction")
 # the commands that build the operator pack, and so need its smallest grid
 PACK_COMMANDS = ("spectrum", "kernel", "solve")
-
-# The tolerances a config document may override, with their defaults; each
-# one is passed down to the computation that uses it.
-TOLERANCES = {
-    "kernel_gap_factor": KERNEL_GAP_FACTOR,
-    "obstruction_margin": mel.OBSTRUCTION_MARGIN,
-    "quad_area_tol": 1e-10,
-}
 
 # The inputs each command cannot run without: config key -> flag.
 REQUIRED = {
@@ -65,17 +58,13 @@ class JobConfig:
     lattice: int = 3
     t_range: tuple = (2.0, 1.02, 25)
     seed: int = 0
-    tolerances: dict = dc_field(default_factory=dict)
     out_dir: str = "."
-
-    def tol(self, name):
-        return self.tolerances.get(name, TOLERANCES[name])
 
     def validate(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not self.k > 1:
-            raise ValueError("k must exceed 1")
+        if not (math.isfinite(self.k) and self.k > 1):
+            raise ValueError("k must be finite and exceed 1")
         floor = PACK_MIN_N if self.command in PACK_COMMANDS else 4
         if self.grid_n < floor:
             raise ValueError(f"{self.command} needs grid_n >= {floor}")
@@ -88,27 +77,20 @@ class JobConfig:
         if self.count < SPECTRUM_MIN_COUNT:
             raise ValueError(f"count must be at least {SPECTRUM_MIN_COUNT}")
         t0, t1, points = self.t_range
-        if not (t0 > 1 and t1 > 1 and points >= 1
-                and float(points).is_integer()):
-            raise ValueError("t_range needs t0 > 1, t1 > 1 and a whole "
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 > 1 and t1 > 1
+                and points >= 1 and float(points).is_integer()):
+            raise ValueError("t_range needs finite t0 > 1, t1 > 1 and a whole "
                              "count >= 1")
         required = REQUIRED.get(self.command, {})
         missing = [flag for name, flag in required.items()
                    if not getattr(self, name)]
         if missing:
             raise ValueError(f"{self.command} needs {' and '.join(missing)}")
-        unknown = set(self.tolerances) - set(TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
 
     @cached_property
     def phi(self):
         """The prescribed function, compiled (and probed) once per run."""
         return phi_to_prescribed(self.phi_source, probe_box=self.box)
-
-    def echo(self):
-        return dict(asdict(self), out_dir=str(self.out_dir),
-                    tolerances={name: self.tol(name) for name in TOLERANCES})
 
 
 def _real(v):
@@ -141,20 +123,13 @@ def _t_range(v):
     return tuple(v)
 
 
-def _tolerances(v):
-    if not isinstance(v, dict):
-        raise TypeError
-    return {name: _read(f"tolerances.{name}", x, _real)
-            for name, x in v.items()}
-
-
 # How a config document's value is read, per key; a value of any other type
 # (or ``null`` where the default is not ``None``) is a configuration error.
 _READERS = {
     "k": _real, "grid_n": _integer, "phi_source": _text, "box": _reals,
     "eps_schedule": _reals, "count": _integer, "seeds": _integer,
     "lattice": _integer, "t_range": _t_range, "seed": _integer,
-    "tolerances": _tolerances, "out_dir": _text,
+    "out_dir": _text,
 }
 
 
@@ -224,10 +199,8 @@ def _cmd_verify(cfg, out):
         put(name, value)
 
     mx = lambda a: float(np.max(np.abs(a)))
-    put("area", abs(np.sum(grid.weights) - 4 * np.pi),
-        tol=cfg.tol("quad_area_tol"))
-    put("odd_moment", abs(float(grid.weights @ om[:, 2])),
-        tol=cfg.tol("quad_area_tol"))
+    put("area", abs(np.sum(grid.weights) - 4 * np.pi), tol=1e-10)
+    put("odd_moment", abs(float(grid.weights @ om[:, 2])), tol=1e-10)
     put("second_moment", abs(float(grid.weights @ om[:, 2] ** 2) - 4 * np.pi / 3),
         tol=1e-8)
 
@@ -260,7 +233,7 @@ def _cmd_kernel(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
     system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
-    rep = kernel(system, gap_factor=cfg.tol("kernel_gap_factor"))
+    rep = kernel(system)
     doc = rep.to_json()
     _write_json(out / "kernel.json", doc)
     doc.update(rep.verdict(system))
@@ -321,8 +294,7 @@ def _cmd_energy_curve(cfg, out):
 def _cmd_obstruction(cfg, out):
     params = make_params(cfg.k)
     rep = mel.monotone_obstruction(cfg.phi, params, cfg.box,
-                                   lattice=cfg.lattice,
-                                   margin=cfg.tol("obstruction_margin"))
+                                   lattice=cfg.lattice)
     return rep, True
 
 
@@ -339,9 +311,14 @@ _DISPATCH = {
 
 def _write_json(path, doc):
     """Write one JSON artifact with sorted keys and a one-space indent, so
-    that identical documents give identical bytes."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+    that identical documents give identical bytes; a value that is not
+    finite, which JSON cannot hold, raises ``ValueError`` and writes
+    nothing."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+    path.write_text(text)
 
 
 def main(argv=None):
@@ -369,13 +346,12 @@ def main(argv=None):
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"config": cfg.echo(), "status": "ok"}
+    summary = {"config": asdict(cfg), "status": "ok"}
     try:
         result, ok = _DISPATCH[cfg.command](cfg, out)
-        summary["result"] = result
         if not ok:
             summary["status"] = "failed_checks"
-        _write_json(out / "summary.json", summary)
+        _write_json(out / "summary.json", dict(summary, result=result))
         return 0 if ok else 3
     except NoCriticalPointError as exc:
         summary.update(status="no_critical_point", error_class="no_critical_point",

@@ -10,10 +10,11 @@ motion from the formulas.
 The ball moves by hyperbolic Killing fields, the horizontal translations
 and the dilation, so the derivatives of the volume are boundary fluxes:
 ``f_gradient`` integrates values of ``phi`` over the reference boundary
-sphere, and ``f_hessian``, the flux's own derivative, is the exact Hessian
-from one gradient sweep on the same points.  The boundary rule is the chart
-grid ``build_grid(BOUNDARY_GRID_N)``.  The solid-ball rule of ``f_value``
-takes its order from :func:`ball_rule_order`, which grows towards k = 1.
+sphere, and ``f_hessian``, the flux's own derivative, gives the flux and
+the exact Hessian from one value-and-gradient walk on the same points.  The
+boundary rule is the chart grid ``build_grid(BOUNDARY_GRID_N)``.  The
+solid-ball rule of ``f_value`` takes its order from
+:func:`ball_rule_order`, which grows towards k = 1.
 Both rules are built once per curvature, and a ball center only rescales
 and translates them.
 
@@ -174,20 +175,20 @@ def f_gradient(phi, params, q):
 
 
 def f_hessian(phi, params, q):
-    """Exact Hessian of :func:`f_value`: the derivative of the flux
-    :func:`f_gradient`, ``H_ij = (1/q3) int w a_i grad phi . d_j dS
-    - delta_j3 g_i / q3`` with the ball motions ``d = (e1, e2, p + k r e3)``,
-    from one gradient sweep on the boundary points."""
+    """``(g, H)``: :func:`f_gradient` (bit for bit) and the exact Hessian of
+    :func:`f_value`, the flux's derivative ``H_ij = (1/q3) int w a_i grad
+    phi . d_j dS - delta_j3 g_i / q3`` with the ball motions ``d = (e1, e2,
+    p + k r e3)``, from one ``phi.gradient`` walk on the boundary points."""
     if phi.gradient is None:
         raise ValueError("prescribed function has no gradient evaluator")
     q = HyperbolicPoint.of(q)
     wa, lift, target = _flux_rule(params, q)
-    g = phi.evaluate(target) @ wa
-    G = phi.gradient(target)
+    values, G = phi.gradient(target)
+    g = values @ wa
     H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
                         axis=-1)
     H[:, 2] -= g / q.p3
-    return H
+    return g, H
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +233,13 @@ def _inside(qa, box):
 
 
 def check_box(box):
-    """Validate a search box ``x0,x1,y0,y1,z0,z1`` with ordered bounds inside
-    the half-space; returns it as a tuple of floats."""
+    """Validate a search box ``x0,x1,y0,y1,z0,z1`` with finite, ordered
+    bounds inside the half-space; returns it as a tuple of floats."""
     box = tuple(float(b) for b in box)
-    if len(box) != 6 or box[0] >= box[1] or box[2] >= box[3] or box[4] >= box[5]:
-        raise ValueError("box must be x0,x1,y0,y1,z0,z1 with ordered bounds")
+    if len(box) != 6 or not np.isfinite(box).all() or box[0] >= box[1] \
+            or box[2] >= box[3] or box[4] >= box[5]:
+        raise ValueError("box must be x0,x1,y0,y1,z0,z1 with finite, ordered "
+                         "bounds")
     if box[4] <= 0:
         raise ValueError("box must stay strictly inside the half-space (z0 > 0)")
     return box
@@ -253,8 +256,9 @@ def check_seeds(seeds):
 def newton(gradient, hessian, q, gtol, inside):
     """Levenberg-damped Newton from ``q`` for a zero of ``gradient``.
 
-    A trial solves ``(H + lam max|H| I) s = -g`` and is accepted when it
-    lowers ``|g|_2`` (then ``lam /= 3``, else ``lam *= 4`` from 1e-4; eight
+    A trial solves ``(H + lam max|H| I) s = -g``, ``H`` from
+    ``hessian(q) = (g, H)``, and is accepted when ``gradient`` at it has a
+    lower ``|g|_2`` (then ``lam /= 3``, else ``lam *= 4`` from 1e-4; eight
     tries a step).  A trial outside ``inside`` ends the iteration unevaluated.
     Returns the last accepted ``(q, g)``; the caller judges ``|g|``.
     """
@@ -264,7 +268,7 @@ def newton(gradient, hessian, q, gtol, inside):
     for _ in range(NEWTON_MAX_ITER):
         if gn <= gtol:
             break
-        H = hessian(q)
+        _, H = hessian(q)
         hscale = max(np.max(np.abs(H)), 1e-12)
         for _ in range(8):
             try:
@@ -318,7 +322,7 @@ def find_critical(phi, params, box, seeds=27, rng=None):
     unique = []
     for val, q, g in found:
         if all(dist(q, u.q) > 1e-6 for u in unique):
-            H = f_hessian(phi, params, q)
+            _, H = f_hessian(phi, params, q)
             unique.append(MelnikovResult(
                 q=q, value=val, gradient=g, hessian=H,
                 classification=classify_hessian(H, val)))
@@ -329,28 +333,28 @@ def find_critical(phi, params, box, seeds=27, rng=None):
 # monotonicity obstructions
 
 
-def monotone_obstruction(phi, params, box, lattice=3,
-                         margin=OBSTRUCTION_MARGIN):
+def monotone_obstruction(phi, params, box, lattice=3):
     """Scan the box for uniformly signed derivatives of the reduced function.
 
     Reports, for the two horizontal directions and the radial pairing, the
-    sign when it is uniform over the lattice and bounded away from zero; a
-    uniformly signed derivative rules out critical points (and hence
-    perturbed spheres organized by them) in the box.
+    sign when it is uniform over the lattice and beyond
+    :data:`OBSTRUCTION_MARGIN`; a uniformly signed derivative rules out
+    critical points (and perturbed spheres organized by them) in the box.
     """
     pts = box_lattice(check_box(box), lattice)
     grads = np.array([f_gradient(phi, params, p) for p in pts])
     radial = np.einsum("ij,ij->i", pts, grads)
-    report = {"lattice": pts.tolist(), "margin": margin, "directions": {}}
+    report = {"lattice": pts.tolist(), "margin": OBSTRUCTION_MARGIN,
+              "directions": {}}
     obstructed = []
     for name, vals in (("e1", grads[:, 0]), ("e2", grads[:, 1]),
                        ("radial", radial)):
         lo, hi = float(np.min(vals)), float(np.max(vals))
         entry = {"min": lo, "max": hi, "sign": None}
-        if lo > margin:
+        if lo > OBSTRUCTION_MARGIN:
             entry["sign"] = "+"
             obstructed.append(name)
-        elif hi < -margin:
+        elif hi < -OBSTRUCTION_MARGIN:
             entry["sign"] = "-"
             obstructed.append(name)
         report["directions"][name] = entry

@@ -18,7 +18,9 @@ value by the same ufuncs and its gradient in closed form.
 :class:`PrescribedFunction` whose callables sample ``phi`` with numpy's
 floating-point warnings off and raise :class:`~cmc_hyp.errors.NumericsError`
 where a sampled value or gradient is not finite; the raw walks
-:func:`evaluate` and :func:`evaluate_gradient` check nothing.
+:func:`evaluate` and :func:`evaluate_gradient` check nothing.  The dual
+walk carries the values (``Dual.v``), so :func:`evaluate_gradient` returns
+both.
 """
 
 from __future__ import annotations
@@ -378,17 +380,19 @@ def evaluate(tree, pts):
 
 
 def evaluate_gradient(tree, pts):
-    """Euclidean gradients of the expression at points ``(..., 3)``."""
+    """Values (:func:`evaluate`'s, bit for bit) and Euclidean gradients
+    ``(..., 3)`` of the expression at points ``(..., 3)``, as a pair; an
+    expression without variables has the zero gradient."""
     pts = np.asarray(pts, dtype=float)
     duals = []
     for i in range(3):
         g = np.zeros((3,) + pts.shape[:-1])
         g[i] = 1.0
         duals.append(Dual(pts[..., i], g))
-    value = _eval(tree, duals)
-    if not isinstance(value, Dual):
-        return np.zeros_like(pts)
-    return np.moveaxis(value.g, 0, -1)
+    out = _eval(tree, duals)
+    if not isinstance(out, Dual):
+        return evaluate(tree, pts), np.zeros_like(pts)
+    return out.v, np.moveaxis(out.g, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +403,9 @@ def evaluate_gradient(tree, pts):
 class PrescribedFunction:
     """A scalar function on the half-space with its Euclidean gradient.
 
-    ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to
-    ``(..., 3)`` Euclidean gradients; ``descriptor`` documents the source.
+    ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to the
+    pair of the values and the ``(..., 3)`` Euclidean gradients;
+    ``descriptor`` documents the source.
     """
 
     evaluate: object
@@ -411,13 +416,16 @@ class PrescribedFunction:
 def _checked(walk, tree, name):
     """``walk(tree, p)`` with numpy's floating-point warnings off; raises
     :class:`NumericsError` naming ``name`` and the first point where an
-    output is not finite."""
+    output (either array of a pair) is not finite."""
     def sample(p):
         with np.errstate(all="ignore"):
             out = walk(tree, p)
-        if not np.isfinite(out).all():
+        outs = out if isinstance(out, tuple) else (out,)
+        if not all(np.isfinite(o).all() for o in outs):
             pts = np.asarray(p, dtype=float)
-            ok = np.isfinite(out).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
+            ok = np.logical_and.reduce([
+                np.isfinite(o).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
+                for o in outs])
             raise NumericsError(
                 f"{name} is not finite at {pts[~ok][0].tolist()}")
         return out
@@ -436,7 +444,7 @@ def phi_to_prescribed(text, probe_box=None):
     phi = PrescribedFunction(
         evaluate=_checked(evaluate, tree, f"phi = {descriptor}"),
         gradient=_checked(evaluate_gradient, tree,
-                          f"the gradient of phi = {descriptor}"),
+                          f"the value or gradient of phi = {descriptor}"),
         descriptor=descriptor)
     if probe_box is None:
         probe_box = (-1.0, 1.0, -1.0, 1.0, 0.5, 2.0)

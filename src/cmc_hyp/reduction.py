@@ -201,7 +201,8 @@ def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
     ``-2 eps hessian`` of ``grad_q = -2 eps grad f(q) + O(eps^2)``: at most
     25 passes of one warm-started :func:`correct`, until ``|g|`` stops
     falling or a step leaves the half-space.  Returns the state of smallest
-    ``|g|``, which must be within the noise floor 50 gtol."""
+    ``|g|``, which must be within the noise floor 50 gtol; the error of a
+    state above it names the stop that ended the loop."""
     gtol = 1e-9
     itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     jac = -2.0 * eps * hessian
@@ -210,17 +211,22 @@ def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
         trial = correct(eps, HyperbolicPoint.of(q), phi, params, grid,
                         warm=state, tol=itol)
         g = reduced_gradient(trial, params)
-        if not np.linalg.norm(g) < gn:
+        gnew = np.linalg.norm(g)
+        if not gnew < gn:
+            stop = f"a pass did not lower it (|grad| = {gnew:.3e})"
             break
-        state, gn = trial, np.linalg.norm(g)
+        state, gn = trial, gnew
         if gn <= gtol:
             break
         q = q - np.linalg.solve(jac, g)
         if not q[2] > 0.0:
+            stop = f"a step went to p3 = {q[2]:.3e} <= 0"
             break
+    else:
+        stop = "the cap of 25 passes ended it while |grad| was still falling"
     if gn > 50.0 * gtol:
         raise ConvergenceError("no reduced critical point: outer iteration "
-                               f"stopped at |grad| = {gn:.3e}")
+                               f"stopped at |grad| = {gn:.3e}: {stop}")
     return state
 
 
@@ -255,9 +261,11 @@ def _report(state, phi, params, proxy=None):
 
 
 def check_schedule(eps_schedule):
-    """Validate an ``eps`` schedule, which must be monotone in ``|eps|``;
-    returns it as a list of floats."""
+    """Validate an ``eps`` schedule of finite values, which must be monotone
+    in ``|eps|``; returns it as a list of floats."""
     eps_schedule = [float(e) for e in eps_schedule]
+    if not np.isfinite(eps_schedule).all():
+        raise ValueError(f"eps values must be finite, not {eps_schedule}")
     mags = [abs(e) for e in eps_schedule]
     up = all(b >= a - 1e-15 for a, b in zip(mags, mags[1:]))
     down = all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))

@@ -24,7 +24,6 @@ def test_verify_command(tmp_path):
     doc = read_summary(out)
     assert doc["status"] == "ok"
     assert doc["result"]["all_pass"]
-    assert doc["config"]["tolerances"]["kernel_gap_factor"] == 100.0
     for check in doc["result"]["checks"].values():
         assert check["pass"]
 
@@ -183,14 +182,14 @@ def test_energy_curve_command(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "k": 3.0, "grid_n": 16, "tolerances": {"kernel_gap_factor": 50.0}}))
+        "k": 3.0, "grid_n": 16, "seed": 5}))
     out = tmp_path / "cf"
     assert main(["verify", "--config", str(cfgfile), "--k", "2",
                  "--out", str(out)]) == 0
     doc = read_summary(out)
     assert doc["config"]["k"] == 2.0                   # flag wins
     assert doc["config"]["grid_n"] == 16               # from the file
-    assert doc["config"]["tolerances"]["kernel_gap_factor"] == 50.0
+    assert doc["config"]["seed"] == 5
 
 
 def test_config_errors(tmp_path):
@@ -244,8 +243,6 @@ def test_unknown_config_keys_are_config_errors(tmp_path):
     ({"k": "2"}, "k"),
     ({"eps_schedule": 0.01}, "eps_schedule"),
     ({"box": 5}, "box"),
-    ({"tolerances": {"kernel_gap_factor": "big"}},
-     "tolerances.kernel_gap_factor"),
 ])
 def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys, doc,
                                                        key):
@@ -340,6 +337,24 @@ def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
         ["surface_0.01.csv"]
 
 
+def test_outer_loop_error_names_the_pass_cap(tmp_path):
+    # the eps = -0.3 step's outer loop is still lowering |grad| (1.4e-7,
+    # above the 5e-8 floor) when its 25-pass cap ends it
+    out = tmp_path / "cap"
+    rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi",
+               "exp(-hypdist(0.167845,-0.102928,1.112917)^2)"
+               " + 0.211411*exp(-hypdist(-0.165472,0.035801,1.260455)^2)",
+               "--eps=-0.1,-0.3", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    first, second = read_summary(out)["result"]["steps"]
+    assert first["status"] == "ok"
+    assert second["status"] == "failed"
+    assert second["error"] == (
+        "no reduced critical point: outer iteration stopped at |grad| = "
+        "1.363e-07: the cap of 25 passes ended it while |grad| was still "
+        "falling")
+
+
 def test_solve_samples_phi_only_where_the_surface_reaches(tmp_path):
     # phi is not finite below p3 = 1.1, far under the search box and every
     # surface the solve visits, so the energy must not sample it there
@@ -354,31 +369,58 @@ def test_solve_samples_phi_only_where_the_surface_reaches(tmp_path):
     assert np.isfinite(step["energy"])
 
 
-def test_tolerance_overrides_are_honoured(tmp_path):
-    def run(command, tolerances, *args):
-        cfg, out = tmp_path / f"{command}.json", tmp_path / command
-        cfg.write_text(json.dumps({"tolerances": tolerances}))
-        rc = main([command, "--k", "2", "--config", str(cfg),
-                   "--out", str(out), *args])
-        return rc, out
+def test_config_document_sets_no_tolerance(tmp_path, capsys):
+    # a negative obstruction margin would certify all three directions on
+    # a bump whose reduced function has a nondegenerate maximum in the box;
+    # the bounds of the verdicts are not inputs
+    cfg, out = tmp_path / "margin.json", tmp_path / "ob"
+    cfg.write_text(json.dumps({"tolerances": {"obstruction_margin": -1.0}}))
+    assert main(["obstruction", "--k", "2", "--phi", BUMP, "--box=" + BOX,
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'tolerances'" in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
 
-    rc, out = run("kernel", {"kernel_gap_factor": 1e30}, "--grid-n", "16")
+
+@pytest.mark.parametrize("command, args, doc, says", [
+    ("solve", ["--grid-n", "16", "--phi", BUMP, "--eps=nan", "--box=" + BOX],
+     {}, "eps values must be finite"),
+    ("solve", ["--grid-n", "16", "--phi", BUMP, "--box=" + BOX],
+     {"eps_schedule": [0.01, float("inf")]}, "eps values must be finite"),
+    ("verify", ["--k", "inf"], {}, "k must be finite"),
+    ("verify", [], {"k": float("nan")}, "k must be finite"),
+    ("melnikov", ["--phi", BUMP, "--box=nan,0.4,-0.4,0.4,0.6,1.6"], {},
+     "finite, ordered bounds"),
+    ("melnikov", ["--phi", BUMP],
+     {"box": [-0.4, 0.4, -0.4, 0.4, 0.6, float("inf")]},
+     "finite, ordered bounds"),
+    ("energy-curve", ["--grid-n", "8"], {"t_range": [float("inf"), 1.02, 3]},
+     "t_range needs finite"),
+], ids=["eps-flag", "eps-document", "k-flag", "k-document", "box-flag",
+        "box-document", "t_range"])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command,
+                                                    args, doc, says):
+    # a document may hold NaN and Infinity, which Python's JSON reader takes
+    cfg, out = tmp_path / "cfg.json", tmp_path / "nf"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, *args, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert says in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+
+
+def test_non_finite_result_is_numeric_failure(tmp_path):
+    # a finite but huge horosphere height overflows the energy curve (numpy
+    # warns); the summary, which JSON cannot give a NaN, omits the result
+    cfg, out = tmp_path / "cfg.json", tmp_path / "nr"
+    cfg.write_text(json.dumps({"t_range": [1e308, 1.02, 3]}))
+    with pytest.warns(RuntimeWarning):
+        rc = main(["energy-curve", "--grid-n", "8", "--config", str(cfg),
+                   "--out", str(out)])
     assert rc == 3
-    assert read_summary(out)["config"]["tolerances"]["kernel_gap_factor"] == 1e30
-    rc, out = run("obstruction", {"obstruction_margin": 1e30},
-                  "--phi", "p1", "--box=" + BOX)
-    assert rc == 0
-    assert read_summary(out)["result"]["obstructed"] == []
-    rc, out = run("verify", {"quad_area_tol": 1e-16}, "--grid-n", "16")
-    doc = read_summary(out)
-    assert rc == 3 and doc["status"] == "failed_checks"
-    assert doc["result"]["checks"]["area"]["value"] > 1e-16
-    assert not doc["result"]["checks"]["area"]["pass"]
-    # only the tolerances passed down to a computation may be set
-    rc, _ = run("solve", {"newton_residual": 1e-30, "newton_max_iter": 1},
-                "--grid-n", "16", "--phi", BUMP, "--eps", "0.01",
-                "--box=" + BOX)
-    assert rc == 2
+    doc = json.loads((out / "summary.json").read_text(),
+                     parse_constant=lambda c: pytest.fail(f"{c} in summary"))
+    assert doc["status"] == "numeric_failure" and "result" not in doc
+    assert "not JSON compliant" in doc["error"]
 
 
 DETERMINISM_ARGS = {

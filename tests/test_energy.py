@@ -216,7 +216,7 @@ def test_necessary_conditions_at_bubble(grid16, params2):
     U = bb.bubble(params2, q, grid16)
     ball = hs.ball_to_euclidean(q, params2.rho)
     pts, w = hs.ball_quadrature(ball, order=20)
-    gphi = phi.gradient(pts)
+    _, gphi = phi.gradient(pts)
     for j in range(2):
         tst = ch.constant_field(grid16, np.eye(3)[j])
         vprime = (en.first_variation(U, params2, 1.0, phi, tst)

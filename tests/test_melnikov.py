@@ -67,7 +67,7 @@ def _ball_rule_gradient(phi, params, q):
     pts, w = params.r * pts, params.r**3 * w
     lift = pts + np.array([0.0, 0.0, params.k * params.r])
     wd = w * lift[:, 2] ** -3.0
-    g = phi.gradient(q.p3 * lift + np.array([q.p1, q.p2, 0.0]))
+    _, g = phi.gradient(q.p3 * lift + np.array([q.p1, q.p2, 0.0]))
     return np.array([wd @ g[:, 0], wd @ g[:, 1],
                      wd @ np.einsum("ij,ij->i", g, lift)])
 
@@ -92,7 +92,7 @@ def test_exact_hessian_matches_differences(params2, rng):
         phi = mel.phi_to_prescribed(text)
         for _ in range(3):
             q = _random_q(rng)
-            H = mel.f_hessian(phi, params2, q)
+            _, H = mel.f_hessian(phi, params2, q)
             scale = np.max(np.abs(H))
             assert np.max(np.abs(H - H.T)) <= 1e-12 * scale
             fd = np.empty((3, 3))
@@ -103,6 +103,27 @@ def test_exact_hessian_matches_differences(params2, rng):
                             - mel.f_gradient(phi, params2, q - e)) / (2 * e[j])
             # the central difference's own error is O(e^2) ~ 1e-8
             assert np.max(np.abs(H - fd)) <= 1e-6 * scale
+
+
+def test_hessian_takes_one_phi_walk(params2, rng):
+    # f_hessian's flux comes from the values its gradient walk carries
+    calls = []
+
+    def counted(kind, fn):
+        def sample(p):
+            calls.append(kind)
+            return fn(p)
+        return sample
+
+    for text in DESIGN_BUMPS:
+        bump = mel.phi_to_prescribed(text)
+        phi = mel.PrescribedFunction(counted("evaluate", bump.evaluate),
+                                     counted("gradient", bump.gradient))
+        q = _random_q(rng)
+        calls.clear()
+        g, _ = mel.f_hessian(phi, params2, q)
+        assert calls == ["gradient"]
+        assert np.array_equal(g, mel.f_gradient(bump, params2, q))
 
 
 def test_flux_gradient_needs_no_phi_gradient(params2):
@@ -169,7 +190,7 @@ def _uncached_flux(phi, params, q):
     wa = (r**2 / q.p3 * grid.weights * lift[:, 2] ** -3.0)[:, None] * a
     target = q.p3 * lift + np.array([q.p1, q.p2, 0.0])
     g = phi.evaluate(target) @ wa
-    G = phi.gradient(target)
+    _, G = phi.gradient(target)
     H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
                         axis=-1)
     H[:, 2] -= g / q.p3
@@ -204,7 +225,7 @@ def test_cached_reference_rules(rng):
                 g, H = _uncached_flux(phi, params, q)
                 assert np.linalg.norm(mel.f_gradient(phi, params, q) - g) \
                     <= 1e-14 * np.linalg.norm(g)
-                assert np.linalg.norm(mel.f_hessian(phi, params, q) - H) \
+                assert np.linalg.norm(mel.f_hessian(phi, params, q)[1] - H) \
                     <= 1e-14 * np.linalg.norm(H)
 
 
@@ -315,8 +336,8 @@ def _recorded_quadratic():
 
 def test_newton_one_step_on_a_quadratic():
     gradient, seen = _recorded_quadratic()
-    q, g = mel.newton(gradient, lambda q: A, np.zeros(3), 1e-12,
-                      lambda q: True)
+    q, g = mel.newton(gradient, lambda q: (A @ q - B, A), np.zeros(3),
+                      1e-12, lambda q: True)
     assert np.allclose(q, np.linalg.solve(A, B), rtol=0, atol=1e-14)
     assert np.linalg.norm(g) <= 1e-12
     assert len(seen) == 2       # the start and the one exact step
@@ -328,7 +349,8 @@ def test_newton_never_evaluates_outside():
     start = np.zeros(3)
     assert not inside(np.linalg.solve(A, B))
     gradient, seen = _recorded_quadratic()
-    q, g = mel.newton(gradient, lambda q: A, start, 1e-12, inside)
+    q, g = mel.newton(gradient, lambda q: (A @ q - B, A), start, 1e-12,
+                      inside)
     assert all(inside(p) for p in seen)
     assert np.array_equal(q, start) and np.array_equal(g, A @ start - B)
 

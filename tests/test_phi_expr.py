@@ -22,11 +22,11 @@ def fd_gradient(phi, p, h=1e-6):
 def test_constant_and_coordinate():
     one = pe.phi_to_prescribed("1")
     assert float(one.evaluate(np.array([0.3, 0.2, 1.5]))) == 1.0
-    assert np.allclose(one.gradient(np.array([0.3, 0.2, 1.5])), 0.0)
+    assert np.allclose(one.gradient(np.array([0.3, 0.2, 1.5]))[1], 0.0)
     p1 = pe.phi_to_prescribed("p1")
     pt = np.array([0.7, -0.3, 2.0])
     assert float(p1.evaluate(pt)) == 0.7
-    assert np.allclose(p1.gradient(pt), [1, 0, 0])
+    assert np.allclose(p1.gradient(pt)[1], [1, 0, 0])
 
 
 def test_radial_bump_gradient():
@@ -35,7 +35,7 @@ def test_radial_bump_gradient():
     for _ in range(10):
         p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
                       rng.uniform(0.5, 2)])
-        g = phi.gradient(p)
+        _, g = phi.gradient(p)
         assert np.linalg.norm(g - fd_gradient(phi, p)) < 1e-6 * max(
             1.0, np.linalg.norm(g))
 
@@ -47,7 +47,8 @@ def test_vectorized_evaluation():
     assert vals.shape == (40,)
     expect = pts[:, 2] ** 2 * np.sin(pts[:, 0]) + np.cos(pts[:, 1]) / pts[:, 2]
     assert np.allclose(vals, expect)
-    grads = phi.gradient(pts)
+    values, grads = phi.gradient(pts)
+    assert np.array_equal(values, vals)
     assert grads.shape == (40, 3)
     assert np.allclose(grads[:, 0], pts[:, 2] ** 2 * np.cos(pts[:, 0]))
 
@@ -109,7 +110,7 @@ def test_compiled_samples_are_checked(grid16, params2):
         with pytest.raises(NumericsError, match=r"sqrt\(p3 - 1\.1\) is not "
                            r"finite at \[0\.2, 0\.1, 1\.0\]"):
             fn(pts)
-    assert np.isfinite(phi.gradient(pts[:1])).all()
+    assert all(np.isfinite(a).all() for a in phi.gradient(pts[:1]))
     # the corrector's residual samples phi through the same check
     U = bb.bubble(params2, HyperbolicPoint(0, 0, 1), grid16)
     with pytest.raises(NumericsError, match="not finite"):
@@ -133,29 +134,34 @@ def test_constants_pi():
 def test_zero_exponent_has_zero_slope():
     # the probe lattice holds p1 = 0, where 0 * 0^-1 would not be finite
     phi = pe.phi_to_prescribed("p1^0")
-    assert np.array_equal(phi.gradient(np.array([0.0, 0.3, 1.0])), np.zeros(3))
+    assert np.array_equal(phi.gradient(np.array([0.0, 0.3, 1.0]))[1],
+                          np.zeros(3))
 
 
 def test_hypdist_slope_is_zero_at_its_anchor():
     phi = pe.phi_to_prescribed("exp(-hypdist(0.1, 0.2, 1.1)^2)")
-    assert np.array_equal(phi.gradient(np.array([0.1, 0.2, 1.1])), np.zeros(3))
+    assert np.array_equal(phi.gradient(np.array([0.1, 0.2, 1.1]))[1],
+                          np.zeros(3))
 
 
 def test_gradient_batched_shapes():
-    # a batch of points in any shape gives each point's own gradient; an
-    # expression without variables has the zero gradient
+    # a batch of points in any shape gives each point's own value and
+    # gradient; an expression without variables has the zero gradient
     tree = pe.parse_phi("exp(-hypdist(0.1,0,1)^2) * p1 + sin(p2) / p3")
     rng = np.random.default_rng(3)
     pts = rng.uniform([-0.5, -0.5, 0.5], [0.5, 0.5, 1.5], size=(2, 50, 3))
-    batched = pe.evaluate_gradient(tree, pts)
-    assert batched.shape == pts.shape
-    flat = pe.evaluate_gradient(tree, pts.reshape(-1, 3))
+    values, batched = pe.evaluate_gradient(tree, pts)
+    assert values.shape == pts.shape[:-1] and batched.shape == pts.shape
+    assert np.array_equal(values, pe.evaluate(tree, pts))
+    _, flat = pe.evaluate_gradient(tree, pts.reshape(-1, 3))
     np.testing.assert_allclose(batched.reshape(-1, 3), flat,
                                rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(flat[7], pe.evaluate_gradient(tree, pts[0, 7]),
+    np.testing.assert_allclose(flat[7],
+                               pe.evaluate_gradient(tree, pts[0, 7])[1],
                                rtol=1e-14, atol=1e-15)
-    assert np.array_equal(pe.evaluate_gradient(pe.parse_phi("2"), pts),
-                          np.zeros_like(pts))
+    values, grads = pe.evaluate_gradient(pe.parse_phi("2"), pts)
+    assert np.array_equal(values, np.full(pts.shape[:-1], 2.0))
+    assert np.array_equal(grads, np.zeros_like(pts))
 
 
 def _composed_hypdist(p1, p2, p3, anchor):
@@ -186,7 +192,7 @@ def test_hypdist_closed_form_slope_matches_the_ufunc_chain(monkeypatch):
     assert np.array_equal(pe.hypdist(*seeds, tuple(anchor)).v,
                           _composed_hypdist(*pts.T, tuple(anchor)))
     closed = {text: (pe.evaluate(pe.parse_phi(text), pts),
-                     pe.evaluate_gradient(pe.parse_phi(text), pts))
+                     pe.evaluate_gradient(pe.parse_phi(text), pts)[1])
               for text in designs}
     # the reference: the composed chain through the dual rule table
     monkeypatch.setattr(pe, "hypdist", _composed_hypdist)
@@ -197,6 +203,6 @@ def test_hypdist_closed_form_slope_matches_the_ufunc_chain(monkeypatch):
     for text, (values, grads) in closed.items():
         tree = pe.parse_phi(text)
         assert np.array_equal(values, pe.evaluate(tree, pts))
-        ref = pe.evaluate_gradient(tree, pts)
+        ref = pe.evaluate_gradient(tree, pts)[1]
         assert np.all(np.linalg.norm(grads - ref, axis=-1)
                       <= 1e-13 * np.linalg.norm(ref, axis=-1))

@@ -91,9 +91,13 @@ def test_dual_gradient_matches_finite_differences(tree, p):
     p = np.array(p)
     with np.errstate(all="ignore"):
         f = float(pe.evaluate(tree, p))
-        g = pe.evaluate_gradient(tree, p)
+        v, g = pe.evaluate_gradient(tree, p)
         fp = pe.evaluate(tree, p + h * np.eye(3))
         fm = pe.evaluate(tree, p - h * np.eye(3))
+        vp, _ = pe.evaluate_gradient(tree, p + h * np.eye(3))
+    # the dual walk's values are the plain walk's, bit for bit
+    assert np.array_equal(v, f, equal_nan=True)
+    assert np.array_equal(vp, fp, equal_nan=True)
     assume(np.isfinite(f) and np.all(np.isfinite(g))
            and np.all(np.isfinite(fp)) and np.all(np.isfinite(fm)))
     second = np.abs(fp - 2.0 * f + fm) / h**2

@@ -7,7 +7,8 @@ from cmc_hyp import energy as en
 from cmc_hyp import linearized as lin
 from cmc_hyp import melnikov as mel
 from cmc_hyp import reduction as red
-from cmc_hyp.errors import NoCriticalPointError, NumericsError
+from cmc_hyp.errors import ConvergenceError, NoCriticalPointError, \
+    NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.phi_expr import phi_to_prescribed
 
@@ -294,6 +295,26 @@ def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
                                grid16)
     assert all(r["status"] == "ok" and r["resolved"] for r in reports)
     assert len(calls) <= 9, calls
+
+
+def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
+                                                 monkeypatch):
+    # scripted reduced gradients against the Jacobian -2 eps I = -0.2 I,
+    # so each pass moves q by 5 g
+    def stop(grads):
+        it = iter(grads)
+        monkeypatch.setattr(red, "correct", lambda eps, q, *a, **kw: q)
+        monkeypatch.setattr(red, "reduced_gradient", lambda s, p: next(it))
+        with pytest.raises(ConvergenceError) as err:
+            red._solve_at(0.1, None, params2, grid16, Q0, np.eye(3))
+        return str(err.value)
+
+    assert stop([np.full(3, 1e-3)] * 2).endswith(
+        "a pass did not lower it (|grad| = 1.732e-03)")
+    assert stop([np.array([0.0, 0.0, -1.0])]).endswith(
+        "a step went to p3 = -4.000e+00 <= 0")
+    assert stop([np.full(3, 1e-3 * 0.8**i) for i in range(25)]).endswith(
+        "the cap of 25 passes ended it while |grad| was still falling")
 
 
 def test_continuation_reuses_the_melnikov_hessian(grid16, params2, bump):
