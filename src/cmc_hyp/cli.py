@@ -3,11 +3,14 @@
 One process runs one command; every run writes ``summary.json`` into the
 output directory with the fully resolved configuration, inputs only (each
 verdict's bound is its module's constant), echoed back, so identical
-configurations produce byte-identical summaries.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure (a result that is not finite
-too) or failed checks, 4 no critical point in the search box.  An unknown
-config key, a value of the wrong type or not finite, or a missing required
-input (see :data:`REQUIRED`) is a configuration error.
+configurations produce byte-identical summaries.  The configuration holds
+no random seed: the critical search starts from a fixed lattice, and
+``verify``'s projector check draws its test field from one fixed stream.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (a result
+that is not finite too) or failed checks, 4 no critical point in the
+search box.  An unknown config key, a value of the wrong type or not
+finite, or a missing required input (see :data:`REQUIRED`) is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ class JobConfig:
     seeds: int = 27
     lattice: int = 3
     t_range: tuple = (2.0, 1.02, 25)
-    seed: int = 0
     out_dir: str = "."
 
     def validate(self):
@@ -128,8 +130,7 @@ def _t_range(v):
 _READERS = {
     "k": _real, "grid_n": _integer, "phi_source": _text, "box": _reals,
     "eps_schedule": _reals, "count": _integer, "seeds": _integer,
-    "lattice": _integer, "t_range": _t_range, "seed": _integer,
-    "out_dir": _text,
+    "lattice": _integer, "t_range": _t_range, "out_dir": _text,
 }
 
 
@@ -210,8 +211,7 @@ def _cmd_verify(cfg, out):
     target = np.diag([cfg.k**2, cfg.k**2, cfg.k**2 + 3.0])
     put("gamma_gram", mx(gg - target), tol=1e-8)
 
-    rng = np.random.default_rng(cfg.seed)
-    f = ch.random_smooth_field(grid, rng)
+    f = ch.random_smooth_field(grid, np.random.default_rng(0))
     Pf, _ = ch.project_P(f)
     put("projector", mx(np.einsum("ij,ij->i", Pf.values, om)), tol=1e-13)
 
@@ -245,8 +245,7 @@ def _cmd_melnikov(cfg, out):
     phi = cfg.phi
     rows = mel.scan_to_csv(phi, params, cfg.box, out / "scan.csv",
                            lattice=max(cfg.lattice, 4))
-    crits = mel.find_critical(phi, params, cfg.box, seeds=cfg.seeds,
-                              rng=np.random.default_rng(cfg.seed))
+    crits = mel.find_critical(phi, params, cfg.box, seeds=cfg.seeds)
     doc = {
         "scan_rows": rows,
         "critical_points": [c.as_dict() for c in crits],
@@ -261,8 +260,7 @@ def _cmd_solve(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
     reports = continuation(cfg.eps_schedule, cfg.phi, params, cfg.box, grid,
-                           seeds=cfg.seeds,
-                           rng=np.random.default_rng(cfg.seed))
+                           seeds=cfg.seeds)
     steps = []
     for rep in reports:
         surface = rep.pop("_surface", None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import chart as ch
+from .errors import NumericsError
 from .halfspace import positive_heights
 from .linearized import j_residual
 
@@ -67,15 +68,24 @@ def volume_V(K, u):
 
 def energy_E(u, params, eps=0.0, phi=None):
     """Surface energy: Dirichlet part, constant-curvature volume term, and
-    ``2 eps`` times the prescribed-weight volume."""
+    ``2 eps`` times the prescribed-weight volume.
+
+    The first two are summed with numpy's floating-point warnings off (a
+    height whose square overflows contributes zero); a sum that is not
+    finite raises :class:`NumericsError` naming the surface's heights.
+    """
     u = ch.differentiate(u)
     u3 = positive_heights(u.values)
     g = u.grid
     wz = g.weights / g.mu**2
     norm2 = np.einsum("ij,ij->i", u.dx, u.dx) + np.einsum("ij,ij->i", u.dy, u.dy)
     cross3 = np.cross(u.dx, u.dy)[:, 2]
-    out = 0.5 * np.sum(wz * norm2 / u3**2) \
-        - params.k * np.sum(wz * cross3 / u3**2)
+    with np.errstate(all="ignore"):
+        out = 0.5 * np.sum(wz * norm2 / u3**2) \
+            - params.k * np.sum(wz * cross3 / u3**2)
+    if not np.isfinite(out):
+        raise NumericsError("the surface energy is not finite at heights "
+                            f"{float(u3.min())!r} to {float(u3.max())!r}")
     if eps != 0.0:
         if phi is None:
             raise ValueError("eps != 0 needs the prescribed function")
@@ -109,11 +119,18 @@ def horosphere_energy(k, t):
     """Closed-form energy of the vertically shifted unit sphere ``omega + t e3``.
 
     Diverges to minus infinity as ``t`` decreases to 1 (horosphere limit).
+    Computed with numpy's floating-point warnings off; a value that is not
+    finite (``t * t`` overflows) raises :class:`NumericsError` naming ``t``.
     """
     if t <= 1:
         raise ValueError("the shifted sphere needs t > 1")
-    return 4.0 * np.pi * (-(k * t - 1.0) / (t * t - 1.0)
-                          + 0.5 * k * np.log((t + 1.0) / (t - 1.0)))
+    with np.errstate(all="ignore"):
+        out = 4.0 * np.pi * (-(k * t - 1.0) / (t * t - 1.0)
+                             + 0.5 * k * np.log((t + 1.0) / (t - 1.0)))
+    if not np.isfinite(out):
+        raise NumericsError("the closed-form energy is not finite at "
+                            f"t = {float(t)!r}")
+    return out
 
 
 def energy_curve(params, ts, grid):

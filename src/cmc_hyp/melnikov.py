@@ -3,23 +3,24 @@
 ``f_value`` integrates a prescribed function over the hyperbolic ball of
 radius ``rho_k`` about ``q``; stable critical points of that function in ``q``
 are the organizing centers for perturbed constant-curvature spheres.  The
-quadrature is pulled back to a fixed reference ball ``|p| <= r`` (integrand
-``w phi(q3 p + q^k)``, ``w = (p3 + k r)^-3``), which removes any domain
-motion from the formulas.
+value is the half-space layer's solid-ball rule on the ball's Euclidean image
+against the volume density ``p3^-3``; pulled back to a fixed reference ball
+``|p| <= r`` (integrand ``w phi(q3 p + q^k)``, ``w = (p3 + k r)^-3``) the
+domain stops moving, which is how the derivatives are taken.
 
 The ball moves by hyperbolic Killing fields, the horizontal translations
 and the dilation, so the derivatives of the volume are boundary fluxes:
 ``f_gradient`` integrates values of ``phi`` over the reference boundary
 sphere, and ``f_hessian``, the flux's own derivative, gives the flux and
 the exact Hessian from one value-and-gradient walk on the same points.  The
-boundary rule is the chart grid ``build_grid(BOUNDARY_GRID_N)``.  The
-solid-ball rule of ``f_value`` takes its order from
-:func:`ball_rule_order`, which grows towards k = 1.
-Both rules are built once per curvature, and a ball center only rescales
-and translates them.
+boundary rule is the chart grid ``build_grid(BOUNDARY_GRID_N)``, built once
+per curvature; a ball center only rescales and translates it.  The
+solid-ball rule of ``f_value`` takes its order from :func:`ball_rule_order`,
+which grows towards k = 1.
 
 :func:`newton` is the damped Newton over the ball center that
-:func:`find_critical` runs from each seed.
+:func:`find_critical` runs from each point of a fixed box lattice, so the
+search is a function of its inputs alone.
 
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
@@ -37,8 +38,8 @@ import csv
 import numpy as np
 
 from .chart import build_grid
-from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, box_lattice, dist,
-                        unit_ball_rule)
+from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, ball_quadrature,
+                        ball_to_euclidean, box_lattice, dist)
 # PrescribedFunction is re-exported: the catalog's functions are its instances
 from .phi_expr import PrescribedFunction, phi_to_prescribed
 
@@ -105,28 +106,6 @@ def ball_rule_order(k):
     return 64
 
 
-# an entry holds up to 17 MB (order 64)
-@lru_cache(maxsize=4)
-def _reference_ball(r, k):
-    """The reference ball ``|p| <= r`` at curvature ``k``, the part of the
-    solid-ball rule that no ball center changes: its points and the weights
-    times the pulled-back density ``w = (p3 + k r)^-3``, both read-only."""
-    pts, w = unit_ball_rule(ball_rule_order(k))
-    pts, w = r * pts, r**3 * w
-    wd = w * (pts[:, 2] + k * r) ** -3.0
-    pts.flags.writeable = False
-    wd.flags.writeable = False
-    return pts, wd
-
-
-def _ball_rule(params, q):
-    """The reference rule for the ball about ``q``: weights times the
-    pulled-back density, and the points' images in the ball."""
-    pts, wd = _reference_ball(params.r, params.k)
-    kr = params.k * params.r
-    return wd, q.p3 * pts + np.array([q.p1, q.p2, kr * q.p3])
-
-
 @lru_cache(maxsize=8)
 def _boundary_rule(r, k):
     """The reference boundary sphere ``|p| = r`` at curvature ``k``, the
@@ -153,10 +132,14 @@ def _flux_rule(params, q):
 
 
 def f_value(phi, params, q):
-    """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at ``q``."""
+    """Integral of ``phi`` over the hyperbolic ball of radius ``rho`` at
+    ``q``: :func:`~cmc_hyp.halfspace.ball_quadrature` on its Euclidean image
+    at order :func:`ball_rule_order`, against the volume density
+    ``p3^-3``."""
     q = HyperbolicPoint.of(q)
-    wd, target = _ball_rule(params, q)
-    return float(np.sum(wd * phi.evaluate(target)))
+    X, w = ball_quadrature(ball_to_euclidean(q, params.rho),
+                           ball_rule_order(params.k))
+    return float(np.sum(w * X[:, 2] ** -3.0 * phi.evaluate(X)))
 
 
 def f_gradient(phi, params, q):
@@ -290,42 +273,37 @@ def newton(gradient, hessian, q, gtol, inside):
     return q, g
 
 
-def find_critical(phi, params, box, seeds=27, rng=None):
+def find_critical(phi, params, box, seeds=27):
     """Search the box for critical points of the reduced function.
 
-    :func:`newton` with the exact Hessian :func:`f_hessian` starts from a
-    jittered lattice of ``seeds`` points and roams a widened box; converged
-    points in ``box`` are sorted by value, deduplicated by hyperbolic
-    distance, and only the kept ones are classified through the same
-    Hessian.  An empty list is a valid outcome (no critical point).
+    :func:`newton` with the exact Hessian :func:`f_hessian` starts from each
+    point of the interior lattice of ``seeds`` points and roams a widened
+    box.  A converged point in ``box`` is kept when it lies more than 1e-6
+    (hyperbolic distance) from every point kept before it; only the kept
+    points are valued and classified through the same Hessian, and they are
+    returned sorted by value.  An empty list is a valid outcome (no critical
+    point).
     """
     box = check_box(box)
-    m = check_seeds(seeds)
-    rng = rng or np.random.default_rng(0)
-    pts = box_lattice(box, m, interior=True)
-    cell = np.array([(box[2 * i + 1] - box[2 * i]) / (m + 1) for i in range(3)])
-    pts = pts + 0.3 * cell * rng.uniform(-1, 1, pts.shape)
-    pts[:, 2] = np.clip(pts[:, 2], 0.51 * box[4], None)
+    pts = box_lattice(box, check_seeds(seeds), interior=True)
     wide = (box[0] - 1, box[1] + 1, box[2] - 1, box[3] + 1,
             0.25 * box[4], 4 * box[5])
 
-    found = []
+    unique = []
     for seed in pts:
         qa, g = newton(lambda qa: f_gradient(phi, params, qa),
                        lambda qa: f_hessian(phi, params, qa),
                        seed, 1e-10, lambda qa: _inside(qa, wide))
         if np.linalg.norm(g) > 1e-10 or not _inside(qa, box):
             continue
-        found.append((f_value(phi, params, qa), HyperbolicPoint.of(qa), g))
-
-    found.sort(key=lambda f: (f[0], f[1].p1, f[1].p2, f[1].p3))
-    unique = []
-    for val, q, g in found:
+        q = HyperbolicPoint.of(qa)
         if all(dist(q, u.q) > 1e-6 for u in unique):
+            val = f_value(phi, params, q)
             _, H = f_hessian(phi, params, q)
             unique.append(MelnikovResult(
                 q=q, value=val, gradient=g, hessian=H,
                 classification=classify_hessian(H, val)))
+    unique.sort(key=lambda c: (c.value, c.q.p1, c.q.p2, c.q.p3))
     return unique
 
 

@@ -44,8 +44,9 @@ from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, operator_pack
 from .melnikov import f_value, find_critical
 
-# target of the 2-norm of the corrector's modal projected-equation residual
-NEWTON_RESIDUAL = 1e-9
+# target of the 2-norm of the corrector's modal projected-equation residual:
+# a fifth of the outer solve's |grad| target, 1e-9
+NEWTON_RESIDUAL = 2e-10
 # largest sup of the curvature residual and of the multipliers xi, alpha in
 # a resolved solve step, and its largest conformality residual
 SOLVE_RESIDUAL = 1e-8
@@ -81,7 +82,7 @@ class ReductionState:
     iterations: int
 
 
-def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
+def correct(eps, q, phi, params, grid, warm=None):
     """Solve the projected problem at ``(eps, q)`` by a chord iteration.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
@@ -90,9 +91,10 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
     and the residual's jet of the correction: values and first derivatives
     from one transform, the Laplacian from the modes' degrees in another;
     the orthogonality constraints are enforced inside the solve and stay at
-    roundoff.  At ``eps = 0`` the iteration returns the zero correction
-    immediately.  A non-finite residual raises :class:`NumericsError` at
-    once.
+    roundoff.  It stops once the modal residual and the constraint defect
+    are both at most :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration
+    returns the zero correction immediately.  A non-finite residual raises
+    :class:`NumericsError` at once.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
@@ -116,7 +118,7 @@ def correct(eps, q, phi, params, grid, tol=NEWTON_RESIDUAL, warm=None):
         rnorm = float(np.linalg.norm(rmod))
         if not np.isfinite(rnorm):
             raise NumericsError(f"non-finite residual at chord step {it}")
-        if rnorm <= tol and np.max(np.abs(R2)) <= tol:
+        if rnorm <= NEWTON_RESIDUAL and np.max(np.abs(R2)) <= NEWTON_RESIDUAL:
             break
         dc, dm = pack.saddle_solve(-scale * rmod, -R2)
         c = c + dc
@@ -204,12 +206,11 @@ def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
     ``|g|``, which must be within the noise floor 50 gtol; the error of a
     state above it names the stop that ended the loop."""
     gtol = 1e-9
-    itol = min(NEWTON_RESIDUAL, 0.2 * gtol)
     jac = -2.0 * eps * hessian
     q, state, gn = HyperbolicPoint.of(q_start).array, warm, np.inf
     for _ in range(25):
         trial = correct(eps, HyperbolicPoint.of(q), phi, params, grid,
-                        warm=state, tol=itol)
+                        warm=state)
         g = reduced_gradient(trial, params)
         gnew = np.linalg.norm(g)
         if not gnew < gn:
@@ -298,23 +299,23 @@ def _predict(q0, state, eps):
     return HyperbolicPoint.of(q_start), warm
 
 
-def continuation(eps_schedule, phi, params, box, grid, seeds=27, rng=None):
+def continuation(eps_schedule, phi, params, box, grid, seeds=27):
     """Construct perturbed-curvature spheres along a monotone ``eps`` schedule.
 
     A stable critical point of the reduced function must exist in ``box``
     (otherwise :class:`NoCriticalPointError` is raised, which the command
-    line maps to its dedicated exit code); ``rng`` jitters the search seeds.
-    The solve at each ``eps`` starts from the first-order prediction of
-    :func:`_predict`, ``O(eps^2)`` from its solution.  Stops
-    at the first failure, keeping every completed report with the corrected
-    surface's diagnostics.  A step's ``status`` says whether its solve
-    converged, its ``resolved`` whether the grid resolves the solution: the
-    sup of the curvature residual and of the multipliers at most
-    :data:`SOLVE_RESIDUAL`, the conformality residual at most
-    :data:`SOLVE_CONFORMALITY`.
+    line maps to its dedicated exit code); the search starts from the
+    ``seeds`` points of a box lattice.  The solve at each ``eps`` starts
+    from the first-order prediction of :func:`_predict`, ``O(eps^2)`` from
+    its solution.  Stops at the first failure, keeping every completed
+    report with the corrected surface's diagnostics.  A step's ``status``
+    says whether its solve converged, its ``resolved`` whether the grid
+    resolves the solution: the sup of the curvature residual and of the
+    multipliers at most :data:`SOLVE_RESIDUAL`, the conformality residual at
+    most :data:`SOLVE_CONFORMALITY`.
     """
     eps_schedule = check_schedule(eps_schedule)
-    crits = find_critical(phi, params, box, seeds=seeds, rng=rng)
+    crits = find_critical(phi, params, box, seeds=seeds)
     stable = [c for c in crits if c.classification != "degenerate"]
     if not stable:
         raise NoCriticalPointError(

@@ -182,14 +182,14 @@ def test_energy_curve_command(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "k": 3.0, "grid_n": 16, "seed": 5}))
+        "k": 3.0, "grid_n": 16, "count": 9}))
     out = tmp_path / "cf"
     assert main(["verify", "--config", str(cfgfile), "--k", "2",
                  "--out", str(out)]) == 0
     doc = read_summary(out)
     assert doc["config"]["k"] == 2.0                   # flag wins
     assert doc["config"]["grid_n"] == 16               # from the file
-    assert doc["config"]["seed"] == 5
+    assert doc["config"]["count"] == 9
 
 
 def test_config_errors(tmp_path):
@@ -232,7 +232,7 @@ def test_missing_required_input_is_config_error(tmp_path, command, args):
 
 
 def test_unknown_config_keys_are_config_errors(tmp_path):
-    for doc in ({"grid-n": 48}, {"degree": 10}):
+    for doc in ({"grid-n": 48}, {"degree": 10}, {"seed": 5}):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["verify", "--config", str(cfg),
@@ -409,18 +409,18 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command,
 
 
 def test_non_finite_result_is_numeric_failure(tmp_path):
-    # a finite but huge horosphere height overflows the energy curve (numpy
-    # warns); the summary, which JSON cannot give a NaN, omits the result
+    # a finite but huge horosphere height overflows the closed-form energy,
+    # which the energy layer refuses without a numpy warning; the summary
+    # omits the result
     cfg, out = tmp_path / "cfg.json", tmp_path / "nr"
     cfg.write_text(json.dumps({"t_range": [1e308, 1.02, 3]}))
-    with pytest.warns(RuntimeWarning):
-        rc = main(["energy-curve", "--grid-n", "8", "--config", str(cfg),
-                   "--out", str(out)])
-    assert rc == 3
+    assert main(["energy-curve", "--grid-n", "8", "--config", str(cfg),
+                 "--out", str(out)]) == 3
     doc = json.loads((out / "summary.json").read_text(),
                      parse_constant=lambda c: pytest.fail(f"{c} in summary"))
     assert doc["status"] == "numeric_failure" and "result" not in doc
-    assert "not JSON compliant" in doc["error"]
+    assert doc["error"] == \
+        "the closed-form energy is not finite at t = 1e+308"
 
 
 DETERMINISM_ARGS = {
