@@ -36,10 +36,12 @@ class CurvatureParams:
 
 
 def make_params(k):
-    """Validate ``k`` and derive the radii; ``k <= 1`` is rejected because no
-    immersed sphere of constant mean curvature ``k`` exists in hyperbolic
-    space for ``k`` in ``(0, 1]``."""
+    """Validate ``k`` and derive the radii; a ``k`` that is not finite is
+    rejected, and so is ``k <= 1`` because no immersed sphere of constant
+    mean curvature ``k`` exists in hyperbolic space for ``k`` in ``(0, 1]``."""
     k = float(k)
+    if not np.isfinite(k):
+        raise ValueError(f"k must be finite, not {k!r}")
     if not k > 1.0:
         raise ValueError(
             f"k = {k:g} rejected: no immersed constant-mean-curvature sphere "
@@ -141,9 +143,6 @@ class MoebiusMap:
     @property
     def is_identity(self):
         return self.b == 0 and self.c == 0 and self.a == self.d
-
-    def inverse(self):
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
     def _z(self, z):
         z = np.asarray(z, dtype=float)

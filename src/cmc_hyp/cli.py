@@ -30,13 +30,10 @@ from .bubbles import make_params, tangent_frame
 from .energy import energy_curve, horosphere_energy
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
-from .linearized import (PACK_MIN_N, SPECTRUM_MIN_COUNT, assemble_linearized,
-                         kernel, spectrum_normal)
+from .linearized import PACK_MIN_N, assemble_linearized, kernel, spectrum_normal
 from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
-COMMANDS = ("verify", "spectrum", "kernel", "melnikov", "solve",
-            "energy-curve", "obstruction")
 # the commands that build the operator pack, and so need its smallest grid
 PACK_COMMANDS = ("spectrum", "kernel", "solve")
 
@@ -56,17 +53,14 @@ class JobConfig:
     phi_source: str | None = None
     box: tuple | None = None
     eps_schedule: tuple = ()
-    count: int = 8
     seeds: int = 27
-    lattice: int = 3
     t_range: tuple = (2.0, 1.02, 25)
     out_dir: str = "."
 
     def validate(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if not (math.isfinite(self.k) and self.k > 1):
-            raise ValueError("k must be finite and exceed 1")
+        make_params(self.k)
         floor = PACK_MIN_N if self.command in PACK_COMMANDS else 4
         if self.grid_n < floor:
             raise ValueError(f"{self.command} needs grid_n >= {floor}")
@@ -74,10 +68,6 @@ class JobConfig:
             mel.check_box(self.box)
         mel.check_seeds(self.seeds)
         check_schedule(self.eps_schedule)
-        if self.lattice < 1:
-            raise ValueError("lattice must be at least 1")
-        if self.count < SPECTRUM_MIN_COUNT:
-            raise ValueError(f"count must be at least {SPECTRUM_MIN_COUNT}")
         t0, t1, points = self.t_range
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 > 1 and t1 > 1
                 and points >= 1 and float(points).is_integer()):
@@ -129,8 +119,8 @@ def _t_range(v):
 # (or ``null`` where the default is not ``None``) is a configuration error.
 _READERS = {
     "k": _real, "grid_n": _integer, "phi_source": _text, "box": _reals,
-    "eps_schedule": _reals, "count": _integer, "seeds": _integer,
-    "lattice": _integer, "t_range": _t_range, "out_dir": _text,
+    "eps_schedule": _reals, "seeds": _integer, "t_range": _t_range,
+    "out_dir": _text,
 }
 
 
@@ -222,7 +212,7 @@ def _cmd_verify(cfg, out):
 def _cmd_spectrum(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    rep = spectrum_normal(params, grid, count=cfg.count)
+    rep = spectrum_normal(params, grid)
     doc = rep.to_json()
     _write_json(out / "spectrum.json", doc)
     doc.update(rep.verdict())
@@ -243,14 +233,12 @@ def _cmd_kernel(cfg, out):
 def _cmd_melnikov(cfg, out):
     params = make_params(cfg.k)
     phi = cfg.phi
-    rows = mel.scan_to_csv(phi, params, cfg.box, out / "scan.csv",
-                           lattice=max(cfg.lattice, 4))
+    rows = mel.scan_to_csv(phi, params, cfg.box, out / "scan.csv")
     crits = mel.find_critical(phi, params, cfg.box, seeds=cfg.seeds)
     doc = {
         "scan_rows": rows,
         "critical_points": [c.as_dict() for c in crits],
-        "stable": [c.as_dict() for c in crits
-                   if c.classification != "degenerate"],
+        "stable": [c.as_dict() for c in mel.stable_points(crits)],
     }
     _write_json(out / "critical_points.json", doc["critical_points"])
     return doc, True
@@ -278,22 +266,22 @@ def _cmd_energy_curve(cfg, out):
     t0, t1, count = cfg.t_range
     ts = np.linspace(float(t0), float(t1), int(count))
     rows = energy_curve(params, ts, grid)
+    t, e = rows.T
+    closed = np.array([horosphere_energy(cfg.k, s) for s in t])
     with open(out / "energy_curve.csv", "w") as fh:
         fh.write("t,E0,closed_form\n")
-        for t, e in rows:
-            fh.write(f"{t:.17g},{e:.17g},{horosphere_energy(cfg.k, t):.17g}\n")
-    defect = float(np.max([abs(e - horosphere_energy(cfg.k, t))
-                           / max(1.0, abs(e)) for t, e in rows]))
+        fh.writelines(f"{row[0]:.17g},{row[1]:.17g},{c:.17g}\n"
+                      for row, c in zip(rows, closed))
+    # relative, but to at least 4 pi t^-2, the far field: E changes sign
+    defect = float(np.max(np.abs(e - closed)
+                          / np.maximum(np.abs(e), 4.0 * np.pi / t**2)))
     monotone = bool(np.all(np.diff(rows[:, 1][np.argsort(rows[:, 0])]) >= 0))
     return {"points": rows.shape[0], "closed_form_defect": defect,
             "decreasing_toward_horosphere": monotone}, True
 
 
 def _cmd_obstruction(cfg, out):
-    params = make_params(cfg.k)
-    rep = mel.monotone_obstruction(cfg.phi, params, cfg.box,
-                                   lattice=cfg.lattice)
-    return rep, True
+    return mel.monotone_obstruction(cfg.phi, make_params(cfg.k), cfg.box), True
 
 
 _DISPATCH = {
@@ -305,6 +293,7 @@ _DISPATCH = {
     "energy-curve": _cmd_energy_curve,
     "obstruction": _cmd_obstruction,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _write_json(path, doc):

@@ -118,19 +118,22 @@ def conformality_residual(u):
 def horosphere_energy(k, t):
     """Closed-form energy of the vertically shifted unit sphere ``omega + t e3``.
 
-    Diverges to minus infinity as ``t`` decreases to 1 (horosphere limit).
-    Computed with numpy's floating-point warnings off; a value that is not
-    finite (``t * t`` overflows) raises :class:`NumericsError` naming ``t``.
+    ``4 pi [k (atanh x - x) + (1 - k x) / (t^2 - 1)]`` with ``x = 1/t`` and
+    ``atanh x - x`` as its series for ``x <= 1/4``, so no two terms cancel
+    as the energy falls like ``4 pi t^-2``; it diverges to minus infinity as
+    ``t`` decreases to 1 (horosphere limit).  A ``t`` whose square
+    overflows raises :class:`NumericsError` naming ``t``.
     """
+    t = float(t)
     if t <= 1:
         raise ValueError("the shifted sphere needs t > 1")
-    with np.errstate(all="ignore"):
-        out = 4.0 * np.pi * (-(k * t - 1.0) / (t * t - 1.0)
-                             + 0.5 * k * np.log((t + 1.0) / (t - 1.0)))
-    if not np.isfinite(out):
+    if not np.isfinite(t * t):
         raise NumericsError("the closed-form energy is not finite at "
-                            f"t = {float(t)!r}")
-    return out
+                            f"t = {t!r}")
+    x = 1.0 / t     # atanh x - x = x^3 sum_j x^2j / (2j + 3)
+    tail = (x**3 * np.polyval(1.0 / np.arange(31, 1, -2), x * x) if x <= 0.25
+            else 0.5 * np.log1p(2.0 / (t - 1.0)) - x)
+    return 4.0 * np.pi * (k * tail + (1.0 - k * x) / ((t - 1.0) * (t + 1.0)))
 
 
 def energy_curve(params, ts, grid):

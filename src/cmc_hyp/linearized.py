@@ -41,7 +41,7 @@ KERNEL_GAP_FACTOR = 100.0
 # largest frame-reconstruction residual of a resolved kernel certificate
 KERNEL_FRAME_RESIDUAL = 1e-6
 # largest |lambda_0| of a resolved normal spectrum, relative to the larger of
-# 1 and its top computed eigenvalue
+# 1 and its fifth eigenvalue, the first past the gap
 SPECTRUM_LOW_REL = 1e-8
 # largest relative error of the triple eigenvalue 2k in a resolved normal
 # spectrum (the acceptance bound on the coarser of its grids)
@@ -703,18 +703,18 @@ class SpectrumReport:
 
     def verdict(self):
         """The certificate's numbers and whether they pass: the continuum
-        spectrum starts ``0, 2k (x3)``, so a lowest eigenvalue off zero, a
-        split triple or a far one means the grid does not resolve the
-        operator at this k."""
+        spectrum starts ``0, 2k (x3)``, so a lowest eigenvalue off zero
+        (against the fifth), a split triple or a far one means the grid does
+        not resolve the operator at this k."""
         lam, two_k = self.eigenvalues, 2.0 * self.k
-        low = float(lam[0])
+        low, fifth = float(lam[0]), lam[SPECTRUM_MIN_COUNT - 1]
         triple = float(np.max(np.abs(lam[1:4] - two_k)))
         return {
             "low_eigenvalue": low,
             "triple_at_2k_error": triple,
             "gap_after_triple": float(lam[4] - two_k),
             "resolved": bool(
-                abs(low) <= SPECTRUM_LOW_REL * max(1.0, lam[-1])
+                abs(low) <= SPECTRUM_LOW_REL * max(1.0, fifth)
                 and self.multiplicities[:2] == [1, 3]
                 and triple / two_k <= SPECTRUM_TRIPLE_REL),
         }
@@ -727,7 +727,9 @@ def spectrum_normal(params, grid, count=8):
     mass) on each azimuthal block of the pack and merges the block spectra,
     returning a :class:`SpectrumReport` of the ascending eigenvalues, their
     clustered multiplicities, each pair's relative residual, and the
-    azimuthal orders, ascending within each cluster.
+    azimuthal orders, ascending within each cluster.  Neighbours within
+    ``1e-6`` times the fifth eigenvalue (at least 1) share a cluster, so a
+    larger ``count`` only lengthens the list.
     """
     if count < SPECTRUM_MIN_COUNT:
         raise ValueError(
@@ -750,7 +752,7 @@ def spectrum_normal(params, grid, count=8):
     if np.any(res > 1e-7):
         raise ConvergenceError(
             f"eigenpair residual {res.max():.2e} above 1e-07")
-    scale = max(1.0, abs(vals[-1]))
+    scale = max(1.0, abs(vals[SPECTRUM_MIN_COUNT - 1]))
     mult, i = [], 0
     while i < count:
         j = i

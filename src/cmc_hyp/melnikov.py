@@ -54,6 +54,9 @@ NEWTON_MAX_ITER = 40
 # margin by which a derivative must keep one sign over the lattice to count
 # as an obstruction
 OBSTRUCTION_MARGIN = 1e-10
+# points per axis of the obstruction's lattice and of the scan's
+OBSTRUCTION_LATTICE = 3
+SCAN_LATTICE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +213,11 @@ def classify_hessian(H, value):
     return "saddle"
 
 
+def stable_points(crits):
+    """The critical points, in order, that a solve can continue from."""
+    return [c for c in crits if c.classification != "degenerate"]
+
+
 def _inside(qa, box):
     return (box[0] <= qa[0] <= box[1] and box[2] <= qa[1] <= box[3]
             and box[4] <= qa[2] <= box[5])
@@ -311,15 +319,16 @@ def find_critical(phi, params, box, seeds=27):
 # monotonicity obstructions
 
 
-def monotone_obstruction(phi, params, box, lattice=3):
+def monotone_obstruction(phi, params, box):
     """Scan the box for uniformly signed derivatives of the reduced function.
 
     Reports, for the two horizontal directions and the radial pairing, the
-    sign when it is uniform over the lattice and beyond
-    :data:`OBSTRUCTION_MARGIN`; a uniformly signed derivative rules out
-    critical points (and perturbed spheres organized by them) in the box.
+    sign when it is uniform over the box's ``OBSTRUCTION_LATTICE``-per-axis
+    lattice and beyond :data:`OBSTRUCTION_MARGIN`; a uniformly signed
+    derivative rules out critical points (and perturbed spheres organized
+    by them) in the box.
     """
-    pts = box_lattice(check_box(box), lattice)
+    pts = box_lattice(check_box(box), OBSTRUCTION_LATTICE)
     grads = np.array([f_gradient(phi, params, p) for p in pts])
     radial = np.einsum("ij,ij->i", pts, grads)
     report = {"lattice": pts.tolist(), "margin": OBSTRUCTION_MARGIN,
@@ -340,9 +349,10 @@ def monotone_obstruction(phi, params, box, lattice=3):
     return report
 
 
-def scan_to_csv(phi, params, box, path, lattice=8):
-    """Write a lattice of reduced-function values and gradients as CSV."""
-    pts = box_lattice(check_box(box), lattice)
+def scan_to_csv(phi, params, box, path):
+    """Write reduced-function values and gradients on the box's
+    ``SCAN_LATTICE``-per-axis lattice as CSV; returns the row count."""
+    pts = box_lattice(check_box(box), SCAN_LATTICE)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["q1", "q2", "q3", "F", "dF1", "dF2", "dF3"])

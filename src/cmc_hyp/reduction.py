@@ -42,7 +42,7 @@ from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, operator_pack
-from .melnikov import f_value, find_critical
+from .melnikov import f_value, find_critical, stable_points
 
 # target of the 2-norm of the corrector's modal projected-equation residual:
 # a fifth of the outer solve's |grad| target, 1e-9
@@ -252,13 +252,15 @@ def _report(state, phi, params, proxy=None):
         "f_value": f_value(phi, params, state.q),
         "side1": verify_side1(u, res, state.eps),
         "iterations": state.iterations,
+        "A_eps_norm": float(np.linalg.norm(interaction_matrix(state, params),
+                                           2)),
     }
     rep["resolved"] = bool(
         max(rep["residual_sup"], rep["xi_sup"], rep["alpha_sup"])
         <= SOLVE_RESIDUAL and conf <= SOLVE_CONFORMALITY)
     if proxy is not None:
         rep["stability_proxy"] = proxy
-    return u, rep
+    return rep
 
 
 def check_schedule(eps_schedule):
@@ -315,8 +317,7 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27):
     most :data:`SOLVE_CONFORMALITY`.
     """
     eps_schedule = check_schedule(eps_schedule)
-    crits = find_critical(phi, params, box, seeds=seeds)
-    stable = [c for c in crits if c.classification != "degenerate"]
+    stable = stable_points(find_critical(phi, params, box, seeds=seeds))
     if not stable:
         raise NoCriticalPointError(
             "no stable critical point of the reduced function in the box")
@@ -332,10 +333,6 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=27):
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "hint": "retry with smaller eps steps"})
             break
-        u, rep = _report(state, phi, params, proxy=stable[0].classification)
-        rep["status"] = "ok"
-        rep["_surface"] = u
-        A = interaction_matrix(state, params)
-        rep["A_eps_norm"] = float(np.linalg.norm(A, 2))
-        reports.append(rep)
+        rep = _report(state, phi, params, proxy=stable[0].classification)
+        reports.append(dict(rep, status="ok", _surface=state.surface))
     return reports

@@ -28,6 +28,13 @@ def test_make_params_limits_and_rejection():
             bb.make_params(bad)
 
 
+@pytest.mark.parametrize("k", [float("inf"), float("nan")])
+def test_make_params_rejects_a_k_that_is_not_finite(k):
+    # the radii of k = inf are rho = nan and r = 0
+    with pytest.raises(ValueError, match="k must be finite"):
+        bb.make_params(k)
+
+
 def test_bubble_geometry(grid16, params2):
     q = hs.HyperbolicPoint(0, 0, 1)
     U = bb.bubble(params2, q, grid16)

@@ -182,14 +182,14 @@ def test_energy_curve_command(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "k": 3.0, "grid_n": 16, "count": 9}))
+        "k": 3.0, "grid_n": 16, "seeds": 8}))
     out = tmp_path / "cf"
     assert main(["verify", "--config", str(cfgfile), "--k", "2",
                  "--out", str(out)]) == 0
     doc = read_summary(out)
     assert doc["config"]["k"] == 2.0                   # flag wins
     assert doc["config"]["grid_n"] == 16               # from the file
-    assert doc["config"]["count"] == 9
+    assert doc["config"]["seeds"] == 8
 
 
 def test_config_errors(tmp_path):
@@ -232,11 +232,19 @@ def test_missing_required_input_is_config_error(tmp_path, command, args):
 
 
 def test_unknown_config_keys_are_config_errors(tmp_path):
-    for doc in ({"grid-n": 48}, {"degree": 10}, {"seed": 5}):
-        cfg = tmp_path / "cfg.json"
+    # sampling counts are not inputs: a one-point lattice reads a box that
+    # holds a maximum of the reduced function as obstructed
+    for command, args, doc in (
+            ("verify", [], {"grid-n": 48}),
+            ("verify", [], {"degree": 10}),
+            ("verify", [], {"seed": 5}),
+            ("obstruction", ["--phi", BUMP, "--box=" + BOX], {"lattice": 1}),
+            ("spectrum", ["--k", "1.2", "--grid-n", "16"], {"count": 40})):
+        cfg, out = tmp_path / "cfg.json", tmp_path / command
         cfg.write_text(json.dumps(doc))
-        assert main(["verify", "--config", str(cfg),
-                     "--out", str(tmp_path / "u")]) == 2
+        assert main([command, *args, "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -282,23 +290,16 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("command, doc", [
-    ("obstruction", {"lattice": 0}),
-    ("obstruction", {"lattice": -2}),
-    ("spectrum", {"count": 2}),
-    ("energy-curve", {"t_range": [2.0, 1.02, 0]}),
-    ("energy-curve", {"t_range": [2.0, 1.02, 2.5]}),
-    ("energy-curve", {"t_range": [0.5, 1.02, 5]}),
-], ids=["lattice-0", "lattice-negative", "count", "t_range-count",
-        "t_range-fractional-count", "t_range-below-1"])
-def test_out_of_range_config_values_are_config_errors(tmp_path, capsys,
-                                                      command, doc):
+@pytest.mark.parametrize("doc", [
+    {"t_range": [2.0, 1.02, 0]},
+    {"t_range": [2.0, 1.02, 2.5]},
+    {"t_range": [0.5, 1.02, 5]},
+], ids=["t_range-count", "t_range-fractional-count", "t_range-below-1"])
+def test_out_of_range_config_values_are_config_errors(tmp_path, capsys, doc):
     cfg, out = tmp_path / "cfg.json", tmp_path / "r"
     cfg.write_text(json.dumps(doc))
-    extra = (["--phi", "p1", "--box=" + BOX] if command == "obstruction"
-             else ["--grid-n", "16"])
-    assert main([command, "--k", "2", *extra, "--config", str(cfg),
-                 "--out", str(out)]) == 2
+    assert main(["energy-curve", "--k", "2", "--grid-n", "16", "--config",
+                 str(cfg), "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().out
     assert not (out / "summary.json").exists()
 

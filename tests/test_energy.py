@@ -108,6 +108,17 @@ def test_energy_closed_form(grid24):
         4 * np.pi * (np.log(3.0) - 1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("k", [1.05, 2.0, 5.0])
+def test_closed_form_energy_far_from_the_horosphere(k):
+    # E = 4 pi (t^-2 - (2k/3) t^-3 + t^-4 - (4k/5) t^-5 + O(t^-6)), where
+    # the two terms of the textbook form cancel
+    for t in (1e4, 1e5, 1e7, 1e8, 1e12):
+        series = 4 * np.pi * (t**-2 - (2 * k / 3) * t**-3 + t**-4
+                              - (4 * k / 5) * t**-5)
+        assert en.horosphere_energy(k, t) == pytest.approx(series, rel=1e-12,
+                                                           abs=0.0)
+
+
 def test_energy_monotone_divergence(grid24, params2):
     ts = [1.05, 1.01, 1.001]
     vals = [r[1] for r in en.energy_curve(params2, ts, grid24)]

@@ -239,6 +239,16 @@ def test_kernel_refinement(params2):
         assert lin.kernel(system).dimension == 9
 
 
+def test_spectrum_verdict_does_not_depend_on_count(grid16):
+    # at k = 1.2, n = 16 the triple at 2k is split; a clustering tolerance
+    # that scaled with the last eigenvalue asked for merged it at count 40
+    params = bb.make_params(1.2)
+    reps = [lin.spectrum_normal(params, grid16, count=c) for c in (5, 8, 40)]
+    for rep in reps:
+        assert rep.multiplicities[:3] == [1, 2, 1]
+        assert rep.verdict()["resolved"] is False
+
+
 def test_spectrum_verdict_needs_a_zero_eigenvalue(grid16, params2):
     # the same report with lambda_0 = 1e-3 keeps its clusters and its triple
     rep = lin.spectrum_normal(params2, grid16, count=8)

@@ -369,7 +369,7 @@ def test_box_validation(params2):
 
 def test_scan_csv(tmp_path, params2):
     phi = mel.phi_radial_gaussian((0, 0, 1))
-    n = mel.scan_to_csv(phi, params2, BOX, tmp_path / "scan.csv", lattice=3)
+    n = mel.scan_to_csv(phi, params2, BOX, tmp_path / "scan.csv")
     data = np.genfromtxt(tmp_path / "scan.csv", delimiter=",", names=True)
-    assert len(data) == n == 27
+    assert len(data) == n == mel.SCAN_LATTICE**3 == 64
     assert set(data.dtype.names) == {"q1", "q2", "q3", "F", "dF1", "dF2", "dF3"}

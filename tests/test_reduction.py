@@ -409,9 +409,9 @@ def test_nu_tail_reports_resolution(params2):
     tails = []
     for n in (12, 16, 24):
         state = red.correct(0.02, q, phi, params2, ch.build_grid(n))
-        tails.append(red._report(state, phi, params2)[1]["nu_tail"])
+        tails.append(red._report(state, phi, params2)["nu_tail"])
     assert tails[0] > 1e-5
     assert tails[1] < 0.1 * tails[0] and tails[2] < 0.1 * tails[1]
     assert tails[2] < 1e-9
     zero = red.correct(0.0, q, phi, params2, ch.build_grid(12))
-    assert red._report(zero, phi, params2)[1]["nu_tail"] == 0.0
+    assert red._report(zero, phi, params2)["nu_tail"] == 0.0
