@@ -290,16 +290,25 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("doc", [
-    {"t_range": [2.0, 1.02, 0]},
-    {"t_range": [2.0, 1.02, 2.5]},
-    {"t_range": [0.5, 1.02, 5]},
-], ids=["t_range-count", "t_range-fractional-count", "t_range-below-1"])
-def test_out_of_range_config_values_are_config_errors(tmp_path, capsys, doc):
+# `lattice` and `count` are no longer config keys: their documents are
+# refused as unknown keys, whatever the value
+@pytest.mark.parametrize("command, doc", [
+    ("obstruction", {"lattice": 0}),
+    ("obstruction", {"lattice": -2}),
+    ("spectrum", {"count": 2}),
+    ("energy-curve", {"t_range": [2.0, 1.02, 0]}),
+    ("energy-curve", {"t_range": [2.0, 1.02, 2.5]}),
+    ("energy-curve", {"t_range": [0.5, 1.02, 5]}),
+], ids=["lattice-0", "lattice-negative", "count", "t_range-count",
+        "t_range-fractional-count", "t_range-below-1"])
+def test_out_of_range_config_values_are_config_errors(tmp_path, capsys,
+                                                      command, doc):
     cfg, out = tmp_path / "cfg.json", tmp_path / "r"
     cfg.write_text(json.dumps(doc))
-    assert main(["energy-curve", "--k", "2", "--grid-n", "16", "--config",
-                 str(cfg), "--out", str(out)]) == 2
+    extra = (["--phi", "p1", "--box=" + BOX] if command == "obstruction"
+             else ["--grid-n", "16"])
+    assert main([command, "--k", "2", *extra, "--config", str(cfg),
+                 "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().out
     assert not (out / "summary.json").exists()
 
