@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import chart as ch
 from .bubbles import make_params, tangent_frame
@@ -51,8 +50,6 @@ SPECTRUM_TRIPLE_REL = 1e-3
 SPECTRUM_MIN_COUNT = 5
 # smallest grid of the operator pack, whose scalar basis has degree n - 6 >= 2
 PACK_MIN_N = 8
-# LAPACK's real LU back-substitution, called by _ModalPack.saddle_solve
-_GETRS, = sla.get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +128,12 @@ class _ModalPack:
     :func:`~cmc_hyp.chart.with_azimuths` with one azimuth), each weighted by
     its whole ring; no dense operator or nodal table of the basis is formed.
     The blocks, the tangent frame (the one shared copy), its modal
-    tables and the corrector's per-block saddle factorizations are built on
-    first use.  :func:`_pack` keeps one pack: every command and solve works
-    at a single ``(n, k)``.  At n = 48 a pack holds about 9 MB after a
-    certificate and a solve: 2.1 MB of vector blocks and their map, 2.1 MB
-    of saddle factors, 2.1 MB of tangent frame and 1.4 MB of profiles.
+    tables and the inverses of the corrector's per-block saddle matrices
+    are built on first use.  :func:`_pack` keeps one pack: every command
+    and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
+    9 MB after a certificate and a solve: 2.1 MB of vector blocks and their
+    map, 2.1 MB of saddle inverses, 2.1 MB of tangent frame and 1.4 MB of
+    profiles.
     """
 
     def __init__(self, grid, params):
@@ -259,12 +257,11 @@ class _ModalPack:
         (:func:`_vector_groups`) at the meridian; terms 1 and 2 make up
         ``(dox + i doy) . (ux + i uy)``, terms 3 and 4 a chart 2-vector and
         term 5 a scalar, so each one's density turns with that phase."""
-        k, mer = self.params.k, self.meridian
-        w, mu, om = mer.weights, mer.mu, mer.omega
-        dox, doy = mer.domega_dx, mer.domega_dy
-        ok = om[:, 2] + k
+        mer = self.meridian
+        om, dox, doy = mer.omega, mer.domega_dx, mer.domega_dy
+        Ctan, C2, C3 = self._densities
         # value/dx/dy, component, meridian node, column
-        U = np.zeros((3, 3, w.size, size), complex)
+        U = np.zeros((3, 3, om.shape[0], size), complex)
         start = 0
         for m, d in groups:
             J = self.degree - m + 1
@@ -273,14 +270,25 @@ class _ModalPack:
             start += J
         v, ux, uy = U
         dot = lambda a, b: np.einsum("pc,cpj->pj", a, b)
-        Ctan, C2 = w / (mu**4 * ok**2), w / (mu**2 * ok**2)
         return self._meridian_gram(M, (
             (dot(dox, ux) - dot(doy, uy), Ctan, 1.0),
             (dot(doy, ux) + dot(dox, uy), Ctan, 1.0),
             (dot(om, ux) + dot(dox, v), C2, 1.0),
             (dot(om, uy) + dot(doy, v), C2, 1.0),
-            (dot(om, v), w / ok**3, -2.0 * k),
+            (dot(om, v), C3, -2.0 * self.params.k),
         ))
+
+    @cached_property
+    def _densities(self):
+        """The ring weights ``w / (mu^4 ok^2)``, ``w / (mu^2 ok^2)`` and
+        ``w / ok^3`` (``ok = omega3 + k``) of the operator's densities at
+        the meridian nodes, computed with numpy's warnings off: where a
+        power of ``ok`` overflows they are 0, their correctly rounded value."""
+        mer = self.meridian
+        w, mu = mer.weights, mer.mu
+        ok = mer.omega[:, 2] + self.params.k
+        with np.errstate(all="ignore"):
+            return w / (mu**4 * ok**2), w / (mu**2 * ok**2), w / ok**3
 
     @staticmethod
     def _meridian_gram(M, terms):
@@ -290,15 +298,24 @@ class _ModalPack:
         their real parts, with each node's ``weight`` its whole ring's.
         Over a ring, ``Re(a) Re(b)`` averages to ``Re(a conj(b)) / 2`` for
         ``M > 0``, since ``a b`` turns with ``e^{2 i M theta}``; for
-        ``M = 0`` the real parts' own density is invariant."""
+        ``M = 0`` the real parts' own density is invariant.
+
+        Every operator block is made here, so here each is checked finite,
+        with numpy's warnings off, before any factorization or eigensolve
+        sees it (numpy's LAPACK calls do not check): a block that is not
+        raises :class:`NumericsError` naming its azimuthal order."""
         B = np.concatenate([b for b, _, _ in terms])
-        weight = np.concatenate([coef * wt for _, wt, coef in terms])
-        if M:
-            B = np.concatenate([B.real, B.imag])
-            weight = 0.5 * np.concatenate([weight, weight])
-        else:
-            B = B.real
-        G = B.T @ (weight[:, None] * B)
+        with np.errstate(all="ignore"):
+            weight = np.concatenate([coef * wt for _, wt, coef in terms])
+            if M:
+                B = np.concatenate([B.real, B.imag])
+                weight = 0.5 * np.concatenate([weight, weight])
+            else:
+                B = B.real
+            G = B.T @ (weight[:, None] * B)
+        if not np.isfinite(G).all():
+            raise NumericsError(
+                f"the operator block of azimuthal order {M} is not finite")
         return 0.5 * (G + G.T)
 
     @cached_property
@@ -308,14 +325,12 @@ class _ModalPack:
         order ``m``, with the ranges of modal indices it acts on: the cos
         modes, then for ``m > 0`` the sin modes, which are their rotations
         by ``pi / 2m``."""
-        mer, blocks, at = self.meridian, [], 0
-        w, mu = mer.weights, mer.mu
-        ok = mer.omega[:, 2] + self.params.k
-        C2 = w / (mu**2 * ok**2)
+        _, C2, C3 = self._densities
+        blocks, at = [], 0
         for m in range(self.degree + 1):
             p0, px, py = self._meridian_modes(m)
             K = self._meridian_gram(m, ((px, C2, 1.0), (py, C2, 1.0)))
-            B = self._meridian_gram(m, ((p0, w / ok**3, 1.0),))
+            B = self._meridian_gram(m, ((p0, C3, 1.0),))
             J = self.degree - m + 1
             spans = [slice(at + i * J, at + (i + 1) * J)
                      for i in range(2 if m else 1)]     # sin 0 theta = 0
@@ -344,13 +359,13 @@ class _ModalPack:
     @cached_property
     def saddle_factors(self):
         """The corrector's saddle matrix ``[[H, -F^T], [F, 0]]`` (``F`` the
-        nine frame rows) factorized block by block, as entries
-        ``(span, lu, gens)``, each on a range ``span`` of block coordinates.
+        nine frame rows) inverted block by block, as entries
+        ``(span, inv, gens)``, each on a range ``span`` of block coordinates.
 
         Every frame generator lies in one range of ``vector_blocks`` (to
         1e-12 relative, or :class:`NumericsError` is raised), which is
         bordered by its own generators ``gens``; the parity ranges of a
-        block without generators share one unbordered factorization and are
+        block without generators share one unbordered inverse and are
         solved together."""
         Y, blocks = self.to_blocks(self.frame_modal.T), self.vector_blocks[0]
         starts = np.array([s.start for _, _, ss in blocks for s in ss])
@@ -368,31 +383,27 @@ class _ModalPack:
             gens = [np.flatnonzero(owner == s.start).tolist() for s in ss]
             if not any(gens):
                 entries.append((slice(ss[0].start, ss[-1].stop),
-                                sla.lu_factor(H), []))
+                                np.linalg.inv(H), []))
                 continue
             for s, gs in zip(ss, gens):
                 KKT = np.block([[H, -Y[s, gs]],
                                 [Y[s, gs].T, np.zeros((len(gs),) * 2)]])
-                entries.append((s, sla.lu_factor(KKT), gs))
+                entries.append((s, np.linalg.inv(KKT), gs))
         return entries
 
     def saddle_solve(self, r, s):
         """``(c, m)`` with ``H c - F^T m = r`` and ``F c = s``, ``H`` the
         vector operator of ``vector_blocks`` and ``F`` the nine frame rows:
-        one small solve per entry of ``saddle_factors``, each a direct call
-        of LAPACK ``getrs`` on the entry's LU factors (the same arithmetic
-        as ``scipy.linalg.lu_solve``, without its per-call argument
-        checks, which cost more than the solves at these sizes)."""
+        one product with the stored inverse per entry of
+        ``saddle_factors``."""
         x = self.to_blocks(r)
         m = np.zeros(len(s))
-        for span, lu, gens in self.saddle_factors:
-            size = lu[0].shape[0] - len(gens)
+        for span, inv, gens in self.saddle_factors:
+            size = inv.shape[0] - len(gens)
             rhs = x[span].reshape(-1, size).T
             if gens:
                 rhs = np.concatenate([rhs, s[gens, None]])
-            sol, info = _GETRS(*lu, rhs)
-            if info:
-                raise ValueError(f"getrs: illegal argument {-info}")
+            sol = inv @ rhs
             x[span] = sol[:size].T.ravel()
             if gens:
                 m[gens] = sol[size:, 0]
@@ -618,7 +629,11 @@ def assemble_linearized(params, q, grid):
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
     pack.vector_blocks
-    scale = 1.0 / (q.p3**2 * params.r**2)
+    with np.errstate(all="ignore"):
+        scale = 1.0 / (q.p3**2 * params.r**2)
+    if not np.isfinite(scale):
+        raise NumericsError(f"the operator scale 1 / (q3^2 r^2) is not "
+                            f"finite at k = {params.k:g}, q3 = {q.p3:g}")
     return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale)
 
 
@@ -723,9 +738,14 @@ class SpectrumReport:
 def spectrum_normal(params, grid, count=8):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
-    Solves the modal pencil (stiffness against the ``(omega3+k)^-3`` weighted
-    mass) on each azimuthal block of the pack and merges the block spectra,
-    returning a :class:`SpectrumReport` of the ascending eigenvalues, their
+    Solves the modal pencil (stiffness ``K`` against the ``(omega3+k)^-3``
+    weighted mass ``B``) on each azimuthal block of the pack and merges the
+    block spectra.  Each pencil is reduced by the Cholesky factor
+    ``B = L L^T`` to the symmetric ``L^-1 K L^-T``, and its lowest
+    eigenvectors are mapped back by ``L^-T``, so they are ``B``-orthonormal
+    and their residuals are those of the pencil; a mass matrix that is not
+    positive definite raises :class:`NumericsError` naming its order.
+    Returns a :class:`SpectrumReport` of the ascending eigenvalues, their
     clustered multiplicities, each pair's relative residual, and the
     azimuthal orders, ascending within each cluster.  Neighbours within
     ``1e-6`` times the fifth eigenvalue (at least 1) share a cluster, so a
@@ -740,7 +760,14 @@ def spectrum_normal(params, grid, count=8):
     pairs = []
     for m, K, B, spans in pack.scalar_blocks:
         top = min(count, K.shape[0])
-        vals, vecs = sla.eigh(K, B, subset_by_index=[0, top - 1])
+        try:
+            L = np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            raise NumericsError(f"the mass matrix of azimuthal order {m} "
+                                "is not positive definite") from None
+        Linv = np.linalg.inv(L)
+        vals, vecs = np.linalg.eigh(Linv @ K @ Linv.T)
+        vals, vecs = vals[:top], Linv.T @ vecs[:, :top]
         solved = []
         for lam, v in zip(vals, vecs.T):
             Bv = B @ v
@@ -831,7 +858,7 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     block eigenvectors, once per parity range, labelled by block order.
     """
     pack, (blocks, _) = system.pack, system.pack.vector_blocks
-    eigs = [sla.eigh(system.scale * H) for _, H, _ in blocks]
+    eigs = [np.linalg.eigh(system.scale * H) for _, H, _ in blocks]
     sigma = [np.abs(w) for (_, _, spans), (w, _) in zip(blocks, eigs)
              for _ in spans]
     floored = np.concatenate(

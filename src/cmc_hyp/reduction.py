@@ -9,9 +9,9 @@ between nodal and modal values with the operator pack's FFT transforms --
 the correction's first derivatives exactly from the modal profiles, its
 chart Laplacian from the modes' degrees (``nodal_vector_laplacian``), so no
 step differentiates nodal values -- and makes one block-by-block saddle
-solve (the pack's ``saddle_solve``, direct LAPACK ``getrs`` calls), whose
-small factorizations are built once per ``(grid, k)`` and shared across base
-points.
+solve (the pack's ``saddle_solve``, one product with a stored inverse per
+block), whose small inverses are built once per ``(grid, k)`` and shared
+across base points.
 
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
@@ -87,7 +87,7 @@ def correct(eps, q, phi, params, grid, warm=None):
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one block-by-block saddle
-    solve against the pack's factorizations, which the first call builds,
+    solve against the pack's saddle inverses, which the first call builds,
     and the residual's jet of the correction: values and first derivatives
     from one transform, the Laplacian from the modes' degrees in another;
     the orthogonality constraints are enforced inside the solve and stay at

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmc_hyp
 from cmc_hyp import reduction
 from cmc_hyp.cli import main
 from cmc_hyp.errors import ConvergenceError
@@ -328,6 +332,37 @@ def test_non_finite_phi_is_numeric_failure(tmp_path, command, phi, box, args):
     assert "not finite" in doc["error"]
     json.loads((out / "summary.json").read_text(),
                parse_constant=lambda c: pytest.fail(f"{c} in summary"))
+
+
+@pytest.mark.parametrize("command, k, says", [
+    ("kernel", "1e160", "operator scale 1 / (q3^2 r^2) is not finite"),
+    ("kernel", "1e200", "operator scale 1 / (q3^2 r^2) is not finite"),
+    ("kernel", "1e308", "operator block of azimuthal order 0 is not finite"),
+    ("spectrum", "1e160", "mass matrix of azimuthal order 0"),
+    ("spectrum", "1e200", "mass matrix of azimuthal order 0"),
+])
+def test_operator_out_of_float_range_is_numeric_failure(tmp_path, capsys,
+                                                        command, k, says):
+    # at these k the powers of omega3 + k, or the scale k^2 - 1, overflow;
+    # the blocks are checked before numpy's LAPACK calls, which do not check
+    out = tmp_path / command
+    assert main([command, "--k", k, "--grid-n", "16", "--out", str(out)]) == 3
+    assert "Warning" not in capsys.readouterr().err
+    doc = read_summary(out)
+    assert doc["status"] == "numeric_failure" and says in doc["error"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # the library runs on numpy alone; importing scipy.linalg would more
+    # than double its import time
+    src = str(Path(cmc_hyp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cmc_hyp, cmc_hyp.cli; print("
+         "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):

@@ -645,8 +645,9 @@ def test_analysis_inverts_synthesis(n, seed, decades):
 
 
 @pytest.mark.parametrize("n", [16, 24])
-@pytest.mark.parametrize("k", [1.5, 2.0, 5.0])
+@pytest.mark.parametrize("k", [1.02, 1.5, 2.0, 5.0])
 def test_saddle_solve_matches_dense_kkt(n, k):
+    # k = 1.02 is the worst-conditioned case, cond(KKT) about 5e5 at n = 24
     pack = lin.operator_pack(ch.build_grid(n), bb.make_params(k))
     size, F = 3 * pack.nmodes, pack.frame_modal
     KKT = np.zeros((size + 9, size + 9))
@@ -659,28 +660,6 @@ def test_saddle_solve_matches_dense_kkt(n, k):
     c, m = pack.saddle_solve(r, s)
     assert np.max(np.abs(c - ref[:size])) <= 1e-12 * np.max(np.abs(ref[:size]))
     assert np.max(np.abs(m - ref[size:])) <= 1e-12 * np.max(np.abs(ref[size:]))
-
-
-def test_saddle_solve_is_lu_solve(grid24, params2, monkeypatch):
-    # the direct getrs calls give the bits of scipy's lu_solve on the
-    # same factors, and saddle_solve never goes through the wrapper
-    pack = lin.operator_pack(grid24, params2)
-    rng = np.random.default_rng(3)
-    r, s = rng.standard_normal(3 * pack.nmodes), rng.standard_normal(9)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("saddle_solve called scipy.linalg.lu_solve")
-
-    monkeypatch.setattr(sla, "lu_solve", refuse)
-    c, m = pack.saddle_solve(r, s)
-    monkeypatch.undo()
-    monkeypatch.setattr(lin, "_GETRS", lambda lu, piv, b: (
-        sla.lu_solve((lu, piv), b, check_finite=False), 0))
-    c_ref, m_ref = pack.saddle_solve(r, s)
-    assert np.array_equal(c, c_ref) and np.array_equal(m, m_ref)
-    monkeypatch.setattr(lin, "_GETRS", lambda lu, piv, b: (b, -3))
-    with pytest.raises(ValueError, match="getrs"):
-        pack.saddle_solve(r, s)
 
 
 def test_saddle_solve_rejects_a_frame_across_blocks(grid16, params2):
