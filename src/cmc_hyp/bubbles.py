@@ -221,14 +221,15 @@ class TangentFrame:
         return np.einsum("na,nb,n->ab", self.gamma, self.gamma, w)
 
 
-def _z_combination(grid, a, b, da, db):
+def _z_combination(grid, a, b, da, db, second):
     """Field ``a(z) dx_omega + b(z) dy_omega`` with analytic derivatives.
 
     ``da = (a_x, a_y)`` and ``db`` are the (constant-in-omega) coefficient
-    gradients; second chart derivatives of omega supply the rest.
+    gradients; the second chart derivatives of omega at the nodes,
+    ``second = (d_xx, d_xy, d_yy)``, supply the rest.
     """
     dox, doy = grid.domega_dx, grid.domega_dy
-    dxx, dxy, dyy = ch.omega_second(grid.nodes)
+    dxx, dxy, dyy = second
     a, b = a[:, None], b[:, None]
     vals = a * dox + b * doy
     dx = da[0][:, None] * dox + a * dxx + db[0][:, None] * doy + b * dxy
@@ -260,9 +261,10 @@ def tangent_frame(params, grid):
     """Frame of the nine nodal generators at curvature ``k`` on ``grid``,
     built afresh; the operator pack's ``frame`` is the shared copy."""
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+    second = ch.omega_second(grid.nodes)
     tau = []
     for a, b, da, db, cf in flow_coefficients(x, y):
-        f = _z_combination(grid, a, b, da, db)
+        f = _z_combination(grid, a, b, da, db, second)
         tau.append(SphereField(grid, cf * f.values, cf * f.dx, cf * f.dy))
     gamma = 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
     return TangentFrame(params=params, grid=grid, tau=tuple(tau), gamma=gamma)

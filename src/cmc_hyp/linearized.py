@@ -223,7 +223,7 @@ class _ModalPack:
                 groups = _vector_groups(M, odd, deg)
                 size = sum(deg - m + 1 for m, _ in groups)
                 if not (odd and M):
-                    blocks.append((M, self._vector_gram(M, groups, size), []))
+                    blocks.append((M, self._vector_gram(M, groups), []))
                 blocks[-1][2].append(slice(at, at + size))
                 for m, d in groups:
                     J = deg - m + 1
@@ -248,7 +248,7 @@ class _ModalPack:
         rows, cols, vals = self.vector_blocks[1]
         return _sum_into(cols, rows, vals, x)
 
-    def _vector_gram(self, M, groups, size):
+    def _vector_gram(self, M, groups):
         """One vector block's matrix, the sum of five terms
         ``coef * B^T diag(weight) B``: the two first-order tangential
         expressions, then the scalar normal block on the omega components
@@ -256,27 +256,27 @@ class _ModalPack:
         taken as their complex fields of rotation phase ``e^{i M theta}``
         (:func:`_vector_groups`) at the meridian; terms 1 and 2 make up
         ``(dox + i doy) . (ux + i uy)``, terms 3 and 4 a chart 2-vector and
-        term 5 a scalar, so each one's density turns with that phase."""
+        term 5 a scalar, so each one's density turns with that phase.
+
+        A group's columns are a scalar mode times its fixed direction ``d``,
+        so a dot product with a nodal 3-vector ``a`` is the per-node factor
+        ``a . d`` times the group's meridian mode table: each term is a
+        column concatenation over the groups of such products, and no
+        complex vector field is formed."""
         mer = self.meridian
-        om, dox, doy = mer.omega, mer.domega_dx, mer.domega_dy
         Ctan, C2, C3 = self._densities
-        # value/dx/dy, component, meridian node, column
-        U = np.zeros((3, 3, om.shape[0], size), complex)
-        start = 0
+        per_group = []
         for m, d in groups:
-            J = self.degree - m + 1
-            for kind, t in enumerate(self._meridian_modes(m)):
-                U[kind, :, :, start:start + J] = d[:, None, None] * t
-            start += J
-        v, ux, uy = U
-        dot = lambda a, b: np.einsum("pc,cpj->pj", a, b)
-        return self._meridian_gram(M, (
-            (dot(dox, ux) - dot(doy, uy), Ctan, 1.0),
-            (dot(doy, ux) + dot(dox, uy), Ctan, 1.0),
-            (dot(om, ux) + dot(dox, v), C2, 1.0),
-            (dot(om, uy) + dot(doy, v), C2, 1.0),
-            (dot(om, v), C3, -2.0 * self.params.k),
-        ))
+            a, b, c = ((f @ d)[:, None]
+                       for f in (mer.omega, mer.domega_dx, mer.domega_dy))
+            t0, tx, ty = self._meridian_modes(m)
+            per_group.append((b * tx - c * ty, c * tx + b * ty,
+                              a * tx + b * t0, a * ty + c * t0, a * t0))
+        weights = (Ctan, Ctan, C2, C2, C3)
+        coefs = (1.0, 1.0, 1.0, 1.0, -2.0 * self.params.k)
+        return self._meridian_gram(M, [
+            (np.concatenate(cols, axis=1), wt, coef)
+            for cols, wt, coef in zip(zip(*per_group), weights, coefs)])
 
     @cached_property
     def _densities(self):
@@ -744,7 +744,10 @@ def spectrum_normal(params, grid, count=8):
     ``B = L L^T`` to the symmetric ``L^-1 K L^-T``, and its lowest
     eigenvectors are mapped back by ``L^-T``, so they are ``B``-orthonormal
     and their residuals are those of the pencil; a mass matrix that is not
-    positive definite raises :class:`NumericsError` naming its order.
+    positive definite raises :class:`NumericsError` naming its order.  A
+    pair's relative residual is ``|K v - lam B v| / ((1 + |lam|) |B v|)``,
+    for a block's pairs at once the column norms of ``K V - (B V) diag(lam)``;
+    one above ``1e-7`` raises :class:`ConvergenceError`.
     Returns a :class:`SpectrumReport` of the ascending eigenvalues, their
     clustered multiplicities, each pair's relative residual, and the
     azimuthal orders, ascending within each cluster.  Neighbours within
@@ -767,13 +770,11 @@ def spectrum_normal(params, grid, count=8):
                                 "is not positive definite") from None
         Linv = np.linalg.inv(L)
         vals, vecs = np.linalg.eigh(Linv @ K @ Linv.T)
-        vals, vecs = vals[:top], Linv.T @ vecs[:, :top]
-        solved = []
-        for lam, v in zip(vals, vecs.T):
-            Bv = B @ v
-            solved.append((lam, m, np.linalg.norm(K @ v - lam * Bv)
-                           / ((1.0 + abs(lam)) * np.linalg.norm(Bv))))
-        pairs += solved * len(spans)
+        vals, V = vals[:top], Linv.T @ vecs[:, :top]
+        BV = B @ V
+        res = (np.linalg.norm(K @ V - BV * vals, axis=0)
+               / ((1.0 + np.abs(vals)) * np.linalg.norm(BV, axis=0)))
+        pairs += list(zip(vals, [m] * top, res)) * len(spans)
     pairs.sort(key=lambda p: p[0])
     vals, orders, res = (np.array(c) for c in zip(*pairs[:count]))
     if np.any(res > 1e-7):
@@ -853,13 +854,16 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     (down to 1e-31 for the rotation about the z-axis), and their scales
     differ by many decades towards k = 1 (at k = 1.01, n = 128 the largest
     singular value is 5.9e16), so one floor for the whole operator would
-    lie above the whole jump from the kernel to the range.  The returned
-    nodal basis is orthonormal in the mass inner product: the in-window
-    block eigenvectors, once per parity range, labelled by block order.
+    lie above the whole jump from the kernel to the range.  The scan needs
+    only eigenvalues (``eigvalsh``); eigenvectors are computed (``eigh``)
+    only for the blocks with an eigenvalue within the cut, the few low
+    azimuthal orders that hold the kernel.  The returned nodal basis is
+    orthonormal in the mass inner product: the in-window block
+    eigenvectors, once per parity range, labelled by block order.
     """
     pack, (blocks, _) = system.pack, system.pack.vector_blocks
-    eigs = [np.linalg.eigh(system.scale * H) for _, H, _ in blocks]
-    sigma = [np.abs(w) for (_, _, spans), (w, _) in zip(blocks, eigs)
+    eigs = [np.linalg.eigvalsh(system.scale * H) for _, H, _ in blocks]
+    sigma = [np.abs(w) for (_, _, spans), w in zip(blocks, eigs)
              for _ in spans]
     floored = np.concatenate(
         [np.maximum(v, np.finfo(float).eps * v.max()) for v in sigma])
@@ -874,7 +878,10 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     dim = split + 1
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
     basis, orders = [], []
-    for (M, _, spans), (vals, vecs) in zip(blocks, eigs):
+    for (M, H, spans), w in zip(blocks, eigs):
+        if not np.any(np.abs(w) <= cut):
+            continue
+        vals, vecs = np.linalg.eigh(system.scale * H)
         for s in spans:
             for v in vecs[:, np.abs(vals) <= cut].T:
                 x = np.zeros(system.size)

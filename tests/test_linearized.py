@@ -239,6 +239,79 @@ def test_kernel_refinement(params2):
         assert lin.kernel(system).dimension == 9
 
 
+def _nodal_basis(rep):
+    return np.stack([b.values.ravel() for b in rep.basis], axis=1)
+
+
+@pytest.mark.parametrize("n, k", [(16, 2.0), (24, 1.05), (48, 1.02)])
+def test_kernel_matches_full_eigensolve(n, k, monkeypatch):
+    # the kernel scans eigenvalues alone; the reference takes them from a
+    # full eigh of every block, with the same gap search and selection
+    system = lin.assemble_linearized(bb.make_params(k), Q0, ch.build_grid(n))
+    rep = lin.kernel(system)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: np.linalg.eigh(A)[0])
+    ref = lin.kernel(system)
+    assert rep.dimension == ref.dimension
+    assert rep.orders == ref.orders
+    # past the kernel the values agree to 1e-9 relative, or to eps times
+    # the largest: at (24, 1.05) the first value past the 6 found is 9.2e-6,
+    # 1.8e-9 of the largest (5.2e3), so both solvers give it only to about
+    # 1e-7 relative
+    d, sv = rep.dimension, ref.singular_values
+    tol = 1e-9 * sv[d:] + np.finfo(float).eps * sv.max()
+    assert np.all(np.abs(rep.singular_values[d:] - sv[d:]) <= tol)
+    B, R = _nodal_basis(rep), _nodal_basis(ref)
+    coef = np.linalg.lstsq(R, B, rcond=None)[0]
+    assert np.max(np.linalg.norm(B - R @ coef, axis=0)
+                  / np.linalg.norm(B, axis=0)) <= 1e-12
+
+
+def test_kernel_solves_eigenvectors_only_where_the_kernel_is(grid24, params2,
+                                                            monkeypatch):
+    # 21 blocks at n = 24; the kernel lies in the three of order |M| <= 1
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    assert len(system.pack.vector_blocks[0]) == 21
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: calls.append(A.shape) or eigh(A))
+    rep = lin.kernel(system)
+    assert len(calls) == 3
+    assert rep.dimension == 9 and sorted(set(rep.orders)) == [0, 1]
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-11])
+def test_spectrum_residuals_match_per_pair_formula(grid24, params2, shift,
+                                                   monkeypatch):
+    # the report's residuals, one matrix product per block, against
+    # |K v - lam B v| / ((1 + |lam|) |B v|) pair by pair: at the computed
+    # eigenpairs, where both are roundoff, and with every eigenvector moved
+    # by ``shift``, which lifts the residuals far above roundoff
+    eigh = np.linalg.eigh
+
+    def moved(A):
+        w, v = eigh(A)
+        return w, v + shift * np.sin(np.arange(v.size)).reshape(v.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", moved)
+    count = 8
+    rep = lin.spectrum_normal(params2, grid24, count=count)
+    pairs = []
+    for m, K, B, spans in lin.operator_pack(grid24, params2).scalar_blocks:
+        Linv = np.linalg.inv(np.linalg.cholesky(B))
+        vals, vecs = np.linalg.eigh(Linv @ K @ Linv.T)
+        vecs = Linv.T @ vecs
+        for lam, v in list(zip(vals, vecs.T))[:count]:
+            Bv = B @ v
+            res = np.linalg.norm(K @ v - lam * Bv) / (
+                (1.0 + abs(lam)) * np.linalg.norm(Bv))
+            pairs += [(lam, res)] * len(spans)
+    pairs.sort(key=lambda p: p[0])
+    vals, res = (np.array(c) for c in zip(*pairs[:count]))
+    assert np.array_equal(rep.eigenvalues, vals)
+    assert shift == 0 or res.min() >= 1e-10
+    assert np.max(np.abs(rep.residuals - res)) <= 1e-13
+
+
 def test_spectrum_verdict_does_not_depend_on_count(grid16):
     # at k = 1.2, n = 16 the triple at 2k is split; a clustering tolerance
     # that scaled with the last eigenvalue asked for merged it at count 40
