@@ -23,16 +23,15 @@ C0 = np.sqrt(3.0 / (16.0 * np.pi))
 
 @dataclass(frozen=True)
 class CurvatureParams:
-    """Mean curvature ``k`` with its derived radii and constants.
+    """Mean curvature ``k`` with its derived radii.
 
-    ``rho`` is the hyperbolic radius ``artanh(1/k)``, ``r = sinh(rho)`` the
-    Euclidean radius of the unit-height sphere, ``c = exp(rho)``.
+    ``rho`` is the hyperbolic radius ``artanh(1/k)`` and ``r = sinh(rho)``
+    the Euclidean radius of the unit-height sphere.
     """
 
     k: float
     rho: float
     r: float
-    c: float
 
 
 def make_params(k):
@@ -48,7 +47,7 @@ def make_params(k):
             "exists in hyperbolic space for k in (0, 1]")
     rho = 0.5 * np.log((k + 1.0) / (k - 1.0))
     r = 1.0 / np.sqrt(k * k - 1.0)
-    return CurvatureParams(k=k, rho=rho, r=r, c=np.sqrt((k + 1.0) / (k - 1.0)))
+    return CurvatureParams(k=k, rho=rho, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +59,9 @@ class BubbleSurface:
     """Analytic evaluator of the sphere ``q3 U + (q1, q2, 0)``."""
 
     def __init__(self, params, q):
-        self.params = params
-        self.q = HyperbolicPoint.of(q)
-        self.scale = self.q.p3 * params.r
-        self.shift = np.array([self.q.p1, self.q.p2,
-                               self.q.p3 * params.r * params.k])
+        q = HyperbolicPoint.of(q)
+        self.scale = q.p3 * params.r
+        self.shift = np.array([q.p1, q.p2, q.p3 * params.r * params.k])
 
     def value(self, z):
         om, _, _, _ = ch.omega_mu(z)
@@ -192,9 +189,10 @@ def moebius_pullback(u, g):
 class TangentFrame:
     """Orthonormal frame of the solution family's tangent space.
 
-    ``tau`` holds the six tangential fields (orthonormal against the sphere
-    measure and pointwise orthogonal to ``omega``); ``gamma`` the three
-    normal-direction generators ``2 c0 (k omega_l + delta_l3)`` as columns.
+    ``tau`` holds the six tangential fields as nodal values without
+    derivative slots (orthonormal against the sphere measure and pointwise
+    orthogonal to ``omega``); ``gamma`` the three normal-direction
+    generators ``2 C0 (k omega_l + delta_l3)`` as columns.
     :meth:`generators` lists the nine nodal generators.
     """
 
@@ -202,7 +200,6 @@ class TangentFrame:
     grid: ch.SphereGrid
     tau: tuple
     gamma: np.ndarray
-    c0: float = C0
 
     def generators(self):
         """The nine nodal generators as ``(N, 3)`` arrays: the six tau's,
@@ -221,53 +218,38 @@ class TangentFrame:
         return np.einsum("na,nb,n->ab", self.gamma, self.gamma, w)
 
 
-def _z_combination(grid, a, b, da, db, second):
-    """Field ``a(z) dx_omega + b(z) dy_omega`` with analytic derivatives.
-
-    ``da = (a_x, a_y)`` and ``db`` are the (constant-in-omega) coefficient
-    gradients; the second chart derivatives of omega at the nodes,
-    ``second = (d_xx, d_xy, d_yy)``, supply the rest.
-    """
-    dox, doy = grid.domega_dx, grid.domega_dy
-    dxx, dxy, dyy = second
-    a, b = a[:, None], b[:, None]
-    vals = a * dox + b * doy
-    dx = da[0][:, None] * dox + a * dxx + db[0][:, None] * doy + b * dxy
-    dy = da[1][:, None] * dox + a * dxy + db[1][:, None] * doy + b * dyy
-    return SphereField(grid, vals, dx, dy)
-
-
 def flow_coefficients(x, y):
     """The six reparametrization flows ``a d_x + b d_y`` of the chart.
 
-    At chart points ``(x, y)``, one ``(a, b, grad a, grad b, cf)`` per flow:
-    the coefficients, their chart gradients ``(d_x, d_y)`` and the flow's
-    normalization.  In order: the two translations, the radial and rotation
-    flows, and the two quadratic flows.
+    At chart points ``(x, y)``, one ``(a, b, cf)`` per flow: the
+    coefficients and the flow's normalization.  In order: the two
+    translations, the radial and rotation flows, and the two quadratic
+    flows.
     """
     one, zero = np.ones_like(x), np.zeros_like(x)
     s2 = np.sqrt(2.0)
     return [
-        (one, zero, (zero, zero), (zero, zero), C0),           # d/dx
-        (zero, one, (zero, zero), (zero, zero), C0),           # d/dy
-        (x, y, (one, zero), (zero, one), C0 * s2),             # radial flow
-        (-y, x, (zero, -one), (one, zero), C0 * s2),           # rotation flow
-        (x * x - y * y, 2 * x * y, (2 * x, -2 * y), (2 * y, 2 * x), C0),
-        (-2 * x * y, x * x - y * y, (-2 * y, -2 * x), (2 * x, -2 * y), C0),
+        (one, zero, C0),                            # d/dx
+        (zero, one, C0),                            # d/dy
+        (x, y, C0 * s2),                            # radial flow
+        (-y, x, C0 * s2),                           # rotation flow
+        (x * x - y * y, 2 * x * y, C0),
+        (-2 * x * y, x * x - y * y, C0),
     ]
 
 
 def tangent_frame(params, grid):
     """Frame of the nine nodal generators at curvature ``k`` on ``grid``,
-    built afresh; the operator pack's ``frame`` is the shared copy."""
+    built afresh; the operator pack's ``frame`` is the shared copy.  Each
+    ``tau_j = cf (a d_x omega + b d_y omega)`` is held as values alone: a
+    degree-2 polynomial field, which :func:`~cmc_hyp.chart.differentiate`
+    differentiates exactly."""
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
-    second = ch.omega_second(grid.nodes)
-    tau = []
-    for a, b, da, db, cf in flow_coefficients(x, y):
-        f = _z_combination(grid, a, b, da, db, second)
-        tau.append(SphereField(grid, cf * f.values, cf * f.dx, cf * f.dy))
+    dox, doy = grid.domega_dx, grid.domega_dy
+    tau = tuple(SphereField(grid, cf * (a[:, None] * dox + b[:, None] * doy))
+                for a, b, cf in flow_coefficients(x, y))
     gamma = 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
-    return TangentFrame(params=params, grid=grid, tau=tuple(tau), gamma=gamma)
+    return TangentFrame(params=params, grid=grid, tau=tau, gamma=gamma)
 
 
 def star_inner(grid, params, f, g):

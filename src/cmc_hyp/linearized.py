@@ -91,14 +91,12 @@ def _vector_groups(M, odd, degree):
 
 def _sum_into(dst, src, vals, a):
     """``out[dst] += vals * a[src]`` over the nonzeros of a square map, ``a``
-    a vector or a matrix of column vectors, summed one column at a time
-    (``np.add.at`` is four times slower on a 2-D target)."""
+    a vector (one column) or a matrix of column vectors, summed one column at
+    a time (``np.add.at`` is four times slower on a 2-D target)."""
     out = np.zeros(np.shape(a))
-    if out.ndim == 1:
-        np.add.at(out, dst, vals * a[src])
-    else:
-        for j in range(out.shape[1]):
-            np.add.at(out[:, j], dst, vals * a[src, j])
+    a, cols = a.reshape(len(a), -1), out.reshape(len(out), -1)
+    for j in range(cols.shape[1]):
+        np.add.at(cols[:, j], dst, vals * a[src, j])
     return out
 
 
@@ -131,9 +129,9 @@ class _ModalPack:
     tables and the inverses of the corrector's per-block saddle matrices
     are built on first use.  :func:`_pack` keeps one pack: every command
     and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
-    9 MB after a certificate and a solve: 2.1 MB of vector blocks and their
-    map, 2.1 MB of saddle inverses, 2.1 MB of tangent frame and 1.4 MB of
-    profiles.
+    7.3 MB after a certificate and a solve: 2.1 MB of vector blocks and their
+    map, 2.1 MB of saddle inverses, 1.4 MB of profiles and 0.77 MB of
+    tangent frame (0.66 MB of it the six tau fields, values only).
     """
 
     def __init__(self, grid, params):
@@ -182,9 +180,13 @@ class _ModalPack:
     def _meridian_modes(self, m):
         """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
         scalar modes ``P_{m,j}(s) e^{i m theta}`` of order ``m`` at the
-        meridian nodes."""
+        meridian nodes.  At ``theta = 0`` the chart's ``d/dx`` is the radial
+        derivative ``mu d/ds`` and ``d/dy`` the angular one ``(1/rho)
+        d/dtheta``, which takes ``e^{i m theta}`` to ``i m``."""
         P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
-        return (P,) + ch.polar_to_chart(self.meridian, dP_ds, 1j * m * P)
+        mer = self.meridian
+        return (P, mer.mu[:, None] * dP_ds,
+                (1.0 / mer.rho)[:, None] * (1j * m * P))
 
     @property
     def mode_degrees(self):
@@ -741,11 +743,14 @@ def spectrum_normal(params, grid, count=8):
     Solves the modal pencil (stiffness ``K`` against the ``(omega3+k)^-3``
     weighted mass ``B``) on each azimuthal block of the pack and merges the
     block spectra.  Each pencil is reduced by the Cholesky factor
-    ``B = L L^T`` to the symmetric ``L^-1 K L^-T``, and its lowest
-    eigenvectors are mapped back by ``L^-T``, so they are ``B``-orthonormal
-    and their residuals are those of the pencil; a mass matrix that is not
-    positive definite raises :class:`NumericsError` naming its order.  A
-    pair's relative residual is ``|K v - lam B v| / ((1 + |lam|) |B v|)``,
+    ``B = L L^T`` to the symmetric ``L^-1 K L^-T``; a mass matrix that is
+    not positive definite raises :class:`NumericsError` naming its order.
+    The eigenvalues of every reduced block (``eigvalsh``) choose the lowest
+    ``count``, and ``eigh`` solves only the blocks holding one, to within
+    the cluster width below (orders 0-2 at n = 24, k = 2); its values are
+    reported, and its lowest eigenvectors are mapped back by ``L^-T``, so
+    they are ``B``-orthonormal and their residuals are those of the pencil.
+    A pair's relative residual is ``|K v - lam B v| / ((1 + |lam|) |B v|)``,
     for a block's pairs at once the column norms of ``K V - (B V) diag(lam)``;
     one above ``1e-7`` raises :class:`ConvergenceError`.
     Returns a :class:`SpectrumReport` of the ascending eigenvalues, their
@@ -760,16 +765,27 @@ def spectrum_normal(params, grid, count=8):
     pack = operator_pack(grid, params)
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
-    pairs = []
+    reduced = []
     for m, K, B, spans in pack.scalar_blocks:
-        top = min(count, K.shape[0])
         try:
             L = np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
             raise NumericsError(f"the mass matrix of azimuthal order {m} "
                                 "is not positive definite") from None
         Linv = np.linalg.inv(L)
-        vals, vecs = np.linalg.eigh(Linv @ K @ Linv.T)
+        A = Linv @ K @ Linv.T
+        reduced.append((m, K, B, spans, Linv, A, np.linalg.eigvalsh(A)))
+    # the blocks holding the lowest count values; a cluster's width of
+    # slack keeps any block whose eigh values could round below the cut
+    low = np.sort(np.concatenate([np.tile(w[:count], len(spans))
+                                  for _, _, _, spans, _, _, w in reduced]))
+    cut = low[count - 1] + 1e-6 * max(1.0, abs(low[SPECTRUM_MIN_COUNT - 1]))
+    pairs = []
+    for m, K, B, spans, Linv, A, w in reduced:
+        if w[0] > cut:
+            continue
+        top = min(count, K.shape[0])
+        vals, vecs = np.linalg.eigh(A)
         vals, V = vals[:top], Linv.T @ vecs[:, :top]
         BV = B @ V
         res = (np.linalg.norm(K @ V - BV * vals, axis=0)

@@ -170,7 +170,7 @@ def interaction_matrix(state, params):
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
     flows = grid.weights[:, None] * np.array(
         [cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
-         for a, b, _, _, cf in flow_coefficients(x, y)])
+         for a, b, cf in flow_coefficients(x, y)])
     tau = np.stack([t.values for t in frame.tau])
     A = np.einsum("jnc,hnc->jh", flows, tau)
     normal = np.einsum("jnc,nc->jn", flows, grid.omega)

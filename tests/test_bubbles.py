@@ -11,7 +11,6 @@ def test_make_params_values():
     p = bb.make_params(2.0)
     assert p.rho == pytest.approx(0.5 * np.log(3.0), abs=1e-15)
     assert p.r == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-15)
-    assert p.c == pytest.approx(np.sqrt(3.0), abs=1e-15)
     # derived-quantity consistency
     assert np.sinh(p.rho) == pytest.approx(p.r, rel=1e-14)
     assert np.cosh(p.rho) == pytest.approx(p.k * p.r, rel=1e-14)
@@ -113,7 +112,45 @@ def test_frame_grams(grid16, params2):
     for t in fr.tau:
         assert np.max(np.abs(np.einsum(
             "ij,ij->i", t.values, grid16.omega))) < 1e-13
-    assert fr.c0 == pytest.approx(np.sqrt(3.0 / (16.0 * np.pi)))
+    assert bb.C0 == pytest.approx(np.sqrt(3.0 / (16.0 * np.pi)))
+
+
+def test_frame_holds_values_only(grid16, grid24, params2):
+    # each tau_j is cf (a d_x omega + b d_y omega) at the nodes, bit for
+    # bit, and carries no derivative slots
+    for grid in (grid16, grid24):
+        fr = bb.tangent_frame(params2, grid)
+        x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+        for t, (a, b, cf) in zip(fr.tau, bb.flow_coefficients(x, y)):
+            assert t.dx is None and t.dy is None
+            assert np.array_equal(t.values, cf * (
+                a[:, None] * grid.domega_dx + b[:, None] * grid.domega_dy))
+
+
+def test_frame_derivatives_are_spectrally_exact(grid16, grid24, params2):
+    # a tau field is a degree-2 polynomial on the sphere, so the grid's
+    # spectral rule reproduces its analytic chart derivatives, built here
+    # from the flows' coefficient gradients and omega's second derivatives
+    for grid in (grid16, grid24):
+        fr = bb.tangent_frame(params2, grid)
+        x, y = grid.nodes[:, 0], grid.nodes[:, 1]
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        grads = [((zero, zero), (zero, zero)), ((zero, zero), (zero, zero)),
+                 ((one, zero), (zero, one)), ((zero, -one), (one, zero)),
+                 ((2 * x, -2 * y), (2 * y, 2 * x)),
+                 ((-2 * y, -2 * x), (2 * x, -2 * y))]
+        dox, doy = grid.domega_dx, grid.domega_dy
+        dxx, dxy, dyy = ch.omega_second(grid.nodes)
+        for t, (a, b, cf), (da, db) in zip(
+                fr.tau, bb.flow_coefficients(x, y), grads):
+            a, b = a[:, None], b[:, None]
+            ex = cf * (da[0][:, None] * dox + a * dxx
+                       + db[0][:, None] * doy + b * dxy)
+            ey = cf * (da[1][:, None] * dox + a * dxy
+                       + db[1][:, None] * doy + b * dyy)
+            t = ch.differentiate(t)
+            assert np.max(np.abs(t.dx - ex)) < 1e-12
+            assert np.max(np.abs(t.dy - ey)) < 1e-12
 
 
 def test_tangent_project_basis_element(grid16, params2):

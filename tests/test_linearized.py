@@ -279,6 +279,32 @@ def test_kernel_solves_eigenvectors_only_where_the_kernel_is(grid24, params2,
     assert rep.dimension == 9 and sorted(set(rep.orders)) == [0, 1]
 
 
+def test_spectrum_solves_eigenvectors_only_where_kept_values_are(
+        grid24, params2, monkeypatch):
+    # 19 scalar blocks at n = 24; the 8 lowest values lie in orders 0-2
+    assert len(lin.operator_pack(grid24, params2).scalar_blocks) == 19
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: calls.append(A.shape) or eigh(A))
+    rep = lin.spectrum_normal(params2, grid24, count=8)
+    assert len(calls) == 3
+    assert sorted(set(rep.orders)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n, k", [(16, 2.0), (24, 1.05), (48, 1.2)])
+def test_spectrum_matches_eigenvectors_on_every_block(n, k, monkeypatch):
+    # the report is bit for bit the one from eigenpairs of every block,
+    # forced here by eigenvalue scans that select all blocks
+    grid, params = ch.build_grid(n), bb.make_params(k)
+    rep = lin.spectrum_normal(params, grid, count=8)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: np.zeros(len(A)))
+    full = lin.spectrum_normal(params, grid, count=8)
+    assert np.array_equal(rep.eigenvalues, full.eigenvalues)
+    assert np.array_equal(rep.residuals, full.residuals)
+    assert rep.orders == full.orders
+    assert rep.multiplicities == full.multiplicities
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e-11])
 def test_spectrum_residuals_match_per_pair_formula(grid24, params2, shift,
                                                    monkeypatch):
@@ -631,6 +657,18 @@ def test_block_map_takes_matrices_column_by_column(grid24, params2, rng):
     for f in (pack.to_blocks, pack.from_blocks):
         assert np.array_equal(f(X), np.stack([f(x) for x in X.T], axis=1))
     assert np.max(np.abs(pack.from_blocks(pack.to_blocks(X)) - X)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 24, 48])
+def test_meridian_modes_are_the_chart_transform(n, params2):
+    # the closed form at theta = 0 is the general polar-to-chart transform
+    # bit for bit, for every order
+    pack = lin._ModalPack(ch.build_grid(n), params2)
+    for m in range(pack.degree + 1):
+        P, dP = pack._profiles[m, :, :, :pack.degree - m + 1]
+        expect = (P,) + ch.polar_to_chart(pack.meridian, dP, 1j * m * P)
+        for got, want in zip(pack._meridian_modes(m), expect):
+            assert np.array_equal(got, want)
 
 
 def test_mode_labels(grid24, params2):

@@ -148,7 +148,7 @@ def _interaction_matrix_entrywise(state, params):
     x, y = grid.nodes[:, 0], grid.nodes[:, 1]
     w, om = grid.weights, grid.omega
     A = np.empty((6, 6))
-    for j, (a, b, _, _, cf) in enumerate(bb.flow_coefficients(x, y)):
+    for j, (a, b, cf) in enumerate(bb.flow_coefficients(x, y)):
         fl = cf * (a[:, None] * nu.dx + b[:, None] * nu.dy)
         fo = np.einsum("ij,ij->i", fl, om)
         for h in range(6):
