@@ -6,15 +6,14 @@ volume functional, and the perturbative solver."""
 from .halfspace import (HyperbolicPoint, EuclideanBall, dist, ball_to_euclidean,
                         translate, ball_quadrature, hyperbolic_ball_volume)
 from .chart import (SphereGrid, SphereField, build_grid, omega_mu, integrate,
-                    differentiate, project_P, cm_norm, interpolate,
-                    omega_field, constant_field)
+                    differentiate, project_P, cm_norm, omega_field,
+                    constant_field)
 from .bubbles import (CurvatureParams, make_params, bubble, MoebiusMap,
                       moebius_pullback, TangentFrame, tangent_frame,
                       tangent_project)
 from .linearized import (LinearizedSystem, SpectrumReport, j_residual,
                          assemble_linearized, normal_operator,
-                         tangential_quadratic_form, spectrum_normal, kernel,
-                         solve_orthogonal)
+                         tangential_quadratic_form, spectrum_normal, kernel)
 from .melnikov import (MelnikovResult, f_value, f_gradient, find_critical,
                        monotone_obstruction, check_box)
 from .energy import (build_Q, volume_V, energy_E,

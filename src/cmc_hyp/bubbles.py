@@ -4,8 +4,10 @@ For ``k > 1`` the base surface is ``U = r (omega + k e3)`` with
 ``r = 1/sqrt(k^2 - 1)``; hyperbolic translations move it around the half-space
 and Moebius reparametrizations change the chart, producing a 9-parameter
 family of solutions.  This module builds the surfaces with analytic chart
-derivatives, the orthonormal frame spanning the family's tangent space, and
-projections onto that frame.
+derivatives, their Moebius pullbacks in closed form (a pullback needs the
+analytic surface; sampled fields are not reparametrized), the orthonormal
+frame spanning the family's tangent space, and the projection onto that
+frame against the sphere measure.
 """
 
 from __future__ import annotations
@@ -157,28 +159,20 @@ class MoebiusMap:
 def moebius_pullback(u, g):
     """Reparametrize a field by a Moebius map of the chart.
 
-    Fields carrying an analytic surface are recomposed in closed form; plain
-    samples are evaluated through the grid's global interpolant (values and
-    first derivatives, combined with the chain rule).  Nodes may not hit the
-    pole of ``g``.
+    The field's analytic surface (``u.surface``, as :func:`bubble` attaches)
+    is recomposed in closed form, so the pullback's values, first
+    derivatives and chart Laplacian are exact; a field without one raises
+    :class:`ValueError`.  Nodes may not hit the pole of ``g``.
     """
+    if u.surface is None:
+        raise ValueError("moebius_pullback needs the field's analytic surface "
+                         "evaluator (u.surface), which this field lacks")
     if g.is_identity:
         return u
     grid = u.grid
-    if u.surface is not None:
-        surf = MoebiusSurface(u.surface, g)
-        dx, dy = surf.first(grid.nodes)
-        return SphereField(grid, surf.value(grid.nodes), dx, dy, surface=surf)
-    w = g.apply(grid.nodes)
-    uu = ch.differentiate(u)
-    vals = ch.interpolate(uu, w)
-    ux = ch.interpolate(SphereField(grid, uu.dx), w)
-    uy = ch.interpolate(SphereField(grid, uu.dy), w)
-    gp = g.cderiv(grid.nodes)
-    a, b = gp.real, gp.imag
-    if u.is_vector:
-        a, b = a[:, None], b[:, None]
-    return SphereField(grid, vals, a * ux + b * uy, -b * ux + a * uy)
+    surf = MoebiusSurface(u.surface, g)
+    dx, dy = surf.first(grid.nodes)
+    return SphereField(grid, surf.value(grid.nodes), dx, dy, surface=surf)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,6 @@ class TangentFrame:
     :meth:`generators` lists the nine nodal generators.
     """
 
-    params: CurvatureParams
     grid: ch.SphereGrid
     tau: tuple
     gamma: np.ndarray
@@ -249,46 +242,20 @@ def tangent_frame(params, grid):
     tau = tuple(SphereField(grid, cf * (a[:, None] * dox + b[:, None] * doy))
                 for a, b, cf in flow_coefficients(x, y))
     gamma = 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
-    return TangentFrame(params=params, grid=grid, tau=tau, gamma=gamma)
+    return TangentFrame(grid=grid, tau=tau, gamma=gamma)
 
 
-def star_inner(grid, params, f, g):
-    """Weighted inner product splitting tangential and normal parts.
-
-    ``(f, g)_* = int Pf . Pg / (omega3+k)^2 + (f.omega)(g.omega) / (omega3+k)^3``
-    against the sphere measure.
-    """
-    k = params.k
-    om = grid.omega
-    ok = om[:, 2] + k
-    fn = np.einsum("ij,ij->i", f, om)
-    gn = np.einsum("ij,ij->i", g, om)
-    tang = (np.einsum("ij,ij->i", f, g) - fn * gn) / ok**2
-    return float(np.sum(grid.weights * (tang + fn * gn / ok**3)))
-
-
-def tangent_project(f, frame, metric="L2"):
+def tangent_project(f, frame):
     """Project a vector field onto the frame's 9-dimensional span.
 
     Returns ``(coefficients, remainder)`` with the remainder orthogonal to
-    the span in the chosen metric (``"L2"`` against the sphere measure or the
-    weighted ``"star"`` product); ``f`` is reproduced exactly as span part
-    plus remainder.  The Gram condition number is attached to the remainder
-    as ``gram_cond``.
+    the span against the sphere measure; ``f`` is reproduced exactly as span
+    part plus remainder.
     """
-    if metric not in ("L2", "star"):
-        raise ValueError(f"unknown metric {metric!r}")
-    grid, params = frame.grid, frame.params
-    gens = frame.generators()
-    if metric == "L2":
-        w = grid.weights
-        inner = lambda a, b: float(np.einsum("ij,ij,i->", a, b, w))
-    else:
-        inner = lambda a, b: star_inner(grid, params, a, b)
+    w, gens = frame.grid.weights, frame.generators()
+    inner = lambda a, b: float(np.einsum("ij,ij,i->", a, b, w))
     G = np.array([[inner(a, b) for b in gens] for a in gens])
     rhs = np.array([inner(a, f.values) for a in gens])
     coef = np.linalg.solve(G, rhs)
     span = sum(c * g for c, g in zip(coef, gens))
-    rem = SphereField(grid, f.values - span)
-    rem.gram_cond = float(np.linalg.cond(G))
-    return coef, rem
+    return coef, SphereField(frame.grid, f.values - span)

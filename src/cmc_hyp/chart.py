@@ -136,21 +136,6 @@ def _diff_matrix(x):
     return D
 
 
-def _bary_eval_matrix(x_nodes, w, x_eval):
-    """Rows evaluate the interpolant on ``x_nodes`` at the points ``x_eval``."""
-    x_eval = np.asarray(x_eval, dtype=float)
-    diff = x_eval[:, None] - x_nodes[None, :]
-    exact = np.abs(diff) < 1e-14
-    diff = np.where(exact, 1.0, diff)
-    num = w[None, :] / diff
-    mat = num / num.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    if np.any(hit):
-        mat[hit] = 0.0
-        mat[np.where(hit)[0], np.argmax(exact[hit], axis=1)] = 1.0
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # grid
 
@@ -183,7 +168,6 @@ class SphereGrid:
     domega_dx: np.ndarray    # (N, 3)
     domega_dy: np.ndarray    # (N, 3)
     Dleg: np.ndarray         # (ns, ns)
-    bary_wx: np.ndarray      # (ns,) barycentric weights on x
 
     @property
     def size(self):
@@ -214,7 +198,7 @@ def build_grid(n):
     wg = wg[::-1]
     x = np.cos(s)
     polar = dict(rho=np.tan(0.5 * s), x=x, sin_s=np.sin(s),
-                 Dleg=_diff_matrix(x), bary_wx=_barycentric_weights(x))
+                 Dleg=_diff_matrix(x))
     _freeze(*polar.values())
     return SphereGrid(n=n, ns=n, **polar, **_azimuths(
         polar["rho"], wg * (2.0 * np.pi / (2 * n)), 2 * n))
@@ -254,9 +238,9 @@ class SphereField:
 
     ``values`` has shape ``(N,)`` or ``(N, 3)``; the optional ``dx``/``dy``
     slots hold main-chart derivatives of the same shape.  ``surface`` may
-    point to an analytic evaluator (see :mod:`cmc_hyp.bubbles`) used for
-    exact off-grid evaluation and the Laplacian.  Treat instances as
-    immutable: arrays are write-locked at construction.
+    point to an analytic evaluator (see :mod:`cmc_hyp.bubbles`), which gives
+    the exact chart Laplacian and which a Moebius pullback recomposes.
+    Treat instances as immutable: arrays are write-locked at construction.
     """
 
     grid: SphereGrid
@@ -447,50 +431,6 @@ def cm_norm(f, m=0):
             g2 = f.dx**2 + f.dy**2
         out += float(np.max(np.sqrt(g2) / f.grid.mu))
     return out
-
-
-# ---------------------------------------------------------------------------
-# interpolation (spectral, used by Moebius pullbacks of sampled fields)
-
-
-def interpolate(f, pts):
-    """Evaluate the global interpolant of ``f`` at chart points ``pts``.
-
-    Works mode by mode: the azimuthal FFT coefficients, reduced by their
-    parity factor, are polynomial in ``cos(s)`` and evaluated by barycentric
-    interpolation; exact for band-limited fields the grid resolves.
-    """
-    grid = f.grid
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    rho_t = np.hypot(pts[:, 0], pts[:, 1])
-    theta_t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    s_t = 2.0 * np.arctan(rho_t)
-    x_t = np.cos(s_t)
-    sin_t = np.sin(s_t)
-    E = _bary_eval_matrix(grid.x, grid.bary_wx, x_t)
-    m = np.arange(grid.ntheta // 2 + 1)
-    odd = (m % 2).astype(bool)
-    scale = np.full(m.size, 2.0)
-    scale[0] = 1.0
-    if grid.ntheta % 2 == 0:
-        scale[-1] = 1.0
-    phase = np.exp(1j * np.outer(theta_t, m)) * scale
-
-    def eval_component(vals):
-        F = np.fft.rfft(grid.node_shape(vals), axis=1)   # (ns, M+1)
-        G = F.copy()
-        G[:, odd] = G[:, odd] / grid.sin_s[:, None]
-        C = E @ G                                        # (M_t, M+1)
-        C[:, odd] = C[:, odd] * sin_t[:, None]
-        return (C * phase).real.sum(axis=1) / grid.ntheta
-
-    if f.is_vector:
-        out = np.stack([eval_component(f.values[:, c]) for c in range(3)], axis=-1)
-    else:
-        out = eval_component(f.values)
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,6 @@ class _ModalPack:
         self.grid = grid
         self.params = params
         self.degree = degree
-        self.ok = grid.omega[:, 2] + params.k
         x, sins = grid.x, grid.sin_s
         ring = grid.node_shape(grid.weights)[:, 0]
 
@@ -347,16 +346,6 @@ class _ModalPack:
     @cached_property
     def frame_modal(self):
         return self.project_vector(np.stack(self.frame.generators()))
-
-    @cached_property
-    def star_rows(self):
-        ok, om = self.ok, self.grid.omega
-        rows = [self.project_vector(
-            t.values[None] / ok[None, :, None]**2) for t in self.frame.tau]
-        rows += [self.project_vector(
-            ((self.frame.gamma[:, ell] / ok**3)[:, None] * om)[None])
-            for ell in range(3)]
-        return np.concatenate(rows, axis=0)
 
     @cached_property
     def saddle_factors(self):
@@ -750,11 +739,14 @@ def spectrum_normal(params, grid, count=8):
     the cluster width below (orders 0-2 at n = 24, k = 2); its values are
     reported, and its lowest eigenvectors are mapped back by ``L^-T``, so
     they are ``B``-orthonormal and their residuals are those of the pencil.
-    A pair's relative residual is ``|K v - lam B v| / ((1 + |lam|) |B v|)``,
-    for a block's pairs at once the column norms of ``K V - (B V) diag(lam)``;
-    one above ``1e-7`` raises :class:`ConvergenceError`.
+    A pair's residual is its normwise backward error on its block's pencil,
+    ``|K v - lam B v| / ((||K||_2 + |lam| ||B||_2) |v|)``, for a block's
+    pairs at once the column norms of ``K V - (B V) diag(lam)``.  It does
+    not change when ``K`` or ``B`` is rescaled, so it stays at roundoff at
+    every ``k``, though ``||K||_2 / ||B||_2`` grows like ``k``; one above
+    ``1e-7`` raises :class:`ConvergenceError`.
     Returns a :class:`SpectrumReport` of the ascending eigenvalues, their
-    clustered multiplicities, each pair's relative residual, and the
+    clustered multiplicities, each pair's backward error, and the
     azimuthal orders, ascending within each cluster.  Neighbours within
     ``1e-6`` times the fifth eigenvalue (at least 1) share a cluster, so a
     larger ``count`` only lengthens the list.
@@ -787,9 +779,9 @@ def spectrum_normal(params, grid, count=8):
         top = min(count, K.shape[0])
         vals, vecs = np.linalg.eigh(A)
         vals, V = vals[:top], Linv.T @ vecs[:, :top]
-        BV = B @ V
-        res = (np.linalg.norm(K @ V - BV * vals, axis=0)
-               / ((1.0 + np.abs(vals)) * np.linalg.norm(BV, axis=0)))
+        res = (np.linalg.norm(K @ V - (B @ V) * vals, axis=0)
+               / ((np.linalg.norm(K, 2) + np.abs(vals) * np.linalg.norm(B, 2))
+                  * np.linalg.norm(V, axis=0)))
         pairs += list(zip(vals, [m] * top, res)) * len(spans)
     pairs.sort(key=lambda p: p[0])
     vals, orders, res = (np.array(c) for c in zip(*pairs[:count]))
@@ -823,7 +815,14 @@ class KernelReport:
 
     def to_json(self):
         """The report as a JSON document; the singular values are cut to
-        the smallest sixteen, the orders counted per ``|M|``."""
+        the smallest sixteen, the orders counted per ``|M|``.
+
+        ``gap`` is the first singular value past the kernel over the last
+        one in it, floored at roundoff: ``s_10 / max(s_9, eps * s_max)`` for
+        a nine-dimensional kernel, ``s_max`` the largest singular value of
+        ``s_9``'s own block.  At k = 2 the floor is the larger term, so
+        ``gap`` measures the range's scale against roundoff, not a ratio of
+        two computed singular values."""
         return {
             "dimension": self.dimension,
             "gap": self.gap,
@@ -910,34 +909,3 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     return KernelReport(dimension=dim, basis=basis, gap=float(ratios[split]),
                         singular_values=sigma, orders=orders)
 
-
-# ---------------------------------------------------------------------------
-# constrained (bordered) solve
-
-
-def solve_orthogonal(system, v):
-    """Invert the linearized operator against ``v mu^2`` away from its kernel.
-
-    ``v`` must be orthogonal (in the sphere-measure inner product) to the
-    nine tangent generators.  The pack's block-bordered
-    :meth:`~_ModalPack.saddle_solve` inverts the operator off its kernel (the
-    frame span); one 9 x 9 solve then moves the result along the frame until
-    the nine weighted (star-product) constraint rows vanish, which pins it
-    uniquely.  The returned field carries the strong-equation residual as
-    ``direct_residual``.
-    """
-    grid, pack = system.grid, system.pack
-    F, S = pack.frame_modal, pack.star_rows
-    vmodal = pack.project_vector(v.values)
-    coef = np.linalg.solve(F @ F.T, F @ vmodal)
-    vnorm = np.linalg.norm(vmodal)
-    if vnorm > 0 and np.linalg.norm(coef) > 1e-8 * max(1.0, vnorm):
-        raise ValueError(
-            f"right-hand side has a tangent component of size "
-            f"{np.linalg.norm(coef):.2e}; project it away first")
-    c, _ = pack.saddle_solve(vmodal / system.scale, np.zeros(9))
-    c -= F.T @ np.linalg.solve(S @ F.T, S @ c)
-    phi = SphereField(grid, *pack.nodal_vector_jet(c))
-    resid = system.apply_direct(phi).values - v.values * grid.mu[:, None] ** 2
-    phi.direct_residual = float(np.max(np.abs(resid)))
-    return phi

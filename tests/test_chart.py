@@ -164,17 +164,6 @@ def test_cm_norm(grid16):
         ch.cm_norm(f, 2)
 
 
-def test_interpolation(grid24, rng):
-    g = grid24
-    f = ch.random_smooth_field(g, rng, vector=False)
-    sel = rng.integers(0, g.size, 20)
-    assert np.max(np.abs(ch.interpolate(f, g.nodes[sel]) - f.values[sel])) < 1e-12
-    pts = rng.uniform(-1.5, 1.5, (50, 2))
-    om, _, _, _ = ch.omega_mu(pts)
-    fom = ch.SphereField(g, g.omega[:, 2].copy())
-    assert np.max(np.abs(ch.interpolate(fom, pts) - om[:, 2])) < 1e-11
-
-
 def test_csv_roundtrip(tmp_path, grid16, rng):
     f = ch.random_smooth_field(grid16, rng)
     path = tmp_path / "field.csv"
