@@ -107,11 +107,14 @@ def bubble(params, q, grid):
 
     The returned field parameterizes the Euclidean sphere of center
     ``(q1, q2, k r q3)`` and radius ``q3 r``, which is the hyperbolic sphere
-    of radius ``rho`` about ``q``; chart derivatives are analytic.
+    of radius ``rho`` about ``q``; chart derivatives are analytic.  The
+    samples scale the grid's own ``omega`` tables, which are the analytic
+    surface's values and first derivatives at the nodes bit for bit.
     """
     surf = BubbleSurface(params, q)
-    dx, dy = surf.first(grid.nodes)
-    return SphereField(grid, surf.value(grid.nodes), dx, dy, surface=surf)
+    s = surf.scale
+    return SphereField(grid, s * grid.omega + surf.shift, s * grid.domega_dx,
+                       s * grid.domega_dy, surface=surf)
 
 
 # ---------------------------------------------------------------------------

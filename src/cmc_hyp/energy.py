@@ -18,9 +18,15 @@ from . import chart as ch
 from .errors import NumericsError
 from .halfspace import positive_heights
 from .linearized import j_residual
+from .phi_expr import SAMPLE_BLOCK
 
 # Gauss order of the vertical antiderivative behind every weighted volume
 VERTICAL_QUAD_ORDER = 24
+# its nodes and weights on [0, 1]
+_XG, _WG = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
+_XI, _WXI = 0.5 * (_XG + 1.0), 0.5 * _WG
+# surface points whose vertical probes make one block of ``K`` samples
+_ROWS = SAMPLE_BLOCK // VERTICAL_QUAD_ORDER
 
 
 def build_Q(K, anchor):
@@ -30,24 +36,25 @@ def build_Q(K, anchor):
     of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor
     height is pure gauge on closed surfaces.  The integral is a
     ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment between ``anchor`` and
-    ``p3``, so ``K`` is sampled only there.
+    ``p3``, so ``K`` is sampled only there.  The probes are built and summed
+    per block of points whose probes fill one
+    :data:`~cmc_hyp.phi_expr.SAMPLE_BLOCK`, so their memory does not grow
+    with the number of points.
     """
-    xg, wg = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
-
     def evaluator(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 3)
-        span = flat[:, 2] - anchor
-        t = anchor + span[:, None] * xi[None, :]
-        probe = np.empty(t.shape + (3,))
-        probe[..., 0] = flat[:, 0, None]
-        probe[..., 1] = flat[:, 1, None]
-        probe[..., 2] = t
-        q3 = span * np.sum(wxi * K.evaluate(probe) / t**3, axis=1)
         out = np.zeros_like(flat)
-        out[:, 2] = q3
+        for start in range(0, len(flat), _ROWS):
+            rows = flat[start:start + _ROWS]
+            span = rows[:, 2] - anchor
+            t = anchor + span[:, None] * _XI[None, :]
+            probe = np.empty(t.shape + (3,))
+            probe[..., 0] = rows[:, 0, None]
+            probe[..., 1] = rows[:, 1, None]
+            probe[..., 2] = t
+            out[start:start + len(rows), 2] = span * np.sum(
+                _WXI * K.evaluate(probe) / t**3, axis=1)
         return out.reshape(np.shape(pts))
 
     return evaluator

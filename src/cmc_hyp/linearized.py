@@ -129,9 +129,10 @@ class _ModalPack:
     tables and the inverses of the corrector's per-block saddle matrices
     are built on first use.  :func:`_pack` keeps one pack: every command
     and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
-    7.3 MB after a certificate and a solve: 2.1 MB of vector blocks and their
-    map, 2.1 MB of saddle inverses, 1.4 MB of profiles and 0.77 MB of
-    tangent frame (0.66 MB of it the six tau fields, values only).
+    7.5 MB after a certificate and a solve: 2.1 MB of vector blocks and their
+    map, 2.1 MB of saddle inverses, 1.4 MB of profiles, 0.77 MB of
+    tangent frame (0.66 MB of it the six tau fields, values only) and
+    0.22 MB of ``omega``'s second derivatives at the nodes.
     """
 
     def __init__(self, grid, params):
@@ -187,12 +188,19 @@ class _ModalPack:
         return (P, mer.mu[:, None] * dP_ds,
                 (1.0 / mer.rho)[:, None] * (1j * m * P))
 
-    @property
+    @cached_property
     def mode_degrees(self):
         """Polynomial degree ``m + j`` of each scalar mode."""
         D = self.degree + 1
         _, m, j = np.unravel_index(self._slots, (2, D, D))
         return m + j
+
+    @cached_property
+    def omega_second(self):
+        """``(d_xx, d_yy)`` of ``omega`` at the grid nodes, the unit
+        sphere's share of every base sphere's chart Laplacian."""
+        dxx, _, dyy = ch.omega_second(self.grid.nodes)
+        return dxx, dyy
 
     def tail_ratio(self, coeffs):
         """The largest modal vector coefficient of degree in the top tenth

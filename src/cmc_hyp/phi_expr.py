@@ -21,6 +21,16 @@ where a sampled value or gradient is not finite; the raw walks
 :func:`evaluate` and :func:`evaluate_gradient` check nothing.  The dual
 walk carries the values (``Dual.v``), so :func:`evaluate_gradient` returns
 both.
+
+A compiled function walks its sample in blocks of at most
+:data:`SAMPLE_BLOCK` points.  A walk allocates a dozen temporaries the size
+of its input (a dual's gradient is three of them), so one walk of the
+energy's 76,800 vertical probes at n = 40 held 6.9 MB at once; a block's
+temporaries stay in cache whatever the sample size.  Every node is
+elementwise, so each point's numbers are the whole walk's bit for bit.  The
+one rule a walk picks for all its points, the constant-exponent slope of
+``a ^ b`` where the exponent's gradient vanishes everywhere, is picked per
+block.
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ import numpy as np
 
 from .errors import NumericsError
 from .halfspace import box_lattice
+
+# most points one walk of a compiled function takes at once
+SAMPLE_BLOCK = 4096
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "atanh", "hypdist")
 _CONSTANTS = {"pi": np.pi}
@@ -414,21 +427,41 @@ class PrescribedFunction:
 
 
 def _checked(walk, tree, name):
-    """``walk(tree, p)`` with numpy's floating-point warnings off; raises
+    """``walk(tree, p)`` with numpy's floating-point warnings off, taken over
+    the flattened points in blocks of :data:`SAMPLE_BLOCK` into one output
+    (values, or the pair of values and gradients), so the walk's
+    temporaries stay small whatever the sample size; raises
     :class:`NumericsError` naming ``name`` and the first point where an
     output (either array of a pair) is not finite."""
     def sample(p):
-        with np.errstate(all="ignore"):
-            out = walk(tree, p)
-        outs = out if isinstance(out, tuple) else (out,)
-        if not all(np.isfinite(o).all() for o in outs):
-            pts = np.asarray(p, dtype=float)
-            ok = np.logical_and.reduce([
-                np.isfinite(o).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
-                for o in outs])
-            raise NumericsError(
-                f"{name} is not finite at {pts[~ok][0].tolist()}")
-        return out
+        pts = np.asarray(p, dtype=float)
+        flat = pts.reshape(-1, 3)
+        outs = None
+        # one block, possibly empty, even for an empty sample
+        for start in range(0, max(len(flat), 1), SAMPLE_BLOCK):
+            block = flat[start:start + SAMPLE_BLOCK]
+            with np.errstate(all="ignore"):
+                got = walk(tree, block)
+            got = got if isinstance(got, tuple) else (got,)
+            if not all(np.isfinite(o).all() for o in got):
+                ok = np.logical_and.reduce([
+                    np.isfinite(o).reshape(len(block), -1).all(axis=-1)
+                    for o in got])
+                raise NumericsError(
+                    f"{name} is not finite at {block[~ok][0].tolist()}")
+            # the outputs keep the whole walk's memory layout (a sample of
+            # one block keeps the walk's own arrays), on which later sums
+            # and products depend for their last bits
+            if len(block) == len(flat):
+                outs = got
+                break
+            if outs is None:
+                outs = [np.empty_like(o, shape=flat.shape[:1] + o.shape[1:])
+                        for o in got]
+            for out, o in zip(outs, got):
+                out[start:start + len(block)] = o
+        outs = [out.reshape(pts.shape[:-1] + out.shape[1:]) for out in outs]
+        return tuple(outs) if len(outs) > 1 else outs[0]
     return sample
 
 

@@ -102,7 +102,8 @@ def correct(eps, q, phi, params, grid, warm=None):
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
-    U_lap = U.surface.laplacian(grid.nodes)
+    dxx, dyy = pack.omega_second
+    U_lap = U.surface.scale * dxx + U.surface.scale * dyy
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])

@@ -4,7 +4,7 @@ import pytest
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
 from cmc_hyp import halfspace as hs
-from cmc_hyp.linearized import j_residual
+from cmc_hyp.linearized import j_residual, operator_pack
 
 
 def test_make_params_values():
@@ -50,6 +50,20 @@ def test_bubble_geometry(grid16, params2):
     center = np.array([0.5, -0.2, params2.k * params2.r * 1.7])
     rad = np.linalg.norm(U2.values - center, axis=1)
     assert np.max(np.abs(rad - 1.7 * params2.r)) < 1e-13
+
+
+def test_bubble_samples_its_analytic_surface(grid24, params2):
+    # bubble scales the grid's omega tables and correct the pack's second
+    # derivatives of omega; both are the analytic surface's, bit for bit
+    U = bb.bubble(params2, hs.HyperbolicPoint(0.3, -0.2, 1.4), grid24)
+    nodes = grid24.nodes
+    assert U.values.tobytes() == U.surface.value(nodes).tobytes()
+    for got, ref in zip((U.dx, U.dy), U.surface.first(nodes)):
+        assert got.tobytes() == ref.tobytes()
+    dxx, dyy = operator_pack(grid24, params2).omega_second
+    s = U.surface.scale
+    assert (s * dxx + s * dyy).tobytes() == \
+        U.surface.laplacian(nodes).tobytes()
 
 
 def test_moebius_identity_and_rotation(grid16, params2):

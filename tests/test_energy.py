@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,19 @@ def test_necessary_conditions_at_bubble(grid16, params2):
               - en.first_variation(U, params2, 0.0, None, U)) / 2.0
     oracle = -np.sum(w * pts[:, 2] ** -3.0 * np.einsum("ij,ij->i", gphi, pts))
     assert vprime == pytest.approx(oracle, abs=1e-6)
+
+
+def test_volume_walks_its_probes_in_blocks(params2):
+    # the 24 vertical probes of each of n = 64's 8192 nodes are walked a
+    # block at a time: a whole walk held 18 MB of temporaries
+    U = bb.bubble(params2, HyperbolicPoint(0.1, -0.05, 1.1), ch.build_grid(64))
+    phi = mel.phi_radial_gaussian((0.05, 0.0, 1.0))
+    vol = en.volume_V(phi, U)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert en.volume_V(phi, U) == vol
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

@@ -390,7 +390,8 @@ def test_kernel_verdict_needs_exactly_nine(grid16, sys16):
 
 
 def test_operator_cache_holds_one_pack(grid16, grid24, params2):
-    # one pack at n = 48 holds about 15 MB, and no caller alternates (n, k)
+    # one pack at n = 48 holds about 7.5 MB after a certificate and a solve,
+    # and no caller alternates (n, k)
     lin.operator_pack(grid16, params2)
     pack = lin.operator_pack(grid24, params2)
     assert lin._pack.cache_info().currsize == 1

@@ -206,3 +206,39 @@ def test_hypdist_closed_form_slope_matches_the_ufunc_chain(monkeypatch):
         ref = pe.evaluate_gradient(tree, pts)[1]
         assert np.all(np.linalg.norm(grads - ref, axis=-1)
                       <= 1e-13 * np.linalg.norm(ref, axis=-1))
+
+
+BLOCK_DESIGNS = ("exp(-hypdist(0.1, -0.05, 1.1)^2)", "2.5", "p1",
+                 "exp(-hypdist(0.05, 0.15, 1.25)^2)"
+                 " + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)")
+
+
+@pytest.mark.parametrize("text", BLOCK_DESIGNS)
+def test_blocked_samples_equal_one_raw_walk(text):
+    # a sample over two full blocks and a short one gives the whole raw
+    # walk's numbers bit for bit, flat and in the vertical probes' shape
+    tree, phi = pe.parse_phi(text), pe.phi_to_prescribed(text)
+    size = 2 * pe.SAMPLE_BLOCK + 7
+    rng = np.random.default_rng(5)
+    lo, hi = [-1.0, -1.0, 0.5], [1.0, 1.0, 2.0]
+    for shape in ((size, 3), (-(-size // 24), 24, 3)):
+        pts = rng.uniform(lo, hi, shape)
+        values = phi.evaluate(pts)
+        assert values.shape == shape[:-1]
+        assert values.tobytes() == pe.evaluate(tree, pts).tobytes()
+        for got, raw in zip(phi.gradient(pts), pe.evaluate_gradient(tree, pts)):
+            assert got.shape == raw.shape
+            assert got.tobytes() == raw.tobytes()
+
+
+def test_blocked_samples_name_a_point_of_the_last_block():
+    phi = pe.phi_to_prescribed("sqrt(p3 - 1.1)",
+                               probe_box=(-0.1, 0.1, -0.1, 0.1, 1.2, 1.5))
+    pts = np.random.default_rng(6).uniform(
+        [-1.0, -1.0, 1.2], [1.0, 1.0, 2.0], (2 * pe.SAMPLE_BLOCK + 7, 3))
+    pts[-5] = [0.25, -0.5, 1.0]
+    pts[-2] = [0.5, 0.5, 0.75]
+    for fn in (phi.evaluate, phi.gradient):
+        with pytest.raises(NumericsError, match=r"not finite at "
+                           r"\[0\.25, -0\.5, 1\.0\]"):
+            fn(pts)
