@@ -9,8 +9,7 @@ from .chart import (SphereGrid, SphereField, build_grid, omega_mu, integrate,
                     differentiate, project_P, cm_norm, omega_field,
                     constant_field)
 from .bubbles import (CurvatureParams, make_params, bubble, MoebiusMap,
-                      moebius_pullback, TangentFrame, tangent_frame,
-                      tangent_project)
+                      TangentFrame, tangent_frame, tangent_project)
 from .linearized import (LinearizedSystem, SpectrumReport, j_residual,
                          assemble_linearized, normal_operator,
                          tangential_quadratic_form, spectrum_normal, kernel)

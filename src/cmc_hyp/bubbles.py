@@ -3,11 +3,11 @@
 For ``k > 1`` the base surface is ``U = r (omega + k e3)`` with
 ``r = 1/sqrt(k^2 - 1)``; hyperbolic translations move it around the half-space
 and Moebius reparametrizations change the chart, producing a 9-parameter
-family of solutions.  This module builds the surfaces with analytic chart
-derivatives, their Moebius pullbacks in closed form (a pullback needs the
-analytic surface; sampled fields are not reparametrized), the orthonormal
-frame spanning the family's tangent space, and the projection onto that
-frame against the sphere measure.
+family of solutions.  This module samples the surfaces, with or without a
+Moebius map of the chart, together with their chart derivatives and chart
+Laplacian in closed form (:func:`bubble`), builds the orthonormal frame
+spanning the family's tangent space, and projects onto that frame against
+the sphere measure.
 """
 
 from __future__ import annotations
@@ -53,71 +53,6 @@ def make_params(k):
 
 
 # ---------------------------------------------------------------------------
-# analytic surfaces (exact evaluation off the grid, used by pullbacks and
-# residuals)
-
-
-class BubbleSurface:
-    """Analytic evaluator of the sphere ``q3 U + (q1, q2, 0)``."""
-
-    def __init__(self, params, q):
-        q = HyperbolicPoint.of(q)
-        self.scale = q.p3 * params.r
-        self.shift = np.array([q.p1, q.p2, q.p3 * params.r * params.k])
-
-    def value(self, z):
-        om, _, _, _ = ch.omega_mu(z)
-        return self.scale * om + self.shift
-
-    def first(self, z):
-        _, _, dx, dy = ch.omega_mu(z)
-        return self.scale * dx, self.scale * dy
-
-    def laplacian(self, z):
-        dxx, _, dyy = ch.omega_second(z)
-        return self.scale * dxx + self.scale * dyy
-
-
-class MoebiusSurface:
-    """Analytic pullback ``u o g`` of another analytic surface."""
-
-    def __init__(self, base, g):
-        self.base = base
-        self.g = g
-
-    def value(self, z):
-        return self.base.value(self.g.apply(z))
-
-    def first(self, z):
-        w = self.g.apply(z)
-        ux, uy = self.base.first(w)
-        gp = self.g.cderiv(z)
-        a, b = gp.real[..., None], gp.imag[..., None]
-        return a * ux + b * uy, -b * ux + a * uy
-
-    def laplacian(self, z):
-        # g is holomorphic, so the chart Laplacian picks up |g'|^2 alone
-        gp = self.g.cderiv(z)
-        return (gp.real**2 + gp.imag**2)[..., None] * self.base.laplacian(
-            self.g.apply(z))
-
-
-def bubble(params, q, grid):
-    """Sample the sphere of curvature ``k`` about ``q`` onto ``grid``.
-
-    The returned field parameterizes the Euclidean sphere of center
-    ``(q1, q2, k r q3)`` and radius ``q3 r``, which is the hyperbolic sphere
-    of radius ``rho`` about ``q``; chart derivatives are analytic.  The
-    samples scale the grid's own ``omega`` tables, which are the analytic
-    surface's values and first derivatives at the nodes bit for bit.
-    """
-    surf = BubbleSurface(params, q)
-    s = surf.scale
-    return SphereField(grid, s * grid.omega + surf.shift, s * grid.domega_dx,
-                       s * grid.domega_dy, surface=surf)
-
-
-# ---------------------------------------------------------------------------
 # Moebius maps
 
 
@@ -142,10 +77,6 @@ class MoebiusMap:
     def rotation(cls, angle):
         return cls(np.exp(1j * angle), 0.0, 0.0, 1.0)
 
-    @property
-    def is_identity(self):
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
     def _z(self, z):
         z = np.asarray(z, dtype=float)
         return z[..., 0] + 1j * z[..., 1]
@@ -159,23 +90,34 @@ class MoebiusMap:
         return (self.a * self.d - self.b * self.c) / den**2
 
 
-def moebius_pullback(u, g):
-    """Reparametrize a field by a Moebius map of the chart.
+def bubble(params, q, grid, g=None):
+    """Sample the sphere of curvature ``k`` about ``q`` onto ``grid``,
+    reparametrized by the Moebius map ``g`` of the chart when one is given.
 
-    The field's analytic surface (``u.surface``, as :func:`bubble` attaches)
-    is recomposed in closed form, so the pullback's values, first
-    derivatives and chart Laplacian are exact; a field without one raises
-    :class:`ValueError`.  Nodes may not hit the pole of ``g``.
+    The field parameterizes the Euclidean sphere of center
+    ``(q1, q2, k r q3)`` and radius ``q3 r``, which is the hyperbolic sphere
+    of radius ``rho`` about ``q``; its chart derivatives and its chart
+    Laplacian (``lap``) are exact.  Without ``g`` the samples scale the
+    grid's own ``omega`` tables.  With ``g`` the sphere is composed with
+    ``g`` in closed form: the derivatives rotate and scale by ``g'``, and
+    since ``g`` is holomorphic the Laplacian picks up ``|g'|^2`` alone.
+    Nodes may not hit the pole of ``g``.
     """
-    if u.surface is None:
-        raise ValueError("moebius_pullback needs the field's analytic surface "
-                         "evaluator (u.surface), which this field lacks")
-    if g.is_identity:
-        return u
-    grid = u.grid
-    surf = MoebiusSurface(u.surface, g)
-    dx, dy = surf.first(grid.nodes)
-    return SphereField(grid, surf.value(grid.nodes), dx, dy, surface=surf)
+    q = HyperbolicPoint.of(q)
+    s = q.p3 * params.r
+    shift = np.array([q.p1, q.p2, q.p3 * params.r * params.k])
+    if g is None:
+        return SphereField(grid, s * grid.omega + shift, s * grid.domega_dx,
+                           s * grid.domega_dy,
+                           s * grid.domega_dxx + s * grid.domega_dyy)
+    w = g.apply(grid.nodes)
+    om, _, ux, uy = ch.omega_mu(w)
+    uxx, _, uyy = ch.omega_second(w)
+    ux, uy = s * ux, s * uy
+    gp = g.cderiv(grid.nodes)
+    a, b = gp.real[..., None], gp.imag[..., None]
+    return SphereField(grid, s * om + shift, a * ux + b * uy, -b * ux + a * uy,
+                       (a**2 + b**2) * (s * uxx + s * uyy))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ parametrization ``omega(x, y) = (mu x, mu y, 1 - mu)``, ``mu = 2/(1+|z|^2)``.
 Grids couple Gauss-Legendre nodes in the polar angle with equispaced azimuths;
 weights are stored premultiplied so that ``sum(w_i f_i)`` approximates the
 integral of ``f`` against the spherical measure ``mu^2 dz``.  Fields carry
-values and first chart derivatives; the one second-order quantity is the
-chart Laplacian ``d_xx + d_yy`` (:func:`laplacian`), through which alone the
-prescribed-curvature system and its linearization see second derivatives.
+values and first chart derivatives, and optionally their exact chart
+Laplacian; that Laplacian ``d_xx + d_yy`` (:func:`laplacian`) is the one
+second-order quantity, through which alone the prescribed-curvature system
+and its linearization see second derivatives.
 
 All stored coordinates and derivative slots refer to the one chart above;
 no computation changes chart.  Each node carries a ``chart_tag``, 0 for
@@ -17,7 +18,7 @@ no computation changes chart.  Each node carries a ``chart_tag``, 0 for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -167,6 +168,8 @@ class SphereGrid:
     omega: np.ndarray        # (N, 3)
     domega_dx: np.ndarray    # (N, 3)
     domega_dy: np.ndarray    # (N, 3)
+    domega_dxx: np.ndarray   # (N, 3)
+    domega_dyy: np.ndarray   # (N, 3)
     Dleg: np.ndarray         # (ns, ns)
 
     @property
@@ -221,9 +224,11 @@ def _azimuths(rho, ring_weights, L):
     tt = np.tile(theta, rho.size)
     nodes = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
     omega, mu, dox, doy = omega_mu(nodes)
+    doxx, _, doyy = omega_second(nodes)
     fields = dict(theta=theta, nodes=nodes, weights=np.repeat(ring_weights, L),
                   chart_tag=(rr > R_CUT).astype(np.uint8), mu=mu, omega=omega,
-                  domega_dx=dox, domega_dy=doy)
+                  domega_dx=dox, domega_dy=doy, domega_dxx=doxx,
+                  domega_dyy=doyy)
     _freeze(*fields.values())
     return dict(fields, ntheta=L)
 
@@ -237,9 +242,9 @@ class SphereField:
     """Per-node samples of a scalar or 3-vector function on the sphere.
 
     ``values`` has shape ``(N,)`` or ``(N, 3)``; the optional ``dx``/``dy``
-    slots hold main-chart derivatives of the same shape.  ``surface`` may
-    point to an analytic evaluator (see :mod:`cmc_hyp.bubbles`), which gives
-    the exact chart Laplacian and which a Moebius pullback recomposes.
+    slots hold main-chart derivatives of the same shape, and the optional
+    ``lap`` slot the exact chart Laplacian ``d_xx + d_yy`` (as
+    :func:`cmc_hyp.bubbles.bubble` computes in closed form).
     Treat instances as immutable: arrays are write-locked at construction.
     """
 
@@ -247,20 +252,20 @@ class SphereField:
     values: np.ndarray
     dx: np.ndarray | None = None
     dy: np.ndarray | None = None
-    surface: object = dc_field(default=None, repr=False)
+    lap: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape[0] != self.grid.size:
             raise ValueError("values do not match the grid size")
-        for name in ("dx", "dy"):
+        for name in ("dx", "dy", "lap"):
             a = getattr(self, name)
             if a is not None:
                 a = np.asarray(a, dtype=float)
                 if a.shape != self.values.shape:
                     raise ValueError(f"{name} shape differs from values")
                 setattr(self, name, a)
-        for a in (self.values, self.dx, self.dy):
+        for a in (self.values, self.dx, self.dy, self.lap):
             if a is not None and a.flags.owndata:
                 a.flags.writeable = False
 
@@ -347,22 +352,22 @@ def differentiate(f):
     """Return a copy of ``f`` with derivative slots filled.
 
     Analytic slots already present are kept; otherwise the grid's spectral
-    rule is used.
+    rule is used.  A ``lap`` slot is carried over.
     """
     if f.has_derivatives:
         return f
     dx, dy = spectral_derivatives(f.grid, f.values)
-    return SphereField(f.grid, f.values, dx, dy, surface=f.surface)
+    return SphereField(f.grid, f.values, dx, dy, f.lap)
 
 
 def laplacian(f):
     """Main-chart Laplacian ``d_xx + d_yy`` of a field.
 
-    Uses the analytic evaluator when available, otherwise differentiates the
-    (possibly spectral) first derivatives once more.
+    Exact where the field carries ``lap``, which is returned; otherwise the
+    (possibly spectral) first derivatives are differentiated once more.
     """
-    if f.surface is not None:
-        return f.surface.laplacian(f.grid.nodes)
+    if f.lap is not None:
+        return f.lap
     g = differentiate(f)
     dxx, _ = spectral_derivatives(f.grid, g.dx)
     _, dyy = spectral_derivatives(f.grid, g.dy)

@@ -129,10 +129,11 @@ class _ModalPack:
     tables and the inverses of the corrector's per-block saddle matrices
     are built on first use.  :func:`_pack` keeps one pack: every command
     and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
-    7.5 MB after a certificate and a solve: 2.1 MB of vector blocks and their
-    map, 2.1 MB of saddle inverses, 1.4 MB of profiles, 0.77 MB of
-    tangent frame (0.66 MB of it the six tau fields, values only) and
-    0.22 MB of ``omega``'s second derivatives at the nodes.
+    7 MB after a certificate and a solve: 2.1 MB of vector blocks and their
+    map, 2.1 MB of saddle inverses, 1.4 MB of profiles and 0.77 MB of
+    tangent frame (0.66 MB of it the six tau fields, values only).  The
+    base sphere's chart Laplacian is the bubble's own (the grid holds
+    ``omega``'s second derivatives, 0.22 MB at n = 48).
     """
 
     def __init__(self, grid, params):
@@ -194,13 +195,6 @@ class _ModalPack:
         D = self.degree + 1
         _, m, j = np.unravel_index(self._slots, (2, D, D))
         return m + j
-
-    @cached_property
-    def omega_second(self):
-        """``(d_xx, d_yy)`` of ``omega`` at the grid nodes, the unit
-        sphere's share of every base sphere's chart Laplacian."""
-        dxx, _, dyy = ch.omega_second(self.grid.nodes)
-        return dxx, dyy
 
     def tail_ratio(self, coeffs):
         """The largest modal vector coefficient of degree in the top tenth
@@ -535,8 +529,8 @@ def j_residual(u, params, curvature=None, eps=0.0):
     :class:`~cmc_hyp.phi_expr.PrescribedFunction`); the total curvature is
     ``k + eps * curvature``.  The system uses the surface's
     second derivatives only through its chart Laplacian
-    (:func:`~cmc_hyp.chart.laplacian`): exact on fields sampled from analytic
-    surfaces, spectral on everything else.  The result vanishes (to
+    (:func:`~cmc_hyp.chart.laplacian`): exact on fields that carry ``lap``
+    (as bubbles do), spectral on everything else.  The result vanishes (to
     discretization accuracy) exactly at solutions.
     """
     if not u.is_vector:

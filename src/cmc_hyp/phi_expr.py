@@ -27,10 +27,9 @@ A compiled function walks its sample in blocks of at most
 of its input (a dual's gradient is three of them), so one walk of the
 energy's 76,800 vertical probes at n = 40 held 6.9 MB at once; a block's
 temporaries stay in cache whatever the sample size.  Every node is
-elementwise, so each point's numbers are the whole walk's bit for bit.  The
-one rule a walk picks for all its points, the constant-exponent slope of
-``a ^ b`` where the exponent's gradient vanishes everywhere, is picked per
-block.
+elementwise, the slope rule of ``a ^ b`` included (the constant-exponent
+rule at each point where the exponent's gradient vanishes), so each point's
+numbers are the whole walk's bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +43,10 @@ from .halfspace import box_lattice
 
 # most points one walk of a compiled function takes at once
 SAMPLE_BLOCK = 4096
+# deepest nesting an expression may have: each parenthesis, call, negation
+# and binary operator puts its operands one level deeper, and the parser,
+# the printer and both walks recurse through the levels
+MAX_DEPTH = 100
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tanh", "atanh", "hypdist")
 _CONSTANTS = {"pi": np.pi}
@@ -156,10 +159,16 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent that returns each subexpression with its height,
+    the levels of nesting below it.  ``level`` counts the parentheses,
+    calls, signs and ``^`` that enclose the current position; a position
+    nested deeper than :data:`MAX_DEPTH` levels is refused there, before
+    the descent recurses further."""
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -174,53 +183,73 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def up(self, height, at):
+        """``height + 1``: one more level at position ``at``, refused past
+        :data:`MAX_DEPTH`."""
+        if self.level + height + 1 > MAX_DEPTH:
+            raise PhiSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", at)
+        return height + 1
+
+    def enter(self, at):
+        """Descend one level into the operand of a parenthesis, call,
+        sign or ``^`` at ``at``; the caller leaves it."""
+        self.up(0, at)
+        self.level += 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek() != ("end", None):
             raise PhiSyntaxError("trailing input", self.where())
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
+    def expr(self, tight=False):
+        """A chain of ``+ -`` (of ``* /`` if ``tight``) over its operands."""
+        ops = ("*", "/") if tight else ("+", "-")
+        node, height = self.factor() if tight else self.expr(True)
+        while self.peek() in ops:
+            at = self.where()
             op = self.take()
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            node = Bin(op, node, self.factor())
-        return node
+            right, h = self.factor() if tight else self.expr(True)
+            node, height = Bin(op, node, right), self.up(max(height, h), at)
+        return node, height
 
     def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return Neg(self.factor())
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
+        sign, at = self.peek(), self.where()
+        if sign not in ("-", "+"):
+            return self.power()
+        self.take()
+        self.enter(at)
+        node, height = self.factor()
+        self.level -= 1
+        if sign == "+":
+            return node, height
+        return Neg(node), self.up(height, at)
 
     def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            return Bin("^", base, self.factor())
-        return base
+        base, height = self.atom()
+        if self.peek() != "^":
+            return base, height
+        at = self.where()
+        self.take()
+        self.enter(at)
+        right, h = self.factor()
+        self.level -= 1
+        return Bin("^", base, right), self.up(max(height, h), at)
 
     def atom(self):
         tok = self.peek()
         at = self.where()
         if tok == "(":
             self.take()
-            node = self.expr()
+            self.enter(at)
+            node, height = self.expr()
+            self.level -= 1
             self.take(")")
-            return node
+            return node, self.up(height, at)
         if isinstance(tok, tuple) and tok[0] == "num":
             self.take()
-            return Num(float(tok[1]))
+            return Num(float(tok[1])), 0
         if isinstance(tok, tuple) and tok[0] == "name":
             self.take()
             name = tok[1]
@@ -228,16 +257,19 @@ class _Parser:
                 if name not in _FUNCTIONS:
                     raise PhiSyntaxError(f"unknown function {name!r}", at)
                 self.take()
+                self.enter(at)
                 args = [self.expr()]
                 while self.peek() == ",":
                     self.take()
                     args.append(self.expr())
+                self.level -= 1
                 self.take(")")
-                return self._call(name, tuple(args), at)
+                height = self.up(max(h for _, h in args), at)
+                return self._call(name, tuple(a for a, _ in args), at), height
             if name in _VARIABLES:
-                return Var(name)
+                return Var(name), 0
             if name in _CONSTANTS:
-                return Num(_CONSTANTS[name])
+                return Num(_CONSTANTS[name]), 0
             raise PhiSyntaxError(f"unknown identifier {name!r}", at)
         raise PhiSyntaxError("expected a value", at)
 
@@ -292,10 +324,15 @@ class Dual(np.lib.mixins.NDArrayOperatorsMixin):
             return NotImplemented
         vals = [x.v if isinstance(x, Dual) else x for x in inputs]
         out = ufunc(*vals)
-        rules = _RULES[ufunc]
-        if ufunc is np.power and not (isinstance(inputs[1], Dual)
-                                      and inputs[1].g.any()):
-            rules = _CONSTANT_EXPONENT
+        rules, sloped = _RULES[ufunc], True
+        if ufunc is np.power:
+            # the rule of ``a ^ b`` is picked point by point: where the
+            # exponent's gradient vanishes, ``b a^(b-1)`` and no log term
+            sloped = isinstance(inputs[1], Dual) and inputs[1].g.any(axis=0)
+            if not np.any(sloped):
+                rules = _CONSTANT_EXPONENT
+            elif not np.all(sloped):
+                rules = _power_rules(sloped)
         g = None
         for x, rule in zip(inputs, rules):
             if isinstance(x, Dual) and rule is not None:
@@ -303,7 +340,7 @@ class Dual(np.lib.mixins.NDArrayOperatorsMixin):
                 if g is None:
                     g = term
                 else:
-                    g += term
+                    np.add(g, term, out=g, where=sloped)
         return out if g is None else Dual(out, g)
 
 
@@ -336,6 +373,16 @@ _RULES = {
 # keeps the slope of ``a ^ 0`` at zero wherever ``a`` is
 _CONSTANT_EXPONENT = (
     lambda a, e, out: e * np.power(a, np.where(e == 0, 1.0, e) - 1.0), None)
+
+
+def _power_rules(sloped):
+    """The slopes of ``a ^ b`` where only the points ``sloped`` have an
+    exponent with a gradient: the dual-exponent rules there, the
+    constant-exponent rule and no log term elsewhere."""
+    (da, db), (dc, _) = _RULES[np.power], _CONSTANT_EXPONENT
+    return (lambda a, b, out: np.where(sloped, da(a, b, out), dc(a, b, out)),
+            lambda a, b, out: np.where(sloped, db(a, b, out), 0.0))
+
 
 # ``^`` is ``np.power`` itself, not ``**``, which would take numpy's
 # ``square`` fast path for ``x ^ 2`` and change the last bits of values

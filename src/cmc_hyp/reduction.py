@@ -102,8 +102,6 @@ def correct(eps, q, phi, params, grid, warm=None):
     mu2 = grid.mu[:, None] ** 2
     scale = q.p3**2 * params.r**2
     U = bubble(params, q, grid)
-    dxx, dyy = pack.omega_second
-    U_lap = U.surface.scale * dxx + U.surface.scale * dyy
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
@@ -111,7 +109,7 @@ def correct(eps, q, phi, params, grid, warm=None):
     for it in range(1, 61):
         nv, ndx, ndy = jet = pack.nodal_vector_jet(c)
         u = (U.values + nv, U.dx + ndx, U.dy + ndy)
-        lap = U_lap + pack.nodal_vector_laplacian(c)
+        lap = U.lap + pack.nodal_vector_laplacian(c)
         J = _j_nodal(*u, lap, params, phi, eps)
         # the generators' projections are the pack's frame_modal rows
         rmod = pack.project_vector(J / mu2) - pack.frame_modal.T @ m

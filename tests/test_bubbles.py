@@ -4,7 +4,7 @@ import pytest
 from cmc_hyp import bubbles as bb
 from cmc_hyp import chart as ch
 from cmc_hyp import halfspace as hs
-from cmc_hyp.linearized import j_residual, operator_pack
+from cmc_hyp.linearized import j_residual
 
 
 def test_make_params_values():
@@ -37,9 +37,10 @@ def test_make_params_rejects_a_k_that_is_not_finite(k):
 def test_bubble_geometry(grid16, params2):
     q = hs.HyperbolicPoint(0, 0, 1)
     U = bb.bubble(params2, q, grid16)
-    # value over the chart origin: r * (omega(0) + 2 e3) = (0, 0, r)
-    v0 = U.surface.value(np.zeros(2))
-    assert np.allclose(v0, [0, 0, params2.r], atol=1e-15)
+    # about (0, 0, 1) the sphere is r (omega + k e3), whose value over the
+    # chart origin, where omega = -e3, is (0, 0, (k - 1) r)
+    assert np.allclose(U.values, params2.r * (
+        grid16.omega + np.array([0, 0, params2.k])), rtol=0, atol=1e-15)
     d = hs.dist(np.broadcast_to(q.array, U.values.shape), U.values)
     assert np.max(np.abs(d - params2.rho)) < 1e-12
     assert np.min(U.values[:, 2]) > 0
@@ -52,27 +53,55 @@ def test_bubble_geometry(grid16, params2):
     assert np.max(np.abs(rad - 1.7 * params2.r)) < 1e-13
 
 
+def _sphere(params, q):
+    """Scale and shift of the sphere ``s omega + shift`` about ``q``."""
+    return q.p3 * params.r, np.array([q.p1, q.p2, q.p3 * params.r * params.k])
+
+
 def test_bubble_samples_its_analytic_surface(grid24, params2):
-    # bubble scales the grid's omega tables and correct the pack's second
-    # derivatives of omega; both are the analytic surface's, bit for bit
-    U = bb.bubble(params2, hs.HyperbolicPoint(0.3, -0.2, 1.4), grid24)
-    nodes = grid24.nodes
-    assert U.values.tobytes() == U.surface.value(nodes).tobytes()
-    for got, ref in zip((U.dx, U.dy), U.surface.first(nodes)):
+    # bubble scales the grid's omega tables, second derivatives included:
+    # the closed form at the nodes, bit for bit
+    q = hs.HyperbolicPoint(0.3, -0.2, 1.4)
+    U = bb.bubble(params2, q, grid24)
+    s, shift = _sphere(params2, q)
+    om, _, dx, dy = ch.omega_mu(grid24.nodes)
+    dxx, _, dyy = ch.omega_second(grid24.nodes)
+    for got, ref in ((U.values, s * om + shift), (U.dx, s * dx),
+                     (U.dy, s * dy), (U.lap, s * dxx + s * dyy)):
         assert got.tobytes() == ref.tobytes()
-    dxx, dyy = operator_pack(grid24, params2).omega_second
-    s = U.surface.scale
-    assert (s * dxx + s * dyy).tobytes() == \
-        U.surface.laplacian(nodes).tobytes()
+
+
+@pytest.mark.parametrize("g", [bb.MoebiusMap.rotation(0.7),
+                               bb.MoebiusMap(1.3 * np.exp(0.4j), 0.1, 0.2j,
+                                             1.0)])
+def test_moebius_bubble_is_the_composition(grid24, params2, g):
+    # u o g: the sphere at g(z), its first derivatives rotated and scaled by
+    # g' and its Laplacian scaled by |g'|^2, bit for bit
+    q = hs.HyperbolicPoint(0.3, -0.2, 1.4)
+    u = bb.bubble(params2, q, grid24, g)
+    s, shift = _sphere(params2, q)
+    w = g.apply(grid24.nodes)
+    om, _, ox, oy = ch.omega_mu(w)
+    oxx, _, oyy = ch.omega_second(w)
+    gp = g.cderiv(grid24.nodes)
+    a, b = gp.real[:, None], gp.imag[:, None]
+    want = (s * om + shift, a * (s * ox) + b * (s * oy),
+            -b * (s * ox) + a * (s * oy), (a**2 + b**2) * (s * oxx + s * oyy))
+    for got, ref in zip((u.values, u.dx, u.dy, u.lap), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_moebius_identity_and_rotation(grid16, params2):
-    g = bb.MoebiusMap.identity()
+    # the identity map reproduces the plain bubble (zeros may change sign)
+    U = bb.bubble(params2, (0.2, -0.1, 1.3), grid16)
+    same = bb.bubble(params2, (0.2, -0.1, 1.3), grid16,
+                     bb.MoebiusMap.identity())
+    for got, ref in zip((same.values, same.dx, same.dy, same.lap),
+                        (U.values, U.dx, U.dy, U.lap)):
+        assert np.array_equal(got, ref)
     U = bb.bubble(params2, (0, 0, 1), grid16)
-    assert bb.moebius_pullback(U, g) is U
     th = 0.7
-    rot = bb.MoebiusMap.rotation(th)
-    pulled = bb.moebius_pullback(U, rot)
+    pulled = bb.bubble(params2, (0, 0, 1), grid16, bb.MoebiusMap.rotation(th))
     R = np.array([[np.cos(th), -np.sin(th), 0],
                   [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
     # chart rotation equals the ambient rotation about the vertical axis,
@@ -82,18 +111,9 @@ def test_moebius_identity_and_rotation(grid16, params2):
         bb.MoebiusMap(1, 2, 1, 2)
 
 
-def test_moebius_pullback_needs_an_analytic_surface(grid16, params2):
-    # sampled values have no closed-form recomposition
-    U = bb.bubble(params2, (0, 0, 1), grid16)
-    for f in (ch.omega_field(grid16), ch.SphereField(grid16, U.values)):
-        with pytest.raises(ValueError, match="analytic surface"):
-            bb.moebius_pullback(f, bb.MoebiusMap.rotation(0.7))
-
-
 def test_moebius_pullback_solves(grid24, params2):
-    U = bb.bubble(params2, hs.HyperbolicPoint(0, 0, 1), grid24)
     g = bb.MoebiusMap(1.3 * np.exp(0.4j), 0.1, 0.0, 1.0)
-    pulled = bb.moebius_pullback(U, g)
+    pulled = bb.bubble(params2, hs.HyperbolicPoint(0, 0, 1), grid24, g)
     # analytic route: exact composition
     res = j_residual(pulled, params2)
     assert np.max(np.abs(res.values)) < 1e-10
@@ -108,11 +128,9 @@ def test_moebius_pullback_solves(grid24, params2):
 def test_surface_laplacian_matches_spectral(n, g, params2):
     # the analytic chart Laplacian of a bubble and of a Moebius pullback,
     # where |g'| varies over the chart, against the spectral rule on the
-    # same values sampled without the surface
+    # same values sampled without their Laplacian
     grid = ch.build_grid(n)
-    u = bb.bubble(params2, hs.HyperbolicPoint(0.1, -0.2, 1.3), grid)
-    if g is not None:
-        u = bb.moebius_pullback(u, g)
+    u = bb.bubble(params2, hs.HyperbolicPoint(0.1, -0.2, 1.3), grid, g)
     exact = ch.laplacian(u)
     spectral = ch.laplacian(ch.SphereField(grid, u.values))
     assert np.max(np.abs(exact - spectral)) <= 1e-10 * np.max(np.abs(exact))

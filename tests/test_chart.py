@@ -15,7 +15,7 @@ def test_with_azimuths_reproduces_the_grid(grid16):
     same = ch.with_azimuths(grid16, grid16.ntheta)
     assert same.ntheta == grid16.ntheta
     for name in ("nodes", "weights", "chart_tag", "theta", "omega", "mu",
-                 "domega_dx", "domega_dy"):
+                 "domega_dx", "domega_dy", "domega_dxx", "domega_dyy"):
         assert np.array_equal(getattr(same, name), getattr(grid16, name)), name
     assert ch.build_grid(16) is grid16
 
@@ -182,3 +182,18 @@ def test_field_validation(grid16):
     with pytest.raises(ValueError):
         ch.SphereField(grid16, np.ones(grid16.size),
                        dx=np.ones((grid16.size, 3)))
+
+
+def test_field_carries_its_laplacian(grid16):
+    g = grid16
+    with pytest.raises(ValueError, match="lap shape"):
+        ch.SphereField(g, g.omega.copy(), lap=np.ones(g.size))
+    # omega's chart Laplacian is -2 mu^2 omega; it is write-locked, kept by
+    # differentiate and returned by laplacian as it is
+    lap = g.domega_dxx + g.domega_dyy
+    f = ch.SphereField(g, g.omega.copy(), lap=lap)
+    assert not f.lap.flags.writeable
+    d = ch.differentiate(f)
+    assert d.has_derivatives and d.lap is f.lap
+    assert ch.laplacian(d) is f.lap
+    assert np.max(np.abs(lap + 2.0 * (g.mu**2)[:, None] * g.omega)) < 1e-14

@@ -220,6 +220,14 @@ def test_phi_source_must_be_an_expression(tmp_path):
     assert not (out / "summary.json").exists()
 
 
+def test_deeply_nested_phi_is_config_error(tmp_path):
+    out = tmp_path / "deep"
+    phi = "(" * 300 + "p1" + ")" * 300
+    assert main(["melnikov", "--k", "2", "--phi", phi, "--box=" + BOX,
+                 "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command,args", [
     ("melnikov", ["--phi", "p1"]),
     ("melnikov", ["--box=" + BOX]),

@@ -214,8 +214,7 @@ def test_conformality(grid16, grid24, params2):
     sup, _ = en.conformality_residual(u)
     assert sup > 0.1
     # Moebius reparametrizations stay conformal
-    U24 = bb.bubble(params2, Q0, grid24)
-    pulled = bb.moebius_pullback(U24, bb.MoebiusMap(1.2, 0.1, 0.0, 1.0))
+    pulled = bb.bubble(params2, Q0, grid24, bb.MoebiusMap(1.2, 0.1, 0.0, 1.0))
     sup, _ = en.conformality_residual(
         ch.SphereField(grid24, pulled.values.copy()))
     assert sup < 1e-8

@@ -242,3 +242,44 @@ def test_blocked_samples_name_a_point_of_the_last_block():
         with pytest.raises(NumericsError, match=r"not finite at "
                            r"\[0\.25, -0\.5, 1\.0\]"):
             fn(pts)
+
+
+def test_power_slope_rule_is_pointwise():
+    # where tanh(1000 p2) is 1.0 the exponent is flat, and those points
+    # take e a^(e - 1) whether or not a sloped point shares their walk
+    phi = pe.phi_to_prescribed("p3 ^ (2.5 + tanh(1000*p2))")
+    rng = np.random.default_rng(7)
+    flat = np.column_stack([rng.uniform(-1, 1, 200), np.ones(200),
+                            rng.uniform(0.5, 2, 200)])
+    both = np.vstack([flat, [[0.1, 0.0005, 1.0]]])
+    alone, mixed = phi.gradient(flat)[1], phi.gradient(both)[1]
+    assert alone.tobytes() == mixed[:200].tobytes()
+    assert mixed[200].tobytes() == phi.gradient(both[200:])[1].tobytes()
+    # a flat point at the base a = 0 has the slope 3 a^2 = 0 and no
+    # 0 * log(0) term, beside a sloped point too
+    tree = pe.parse_phi("(p1*p1) ^ (2 + tanh(1000*p2))")
+    pts = np.array([[0.0, 1.0, 1.0], [0.1, 0.0005, 1.0]])
+    with np.errstate(all="ignore"):
+        alone = pe.evaluate_gradient(tree, pts[:1])[1]
+        mixed = pe.evaluate_gradient(tree, pts)[1]
+        sloped = pe.evaluate_gradient(tree, pts[1:])[1]
+    assert alone.tobytes() == mixed[:1].tobytes() == np.zeros((1, 3)).tobytes()
+    assert mixed[1:].tobytes() == sloped.tobytes()
+
+
+NESTED = {"parentheses": lambda d: "(" * d + "p1" + ")" * d,
+          "sum": lambda d: " + ".join(["p1"] * (d + 1)),
+          "negations": lambda d: "-" * d + "p1"}
+
+
+@pytest.mark.parametrize("form", sorted(NESTED))
+def test_nesting_is_bounded(form):
+    # MAX_DEPTH levels compile and print; one more is a syntax error that
+    # names where the bound is passed, before anything recurses past it
+    text = NESTED[form]
+    phi = pe.phi_to_prescribed(text(pe.MAX_DEPTH))
+    assert np.isfinite(phi.gradient(np.array([0.3, 0.2, 1.0]))[1]).all()
+    for depth in (pe.MAX_DEPTH + 1, 3000):
+        with pytest.raises(pe.PhiSyntaxError, match="nested deeper") as err:
+            pe.parse_phi(text(depth))
+        assert text(depth)[err.value.position] in "(+-"

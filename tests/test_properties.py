@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cmc_hyp import phi_expr as pe
 from cmc_hyp import reduction
-from cmc_hyp.bubbles import MoebiusMap, bubble, make_params, moebius_pullback
+from cmc_hyp.bubbles import MoebiusMap, bubble, make_params
+from cmc_hyp.chart import omega_mu
 from cmc_hyp.energy import energy_E, volume_V
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.linearized import j_residual
@@ -139,11 +140,13 @@ def test_j_residual_moebius_equivariant(grid16, params2, q, t, theta, b, c):
     params = make_params(2.7)
     g = MoebiusMap(t * np.exp(1j * theta), 0.3 * b[0] * np.exp(1j * b[1]),
                    0.2 * c[0] * np.exp(1j * c[1]), 1.0)
-    u = bubble(params2, HyperbolicPoint(*q), grid16)
-    res = j_residual(moebius_pullback(u, g), params).values
-    w = g.apply(grid16.nodes)
-    u3 = u.surface.value(w)[:, 2]
-    ux, uy = u.surface.first(w)
+    res = j_residual(bubble(params2, HyperbolicPoint(*q), grid16, g),
+                     params).values
+    # the unmoved sphere s omega + shift at g(z), with its chart derivatives
+    s = q[2] * params2.r
+    om, _, ox, oy = omega_mu(g.apply(grid16.nodes))
+    u3 = s * om[:, 2] + s * params2.k
+    ux, uy = s * ox, s * oy
     gp2 = np.abs(g.cderiv(grid16.nodes)) ** 2
     want = (gp2 * 2.0 * (2.7 - 2.0) / u3**3)[:, None] * np.cross(ux, uy)
     assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))
