@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 R_CUT = 1.5
+GRID_MIN_N = 4      # the smallest resolution, polar nodes, of a grid
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +149,37 @@ class SphereGrid:
     ``nodes`` holds main-chart coordinates, ``weights`` the premultiplied
     quadrature weights (their sum is the sphere area ``4 pi``), ``chart_tag``
     is 0 for ``|z| <= R_CUT`` and 1 beyond, a label of the field CSV's
-    rows that no computation reads.  The polar direction
-    carries ``n`` Gauss-Legendre nodes in ``cos(s)``, the azimuth ``ntheta``
-    equispaced nodes; ``Dleg`` differentiates polynomials sampled at the
-    ``cos(s)`` nodes, which the spectral rules combine with the azimuthal FFT.
+    rows that no computation reads.  The polar direction carries ``n``
+    Gauss-Legendre nodes in ``cos(s)`` (:func:`with_azimuths` keeps them),
+    the azimuth ``ntheta`` equispaced nodes; ``Dleg`` differentiates
+    polynomials sampled at the ``cos(s)`` nodes, which the spectral rules
+    combine with the azimuthal FFT.
     """
 
     n: int
-    ns: int
     ntheta: int
     nodes: np.ndarray        # (N, 2)
     weights: np.ndarray      # (N,)
     chart_tag: np.ndarray    # (N,) uint8
     theta: np.ndarray        # (ntheta,)
-    rho: np.ndarray          # (ns,) = tan(s/2)
-    x: np.ndarray            # (ns,) = cos(s)
-    sin_s: np.ndarray        # (ns,)
+    rho: np.ndarray          # (n,) = tan(s/2)
+    x: np.ndarray            # (n,) = cos(s)
+    sin_s: np.ndarray        # (n,)
     mu: np.ndarray           # (N,)
     omega: np.ndarray        # (N, 3)
     domega_dx: np.ndarray    # (N, 3)
     domega_dy: np.ndarray    # (N, 3)
     domega_dxx: np.ndarray   # (N, 3)
     domega_dyy: np.ndarray   # (N, 3)
-    Dleg: np.ndarray         # (ns, ns)
+    Dleg: np.ndarray         # (n, n)
 
     @property
     def size(self):
         return self.nodes.shape[0]
 
     def node_shape(self, values):
-        """Reshape a flat per-node array to (ns, ntheta, ...)."""
-        return values.reshape(self.ns, self.ntheta, *values.shape[1:])
+        """Reshape a flat per-node array to (n, ntheta, ...)."""
+        return values.reshape(self.n, self.ntheta, *values.shape[1:])
 
 
 def _freeze(*arrays):
@@ -190,12 +191,13 @@ def _freeze(*arrays):
 def build_grid(n):
     """Build the product grid at resolution ``n``.
 
-    ``n`` Gauss-Legendre nodes resolve the polar direction and ``2 n``
-    equispaced nodes the azimuth.  Quadrature of smooth fields converges
-    spectrally; the constant 1 integrates to ``4 pi`` exactly up to roundoff.
+    ``n >=`` :data:`GRID_MIN_N` Gauss-Legendre nodes resolve the polar
+    direction and ``2 n`` equispaced nodes the azimuth.  Quadrature of smooth
+    fields converges spectrally; the constant 1 integrates to ``4 pi``
+    exactly up to roundoff.
     """
-    if n < 4:
-        raise ValueError(f"resolution must be at least 4, got {n}")
+    if n < GRID_MIN_N:
+        raise ValueError(f"resolution must be at least {GRID_MIN_N}, got {n}")
     xg, wg = np.polynomial.legendre.leggauss(n)
     s = np.arccos(xg)[::-1]          # ascending polar angle
     wg = wg[::-1]
@@ -203,7 +205,7 @@ def build_grid(n):
     polar = dict(rho=np.tan(0.5 * s), x=x, sin_s=np.sin(s),
                  Dleg=_diff_matrix(x))
     _freeze(*polar.values())
-    return SphereGrid(n=n, ns=n, **polar, **_azimuths(
+    return SphereGrid(n=n, **polar, **_azimuths(
         polar["rho"], wg * (2.0 * np.pi / (2 * n)), 2 * n))
 
 
@@ -305,8 +307,8 @@ def _polar_derivatives(grid, values):
     sphere functions resolved by the grid and spectrally accurate otherwise.
     """
     V = grid.node_shape(values)
-    V = np.moveaxis(V, 1, -1)                      # (ns, ..., ntheta)
-    F = np.fft.rfft(V, axis=-1)                    # (ns, ..., M+1)
+    V = np.moveaxis(V, 1, -1)                      # (n, ..., ntheta)
+    F = np.fft.rfft(V, axis=-1)                    # (n, ..., M+1)
     M = F.shape[-1]
     odd = (np.arange(M) % 2).astype(bool)
     sins = grid.sin_s.reshape((-1,) + (1,) * (F.ndim - 1))
@@ -340,7 +342,7 @@ def polar_to_chart(grid, ds, dt):
     ct = np.cos(grid.theta).reshape((1, -1) + extra)
     st = np.sin(grid.theta).reshape((1, -1) + extra)
     rr = grid.rho.reshape((-1, 1) + extra)
-    mu = grid.mu.reshape((grid.ns, grid.ntheta) + extra)
+    mu = grid.mu.reshape((grid.n, grid.ntheta) + extra)
     drho = mu * grid.node_shape(ds)
     dt = grid.node_shape(dt)
     dx = ct * drho - st / rr * dt

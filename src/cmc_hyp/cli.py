@@ -3,9 +3,15 @@
 One process runs one command; every run writes ``summary.json`` into the
 output directory with the fully resolved configuration, inputs only (each
 verdict's bound is its module's constant), echoed back, so identical
-configurations produce byte-identical summaries.  The configuration holds
-no random seed: the critical search starts from a fixed lattice, and
+configurations produce byte-identical summaries.  ``kernel`` and
+``spectrum`` run with OpenBLAS on one thread, which their summaries
+record, so their bytes do not depend on the BLAS thread count either.  The
+configuration holds no random seed: the critical search starts from a
+fixed lattice of :data:`~cmc_hyp.melnikov.SEEDS` points by default, and
 ``verify``'s projector check draws its test field from one fixed stream.
+A grid below the chart's :data:`~cmc_hyp.chart.GRID_MIN_N`, or below the
+operator pack's :data:`~cmc_hyp.linearized.PACK_MIN_N` for the commands
+that build it, is a configuration error.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (a result
 that is not finite too) or failed checks, 4 no critical point in the
 search box.  An unknown config key, a value of the wrong type or not
@@ -16,8 +22,10 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +35,7 @@ import numpy as np
 from . import chart as ch
 from . import melnikov as mel
 from .bubbles import make_params, tangent_frame
-from .energy import energy_curve, horosphere_energy
+from .energy import ENERGY_CURVE_DEFECT, energy_curve, horosphere_energy
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import PACK_MIN_N, assemble_linearized, kernel, spectrum_normal
@@ -53,15 +61,13 @@ class JobConfig:
     phi_source: str | None = None
     box: tuple | None = None
     eps_schedule: tuple = ()
-    seeds: int = 27
+    seeds: int = mel.SEEDS
     t_range: tuple = (2.0, 1.02, 25)
     out_dir: str = "."
 
     def validate(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
         make_params(self.k)
-        floor = PACK_MIN_N if self.command in PACK_COMMANDS else 4
+        floor = PACK_MIN_N if self.command in PACK_COMMANDS else ch.GRID_MIN_N
         if self.grid_n < floor:
             raise ValueError(f"{self.command} needs grid_n >= {floor}")
         if self.box is not None:
@@ -209,24 +215,77 @@ def _cmd_verify(cfg, out):
     return {"checks": checks, "all_pass": ok}, ok
 
 
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS this process has
+    loaded, found by its exported symbols through ``ctypes``; ``None``
+    where no loaded OpenBLAS exports them (or the loaded libraries cannot
+    be listed, as ``/proc/self/maps`` lists them on Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and "/" in line})
+        for lib in libs:
+            dll = ctypes.CDLL(lib)
+            for prefix, suffix in (("scipy_openblas", "64_"),
+                                   ("openblas", "64_"), ("openblas", "")):
+                get = getattr(dll, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(dll, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    except OSError:
+        pass
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, restoring the count it
+    had; yields the record ``{"name", "threads"}`` of numpy's BLAS, with
+    ``threads`` ``None`` where no OpenBLAS thread control is found.
+
+    The operator blocks' Gram products and the eigensolves round
+    differently at different thread counts, so the certificates pin it:
+    their bytes are then the same whatever ``OPENBLAS_NUM_THREADS`` says."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"][
+            "name"]
+    except (TypeError, KeyError):
+        name = None
+    control = _openblas_threads()
+    if control is None:
+        yield {"name": name, "threads": None}
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield {"name": name, "threads": get()}
+    finally:
+        put(before)
+
+
 def _cmd_spectrum(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    rep = spectrum_normal(params, grid)
-    doc = rep.to_json()
-    _write_json(out / "spectrum.json", doc)
-    doc.update(rep.verdict())
+    with _one_blas_thread() as blas:
+        rep = spectrum_normal(params, grid)
+        doc = rep.to_json()
+        _write_json(out / "spectrum.json", doc)
+        doc.update(rep.verdict(), blas=blas)
     return doc, doc["resolved"]
 
 
 def _cmd_kernel(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
-    rep = kernel(system)
-    doc = rep.to_json()
-    _write_json(out / "kernel.json", doc)
-    doc.update(rep.verdict(system))
+    with _one_blas_thread() as blas:
+        system = assemble_linearized(params, HyperbolicPoint(0, 0, 1), grid)
+        rep = kernel(system)
+        doc = rep.to_json()
+        _write_json(out / "kernel.json", doc)
+        doc.update(rep.verdict(system), blas=blas)
     return doc, doc["resolved"]
 
 
@@ -249,15 +308,13 @@ def _cmd_solve(cfg, out):
     params = make_params(cfg.k)
     reports = continuation(cfg.eps_schedule, cfg.phi, params, cfg.box, grid,
                            seeds=cfg.seeds)
-    steps = []
     for rep in reports:
         surface = rep.pop("_surface", None)
         if surface is not None:
             ch.field_to_csv(surface, out / f"surface_{rep['eps']:g}.csv")
-        steps.append(rep)
-    converged = all(r.get("status") == "ok" for r in steps)
-    return ({"steps": steps, "all_converged": converged},
-            converged and all(r["resolved"] for r in steps))
+    converged = all(r.get("status") == "ok" for r in reports)
+    return ({"steps": reports, "all_converged": converged},
+            converged and all(r["resolved"] for r in reports))
 
 
 def _cmd_energy_curve(cfg, out):
@@ -276,8 +333,10 @@ def _cmd_energy_curve(cfg, out):
     defect = float(np.max(np.abs(e - closed)
                           / np.maximum(np.abs(e), 4.0 * np.pi / t**2)))
     monotone = bool(np.all(np.diff(rows[:, 1][np.argsort(rows[:, 0])]) >= 0))
+    resolved = defect <= ENERGY_CURVE_DEFECT and monotone
     return {"points": rows.shape[0], "closed_form_defect": defect,
-            "decreasing_toward_horosphere": monotone}, True
+            "decreasing_toward_horosphere": monotone,
+            "resolved": resolved}, resolved
 
 
 def _cmd_obstruction(cfg, out):

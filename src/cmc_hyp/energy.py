@@ -27,6 +27,9 @@ _XG, _WG = np.polynomial.legendre.leggauss(VERTICAL_QUAD_ORDER)
 _XI, _WXI = 0.5 * (_XG + 1.0), 0.5 * _WG
 # surface points whose vertical probes make one block of ``K`` samples
 _ROWS = SAMPLE_BLOCK // VERTICAL_QUAD_ORDER
+# largest relative defect between a resolved energy curve and the closed
+# form, the bound of the energy acceptance check
+ENERGY_CURVE_DEFECT = 1e-6
 
 
 def build_Q(K, anchor):

@@ -149,7 +149,7 @@ class _ModalPack:
 
         D = degree + 1
         # [m, 0 or 1, polar node, j]: P_{m,j} and dP_{m,j}/ds, normalized
-        self._profiles = np.zeros((D, 2, grid.ns, D))
+        self._profiles = np.zeros((D, 2, grid.n, D))
         for m in range(D):
             tab = _gegenbauer_table(degree - m, m + 0.5, x)
             P = (sins**m)[:, None] * tab
@@ -419,11 +419,11 @@ class _ModalPack:
         tables = self._profiles if jet else self._profiles[:, :1]
         X = tables.reshape(D, -1, D) @ R
         X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
-        X = X.reshape(D, -1, grid.ns, B)            # m, value/ds, node, batch
+        X = X.reshape(D, -1, grid.n, B)            # m, value/ds, node, batch
         if jet:
             X = np.concatenate([X, 1j * np.arange(D)[:, None, None, None]
                                 * X[:, :1]], axis=1)
-        F = np.zeros((X.shape[1], grid.ns, grid.ntheta // 2 + 1, B), complex)
+        F = np.zeros((X.shape[1], grid.n, grid.ntheta // 2 + 1, B), complex)
         F[:, :, :D] = X.transpose(1, 2, 0, 3)
         out = np.fft.irfft(F, n=grid.ntheta, axis=2).reshape(
             (-1, grid.size) + batch)
@@ -440,7 +440,7 @@ class _ModalPack:
         batch = values.shape[1:]
         B = int(np.prod(batch))
         wv = grid.weights[:, None] * values.reshape(grid.size, B)
-        G = np.fft.rfft(wv.reshape(grid.ns, grid.ntheta, B), axis=1)[:, :D]
+        G = np.fft.rfft(wv.reshape(grid.n, grid.ntheta, B), axis=1)[:, :D]
         G = G.transpose(1, 0, 2)                      # m, node, batch
         G = np.concatenate([G.real, -G.imag], axis=2)
         R = np.swapaxes(self._profiles[:, 0], 1, 2) @ G   # m, j, cos/sin x B
@@ -571,13 +571,11 @@ class LinearizedSystem:
     symmetry block of the pack (``pack.vector_blocks``) at a time.
     ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes the pack's
     ``r^2``-normalized operator to the one at the base point.
-    ``apply_direct`` evaluates the strong operator through collocation,
-    independently of the Galerkin route: the vector operator on vector
-    fields, the scalar normal one on scalar fields.
+    ``apply_direct`` evaluates the strong operator through collocation on
+    the pack's grid, independently of the Galerkin route: the vector
+    operator on vector fields, the scalar normal one on scalar fields.
     """
 
-    grid: ch.SphereGrid
-    params: object
     pack: _ModalPack
     scale: float
 
@@ -601,15 +599,16 @@ class LinearizedSystem:
             integrand = np.einsum("ij,ij->i", jf.values, g.values)
         else:
             integrand = jf.values * g.values
-        return float(np.sum(self.grid.weights / self.grid.mu**2 * integrand))
+        grid = self.pack.grid
+        return float(np.sum(grid.weights / grid.mu**2 * integrand))
 
     def apply_direct(self, f):
         """Strong collocation of ``J'(U_q)`` on a field (independent route)."""
         f = ch.differentiate(f)
         strong = apply_strong if f.is_vector else apply_strong_scalar
-        vals = strong(self.grid, self.params.k, f.values, f.dx, f.dy,
-                      ch.laplacian(f))
-        return SphereField(self.grid, self.scale * vals)
+        grid, k = self.pack.grid, self.pack.params.k
+        vals = strong(grid, k, f.values, f.dx, f.dy, ch.laplacian(f))
+        return SphereField(grid, self.scale * vals)
 
 
 def assemble_linearized(params, q, grid):
@@ -627,7 +626,7 @@ def assemble_linearized(params, q, grid):
     if not np.isfinite(scale):
         raise NumericsError(f"the operator scale 1 / (q3^2 r^2) is not "
                             f"finite at k = {params.k:g}, q3 = {q.p3:g}")
-    return LinearizedSystem(grid=grid, params=params, pack=pack, scale=scale)
+    return LinearizedSystem(pack=pack, scale=scale)
 
 
 def normal_operator(params, grid):
@@ -904,7 +903,7 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
                 x = np.zeros(system.size)
                 x[s] = v
                 basis.append(SphereField(
-                    system.grid, pack.nodal_vector(pack.from_blocks(x))))
+                    pack.grid, pack.nodal_vector(pack.from_blocks(x))))
                 orders.append(M)
     if len(basis) != dim:
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)

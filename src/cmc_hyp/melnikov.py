@@ -50,6 +50,7 @@ BOUNDARY_GRID_N = 24
 
 # Newton iterations per seed of the critical-point search
 NEWTON_MAX_ITER = 40
+SEEDS = 27          # default Newton starts of the search, a 3^3 lattice
 
 # margin by which a derivative must keep one sign over the lattice to count
 # as an obstruction
@@ -281,7 +282,7 @@ def newton(gradient, hessian, q, gtol, inside):
     return q, g
 
 
-def find_critical(phi, params, box, seeds=27):
+def find_critical(phi, params, box, seeds=SEEDS):
     """Search the box for critical points of the reduced function.
 
     :func:`newton` with the exact Hessian :func:`f_hessian` starts from each
@@ -297,12 +298,13 @@ def find_critical(phi, params, box, seeds=27):
     wide = (box[0] - 1, box[1] + 1, box[2] - 1, box[3] + 1,
             0.25 * box[4], 4 * box[5])
 
+    gtol = 1e-10
     unique = []
     for seed in pts:
         qa, g = newton(lambda qa: f_gradient(phi, params, qa),
                        lambda qa: f_hessian(phi, params, qa),
-                       seed, 1e-10, lambda qa: _inside(qa, wide))
-        if np.linalg.norm(g) > 1e-10 or not _inside(qa, box):
+                       seed, gtol, lambda qa: _inside(qa, wide))
+        if np.linalg.norm(g) > gtol or not _inside(qa, box):
             continue
         q = HyperbolicPoint.of(qa)
         if all(dist(q, u.q) > 1e-6 for u in unique):

@@ -103,8 +103,9 @@ def to_text(node, parent_prec=0):
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        # a negated base of ``^`` needs parentheses: ``-a ^ b`` is ``-(a ^ b)``
-        text = f"-{to_text(node.arg, 4)}"
+        # the sign binds looser than ``^`` (``-a ^ b`` is ``-(a ^ b)``) and
+        # tighter than ``* /``, so a negated base of ``^`` needs parentheses
+        text = f"-{to_text(node.arg, 3)}"
         return f"({text})" if parent_prec > 3 else text
     if isinstance(node, Call):
         return f"{node.name}({', '.join(to_text(a) for a in node.args)})"

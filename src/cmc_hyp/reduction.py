@@ -42,7 +42,7 @@ from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, operator_pack
-from .melnikov import f_value, find_critical, stable_points
+from .melnikov import SEEDS, f_value, find_critical, stable_points
 
 # target of the 2-norm of the corrector's modal projected-equation residual:
 # a fifth of the outer solve's |grad| target, 1e-9
@@ -204,10 +204,10 @@ def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
     falling or a step leaves the half-space.  Returns the state of smallest
     ``|g|``, which must be within the noise floor 50 gtol; the error of a
     state above it names the stop that ended the loop."""
-    gtol = 1e-9
+    gtol, passes = 1e-9, 25
     jac = -2.0 * eps * hessian
     q, state, gn = HyperbolicPoint.of(q_start).array, warm, np.inf
-    for _ in range(25):
+    for _ in range(passes):
         trial = correct(eps, HyperbolicPoint.of(q), phi, params, grid,
                         warm=state)
         g = reduced_gradient(trial, params)
@@ -223,7 +223,8 @@ def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
             stop = f"a step went to p3 = {q[2]:.3e} <= 0"
             break
     else:
-        stop = "the cap of 25 passes ended it while |grad| was still falling"
+        stop = (f"the cap of {passes} passes ended it while |grad| was "
+                "still falling")
     if gn > 50.0 * gtol:
         raise ConvergenceError("no reduced critical point: outer iteration "
                                f"stopped at |grad| = {gn:.3e}: {stop}")
@@ -300,7 +301,7 @@ def _predict(q0, state, eps):
     return HyperbolicPoint.of(q_start), warm
 
 
-def continuation(eps_schedule, phi, params, box, grid, seeds=27):
+def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     """Construct perturbed-curvature spheres along a monotone ``eps`` schedule.
 
     A stable critical point of the reduced function must exist in ``box``

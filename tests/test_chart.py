@@ -23,8 +23,8 @@ def test_with_azimuths_reproduces_the_grid(grid16):
 @pytest.mark.parametrize("L", [3, 7, 12])
 def test_ring_integrates_azimuthal_degrees_below_L(grid16, L):
     ring = ch.with_azimuths(grid16, L)
-    assert ring.size == grid16.ns * L
-    theta = np.tile(ring.theta, ring.ns)
+    assert ring.size == grid16.n * L
+    theta = np.tile(ring.theta, ring.n)
     for j in range(L):
         exact = 4 * np.pi if j == 0 else 0.0
         assert abs(ch.integrate(np.cos(j * theta), ring) - exact) < 1e-13

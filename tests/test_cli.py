@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import cmc_hyp
-from cmc_hyp import reduction
+from cmc_hyp import chart, cli, melnikov, reduction
+from cmc_hyp import energy as en
 from cmc_hyp.cli import main
 from cmc_hyp.errors import ConvergenceError
 
@@ -183,6 +185,20 @@ def test_energy_curve_command(tmp_path):
     assert read_summary(out)["result"]["decreasing_toward_horosphere"]
 
 
+@pytest.mark.parametrize("n, code", [(16, 3), (48, 0)])
+def test_energy_curve_verdict(tmp_path, n, code):
+    # with the default t_range down to t = 1.02, n = 16 leaves a 3 % defect
+    # against the closed form and n = 48 one below ENERGY_CURVE_DEFECT
+    out = tmp_path / "ec"
+    assert main(["energy-curve", "--k", "2", "--grid-n", str(n),
+                 "--out", str(out)]) == code
+    doc = read_summary(out)
+    defect = doc["result"]["closed_form_defect"]
+    assert doc["result"]["resolved"] is (code == 0)
+    assert doc["status"] == ("ok" if code == 0 else "failed_checks")
+    assert (defect <= en.ENERGY_CURVE_DEFECT) is (code == 0)
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
@@ -279,7 +295,8 @@ def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys, doc,
 def test_grid_below_the_pack_floor_is_config_error(tmp_path, capsys, command,
                                                    n):
     # the commands that build the operator pack need n >= 8; verify and
-    # energy-curve keep the chart's n >= 4
+    # energy-curve keep the chart's n >= 4, where the energy curve runs but
+    # is not resolved
     out = tmp_path / command
     extra = (["--phi", BUMP, "--eps", "0.01", "--box=" + BOX]
              if command == "solve" else [])
@@ -287,9 +304,24 @@ def test_grid_below_the_pack_floor_is_config_error(tmp_path, capsys, command,
                  "--out", str(out)]) == 2
     assert "grid_n >= 8" in capsys.readouterr().out
     assert not (out / "summary.json").exists()
-    for small in ("verify", "energy-curve"):
+    for small, code in (("verify", 0), ("energy-curve", 3)):
         assert main([small, "--k", "2", "--grid-n", "4",
-                     "--out", str(tmp_path / small)]) == 0
+                     "--out", str(tmp_path / small)]) == code
+
+
+def test_defaults_have_one_source(tmp_path, capsys):
+    # the seed count and the chart's smallest grid are each one constant,
+    # read by the library and the command line alike
+    for fn in (melnikov.find_critical, reduction.continuation):
+        assert inspect.signature(fn).parameters["seeds"].default \
+            == melnikov.SEEDS
+    assert cli.JobConfig("melnikov").seeds == melnikov.SEEDS
+    small = chart.GRID_MIN_N - 1
+    with pytest.raises(ValueError, match=f"at least {chart.GRID_MIN_N}"):
+        chart.build_grid(small)
+    assert main(["verify", "--grid-n", str(small),
+                 "--out", str(tmp_path / "v")]) == 2
+    assert f"grid_n >= {chart.GRID_MIN_N}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seeds", [-5, 0, 10])
@@ -360,17 +392,60 @@ def test_operator_out_of_float_range_is_numeric_failure(tmp_path, capsys,
     assert doc["status"] == "numeric_failure" and says in doc["error"]
 
 
+def _library_env(**extra):
+    """The environment of a subprocess that imports this package."""
+    src = str(Path(cmc_hyp.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_import_leaves_scipy_unloaded():
     # the library runs on numpy alone; importing scipy.linalg would more
     # than double its import time
-    src = str(Path(cmc_hyp.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, cmc_hyp, cmc_hyp.cli; print("
          "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=_library_env(), capture_output=True, text=True,
+        check=True).stdout
     assert loaded.strip() == "[]"
+
+
+def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at n = 48 the operator blocks and the kernel's roundoff-level singular
+    # values round differently on one and two OpenBLAS threads, unless the
+    # command pins one
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        subprocess.run(
+            [sys.executable, "-m", "cmc_hyp.cli", "kernel", "--k", "2",
+             "--grid-n", "48", "--out", str(out)],
+            env=_library_env(OPENBLAS_NUM_THREADS=str(t)),
+            capture_output=True, check=True)
+    records = [read_summary(out)["result"].get("blas") for out in outs]
+    if any(r is not None and r["threads"] is None for r in records):
+        pytest.skip("no OpenBLAS thread control found")
+    for name in ("kernel.json", "summary.json"):
+        one, two = ((out / name).read_text().replace(str(out), "OUT")
+                    for out in outs)
+        assert one == two
+    assert records[0]["threads"] == 1
+
+
+def test_certificate_restores_the_blas_thread_count(tmp_path):
+    control = cli._openblas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control found")
+    get, put = control
+    before = get()
+    put(2)
+    try:
+        count = get()
+        assert main(["spectrum", "--k", "2", "--grid-n", "16",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert read_summary(tmp_path / "s")["result"]["blas"]["threads"] == 1
+        assert get() == count
+    finally:
+        put(before)
 
 
 def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
@@ -483,7 +558,7 @@ DETERMINISM_ARGS = {
     "melnikov": ["--phi", BUMP, "--box=" + BOX],
     "solve": ["--grid-n", "16", "--phi", BUMP, "--eps", "0.01",
               "--box=" + BOX],
-    "energy-curve": ["--grid-n", "16"],
+    "energy-curve": ["--grid-n", "48"],
     "obstruction": ["--phi", "p1", "--box=" + BOX],
 }
 

@@ -517,7 +517,7 @@ def _dense_reference(pack):
 def _block_matrix(pack):
     """The pack's vector operator as one dense matrix, applied block by
     block to the identity."""
-    system = lin.LinearizedSystem(pack.grid, pack.params, pack, scale=1.0)
+    system = lin.LinearizedSystem(pack, scale=1.0)
     return system.apply_modal(np.eye(system.size))
 
 

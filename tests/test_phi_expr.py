@@ -283,3 +283,25 @@ def test_nesting_is_bounded(form):
         with pytest.raises(pe.PhiSyntaxError, match="nested deeper") as err:
             pe.parse_phi(text(depth))
         assert text(depth)[err.value.position] in "(+-"
+
+
+@pytest.mark.parametrize("form", sorted(NESTED))
+def test_printout_round_trips_at_the_nesting_bound(form):
+    # the printout of a tree the parser accepts is no deeper than its input
+    tree = pe.parse_phi(NESTED[form](pe.MAX_DEPTH))
+    assert pe.parse_phi(pe.to_text(tree)) == tree
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("-" * 100 + "p1", "-" * 100 + "p1"),
+    ("-p1^2", "-p1 ^ 2"),
+    ("--p1", "--p1"),
+    ("(-p1)^2", "(-p1) ^ 2"),
+    ("p2 ^ -p1", "p2 ^ -p1"),
+    ("-(p1 + p2)", "-(p1 + p2)"),
+    ("-(p1 * p2)", "-(p1 * p2)"),
+])
+def test_negation_prints_only_the_parentheses_it_needs(text, printed):
+    tree = pe.parse_phi(text)
+    assert pe.to_text(tree) == printed
+    assert pe.parse_phi(printed) == tree
