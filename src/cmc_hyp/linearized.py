@@ -407,19 +407,32 @@ class _ModalPack:
     def synthesis(self, coeffs, jet=False):
         """Nodal values ``(N, ...)`` of scalar modal coefficients
         ``(nmodes, ...)``; with ``jet`` also their exact chart derivatives
-        ``d/dx`` and ``d/dy``."""
+        ``d/dx``, ``d/dy`` and chart Laplacian ``d_xx + d_yy``, all from one
+        inverse FFT.  Each mode is a spherical harmonic of degree
+        ``l = m + j`` and the chart has ``d_xx + d_yy = mu^2 Delta_S2``, so
+        the Laplacian is ``mu^2`` times the synthesis of ``-l(l + 1)`` times
+        the coefficients."""
         grid, D = self.grid, self.degree + 1
         coeffs = np.asarray(coeffs, dtype=float)
         batch = coeffs.shape[1:]
         B = int(np.prod(batch))
-        R = np.zeros((2 * D * D, B))
-        R[self._slots] = coeffs.reshape(-1, B)
-        # (m, j, cos/sin x batch) against the profiles of each order m
-        R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3).reshape(D, D, 2 * B)
-        tables = self._profiles if jet else self._profiles[:, :1]
-        X = tables.reshape(D, -1, D) @ R
+        C = coeffs.reshape(-1, B)
+        parts = [(self._profiles if jet else self._profiles[:, :1], C)]
+        if jet:
+            deg = self.mode_degrees
+            parts.append((self._profiles[:, :1], -(deg * (deg + 1.0))[:, None]
+                          * C))
+        Xs = []
+        for tables, c in parts:
+            R = np.zeros((2 * D * D, B))
+            R[self._slots] = c
+            # (m, j, cos/sin x batch) against the profiles of each order m
+            R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3).reshape(
+                D, D, 2 * B)
+            Xs.append(tables.reshape(D, -1, D) @ R)
+        X = np.concatenate(Xs, axis=1)
         X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
-        X = X.reshape(D, -1, grid.n, B)            # m, value/ds, node, batch
+        X = X.reshape(D, -1, grid.n, B)        # m, value/ds/lap, node, batch
         if jet:
             X = np.concatenate([X, 1j * np.arange(D)[:, None, None, None]
                                 * X[:, :1]], axis=1)
@@ -429,7 +442,9 @@ class _ModalPack:
             (-1, grid.size) + batch)
         if not jet:
             return out[0]
-        return (out[0],) + ch.polar_to_chart(grid, out[1], out[2])
+        mu2 = grid.mu.reshape((-1,) + (1,) * len(batch)) ** 2
+        return ((out[0],) + ch.polar_to_chart(grid, out[1], out[3])
+                + (mu2 * out[2],))
 
     def analysis(self, values):
         """Modal coefficients ``(nmodes, ...)`` of nodal values ``(N, ...)``:
@@ -462,19 +477,9 @@ class _ModalPack:
         return self.synthesis(coeffs.reshape(3, self.nmodes).T)
 
     def nodal_vector_jet(self, coeffs):
-        """Nodal values and exact first derivatives of a modal vector field."""
+        """Nodal values, exact first derivatives and exact chart Laplacian
+        of a modal vector field."""
         return self.synthesis(coeffs.reshape(3, self.nmodes).T, jet=True)
-
-    def nodal_vector_laplacian(self, coeffs):
-        """Nodal chart Laplacian ``d_xx + d_yy`` of a modal vector field.
-        Each mode is a spherical harmonic of degree ``l = m + j``, and the
-        conformal chart has ``d_xx + d_yy = mu^2 Delta_S2``, so this is
-        ``mu^2`` times the synthesis of ``-l(l + 1)`` times the
-        coefficients: one transform, exact as the grid integrates the
-        pack's degrees exactly."""
-        deg = self.mode_degrees
-        lap = -(deg * (deg + 1.0))[:, None] * coeffs.reshape(3, self.nmodes).T
-        return self.grid.mu[:, None] ** 2 * self.synthesis(lap)
 
 
 @lru_cache(maxsize=1)

@@ -6,9 +6,11 @@ multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
 operator frozen at the unperturbed sphere does the work.  Each step moves
 between nodal and modal values with the operator pack's FFT transforms --
-the correction's first derivatives exactly from the modal profiles, its
-chart Laplacian from the modes' degrees (``nodal_vector_laplacian``), so no
-step differentiates nodal values -- and makes one block-by-block saddle
+the correction's whole second-order jet from one synthesis
+(``nodal_vector_jet``): its first derivatives exactly from the modal
+profiles, its chart Laplacian by the chart's one rule
+``d_xx + d_yy = mu^2 Delta_S2`` from the modes' degrees, so no step
+differentiates nodal values -- and makes one block-by-block saddle
 solve (the pack's ``saddle_solve``, one product with a stored inverse per
 block), whose small inverses are built once per ``(grid, k)`` and shared
 across base points.
@@ -57,7 +59,8 @@ SOLVE_CONFORMALITY = 1e-6
 class ReductionState:
     """Converged data of the projected problem at ``(eps, q)``.
 
-    ``nu`` is the correction field (exact modal derivatives attached),
+    ``nu`` is the correction field (exact modal derivatives and chart
+    Laplacian attached),
     ``surface`` (with chart derivatives) and ``residual`` the corrected
     surface ``U_q + nu`` and its nodal curvature residual from the chord
     loop's last pass, ``xi``/``alpha`` the generator multipliers;
@@ -88,9 +91,10 @@ def correct(eps, q, phi, params, grid, warm=None):
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one block-by-block saddle
     solve against the pack's saddle inverses, which the first call builds,
-    and the residual's jet of the correction: values and first derivatives
-    from one transform, the Laplacian from the modes' degrees in another;
-    the orthogonality constraints are enforced inside the solve and stay at
+    and the residual's jet of the correction: values, first derivatives and
+    the Laplacian from the modes' degrees, all from one transform; the
+    base sphere's Laplacian is the bubble's ``-2 s mu^2 omega``; the
+    orthogonality constraints are enforced inside the solve and stay at
     roundoff.  It stops once the modal residual and the constraint defect
     are both at most :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration
     returns the zero correction immediately.  A non-finite residual raises
@@ -107,10 +111,9 @@ def correct(eps, q, phi, params, grid, warm=None):
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
 
     for it in range(1, 61):
-        nv, ndx, ndy = jet = pack.nodal_vector_jet(c)
+        nv, ndx, ndy, nlap = jet = pack.nodal_vector_jet(c)
         u = (U.values + nv, U.dx + ndx, U.dy + ndy)
-        lap = U.lap + pack.nodal_vector_laplacian(c)
-        J = _j_nodal(*u, lap, params, phi, eps)
+        J = _j_nodal(*u, U.lap + nlap, params, phi, eps)
         # the generators' projections are the pack's frame_modal rows
         rmod = pack.project_vector(J / mu2) - pack.frame_modal.T @ m
         R2 = pack.frame_modal @ c
