@@ -97,11 +97,13 @@ def bubble(params, q, grid, g=None):
     The field parameterizes the Euclidean sphere of center
     ``(q1, q2, k r q3)`` and radius ``q3 r``, which is the hyperbolic sphere
     of radius ``rho`` about ``q``; its chart derivatives and its chart
-    Laplacian (``lap``) are exact.  Without ``g`` the samples scale the
-    grid's own ``omega`` tables.  With ``g`` the sphere is composed with
-    ``g`` in closed form: the derivatives rotate and scale by ``g'``, and
-    since ``g`` is holomorphic the Laplacian picks up ``|g'|^2`` alone.
-    Nodes may not hit the pole of ``g``.
+    Laplacian (``lap``) are exact: ``s omega`` is made of harmonics of
+    degree 1, so by ``d_xx + d_yy = mu^2 Delta_S2`` its Laplacian is
+    ``-2 s mu^2 omega``.  Without ``g`` the samples scale the grid's own
+    ``omega`` tables.  With ``g`` the sphere is composed with ``g`` in
+    closed form: the derivatives rotate and scale by ``g'``, and since
+    ``g`` is holomorphic the Laplacian is ``|g'|^2`` times the one at
+    ``g(z)``.  Nodes may not hit the pole of ``g``.
     """
     q = HyperbolicPoint.of(q)
     s = q.p3 * params.r
@@ -109,15 +111,14 @@ def bubble(params, q, grid, g=None):
     if g is None:
         return SphereField(grid, s * grid.omega + shift, s * grid.domega_dx,
                            s * grid.domega_dy,
-                           s * grid.domega_dxx + s * grid.domega_dyy)
+                           -2.0 * s * grid.mu[:, None]**2 * grid.omega)
     w = g.apply(grid.nodes)
-    om, _, ux, uy = ch.omega_mu(w)
-    uxx, _, uyy = ch.omega_second(w)
+    om, mu, ux, uy = ch.omega_mu(w)
     ux, uy = s * ux, s * uy
     gp = g.cderiv(grid.nodes)
     a, b = gp.real[..., None], gp.imag[..., None]
     return SphereField(grid, s * om + shift, a * ux + b * uy, -b * ux + a * uy,
-                       (a**2 + b**2) * (s * uxx + s * uyy))
+                       (a**2 + b**2) * (-2.0 * s * mu[:, None]**2 * om))
 
 
 # ---------------------------------------------------------------------------

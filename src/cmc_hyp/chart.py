@@ -8,12 +8,14 @@ integral of ``f`` against the spherical measure ``mu^2 dz``.  Fields carry
 values and first chart derivatives, and optionally their exact chart
 Laplacian; that Laplacian ``d_xx + d_yy`` (:func:`laplacian`) is the one
 second-order quantity, through which alone the prescribed-curvature system
-and its linearization see second derivatives.
+and its linearization see second derivatives.  The chart is conformal, so
+every exact Laplacian follows one rule, ``d_xx + d_yy = mu^2 Delta_S2``, and
+grids store no second derivatives (:func:`omega_second` is the oracle of
+:func:`identity_defects`).
 
 All stored coordinates and derivative slots refer to the one chart above;
-no computation changes chart.  Each node carries a ``chart_tag``, 0 for
-``|z| <= R_CUT`` and 1 beyond, which only labels the rows of the field CSV
-(:func:`field_to_csv`).
+no computation changes chart.  The field CSV (:func:`field_to_csv`) labels
+each node with a ``chart_tag``, 0 for ``|z| <= R_CUT`` and 1 beyond.
 """
 
 from __future__ import annotations
@@ -147,20 +149,17 @@ class SphereGrid:
     """Immutable quadrature grid on the chart plane.
 
     ``nodes`` holds main-chart coordinates, ``weights`` the premultiplied
-    quadrature weights (their sum is the sphere area ``4 pi``), ``chart_tag``
-    is 0 for ``|z| <= R_CUT`` and 1 beyond, a label of the field CSV's
-    rows that no computation reads.  The polar direction carries ``n``
-    Gauss-Legendre nodes in ``cos(s)`` (:func:`with_azimuths` keeps them),
-    the azimuth ``ntheta`` equispaced nodes; ``Dleg`` differentiates
-    polynomials sampled at the ``cos(s)`` nodes, which the spectral rules
-    combine with the azimuthal FFT.
+    quadrature weights (their sum is the sphere area ``4 pi``).  The polar
+    direction carries ``n`` Gauss-Legendre nodes in ``cos(s)``
+    (:func:`with_azimuths` keeps them), the azimuth ``ntheta`` equispaced
+    nodes; ``Dleg`` differentiates polynomials sampled at the ``cos(s)``
+    nodes, which the spectral rules combine with the azimuthal FFT.
     """
 
     n: int
     ntheta: int
     nodes: np.ndarray        # (N, 2)
     weights: np.ndarray      # (N,)
-    chart_tag: np.ndarray    # (N,) uint8
     theta: np.ndarray        # (ntheta,)
     rho: np.ndarray          # (n,) = tan(s/2)
     x: np.ndarray            # (n,) = cos(s)
@@ -169,8 +168,6 @@ class SphereGrid:
     omega: np.ndarray        # (N, 3)
     domega_dx: np.ndarray    # (N, 3)
     domega_dy: np.ndarray    # (N, 3)
-    domega_dxx: np.ndarray   # (N, 3)
-    domega_dyy: np.ndarray   # (N, 3)
     Dleg: np.ndarray         # (n, n)
 
     @property
@@ -226,11 +223,8 @@ def _azimuths(rho, ring_weights, L):
     tt = np.tile(theta, rho.size)
     nodes = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
     omega, mu, dox, doy = omega_mu(nodes)
-    doxx, _, doyy = omega_second(nodes)
     fields = dict(theta=theta, nodes=nodes, weights=np.repeat(ring_weights, L),
-                  chart_tag=(rr > R_CUT).astype(np.uint8), mu=mu, omega=omega,
-                  domega_dx=dox, domega_dy=doy, domega_dxx=doxx,
-                  domega_dyy=doyy)
+                  mu=mu, omega=omega, domega_dx=dox, domega_dy=doy)
     _freeze(*fields.values())
     return dict(fields, ntheta=L)
 
@@ -246,7 +240,7 @@ class SphereField:
     ``values`` has shape ``(N,)`` or ``(N, 3)``; the optional ``dx``/``dy``
     slots hold main-chart derivatives of the same shape, and the optional
     ``lap`` slot the exact chart Laplacian ``d_xx + d_yy`` (as
-    :func:`cmc_hyp.bubbles.bubble` computes in closed form).
+    :func:`cmc_hyp.bubbles.bubble` computes by ``mu^2 Delta_S2``).
     Treat instances as immutable: arrays are write-locked at construction.
     """
 
@@ -447,7 +441,8 @@ def cm_norm(f, m=0):
 def field_to_csv(f, path):
     """Write ``x, y, chart_tag, value components`` rows (plus derivatives)."""
     grid = f.grid
-    cols = [grid.nodes[:, 0], grid.nodes[:, 1], grid.chart_tag.astype(float)]
+    tag = np.repeat(grid.rho, grid.ntheta) > R_CUT
+    cols = [grid.nodes[:, 0], grid.nodes[:, 1], tag.astype(float)]
     header = ["x", "y", "chart_tag"]
     vals = f.values if f.is_vector else f.values[:, None]
     for c in range(vals.shape[1]):

@@ -405,8 +405,7 @@ def main(argv=None):
         _write_json(out / "summary.json", summary)
         print(f"no critical point: {exc}")
         return 4
-    except (NumericsError, np.linalg.LinAlgError, FloatingPointError,
-            ValueError) as exc:
+    except (NumericsError, np.linalg.LinAlgError, ValueError) as exc:
         summary.update(status="numeric_failure", error_class="numeric_failure",
                        error=str(exc))
         _write_json(out / "summary.json", summary)

@@ -80,9 +80,10 @@ def energy_E(u, params, eps=0.0, phi=None):
     """Surface energy: Dirichlet part, constant-curvature volume term, and
     ``2 eps`` times the prescribed-weight volume.
 
-    The first two are summed with numpy's floating-point warnings off (a
-    height whose square overflows contributes zero); a sum that is not
-    finite raises :class:`NumericsError` naming the surface's heights.
+    The first two are summed with numpy's floating-point warnings off; a
+    height whose square overflows, like :func:`horosphere_energy`'s, or a
+    sum that is not finite raises :class:`NumericsError` naming the
+    surface's heights.
     """
     u = ch.differentiate(u)
     u3 = positive_heights(u.values)
@@ -91,11 +92,13 @@ def energy_E(u, params, eps=0.0, phi=None):
     norm2 = np.einsum("ij,ij->i", u.dx, u.dx) + np.einsum("ij,ij->i", u.dy, u.dy)
     cross3 = np.cross(u.dx, u.dy)[:, 2]
     with np.errstate(all="ignore"):
-        out = 0.5 * np.sum(wz * norm2 / u3**2) \
-            - params.k * np.sum(wz * cross3 / u3**2)
-    if not np.isfinite(out):
-        raise NumericsError("the surface energy is not finite at heights "
-                            f"{float(u3.min())!r} to {float(u3.max())!r}")
+        h2 = u3**2
+        out = 0.5 * np.sum(wz * norm2 / h2) \
+            - params.k * np.sum(wz * cross3 / h2)
+    if not (np.isfinite(h2).all() and np.isfinite(out)):
+        raise NumericsError("the surface energy leaves the float range at "
+                            f"heights {float(u3.min())!r} to "
+                            f"{float(u3.max())!r}")
     if eps != 0.0:
         if phi is None:
             raise ValueError("eps != 0 needs the prescribed function")

@@ -111,6 +111,9 @@ class _ModalPack:
     :meth:`synthesis` and :meth:`analysis` move between modal coefficients
     and nodal values by one profile product per order and an FFT in the
     azimuth, O(n^3) work where a nodal table of the basis would cost O(n^4).
+    Each mode is a spherical harmonic of degree ``l = m + j``, so by the
+    chart's rule ``d_xx + d_yy = mu^2 Delta_S2`` a field's chart Laplacian
+    is ``mu^2`` times the synthesis of ``-l(l + 1)`` times its coefficients.
 
     The operators are held as real blocks.  The base sphere is invariant
     under rotations about the z-axis and under ``y -> -y``, so the vector
@@ -131,9 +134,7 @@ class _ModalPack:
     and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
     7 MB after a certificate and a solve: 2.1 MB of vector blocks and their
     map, 2.1 MB of saddle inverses, 1.4 MB of profiles and 0.77 MB of
-    tangent frame (0.66 MB of it the six tau fields, values only).  The
-    base sphere's chart Laplacian is the bubble's own (the grid holds
-    ``omega``'s second derivatives, 0.22 MB at n = 48).
+    tangent frame (0.66 MB of it the six tau fields, values only).
     """
 
     def __init__(self, grid, params):
@@ -407,44 +408,39 @@ class _ModalPack:
     def synthesis(self, coeffs, jet=False):
         """Nodal values ``(N, ...)`` of scalar modal coefficients
         ``(nmodes, ...)``; with ``jet`` also their exact chart derivatives
-        ``d/dx``, ``d/dy`` and chart Laplacian ``d_xx + d_yy``, all from one
-        inverse FFT.  Each mode is a spherical harmonic of degree
-        ``l = m + j`` and the chart has ``d_xx + d_yy = mu^2 Delta_S2``, so
-        the Laplacian is ``mu^2`` times the synthesis of ``-l(l + 1)`` times
-        the coefficients."""
-        grid, D = self.grid, self.degree + 1
+        ``d/dx``, ``d/dy`` and chart Laplacian, all from one inverse FFT."""
+        grid, D, deg = self.grid, self.degree + 1, self.mode_degrees
         coeffs = np.asarray(coeffs, dtype=float)
         batch = coeffs.shape[1:]
         B = int(np.prod(batch))
         C = coeffs.reshape(-1, B)
-        parts = [(self._profiles if jet else self._profiles[:, :1], C)]
+        parts = [(self._profiles[:, :1], C)]
         if jet:
-            deg = self.mode_degrees
-            parts.append((self._profiles[:, :1], -(deg * (deg + 1.0))[:, None]
-                          * C))
-        Xs = []
+            lap = -(deg * (deg + 1.0))[:, None] * C
+            parts = [(self._profiles, C), (self._profiles[:, :1], lap)]
+        # azimuthal spectra of the values, then with jet of d/ds, of the
+        # Laplacian's synthesis and of d/dtheta
+        F = np.zeros((1 + 3 * jet, grid.n, grid.ntheta // 2 + 1, B), complex)
+        at = 0
         for tables, c in parts:
             R = np.zeros((2 * D * D, B))
             R[self._slots] = c
             # (m, j, cos/sin x batch) against the profiles of each order m
-            R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3).reshape(
-                D, D, 2 * B)
-            Xs.append(tables.reshape(D, -1, D) @ R)
-        X = np.concatenate(Xs, axis=1)
-        X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
-        X = X.reshape(D, -1, grid.n, B)        # m, value/ds/lap, node, batch
+            R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3)
+            X = tables.reshape(D, -1, D) @ R.reshape(D, D, 2 * B)
+            X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
+            X = X.reshape(D, -1, grid.n, B).transpose(1, 2, 0, 3)
+            F[at:at + len(X), :, :D] = X
+            at += len(X)
         if jet:
-            X = np.concatenate([X, 1j * np.arange(D)[:, None, None, None]
-                                * X[:, :1]], axis=1)
-        F = np.zeros((X.shape[1], grid.n, grid.ntheta // 2 + 1, B), complex)
-        F[:, :, :D] = X.transpose(1, 2, 0, 3)
+            F[3, :, :D] = 1j * np.arange(D)[:, None] * F[0, :, :D]
         out = np.fft.irfft(F, n=grid.ntheta, axis=2).reshape(
             (-1, grid.size) + batch)
+        del F, R, X     # before the chart derivatives make their temporaries
         if not jet:
             return out[0]
-        mu2 = grid.mu.reshape((-1,) + (1,) * len(batch)) ** 2
-        return ((out[0],) + ch.polar_to_chart(grid, out[1], out[3])
-                + (mu2 * out[2],))
+        out[2] *= grid.mu.reshape((-1,) + (1,) * len(batch)) ** 2
+        return (out[0],) + ch.polar_to_chart(grid, out[1], out[3]) + (out[2],)
 
     def analysis(self, values):
         """Modal coefficients ``(nmodes, ...)`` of nodal values ``(N, ...)``:

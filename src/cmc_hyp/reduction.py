@@ -6,14 +6,12 @@ multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
 operator frozen at the unperturbed sphere does the work.  Each step moves
 between nodal and modal values with the operator pack's FFT transforms --
-the correction's whole second-order jet from one synthesis
-(``nodal_vector_jet``): its first derivatives exactly from the modal
-profiles, its chart Laplacian by the chart's one rule
-``d_xx + d_yy = mu^2 Delta_S2`` from the modes' degrees, so no step
-differentiates nodal values -- and makes one block-by-block saddle
-solve (the pack's ``saddle_solve``, one product with a stored inverse per
-block), whose small inverses are built once per ``(grid, k)`` and shared
-across base points.
+the correction's first derivatives exactly from the modal profiles and its
+chart Laplacian from the modes' degrees by ``d_xx + d_yy = mu^2 Delta_S2``,
+in one synthesis, so no step differentiates nodal values -- and makes one
+block-by-block saddle solve (the pack's ``saddle_solve``, one product with
+a stored inverse per block), whose small inverses are built once per
+``(grid, k)`` and shared across base points.
 
 ``continuation`` then drives the reduced gradient -- an explicit linear
 expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
@@ -59,8 +57,7 @@ SOLVE_CONFORMALITY = 1e-6
 class ReductionState:
     """Converged data of the projected problem at ``(eps, q)``.
 
-    ``nu`` is the correction field (exact modal derivatives and chart
-    Laplacian attached),
+    ``nu`` is the correction field (exact modal derivatives and ``lap``),
     ``surface`` (with chart derivatives) and ``residual`` the corrected
     surface ``U_q + nu`` and its nodal curvature residual from the chord
     loop's last pass, ``xi``/``alpha`` the generator multipliers;
@@ -91,13 +88,12 @@ def correct(eps, q, phi, params, grid, warm=None):
     The Jacobian is frozen at the unperturbed sphere (where the implicit
     problem is exactly linear), so each step costs one block-by-block saddle
     solve against the pack's saddle inverses, which the first call builds,
-    and the residual's jet of the correction: values, first derivatives and
-    the Laplacian from the modes' degrees, all from one transform; the
-    base sphere's Laplacian is the bubble's ``-2 s mu^2 omega``; the
-    orthogonality constraints are enforced inside the solve and stay at
-    roundoff.  It stops once the modal residual and the constraint defect
-    are both at most :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration
-    returns the zero correction immediately.  A non-finite residual raises
+    and the correction's second-order jet from one transform (its
+    Laplacian from the modes' degrees); the orthogonality constraints are
+    enforced inside the solve and stay at roundoff.  It stops once the
+    modal residual and the constraint defect are both at most
+    :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration returns the zero
+    correction immediately.  A non-finite residual raises
     :class:`NumericsError` at once.
     """
     q = HyperbolicPoint.of(q)
@@ -332,7 +328,7 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
             q_start, warm = _predict(q0, state, eps)
             state = _solve_at(eps, phi, params, grid, q_start, hessian,
                               warm=warm)
-        except (NumericsError, FloatingPointError) as exc:
+        except NumericsError as exc:
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "hint": "retry with smaller eps steps"})
             break

@@ -58,17 +58,23 @@ def _sphere(params, q):
     return q.p3 * params.r, np.array([q.p1, q.p2, q.p3 * params.r * params.k])
 
 
+def _relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
 def test_bubble_samples_its_analytic_surface(grid24, params2):
-    # bubble scales the grid's omega tables, second derivatives included:
-    # the closed form at the nodes, bit for bit
+    # bubble scales the grid's omega tables, and its Laplacian is
+    # -2 s mu^2 omega: the closed form at the nodes, bit for bit, and the
+    # Laplacian is omega's second derivatives' to roundoff
     q = hs.HyperbolicPoint(0.3, -0.2, 1.4)
     U = bb.bubble(params2, q, grid24)
     s, shift = _sphere(params2, q)
-    om, _, dx, dy = ch.omega_mu(grid24.nodes)
-    dxx, _, dyy = ch.omega_second(grid24.nodes)
+    om, mu, dx, dy = ch.omega_mu(grid24.nodes)
     for got, ref in ((U.values, s * om + shift), (U.dx, s * dx),
-                     (U.dy, s * dy), (U.lap, s * dxx + s * dyy)):
+                     (U.dy, s * dy), (U.lap, -2.0 * s * mu[:, None]**2 * om)):
         assert got.tobytes() == ref.tobytes()
+    dxx, _, dyy = ch.omega_second(grid24.nodes)
+    assert _relative_gap(U.lap, s * dxx + s * dyy) <= 1e-13
 
 
 @pytest.mark.parametrize("g", [bb.MoebiusMap.rotation(0.7),
@@ -76,19 +82,22 @@ def test_bubble_samples_its_analytic_surface(grid24, params2):
                                              1.0)])
 def test_moebius_bubble_is_the_composition(grid24, params2, g):
     # u o g: the sphere at g(z), its first derivatives rotated and scaled by
-    # g' and its Laplacian scaled by |g'|^2, bit for bit
+    # g' and its Laplacian, -2 s mu^2 omega at g(z), scaled by |g'|^2, bit
+    # for bit; the Laplacian is omega's second derivatives' to roundoff
     q = hs.HyperbolicPoint(0.3, -0.2, 1.4)
     u = bb.bubble(params2, q, grid24, g)
     s, shift = _sphere(params2, q)
     w = g.apply(grid24.nodes)
-    om, _, ox, oy = ch.omega_mu(w)
-    oxx, _, oyy = ch.omega_second(w)
+    om, mu, ox, oy = ch.omega_mu(w)
     gp = g.cderiv(grid24.nodes)
     a, b = gp.real[:, None], gp.imag[:, None]
     want = (s * om + shift, a * (s * ox) + b * (s * oy),
-            -b * (s * ox) + a * (s * oy), (a**2 + b**2) * (s * oxx + s * oyy))
+            -b * (s * ox) + a * (s * oy),
+            (a**2 + b**2) * (-2.0 * s * mu[:, None]**2 * om))
     for got, ref in zip((u.values, u.dx, u.dy, u.lap), want):
         assert got.tobytes() == ref.tobytes()
+    oxx, _, oyy = ch.omega_second(w)
+    assert _relative_gap(u.lap, (a**2 + b**2) * (s * oxx + s * oyy)) <= 1e-13
 
 
 def test_moebius_identity_and_rotation(grid16, params2):

@@ -14,8 +14,8 @@ def test_build_grid_area_and_symmetry(grid16):
 def test_with_azimuths_reproduces_the_grid(grid16):
     same = ch.with_azimuths(grid16, grid16.ntheta)
     assert same.ntheta == grid16.ntheta
-    for name in ("nodes", "weights", "chart_tag", "theta", "omega", "mu",
-                 "domega_dx", "domega_dy", "domega_dxx", "domega_dyy"):
+    for name in ("nodes", "weights", "theta", "omega", "mu", "domega_dx",
+                 "domega_dy"):
         assert np.array_equal(getattr(same, name), getattr(grid16, name)), name
     assert ch.build_grid(16) is grid16
 
@@ -171,6 +171,9 @@ def test_csv_roundtrip(tmp_path, grid16, rng):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert np.allclose(np.stack([data["x"], data["y"]], axis=1),
                        grid16.nodes, atol=1e-12)
+    beyond = np.linalg.norm(grid16.nodes, axis=1) > ch.R_CUT
+    assert np.array_equal(data["chart_tag"], beyond)
+    assert 0 < beyond.sum() < beyond.size
     for c in range(3):
         assert np.allclose(data[f"v{c}"], f.values[:, c], atol=1e-12)
         assert np.allclose(data[f"dx{c}"], f.dx[:, c], atol=1e-12)
@@ -190,7 +193,8 @@ def test_field_carries_its_laplacian(grid16):
         ch.SphereField(g, g.omega.copy(), lap=np.ones(g.size))
     # omega's chart Laplacian is -2 mu^2 omega; it is write-locked, kept by
     # differentiate and returned by laplacian as it is
-    lap = g.domega_dxx + g.domega_dyy
+    dxx, _, dyy = ch.omega_second(g.nodes)
+    lap = dxx + dyy
     f = ch.SphereField(g, g.omega.copy(), lap=lap)
     assert not f.lap.flags.writeable
     d = ch.differentiate(f)

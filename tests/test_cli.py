@@ -537,9 +537,9 @@ def test_non_finite_config_values_are_config_errors(tmp_path, capsys, command,
 
 
 def test_non_finite_result_is_numeric_failure(tmp_path):
-    # a finite but huge horosphere height overflows the closed-form energy,
-    # which the energy layer refuses without a numpy warning; the summary
-    # omits the result
+    # a finite but huge horosphere height's square overflows, which the
+    # energy layer refuses without a numpy warning; the summary omits the
+    # result
     cfg, out = tmp_path / "cfg.json", tmp_path / "nr"
     cfg.write_text(json.dumps({"t_range": [1e308, 1.02, 3]}))
     assert main(["energy-curve", "--grid-n", "8", "--config", str(cfg),
@@ -547,8 +547,8 @@ def test_non_finite_result_is_numeric_failure(tmp_path):
     doc = json.loads((out / "summary.json").read_text(),
                      parse_constant=lambda c: pytest.fail(f"{c} in summary"))
     assert doc["status"] == "numeric_failure" and "result" not in doc
-    assert doc["error"] == \
-        "the closed-form energy is not finite at t = 1e+308"
+    assert doc["error"] == "the surface energy leaves the float range at " \
+        "heights 1e+308 to 1e+308"
 
 
 DETERMINISM_ARGS = {

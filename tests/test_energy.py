@@ -8,6 +8,7 @@ from cmc_hyp import chart as ch
 from cmc_hyp import energy as en
 from cmc_hyp import halfspace as hs
 from cmc_hyp import melnikov as mel
+from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
 Q0 = HyperbolicPoint(0, 0, 1)
@@ -119,6 +120,19 @@ def test_closed_form_energy_far_from_the_horosphere(k):
                               - (4 * k / 5) * t**-5)
         assert en.horosphere_energy(k, t) == pytest.approx(series, rel=1e-12,
                                                            abs=0.0)
+
+
+def test_energies_agree_where_a_height_squared_overflows(grid16, params2):
+    # at t = 1e150 the numeric and closed-form energies agree near the
+    # bottom of the float range; at t = 1e160 the height's square overflows
+    # and both refuse, where the numeric one used to return 0.0
+    (_, val), = en.energy_curve(params2, [1e150], grid16)
+    assert val == pytest.approx(en.horosphere_energy(2.0, 1e150), rel=1e-12)
+    assert val == pytest.approx(4 * np.pi * 1e-300, rel=1e-12)
+    with pytest.raises(NumericsError, match="heights 1e\\+160 to 1e\\+160"):
+        en.energy_curve(params2, [1e160], grid16)
+    with pytest.raises(NumericsError, match="t = 1e\\+160"):
+        en.horosphere_energy(2.0, 1e160)
 
 
 def test_energy_monotone_divergence(grid24, params2):

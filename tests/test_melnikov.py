@@ -352,11 +352,27 @@ def test_obstruction_reports(params2):
     rep = mel.monotone_obstruction(mel.phi_coordinate(0), params2, BOX)
     assert "e1" in rep["obstructed"]
     assert rep["directions"]["e1"]["sign"] == "+"
+    # -p1 mirrors p1: its e1 derivative is negative across the box
+    rep = mel.monotone_obstruction(mel.phi_to_prescribed("-p1"), params2, BOX)
+    assert rep["obstructed"] == ["e1"]
+    assert rep["directions"]["e1"]["sign"] == "-"
     rep = mel.monotone_obstruction(mel.phi_norm(), params2,
                                    (1.0, 1.5, 1.0, 1.5, 0.8, 1.2))
     assert "radial" in rep["obstructed"]
     rep = mel.monotone_obstruction(mel.phi_constant(2.0), params2, BOX)
     assert rep["obstructed"] == []
+
+
+def test_classify_hessian_saddle_and_near_singular():
+    # mixed signs make a saddle; an eigenvalue below 1e-3 of the largest
+    # magnitude makes the point degenerate, whatever the signs
+    assert mel.classify_hessian(np.diag([1.0, -1.0, 2.0]), 1.0) == "saddle"
+    assert mel.classify_hessian(np.diag([1.0, 1.0, 1e-4]),
+                                1.0) == "degenerate"
+    assert mel.classify_hessian(np.diag([1.0, -1.0, 1e-4]),
+                                1.0) == "degenerate"
+    assert mel.classify_hessian(np.diag([1.0, 1.0, 2e-3]),
+                                1.0) == "nondegenerate_min"
 
 
 def test_box_validation(params2):

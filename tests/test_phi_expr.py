@@ -63,6 +63,11 @@ def test_power_and_precedence():
     assert float(neg.evaluate(np.array([3.0, 0, 1]))) == -9.0
 
 
+def test_unary_plus_is_the_identity():
+    assert pe.parse_phi("+p1") == pe.Var("p1")
+    assert pe.parse_phi("2*+p1") == pe.parse_phi("2*p1")
+
+
 def test_roundtrip_printing():
     for text in ("1", "p1", "exp(-hypdist(0, 0, 1)^2)",
                  "(p1 + p2) * p3 - 2 / (1 + p1^2)",

@@ -297,6 +297,17 @@ def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
     assert len(calls) <= 9, calls
 
 
+def test_correct_reports_a_stalled_chord_loop(params2):
+    # at eps = -0.6 the chord iteration frozen at the unperturbed sphere
+    # does not contract; after its 60 steps it raises, naming the residual
+    phi = phi_to_prescribed("exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1")
+    with pytest.raises(ConvergenceError,
+                       match=r"projected solve stalled at residual \S+ "
+                             "after 60 steps"):
+        red.correct(-0.6, (0.178, 0.05, 1.08), phi, params2,
+                    ch.build_grid(16))
+
+
 def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
                                                  monkeypatch):
     # scripted reduced gradients against the Jacobian -2 eps I = -0.2 I,
