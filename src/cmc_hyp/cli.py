@@ -9,14 +9,13 @@ record, so their bytes do not depend on the BLAS thread count either.  The
 configuration holds no random seed: the critical search starts from a
 fixed lattice of :data:`~cmc_hyp.melnikov.SEEDS` points by default, and
 ``verify``'s projector check draws its test field from one fixed stream.
-A grid below the chart's :data:`~cmc_hyp.chart.GRID_MIN_N`, or below the
-operator pack's :data:`~cmc_hyp.linearized.PACK_MIN_N` for the commands
-that build it, is a configuration error.
+Each config key's flag and kind of value are in :data:`_INPUTS`; each
+command's function, smallest grid and required keys in :data:`_COMMANDS`.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (a result
 that is not finite too) or failed checks, 4 no critical point in the
 search box.  An unknown config key, a value of the wrong type or not
-finite, or a missing required input (see :data:`REQUIRED`) is a
-configuration error.
+finite, a grid below the command's smallest, or a missing required input
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -42,14 +41,19 @@ from .linearized import PACK_MIN_N, assemble_linearized, kernel, spectrum_normal
 from .phi_expr import phi_to_prescribed
 from .reduction import check_schedule, continuation
 
-# the commands that build the operator pack, and so need its smallest grid
-PACK_COMMANDS = ("spectrum", "kernel", "solve")
-
-# The inputs each command cannot run without: config key -> flag.
-REQUIRED = {
-    "melnikov": {"box": "--box", "phi_source": "--phi"},
-    "obstruction": {"box": "--box", "phi_source": "--phi"},
-    "solve": {"box": "--box", "phi_source": "--phi", "eps_schedule": "--eps"},
+# Each config key: its flag (``None`` where only a document sets it), the
+# kind of value a document gives it, and the flag's help text.  A ``tuple``
+# is a JSON list of reals, kept as given; a value of any other kind (or
+# ``null`` where the default is not ``None``) is a configuration error.
+_INPUTS = {
+    "k": ("--k", float, "mean curvature, k > 1"),
+    "grid_n": ("--grid-n", int, None),
+    "phi_source": ("--phi", str, "prescribed function expression"),
+    "eps_schedule": ("--eps", tuple, "comma-separated eps schedule"),
+    "box": ("--box", tuple, "x0,x1,y0,y1,z0,z1 search box"),
+    "seeds": (None, int, None),
+    "t_range": (None, tuple, None),
+    "out_dir": ("--out", str, "output directory"),
 }
 
 
@@ -66,21 +70,24 @@ class JobConfig:
     out_dir: str = "."
 
     def validate(self):
+        """Check the inputs against :data:`_COMMANDS`' needs of the command,
+        and hold the box and the eps schedule as floats."""
+        _, floor, required = _COMMANDS[self.command]
         make_params(self.k)
-        floor = PACK_MIN_N if self.command in PACK_COMMANDS else ch.GRID_MIN_N
         if self.grid_n < floor:
             raise ValueError(f"{self.command} needs grid_n >= {floor}")
         if self.box is not None:
-            mel.check_box(self.box)
+            self.box = mel.check_box(self.box)
         mel.check_seeds(self.seeds)
-        check_schedule(self.eps_schedule)
+        self.eps_schedule = tuple(check_schedule(self.eps_schedule))
+        if len(self.t_range) != 3:
+            raise ValueError("t_range needs three values")
         t0, t1, points = self.t_range
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 > 1 and t1 > 1
                 and points >= 1 and float(points).is_integer()):
             raise ValueError("t_range needs finite t0 > 1, t1 > 1 and a whole "
                              "count >= 1")
-        required = REQUIRED.get(self.command, {})
-        missing = [flag for name, flag in required.items()
+        missing = [_INPUTS[name][0] for name in required
                    if not getattr(self, name)]
         if missing:
             raise ValueError(f"{self.command} needs {' and '.join(missing)}")
@@ -91,58 +98,20 @@ class JobConfig:
         return phi_to_prescribed(self.phi_source, probe_box=self.box)
 
 
-def _real(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError
-    return float(v)
-
-
-def _integer(v):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError
-    return v
-
-
-def _text(v):
-    if not isinstance(v, str):
-        raise TypeError
-    return v
-
-
-def _reals(v):
-    if not isinstance(v, list):
-        raise TypeError
-    return tuple(_real(x) for x in v)
-
-
-def _t_range(v):
-    if len(_reals(v)) != 3:
-        raise TypeError
-    return tuple(v)
-
-
-# How a config document's value is read, per key; a value of any other type
-# (or ``null`` where the default is not ``None``) is a configuration error.
-_READERS = {
-    "k": _real, "grid_n": _integer, "phi_source": _text, "box": _reals,
-    "eps_schedule": _reals, "seeds": _integer, "t_range": _t_range,
-    "out_dir": _text,
-}
-
-
-def _read(name, value, reader):
-    try:
-        return reader(value)
-    except TypeError:
+def _read(name, value):
+    """A config document's ``value`` for key ``name``, as its kind."""
+    kind = _INPUTS[name][1]
+    want = kind if kind in (int, str) else (int, float)
+    items = value if isinstance(value, list) else [value]
+    if (kind is tuple) != isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, want) for v in items):
         raise ValueError(f"config key {name!r} has a value of the wrong "
-                         f"type: {value!r}") from None
+                         f"type: {value!r}")
+    return kind(value)
 
 
-def _parse_list(text, count=None):
-    vals = tuple(float(v) for v in str(text).split(",") if v != "")
-    if count is not None and len(vals) != count:
-        raise ValueError(f"expected {count} comma-separated values")
-    return vals
+def _parse_list(text):
+    return tuple(float(v) for v in text.split(",") if v)
 
 
 def load_config(args):
@@ -157,23 +126,13 @@ def load_config(args):
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     doc.pop("command", None)    # the command argument wins
-    doc = {name: _read(name, value, _READERS[name])
-           for name, value in doc.items()
+    doc = {name: _read(name, value) for name, value in doc.items()
            if not (value is None and defaults[name] is None)}
-    cfg = JobConfig(command=args.command, **doc)
     # flags win over the config document
-    if args.k is not None:
-        cfg.k = args.k
-    if args.grid_n is not None:
-        cfg.grid_n = args.grid_n
-    if args.phi is not None:
-        cfg.phi_source = args.phi
-    if args.eps is not None:
-        cfg.eps_schedule = _parse_list(args.eps)
-    if args.box is not None:
-        cfg.box = _parse_list(args.box, 6)
-    if args.out is not None:
-        cfg.out_dir = args.out
+    flags = {name: _parse_list(value) if _INPUTS[name][1] is tuple else value
+             for name, value in vars(args).items()
+             if name in _INPUTS and value is not None}
+    cfg = JobConfig(command=args.command, **{**doc, **flags})
     cfg.validate()
     return cfg
 
@@ -343,16 +302,18 @@ def _cmd_obstruction(cfg, out):
     return mel.monotone_obstruction(cfg.phi, make_params(cfg.k), cfg.box), True
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "kernel": _cmd_kernel,
-    "melnikov": _cmd_melnikov,
-    "solve": _cmd_solve,
-    "energy-curve": _cmd_energy_curve,
-    "obstruction": _cmd_obstruction,
+# Each command: its function, its smallest grid (the operator pack's for the
+# commands that build it, the chart's for the rest), and the config keys it
+# cannot run without.
+_COMMANDS = {
+    "verify": (_cmd_verify, ch.GRID_MIN_N, ()),
+    "spectrum": (_cmd_spectrum, PACK_MIN_N, ()),
+    "kernel": (_cmd_kernel, PACK_MIN_N, ()),
+    "melnikov": (_cmd_melnikov, ch.GRID_MIN_N, ("box", "phi_source")),
+    "solve": (_cmd_solve, PACK_MIN_N, ("box", "phi_source", "eps_schedule")),
+    "energy-curve": (_cmd_energy_curve, ch.GRID_MIN_N, ()),
+    "obstruction": (_cmd_obstruction, ch.GRID_MIN_N, ("box", "phi_source")),
 }
-COMMANDS = tuple(_DISPATCH)
 
 
 def _write_json(path, doc):
@@ -372,14 +333,13 @@ def main(argv=None):
         prog="cmc-hyp",
         description="Spheres of constant and almost-constant mean curvature "
                     "in hyperbolic 3-space: verification and solve pipelines")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON configuration document")
-    parser.add_argument("--k", type=float, help="mean curvature, k > 1")
-    parser.add_argument("--grid-n", type=int, dest="grid_n")
-    parser.add_argument("--phi", help="prescribed function expression")
-    parser.add_argument("--eps", help="comma-separated eps schedule")
-    parser.add_argument("--box", help="x0,x1,y0,y1,z0,z1 search box")
-    parser.add_argument("--out", help="output directory")
+    for name, (flag, kind, text) in _INPUTS.items():
+        if flag is not None:
+            parser.add_argument(
+                flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                type=kind if kind in (int, float) else None, help=text)
     args = parser.parse_args(argv)
 
     try:
@@ -394,7 +354,7 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     summary = {"config": asdict(cfg), "status": "ok"}
     try:
-        result, ok = _DISPATCH[cfg.command](cfg, out)
+        result, ok = _COMMANDS[cfg.command][0](cfg, out)
         if not ok:
             summary["status"] = "failed_checks"
         _write_json(out / "summary.json", dict(summary, result=result))

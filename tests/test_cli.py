@@ -200,16 +200,23 @@ def test_energy_curve_verdict(tmp_path, n, code):
 
 
 def test_config_file_and_flag_precedence(tmp_path):
+    # the document sets all eight keys; each of the six flags wins over its
+    # key, and the two keys without a flag come from the document
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
-        "k": 3.0, "grid_n": 16, "seeds": 8}))
+        "k": 3.0, "grid_n": 16, "phi_source": "p1", "box": [0, 1, 0, 1, 1, 2],
+        "eps_schedule": [0.02], "seeds": 8, "t_range": [3, 1.5, 4],
+        "out_dir": str(tmp_path / "from-document")}))
     out = tmp_path / "cf"
     assert main(["verify", "--config", str(cfgfile), "--k", "2",
-                 "--out", str(out)]) == 0
-    doc = read_summary(out)
-    assert doc["config"]["k"] == 2.0                   # flag wins
-    assert doc["config"]["grid_n"] == 16               # from the file
-    assert doc["config"]["seeds"] == 8
+                 "--grid-n", "8", "--phi", BUMP, "--eps", "0.01,0.005",
+                 "--box=" + BOX, "--out", str(out)]) == 0
+    config = read_summary(out)["config"]
+    assert config == {
+        "command": "verify", "k": 2.0, "grid_n": 8, "phi_source": BUMP,
+        "box": [-0.4, 0.4, -0.4, 0.4, 0.6, 1.6], "eps_schedule": [0.01, 0.005],
+        "seeds": 8, "t_range": [3, 1.5, 4], "out_dir": str(out)}
+    assert not (tmp_path / "from-document").exists()
 
 
 def test_config_errors(tmp_path):
@@ -226,6 +233,8 @@ def test_config_errors(tmp_path):
     cfg.write_text(json.dumps({"tolerances": {"no_such_tol": 1.0}}))
     assert main(["verify", "--config", str(cfg),
                  "--out", str(tmp_path / "v")]) == 2
+    assert main(["obstruction", "--phi", "p1", "--box=-0.4,0.4,-0.4,0.4,0.6",
+                 "--out", str(tmp_path / "u")]) == 2
 
 
 def test_phi_source_must_be_an_expression(tmp_path):
@@ -343,8 +352,9 @@ def test_seeds_must_be_a_positive_cube(tmp_path, capsys, seeds):
     ("energy-curve", {"t_range": [2.0, 1.02, 0]}),
     ("energy-curve", {"t_range": [2.0, 1.02, 2.5]}),
     ("energy-curve", {"t_range": [0.5, 1.02, 5]}),
+    ("energy-curve", {"t_range": [2.0, 1.02]}),
 ], ids=["lattice-0", "lattice-negative", "count", "t_range-count",
-        "t_range-fractional-count", "t_range-below-1"])
+        "t_range-fractional-count", "t_range-below-1", "t_range-length"])
 def test_out_of_range_config_values_are_config_errors(tmp_path, capsys,
                                                       command, doc):
     cfg, out = tmp_path / "cfg.json", tmp_path / "r"
@@ -577,17 +587,20 @@ def _clear_library_caches():
 @pytest.mark.parametrize("command", sorted(DETERMINISM_ARGS))
 def test_determinism(tmp_path, command):
     # the first run starts from empty caches, the second reuses what the
-    # first cached
-    out1, out2 = tmp_path / "d1", tmp_path / "d2"
+    # first cached; the third reads the first's echoed config back as its
+    # document, so the echoed fields are the document's keys
+    out1, out2, out3 = tmp_path / "d1", tmp_path / "d2", tmp_path / "d3"
     args = [command, "--k", "2"] + DETERMINISM_ARGS[command]
     _clear_library_caches()
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
-    s1 = (out1 / "summary.json").read_text().replace(str(out1), "OUT")
-    s2 = (out2 / "summary.json").read_text().replace(str(out2), "OUT")
-    assert s1 == s2
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(read_summary(out1)["config"]))
+    assert main([command, "--config", str(echoed), "--out", str(out3)]) == 0
     names = sorted(f.name for f in out1.iterdir())
-    assert names == sorted(f.name for f in out2.iterdir())
-    for name in names:
-        assert (out1 / name).read_text().replace(str(out1), "OUT") == \
-            (out2 / name).read_text().replace(str(out2), "OUT")
+    assert "summary.json" in names
+    for out in (out2, out3):
+        assert names == sorted(f.name for f in out.iterdir())
+        for name in names:
+            assert (out1 / name).read_text().replace(str(out1), "OUT") == \
+                (out / name).read_text().replace(str(out), "OUT")
