@@ -14,8 +14,8 @@ command's function, smallest grid and required keys in :data:`_COMMANDS`.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (a result
 that is not finite too) or failed checks, 4 no critical point in the
 search box.  An unknown config key, a value of the wrong type or not
-finite, a grid below the command's smallest, or a missing required input
-is a configuration error.
+finite, a grid below the command's smallest, a missing required input, or
+an output directory that cannot be made is a configuration error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import chart as ch
 from . import melnikov as mel
 from .bubbles import make_params, tangent_frame
-from .energy import ENERGY_CURVE_DEFECT, energy_curve, horosphere_energy
+from .energy import energy_curve, energy_curve_verdict
 from .errors import NoCriticalPointError, NumericsError
 from .halfspace import HyperbolicPoint
 from .linearized import PACK_MIN_N, assemble_linearized, kernel, spectrum_normal
@@ -280,22 +280,14 @@ def _cmd_energy_curve(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
     t0, t1, count = cfg.t_range
-    ts = np.linspace(float(t0), float(t1), int(count))
-    rows = energy_curve(params, ts, grid)
-    t, e = rows.T
-    closed = np.array([horosphere_energy(cfg.k, s) for s in t])
+    rows = energy_curve(params, np.linspace(float(t0), float(t1), int(count)),
+                        grid)
+    closed, verdict = energy_curve_verdict(params, rows)
     with open(out / "energy_curve.csv", "w") as fh:
         fh.write("t,E0,closed_form\n")
         fh.writelines(f"{row[0]:.17g},{row[1]:.17g},{c:.17g}\n"
                       for row, c in zip(rows, closed))
-    # relative, but to at least 4 pi t^-2, the far field: E changes sign
-    defect = float(np.max(np.abs(e - closed)
-                          / np.maximum(np.abs(e), 4.0 * np.pi / t**2)))
-    monotone = bool(np.all(np.diff(rows[:, 1][np.argsort(rows[:, 0])]) >= 0))
-    resolved = defect <= ENERGY_CURVE_DEFECT and monotone
-    return {"points": rows.shape[0], "closed_form_defect": defect,
-            "decreasing_toward_horosphere": monotone,
-            "resolved": resolved}, resolved
+    return verdict, verdict["resolved"]
 
 
 def _cmd_obstruction(cfg, out):
@@ -346,12 +338,13 @@ def main(argv=None):
         cfg = load_config(args)
         if cfg.phi_source is not None:
             cfg.phi     # surface syntax errors as config errors
-    except (ValueError, OSError, KeyError) as exc:  # phi syntax, JSON too
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    # phi syntax, JSON too, and a document nested too deep for its reader
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"configuration error: {exc}")
         return 2
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {"config": asdict(cfg), "status": "ok"}
     try:
         result, ok = _COMMANDS[cfg.command][0](cfg, out)

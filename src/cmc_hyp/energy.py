@@ -158,3 +158,19 @@ def energy_curve(params, ts, grid):
                                  om.dx, om.dy)
         rows.append((float(t), energy_E(shifted, params)))
     return np.asarray(rows)
+
+
+def energy_curve_verdict(params, rows):
+    """The closed-form column of an energy curve ``rows`` of ``(t, E)`` and
+    the curve's verdict: its largest defect against the closed form,
+    relative but to at least ``4 pi t^-2``, the far field (``E`` changes
+    sign), must stay within :data:`ENERGY_CURVE_DEFECT`, and ``E`` must
+    decrease toward the horosphere."""
+    t, e = rows.T
+    closed = np.array([horosphere_energy(params.k, s) for s in t])
+    defect = float(np.max(np.abs(e - closed)
+                          / np.maximum(np.abs(e), 4.0 * np.pi / t**2)))
+    monotone = bool(np.all(np.diff(e[np.argsort(t)]) >= 0))
+    return closed, {"points": rows.shape[0], "closed_form_defect": defect,
+                    "decreasing_toward_horosphere": monotone,
+                    "resolved": defect <= ENERGY_CURVE_DEFECT and monotone}

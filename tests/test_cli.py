@@ -237,6 +237,26 @@ def test_config_errors(tmp_path):
                  "--out", str(tmp_path / "u")]) == 2
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_output_directory_that_cannot_be_made_is_config_error(tmp_path, capsys,
+                                                              out):
+    # an existing file, or a path below one
+    (tmp_path / "afile").write_text("x")
+    assert main(["verify", "--grid-n", "8",
+                 "--out", str(tmp_path / out)]) == 2
+    assert "configuration error" in capsys.readouterr().out
+    assert (tmp_path / "afile").read_text() == "x"
+
+
+def test_deeply_nested_config_document_is_config_error(tmp_path, capsys):
+    # deeper than Python's JSON reader can recurse
+    cfg, out = tmp_path / "deep.json", tmp_path / "d"
+    cfg.write_text('{"box": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().out
+    assert not (out / "summary.json").exists()
+
+
 def test_phi_source_must_be_an_expression(tmp_path):
     cfg, out = tmp_path / "catalog.json", tmp_path / "c"
     cfg.write_text(json.dumps({"phi_source": {"catalog": "norm"}}))

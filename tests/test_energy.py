@@ -142,6 +142,25 @@ def test_energy_monotone_divergence(grid24, params2):
     assert vals[2] < -100.0
 
 
+def test_energy_curve_verdict_needs_a_decreasing_curve(params2):
+    # the closed form itself passes; a curve that rises toward the
+    # horosphere fails though it matches the closed form within the bound
+    ts = np.array([2.0, 1.5, 1.1])
+    closed = np.array([en.horosphere_energy(2.0, t) for t in ts])
+    column, verdict = en.energy_curve_verdict(params2,
+                                              np.stack([ts, closed], axis=1))
+    assert np.array_equal(column, closed)
+    assert verdict == {"points": 3, "closed_form_defect": 0.0,
+                       "decreasing_toward_horosphere": True, "resolved": True}
+    ts = np.array([1.1, 1.1 - 1e-9])
+    rows = np.stack([ts, [en.horosphere_energy(2.0, t) for t in ts[::-1]]],
+                    axis=1)
+    _, verdict = en.energy_curve_verdict(params2, rows)
+    assert 0 < verdict["closed_form_defect"] <= en.ENERGY_CURVE_DEFECT
+    assert not verdict["decreasing_toward_horosphere"]
+    assert not verdict["resolved"]
+
+
 def test_energy_perturbation_identity(grid16, params2):
     # E_eps at a moved sphere differs from the base energy by the reduced term
     phi = mel.phi_radial_gaussian((0.0, 0.0, 1.0))
