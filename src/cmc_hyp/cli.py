@@ -327,6 +327,7 @@ def main(argv=None):
                     "in hyperbolic 3-space: verification and solve pipelines")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON configuration document")
+    # each flag's metavar is the one argparse derives from the flag itself
     for name, (flag, kind, text) in _INPUTS.items():
         if flag is not None:
             parser.add_argument(
