@@ -99,7 +99,9 @@ class JobConfig:
 
 
 def _read(name, value):
-    """A config document's ``value`` for key ``name``, as its kind."""
+    """A config document's ``value`` for key ``name``, as its kind: a real
+    (for ``float``, and each entry of a ``tuple``) is any JSON number, and
+    no kind takes a boolean."""
     kind = _INPUTS[name][1]
     want = kind if kind in (int, str) else (int, float)
     items = value if isinstance(value, list) else [value]
