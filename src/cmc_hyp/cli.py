@@ -47,7 +47,7 @@ from .reduction import check_schedule, continuation
 # ``null`` where the default is not ``None``) is a configuration error.
 _INPUTS = {
     "k": ("--k", float, "mean curvature, k > 1"),
-    "grid_n": ("--grid-n", int, None),
+    "grid_n": ("--grid-n", int, "chart grid resolution n (2 n^2 nodes)"),
     "phi_source": ("--phi", str, "prescribed function expression"),
     "eps_schedule": ("--eps", tuple, "comma-separated eps schedule"),
     "box": ("--box", tuple, "x0,x1,y0,y1,z0,z1 search box"),
@@ -112,8 +112,13 @@ def _read(name, value):
     return kind(value)
 
 
-def _parse_list(text):
-    return tuple(float(v) for v in text.split(",") if v)
+def _parse_list(flag, text):
+    """The comma-separated reals that ``flag`` was given as ``text``."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v)
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated numbers, not "
+                         f"{text!r}") from None
 
 
 def load_config(args):
@@ -131,7 +136,8 @@ def load_config(args):
     doc = {name: _read(name, value) for name, value in doc.items()
            if not (value is None and defaults[name] is None)}
     # flags win over the config document
-    flags = {name: _parse_list(value) if _INPUTS[name][1] is tuple else value
+    flags = {name: _parse_list(_INPUTS[name][0], value)
+             if _INPUTS[name][1] is tuple else value
              for name, value in vars(args).items()
              if name in _INPUTS and value is not None}
     cfg = JobConfig(command=args.command, **{**doc, **flags})
@@ -322,11 +328,16 @@ def _write_json(path, doc):
     path.write_text(text)
 
 
-def main(argv=None):
+def _parser():
+    documented = " and ".join(name for name, (flag, _, _) in _INPUTS.items()
+                           if flag is None)
     parser = argparse.ArgumentParser(
         prog="cmc-hyp",
         description="Spheres of constant and almost-constant mean curvature "
-                    "in hyperbolic 3-space: verification and solve pipelines")
+                    "in hyperbolic 3-space: verification and solve pipelines",
+        epilog=f"Only a --config document sets {documented}.  Exit codes: "
+               "0 success, 2 configuration error, 3 numeric failure or "
+               "failed checks, 4 no critical point in the search box.")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON configuration document")
     # each flag's metavar is the one argparse derives from the flag itself
@@ -335,7 +346,11 @@ def main(argv=None):
             parser.add_argument(
                 flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
                 type=kind if kind in (int, float) else None, help=text)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args)

@@ -14,13 +14,20 @@ and the dilation, so the derivatives of the volume are boundary fluxes:
 sphere, and ``f_hessian``, the flux's own derivative, gives the flux and
 the exact Hessian from one value-and-gradient walk on the same points.  The
 boundary rule is the chart grid ``build_grid(BOUNDARY_GRID_N)``, built once
-per curvature; a ball center only rescales and translates it.  The
-solid-ball rule of ``f_value`` takes its order from :func:`ball_rule_order`,
-which grows towards k = 1.
+per curvature; a ball center only rescales and translates it.  Both take
+one center or a stack of them, walked in groups of centers whose boundary
+points fill at most one of ``phi``'s :data:`~cmc_hyp.phi_expr.SAMPLE_BLOCK`
+blocks, each center's numbers bit for bit its own call's.  The solid-ball
+rule of ``f_value`` takes its order from :func:`ball_rule_order`, which
+grows towards k = 1.
 
 :func:`newton` is the damped Newton over the ball center that
-:func:`find_critical` runs from each point of a fixed box lattice, so the
-search is a function of its inputs alone.
+:func:`find_critical` runs from every point of a fixed box lattice at once,
+so the search is a function of its inputs alone.  The seeds move in
+rounds: each round is one stacked :func:`f_hessian` call for the seeds that
+begin a step and one stacked :func:`f_gradient` call for every seed's trial
+point, and each seed takes the steps its own run would.  The obstruction
+scan and the CSV scan are one stacked :func:`f_gradient` call each.
 
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
@@ -41,7 +48,7 @@ from .chart import build_grid
 from .halfspace import (BALL_QUAD_ORDER, HyperbolicPoint, ball_quadrature,
                         ball_to_euclidean, box_lattice, dist)
 # PrescribedFunction is re-exported: the catalog's functions are its instances
-from .phi_expr import PrescribedFunction, phi_to_prescribed
+from .phi_expr import SAMPLE_BLOCK, PrescribedFunction, phi_to_prescribed
 
 # chart resolution of the boundary-sphere rule of the flux gradient and
 # Hessian: build_grid(24) is 1152 points, exact on spherical harmonics of
@@ -127,12 +134,37 @@ def _boundary_rule(r, k):
 
 
 def _flux_rule(params, q):
-    """The reference boundary sphere for the ball about ``q``: the flux
-    weights ``w a dS / q3`` per point ``(N, 3)``, the dilation field
-    ``p + k r e3`` and the points' images on the ball's boundary."""
+    """The reference boundary sphere for the balls about the centers ``q``
+    ``(m, 3)``: the flux weights ``w a dS / q3`` per center and point
+    ``(m, N, 3)``, the dilation field ``p + k r e3`` and the points' images
+    on each ball's boundary ``(m, N, 3)``."""
     wa, lift = _boundary_rule(params.r, params.k)
-    target = q.p3 * lift + np.array([q.p1, q.p2, 0.0])
-    return wa / q.p3, lift, target
+    q3 = q[:, 2, None, None]
+    target = q3 * lift
+    # the horizontal shift one coordinate at a time; the vertical one is 0
+    target[..., 0] += q[:, 0, None]
+    target[..., 1] += q[:, 1, None]
+    return wa / q3, lift, target
+
+
+def _centers(q):
+    """The ball centers ``q`` as an ``(m, 3)`` stack, and whether ``q`` is
+    one center (a point or a 3-vector) rather than a stack."""
+    if isinstance(q, HyperbolicPoint) or np.ndim(q) == 1:
+        return HyperbolicPoint.of(q).array[None], True
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 3 or not np.all(q[:, 2] > 0):
+        raise ValueError("ball centers must be an (m, 3) stack with every "
+                         "third coordinate positive")
+    return q, False
+
+
+def _groups(count):
+    """Slices of a stack of ``count`` centers whose boundary points fill at
+    most one of ``phi``'s sample blocks, so a stacked flux walks blocks no
+    larger than one center's and its memory stays flat."""
+    size = max(SAMPLE_BLOCK // build_grid(BOUNDARY_GRID_N).size, 1)
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def f_value(phi, params, q):
@@ -154,28 +186,38 @@ def f_gradient(phi, params, q):
     ``e2`` and the dilation ``p + k r e3``, along which the density
     ``w = (p3 + k r)^-3`` is divergence-free; so the volume derivatives are
     boundary fluxes with ``a = (n1, n2, r + k r n3)``, and only values of
-    ``phi`` are sampled.
+    ``phi`` are sampled.  ``q`` is one center, giving a 3-vector, or an
+    ``(m, 3)`` stack of them, giving the ``(m, 3)`` gradients, each equal
+    bit for bit to its center's own.
     """
-    q = HyperbolicPoint.of(q)
-    wa, _, target = _flux_rule(params, q)
-    return phi.evaluate(target) @ wa
+    q, one = _centers(q)
+    g = np.empty(q.shape)
+    for part in _groups(len(q)):
+        wa, _, target = _flux_rule(params, q[part])
+        g[part] = np.matmul(phi.evaluate(target)[:, None], wa)[:, 0]
+    return g[0] if one else g
 
 
 def f_hessian(phi, params, q):
     """``(g, H)``: :func:`f_gradient` (bit for bit) and the exact Hessian of
     :func:`f_value`, the flux's derivative ``H_ij = (1/q3) int w a_i grad
     phi . d_j dS - delta_j3 g_i / q3`` with the ball motions ``d = (e1, e2,
-    p + k r e3)``, from one ``phi.gradient`` walk on the boundary points."""
+    p + k r e3)``, from one ``phi.gradient`` walk on the boundary points.
+    Like :func:`f_gradient`, it takes one center or an ``(m, 3)`` stack,
+    whose Hessians are then ``(m, 3, 3)``."""
     if phi.gradient is None:
         raise ValueError("prescribed function has no gradient evaluator")
-    q = HyperbolicPoint.of(q)
-    wa, lift, target = _flux_rule(params, q)
-    values, G = phi.gradient(target)
-    g = values @ wa
-    H = wa.T @ np.stack([G[:, 0], G[:, 1], np.einsum("ij,ij->i", G, lift)],
-                        axis=-1)
-    H[:, 2] -= g / q.p3
-    return g, H
+    q, one = _centers(q)
+    g, H = np.empty(q.shape), np.empty(q.shape + (3,))
+    for part in _groups(len(q)):
+        wa, lift, target = _flux_rule(params, q[part])
+        values, G = phi.gradient(target)
+        g[part] = np.matmul(values[:, None], wa)[:, 0]
+        H[part] = np.matmul(wa.transpose(0, 2, 1), np.stack(
+            [G[..., 0], G[..., 1], np.einsum("cij,ij->ci", G, lift)],
+            axis=-1))
+        H[part, :, 2] -= g[part] / q[part, 2, None]
+    return (g[0], H[0]) if one else (g, H)
 
 
 # ---------------------------------------------------------------------------
@@ -245,53 +287,99 @@ def check_seeds(seeds):
     return m
 
 
-def newton(gradient, hessian, q, gtol, inside):
-    """Levenberg-damped Newton from ``q`` for a zero of ``gradient``.
+def _levenberg(H, hscale, lam, g):
+    """The trial steps ``s`` of ``(H + lam hscale I) s = -g`` for a stack of
+    starts, ``None`` for a start whose matrix is singular."""
+    A = H + (lam * hscale)[:, None, None] * np.eye(3)
+    try:
+        return list(np.linalg.solve(A, -g[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        pass
+    steps = []
+    for a, b in zip(A, g):
+        try:
+            steps.append(np.linalg.solve(a, -b))
+        except np.linalg.LinAlgError:
+            steps.append(None)
+    return steps
 
-    A trial solves ``(H + lam max|H| I) s = -g``, ``H`` from
-    ``hessian(q) = (g, H)``, and is accepted when ``gradient`` at it has a
-    lower ``|g|_2`` (then ``lam /= 3``, else ``lam *= 4`` from 1e-4; eight
-    tries a step).  A trial outside ``inside`` ends the iteration unevaluated.
-    Returns the last accepted ``(q, g)``; the caller judges ``|g|``.
+
+def newton(gradient, hessian, starts, gtol, inside):
+    """Levenberg-damped Newton from each of the ``starts`` ``(m, 3)`` for a
+    zero of ``gradient``, all in lockstep.
+
+    Per start, a step takes ``H`` from ``hessian(q) = (g, H)`` and tries
+    ``(H + lam max|H| I) s = -g`` up to eight times: a trial is accepted
+    when ``gradient`` at it has a lower ``|g|_2`` (then ``lam /= 3``, else
+    ``lam *= 4`` from 1e-4, as for a singular matrix).  A trial outside
+    ``inside`` ends that start unevaluated, and a start stops at ``|g| <=
+    gtol`` or after :data:`NEWTON_MAX_ITER` steps.  The starts move in
+    rounds: one ``hessian`` call on the stack of starts that begin a step,
+    one ``gradient`` call on the stack of every start's trial point; so
+    both callables take ``(j, 3)`` stacks, and return ``(j, 3)`` gradients
+    and ``(j, 3, 3)`` Hessians.  Each start's iterates are those of its own
+    run, bit for bit.  Returns the last accepted ``(q, g)`` of every start
+    as two ``(m, 3)`` stacks; the caller judges ``|g|``.
     """
+    q = np.array(starts, dtype=float)
     g = gradient(q)
-    gn = np.linalg.norm(g)
-    lam = 0.0
-    for _ in range(NEWTON_MAX_ITER):
-        if gn <= gtol:
+    gn = [np.linalg.norm(row) for row in g]
+    count = len(q)
+    lam, hscale = np.zeros(count), np.empty(count)
+    H = np.empty((count, 3, 3))
+    steps, tries = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    # the starts that begin a step this round, and those in the middle of one
+    fresh, ongoing = list(range(count)), []
+    while fresh or ongoing:
+        fresh = [i for i in fresh
+                 if gn[i] > gtol and steps[i] < NEWTON_MAX_ITER]
+        if fresh:
+            H[fresh] = hessian(q[fresh])[1]
+            for i in fresh:
+                hscale[i] = max(np.max(np.abs(H[i])), 1e-12)
+            steps[fresh] += 1
+            tries[fresh] = 0
+        trial, pending = {}, sorted(fresh + ongoing)
+        while pending:
+            for i, s in zip(pending, _levenberg(H[pending], hscale[pending],
+                                                lam[pending], g[pending])):
+                if s is None:
+                    lam[i] = max(4.0 * lam[i], 1e-4)
+                    tries[i] += 1
+                else:
+                    trial[i] = q[i] + s
+            pending = [i for i in pending if i not in trial and tries[i] < 8]
+        ahead = [i for i in sorted(trial) if inside(trial[i])]
+        fresh, ongoing = [], []
+        if not ahead:
             break
-        _, H = hessian(q)
-        hscale = max(np.max(np.abs(H)), 1e-12)
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
-            except np.linalg.LinAlgError:
-                lam = max(4.0 * lam, 1e-4)
-                continue
-            qn = q + step
-            if not inside(qn):
-                return q, g
-            gnew = gradient(qn)
-            if np.linalg.norm(gnew) < gn:
-                q, g, gn = qn, gnew, np.linalg.norm(gnew)
-                lam = lam / 3.0 if lam > 1e-8 else 0.0
-                break
-            lam = max(4.0 * lam, 1e-4)
-        else:
-            break
+        for i, gi in zip(ahead, gradient(np.array([trial[i] for i in ahead]))):
+            norm = np.linalg.norm(gi)
+            if norm < gn[i]:
+                q[i], g[i], gn[i] = trial[i], gi, norm
+                lam[i] = lam[i] / 3.0 if lam[i] > 1e-8 else 0.0
+                fresh.append(i)
+            else:
+                lam[i] = max(4.0 * lam[i], 1e-4)
+                tries[i] += 1
+                if tries[i] < 8:
+                    ongoing.append(i)
     return q, g
 
 
 def find_critical(phi, params, box, seeds=SEEDS):
     """Search the box for critical points of the reduced function.
 
-    :func:`newton` with the exact Hessian :func:`f_hessian` starts from each
-    point of the interior lattice of ``seeds`` points and roams a widened
-    box.  A converged point in ``box`` is kept when it lies more than 1e-6
-    (hyperbolic distance) from every point kept before it; only the kept
-    points are valued and classified through the same Hessian, and they are
-    returned sorted by value.  An empty list is a valid outcome (no critical
-    point).
+    :func:`newton` with the exact Hessian :func:`f_hessian` starts from
+    every point of the interior lattice of ``seeds`` points at once and
+    roams a widened box; each of its rounds is one stacked
+    :func:`f_hessian` call for the seeds that begin a step and one stacked
+    :func:`f_gradient` call for every seed's trial point, and each seed
+    ends where its own run would.  A converged point in ``box`` is kept,
+    in lattice order, when it lies more than 1e-6 (hyperbolic distance)
+    from every point kept before it; only the kept points are valued and
+    classified through the same Hessian, and they are returned sorted by
+    value.  An empty list is a valid outcome (no critical point).
     """
     box = check_box(box)
     pts = box_lattice(box, check_seeds(seeds), interior=True)
@@ -300,10 +388,9 @@ def find_critical(phi, params, box, seeds=SEEDS):
 
     gtol = 1e-10
     unique = []
-    for seed in pts:
-        qa, g = newton(lambda qa: f_gradient(phi, params, qa),
-                       lambda qa: f_hessian(phi, params, qa),
-                       seed, gtol, lambda qa: _inside(qa, wide))
+    for qa, g in zip(*newton(lambda qa: f_gradient(phi, params, qa),
+                             lambda qa: f_hessian(phi, params, qa),
+                             pts, gtol, lambda qa: _inside(qa, wide))):
         if np.linalg.norm(g) > gtol or not _inside(qa, box):
             continue
         q = HyperbolicPoint.of(qa)
@@ -331,7 +418,7 @@ def monotone_obstruction(phi, params, box):
     by them) in the box.
     """
     pts = box_lattice(check_box(box), OBSTRUCTION_LATTICE)
-    grads = np.array([f_gradient(phi, params, p) for p in pts])
+    grads = f_gradient(phi, params, pts)
     radial = np.einsum("ij,ij->i", pts, grads)
     report = {"lattice": pts.tolist(), "margin": OBSTRUCTION_MARGIN,
               "directions": {}}
@@ -358,8 +445,7 @@ def scan_to_csv(phi, params, box, path):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["q1", "q2", "q3", "F", "dF1", "dF2", "dF3"])
-        for p in pts:
-            g = f_gradient(phi, params, p)
+        for p, g in zip(pts, f_gradient(phi, params, pts)):
             wr.writerow([f"{v:.17g}" for v in
                          (*p, f_value(phi, params, p), *g)])
     return pts.shape[0]

@@ -334,14 +334,21 @@ class Dual(np.lib.mixins.NDArrayOperatorsMixin):
                 rules = _CONSTANT_EXPONENT
             elif not np.all(sloped):
                 rules = _power_rules(sloped)
-        g = None
+        g, owned = None, False
         for x, rule in zip(inputs, rules):
             if isinstance(x, Dual) and rule is not None:
-                term = x.g * rule(*vals, out)
+                slope = rule(*vals, out)
+                # 1 x is x: a unit slope (of a sum or difference, never of
+                # ``^``) passes the operand's gradient on uncopied, so a
+                # term added to it goes into a new array
+                unit = isinstance(slope, float) and slope == 1.0
+                term = x.g if unit else x.g * slope
                 if g is None:
-                    g = term
-                else:
+                    g, owned = term, not unit
+                elif owned:
                     np.add(g, term, out=g, where=sloped)
+                else:
+                    g, owned = g + term, True
         return out if g is None else Dual(out, g)
 
 
@@ -395,8 +402,9 @@ _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 def hypdist(p1, p2, p3, anchor):
     """Hyperbolic distance from ``(p1, p2, p3)`` to the point ``anchor``.
 
-    On :class:`Dual` coordinates the value comes from the same ufuncs on the
-    plain values, and the gradient from the closed form
+    On the coordinate duals (the only duals the walk passes it) the value
+    comes from the same ufuncs on the plain values, and the gradient from
+    the closed form
     ``arccosh'(max(c, 1)) [c >= 1] (d1, d2, d3 - (c - 1) a3) / (p3 a3)``
     with ``c = 1 + |d|^2 / (2 p3 a3)``, ``d = p - anchor``.
     """
@@ -413,8 +421,10 @@ def hypdist(p1, p2, p3, anchor):
     # ``c - 1`` is taken as the quotient ``t``, which keeps its digits where
     # ``c`` rounds towards 1 near the anchor
     s = _arccosh_slope(m) * (c >= 1.0) / (v3 * a3)
-    return Dual(out, p1.g * (s * d1) + p2.g * (s * d2)
-                + p3.g * (s * (d3 - t * a3)))
+    # the arguments are the coordinate duals, whose gradients are the unit
+    # vectors, so the chain rule's sum of their products is the stack of
+    # the partials themselves (x + 0 y is x)
+    return Dual(out, np.stack([s * d1, s * d2, s * (d3 - t * a3)]))
 
 
 def _eval(node, p):

@@ -58,12 +58,14 @@ class ReductionState:
     """Converged data of the projected problem at ``(eps, q)``.
 
     ``nu`` is the correction field (exact modal derivatives and ``lap``),
-    ``surface`` (with chart derivatives) and ``residual`` the corrected
-    surface ``U_q + nu`` and its nodal curvature residual from the chord
-    loop's last pass, ``xi``/``alpha`` the generator multipliers;
-    ``residual_norm`` is the modal 2-norm of the projected-equation
-    residual, the quantity the chord loop stops on, and
-    ``constraint_defect`` the worst orthogonality violation.
+    the jet of the modal values ``nu_modal``, or ``None`` in a warm start
+    whose modal values were changed (:func:`_predict`'s); ``surface`` (with
+    chart derivatives) and ``residual`` the corrected surface ``U_q + nu``
+    and its nodal curvature residual from the chord loop's last pass,
+    ``xi``/``alpha`` the generator multipliers; ``residual_norm`` is the
+    modal 2-norm of the projected-equation residual, the quantity the chord
+    loop stops on, and ``constraint_defect`` the worst orthogonality
+    violation.
     ``iterations`` counts the residual evaluations of the chord loop that
     produced the state, one more than its saddle solves (1 for a converged
     warm start).
@@ -71,7 +73,7 @@ class ReductionState:
 
     eps: float
     q: HyperbolicPoint
-    nu: SphereField
+    nu: SphereField | None
     surface: SphereField
     residual: SphereField
     nu_modal: np.ndarray
@@ -94,7 +96,9 @@ def correct(eps, q, phi, params, grid, warm=None):
     modal residual and the constraint defect are both at most
     :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration returns the zero
     correction immediately.  A non-finite residual raises
-    :class:`NumericsError` at once.
+    :class:`NumericsError` at once.  A ``warm`` state that carries its
+    correction's jet ``nu`` (one this function returned) gives the first
+    pass that jet instead of a synthesis.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
@@ -105,9 +109,14 @@ def correct(eps, q, phi, params, grid, warm=None):
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
+    jet = None
+    if warm is not None and warm.nu is not None and warm.nu.grid is grid:
+        jet = (warm.nu.values, warm.nu.dx, warm.nu.dy, warm.nu.lap)
 
     for it in range(1, 61):
-        nv, ndx, ndy, nlap = jet = pack.nodal_vector_jet(c)
+        if it > 1 or jet is None:
+            jet = pack.nodal_vector_jet(c)
+        nv, ndx, ndy, nlap = jet
         u = (U.values + nv, U.dx + ndx, U.dy + ndy)
         J = _j_nodal(*u, U.lap + nlap, params, phi, eps)
         # the generators' projections are the pack's frame_modal rows
@@ -287,7 +296,8 @@ def _predict(q0, state, eps):
     the solution, where the previous state itself is ``O(eps)`` away.  A
     start at ``p3 <= 0`` (a large ``|t|``) falls back to ``q_prev``.  The
     first step, a step at ``eps = 0`` and a step after one start from
-    ``q0`` cold.
+    ``q0`` cold.  The warm state drops the previous correction's jet
+    ``nu``, which the scaled modal values no longer match.
     """
     if state is None or state.eps == 0.0 or eps == 0.0:
         return q0, None
@@ -295,8 +305,8 @@ def _predict(q0, state, eps):
     q_start = q0.array + t * (state.q.array - q0.array)
     if not q_start[2] > 0.0:
         q_start = state.q.array
-    warm = replace(state, nu_modal=t * state.nu_modal, xi=t * state.xi,
-                   alpha=t * state.alpha)
+    warm = replace(state, nu=None, nu_modal=t * state.nu_modal,
+                   xi=t * state.xi, alpha=t * state.alpha)
     return HyperbolicPoint.of(q_start), warm
 
 

@@ -319,6 +319,39 @@ def test_wrongly_typed_config_values_are_config_errors(tmp_path, capsys, doc,
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["solve", "--eps", "a,b", "--grid-n", "16"], "--eps"),
+    (["melnikov", "--box=a,0.4,-0.4,0.4,0.6,1.6"], "--box"),
+])
+def test_list_flag_that_is_not_numbers_names_the_flag(tmp_path, capsys, args,
+                                                      flag):
+    out = tmp_path / "l"
+    extra = [] if flag == "--box" else ["--box=" + BOX]
+    assert main([*args, *extra, "--phi", BUMP, "--out", str(out)]) == 2
+    said = capsys.readouterr().out
+    assert said.startswith("configuration error") and flag in said
+    assert not (out / "summary.json").exists()
+
+
+def test_help_covers_every_flag_and_exit_code(capsys):
+    parser = cli._parser()
+    flags = [a for a in parser._actions if a.option_strings]
+    assert {f for a in flags for f in a.option_strings} >= {
+        flag for flag, _, _ in cli._INPUTS.values() if flag is not None}
+    assert all(a.help for a in flags)
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert " ".join(parser.epilog.split()) in text
+    for code, meaning in (("0", "success"), ("2", "configuration error"),
+                          ("3", "numeric failure"),
+                          ("4", "no critical point")):
+        assert f"{code} {meaning}" in parser.epilog
+    for name, (flag, _, _) in cli._INPUTS.items():
+        assert flag is not None or name in parser.epilog
+
+
 @pytest.mark.parametrize("command,n", [
     ("kernel", 6), ("spectrum", 7), ("solve", 7)])
 def test_grid_below_the_pack_floor_is_config_error(tmp_path, capsys, command,

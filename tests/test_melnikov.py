@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -318,19 +320,24 @@ B = np.array([1.0, -2.0, 0.5])
 
 
 def _recorded_quadratic():
-    """Gradient of ``q.A q / 2 - B.q`` and the list of points it saw."""
+    """Gradient of ``q.A q / 2 - B.q`` on stacks of points, and the list of
+    points it saw."""
     seen = []
 
-    def gradient(q):
-        seen.append(q)
-        return A @ q - B
+    def gradient(qs):
+        seen.extend(qs)
+        return np.array([A @ q - B for q in qs])
     return gradient, seen
+
+
+def _quadratic_hessian(qs):
+    return np.array([A @ q - B for q in qs]), np.array([A] * len(qs))
 
 
 def test_newton_one_step_on_a_quadratic():
     gradient, seen = _recorded_quadratic()
-    q, g = mel.newton(gradient, lambda q: (A @ q - B, A), np.zeros(3),
-                      1e-12, lambda q: True)
+    (q,), (g,) = mel.newton(gradient, _quadratic_hessian, np.zeros((1, 3)),
+                            1e-12, lambda q: True)
     assert np.allclose(q, np.linalg.solve(A, B), rtol=0, atol=1e-14)
     assert np.linalg.norm(g) <= 1e-12
     assert len(seen) == 2       # the start and the one exact step
@@ -342,10 +349,120 @@ def test_newton_never_evaluates_outside():
     start = np.zeros(3)
     assert not inside(np.linalg.solve(A, B))
     gradient, seen = _recorded_quadratic()
-    q, g = mel.newton(gradient, lambda q: (A @ q - B, A), start, 1e-12,
-                      inside)
+    (q,), (g,) = mel.newton(gradient, _quadratic_hessian, start[None], 1e-12,
+                            inside)
     assert all(inside(p) for p in seen)
     assert np.array_equal(q, start) and np.array_equal(g, A @ start - B)
+
+
+def _recording(gradient, hessian, seen):
+    """``gradient`` and ``hessian`` on stacks, adding each point they are
+    called at, by its bytes and the callable's kind, to the counter
+    ``seen``."""
+    def record(kind, fn):
+        def call(qs):
+            seen.update((kind, q.tobytes()) for q in qs)
+            return fn(qs)
+        return call
+    return record("g", gradient), record("H", hessian)
+
+
+C = np.array([0.5, -0.2, 0.1])
+
+
+def _tanh_gradient(qs):
+    """Gradient of ``sum log cosh(q - C)``, whose Newton steps overshoot
+    far from ``C`` and need damping."""
+    return np.tanh(qs - C)
+
+
+def _tanh_hessian(qs):
+    # the exact Hessian, but singular (no third row or column) at the
+    # points whose third coordinate is more than 0.6 from C's
+    H = np.zeros((len(qs), 3, 3))
+    H[:, [0, 1, 2], [0, 1, 2]] = 1.0 - _tanh_gradient(qs) ** 2
+    H[np.abs(qs[:, 2] - C[2]) > 0.6, 2, 2] = 0.0
+    return _tanh_gradient(qs), H
+
+
+def _lockstep_problems(params):
+    """``(gradient, hessian, starts, inside)`` of the flux of a design bump,
+    whose starts converge or leave ``inside`` at their first step, and of
+    a sum of ``log cosh`` with a singular Hessian at some starts."""
+    phi = mel.phi_to_prescribed(DESIGN_BUMPS[1])
+    box = (-0.5, 0.5, -0.5, 0.5, 0.62, 1.6)
+    yield (lambda qs: mel.f_gradient(phi, params, qs),
+           lambda qs: mel.f_hessian(phi, params, qs),
+           np.array([[0.1, -0.05, 1.12], [-0.3, 0.2, 0.7], [0.0, 0.0, 1.5],
+                     [0.35, -0.35, 1.55], [-0.15, 0.1, 0.9],
+                     [0.2, -0.1, 1.2], [0.0, 0.1, 0.65]]),
+           lambda q: mel._inside(q, box))
+    yield (_tanh_gradient, _tanh_hessian,
+           np.array([[0.0, 0.0, 0.0], [1.6, 0.8, 0.3], [-1.0, 0.6, 0.2],
+                     [0.7, -0.5, 0.9], [1.6, 0.8, -0.9]]),
+           lambda q: np.abs(q).max() < 1e4)
+
+
+def _newton_alone(gradient, hessian, q, gtol, inside):
+    """The reference: the damped Newton of one start, step by step, with
+    the callables on one-row stacks."""
+    g = gradient(q[None])[0]
+    gn = np.linalg.norm(g)
+    lam = 0.0
+    for _ in range(mel.NEWTON_MAX_ITER):
+        if gn <= gtol:
+            break
+        H = hessian(q[None])[1][0]
+        hscale = max(np.max(np.abs(H)), 1e-12)
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
+            except np.linalg.LinAlgError:
+                lam = max(4.0 * lam, 1e-4)
+                continue
+            qn = q + step
+            if not inside(qn):
+                return q, g
+            gnew = gradient(qn[None])[0]
+            if np.linalg.norm(gnew) < gn:
+                q, g, gn = qn, gnew, np.linalg.norm(gnew)
+                lam = lam / 3.0 if lam > 1e-8 else 0.0
+                break
+            lam = max(4.0 * lam, 1e-4)
+        else:
+            break
+    return q, g
+
+
+def test_lockstep_newton_equals_each_start_alone(params2, monkeypatch):
+    # every start ends where, and after the evaluations, its own run does,
+    # by the lockstep code and by the reference; the problems take every
+    # branch: converged, stopped outside, damped after rejected trials, and
+    # a singular trial matrix solved again seed by seed
+    singular = []
+    levenberg = mel._levenberg
+
+    def counted(H, hscale, lam, g):
+        steps = levenberg(H, hscale, lam, g)
+        singular.extend(s is None for s in steps)
+        return steps
+    monkeypatch.setattr(mel, "_levenberg", counted)
+    for gradient, hessian, starts, inside in _lockstep_problems(params2):
+        together, alone, reference = Counter(), Counter(), Counter()
+        Q, G = mel.newton(*_recording(gradient, hessian, together), starts,
+                          1e-10, inside)
+        assert Q.shape == G.shape == starts.shape
+        for start, q, g in zip(starts, Q, G):
+            (q1,), (g1,) = mel.newton(*_recording(gradient, hessian, alone),
+                                      start[None], 1e-10, inside)
+            q2, g2 = _newton_alone(*_recording(gradient, hessian, reference),
+                                   start, 1e-10, inside)
+            assert q.tobytes() == q1.tobytes() == q2.tobytes()
+            assert g.tobytes() == g1.tobytes() == g2.tobytes()
+        assert together == alone == reference
+        ends = [np.linalg.norm(g) <= 1e-10 for g in G]
+        assert any(ends) and not all(ends)
+    assert any(singular)
 
 
 def test_obstruction_reports(params2):

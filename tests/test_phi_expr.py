@@ -213,6 +213,45 @@ def test_hypdist_closed_form_slope_matches_the_ufunc_chain(monkeypatch):
                       <= 1e-13 * np.linalg.norm(ref, axis=-1))
 
 
+def _hypdist_oracle(pts, anchor):
+    """Gradient of the distance to ``anchor`` by the chain rule through
+    ``c = 1 + |p - a|^2 / (2 p3 a3)`` and ``arccosh' = 1 / sqrt(c^2 - 1)``,
+    zero at the anchor."""
+    a = np.asarray(anchor)
+    d = pts - a
+    p3 = pts[:, 2:]
+    dc = d / (p3 * a[2])
+    dc[:, 2] -= np.sum(d * d, axis=1) / (2.0 * p3[:, 0] ** 2 * a[2])
+    c = 1.0 + np.sum(d * d, axis=1) / (2.0 * p3[:, 0] * a[2])
+    at = c == 1.0
+    return np.where(at[:, None], 0.0,
+                    dc / np.sqrt(np.where(at, 2.0, c * c - 1.0))[:, None])
+
+
+def test_gradients_of_hypdist_and_sums_follow_the_chain_rule():
+    anchor = (0.1, -0.05, 1.1)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform([-1.0, -1.0, 0.3], [1.0, 1.0, 2.5], (2000, 3))
+    pts[:5] = anchor
+    dist = pe.parse_phi("hypdist(0.1, -0.05, 1.1)")
+    total = pe.parse_phi("hypdist(0.1, -0.05, 1.1) + 2 + p1*p2 - p3")
+    oracle = _hypdist_oracle(pts, anchor)
+    assert np.all(oracle[:5] == 0.0)
+    sum_oracle = oracle + np.stack([pts[:, 1], pts[:, 0], -np.ones(len(pts))],
+                                   axis=-1)
+    for tree, ref in ((dist, oracle), (total, sum_oracle)):
+        _, grads = pe.evaluate_gradient(tree, pts)
+        assert np.all(grads[:5] == ref[:5])
+        assert np.all(np.linalg.norm(grads - ref, axis=-1)
+                      <= 1e-12 * np.linalg.norm(ref, axis=-1))
+    # a unit slope passes a gradient on uncopied: a later sum must not
+    # write into the coordinate's own gradient
+    for text, ref in (("p1 + 1 + p1 + p1", (3.0, 0.0, 0.0)),
+                      ("p2 - (p1 + 1) + p1 + p1", (1.0, 1.0, 0.0))):
+        _, grads = pe.evaluate_gradient(pe.parse_phi(text), pts)
+        assert np.array_equal(grads, np.broadcast_to(ref, pts.shape))
+
+
 BLOCK_DESIGNS = ("exp(-hypdist(0.1, -0.05, 1.1)^2)", "2.5", "p1",
                  "exp(-hypdist(0.05, 0.15, 1.25)^2)"
                  " + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)")

@@ -13,7 +13,7 @@ from cmc_hyp.chart import omega_mu
 from cmc_hyp.energy import energy_E, volume_V
 from cmc_hyp.halfspace import HyperbolicPoint
 from cmc_hyp.linearized import j_residual
-from cmc_hyp.melnikov import f_gradient
+from cmc_hyp.melnikov import f_gradient, f_hessian
 from cmc_hyp.reduction import correct, reduced_gradient
 
 FEW = settings(max_examples=25, deadline=None)
@@ -227,6 +227,37 @@ def test_continuation_start_is_first_order(grid16, params2, anchor, tilt):
     for start, q_prev, q_eps in zip(starts[1:], qs, qs[1:]):
         assert (np.linalg.norm(start - q_eps)
                 <= 0.5 * np.linalg.norm(q_prev - q_eps))
+
+
+# ---------------------------------------------------------------------------
+# a stack of ball centers is walked in groups, each center's numbers its own
+
+
+centers = st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4),
+                    st.floats(0.6, 1.6))
+
+
+@FEW
+@given(st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+                 st.floats(0.85, 1.3)),
+       st.lists(centers, min_size=1, max_size=8), st.floats(-0.04, 0.04))
+# seven centers: two full groups and a short one
+@example((0.1, -0.05, 1.1), [(0.1 * i - 0.3, 0.05 * i, 0.6 + 0.15 * i)
+                             for i in range(7)], 0.03)
+def test_stacked_flux_equals_each_center(params2, anchor, qs, tilt):
+    phi = pe.phi_to_prescribed(
+        "exp(-hypdist({!r}, {!r}, {!r})^2)".format(*map(float, anchor))
+        + f" + {float(tilt)!r}*p2")
+    qs = np.array(qs)
+    g = f_gradient(phi, params2, qs)
+    gh, H = f_hessian(phi, params2, qs)
+    assert g.shape == gh.shape == qs.shape and H.shape == qs.shape + (3,)
+    for q, gq, ghq, Hq in zip(qs, g, gh, H):
+        one = f_gradient(phi, params2, q)
+        g1, H1 = f_hessian(phi, params2, q)
+        assert one.shape == (3,) and H1.shape == (3, 3)
+        assert gq.tobytes() == ghq.tobytes() == one.tobytes() == g1.tobytes()
+        assert Hq.tobytes() == H1.tobytes()
 
 
 # ---------------------------------------------------------------------------

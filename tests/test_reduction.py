@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,37 @@ def test_continuation_never_calls_spectral_derivatives(grid24, params2,
     assert [r["status"] for r in reports] == ["ok"] * 3
     assert all(r["resolved"] for r in reports)
     assert counts["bubble"] == counts["correct"] > 0
+
+
+def test_warm_correct_reuses_the_jet_it_returned(grid16, params2, bump,
+                                                 monkeypatch):
+    # a state correct returned holds the jet of its modal values, so a
+    # correct warm-started from it skips one synthesis and ends bit for bit
+    # where a warm start without that jet does
+    state = red.correct(0.01, (0.05, 0.0, 1.02), bump, params2, grid16)
+    pack = lin.operator_pack(grid16, params2)
+    synth = []
+    jet = type(pack).nodal_vector_jet
+
+    def counted(self, coeffs):
+        synth.append(len(coeffs))
+        return jet(self, coeffs)
+    monkeypatch.setattr(type(pack), "nodal_vector_jet", counted)
+    q = (0.04, 0.01, 1.0)
+    reused = red.correct(0.01, q, bump, params2, grid16, warm=state)
+    assert len(synth) == reused.iterations - 1
+    del synth[:]
+    fresh = red.correct(0.01, q, bump, params2, grid16,
+                        warm=dataclasses.replace(state, nu=None))
+    assert len(synth) == fresh.iterations == reused.iterations
+    for name in ("nu", "surface", "residual"):
+        a, b = getattr(reused, name), getattr(fresh, name)
+        for part in ("values", "dx", "dy", "lap"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+    for name in ("nu_modal", "xi", "alpha"):
+        assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
+    assert reused.residual_norm == fresh.residual_norm
 
 
 def test_constant_matrices(params2):
@@ -247,7 +280,7 @@ def test_continuation_reports_the_accepted_state(grid16, params2, bump,
 
 def _synthetic_state(eps, q):
     return red.ReductionState(
-        eps=eps, q=HyperbolicPoint.of(q), nu=None, surface=None,
+        eps=eps, q=HyperbolicPoint.of(q), nu="the jet", surface=None,
         residual=None, nu_modal=np.arange(4.0), xi=np.arange(6.0),
         alpha=np.arange(3.0), residual_norm=0.0, constraint_defect=0.0,
         iterations=1)
@@ -262,6 +295,8 @@ def test_predict_first_order_expansion():
     assert np.array_equal(warm.nu_modal, -2.0 * prev.nu_modal)
     assert np.array_equal(warm.xi, -2.0 * prev.xi)
     assert np.array_equal(warm.alpha, -2.0 * prev.alpha)
+    # the previous jet does not match the scaled modal values
+    assert warm.nu is None
     assert warm.q == prev.q and np.array_equal(prev.xi, np.arange(6.0))
     # a step at eps = 0, and a step after one, starts cold from q0
     zero = _synthetic_state(0.0, (0.1, -0.05, 0.9))
