@@ -3,9 +3,10 @@
 One process runs one command; every run writes ``summary.json`` into the
 output directory with the fully resolved configuration, inputs only (each
 verdict's bound is its module's constant), echoed back, so identical
-configurations produce byte-identical summaries.  ``kernel`` and
-``spectrum`` run with OpenBLAS on one thread, which their summaries
-record, so their bytes do not depend on the BLAS thread count either.  The
+configurations produce byte-identical summaries.  ``kernel``,
+``spectrum`` and ``solve`` run with OpenBLAS on one thread, which their
+summaries record, so their bytes do not depend on the BLAS thread count
+either.  The
 configuration holds no random seed: the critical search starts from a
 fixed lattice of :data:`~cmc_hyp.melnikov.SEEDS` points by default, and
 ``verify``'s projector check draws its test field from one fixed stream.
@@ -212,9 +213,10 @@ def _one_blas_thread():
     had; yields the record ``{"name", "threads"}`` of numpy's BLAS, with
     ``threads`` ``None`` where no OpenBLAS thread control is found.
 
-    The operator blocks' Gram products and the eigensolves round
-    differently at different thread counts, so the certificates pin it:
-    their bytes are then the same whatever ``OPENBLAS_NUM_THREADS`` says."""
+    The operator blocks' Gram products, the eigensolves and the
+    corrector's products round differently at different thread counts, so
+    the certificates and the solve pin it: their bytes are then the same
+    whatever ``OPENBLAS_NUM_THREADS`` says."""
     try:
         name = np.show_config(mode="dicts")["Build Dependencies"]["blas"][
             "name"]
@@ -273,14 +275,15 @@ def _cmd_melnikov(cfg, out):
 def _cmd_solve(cfg, out):
     grid = ch.build_grid(cfg.grid_n)
     params = make_params(cfg.k)
-    reports = continuation(cfg.eps_schedule, cfg.phi, params, cfg.box, grid,
-                           seeds=cfg.seeds)
+    with _one_blas_thread() as blas:
+        reports = continuation(cfg.eps_schedule, cfg.phi, params, cfg.box,
+                               grid, seeds=cfg.seeds)
     for rep in reports:
         surface = rep.pop("_surface", None)
         if surface is not None:
             ch.field_to_csv(surface, out / f"surface_{rep['eps']:g}.csv")
     converged = all(r.get("status") == "ok" for r in reports)
-    return ({"steps": reports, "all_converged": converged},
+    return ({"steps": reports, "all_converged": converged, "blas": blas},
             converged and all(r["resolved"] for r in reports))
 
 

@@ -1,32 +1,36 @@
 """Finite-dimensional reduction to the ball-center coordinate.
 
-``correct`` solves the projected problem at fixed ``(eps, q)``: it finds the
+``correct`` solves the projected problem at ``(eps, q)``: it finds the
 correction ``nu`` orthogonal to the nine tangent generators together with
 multipliers ``(xi, alpha)`` so that the curvature residual of ``U_q + nu``
 lies entirely in the generator span.  A chord iteration with the linearized
-operator frozen at the unperturbed sphere does the work.  Each step moves
+operator frozen at the unperturbed sphere does the work.  Each pass moves
 between nodal and modal values with the operator pack's FFT transforms --
 the correction's first derivatives exactly from the modal profiles and its
 chart Laplacian from the modes' degrees by ``d_xx + d_yy = mu^2 Delta_S2``,
-in one synthesis, so no step differentiates nodal values -- and makes one
+in one synthesis, so no pass differentiates nodal values -- and makes one
 block-by-block saddle solve (the pack's ``saddle_solve``, one product with
 a stored inverse per block), whose small inverses are built once per
 ``(grid, k)`` and shared across base points.
 
-``continuation`` then drives the reduced gradient -- an explicit linear
-expression in the multipliers -- to zero over ``q`` at each ``eps`` of a
-schedule; at such points the multipliers themselves vanish and the corrected
-surface solves the full prescribed-curvature problem.  The outer solve is a
-chord iteration too, frozen at ``-2 eps`` times the Hessian of ``f`` that
-:func:`find_critical` classified at the Melnikov point; each pass is one
-``correct``, and a step reports the state of its smallest reduced gradient,
-so its ``iterations`` are that call's chord-loop passes.  Each step starts
-from the branch's first-order expansion (:func:`_predict`): the branch is
-C^1 in ``eps``, so ``q0 + (eps/eps_prev)(q_prev - q0)``, with the previous
-correction and multipliers scaled by the same ratio, is ``O(eps^2)`` from
-the step's solution.  A step's surface ``U_q + nu`` and
-``residual_sup`` come from the corrector's last chord pass (exact modal
-Laplacian); the spectral ``j_residual`` route is a test cross-check.
+Given the Hessian of ``f`` that :func:`find_critical` classified at the
+Melnikov point, the same loop also drives the reduced gradient -- an
+explicit linear expression in the multipliers -- to zero over ``q``, by the
+chord step on ``-2 eps`` times that Hessian; at such points the multipliers
+themselves vanish and the corrected surface solves the full
+prescribed-curvature problem.  One loop thus moves the correction's modal
+values, the multipliers and ``q`` together, and type-II Anderson mixing
+(Anderson 1965; Walker and Ni 2011) of its chord steps keeps it
+contracting where the frozen Jacobians are far from the true ones.
+``continuation`` makes one such call per ``eps`` of a schedule, and a
+step's ``iterations`` are its passes.  Each step starts from the branch's
+first-order expansion (:func:`_predict`): the branch is C^1 in ``eps``, so
+``q0 + (eps/eps_prev)(q_prev - q0)``, with the previous correction and
+multipliers scaled by the same ratio, is ``O(eps^2)`` from the step's
+solution.  A step's surface ``U_q + nu`` and ``residual_sup`` come from
+the loop's last pass (exact modal Laplacian); the spectral ``j_residual``
+route is a test cross-check.  A failed step names how its loop stopped
+(``stop``, a key of :data:`HINTS`) and the hint that follows from it.
 """
 
 from __future__ import annotations
@@ -44,13 +48,32 @@ from .halfspace import HyperbolicPoint
 from .linearized import _j_nodal, operator_pack
 from .melnikov import SEEDS, f_value, find_critical, stable_points
 
-# target of the 2-norm of the corrector's modal projected-equation residual:
-# a fifth of the outer solve's |grad| target, 1e-9
+# target of the 2-norm of the corrector's modal projected-equation residual
+# and of its constraint defect: a fifth of the |grad| target below
 NEWTON_RESIDUAL = 2e-10
+# target of |grad| of the reduced energy where the corrector moves q too
+GRADIENT_RESIDUAL = 1e-9
+# most residual evaluations of one corrector call
+MAX_PASSES = 60
+# earlier chord steps that Anderson mixing combines with the newest
+ANDERSON_DEPTH = 3
+# a loop that the pass cap ends is still contracting when its last
+# STALL_WINDOW passes came closer to the stop than every pass before them
+STALL_WINDOW = 10
 # largest sup of the curvature residual and of the multipliers xi, alpha in
 # a resolved solve step, and its largest conformality residual
 SOLVE_RESIDUAL = 1e-8
 SOLVE_CONFORMALITY = 1e-6
+# what a failed step suggests, by how its corrector loop stopped
+HINTS = {
+    "cap while contracting": "retry with smaller eps steps",
+    "stagnated": "the corrector stopped contracting at this eps: its "
+                 "frozen Jacobians are too far from the true ones here",
+    "left the half-space": "this eps pushes the sphere out of the "
+                           "half-space: stay at a smaller |eps|",
+    "not finite": "phi or the residual is not finite on the surface: "
+                  "check phi's domain",
+}
 
 
 @dataclass
@@ -84,28 +107,61 @@ class ReductionState:
     iterations: int
 
 
-def correct(eps, q, phi, params, grid, warm=None):
-    """Solve the projected problem at ``(eps, q)`` by a chord iteration.
+class CorrectorStopped(ConvergenceError):
+    """The corrector loop ended without a solution; ``stop`` (a key of
+    :data:`HINTS`) says how."""
+
+    def __init__(self, stop, text):
+        super().__init__(text)
+        self.stop = stop
+
+
+def _mix(xs, fs):
+    """Type-II Anderson mixing (Walker and Ni 2011) of the iterates ``xs``
+    and their chord steps ``fs``, oldest first: the newest iterate plus its
+    step, less the combination of the earlier differences whose steps best
+    cancel the newest step in the 2-norm."""
+    x, f = xs[-1], fs[-1]
+    if len(xs) == 1:
+        return x + f
+    dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+    gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+    return x + f - (dx + df) @ gamma
+
+
+def correct(eps, q, phi, params, grid, warm=None, hessian=None):
+    """Solve the projected problem at ``(eps, q)`` by a mixed chord loop.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
-    problem is exactly linear), so each step costs one block-by-block saddle
-    solve against the pack's saddle inverses, which the first call builds,
-    and the correction's second-order jet from one transform (its
-    Laplacian from the modes' degrees); the orthogonality constraints are
-    enforced inside the solve and stay at roundoff.  It stops once the
-    modal residual and the constraint defect are both at most
-    :data:`NEWTON_RESIDUAL`.  At ``eps = 0`` the iteration returns the zero
-    correction immediately.  A non-finite residual raises
-    :class:`NumericsError` at once.  A ``warm`` state that carries its
-    correction's jet ``nu`` (one this function returned) gives the first
-    pass that jet instead of a synthesis.
+    problem is exactly linear), so each pass costs one nodal residual, one
+    block-by-block saddle solve against the pack's saddle inverses, which
+    the first call builds, and the correction's second-order jet from one
+    transform (its Laplacian from the modes' degrees); the orthogonality
+    constraints are enforced inside the solve and stay at roundoff.  Given
+    the Melnikov ``hessian``, the loop moves the ball centre ``q`` too, by
+    the reduced step ``-(-2 eps hessian)^-1 grad`` on the multipliers'
+    reduced gradient, and its state is then a solution of the full
+    prescribed-curvature problem; without it ``q`` stays fixed.  Type-II
+    Anderson mixing of depth :data:`ANDERSON_DEPTH` combines the chord
+    steps over the correction's modal values, the multipliers and ``q``.
+    It stops once the modal residual and the constraint defect are both at
+    most :data:`NEWTON_RESIDUAL` and, where ``q`` moves, ``|grad|`` at most
+    :data:`GRADIENT_RESIDUAL`, and fails after :data:`MAX_PASSES` passes.
+    At ``eps = 0`` the iteration returns the zero correction immediately.
+    A residual or gradient that is not finite, a surface node below the
+    plane and a ball centre at ``p3 <= 0`` fail at once.  Every failure is
+    a :class:`CorrectorStopped`, whose ``stop`` says how the loop ended.
+    A ``warm`` state that carries its correction's jet ``nu`` (one this
+    function returned) gives the first pass that jet instead of a
+    synthesis.
     """
-    q = HyperbolicPoint.of(q)
+    q = HyperbolicPoint.of(q).array
     pack = operator_pack(grid, params)
     pack.saddle_factors
     mu2 = grid.mu[:, None] ** 2
-    scale = q.p3**2 * params.r**2
-    U = bubble(params, q, grid)
+    moving = hessian is not None and eps != 0.0
+    if moving:
+        jac = -2.0 * eps * hessian
 
     c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
     m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
@@ -113,32 +169,65 @@ def correct(eps, q, phi, params, grid, warm=None):
     if warm is not None and warm.nu is not None and warm.nu.grid is grid:
         jet = (warm.nu.values, warm.nu.dx, warm.nu.dy, warm.nu.lap)
 
-    for it in range(1, 61):
+    U, xs, fs, dists = None, [], [], []
+    for it in range(1, MAX_PASSES + 1):
+        if U is None:
+            U = bubble(params, HyperbolicPoint.of(q), grid)
+            scale = q[2] ** 2 * params.r ** 2
         if it > 1 or jet is None:
             jet = pack.nodal_vector_jet(c)
         nv, ndx, ndy, nlap = jet
         u = (U.values + nv, U.dx + ndx, U.dy + ndy)
-        J = _j_nodal(*u, U.lap + nlap, params, phi, eps)
+        low = np.min(u[0][:, 2])
+        if not low > 0.0:
+            raise CorrectorStopped(
+                "left the half-space", "the corrected surface left the "
+                f"half-space at chord step {it}: min p3 = {low:.3e}")
+        try:
+            J = _j_nodal(*u, U.lap + nlap, params, phi, eps)
+        except NumericsError as exc:
+            raise CorrectorStopped("not finite", str(exc)) from None
         # the generators' projections are the pack's frame_modal rows
         rmod = pack.project_vector(J / mu2) - pack.frame_modal.T @ m
         R2 = pack.frame_modal @ c
-        rnorm = float(np.linalg.norm(rmod))
-        if not np.isfinite(rnorm):
-            raise NumericsError(f"non-finite residual at chord step {it}")
-        if rnorm <= NEWTON_RESIDUAL and np.max(np.abs(R2)) <= NEWTON_RESIDUAL:
+        rnorm, defect = float(np.linalg.norm(rmod)), float(np.max(np.abs(R2)))
+        gnorm = float(np.linalg.norm(_gradient(m, params))) if moving else 0.0
+        if not np.isfinite(rnorm + gnorm):
+            raise CorrectorStopped(
+                "not finite", f"non-finite residual at chord step {it}")
+        dists.append(max(rnorm / NEWTON_RESIDUAL, defect / NEWTON_RESIDUAL,
+                         gnorm / GRADIENT_RESIDUAL))
+        if dists[-1] <= 1.0:
             break
         dc, dm = pack.saddle_solve(-scale * rmod, -R2)
-        c = c + dc
-        m = m + dm / scale
+        dm = dm / scale
+        dq = (-np.linalg.solve(jac, _gradient(m + dm, params)) if moving
+              else np.zeros(3))
+        xs.append(np.concatenate([c, m, q]))
+        fs.append(np.concatenate([dc, dm, dq]))
+        del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
+        x = _mix(xs, fs)
+        c, m, q_next = x[:c.size], x[c.size:-3], x[-3:]
+        if not q_next[2] > 0.0:
+            raise CorrectorStopped(
+                "left the half-space", "the ball centre left the half-space "
+                f"at chord step {it}: p3 = {q_next[2]:.3e}")
+        if not np.array_equal(q_next, q):
+            q, U = q_next, None
     else:
-        raise ConvergenceError(
-            f"projected solve stalled at residual {rnorm:.3e} after {it} steps")
+        contracting = (len(dists) <= STALL_WINDOW or min(
+            dists[-STALL_WINDOW:]) < min(dists[:-STALL_WINDOW]))
+        raise CorrectorStopped(
+            "cap while contracting" if contracting else "stagnated",
+            f"projected solve stalled at residual {rnorm:.3e}"
+            + (f", |grad| = {gnorm:.3e}," if moving else "")
+            + f" after {it} steps")
 
     return ReductionState(
-        eps=eps, q=q, nu=SphereField(grid, *jet),
+        eps=eps, q=HyperbolicPoint.of(q), nu=SphereField(grid, *jet),
         surface=SphereField(grid, *u), residual=SphereField(grid, J),
         nu_modal=c, xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=rnorm,
-        constraint_defect=float(np.max(np.abs(R2))), iterations=it)
+        constraint_defect=defect, iterations=it)
 
 
 def constant_matrices(params):
@@ -159,12 +248,18 @@ def constant_matrices(params):
     return M, Theta
 
 
+def _gradient(m, params):
+    """The reduced gradient ``(M xi + Theta alpha) / (2 c0)`` of the nine
+    multipliers ``m = (xi, alpha)``."""
+    M, Theta = constant_matrices(params)
+    return (M @ m[:6] + Theta @ m[6:]) / (2.0 * C0)
+
+
 def reduced_gradient(state, params):
     """Gradient of the reduced energy at the state's base point, the
     constant-matrix expression ``(M xi + Theta alpha) / (2 c0)`` in the
     state's multipliers."""
-    M, Theta = constant_matrices(params)
-    return (M @ state.xi + Theta @ state.alpha) / (2.0 * C0)
+    return _gradient(np.concatenate([state.xi, state.alpha]), params)
 
 
 def interaction_matrix(state, params):
@@ -203,40 +298,6 @@ def verify_side1(u, res, eps):
         val = np.sum(grid.weights / grid.mu**2 * integrand)
         out[name] = float(val / (2.0 * eps) if eps != 0.0 else val)
     return out
-
-
-def _solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
-    """Chord iteration over ``q`` at one ``eps`` on the Melnikov Jacobian
-    ``-2 eps hessian`` of ``grad_q = -2 eps grad f(q) + O(eps^2)``: at most
-    25 passes of one warm-started :func:`correct`, until ``|g|`` stops
-    falling or a step leaves the half-space.  Returns the state of smallest
-    ``|g|``, which must be within the noise floor 50 gtol; the error of a
-    state above it names the stop that ended the loop."""
-    gtol, passes = 1e-9, 25
-    jac = -2.0 * eps * hessian
-    q, state, gn = HyperbolicPoint.of(q_start).array, warm, np.inf
-    for _ in range(passes):
-        trial = correct(eps, HyperbolicPoint.of(q), phi, params, grid,
-                        warm=state)
-        g = reduced_gradient(trial, params)
-        gnew = np.linalg.norm(g)
-        if not gnew < gn:
-            stop = f"a pass did not lower it (|grad| = {gnew:.3e})"
-            break
-        state, gn = trial, gnew
-        if gn <= gtol:
-            break
-        q = q - np.linalg.solve(jac, g)
-        if not q[2] > 0.0:
-            stop = f"a step went to p3 = {q[2]:.3e} <= 0"
-            break
-    else:
-        stop = (f"the cap of {passes} passes ended it while |grad| was "
-                "still falling")
-    if gn > 50.0 * gtol:
-        raise ConvergenceError("no reduced critical point: outer iteration "
-                               f"stopped at |grad| = {gn:.3e}: {stop}")
-    return state
 
 
 def _report(state, phi, params, proxy=None):
@@ -318,8 +379,12 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     line maps to its dedicated exit code); the search starts from the
     ``seeds`` points of a box lattice.  The solve at each ``eps`` starts
     from the first-order prediction of :func:`_predict`, ``O(eps^2)`` from
-    its solution.  Stops at the first failure, keeping every completed
-    report with the corrected surface's diagnostics.  A step's ``status``
+    its solution, and is one :func:`correct` call that moves ``q`` on the
+    critical point's Hessian.  Stops at the first failure, keeping every
+    completed report with the corrected surface's diagnostics; the failed
+    step's report holds the error, the ``stop`` of the loop that raised it
+    and that stop's entry of :data:`HINTS` (both ``None`` for an error no
+    loop recorded).  A step's ``status``
     says whether its solve converged, its ``resolved`` whether the grid
     resolves the solution: the sup of the curvature residual and of the
     multipliers at most :data:`SOLVE_RESIDUAL`, the conformality residual at
@@ -336,11 +401,12 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     for eps in eps_schedule:
         try:
             q_start, warm = _predict(q0, state, eps)
-            state = _solve_at(eps, phi, params, grid, q_start, hessian,
-                              warm=warm)
+            state = correct(eps, q_start, phi, params, grid, warm=warm,
+                            hessian=hessian)
         except NumericsError as exc:
+            stop = getattr(exc, "stop", None)
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
-                            "hint": "retry with smaller eps steps"})
+                            "stop": stop, "hint": HINTS.get(stop)})
             break
         rep = _report(state, phi, params, proxy=stable[0].classification)
         reports.append(dict(rep, status="ok", _surface=state.surface))

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,6 @@ import cmc_hyp
 from cmc_hyp import chart, cli, melnikov, reduction
 from cmc_hyp import energy as en
 from cmc_hyp.cli import main
-from cmc_hyp.errors import ConvergenceError
 
 BOX = "-0.4,0.4,-0.4,0.4,0.6,1.6"
 BUMP = "exp(-hypdist(0,0,1)^2)"
@@ -106,14 +106,14 @@ def test_solve_command_and_artifacts(tmp_path):
 
 
 def test_halted_solve_keeps_its_steps(tmp_path, monkeypatch):
-    solve_at = reduction._solve_at
+    correct = reduction.correct
 
     def fail_after_first(eps, *args, **kwargs):
         if eps != 0.01:
-            raise ConvergenceError("forced failure")
-        return solve_at(eps, *args, **kwargs)
+            raise reduction.CorrectorStopped("stagnated", "forced failure")
+        return correct(eps, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "_solve_at", fail_after_first)
+    monkeypatch.setattr(reduction, "correct", fail_after_first)
     out = tmp_path / "halt"
     rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
                "--eps", "0.01,0.005", "--box=" + BOX, "--out", str(out)])
@@ -124,7 +124,9 @@ def test_halted_solve_keeps_its_steps(tmp_path, monkeypatch):
     first, second = doc["result"]["steps"]
     assert first["status"] == "ok" and first["eps"] == 0.01
     assert second["status"] == "failed" and second["eps"] == 0.005
-    assert second["error"] == "forced failure" and second["hint"]
+    assert second["error"] == "forced failure"
+    assert second["stop"] == "stagnated"
+    assert second["hint"] == reduction.HINTS["stagnated"]
     assert sorted(f.name for f in out.glob("surface_*.csv")) == \
         ["surface_0.01.csv"]
 
@@ -494,6 +496,30 @@ def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert records[0]["threads"] == 1
 
 
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at n = 40 the corrector's products round differently on one and two
+    # OpenBLAS threads, unless the command pins one
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        subprocess.run(
+            [sys.executable, "-m", "cmc_hyp.cli", "solve", "--k", "2",
+             "--grid-n", "40", "--phi", "exp(-hypdist(0.1,0,0.9)^2) + 0.02*p1",
+             "--eps=0.005,-0.01,0.02", "--box=" + BOX, "--out", str(out)],
+            env=_library_env(OPENBLAS_NUM_THREADS=str(t)),
+            capture_output=True, check=True)
+    records = [read_summary(out)["result"].get("blas") for out in outs]
+    if any(r is not None and r["threads"] is None for r in records):
+        pytest.skip("no OpenBLAS thread control found")
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    assert len([n for n in names if n.startswith("surface_")]) == 3
+    for name in names:
+        one, two = ((out / name).read_text().replace(str(out), "OUT")
+                    for out in outs)
+        assert one == two, name
+    assert records[0]["threads"] == 1
+
+
 def test_certificate_restores_the_blas_thread_count(tmp_path):
     control = cli._openblas_threads()
     if control is None:
@@ -512,38 +538,39 @@ def test_certificate_restores_the_blas_thread_count(tmp_path):
 
 
 def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
-    # the eps = 2 step drives the surface below the plane; that halts the
-    # schedule as a failed step, and the converged eps = 0.01 step stays
+    # the eps = -3 step drives the surface below the plane; that halts the
+    # schedule as a failed step, and the converged eps = -0.01 step stays
     out = tmp_path / "solve"
     rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
-               "--eps", "0.01,2.0", "--box=" + BOX, "--out", str(out)])
+               "--eps=-0.01,-3.0", "--box=" + BOX, "--out", str(out)])
     assert rc == 3
     doc = read_summary(out)
     assert doc["status"] == "failed_checks"
     first, second = doc["result"]["steps"]
-    assert first["eps"] == 0.01 and first["status"] == "ok"
-    assert second["eps"] == 2.0 and second["status"] == "failed"
+    assert first["eps"] == -0.01 and first["status"] == "ok"
+    assert second["eps"] == -3.0 and second["status"] == "failed"
     assert "left the half-space" in second["error"]
+    assert second["stop"] == "left the half-space"
+    assert second["hint"] == reduction.HINTS["left the half-space"]
     assert sorted(f.name for f in out.glob("surface_*.csv")) == \
-        ["surface_0.01.csv"]
+        ["surface_-0.01.csv"]
 
 
 def test_outer_loop_error_names_the_pass_cap(tmp_path):
-    # the eps = -0.3 step's outer loop is still lowering |grad| (1.4e-7,
-    # above the 5e-8 floor) when its 25-pass cap ends it
+    # from a cold start at eps = 1 the loop is still closing in (|grad|
+    # 1.4e-9, just above its 1e-9 target) when its 60-pass cap ends it, so
+    # smaller eps steps are the remedy
     out = tmp_path / "cap"
     rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi",
-               "exp(-hypdist(0.167845,-0.102928,1.112917)^2)"
-               " + 0.211411*exp(-hypdist(-0.165472,0.035801,1.260455)^2)",
-               "--eps=-0.1,-0.3", "--box=" + BOX, "--out", str(out)])
+               "exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1",
+               "--eps=1.0", "--box=" + BOX, "--out", str(out)])
     assert rc == 3
-    first, second = read_summary(out)["result"]["steps"]
-    assert first["status"] == "ok"
-    assert second["status"] == "failed"
-    assert second["error"] == (
-        "no reduced critical point: outer iteration stopped at |grad| = "
-        "1.363e-07: the cap of 25 passes ended it while |grad| was still "
-        "falling")
+    (step,) = read_summary(out)["result"]["steps"]
+    assert step["status"] == "failed"
+    assert re.fullmatch(r"projected solve stalled at residual \S+, \|grad\| = "
+                        r"\S+, after 60 steps", step["error"]), step["error"]
+    assert step["stop"] == "cap while contracting"
+    assert step["hint"] == "retry with smaller eps steps"
 
 
 def test_solve_samples_phi_only_where_the_surface_reaches(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -92,22 +93,34 @@ def test_continuation_never_calls_spectral_derivatives(grid24, params2,
     def refuse(*args, **kwargs):
         raise AssertionError("continuation called chart.spectral_derivatives")
 
-    counts = {"bubble": 0, "correct": 0}
+    counts = {"inside": 0, "outside": 0, "correct": 0}
+    bubble, correct = red.bubble, red.correct
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+    def counting_bubble(*args, **kwargs):
+        counts["inside" if inside else "outside"] += 1
+        return bubble(*args, **kwargs)
 
+    def counting_correct(*args, **kwargs):
+        nonlocal inside
+        counts["correct"] += 1
+        inside = True
+        try:
+            return correct(*args, **kwargs)
+        finally:
+            inside = False
+
+    inside = False
     monkeypatch.setattr(ch, "spectral_derivatives", refuse)
-    monkeypatch.setattr(red, "bubble", counting("bubble", red.bubble))
-    monkeypatch.setattr(red, "correct", counting("correct", red.correct))
+    monkeypatch.setattr(red, "bubble", counting_bubble)
+    monkeypatch.setattr(red, "correct", counting_correct)
     phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)")
     reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX, grid24)
     assert [r["status"] for r in reports] == ["ok"] * 3
     assert all(r["resolved"] for r in reports)
-    assert counts["bubble"] == counts["correct"] > 0
+    # one corrector call per step, which samples the sphere once per pass
+    # in which q moved
+    assert counts["correct"] == 3
+    assert counts["outside"] == 0 and counts["inside"] >= 3
 
 
 def test_warm_correct_reuses_the_jet_it_returned(grid16, params2, bump,
@@ -314,8 +327,8 @@ def test_predict_falls_back_inside_the_half_space():
 
 def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
     # starting each later step from the first-order expansion, with the
-    # outer Jacobian frozen at the Melnikov point, makes 9 corrector calls
-    # (38 chord passes) here
+    # reduced Jacobian frozen at the Melnikov point, makes 3 corrector calls
+    # (16 mixed passes) here; the former nested loop made 9 (38 passes)
     calls = []
     correct = red.correct
 
@@ -329,38 +342,65 @@ def test_continuation_predictor_saves_work(grid16, params2, monkeypatch):
     reports = red.continuation([0.02, 0.01, 0.005], phi, params2, BOX,
                                grid16)
     assert all(r["status"] == "ok" and r["resolved"] for r in reports)
-    assert len(calls) <= 9, calls
+    assert len(calls) == 3, calls
+    assert sum(calls) <= 16, calls
 
 
 def test_correct_reports_a_stalled_chord_loop(params2):
-    # at eps = -0.6 the chord iteration frozen at the unperturbed sphere
-    # does not contract; after its 60 steps it raises, naming the residual
+    # at eps = 1.2 the chord iteration frozen at the unperturbed sphere
+    # does not contract, mixed or not; after its 60 steps it raises, naming
+    # the residual and how the loop ended
     phi = phi_to_prescribed("exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1")
     with pytest.raises(ConvergenceError,
                        match=r"projected solve stalled at residual \S+ "
-                             "after 60 steps"):
-        red.correct(-0.6, (0.178, 0.05, 1.08), phi, params2,
+                             "after 60 steps") as err:
+        red.correct(1.2, (0.178, 0.05, 1.08), phi, params2,
                     ch.build_grid(16))
+    assert err.value.stop == "stagnated"
 
 
 def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
                                                  monkeypatch):
-    # scripted reduced gradients against the Jacobian -2 eps I = -0.2 I,
-    # so each pass moves q by 5 g
-    def stop(grads):
-        it = iter(grads)
-        monkeypatch.setattr(red, "correct", lambda eps, q, *a, **kw: q)
-        monkeypatch.setattr(red, "reduced_gradient", lambda s, p: next(it))
-        with pytest.raises(ConvergenceError) as err:
-            red._solve_at(0.1, None, params2, grid16, Q0, np.eye(3))
-        return str(err.value)
+    # scripted reduced gradients against the Jacobian -2 eps I = -0.2 I on
+    # the unperturbed sphere (no phi), where the correction and the
+    # multipliers stay at roundoff; the first pass moves q by 5 g, and the
+    # loop samples the sphere once per pass in which q moved, which
+    # numbers the passes
+    def run(script):
+        passes = []
+        bubble = red.bubble
 
-    assert stop([np.full(3, 1e-3)] * 2).endswith(
-        "a pass did not lower it (|grad| = 1.732e-03)")
-    assert stop([np.array([0.0, 0.0, -1.0])]).endswith(
-        "a step went to p3 = -4.000e+00 <= 0")
-    assert stop([np.full(3, 1e-3 * 0.8**i) for i in range(25)]).endswith(
-        "the cap of 25 passes ended it while |grad| was still falling")
+        def counting(params, q, grid):
+            passes.append(q)
+            return bubble(params, q, grid)
+
+        monkeypatch.setattr(red, "bubble", counting)
+        monkeypatch.setattr(red, "_gradient",
+                            lambda m, params: script(len(passes)))
+        return red.correct(0.1, Q0, None, params2, grid16,
+                           hessian=np.eye(3))
+
+    def stop(script):
+        with pytest.raises(ConvergenceError) as err:
+            run(script)
+        return err.value.stop, str(err.value)
+
+    # |grad| = 1.7e-3 * 0.1^k first meets 1e-9 at the seventh pass
+    assert run(lambda k: np.full(3, 1e-3 * 0.1**k)).iterations == 7
+    stalled = r"projected solve stalled at residual \S+, \|grad\| = {}, " \
+        "after 60 steps"
+    kind, text = stop(lambda k: np.full(3, 1e-3 * 0.8**k))
+    assert kind == "cap while contracting"
+    assert re.fullmatch(stalled.format(r"\S+"), text), text
+    kind, text = stop(lambda k: np.full(3, 1e-3))
+    assert kind == "stagnated"
+    assert re.fullmatch(stalled.format("1.732e-03"), text), text
+    assert stop(lambda k: np.array([0.0, 0.0, -1.0])) == (
+        "left the half-space",
+        "the ball centre left the half-space at chord step 1: p3 = "
+        "-4.000e+00")
+    assert stop(lambda k: np.full(3, np.nan)) == (
+        "not finite", "non-finite residual at chord step 1")
 
 
 def test_continuation_reuses_the_melnikov_hessian(grid16, params2, bump):
@@ -394,8 +434,8 @@ def test_continuation_to_eps_zero_returns_to_the_critical_point(
 def test_continuation_sharp_second_bump_at_n32(params2):
     # a narrow second bump leaves nu a modal tail of 1e-10 at n = 24; at
     # n = 32 the tail is at roundoff, and residual_sup sits below 7e-10, the
-    # floor set by the solver's stopping tolerance (NEWTON_RESIDUAL, with
-    # the outer loop's gtol of 1e-9), not by the resolution
+    # floor set by the solver's stopping tolerances (NEWTON_RESIDUAL and
+    # GRADIENT_RESIDUAL), not by the resolution
     phi = phi_to_prescribed("exp(-hypdist(0,0,1)^2)"
                             " + 0.25*exp(-4*hypdist(0.2,0.1,0.9)^2)",
                             probe_box=BOX)
@@ -461,3 +501,101 @@ def test_nu_tail_reports_resolution(params2):
     assert tails[2] < 1e-9
     zero = red.correct(0.0, q, phi, params2, ch.build_grid(12))
     assert red._report(zero, phi, params2)["nu_tail"] == 0.0
+
+
+def _nested_solve_at(eps, phi, params, grid, q_start, hessian, warm=None):
+    """The former nested solve, kept as the reference: a chord loop over
+    ``q`` on ``-2 eps hessian``, each of its at most 25 passes one
+    fixed-``q`` :func:`correct` warm-started from the pass before, which
+    returns the state of smallest ``|grad|`` once that is at most 1e-9, or
+    within the noise floor 50e-9 when the loop stops otherwise."""
+    gtol = 1e-9
+    jac = -2.0 * eps * hessian
+    q, state, gn = HyperbolicPoint.of(q_start).array, warm, np.inf
+    for _ in range(25):
+        trial = red.correct(eps, HyperbolicPoint.of(q), phi, params, grid,
+                            warm=state)
+        gnew = np.linalg.norm(red.reduced_gradient(trial, params))
+        if not gnew < gn:
+            break
+        state, gn = trial, gnew
+        if gn <= gtol:
+            break
+        q = q - np.linalg.solve(jac, red.reduced_gradient(trial, params))
+        if not q[2] > 0.0:
+            break
+    assert gn <= 50.0 * gtol, gn
+    return state
+
+
+@pytest.mark.parametrize("text", [
+    "exp(-hypdist(0.1,0,0.9)^2)",
+    "exp(-hypdist(0.1,0,0.9)^2) + 0.02*p1",
+    "exp(-hypdist(0.167845,-0.102928,1.112917)^2)"
+    " + 0.211411*exp(-hypdist(-0.165472,0.035801,1.260455)^2)"])
+def test_mixed_loop_matches_the_nested_loop(params2, text):
+    # both loops converge at every step; they stop at |grad| <= 1e-9 (the
+    # nested one accepts up to its 50e-9 floor) on the Jacobian -2 eps H0,
+    # so two accepted q differ by at most
+    # 2 * 50e-9 / (2 |eps| lambda_min(|H0|)), fixed beforehand
+    phi = phi_to_prescribed(text, probe_box=BOX)
+    crit = mel.stable_points(mel.find_critical(phi, params2, BOX))[0]
+    lam = np.min(np.abs(np.linalg.eigvalsh(crit.hessian)))
+    for n in (16, 24):
+        grid = ch.build_grid(n)
+        for sign in (1.0, -1.0):
+            mixed = nested = None
+            for eps in (0.02 * sign, 0.01 * sign, 0.005 * sign):
+                q_start, warm = red._predict(crit.q, nested, eps)
+                nested = _nested_solve_at(eps, phi, params2, grid, q_start,
+                                          crit.hessian, warm=warm)
+                q_start, warm = red._predict(crit.q, mixed, eps)
+                mixed = red.correct(eps, q_start, phi, params2, grid,
+                                    warm=warm, hessian=crit.hessian)
+                assert np.linalg.norm(red.reduced_gradient(mixed, params2)) \
+                    <= red.GRADIENT_RESIDUAL
+                bound = 2 * 50 * 1e-9 / (2 * abs(eps) * lam)
+                diff = np.max(np.abs(mixed.q.array - nested.q.array))
+                assert diff <= bound, (n, eps, diff, bound)
+
+
+G = "exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1"
+
+
+@pytest.mark.parametrize("schedule, route", [
+    ([-0.2, -0.4], [-0.1, -0.2, -0.3, -0.4]),
+    ([0.4, 0.8], [0.1 * i for i in range(1, 9)])])
+def test_mixed_loop_reaches_large_eps(params2, schedule, route):
+    # the frozen chord loops stalled at eps = -0.4 and 0.8 on this wide
+    # bump; mixed, two steps resolve, and end where steps of 0.1 do
+    phi = phi_to_prescribed(G, probe_box=BOX)
+    grid = ch.build_grid(32)
+    far, near = (red.continuation(s, phi, params2, BOX, grid)
+                 for s in (schedule, route))
+    for rep in far + near:
+        assert rep["status"] == "ok" and rep["resolved"], rep
+    assert near[-1]["eps"] == pytest.approx(far[-1]["eps"], abs=1e-15)
+    assert np.max(np.abs(np.subtract(far[-1]["q"], near[-1]["q"]))) <= 1e-9
+
+
+@pytest.mark.parametrize("text, schedule, box, stop", [
+    (G, [1.0], BOX, "cap while contracting"),
+    ("exp(-hypdist(0.167845,-0.102928,1.112917)^2)"
+     " + 0.211411*exp(-hypdist(-0.165472,0.035801,1.260455)^2)", [1.2], BOX,
+     "stagnated"),
+    ("exp(-hypdist(0,0,1)^2)", [-0.01, -3.0], BOX, "left the half-space"),
+    ("exp(-hypdist(0,0,2.5)^2) + 0.01*sqrt(p3 - 1.1)", [-0.5],
+     (-0.4, 0.4, -0.4, 0.4, 2.0, 3.0), "not finite")])
+def test_failed_step_hint_follows_the_stop(params2, text, schedule, box,
+                                           stop):
+    # only a loop the pass cap ended while it still contracted is told to
+    # take smaller eps steps
+    phi = phi_to_prescribed(text, probe_box=box)
+    reports = red.continuation(schedule, phi, params2, box,
+                               ch.build_grid(16))
+    assert [r["status"] for r in reports] == \
+        ["ok"] * (len(schedule) - 1) + ["failed"]
+    assert reports[-1]["stop"] == stop
+    assert reports[-1]["hint"] == red.HINTS[stop]
+    assert ("smaller eps steps" in reports[-1]["hint"]) == \
+        (stop == "cap while contracting")
