@@ -22,8 +22,9 @@ prescribed-curvature problem.  One loop thus moves the correction's modal
 values, the multipliers and ``q`` together, and type-II Anderson mixing
 (Anderson 1965; Walker and Ni 2011) of its chord steps keeps it
 contracting where the frozen Jacobians are far from the true ones.
-``continuation`` makes one such call per ``eps`` of a schedule, and a
-step's ``iterations`` are its passes.  Each step starts from the branch's
+``continuation`` makes one such call per ``eps`` of a schedule, which
+fails once ``q`` leaves the search box, and a step's ``iterations`` are
+its passes.  Each step starts from the branch's
 first-order expansion (:func:`_predict`): the branch is C^1 in ``eps``, so
 ``q0 + (eps/eps_prev)(q_prev - q0)``, with the previous correction and
 multipliers scaled by the same ratio, is ``O(eps^2)`` from the step's
@@ -71,6 +72,8 @@ HINTS = {
                  "frozen Jacobians are too far from the true ones here",
     "left the half-space": "this eps pushes the sphere out of the "
                            "half-space: stay at a smaller |eps|",
+    "left the box": "the ball centre left the search box, away from the "
+                    "branch of its critical point: stay at a smaller |eps|",
     "not finite": "phi or the residual is not finite on the surface: "
                   "check phi's domain",
 }
@@ -129,7 +132,7 @@ def _mix(xs, fs):
     return x + f - (dx + df) @ gamma
 
 
-def correct(eps, q, phi, params, grid, warm=None, hessian=None):
+def correct(eps, q, phi, params, grid, warm=None, hessian=None, box=None):
     """Solve the projected problem at ``(eps, q)`` by a mixed chord loop.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
@@ -149,13 +152,18 @@ def correct(eps, q, phi, params, grid, warm=None, hessian=None):
     :data:`GRADIENT_RESIDUAL`, and fails after :data:`MAX_PASSES` passes.
     At ``eps = 0`` the iteration returns the zero correction immediately.
     A residual or gradient that is not finite, a surface node below the
-    plane and a ball centre at ``p3 <= 0`` fail at once.  Every failure is
+    plane, a ball centre at ``p3 <= 0`` and, given a search ``box``
+    ``x0,x1,y0,y1,z0,z1``, a ball centre outside it fail at once: the
+    absolute ``|grad|`` stop also holds far out where ``phi`` has vanished,
+    so a centre that leaves the box has left the branch.  Every failure is
     a :class:`CorrectorStopped`, whose ``stop`` says how the loop ended.
     A ``warm`` state that carries its correction's jet ``nu`` (one this
     function returned) gives the first pass that jet instead of a
     synthesis.
     """
     q = HyperbolicPoint.of(q).array
+    if box is not None:
+        box = np.asarray(box, dtype=float)
     pack = operator_pack(grid, params)
     pack.saddle_factors
     mu2 = grid.mu[:, None] ** 2
@@ -212,11 +220,16 @@ def correct(eps, q, phi, params, grid, warm=None, hessian=None):
             raise CorrectorStopped(
                 "left the half-space", "the ball centre left the half-space "
                 f"at chord step {it}: p3 = {q_next[2]:.3e}")
+        if box is not None and not np.all(
+                (box[::2] <= q_next) & (q_next <= box[1::2])):
+            raise CorrectorStopped(
+                "left the box", "the ball centre left the search box at "
+                f"chord step {it}: q = ({q_next[0]:.3e}, {q_next[1]:.3e}, "
+                f"{q_next[2]:.3e})")
         if not np.array_equal(q_next, q):
             q, U = q_next, None
     else:
-        contracting = (len(dists) <= STALL_WINDOW or min(
-            dists[-STALL_WINDOW:]) < min(dists[:-STALL_WINDOW]))
+        contracting = min(dists[-STALL_WINDOW:]) < min(dists[:-STALL_WINDOW])
         raise CorrectorStopped(
             "cap while contracting" if contracting else "stagnated",
             f"projected solve stalled at residual {rnorm:.3e}"
@@ -380,7 +393,7 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     ``seeds`` points of a box lattice.  The solve at each ``eps`` starts
     from the first-order prediction of :func:`_predict`, ``O(eps^2)`` from
     its solution, and is one :func:`correct` call that moves ``q`` on the
-    critical point's Hessian.  Stops at the first failure, keeping every
+    critical point's Hessian and keeps it in ``box``.  Stops at the first failure, keeping every
     completed report with the corrected surface's diagnostics; the failed
     step's report holds the error, the ``stop`` of the loop that raised it
     and that stop's entry of :data:`HINTS` (both ``None`` for an error no
@@ -402,7 +415,7 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
         try:
             q_start, warm = _predict(q0, state, eps)
             state = correct(eps, q_start, phi, params, grid, warm=warm,
-                            hessian=hessian)
+                            hessian=hessian, box=box)
         except NumericsError as exc:
             stop = getattr(exc, "stop", None)
             reports.append({"eps": eps, "status": "failed", "error": str(exc),

@@ -538,17 +538,18 @@ def test_certificate_restores_the_blas_thread_count(tmp_path):
 
 
 def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
-    # the eps = -3 step drives the surface below the plane; that halts the
-    # schedule as a failed step, and the converged eps = -0.01 step stays
+    # the eps = -5 step's predicted start puts the surface below the plane;
+    # that halts the schedule as a failed step, and the converged
+    # eps = -0.01 step stays
     out = tmp_path / "solve"
     rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
-               "--eps=-0.01,-3.0", "--box=" + BOX, "--out", str(out)])
+               "--eps=-0.01,-5.0", "--box=" + BOX, "--out", str(out)])
     assert rc == 3
     doc = read_summary(out)
     assert doc["status"] == "failed_checks"
     first, second = doc["result"]["steps"]
     assert first["eps"] == -0.01 and first["status"] == "ok"
-    assert second["eps"] == -3.0 and second["status"] == "failed"
+    assert second["eps"] == -5.0 and second["status"] == "failed"
     assert "left the half-space" in second["error"]
     assert second["stop"] == "left the half-space"
     assert second["hint"] == reduction.HINTS["left the half-space"]
@@ -556,16 +557,38 @@ def test_solve_step_off_the_half_space_keeps_the_steps_before(tmp_path):
         ["surface_-0.01.csv"]
 
 
+@pytest.mark.parametrize("eps", ["2.0", "3.0"])
+def test_solve_step_off_the_box_fails(tmp_path, eps):
+    # far out, where phi has vanished, |grad| <= 1e-9 holds off the branch
+    # (at eps = 3 the loop converged at p3 = 164.85 when nothing bounded
+    # q); the step fails once its ball centre leaves the search box, and
+    # the eps = 0.01 step stays
+    out = tmp_path / "solve"
+    rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
+               f"--eps=0.01,{eps}", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    first, second = read_summary(out)["result"]["steps"]
+    assert first["status"] == "ok"
+    assert second["status"] == "failed"
+    assert second["error"].startswith("the ball centre left the search box")
+    assert second["stop"] == "left the box"
+    assert second["hint"] == reduction.HINTS["left the box"]
+    assert sorted(f.name for f in out.glob("surface_*.csv")) == \
+        ["surface_0.01.csv"]
+
+
 def test_outer_loop_error_names_the_pass_cap(tmp_path):
-    # from a cold start at eps = 1 the loop is still closing in (|grad|
-    # 1.4e-9, just above its 1e-9 target) when its 60-pass cap ends it, so
-    # smaller eps steps are the remedy
+    # from the eps = 0.01 step, the eps = 1 step's loop is still closing in
+    # (its distance to the stop falls from 3.9e9 to 1.2e4 times the
+    # targets) when its 60-pass cap ends it, so smaller eps steps are the
+    # remedy
     out = tmp_path / "cap"
     rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi",
-               "exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1",
-               "--eps=1.0", "--box=" + BOX, "--out", str(out)])
+               "exp(-hypdist(0,0,1)^2) + 0.1*p1",
+               "--eps=0.01,1.0", "--box=" + BOX, "--out", str(out)])
     assert rc == 3
-    (step,) = read_summary(out)["result"]["steps"]
+    first, step = read_summary(out)["result"]["steps"]
+    assert first["status"] == "ok"
     assert step["status"] == "failed"
     assert re.fullmatch(r"projected solve stalled at residual \S+, \|grad\| = "
                         r"\S+, after 60 steps", step["error"]), step["error"]

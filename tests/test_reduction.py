@@ -366,7 +366,7 @@ def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
     # multipliers stay at roundoff; the first pass moves q by 5 g, and the
     # loop samples the sphere once per pass in which q moved, which
     # numbers the passes
-    def run(script):
+    def run(script, box=None):
         passes = []
         bubble = red.bubble
 
@@ -378,11 +378,11 @@ def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
         monkeypatch.setattr(red, "_gradient",
                             lambda m, params: script(len(passes)))
         return red.correct(0.1, Q0, None, params2, grid16,
-                           hessian=np.eye(3))
+                           hessian=np.eye(3), box=box)
 
-    def stop(script):
+    def stop(script, box=None):
         with pytest.raises(ConvergenceError) as err:
-            run(script)
+            run(script, box)
         return err.value.stop, str(err.value)
 
     # |grad| = 1.7e-3 * 0.1^k first meets 1e-9 at the seventh pass
@@ -401,6 +401,13 @@ def test_outer_loop_names_the_stop_that_ended_it(grid16, params2,
         "-4.000e+00")
     assert stop(lambda k: np.full(3, np.nan)) == (
         "not finite", "non-finite residual at chord step 1")
+    # a step of 5 * 0.1 in p1 takes q0 past the box's x1 = 0.4; steps
+    # that stay inside it converge as without the box
+    assert stop(lambda k: np.array([0.1, 0.0, 0.0]), BOX) == (
+        "left the box", "the ball centre left the search box at chord "
+        "step 1: q = (5.000e-01, 0.000e+00, 1.000e+00)")
+    assert run(lambda k: np.array([1e-3, 0.0, 0.0]) * 0.1**k,
+               BOX).iterations == 7
 
 
 def test_continuation_reuses_the_melnikov_hessian(grid16, params2, bump):
@@ -579,11 +586,13 @@ def test_mixed_loop_reaches_large_eps(params2, schedule, route):
 
 
 @pytest.mark.parametrize("text, schedule, box, stop", [
-    (G, [1.0], BOX, "cap while contracting"),
+    ("exp(-hypdist(0,0,1)^2) + 0.1*p1", [0.01, 1.0], BOX,
+     "cap while contracting"),
     ("exp(-hypdist(0.167845,-0.102928,1.112917)^2)"
      " + 0.211411*exp(-hypdist(-0.165472,0.035801,1.260455)^2)", [1.2], BOX,
      "stagnated"),
-    ("exp(-hypdist(0,0,1)^2)", [-0.01, -3.0], BOX, "left the half-space"),
+    ("exp(-hypdist(0,0,1)^2)", [-0.01, -5.0], BOX, "left the half-space"),
+    ("exp(-hypdist(0,0,1)^2)", [0.01, 3.0], BOX, "left the box"),
     ("exp(-hypdist(0,0,2.5)^2) + 0.01*sqrt(p3 - 1.1)", [-0.5],
      (-0.4, 0.4, -0.4, 0.4, 2.0, 3.0), "not finite")])
 def test_failed_step_hint_follows_the_stop(params2, text, schedule, box,
