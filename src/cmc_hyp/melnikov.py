@@ -24,10 +24,15 @@ grows towards k = 1.
 :func:`newton` is the damped Newton over the ball center that
 :func:`find_critical` runs from every point of a fixed box lattice at once,
 so the search is a function of its inputs alone.  The seeds move in
-rounds: each round is one stacked :func:`f_hessian` call for the seeds that
-begin a step and one stacked :func:`f_gradient` call for every seed's trial
-point, and each seed takes the steps its own run would.  The obstruction
-scan and the CSV scan are one stacked :func:`f_gradient` call each.
+rounds.  The first takes every seed's gradient and Hessian from one
+stacked :func:`f_hessian` call; each later round is one stacked
+:func:`f_hessian` call for the seeds that begin a step, and every round one
+stacked :func:`f_gradient` call for every seed's trial point.  Each seed
+takes the steps its own run would, until its iterate comes within
+:data:`MERGE_RADIUS` of a lower seed's that runs or has converged: then it
+has joined that seed's basin and stops, unless the lower seed ends without
+converging.  The obstruction scan and the CSV scan are one stacked
+:func:`f_gradient` call each.
 
 The catalog (``phi_constant``, ``phi_coordinate``, ``phi_norm``,
 ``phi_dist_squared``, ``phi_radial_gaussian``) is a set of expressions in
@@ -57,6 +62,8 @@ BOUNDARY_GRID_N = 24
 
 # Newton iterations per seed of the critical-point search
 NEWTON_MAX_ITER = 40
+# hyperbolic distance within which a Newton start joins a lower start's basin
+MERGE_RADIUS = 1e-2
 SEEDS = 27          # default Newton starts of the search, a 3^3 lattice
 
 # margin by which a derivative must keep one sign over the lattice to count
@@ -306,40 +313,53 @@ def _levenberg(H, hscale, lam, g):
 
 def newton(gradient, hessian, starts, gtol, inside):
     """Levenberg-damped Newton from each of the ``starts`` ``(m, 3)`` for a
-    zero of ``gradient``, all in lockstep.
+    zero of ``gradient``, all in lockstep, one path per basin.
 
     Per start, a step takes ``H`` from ``hessian(q) = (g, H)`` and tries
     ``(H + lam max|H| I) s = -g`` up to eight times: a trial is accepted
     when ``gradient`` at it has a lower ``|g|_2`` (then ``lam /= 3``, else
-    ``lam *= 4`` from 1e-4, as for a singular matrix).  A trial outside
-    ``inside`` ends that start unevaluated, and a start stops at ``|g| <=
-    gtol`` or after :data:`NEWTON_MAX_ITER` steps.  The starts move in
+    ``lam *= 4`` from 1e-4, as for a singular matrix).  The starts move in
     rounds: one ``hessian`` call on the stack of starts that begin a step,
     one ``gradient`` call on the stack of every start's trial point; so
     both callables take ``(j, 3)`` stacks, and return ``(j, 3)`` gradients
-    and ``(j, 3, 3)`` Hessians.  Each start's iterates are those of its own
-    run, bit for bit.  Returns the last accepted ``(q, g)`` of every start
-    as two ``(m, 3)`` stacks; the caller judges ``|g|``.
+    and ``(j, 3, 3)`` Hessians.  The first round takes every start's ``g``
+    and ``H`` from one ``hessian`` call, whose ``g`` must be ``gradient``'s
+    bit for bit.
+
+    After each round a running start stops, ``"merged"``, when its iterate
+    lies within :data:`MERGE_RADIUS` (hyperbolic distance, so every iterate
+    must keep ``p3 > 0``) of the iterate of a lower start that runs or has
+    converged: it has joined that start's basin.  It keeps its state, and
+    resumes if the start it follows ends without converging.  A start that
+    runs ends ``"converged"`` at ``|g| <= gtol``, ``"left"`` at a trial
+    outside ``inside`` (not evaluated), ``"refused"`` after eight refused
+    tries and ``"cap"`` after :data:`NEWTON_MAX_ITER` steps.  Each start's
+    iterates are those of its own run, bit for bit, so every start that is
+    not merged ends where its own run does.  Returns the last accepted
+    ``(q, g)`` of every start as two ``(m, 3)`` stacks, and how each ended.
     """
     q = np.array(starts, dtype=float)
-    g = gradient(q)
+    g, H = (np.array(a, dtype=float) for a in hessian(q))
     gn = [np.linalg.norm(row) for row in g]
     count = len(q)
     lam, hscale = np.zeros(count), np.empty(count)
-    H = np.empty((count, 3, 3))
     steps, tries = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
-    # the starts that begin a step this round, and those in the middle of one
-    fresh, ongoing = list(range(count)), []
-    while fresh or ongoing:
-        fresh = [i for i in fresh
-                 if gn[i] > gtol and steps[i] < NEWTON_MAX_ITER]
-        if fresh:
-            H[fresh] = hessian(q[fresh])[1]
-            for i in fresh:
-                hscale[i] = max(np.max(np.abs(H[i])), 1e-12)
-            steps[fresh] += 1
-            tries[fresh] = 0
-        trial, pending = {}, sorted(fresh + ongoing)
+    # stop[i] is None while start i runs; begins[i]: its next round begins
+    # a step; follows[i]: the start a merged start follows
+    stop = [None if norm > gtol else "converged" for norm in gn]
+    begins, follows = np.ones(count, dtype=bool), np.zeros(count, dtype=int)
+    running = [i for i in range(count) if stop[i] is None]
+    while running:
+        fresh = [i for i in running if begins[i]]
+        # a start's first step has its Hessian from the first call
+        renew = [i for i in fresh if steps[i]]
+        if renew:
+            H[renew] = hessian(q[renew])[1]
+        for i in fresh:
+            hscale[i] = max(np.max(np.abs(H[i])), 1e-12)
+        steps[fresh] += 1
+        tries[fresh] = 0
+        trial, pending = {}, running
         while pending:
             for i, s in zip(pending, _levenberg(H[pending], hscale[pending],
                                                 lam[pending], g[pending])):
@@ -349,22 +369,45 @@ def newton(gradient, hessian, starts, gtol, inside):
                 else:
                     trial[i] = q[i] + s
             pending = [i for i in pending if i not in trial and tries[i] < 8]
-        ahead = [i for i in sorted(trial) if inside(trial[i])]
-        fresh, ongoing = [], []
-        if not ahead:
-            break
-        for i, gi in zip(ahead, gradient(np.array([trial[i] for i in ahead]))):
-            norm = np.linalg.norm(gi)
-            if norm < gn[i]:
-                q[i], g[i], gn[i] = trial[i], gi, norm
-                lam[i] = lam[i] / 3.0 if lam[i] > 1e-8 else 0.0
-                fresh.append(i)
+        ahead = []
+        for i in running:
+            if i not in trial:
+                stop[i] = "refused"
+            elif inside(trial[i]):
+                ahead.append(i)
             else:
-                lam[i] = max(4.0 * lam[i], 1e-4)
-                tries[i] += 1
-                if tries[i] < 8:
-                    ongoing.append(i)
-    return q, g
+                stop[i] = "left"
+        if ahead:
+            for i, gi in zip(ahead,
+                             gradient(np.array([trial[i] for i in ahead]))):
+                norm = np.linalg.norm(gi)
+                begins[i] = norm < gn[i]
+                if begins[i]:
+                    q[i], g[i], gn[i] = trial[i], gi, norm
+                    lam[i] = lam[i] / 3.0 if lam[i] > 1e-8 else 0.0
+                    if norm <= gtol:
+                        stop[i] = "converged"
+                    elif steps[i] >= NEWTON_MAX_ITER:
+                        stop[i] = "cap"
+                else:
+                    lam[i] = max(4.0 * lam[i], 1e-4)
+                    tries[i] += 1
+                    if tries[i] >= 8:
+                        stop[i] = "refused"
+        for i in range(count):
+            if stop[i] == "merged" and stop[follows[i]] not in (
+                    None, "merged", "converged"):
+                stop[i] = None
+        running = [i for i in range(count) if stop[i] is None]
+        if running:
+            lead = np.array([s in (None, "converged") for s in stop])
+            near = dist(q[running, None], q[None]) < MERGE_RADIUS
+            near &= lead & (np.arange(count) < np.array(running)[:, None])
+            for i, row in zip(running, near):
+                if row.any():
+                    stop[i], follows[i] = "merged", np.argmax(row)
+            running = [i for i in running if stop[i] is None]
+    return q, g, stop
 
 
 def find_critical(phi, params, box, seeds=SEEDS):
@@ -372,26 +415,29 @@ def find_critical(phi, params, box, seeds=SEEDS):
 
     :func:`newton` with the exact Hessian :func:`f_hessian` starts from
     every point of the interior lattice of ``seeds`` points at once and
-    roams a widened box; each of its rounds is one stacked
-    :func:`f_hessian` call for the seeds that begin a step and one stacked
-    :func:`f_gradient` call for every seed's trial point, and each seed
-    ends where its own run would.  A converged point in ``box`` is kept,
-    in lattice order, when it lies more than 1e-6 (hyperbolic distance)
-    from every point kept before it; only the kept points are valued and
-    classified through the same Hessian, and they are returned sorted by
-    value.  An empty list is a valid outcome (no critical point).
+    roams a widened box.  Its first round is one stacked :func:`f_hessian`
+    call for every seed; each later round is one for the seeds that begin
+    a step, and every round one stacked :func:`f_gradient` call for every
+    seed's trial point.  A seed that comes within :data:`MERGE_RADIUS` of
+    a lower seed that runs or has converged stops there, so each basin is
+    followed once, by its lowest seed, which ends where its own run would.
+    The point of a seed whose ``newton`` stop is ``"converged"`` is kept,
+    in lattice order, when it lies in ``box`` and more than 1e-6
+    (hyperbolic distance) from every point kept before it; only the kept
+    points are valued and classified through the same Hessian, and they
+    are returned sorted by value.  An empty list is a valid outcome (no
+    critical point).
     """
     box = check_box(box)
     pts = box_lattice(box, check_seeds(seeds), interior=True)
     wide = (box[0] - 1, box[1] + 1, box[2] - 1, box[3] + 1,
             0.25 * box[4], 4 * box[5])
 
-    gtol = 1e-10
     unique = []
-    for qa, g in zip(*newton(lambda qa: f_gradient(phi, params, qa),
-                             lambda qa: f_hessian(phi, params, qa),
-                             pts, gtol, lambda qa: _inside(qa, wide))):
-        if np.linalg.norm(g) > gtol or not _inside(qa, box):
+    for qa, g, stop in zip(*newton(lambda qa: f_gradient(phi, params, qa),
+                                   lambda qa: f_hessian(phi, params, qa),
+                                   pts, 1e-10, lambda qa: _inside(qa, wide))):
+        if stop != "converged" or not _inside(qa, box):
             continue
         q = HyperbolicPoint.of(qa)
         if all(dist(q, u.q) > 1e-6 for u in unique):

@@ -393,9 +393,10 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     ``seeds`` points of a box lattice.  The solve at each ``eps`` starts
     from the first-order prediction of :func:`_predict`, ``O(eps^2)`` from
     its solution, and is one :func:`correct` call that moves ``q`` on the
-    critical point's Hessian and keeps it in ``box``.  Stops at the first failure, keeping every
-    completed report with the corrected surface's diagnostics; the failed
-    step's report holds the error, the ``stop`` of the loop that raised it
+    critical point's Hessian and keeps it in ``box``.  Stops at the first
+    failure, keeping every completed report with the corrected surface's
+    diagnostics; the failed step's report holds the error, the ``stop`` of
+    the loop that raised it (``"not finite"`` when the diagnostics raise)
     and that stop's entry of :data:`HINTS` (both ``None`` for an error no
     loop recorded).  A step's ``status``
     says whether its solve converged, its ``resolved`` whether the grid
@@ -412,15 +413,18 @@ def continuation(eps_schedule, phi, params, box, grid, seeds=SEEDS):
     reports = []
     state = None
     for eps in eps_schedule:
+        stop = None
         try:
             q_start, warm = _predict(q0, state, eps)
             state = correct(eps, q_start, phi, params, grid, warm=warm,
                             hessian=hessian, box=box)
+            # past the corrector, an error is phi or the energy not finite
+            stop = "not finite"
+            rep = _report(state, phi, params, proxy=stable[0].classification)
         except NumericsError as exc:
-            stop = getattr(exc, "stop", None)
+            stop = getattr(exc, "stop", stop)
             reports.append({"eps": eps, "status": "failed", "error": str(exc),
                             "stop": stop, "hint": HINTS.get(stop)})
             break
-        rep = _report(state, phi, params, proxy=stable[0].classification)
         reports.append(dict(rep, status="ok", _surface=state.surface))
     return reports

@@ -131,6 +131,35 @@ def test_halted_solve_keeps_its_steps(tmp_path, monkeypatch):
         ["surface_0.01.csv"]
 
 
+def test_step_whose_report_raises_keeps_the_steps_before(tmp_path,
+                                                         monkeypatch):
+    # f_value is first called in the report of the first step; it raises
+    # in the second step's report
+    f_value, calls = reduction.f_value, []
+
+    def fail_on_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise reduction.NumericsError("forced non-finite value")
+        return f_value(*args)
+
+    monkeypatch.setattr(reduction, "f_value", fail_on_second)
+    out = tmp_path / "report"
+    rc = main(["solve", "--k", "2", "--grid-n", "16", "--phi", BUMP,
+               "--eps", "0.01,0.005", "--box=" + BOX, "--out", str(out)])
+    assert rc == 3
+    doc = read_summary(out)
+    assert doc["status"] == "failed_checks"
+    first, second = doc["result"]["steps"]
+    assert first["status"] == "ok" and first["eps"] == 0.01
+    assert second["status"] == "failed" and second["eps"] == 0.005
+    assert second["error"] == "forced non-finite value"
+    assert second["stop"] == "not finite"
+    assert second["hint"] == reduction.HINTS["not finite"]
+    assert sorted(f.name for f in out.glob("surface_*.csv")) == \
+        ["surface_0.01.csv"]
+
+
 def test_unresolved_solve_fails_its_checks(tmp_path):
     # a tilt plus a narrow bump: the corrector converges at n = 24, but the
     # grid does not resolve the solution (residual_sup near 6e-4 and 3e-4)

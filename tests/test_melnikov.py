@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -319,40 +320,13 @@ A = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
 B = np.array([1.0, -2.0, 0.5])
 
 
-def _recorded_quadratic():
-    """Gradient of ``q.A q / 2 - B.q`` on stacks of points, and the list of
-    points it saw."""
-    seen = []
-
-    def gradient(qs):
-        seen.extend(qs)
-        return np.array([A @ q - B for q in qs])
-    return gradient, seen
+def _quadratic_gradient(qs):
+    """Gradient of ``q.A q / 2 - B.q`` on stacks of points."""
+    return np.array([A @ q - B for q in qs])
 
 
 def _quadratic_hessian(qs):
-    return np.array([A @ q - B for q in qs]), np.array([A] * len(qs))
-
-
-def test_newton_one_step_on_a_quadratic():
-    gradient, seen = _recorded_quadratic()
-    (q,), (g,) = mel.newton(gradient, _quadratic_hessian, np.zeros((1, 3)),
-                            1e-12, lambda q: True)
-    assert np.allclose(q, np.linalg.solve(A, B), rtol=0, atol=1e-14)
-    assert np.linalg.norm(g) <= 1e-12
-    assert len(seen) == 2       # the start and the one exact step
-
-
-def test_newton_never_evaluates_outside():
-    # the exact step from the start lands at z = 24/17 > 1, outside
-    inside = lambda q: q[2] < 1.0
-    start = np.zeros(3)
-    assert not inside(np.linalg.solve(A, B))
-    gradient, seen = _recorded_quadratic()
-    (q,), (g,) = mel.newton(gradient, _quadratic_hessian, start[None], 1e-12,
-                            inside)
-    assert all(inside(p) for p in seen)
-    assert np.array_equal(q, start) and np.array_equal(g, A @ start - B)
+    return _quadratic_gradient(qs), np.array([A] * len(qs))
 
 
 def _recording(gradient, hessian, seen):
@@ -367,7 +341,33 @@ def _recording(gradient, hessian, seen):
     return record("g", gradient), record("H", hessian)
 
 
-C = np.array([0.5, -0.2, 0.1])
+def test_newton_one_step_on_a_quadratic():
+    start = np.array([0.0, 0.0, 0.5])
+    seen = Counter()
+    (q,), (g,), (stop,) = mel.newton(
+        *_recording(_quadratic_gradient, _quadratic_hessian, seen),
+        start[None], 1e-12, lambda q: True)
+    assert np.allclose(q, np.linalg.solve(A, B), rtol=0, atol=1e-14)
+    assert np.linalg.norm(g) <= 1e-12 and stop == "converged"
+    # the start's g comes with its H, and the one exact step takes one g
+    assert seen == Counter({("H", start.tobytes()): 1, ("g", q.tobytes()): 1})
+
+
+def test_newton_never_evaluates_outside():
+    # the exact step from the start lands at z = 24/17 > 1, outside
+    inside = lambda q: q[2] < 1.0
+    start = np.array([0.0, 0.0, 0.5])
+    assert not inside(np.linalg.solve(A, B))
+    seen = Counter()
+    (q,), (g,), (stop,) = mel.newton(
+        *_recording(_quadratic_gradient, _quadratic_hessian, seen),
+        start[None], 1e-12, inside)
+    assert all(inside(np.frombuffer(p)) for _, p in seen)
+    assert np.array_equal(q, start) and np.array_equal(g, A @ start - B)
+    assert stop == "left"
+
+
+C = np.array([0.5, -0.2, 1.1])
 
 
 def _tanh_gradient(qs):
@@ -385,10 +385,27 @@ def _tanh_hessian(qs):
     return _tanh_gradient(qs), H
 
 
+def _slow_gradient(qs):
+    """``(exp q1, exp q2, q3 - 1)``: Newton moves q1 and q2 down by one a
+    step, so |g| falls by e a step, and reaches no zero."""
+    return np.stack([np.exp(qs[:, 0]), np.exp(qs[:, 1]), qs[:, 2] - 1.0], -1)
+
+
+def _slow_hessian(qs):
+    # the exact Hessian, but with its last entry negated above q3 = 3, so
+    # that every trial from there climbs in q3
+    H = np.zeros((len(qs), 3, 3))
+    H[:, 0, 0], H[:, 1, 1] = np.exp(qs[:, 0]), np.exp(qs[:, 1])
+    H[:, 2, 2] = np.where(qs[:, 2] > 3.0, -1.0, 1.0)
+    return _slow_gradient(qs), H
+
+
 def _lockstep_problems(params):
     """``(gradient, hessian, starts, inside)`` of the flux of a design bump,
-    whose starts converge or leave ``inside`` at their first step, and of
-    a sum of ``log cosh`` with a singular Hessian at some starts."""
+    whose starts converge, merge or leave ``inside``; of a sum of ``log
+    cosh`` with a singular Hessian at some starts; and of a gradient with
+    no zero, whose starts reach the step cap or climb until the eighth
+    refused try."""
     phi = mel.phi_to_prescribed(DESIGN_BUMPS[1])
     box = (-0.5, 0.5, -0.5, 0.5, 0.62, 1.6)
     yield (lambda qs: mel.f_gradient(phi, params, qs),
@@ -398,47 +415,55 @@ def _lockstep_problems(params):
                      [0.2, -0.1, 1.2], [0.0, 0.1, 0.65]]),
            lambda q: mel._inside(q, box))
     yield (_tanh_gradient, _tanh_hessian,
-           np.array([[0.0, 0.0, 0.0], [1.6, 0.8, 0.3], [-1.0, 0.6, 0.2],
-                     [0.7, -0.5, 0.9], [1.6, 0.8, -0.9]]),
+           np.array([[0.0, 0.0, 1.0], [1.6, 0.8, 1.3], [-1.0, 0.6, 1.2],
+                     [0.7, -0.5, 1.9], [1.6, 0.8, 0.1]]),
            lambda q: np.abs(q).max() < 1e4)
+    yield (_slow_gradient, _slow_hessian,
+           np.array([[20.0, 20.0, 2.0], [0.0, 0.0, 4.0]]), lambda q: True)
 
 
 def _newton_alone(gradient, hessian, q, gtol, inside):
     """The reference: the damped Newton of one start, step by step, with
-    the callables on one-row stacks."""
-    g = gradient(q[None])[0]
+    the callables on one-row stacks.  Returns the last accepted ``(q, g)``,
+    how the run ended and its accepted iterates."""
+    g, H = (a[0] for a in hessian(q[None]))
     gn = np.linalg.norm(g)
-    lam = 0.0
-    for _ in range(mel.NEWTON_MAX_ITER):
+    lam, path = 0.0, [q]
+    for step in range(mel.NEWTON_MAX_ITER):
         if gn <= gtol:
-            break
-        H = hessian(q[None])[1][0]
+            return q, g, "converged", path
+        if step:
+            H = hessian(q[None])[1][0]
         hscale = max(np.max(np.abs(H)), 1e-12)
         for _ in range(8):
             try:
-                step = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
+                s = np.linalg.solve(H + lam * hscale * np.eye(3), -g)
             except np.linalg.LinAlgError:
                 lam = max(4.0 * lam, 1e-4)
                 continue
-            qn = q + step
+            qn = q + s
             if not inside(qn):
-                return q, g
+                return q, g, "left", path
             gnew = gradient(qn[None])[0]
             if np.linalg.norm(gnew) < gn:
                 q, g, gn = qn, gnew, np.linalg.norm(gnew)
+                path.append(q)
                 lam = lam / 3.0 if lam > 1e-8 else 0.0
                 break
             lam = max(4.0 * lam, 1e-4)
         else:
-            break
-    return q, g
+            return q, g, "refused", path
+    return q, g, "converged" if gn <= gtol else "cap", path
 
 
 def test_lockstep_newton_equals_each_start_alone(params2, monkeypatch):
-    # every start ends where, and after the evaluations, its own run does,
-    # by the lockstep code and by the reference; the problems take every
-    # branch: converged, stopped outside, damped after rejected trials, and
-    # a singular trial matrix solved again seed by seed
+    # every start that is not merged ends where, how and after the
+    # evaluations its own run does, by the lockstep code and by the
+    # reference; a merged start stopped on its own path, near the path of
+    # a lower start whose own run converges.  The problems take every
+    # branch: converged, merged, stopped outside, damped after rejected
+    # trials, the cap, eight refused tries, and a singular trial matrix
+    # solved again seed by seed
     singular = []
     levenberg = mel._levenberg
 
@@ -447,22 +472,108 @@ def test_lockstep_newton_equals_each_start_alone(params2, monkeypatch):
         singular.extend(s is None for s in steps)
         return steps
     monkeypatch.setattr(mel, "_levenberg", counted)
+    ends = Counter()
     for gradient, hessian, starts, inside in _lockstep_problems(params2):
-        together, alone, reference = Counter(), Counter(), Counter()
-        Q, G = mel.newton(*_recording(gradient, hessian, together), starts,
-                          1e-10, inside)
+        together, unmerged, every = Counter(), Counter(), Counter()
+        Q, G, stops = mel.newton(*_recording(gradient, hessian, together),
+                                 starts, 1e-10, inside)
         assert Q.shape == G.shape == starts.shape
-        for start, q, g in zip(starts, Q, G):
-            (q1,), (g1,) = mel.newton(*_recording(gradient, hessian, alone),
-                                      start[None], 1e-10, inside)
-            q2, g2 = _newton_alone(*_recording(gradient, hessian, reference),
-                                   start, 1e-10, inside)
-            assert q.tobytes() == q1.tobytes() == q2.tobytes()
-            assert g.tobytes() == g1.tobytes() == g2.tobytes()
-        assert together == alone == reference
-        ends = [np.linalg.norm(g) <= 1e-10 for g in G]
-        assert any(ends) and not all(ends)
+        assert len(stops) == len(starts)
+        own = []
+        for start in starts:
+            alone, reference = Counter(), Counter()
+            (q1,), (g1,), (stop1,) = mel.newton(
+                *_recording(gradient, hessian, alone), start[None], 1e-10,
+                inside)
+            q2, g2, stop2, path = _newton_alone(
+                *_recording(gradient, hessian, reference), start, 1e-10,
+                inside)
+            assert q1.tobytes() == q2.tobytes() and stop1 == stop2
+            assert g1.tobytes() == g2.tobytes() and alone == reference
+            own.append((q2, g2, stop2, path, alone))
+            every += alone
+            unmerged += alone
+        for i, (q, g, stop) in enumerate(zip(Q, G, stops)):
+            q2, g2, stop2, path, _ = own[i]
+            ends[stop] += 1
+            if stop != "merged":
+                assert q.tobytes() == q2.tobytes() and stop == stop2
+                assert g.tobytes() == g2.tobytes()
+                continue
+            unmerged -= own[i][4]
+            assert any(q.tobytes() == p.tobytes() for p in path)
+            assert any(stops[j] in ("converged", "merged")
+                       and own[j][2] == "converged"
+                       and min(hs.dist(q, p) for p in own[j][3])
+                       < mel.MERGE_RADIUS for j in range(i))
+        # the lockstep run makes every evaluation of the starts that are
+        # not merged, and none that an own run does not make; a merged
+        # start saves the rest of its own run's
+        assert unmerged <= together <= every
+        assert any(s == "merged" for s in stops) == (together != every)
+    assert set(ends) == {"converged", "merged", "left", "refused", "cap"}
     assert any(singular)
+
+
+def test_merged_start_resumes_when_its_leader_leaves():
+    # b starts 2e-3 from a and merges into it after the first round; a's
+    # second trial lands in a hole of ``inside``, so a ends "left" and b
+    # resumes from its frozen state and converges as its own run does
+    a = np.array([1.5, 0.3, 1.4])
+    b = a + [0.0, 2e-3, 0.0]
+    seen = Counter()
+    calls = []
+
+    def hessian(qs):
+        calls.append(qs.copy())
+        return _tanh_hessian(qs)
+    mel.newton(*_recording(_tanh_gradient, _tanh_hessian, seen), a[None],
+               1e-10, lambda q: True)
+    trials = [np.frombuffer(p) for kind, p in seen if kind == "g"]
+    hole = trials[1]
+    inside = lambda q: not np.array_equal(q, hole)
+    Q, G, stops = mel.newton(_tanh_gradient, hessian, np.array([a, b]),
+                             1e-10, inside)
+    assert stops == ["left", "converged"]
+    (qb,), (gb,), _ = mel.newton(_tanh_gradient, _tanh_hessian, b[None],
+                                 1e-10, inside)
+    assert Q[1].tobytes() == qb.tobytes() and G[1].tobytes() == gb.tobytes()
+    # the second round renews a's Hessian alone: b was merged then
+    assert len(calls[0]) == 2 and len(calls[1]) == 1
+    assert Q[0].tobytes() == trials[0].tobytes()
+
+
+# phis whose search the merge must leave as it is: the wide bump G, the
+# narrow bump P with its maximum and saddle, and two bumps at k = 10 whose
+# maxima lie 0.196 apart, with a saddle between them
+MERGE_CASES = [
+    ("exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1", 2.0, BOX, 27),
+    ("0.02*p1 + exp(-(hypdist(-0.2,0,0.85)/0.1)^2)", 2.0, BOX, 64),
+    ("exp(-(hypdist(-0.11,0,1)/0.1)^2) + 0.9*exp(-(hypdist(0.11,0,1)/0.1)^2)",
+     10.0, (-0.3, 0.3, -0.15, 0.15, 0.85, 1.15), 27),
+]
+
+
+@pytest.mark.parametrize("text, k, box, seeds", MERGE_CASES)
+def test_find_critical_equals_every_start_alone(text, k, box, seeds,
+                                                monkeypatch):
+    phi, params = mel.phi_to_prescribed(text), make_params(k)
+    together = mel.find_critical(phi, params, box, seeds=seeds)
+    newton = mel.newton
+
+    def each_alone(gradient, hessian, starts, gtol, inside):
+        ends = [newton(gradient, hessian, s[None], gtol, inside)
+                for s in starts]
+        return (np.concatenate([e[0] for e in ends]),
+                np.concatenate([e[1] for e in ends]),
+                [e[2][0] for e in ends])
+    monkeypatch.setattr(mel, "newton", each_alone)
+    alone = mel.find_critical(phi, params, box, seeds=seeds)
+    assert json.dumps([c.as_dict() for c in together]) == \
+        json.dumps([c.as_dict() for c in alone])
+    kinds = Counter(c.classification for c in together)
+    assert kinds["saddle"] == (k != 2.0 or seeds == 64)
+    assert kinds["nondegenerate_max"] == 1 + (k == 10.0)
 
 
 def test_obstruction_reports(params2):
