@@ -293,7 +293,8 @@ def omega_field(grid):
 
 
 def _polar_derivatives(grid, values):
-    """Spectral (d/ds, d/dtheta) of per-node samples.
+    """Spectral (d/ds, d/dtheta) of per-node samples ``(N, ...)``, returned
+    batch-leading, ``(..., N)``.
 
     Azimuthal modes come from the FFT; each mode's polar profile is reduced
     by its parity factor ``sin(s)^(m mod 2)`` to a polynomial in ``cos(s)``
@@ -317,28 +318,32 @@ def _polar_derivatives(grid, values):
     dth = F * mth
     if grid.ntheta % 2 == 0:
         dth[..., -1] = 0.0
-    out_ds = np.moveaxis(np.fft.irfft(ds, n=grid.ntheta, axis=-1), -1, 1)
-    out_dt = np.moveaxis(np.fft.irfft(dth, n=grid.ntheta, axis=-1), -1, 1)
-    flat = (grid.size,) + values.shape[1:]
-    return out_ds.reshape(flat), out_dt.reshape(flat)
+    flat = values.shape[1:] + (grid.size,)
+    return tuple(np.moveaxis(np.fft.irfft(d, n=grid.ntheta, axis=-1), 0, -2)
+                 .reshape(flat) for d in (ds, dth))
 
 
 def spectral_derivatives(grid, values):
-    """Main-chart derivatives of per-node samples (global spectral rule)."""
-    return polar_to_chart(grid, *_polar_derivatives(
+    """Main-chart derivatives of per-node samples ``(N, ...)`` (global
+    spectral rule), in the same layout."""
+    dx, dy = polar_to_chart(grid, *_polar_derivatives(
         grid, np.asarray(values, dtype=float)))
+    return (np.ascontiguousarray(np.moveaxis(dx, -1, 0)),
+            np.ascontiguousarray(np.moveaxis(dy, -1, 0)))
 
 
 def polar_to_chart(grid, ds, dt):
-    """Main-chart ``(d/dx, d/dy)`` from per-node ``(d/ds, d/dtheta)`` samples
-    of shape ``(N, ...)``."""
-    extra = (1,) * (ds.ndim - 1)
-    ct = np.cos(grid.theta).reshape((1, -1) + extra)
-    st = np.sin(grid.theta).reshape((1, -1) + extra)
-    rr = grid.rho.reshape((-1, 1) + extra)
-    mu = grid.mu.reshape((grid.n, grid.ntheta) + extra)
-    drho = mu * grid.node_shape(ds)
-    dt = grid.node_shape(dt)
+    """Main-chart ``(d/dx, d/dy)`` from per-node ``(d/ds, d/dtheta)`` samples.
+
+    The samples are batch-leading, ``(..., N)`` with the azimuth fastest,
+    the layout of the modal pack's transforms, so each batch row is one
+    contiguous sweep of the grid and the per-node factors are ``(n,
+    ntheta)`` tables."""
+    shape = ds.shape[:-1] + (grid.n, grid.ntheta)
+    ct, st = np.cos(grid.theta), np.sin(grid.theta)
+    rr = grid.rho[:, None]
+    drho = grid.node_shape(grid.mu) * ds.reshape(shape)
+    dt = dt.reshape(shape)
     dx = ct * drho - st / rr * dt
     dy = st * drho + ct / rr * dt
     return dx.reshape(ds.shape), dy.reshape(ds.shape)

@@ -111,6 +111,10 @@ class _ModalPack:
     :meth:`synthesis` and :meth:`analysis` move between modal coefficients
     and nodal values by one profile product per order and an FFT in the
     azimuth, O(n^3) work where a nodal table of the basis would cost O(n^4).
+    Nodal data is batch-leading, ``(..., N)`` with the azimuth fastest, so
+    a vector field is component-major ``(3, N)`` and both FFTs run on the
+    contiguous last axis; the ``(N, 3)`` entry points (:meth:`nodal_vector`,
+    :meth:`project_vector`) transpose around the same two transforms.
     Each mode is a spherical harmonic of degree ``l = m + j``, so by the
     chart's rule ``d_xx + d_yy = mu^2 Delta_S2`` a field's chart Laplacian
     is ``mu^2`` times the synthesis of ``-l(l + 1)`` times its coefficients.
@@ -163,12 +167,13 @@ class _ModalPack:
             self._profiles[m, 0, :, :D - m] = P / nrm
             self._profiles[m, 1, :, :D - m] = dP_ds / nrm
         # modes are ordered by m, cos before sin, then j; _slots holds each
-        # one's flat position in a (cos/sin, m, j) array, _modal the inverse
+        # one's flat position in an (m, j, cos/sin) array, the layout of the
+        # transforms' profile products, and _modal the inverse
         self._slots = np.concatenate(
-            [(odd * D + m) * D + np.arange(D - m)
+            [(m * D + np.arange(D - m)) * 2 + odd
              for m in range(D) for odd in ((0, 1) if m else (0,))])
         self.nmodes = self._slots.size
-        self._modal = np.full((2, D, D), -1)
+        self._modal = np.full((D, D, 2), -1)
         self._modal.flat[self._slots] = np.arange(self.nmodes)
         # irfft weight of order m: a cos + b sin = Re((a - i b) e^{i m theta})
         self._fourier = np.full(D, grid.ntheta / 2.0)
@@ -177,7 +182,7 @@ class _ModalPack:
 
     def _index(self, m, odd):
         """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
-        return self._modal[odd, m, :self.degree - m + 1]
+        return self._modal[m, :self.degree - m + 1, odd]
 
     def _meridian_modes(self, m):
         """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
@@ -194,7 +199,7 @@ class _ModalPack:
     def mode_degrees(self):
         """Polynomial degree ``m + j`` of each scalar mode."""
         D = self.degree + 1
-        _, m, j = np.unravel_index(self._slots, (2, D, D))
+        m, j, _ = np.unravel_index(self._slots, (D, D, 2))
         return m + j
 
     def tail_ratio(self, coeffs):
@@ -393,89 +398,91 @@ class _ModalPack:
         x = self.to_blocks(r)
         m = np.zeros(len(s))
         for span, inv, gens in self.saddle_factors:
-            size = inv.shape[0] - len(gens)
-            rhs = x[span].reshape(-1, size).T
+            block = x[span].reshape(-1, inv.shape[0] - len(gens))
             if gens:
-                rhs = np.concatenate([rhs, s[gens, None]])
-            sol = inv @ rhs
-            x[span] = sol[:size].T.ravel()
-            if gens:
-                m[gens] = sol[size:, 0]
+                sol = inv @ np.concatenate([block.T, s[gens, None]])
+                block[...], m[gens] = sol[:-len(gens)].T, sol[-len(gens):, 0]
+            else:
+                block[...] = (inv @ block.T).T
         return self.from_blocks(x), m
 
     # -- transforms between modal coefficients and nodal values --------------
 
     def synthesis(self, coeffs, jet=False):
-        """Nodal values ``(N, ...)`` of scalar modal coefficients
-        ``(nmodes, ...)``; with ``jet`` also their exact chart derivatives
-        ``d/dx``, ``d/dy`` and chart Laplacian, all from one inverse FFT."""
+        """Nodal values ``(..., N)`` of scalar modal coefficients
+        ``(..., nmodes)``; with ``jet`` also their exact chart derivatives
+        ``d/dx``, ``d/dy`` and chart Laplacian, all from one inverse FFT.
+        The batch leads and the azimuth runs fastest, so the FFT acts on
+        the last axis and a vector field is component-major ``(3, N)``."""
         grid, D, deg = self.grid, self.degree + 1, self.mode_degrees
         coeffs = np.asarray(coeffs, dtype=float)
-        batch = coeffs.shape[1:]
+        batch = coeffs.shape[:-1]
         B = int(np.prod(batch))
-        C = coeffs.reshape(-1, B)
+        C = coeffs.reshape(B, -1).T
         parts = [(self._profiles[:, :1], C)]
         if jet:
             lap = -(deg * (deg + 1.0))[:, None] * C
             parts = [(self._profiles, C), (self._profiles[:, :1], lap)]
         # azimuthal spectra of the values, then with jet of d/ds, of the
         # Laplacian's synthesis and of d/dtheta
-        F = np.zeros((1 + 3 * jet, grid.n, grid.ntheta // 2 + 1, B), complex)
+        F = np.zeros((1 + 3 * jet, B, grid.n, grid.ntheta // 2 + 1), complex)
         at = 0
         for tables, c in parts:
-            R = np.zeros((2 * D * D, B))
+            R = np.zeros((D * D * 2, B))
             R[self._slots] = c
             # (m, j, cos/sin x batch) against the profiles of each order m
-            R = R.reshape(2, D, D, B).transpose(1, 2, 0, 3)
             X = tables.reshape(D, -1, D) @ R.reshape(D, D, 2 * B)
-            X = (X[..., :B] - 1j * X[..., B:]) * self._fourier[:, None, None]
-            X = X.reshape(D, -1, grid.n, B).transpose(1, 2, 0, 3)
-            F[at:at + len(X), :, :D] = X
-            at += len(X)
+            # (cos - i sin) times the irfft weight, in place
+            Z = 1j * X[..., B:]
+            np.subtract(X[..., :B], Z, out=Z)
+            Z *= self._fourier[:, None, None]
+            Z = Z.reshape(D, -1, grid.n, B).transpose(1, 3, 2, 0)
+            F[at:at + len(Z), ..., :D] = Z
+            at += len(Z)
         if jet:
-            F[3, :, :D] = 1j * np.arange(D)[:, None] * F[0, :, :D]
-        out = np.fft.irfft(F, n=grid.ntheta, axis=2).reshape(
-            (-1, grid.size) + batch)
-        del F, R, X     # before the chart derivatives make their temporaries
+            np.multiply(1j * np.arange(D), F[0, ..., :D], out=F[3, ..., :D])
+        out = np.fft.irfft(F, n=grid.ntheta).reshape(
+            (len(F),) + batch + (grid.size,))
+        del F, R, X, Z  # before the chart derivatives make their temporaries
         if not jet:
             return out[0]
-        out[2] *= grid.mu.reshape((-1,) + (1,) * len(batch)) ** 2
+        out[2] *= grid.mu ** 2
         return (out[0],) + ch.polar_to_chart(grid, out[1], out[3]) + (out[2],)
 
     def analysis(self, values):
-        """Modal coefficients ``(nmodes, ...)`` of nodal values ``(N, ...)``:
+        """Modal coefficients ``(..., nmodes)`` of nodal values ``(..., N)``:
         the quadrature inner products with the orthonormal scalar modes, the
-        adjoint of :meth:`synthesis`."""
+        adjoint of :meth:`synthesis`, in its batch-leading layout."""
         grid, D = self.grid, self.degree + 1
         values = np.asarray(values, dtype=float)
-        batch = values.shape[1:]
+        batch = values.shape[:-1]
         B = int(np.prod(batch))
-        wv = grid.weights[:, None] * values.reshape(grid.size, B)
-        G = np.fft.rfft(wv.reshape(grid.n, grid.ntheta, B), axis=1)[:, :D]
-        G = G.transpose(1, 0, 2)                      # m, node, batch
-        G = np.concatenate([G.real, -G.imag], axis=2)
+        wv = grid.weights * values.reshape(B, grid.size)
+        F = np.fft.rfft(wv.reshape(B, grid.n, grid.ntheta))[..., :D].T
+        G = np.empty((D, grid.n, 2 * B))              # m, node, cos/sin x B
+        G[..., :B] = F.real
+        np.negative(F.imag, out=G[..., B:])
+        del wv, F       # before the profile products allocate theirs
         R = np.swapaxes(self._profiles[:, 0], 1, 2) @ G   # m, j, cos/sin x B
-        R = R.reshape(D, D, 2, B).transpose(2, 0, 1, 3).reshape(-1, B)
-        return R[self._slots].reshape((self.nmodes,) + batch)
+        R = R.reshape(-1, B)[self._slots].T
+        return np.ascontiguousarray(R).reshape(batch + (self.nmodes,))
 
     def project_vector(self, fields):
-        """Coefficients of vector nodal data ``(batch, N, 3)``, comp-major."""
+        """Coefficients of vector nodal data ``(batch, N, 3)``, comp-major:
+        the analysis of its components."""
         fields = np.asarray(fields)
-        single = fields.ndim == 2
-        if single:
-            fields = fields[None]
-        out = self.analysis(np.moveaxis(fields, 1, 0))    # nmodes, batch, 3
-        out = out.transpose(1, 2, 0).reshape(fields.shape[0], -1)
-        return out[0] if single else out
+        out = self.analysis(np.swapaxes(fields, -1, -2))
+        return out.reshape(fields.shape[:-2] + (-1,))
 
     def nodal_vector(self, coeffs):
         """Nodal (N, 3) values of modal vector coefficients."""
-        return self.synthesis(coeffs.reshape(3, self.nmodes).T)
+        return np.ascontiguousarray(
+            self.synthesis(coeffs.reshape(3, self.nmodes)).T)
 
     def nodal_vector_jet(self, coeffs):
         """Nodal values, exact first derivatives and exact chart Laplacian
-        of a modal vector field."""
-        return self.synthesis(coeffs.reshape(3, self.nmodes).T, jet=True)
+        of a modal vector field, component-major ``(3, N)``."""
+        return self.synthesis(coeffs.reshape(3, self.nmodes), jet=True)
 
 
 @lru_cache(maxsize=1)
@@ -537,24 +544,43 @@ def j_residual(u, params, curvature=None, eps=0.0):
     if not u.is_vector:
         raise ValueError("the residual needs a 3-vector surface field")
     u = ch.differentiate(u)
-    return SphereField(u.grid, _j_nodal(
-        u.values, u.dx, u.dy, ch.laplacian(u), params, curvature, eps))
+    out = _j_nodal(u.values.T, u.dx.T, u.dy.T, ch.laplacian(u).T, params,
+                   curvature, eps)
+    return SphereField(u.grid, np.ascontiguousarray(out.T))
+
+
+def _dot3(a):
+    """The rows' squared lengths ``a . a`` of component-major ``(3, N)``
+    data, summed in the order of numpy's ``einsum("ij,ij->i")`` on the
+    ``(N, 3)`` layout, so both layouts give the same bits."""
+    return (a[0] * a[0] + a[2] * a[2]) + a[1] * a[1]
 
 
 def _j_nodal(values, dx, dy, lap, params, curvature, eps):
-    """Nodal residual of the prescribed-curvature system from a surface's
-    values, chart derivatives ``dx``, ``dy`` and chart Laplacian ``lap``."""
-    u3 = positive_heights(values)
+    """Nodal residual ``(3, N)`` of the prescribed-curvature system from a
+    surface's component-major ``(3, N)`` values, chart derivatives ``dx``,
+    ``dy`` and chart Laplacian ``lap``."""
+    u3 = positive_heights(values.T)
     k = params.k
     K = np.full(u3.shape, k)
     if curvature is not None and eps != 0.0:
-        K = k + eps * curvature.evaluate(values)
-    grad3 = dx[:, 2, None] * dx + dy[:, 2, None] * dy
-    norm2 = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", dy, dy)
-    cross = np.cross(dx, dy)
-    out = -lap / u3[:, None] ** 2 + 2.0 * grad3 / u3[:, None] ** 3
-    out[:, 2] -= norm2 / u3**3
-    out += (2.0 * K / u3**3)[:, None] * cross
+        # phi takes points (N, 3)
+        K = k + eps * curvature.evaluate(np.ascontiguousarray(values.T))
+    cube = u3**3
+    out = -lap
+    out /= u3**2
+    grad3 = dx[2] * dx
+    grad3 += dy[2] * dy
+    grad3 *= 2.0
+    grad3 /= cube
+    out += grad3
+    out[2] -= (_dot3(dx) + _dot3(dy)) / cube
+    # np.cross's products and differences, component by component
+    cross = np.stack([dx[1] * dy[2] - dx[2] * dy[1],
+                      dx[2] * dy[0] - dx[0] * dy[2],
+                      dx[0] * dy[1] - dx[1] * dy[0]])
+    cross *= 2.0 * K / cube
+    out += cross
     return out
 
 

@@ -11,7 +11,15 @@ chart Laplacian from the modes' degrees by ``d_xx + d_yy = mu^2 Delta_S2``,
 in one synthesis, so no pass differentiates nodal values -- and makes one
 block-by-block saddle solve (the pack's ``saddle_solve``, one product with
 a stored inverse per block), whose small inverses are built once per
-``(grid, k)`` and shared across base points.
+``(grid, k)`` and shared across base points.  A pass is the residual map
+:func:`_residual` and the chord step :func:`_chord`.  It keeps every nodal
+field in the pack's layout, component-major ``(3, N)`` with the azimuth
+fastest, from the jet's synthesis through the nodal residual to the
+projection, so both FFTs run on the last axis and no pass transposes; only
+a step's returned state is made ``(N, 3)``.  One pass of a ``continuation``
+step costs about 0.77 ms at n = 24 and 1.6 ms at n = 40 (one core of a
+shared two-core Xeon, one BLAS thread), against 0.96 and 2.0 ms in the
+former ``(N, 3)`` layout.
 
 Given the Hessian of ``f`` that :func:`find_critical` classified at the
 Melnikov point, the same loop also drives the reduced gradient -- an
@@ -132,15 +140,82 @@ def _mix(xs, fs):
     return x + f - (dx + df) @ gamma
 
 
+def _sample(params, q, grid):
+    """``U_q``'s values, chart derivatives and chart Laplacian in the
+    corrector's component-major layout ``(3, N)``."""
+    U = bubble(params, HyperbolicPoint.of(q), grid)
+    return tuple(np.ascontiguousarray(a.T)
+                 for a in (U.values, U.dx, U.dy, U.lap))
+
+
+def _residual(x, eps, phi, pack, base=None, jet=None):
+    """The corrector's residual map at ``x = (c, m, q)``: the correction's
+    modal coefficients ``c``, the nine multipliers ``m`` and the ball
+    centre ``q``, on the grid and at the curvature of the operator ``pack``.
+
+    Returns ``((rmod, R2, g), jet, J)``: the modal residual of the
+    projected equation, the constraint defect ``F c`` and the reduced
+    gradient of ``m``; the correction's jet (values, chart derivatives and
+    chart Laplacian) and the nodal residual ``J`` of ``U_q + nu``, both
+    component-major ``(3, N)``.  ``base``, ``U_q``'s jet from
+    :func:`_sample`, and ``jet``, the one of ``c``, skip their computation
+    where the caller holds them.  A surface node below the plane raises
+    :class:`CorrectorStopped` with stop ``left the half-space``, and a
+    residual that is not finite with stop ``not finite``.
+    """
+    grid, params = pack.grid, pack.params
+    c, m, q = x[:3 * pack.nmodes], x[3 * pack.nmodes:-3], x[-3:]
+    if base is None:
+        base = _sample(params, q, grid)
+    if jet is None:
+        jet = pack.nodal_vector_jet(c)
+    u = [b + n for b, n in zip(base, jet)]
+    low = np.min(u[0][2])
+    if not low > 0.0:
+        raise CorrectorStopped(
+            "left the half-space",
+            f"the corrected surface left the half-space: min p3 = {low:.3e}")
+    try:
+        J = _j_nodal(*u, params, phi, eps)
+    except NumericsError as exc:
+        raise CorrectorStopped("not finite", str(exc)) from None
+    # the generators' projections are the pack's frame_modal rows
+    rmod = (pack.analysis(J / grid.mu**2).reshape(-1)
+            - pack.frame_modal.T @ m)
+    g = _gradient(m, params)
+    if not np.isfinite(np.linalg.norm(rmod) + np.linalg.norm(g)):
+        raise CorrectorStopped("not finite", "non-finite residual")
+    return (rmod, pack.frame_modal @ c, g), jet, J
+
+
+def _chord(x, r, pack, jac=None):
+    """The chord step at ``x`` from its residual parts ``r``: the saddle
+    solve against the ``pack``'s operator, frozen at the unperturbed
+    sphere, for the correction and the multipliers, and, given the frozen
+    reduced Jacobian ``jac``, the reduced step ``-jac^-1 grad`` in ``q`` on
+    the gradient of the updated multipliers (zero without)."""
+    params = pack.params
+    rmod, R2, _ = r
+    m, q = x[3 * pack.nmodes:-3], x[-3:]
+    scale = q[2] ** 2 * params.r ** 2
+    dc, dm = pack.saddle_solve(-scale * rmod, -R2)
+    dm = dm / scale
+    dq = (np.zeros(3) if jac is None
+          else -np.linalg.solve(jac, _gradient(m + dm, params)))
+    return np.concatenate([dc, dm, dq])
+
+
 def correct(eps, q, phi, params, grid, warm=None, hessian=None, box=None):
     """Solve the projected problem at ``(eps, q)`` by a mixed chord loop.
 
     The Jacobian is frozen at the unperturbed sphere (where the implicit
-    problem is exactly linear), so each pass costs one nodal residual, one
+    problem is exactly linear), so each pass costs one evaluation of the
+    residual map :func:`_residual` -- the correction's second-order jet
+    from one transform (its Laplacian from the modes' degrees), one nodal
+    residual and one projection -- and one chord step :func:`_chord`, a
     block-by-block saddle solve against the pack's saddle inverses, which
-    the first call builds, and the correction's second-order jet from one
-    transform (its Laplacian from the modes' degrees); the orthogonality
-    constraints are enforced inside the solve and stay at roundoff.  Given
+    the first call builds; the orthogonality constraints are enforced
+    inside the solve and stay at roundoff.  Given
     the Melnikov ``hessian``, the loop moves the ball centre ``q`` too, by
     the reduced step ``-(-2 eps hessian)^-1 grad`` on the multipliers'
     reduced gradient, and its state is then a solution of the full
@@ -159,63 +234,51 @@ def correct(eps, q, phi, params, grid, warm=None, hessian=None, box=None):
     a :class:`CorrectorStopped`, whose ``stop`` says how the loop ended.
     A ``warm`` state that carries its correction's jet ``nu`` (one this
     function returned) gives the first pass that jet instead of a
-    synthesis.
+    synthesis; a ``warm`` state from a grid of another size is refused
+    with a ``ValueError``.
     """
+    if warm is not None and warm.surface.grid.n != grid.n:
+        raise ValueError(
+            f"the warm state was solved on a grid of n = "
+            f"{warm.surface.grid.n}, not on this solve's n = {grid.n}")
     q = HyperbolicPoint.of(q).array
     if box is not None:
         box = np.asarray(box, dtype=float)
     pack = operator_pack(grid, params)
     pack.saddle_factors
-    mu2 = grid.mu[:, None] ** 2
-    moving = hessian is not None and eps != 0.0
-    if moving:
-        jac = -2.0 * eps * hessian
+    jac = -2.0 * eps * hessian if hessian is not None and eps != 0.0 else None
 
-    c = np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal.copy()
-    m = np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha])
+    x = np.concatenate([
+        np.zeros(3 * pack.nmodes) if warm is None else warm.nu_modal,
+        np.zeros(9) if warm is None else np.concatenate([warm.xi, warm.alpha]),
+        q])
     jet = None
     if warm is not None and warm.nu is not None and warm.nu.grid is grid:
-        jet = (warm.nu.values, warm.nu.dx, warm.nu.dy, warm.nu.lap)
+        jet = tuple(np.ascontiguousarray(a.T) for a in (
+            warm.nu.values, warm.nu.dx, warm.nu.dy, warm.nu.lap))
 
-    U, xs, fs, dists = None, [], [], []
+    base, xs, fs, dists = None, [], [], []
     for it in range(1, MAX_PASSES + 1):
-        if U is None:
-            U = bubble(params, HyperbolicPoint.of(q), grid)
-            scale = q[2] ** 2 * params.r ** 2
-        if it > 1 or jet is None:
-            jet = pack.nodal_vector_jet(c)
-        nv, ndx, ndy, nlap = jet
-        u = (U.values + nv, U.dx + ndx, U.dy + ndy)
-        low = np.min(u[0][:, 2])
-        if not low > 0.0:
-            raise CorrectorStopped(
-                "left the half-space", "the corrected surface left the "
-                f"half-space at chord step {it}: min p3 = {low:.3e}")
+        if base is None:
+            base = _sample(params, q, grid)
         try:
-            J = _j_nodal(*u, U.lap + nlap, params, phi, eps)
-        except NumericsError as exc:
-            raise CorrectorStopped("not finite", str(exc)) from None
-        # the generators' projections are the pack's frame_modal rows
-        rmod = pack.project_vector(J / mu2) - pack.frame_modal.T @ m
-        R2 = pack.frame_modal @ c
-        rnorm, defect = float(np.linalg.norm(rmod)), float(np.max(np.abs(R2)))
-        gnorm = float(np.linalg.norm(_gradient(m, params))) if moving else 0.0
-        if not np.isfinite(rnorm + gnorm):
-            raise CorrectorStopped(
-                "not finite", f"non-finite residual at chord step {it}")
+            r, jet, J = _residual(x, eps, phi, pack, base,
+                                  jet if it == 1 else None)
+        except CorrectorStopped as exc:
+            raise CorrectorStopped(exc.stop,
+                                   f"{exc} at chord step {it}") from None
+        rnorm = float(np.linalg.norm(r[0]))
+        defect = float(np.max(np.abs(r[1])))
+        gnorm = float(np.linalg.norm(r[2])) if jac is not None else 0.0
         dists.append(max(rnorm / NEWTON_RESIDUAL, defect / NEWTON_RESIDUAL,
                          gnorm / GRADIENT_RESIDUAL))
         if dists[-1] <= 1.0:
             break
-        dc, dm = pack.saddle_solve(-scale * rmod, -R2)
-        dm = dm / scale
-        dq = (-np.linalg.solve(jac, _gradient(m + dm, params)) if moving
-              else np.zeros(3))
-        xs.append(np.concatenate([c, m, q]))
-        fs.append(np.concatenate([dc, dm, dq]))
+        xs.append(x)
+        fs.append(_chord(x, r, pack, jac))
         del xs[:-ANDERSON_DEPTH - 1], fs[:-ANDERSON_DEPTH - 1]
         x = _mix(xs, fs)
-        c, m, q_next = x[:c.size], x[c.size:-3], x[-3:]
+        q_next = x[-3:]
         if not q_next[2] > 0.0:
             raise CorrectorStopped(
                 "left the half-space", "the ball centre left the half-space "
@@ -227,20 +290,25 @@ def correct(eps, q, phi, params, grid, warm=None, hessian=None, box=None):
                 f"chord step {it}: q = ({q_next[0]:.3e}, {q_next[1]:.3e}, "
                 f"{q_next[2]:.3e})")
         if not np.array_equal(q_next, q):
-            q, U = q_next, None
+            q, base = q_next, None
     else:
         contracting = min(dists[-STALL_WINDOW:]) < min(dists[:-STALL_WINDOW])
         raise CorrectorStopped(
             "cap while contracting" if contracting else "stagnated",
             f"projected solve stalled at residual {rnorm:.3e}"
-            + (f", |grad| = {gnorm:.3e}," if moving else "")
+            + (f", |grad| = {gnorm:.3e}," if jac is not None else "")
             + f" after {it} steps")
 
+    # the state's (N, 3) fields, made once per step
+    field = lambda *parts: SphereField(
+        grid, *(np.ascontiguousarray(a.T) for a in parts))
+    m = x[3 * pack.nmodes:-3]
     return ReductionState(
-        eps=eps, q=HyperbolicPoint.of(q), nu=SphereField(grid, *jet),
-        surface=SphereField(grid, *u), residual=SphereField(grid, J),
-        nu_modal=c, xi=m[:6].copy(), alpha=m[6:].copy(), residual_norm=rnorm,
-        constraint_defect=defect, iterations=it)
+        eps=eps, q=HyperbolicPoint.of(q), nu=field(*jet),
+        surface=field(*(b + n for b, n in zip(base[:3], jet))),
+        residual=field(J), nu_modal=x[:3 * pack.nmodes], xi=m[:6].copy(),
+        alpha=m[6:].copy(), residual_norm=rnorm, constraint_defect=defect,
+        iterations=it)
 
 
 def constant_matrices(params):

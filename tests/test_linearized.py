@@ -412,8 +412,8 @@ def _trig_modes(pack, grid, m, odd):
     tr, dtr = (sin, m * cos) if odd else (cos, -m * sin)
     outer = lambda a, t: (a[:, None, :] * t[None, :, None]).reshape(
         grid.size, -1)
-    return (outer(P, tr),) + ch.polar_to_chart(
-        grid, outer(dP_ds, tr), outer(P, dtr))
+    dx, dy = ch.polar_to_chart(grid, outer(dP_ds, tr).T, outer(P, dtr).T)
+    return outer(P, tr), dx.T, dy.T
 
 
 def _nodal_tables(pack):
@@ -659,7 +659,8 @@ def test_meridian_modes_are_the_chart_transform(n, params2):
     pack = lin._ModalPack(ch.build_grid(n), params2)
     for m in range(pack.degree + 1):
         P, dP = pack._profiles[m, :, :, :pack.degree - m + 1]
-        expect = (P,) + ch.polar_to_chart(pack.meridian, dP, 1j * m * P)
+        expect = (P,) + tuple(a.T for a in ch.polar_to_chart(
+            pack.meridian, dP.T, (1j * m * P).T))
         for got, want in zip(pack._meridian_modes(m), expect):
             assert np.array_equal(got, want)
 
@@ -709,8 +710,8 @@ def test_transforms_match_nodal_tables(n, params2):
     tables = _nodal_tables(pack)
     rng = np.random.default_rng(n)
     coeffs = rng.standard_normal((pack.nmodes, 3))
-    for fast, table in zip(pack.synthesis(coeffs, jet=True), tables):
-        ref = table @ coeffs
+    for fast, table in zip(pack.synthesis(coeffs.T, jet=True), tables):
+        ref = (table @ coeffs).T
         assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
     fields = rng.standard_normal((2, pack.grid.size, 3))
     ref = np.stack([((pack.grid.weights[:, None] * f).T @ tables[0]).ravel()
@@ -728,9 +729,9 @@ def test_modal_laplacian_matches_spectral(n, params2):
     decay = 10.0 ** (-6.0 * pack.mode_degrees / pack.degree)
     coeffs = (rng.standard_normal((3, pack.nmodes)) * decay).ravel()
     _, dx, dy, lap = pack.nodal_vector_jet(coeffs)
-    dxx, _ = ch.spectral_derivatives(pack.grid, dx)
-    _, dyy = ch.spectral_derivatives(pack.grid, dy)
-    ref = dxx + dyy
+    dxx, _ = ch.spectral_derivatives(pack.grid, dx.T)
+    _, dyy = ch.spectral_derivatives(pack.grid, dy.T)
+    ref = (dxx + dyy).T
     assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
