@@ -30,10 +30,19 @@ temporaries stay in cache whatever the sample size.  Every node is
 elementwise, the slope rule of ``a ^ b`` included (the constant-exponent
 rule at each point where the exponent's gradient vanishes), so each point's
 numbers are the whole walk's bit for bit.
+
+The same sampler walks vertical segments, the weighted volume's 24 heights
+above each surface point (``fold_verticals``).  There a point's ``p1`` and
+``p2`` are one value per segment that the walk broadcasts against the
+segment's heights, so the horizontal terms of ``hypdist`` and any term in
+``p1`` or ``p2`` alone are taken once per segment; a block is 170 segments
+(4080 samples), folded to one number per segment before the next, and each
+sample goes through the same ufuncs on the same values as the points form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,11 +452,31 @@ def _eval(node, p):
     raise TypeError(f"unknown node {node!r}")
 
 
+def _values(tree, p, shape):
+    """Values of the expression at the points whose coordinates are the
+    three arrays ``p``, which broadcast to ``shape``."""
+    out = _eval(tree, p)
+    return out if np.shape(out) == shape else np.full(shape, out)
+
+
+def _pairs(tree, p, shape):
+    """:func:`_values`'s values and the ``shape + (3,)`` gradients at the
+    points whose coordinates are the three arrays ``p`` of ``shape``."""
+    duals = []
+    for i in range(3):
+        g = np.zeros((3,) + shape)
+        g[i] = 1.0
+        duals.append(Dual(p[i], g))
+    out = _eval(tree, duals)
+    if not isinstance(out, Dual):
+        return _values(tree, p, shape), np.zeros(shape + (3,))
+    return out.v, np.moveaxis(out.g, 0, -1)
+
+
 def evaluate(tree, pts):
     """Values of the expression at points ``(..., 3)``."""
     pts = np.asarray(pts, dtype=float)
-    out = _eval(tree, np.moveaxis(pts, -1, 0))
-    return np.full(pts.shape[:-1], out) if np.ndim(out) == 0 else out
+    return _values(tree, np.moveaxis(pts, -1, 0), pts.shape[:-1])
 
 
 def evaluate_gradient(tree, pts):
@@ -455,15 +484,7 @@ def evaluate_gradient(tree, pts):
     ``(..., 3)`` of the expression at points ``(..., 3)``, as a pair; an
     expression without variables has the zero gradient."""
     pts = np.asarray(pts, dtype=float)
-    duals = []
-    for i in range(3):
-        g = np.zeros((3,) + pts.shape[:-1])
-        g[i] = 1.0
-        duals.append(Dual(pts[..., i], g))
-    out = _eval(tree, duals)
-    if not isinstance(out, Dual):
-        return evaluate(tree, pts), np.zeros_like(pts)
-    return out.v, np.moveaxis(out.g, 0, -1)
+    return _pairs(tree, np.moveaxis(pts, -1, 0), pts.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -476,51 +497,101 @@ class PrescribedFunction:
 
     ``evaluate`` maps ``(..., 3)`` points to values, ``gradient`` to the
     pair of the values and the ``(..., 3)`` Euclidean gradients;
-    ``descriptor`` documents the source.
+    ``descriptor`` documents the source.  ``fold_verticals(x, y, base,
+    span, fractions, fold)`` samples the function on vertical segments, at
+    the heights ``t[i, j] = base + span[i] fractions[j]`` above each point
+    ``(x[i], y[i])``, and returns one number per segment, ``fold(t,
+    values)`` on the segments' rows of ``t`` and of the values; a function
+    built without it samples the stacked points through ``evaluate``.
     """
 
     evaluate: object
     gradient: object
     descriptor: str = ""
+    fold_verticals: object = None
+
+    def __post_init__(self):
+        if self.fold_verticals is None:
+            self.fold_verticals = self._fold_at_points
+
+    def _fold_at_points(self, x, y, base, span, fractions, fold):
+        t = base + span[:, None] * fractions
+        pts = np.stack(np.broadcast_arrays(x[:, None], y[:, None], t), axis=-1)
+        return fold(t, self.evaluate(pts))
 
 
 def _checked(walk, tree, name):
-    """``walk(tree, p)`` with numpy's floating-point warnings off, taken over
-    the flattened points in blocks of :data:`SAMPLE_BLOCK` into one output
-    (values, or the pair of values and gradients), so the walk's
-    temporaries stay small whatever the sample size; raises
-    :class:`NumericsError` naming ``name`` and the first point where an
-    output (either array of a pair) is not finite."""
+    """The one sampler of a compiled function: ``walk(tree, p, shape)``
+    with numpy's floating-point warnings off, over the points of ``shape``
+    in blocks along its first axis of at most :data:`SAMPLE_BLOCK` points
+    (at least one row), so the walk's temporaries stay small whatever the
+    sample size.  ``rows(s)`` gives the three coordinate arrays of the rows
+    ``s``, which need only broadcast to the block's shape: a vertical
+    segment's ``x`` and ``y`` are one value each, so the walk takes their
+    terms once per segment rather than once per height.  The returned
+    generator yields each block's ``(s, p, outputs)``, the outputs a tuple
+    (values, or values and gradients); it raises :class:`NumericsError`
+    naming ``name`` and the first point where an output (either array of a
+    pair) is not finite."""
+    def blocks(shape, rows):
+        n, per = shape[0], math.prod(shape[1:])
+        step = max(SAMPLE_BLOCK // max(per, 1), 1)
+        # one block, possibly empty, even for an empty sample
+        for start in range(0, max(n, 1), step):
+            s = slice(start, min(start + step, n))
+            p, size = rows(s), (s.stop - s.start,) + shape[1:]
+            with np.errstate(all="ignore"):
+                got = walk(tree, p, size)
+            got = got if isinstance(got, tuple) else (got,)
+            if not all(np.isfinite(o).all() for o in got):
+                ok = np.logical_and.reduce([
+                    np.isfinite(o).reshape(math.prod(size), -1).all(axis=-1)
+                    for o in got])
+                pts = np.stack(np.broadcast_arrays(*p), axis=-1)
+                raise NumericsError(f"{name} is not finite at "
+                                    f"{pts.reshape(-1, 3)[~ok][0].tolist()}")
+            yield s, p, got
+    return blocks
+
+
+def _at_points(blocks):
+    """The points form of a sampler: its outputs at points ``(..., 3)``,
+    one array or the pair."""
     def sample(p):
         pts = np.asarray(p, dtype=float)
         flat = pts.reshape(-1, 3)
         outs = None
-        # one block, possibly empty, even for an empty sample
-        for start in range(0, max(len(flat), 1), SAMPLE_BLOCK):
-            block = flat[start:start + SAMPLE_BLOCK]
-            with np.errstate(all="ignore"):
-                got = walk(tree, block)
-            got = got if isinstance(got, tuple) else (got,)
-            if not all(np.isfinite(o).all() for o in got):
-                ok = np.logical_and.reduce([
-                    np.isfinite(o).reshape(len(block), -1).all(axis=-1)
-                    for o in got])
-                raise NumericsError(
-                    f"{name} is not finite at {block[~ok][0].tolist()}")
+        for s, _, got in blocks(flat.shape[:1], lambda s: flat[s].T):
             # the outputs keep the whole walk's memory layout (a sample of
             # one block keeps the walk's own arrays), on which later sums
             # and products depend for their last bits
-            if len(block) == len(flat):
+            if s.stop - s.start == len(flat):
                 outs = got
                 break
             if outs is None:
                 outs = [np.empty_like(o, shape=flat.shape[:1] + o.shape[1:])
                         for o in got]
             for out, o in zip(outs, got):
-                out[start:start + len(block)] = o
+                out[s] = o
         outs = [out.reshape(pts.shape[:-1] + out.shape[1:]) for out in outs]
         return tuple(outs) if len(outs) > 1 else outs[0]
     return sample
+
+
+def _on_verticals(blocks):
+    """The vertical-segment form of a values sampler, as
+    :class:`PrescribedFunction`'s ``fold_verticals``: each block of
+    segments is walked and folded before the next, so neither the heights
+    nor the values of all segments are ever held at once."""
+    def fold_verticals(x, y, base, span, fractions, fold):
+        x, y, span = (np.asarray(a, dtype=float) for a in (x, y, span))
+        out = np.empty(len(span))
+        rows = lambda s: (x[s, None], y[s, None],
+                          base + span[s, None] * fractions)
+        for s, p, (values,) in blocks((len(span), len(fractions)), rows):
+            out[s] = fold(p[2], values)
+        return out
+    return fold_verticals
 
 
 def phi_to_prescribed(text, probe_box=None):
@@ -532,11 +603,12 @@ def phi_to_prescribed(text, probe_box=None):
     """
     tree = parse_phi(text)
     descriptor = to_text(tree)
+    values = _checked(_values, tree, f"phi = {descriptor}")
     phi = PrescribedFunction(
-        evaluate=_checked(evaluate, tree, f"phi = {descriptor}"),
-        gradient=_checked(evaluate_gradient, tree,
-                          f"the value or gradient of phi = {descriptor}"),
-        descriptor=descriptor)
+        evaluate=_at_points(values),
+        gradient=_at_points(_checked(
+            _pairs, tree, f"the value or gradient of phi = {descriptor}")),
+        descriptor=descriptor, fold_verticals=_on_verticals(values))
     if probe_box is None:
         probe_box = (-1.0, 1.0, -1.0, 1.0, 0.5, 2.0)
     probes = box_lattice(probe_box, 3)

@@ -8,6 +8,12 @@ from cmc_hyp import build_grid, make_params
 # locally with the same examples; local runs keep the default profile
 settings.register_profile("ci", derandomize=True)
 
+# phi designs whose blocked samples must keep the raw walk's bits: a bump,
+# a constant, a bare coordinate and two bumps
+BLOCK_DESIGNS = ("exp(-hypdist(0.1, -0.05, 1.1)^2)", "2.5", "p1",
+                 "exp(-hypdist(0.05, 0.15, 1.25)^2)"
+                 " + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)")
+
 
 def selfadjoint_defect(system, rng):
     """Worst asymmetry of the system's modal form on random normalized

@@ -8,8 +8,12 @@ from cmc_hyp import chart as ch
 from cmc_hyp import energy as en
 from cmc_hyp import halfspace as hs
 from cmc_hyp import melnikov as mel
+from cmc_hyp import phi_expr as pe
 from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
+from cmc_hyp.phi_expr import phi_to_prescribed
+
+from conftest import BLOCK_DESIGNS
 
 Q0 = HyperbolicPoint(0, 0, 1)
 
@@ -72,6 +76,52 @@ def test_volume_gauge_independence(grid16, params2):
         assert abs(v - _flux(en.build_Q(phi, anchor=anchor), U)) < 1e-8
 
 
+def _probe_build_Q(K, anchor):
+    """:func:`~cmc_hyp.energy.build_Q` sampling ``K`` through ``evaluate``
+    at a ``(rows, 24, 3)`` array of vertical probes, block by block: the
+    oracle of the vertical-segment sampler."""
+    rows_per_block = pe.SAMPLE_BLOCK // en.VERTICAL_QUAD_ORDER
+
+    def evaluator(pts):
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, 3)
+        out = np.zeros_like(flat)
+        for start in range(0, len(flat), rows_per_block):
+            rows = flat[start:start + rows_per_block]
+            span = rows[:, 2] - anchor
+            t = anchor + span[:, None] * en._XI[None, :]
+            probe = np.empty(t.shape + (3,))
+            probe[..., 0] = rows[:, 0, None]
+            probe[..., 1] = rows[:, 1, None]
+            probe[..., 2] = t
+            out[start:start + len(rows), 2] = span * np.sum(
+                en._WXI * K.evaluate(probe) / t**3, axis=1)
+        return out.reshape(np.shape(pts))
+
+    return evaluator
+
+
+# the sampler's test designs, the wide and the narrow bump of the solve
+# benchmarks, and a bare coordinate term
+VOLUME_DESIGNS = BLOCK_DESIGNS + (
+    "exp(-hypdist(0.1,0.05,1.1)^2) + 0.1*p1",
+    "0.02*p1 + exp(-(hypdist(-0.2,0,0.85)/0.1)^2)",
+    "p1 + p2*p3")
+
+
+@pytest.mark.parametrize("n", [16, 24, 40])
+def test_volume_equals_the_probe_array_bit_for_bit(params2, n):
+    # phi's values on the segments are the probes' values, and the sums
+    # are the probes' sums, so the volume keeps every bit
+    grid = ch.build_grid(n)
+    for q in (HyperbolicPoint(0.1, -0.05, 1.1), HyperbolicPoint(0.3, 0.2, 0.9)):
+        U = bb.bubble(params2, q, grid)
+        for text in VOLUME_DESIGNS:
+            phi = phi_to_prescribed(text)
+            oracle = _flux(_probe_build_Q(phi, U.values[:, 2].min()), U)
+            assert en.volume_V(phi, U) == oracle, text
+
+
 def test_volume_samples_within_the_surface_heights(grid16, params2):
     # the antiderivative's segments end at the surface's lowest height, so
     # phi is never sampled above or below the surface
@@ -79,13 +129,15 @@ def test_volume_samples_within_the_surface_heights(grid16, params2):
     seen = []
 
     class Recording:
-        def evaluate(self, p):
-            seen.append(np.array(p).reshape(-1, 3))
-            return phi.evaluate(p)
+        def fold_verticals(self, x, y, base, span, fractions, fold):
+            def recorded(t, values):
+                seen.append(t.ravel())
+                return fold(t, values)
+            return phi.fold_verticals(x, y, base, span, fractions, recorded)
 
     U = bb.bubble(params2, HyperbolicPoint(0, 0, 2.5), grid16)
     assert en.volume_V(Recording(), U) == en.volume_V(phi, U)
-    heights = np.concatenate(seen)[:, 2]
+    heights = np.concatenate(seen)
     assert U.values[:, 2].min() <= heights.min()
     assert heights.max() <= U.values[:, 2].max()
 
@@ -133,6 +185,20 @@ def test_energies_agree_where_a_height_squared_overflows(grid16, params2):
         en.energy_curve(params2, [1e160], grid16)
     with pytest.raises(NumericsError, match="t = 1e\\+160"):
         en.horosphere_energy(2.0, 1e160)
+
+
+@pytest.mark.parametrize("q3", [1e-105, 1e-110])
+def test_perturbed_energy_refuses_heights_whose_cube_leaves_the_float_range(
+        grid16, params2, q3):
+    # near the ideal boundary the weighted volume's t^-3 overflows: the
+    # energy refuses, naming the heights, where it used to return NaN
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, q3), grid16)
+    assert np.isfinite(en.energy_E(U, params2))
+    with pytest.raises(NumericsError, match="the surface energy leaves the "
+                       "float range at heights .*e-1[01][0-9] to "):
+        en.energy_E(U, params2, 0.1, mel.phi_constant(1.0))
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, 1e-90), grid16)
+    assert np.isfinite(en.energy_E(U, params2, 0.1, mel.phi_constant(1.0)))
 
 
 def test_energy_monotone_divergence(grid24, params2):

@@ -9,6 +9,8 @@ from cmc_hyp import phi_expr as pe
 from cmc_hyp.errors import NumericsError
 from cmc_hyp.halfspace import HyperbolicPoint
 
+from conftest import BLOCK_DESIGNS
+
 
 def fd_gradient(phi, p, h=1e-6):
     out = np.empty(3)
@@ -252,15 +254,28 @@ def test_gradients_of_hypdist_and_sums_follow_the_chain_rule():
         assert np.array_equal(grads, np.broadcast_to(ref, pts.shape))
 
 
-BLOCK_DESIGNS = ("exp(-hypdist(0.1, -0.05, 1.1)^2)", "2.5", "p1",
-                 "exp(-hypdist(0.05, 0.15, 1.25)^2)"
-                 " + 0.2*exp(-hypdist(-0.2, 0, 0.95)^2)")
+def _verticals(phi, x, y, base, span, fractions):
+    """``phi.fold_verticals``'s values, block by block, in one
+    ``(segments, heights)`` array."""
+    blocks = []
+
+    def keep(t, values):
+        blocks.append(values)
+        return np.zeros(len(t))
+    phi.fold_verticals(x, y, base, span, fractions, keep)
+    return np.concatenate(blocks)
+
+
+def _segment_points(x, y, base, span, fractions):
+    t = base + span[:, None] * fractions
+    return np.stack(np.broadcast_arrays(x[:, None], y[:, None], t), axis=-1)
 
 
 @pytest.mark.parametrize("text", BLOCK_DESIGNS)
 def test_blocked_samples_equal_one_raw_walk(text):
     # a sample over two full blocks and a short one gives the whole raw
-    # walk's numbers bit for bit, flat and in the vertical probes' shape
+    # walk's numbers bit for bit, flat, in the vertical probes' shape and
+    # on vertical segments
     tree, phi = pe.parse_phi(text), pe.phi_to_prescribed(text)
     size = 2 * pe.SAMPLE_BLOCK + 7
     rng = np.random.default_rng(5)
@@ -273,6 +288,14 @@ def test_blocked_samples_equal_one_raw_walk(text):
         for got, raw in zip(phi.gradient(pts), pe.evaluate_gradient(tree, pts)):
             assert got.shape == raw.shape
             assert got.tobytes() == raw.tobytes()
+    x, y = rng.uniform(-1.0, 1.0, (2, -(-size // 24)))
+    span = rng.uniform(0.0, 1.5, len(x))
+    fractions = np.sort(rng.uniform(0.0, 1.0, 24))
+    values = _verticals(phi, x, y, 0.5, span, fractions)
+    pts = _segment_points(x, y, 0.5, span, fractions)
+    assert values.shape == pts.shape[:-1]
+    assert values.tobytes() == pe.evaluate(tree, pts).tobytes()
+    assert values.tobytes() == phi.evaluate(pts).tobytes()
 
 
 def test_blocked_samples_name_a_point_of_the_last_block():
@@ -286,6 +309,24 @@ def test_blocked_samples_name_a_point_of_the_last_block():
         with pytest.raises(NumericsError, match=r"not finite at "
                            r"\[0\.25, -0\.5, 1\.0\]"):
             fn(pts)
+    # on vertical segments the first such point is the points form's
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-1.0, 1.0, (2, 400))
+    span = rng.uniform(0.0, 0.8, 400)
+    fractions = np.linspace(0.0, 1.0, 24)
+    span[-7], span[-3] = -0.3, -0.5
+    messages = []
+    for sample in (lambda: phi.fold_verticals(x, y, 1.2, span, fractions,
+                                              lambda t, v: v[:, 0]),
+                   lambda: phi.evaluate(_segment_points(x, y, 1.2, span,
+                                                        fractions))):
+        with pytest.raises(NumericsError, match="not finite at") as err:
+            sample()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # the ninth height is the segment's first below 1.1
+    first = [x[-7], y[-7], 1.2 + span[-7] * fractions[8]]
+    assert messages[0].endswith(f"at {[float(c) for c in first]}")
 
 
 def test_power_slope_rule_is_pointwise():

@@ -206,7 +206,7 @@ def _interaction_matrix_entrywise(state, params):
 
 
 def test_interaction_matrix_matches_entrywise(grid16, grid24, params2, bump):
-    for grid in (grid16, grid24):
+    for grid in (grid16, grid24, ch.build_grid(40)):
         st = red.correct(0.02, HyperbolicPoint(0.2, -0.1, 1.2), bump,
                          params2, grid)
         A = red.interaction_matrix(st, params2)
