@@ -429,14 +429,20 @@ def cm_norm(f, m=0):
     v = f.values if not f.is_vector else np.linalg.norm(f.values, axis=1)
     out = float(np.max(np.abs(v)))
     if m == 1:
-        if not f.has_derivatives:
-            raise ValueError("m = 1 needs derivative slots; differentiate first")
-        if f.is_vector:
-            g2 = np.sum(f.dx**2, axis=1) + np.sum(f.dy**2, axis=1)
-        else:
-            g2 = f.dx**2 + f.dy**2
-        out += float(np.max(np.sqrt(g2) / f.grid.mu))
+        out += gradient_sup(f)
     return out
+
+
+def gradient_sup(f):
+    """``max(mu^-1 |grad u|)``, the derivative term of :func:`cm_norm` of
+    order 1, so ``cm_norm(f, 1) == cm_norm(f, 0) + gradient_sup(f)``."""
+    if not f.has_derivatives:
+        raise ValueError("m = 1 needs derivative slots; differentiate first")
+    if f.is_vector:
+        g2 = np.sum(f.dx**2, axis=1) + np.sum(f.dy**2, axis=1)
+    else:
+        g2 = f.dx**2 + f.dy**2
+    return float(np.max(np.sqrt(g2) / f.grid.mu))
 
 
 # ---------------------------------------------------------------------------

@@ -42,23 +42,36 @@ def build_Q(K, anchor):
     of points ``(..., 3)``, whose divergence is ``p3^-3 K``; the anchor
     height is pure gauge on closed surfaces.  The integral is a
     ``VERTICAL_QUAD_ORDER`` Gauss rule on the segment between ``anchor`` and
-    ``p3``, so ``K`` is sampled only there.  ``K.fold_verticals`` walks the
-    segments, with each point's horizontal terms taken once per segment
-    rather than once per height, a block of
-    :data:`~cmc_hyp.phi_expr.SAMPLE_BLOCK` samples at a time, and sums each
-    block before the next, so its memory does not grow with the number of
-    points.
+    ``p3``, so ``K`` is sampled only there (:func:`_vertical_antiderivative`).
     """
     def evaluator(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 3)
-        span = flat[:, 2] - anchor
         out = np.zeros_like(flat)
-        out[:, 2] = span * K.fold_verticals(flat[:, 0], flat[:, 1], anchor,
-                                            span, _XI, _vertical_rule)
+        out[:, 2] = _vertical_antiderivative(K, anchor, flat)
         return out.reshape(np.shape(pts))
 
     return evaluator
+
+
+def _vertical_antiderivative(K, anchor, flat):
+    """The third component of :func:`build_Q`'s field at points ``(N, 3)``.
+    ``K.fold_verticals`` walks the segments, with each point's horizontal
+    terms taken once per segment rather than once per height, a block of
+    :data:`~cmc_hyp.phi_expr.SAMPLE_BLOCK` samples at a time, and sums each
+    block before the next, so its memory does not grow with the number of
+    points."""
+    span = flat[:, 2] - anchor
+    return span * K.fold_verticals(flat[:, 0], flat[:, 1], anchor, span, _XI,
+                                   _vertical_rule)
+
+
+def _weighted_volume(K, u, u3, wz, cross3):
+    """:func:`volume_V` of a differentiated surface from its heights ``u3``,
+    its quadrature weights ``wz`` and the third component ``cross3`` of
+    ``d_x u ^ d_y u``, the only one ``Q_K`` meets; not checked finite."""
+    q3 = _vertical_antiderivative(K, u3.min(), u.values)
+    return float(np.sum(wz * (q3 * cross3)))
 
 
 def volume_V(K, u):
@@ -69,13 +82,22 @@ def volume_V(K, u):
     On a compiled ``phi`` (the benchmark's wide bump) it costs about
     0.75 ms at n = 24 and 1.9 ms at n = 40 (one core of a shared two-core
     Xeon, one BLAS thread), against 0.97 and 2.4 ms when every height was
-    a point of its own.
+    a point of its own.  It is computed with numpy's floating-point
+    warnings off; a volume that is not finite, as where a height's cube
+    leaves the float range, raises :class:`NumericsError` naming the
+    surface's heights.
     """
     u = ch.differentiate(u)
-    Q = build_Q(K, positive_heights(u.values).min())
-    cross = np.cross(u.dx, u.dy)
-    integrand = np.einsum("ij,ij->i", Q(u.values), cross)
-    return float(np.sum(u.grid.weights / u.grid.mu**2 * integrand))
+    u3 = positive_heights(u.values)
+    g = u.grid
+    with np.errstate(all="ignore"):
+        out = _weighted_volume(K, u, u3, g.weights / g.mu**2,
+                               np.cross(u.dx, u.dy)[:, 2])
+    if not np.isfinite(out):
+        raise NumericsError("the weighted volume leaves the float range at "
+                            f"heights {float(u3.min())!r} to "
+                            f"{float(u3.max())!r}")
+    return out
 
 
 def energy_E(u, params, eps=0.0, phi=None):
@@ -101,7 +123,7 @@ def energy_E(u, params, eps=0.0, phi=None):
         out = 0.5 * np.sum(wz * norm2 / h2) \
             - params.k * np.sum(wz * cross3 / h2)
         if eps != 0.0:
-            out += 2.0 * eps * volume_V(phi, u)
+            out += 2.0 * eps * _weighted_volume(phi, u, u3, wz, cross3)
     if not (np.isfinite(h2).all() and np.isfinite(out)):
         raise NumericsError("the surface energy leaves the float range at "
                             f"heights {float(u3.min())!r} to "

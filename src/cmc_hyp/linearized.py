@@ -100,6 +100,116 @@ def _sum_into(dst, src, vals, a):
     return out
 
 
+class _ModalBasis:
+    """The part of the operator pack that depends on the grid alone, shared
+    by the packs of every curvature on one grid and cached by
+    :func:`_basis`: the normalized profiles ``P`` and ``dP/ds`` per order
+    (``_profiles``), the mode slots (``_slots``, ``_modal``), the
+    transforms' azimuthal weights (``_fourier``), the modes' degrees
+    (``mode_degrees``), the meridian grid, each order's meridian mode table
+    (``meridian_modes``) and the vector blocks' layout (``vector_layout``).
+    Every array is read-only.
+    """
+
+    def __init__(self, grid):
+        if grid.n < PACK_MIN_N:
+            raise ValueError(f"the operator pack needs a grid with "
+                             f"n >= {PACK_MIN_N}, got n={grid.n}")
+        degree = grid.n - 6
+        self.grid = grid
+        self.degree = degree
+        x, sins = grid.x, grid.sin_s
+        ring = grid.node_shape(grid.weights)[:, 0]
+
+        D = degree + 1
+        # [m, 0 or 1, polar node, j]: P_{m,j} and dP_{m,j}/ds, normalized
+        self._profiles = np.zeros((D, 2, grid.n, D))
+        for m in range(D):
+            tab = _gegenbauer_table(degree - m, m + 0.5, x)
+            P = (sins**m)[:, None] * tab
+            dP_ds = -(sins**(m + 1))[:, None] * (grid.Dleg @ tab)
+            if m > 0:
+                dP_ds += (m * sins**(m - 1) * x)[:, None] * tab
+            # sum of cos^2 (or sin^2) of m theta over the ring: ntheta for
+            # m = 0, ntheta / 2 otherwise, since m < ntheta / 2
+            nrm = np.sqrt((grid.ntheta / (2 if m else 1)) * (ring @ P**2))
+            self._profiles[m, 0, :, :D - m] = P / nrm
+            self._profiles[m, 1, :, :D - m] = dP_ds / nrm
+        # modes are ordered by m, cos before sin, then j; _slots holds each
+        # one's flat position in an (m, j, cos/sin) array, the layout of the
+        # transforms' profile products, and _modal the inverse
+        self._slots = np.concatenate(
+            [(m * D + np.arange(D - m)) * 2 + odd
+             for m in range(D) for odd in ((0, 1) if m else (0,))])
+        self.nmodes = self._slots.size
+        self._modal = np.full((D, D, 2), -1)
+        self._modal.flat[self._slots] = np.arange(self.nmodes)
+        # irfft weight of order m: a cos + b sin = Re((a - i b) e^{i m theta})
+        self._fourier = np.full(D, grid.ntheta / 2.0)
+        self._fourier[0] = grid.ntheta
+        m, j, _ = np.unravel_index(self._slots, (D, D, 2))
+        self.mode_degrees = m + j
+        self.meridian = ch.with_azimuths(grid, 1)
+        self.meridian_modes = tuple(self._meridian_table(m) for m in range(D))
+        ch._freeze(self._profiles, self._slots, self._modal, self._fourier,
+                   self.mode_degrees,
+                   *(t for tables in self.meridian_modes for t in tables))
+
+    def _index(self, m, odd):
+        """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
+        return self._modal[m, :self.degree - m + 1, odd]
+
+    def _meridian_table(self, m):
+        """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
+        scalar modes ``P_{m,j}(s) e^{i m theta}`` of order ``m`` at the
+        meridian nodes.  At ``theta = 0`` the chart's ``d/dx`` is the radial
+        derivative ``mu d/ds`` and ``d/dy`` the angular one ``(1/rho)
+        d/dtheta``, which takes ``e^{i m theta}`` to ``i m``."""
+        P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
+        mer = self.meridian
+        return (P, mer.mu[:, None] * dP_ds,
+                (1.0 / mer.rho)[:, None] * (1j * m * P))
+
+    @cached_property
+    def vector_layout(self):
+        """``(blocks, coords)``: each entry ``(M, groups, spans)`` of
+        ``blocks`` is the column groups (:func:`_vector_groups`) of the
+        vector block of total azimuthal order ``M`` and the ranges of block
+        coordinates it acts on (see :attr:`_ModalPack.vector_blocks`);
+        ``coords = (rows, cols, vals)`` holds the nonzeros of the orthogonal
+        map from modal coefficients to block coordinates.  Built on first
+        use, so a grid that only ever solves the scalar pencil skips it."""
+        nm, deg = self.nmodes, self.degree
+        blocks, rows, cols, vals, at = [], [], [], [], 0
+        for M in range(deg + 2):
+            for odd in (0, 1):
+                groups = _vector_groups(M, odd, deg)
+                size = sum(deg - m + 1 for m, _ in groups)
+                if not (odd and M):
+                    blocks.append((M, groups, []))
+                blocks[-1][2].append(slice(at, at + size))
+                for m, d in groups:
+                    J = deg - m + 1
+                    for comp in range(3):
+                        for sin, coef in enumerate((d[comp].real,
+                                                    -d[comp].imag)):
+                            if coef and (m or not sin):   # sin 0 theta = 0
+                                rows.append(at + np.arange(J))
+                                cols.append(comp * nm + self._index(m, sin))
+                                vals.append(np.full(J, coef))
+                    at += J
+        coords = tuple(np.concatenate(a) for a in (rows, cols, vals))
+        ch._freeze(*coords, *(d for _, groups, _ in blocks for _, d in groups))
+        return [(M, groups, tuple(spans)) for M, groups, spans in blocks], \
+            coords
+
+
+# the two grids of a certificate job (n = 24, then 48) stay cached
+@lru_cache(maxsize=2)
+def _basis(n):
+    return _ModalBasis(ch.build_grid(n))
+
+
 class _ModalPack:
     """Every per-(grid, k) operator array, cached by :func:`_pack`.
 
@@ -132,75 +242,34 @@ class _ModalPack:
     nodes at the single azimuth ``theta = 0`` (``meridian``,
     :func:`~cmc_hyp.chart.with_azimuths` with one azimuth), each weighted by
     its whole ring; no dense operator or nodal table of the basis is formed.
-    The blocks, the tangent frame (the one shared copy), its modal
-    tables and the inverses of the corrector's per-block saddle matrices
-    are built on first use.  :func:`_pack` keeps one pack: every command
-    and solve works at a single ``(n, k)``.  At n = 48 a pack holds about
-    7 MB after a certificate and a solve: 2.1 MB of vector blocks and their
-    map, 2.1 MB of saddle inverses, 1.4 MB of profiles and 0.77 MB of
-    tangent frame (0.66 MB of it the six tau fields, values only).
+
+    What depends on the grid alone is the pack's :class:`_ModalBasis`
+    (``basis``), cached by :func:`_basis` for the last two grids and shared
+    by the packs of every ``k``; the pack's profiles, mode slots, weights,
+    degrees and meridian are references to its read-only arrays.  At
+    n = 48 a basis holds about 2.8 MB: 1.4 MB of profiles, 1.1 MB of
+    meridian mode tables and 0.22 MB of the vector blocks' map.  The Gram
+    columns depend on the grid alone too, but they are not kept (about
+    11 MB at n = 48).  What depends on ``k`` is the pack's own, built on
+    first use: the densities, the vector and scalar blocks, the tangent
+    frame (the one shared copy), its modal tables and the inverses of the
+    corrector's per-block saddle matrices.  :func:`_pack` keeps one pack:
+    every command and solve works at a single ``(n, k)``.  At n = 48 a
+    pack after a certificate and a solve holds about 5.6 MB of its own:
+    1.9 MB of vector blocks, 2.1 MB of saddle inverses, 0.77 MB of tangent
+    frame (0.66 MB of it the six tau fields, values only), 0.44 MB of
+    scalar pencils and 0.40 MB of the frame's modal tables.
     """
 
     def __init__(self, grid, params):
-        if grid.n < PACK_MIN_N:
-            raise ValueError(f"the operator pack needs a grid with "
-                             f"n >= {PACK_MIN_N}, got n={grid.n}")
-        degree = grid.n - 6
+        basis = _basis(grid.n)
+        self.basis = basis
         self.grid = grid
         self.params = params
-        self.degree = degree
-        x, sins = grid.x, grid.sin_s
-        ring = grid.node_shape(grid.weights)[:, 0]
-
-        D = degree + 1
-        # [m, 0 or 1, polar node, j]: P_{m,j} and dP_{m,j}/ds, normalized
-        self._profiles = np.zeros((D, 2, grid.n, D))
-        for m in range(D):
-            tab = _gegenbauer_table(degree - m, m + 0.5, x)
-            P = (sins**m)[:, None] * tab
-            dP_ds = -(sins**(m + 1))[:, None] * (grid.Dleg @ tab)
-            if m > 0:
-                dP_ds += (m * sins**(m - 1) * x)[:, None] * tab
-            # sum of cos^2 (or sin^2) of m theta over the ring: ntheta for
-            # m = 0, ntheta / 2 otherwise, since m < ntheta / 2
-            nrm = np.sqrt((grid.ntheta / (2 if m else 1)) * (ring @ P**2))
-            self._profiles[m, 0, :, :D - m] = P / nrm
-            self._profiles[m, 1, :, :D - m] = dP_ds / nrm
-        # modes are ordered by m, cos before sin, then j; _slots holds each
-        # one's flat position in an (m, j, cos/sin) array, the layout of the
-        # transforms' profile products, and _modal the inverse
-        self._slots = np.concatenate(
-            [(m * D + np.arange(D - m)) * 2 + odd
-             for m in range(D) for odd in ((0, 1) if m else (0,))])
-        self.nmodes = self._slots.size
-        self._modal = np.full((D, D, 2), -1)
-        self._modal.flat[self._slots] = np.arange(self.nmodes)
-        # irfft weight of order m: a cos + b sin = Re((a - i b) e^{i m theta})
-        self._fourier = np.full(D, grid.ntheta / 2.0)
-        self._fourier[0] = grid.ntheta
-        self.meridian = ch.with_azimuths(grid, 1)
-
-    def _index(self, m, odd):
-        """Indices of the scalar modes of order ``m``, cos (or sin if odd)."""
-        return self._modal[m, :self.degree - m + 1, odd]
-
-    def _meridian_modes(self, m):
-        """Values and chart derivatives ``(d/dx, d/dy)`` of the orthonormal
-        scalar modes ``P_{m,j}(s) e^{i m theta}`` of order ``m`` at the
-        meridian nodes.  At ``theta = 0`` the chart's ``d/dx`` is the radial
-        derivative ``mu d/ds`` and ``d/dy`` the angular one ``(1/rho)
-        d/dtheta``, which takes ``e^{i m theta}`` to ``i m``."""
-        P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
-        mer = self.meridian
-        return (P, mer.mu[:, None] * dP_ds,
-                (1.0 / mer.rho)[:, None] * (1j * m * P))
-
-    @cached_property
-    def mode_degrees(self):
-        """Polynomial degree ``m + j`` of each scalar mode."""
-        D = self.degree + 1
-        m, j, _ = np.unravel_index(self._slots, (D, D, 2))
-        return m + j
+        self.degree, self.nmodes = basis.degree, basis.nmodes
+        self.meridian, self.mode_degrees = basis.meridian, basis.mode_degrees
+        self._profiles, self._slots = basis._profiles, basis._slots
+        self._modal, self._fourier = basis._modal, basis._fourier
 
     def tail_ratio(self, coeffs):
         """The largest modal vector coefficient of degree in the top tenth
@@ -224,37 +293,20 @@ class _ModalPack:
         for ``Y`` of order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2``
         for the cos/sin pair ``(Y, Y')`` of order ``M -+ 1``;
         ``coords = (rows, cols, vals)`` holds the nonzeros of this
-        orthogonal map from modal coefficients to block coordinates."""
-        nm, deg = self.nmodes, self.degree
-        blocks, rows, cols, vals, at = [], [], [], [], 0
-        for M in range(deg + 2):
-            for odd in (0, 1):
-                groups = _vector_groups(M, odd, deg)
-                size = sum(deg - m + 1 for m, _ in groups)
-                if not (odd and M):
-                    blocks.append((M, self._vector_gram(M, groups), []))
-                blocks[-1][2].append(slice(at, at + size))
-                for m, d in groups:
-                    J = deg - m + 1
-                    for comp in range(3):
-                        for sin, coef in enumerate((d[comp].real,
-                                                    -d[comp].imag)):
-                            if coef and (m or not sin):   # sin 0 theta = 0
-                                rows.append(at + np.arange(J))
-                                cols.append(comp * nm + self._index(m, sin))
-                                vals.append(np.full(J, coef))
-                    at += J
-        coords = tuple(np.concatenate(a) for a in (rows, cols, vals))
-        return blocks, coords
+        orthogonal map from modal coefficients to block coordinates.  The
+        layout and the map are the basis's."""
+        layout, coords = self.basis.vector_layout
+        return [(M, self._vector_gram(M, groups), spans)
+                for M, groups, spans in layout], coords
 
     def to_blocks(self, c):
         """Block coordinates of modal vector coefficients (or columns)."""
-        rows, cols, vals = self.vector_blocks[1]
+        rows, cols, vals = self.basis.vector_layout[1]
         return _sum_into(rows, cols, vals, c)
 
     def from_blocks(self, x):
         """Modal vector coefficients of block coordinates (or columns)."""
-        rows, cols, vals = self.vector_blocks[1]
+        rows, cols, vals = self.basis.vector_layout[1]
         return _sum_into(cols, rows, vals, x)
 
     def _vector_gram(self, M, groups):
@@ -278,7 +330,7 @@ class _ModalPack:
         for m, d in groups:
             a, b, c = ((f @ d)[:, None]
                        for f in (mer.omega, mer.domega_dx, mer.domega_dy))
-            t0, tx, ty = self._meridian_modes(m)
+            t0, tx, ty = self.basis.meridian_modes[m]
             per_group.append((b * tx - c * ty, c * tx + b * ty,
                               a * tx + b * t0, a * ty + c * t0, a * t0))
         weights = (Ctan, Ctan, C2, C2, C3)
@@ -337,7 +389,7 @@ class _ModalPack:
         _, C2, C3 = self._densities
         blocks, at = [], 0
         for m in range(self.degree + 1):
-            p0, px, py = self._meridian_modes(m)
+            p0, px, py = self.basis.meridian_modes[m]
             K = self._meridian_gram(m, ((px, C2, 1.0), (py, C2, 1.0)))
             B = self._meridian_gram(m, ((p0, C3, 1.0),))
             J = self.degree - m + 1

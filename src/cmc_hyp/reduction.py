@@ -395,6 +395,7 @@ def verify_side1(u, res, eps):
 def _report(state, phi, params, proxy=None):
     grid, u, res = state.nu.grid, state.surface, state.residual
     conf, _ = conformality_residual(u)
+    c0 = ch.cm_norm(state.nu, 0)
     rep = {
         "eps": state.eps,
         "q": [state.q.p1, state.q.p2, state.q.p3],
@@ -406,8 +407,8 @@ def _report(state, phi, params, proxy=None):
         "projected_residual": state.residual_norm,
         "constraint_defect": state.constraint_defect,
         "conformality": conf,
-        "c0_distance": ch.cm_norm(state.nu, 0),
-        "c1_distance": ch.cm_norm(state.nu, 1),
+        "c0_distance": c0,
+        "c1_distance": c0 + ch.gradient_sup(state.nu),
         "nu_tail": operator_pack(grid, params).tail_ratio(state.nu_modal),
         "energy": energy_E(u, params, state.eps, phi),
         "f_value": f_value(phi, params, state.q),

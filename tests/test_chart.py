@@ -164,6 +164,17 @@ def test_cm_norm(grid16):
         ch.cm_norm(f, 2)
 
 
+def test_cm_norm_splits_into_value_and_gradient_terms(grid16, rng):
+    # the order-1 norm is the order-0 norm plus the gradient term, bit for
+    # bit, so a caller that needs both takes the value norm once
+    vec = ch.differentiate(ch.random_smooth_field(grid16, rng))
+    scalar = ch.differentiate(ch.SphereField(grid16, vec.values[:, 0]))
+    for f in (vec, scalar):
+        assert ch.cm_norm(f, 1) == ch.cm_norm(f, 0) + ch.gradient_sup(f)
+    with pytest.raises(ValueError):
+        ch.gradient_sup(ch.SphereField(grid16, vec.values.copy()))
+
+
 def test_csv_roundtrip(tmp_path, grid16, rng):
     f = ch.random_smooth_field(grid16, rng)
     path = tmp_path / "field.csv"

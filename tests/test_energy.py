@@ -201,6 +201,19 @@ def test_perturbed_energy_refuses_heights_whose_cube_leaves_the_float_range(
     assert np.isfinite(en.energy_E(U, params2, 0.1, mel.phi_constant(1.0)))
 
 
+@pytest.mark.parametrize("q3", [1e-105, 1e-110])
+def test_volume_refuses_heights_whose_cube_leaves_the_float_range(
+        grid16, params2, q3):
+    # the weighted volume on its own refuses too, naming the heights, where
+    # it used to return NaN with a RuntimeWarning
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, q3), grid16)
+    with pytest.raises(NumericsError, match="the weighted volume leaves the "
+                       "float range at heights .*e-1[01][0-9] to "):
+        en.volume_V(mel.phi_constant(1.0), U)
+    U = bb.bubble(params2, HyperbolicPoint(0, 0, 1e-90), grid16)
+    assert np.isfinite(en.volume_V(mel.phi_constant(1.0), U))
+
+
 def test_energy_monotone_divergence(grid24, params2):
     ts = [1.05, 1.01, 1.001]
     vals = [r[1] for r in en.energy_curve(params2, ts, grid24)]

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -390,12 +391,97 @@ def test_kernel_verdict_needs_exactly_nine(grid16, sys16):
 
 
 def test_operator_cache_holds_one_pack(grid16, grid24, params2):
-    # one pack at n = 48 holds about 7.5 MB after a certificate and a solve,
-    # and no caller alternates (n, k)
+    # one pack at n = 48 holds about 5.6 MB of its own after a certificate
+    # and a solve, and no caller alternates (n, k)
     lin.operator_pack(grid16, params2)
     pack = lin.operator_pack(grid24, params2)
     assert lin._pack.cache_info().currsize == 1
     assert lin.operator_pack(grid24, params2) is pack
+
+
+def _same_bits(a, b):
+    """Whether two values hold the same arrays bit for bit, looking into
+    lists and tuples."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _certificate(n, k):
+    """A pack's operator arrays and its certificate's documents at (n, k)."""
+    grid, params = ch.build_grid(n), bb.make_params(k)
+    system = lin.assemble_linearized(params, Q0, grid)
+    rep = lin.kernel(system)
+    spec = lin.spectrum_normal(params, grid, count=8)
+    pack = system.pack
+    docs = json.dumps([rep.to_json(), rep.verdict(system), spec.to_json(),
+                       spec.verdict()])
+    return [pack.vector_blocks, pack.scalar_blocks, pack.saddle_factors,
+            pack.frame_modal, docs]
+
+
+def test_pack_on_a_cached_basis_equals_a_cold_one():
+    # the basis a pack takes from the cache, after packs at other k on the
+    # same grid and a pack on another grid, gives every bit of a cold one
+    lin._basis.cache_clear()
+    lin._pack.cache_clear()
+    cold = _certificate(24, 2.0)
+    lin._basis.cache_clear()
+    for n, k in ((24, 1.5), (16, 2.0), (24, 3.7)):
+        lin.operator_pack(ch.build_grid(n), bb.make_params(k)).vector_blocks
+    assert lin._basis.cache_info().currsize == 2
+    warm = _certificate(24, 2.0)
+    assert lin._basis.cache_info().hits >= 2
+    assert all(map(_same_bits, cold, warm))
+
+
+def _basis_arrays(basis):
+    """The arrays the basis shares between packs: its own fields and the
+    tables and directions in its lists and tuples (not its grids, which
+    hold their own frozen arrays)."""
+    return [a for v in vars(basis).values() for a in _arrays(v)]
+
+
+def test_packs_at_every_k_share_one_read_only_basis(grid24):
+    a = lin._ModalPack(grid24, bb.make_params(1.5))
+    b = lin._ModalPack(grid24, bb.make_params(3.7))
+    assert a.basis is b.basis
+    basis = a.basis
+    basis.vector_layout
+    for name in ("_profiles", "_slots", "_modal", "_fourier", "mode_degrees",
+                 "meridian"):
+        assert getattr(a, name) is getattr(basis, name)
+        assert getattr(b, name) is getattr(basis, name)
+    shared = _basis_arrays(basis)
+    assert len(shared) > 3 * (basis.degree + 1)
+    assert not any(x.flags.writeable for x in shared)
+    with pytest.raises(ValueError, match="read-only"):
+        a._profiles[0, 0, 0, 0] = 1.0
+    # a pack's own blocks stay its own
+    assert a.vector_blocks[0][0][1] is not b.vector_blocks[0][0][1]
+    assert a.vector_blocks[1] is b.vector_blocks[1]
+
+
+def test_basis_cache_is_bounded():
+    # the two grids of a certificate job stay cached; at n = 48 a basis
+    # with its vector layout holds about 2.8 MB of arrays of its own,
+    # besides its grids
+    assert lin._basis.cache_parameters()["maxsize"] == 2
+    lin._basis.cache_clear()
+    for n in (16, 24, 48):
+        lin._basis(n)
+    assert lin._basis.cache_info().currsize == 2
+    basis = lin._basis(48)
+    basis.vector_layout
+    owners = {}
+    for x in _basis_arrays(basis):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        owners[id(x)] = x.nbytes
+    assert 2.5e6 < sum(owners.values()) < 3.0e6
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +508,7 @@ def _nodal_tables(pack):
     tables = [np.empty((pack.grid.size, pack.nmodes)) for _ in range(3)]
     for m in range(pack.degree + 1):
         for odd in (0, 1) if m else (0,):
-            cols = pack._index(m, odd)
+            cols = pack.basis._index(m, odd)
             for table, modes in zip(tables, _trig_modes(pack, pack.grid, m,
                                                         odd)):
                 table[:, cols] = modes
@@ -661,7 +747,7 @@ def test_meridian_modes_are_the_chart_transform(n, params2):
         P, dP = pack._profiles[m, :, :, :pack.degree - m + 1]
         expect = (P,) + tuple(a.T for a in ch.polar_to_chart(
             pack.meridian, dP.T, (1j * m * P).T))
-        for got, want in zip(pack._meridian_modes(m), expect):
+        for got, want in zip(pack.basis.meridian_modes[m], expect):
             assert np.array_equal(got, want)
 
 
