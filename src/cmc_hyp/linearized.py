@@ -50,6 +50,22 @@ SPECTRUM_TRIPLE_REL = 1e-3
 SPECTRUM_MIN_COUNT = 5
 # smallest grid of the operator pack, whose scalar basis has degree n - 6 >= 2
 PACK_MIN_N = 8
+# the singular values a kernel certificate's gap search reads: the ratios
+# of the smallest seventeen
+KERNEL_WINDOW = 17
+# relative margin of a certificate's block exclusion (:func:`_rules_out`):
+# a block is left unsolved once K - SKIP_MARGIN * bound * B factors.  A
+# factorization of S that runs to completion in floating point proves only
+# S + E positive definite, with ||E||_2 <= (size + 1) (eps / 2) trace(S)
+# (Higham 2002, Thm 10.5, whose |R^T| |R| has norm at most trace(R^T R)),
+# and the excess (SKIP_MARGIN - 1) * bound of the shift over the bound
+# must cover that, and the rounding of S itself, for every eigenvalue to
+# lie above the bound.  So a block is only left unsolved where (size + 1)
+# eps trace(S) stays below that excess (times the smallest eigenvalue of
+# B); at n <= 64, k >= 1.02 it does by more than four decades, and at
+# k = 1.01, n = 128, where the blocks' largest eigenvalues reach 5.9e16,
+# half the blocks fail it and are solved.
+SKIP_MARGIN = 1.01
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +105,21 @@ def _vector_groups(M, odd, degree):
     return groups
 
 
-def _sum_into(dst, src, vals, a):
-    """``out[dst] += vals * a[src]`` over the nonzeros of a square map, ``a``
-    a vector (one column) or a matrix of column vectors, summed one column at
-    a time (``np.add.at`` is four times slower on a 2-D target)."""
-    out = np.zeros(np.shape(a))
-    a, cols = a.reshape(len(a), -1), out.reshape(len(out), -1)
-    for j in range(cols.shape[1]):
-        np.add.at(cols[:, j], dst, vals * a[src, j])
+def _map_blocks(block_map, a, transpose=False):
+    """The orthogonal block map applied to ``a``, a vector or a matrix of
+    column vectors (with ``transpose``, its transpose).  Every coordinate
+    sums one or two terms ``v * a[i]``: a first term gathered in
+    coordinate order, plus 0.0, and second terms added at the
+    coordinates that have one, ``(0.0 + p1) + p2`` as ``np.add.at``
+    sums; added to 0.0 first, two terms give the same bits in either
+    order, signed zeros included.  See
+    :attr:`_ModalBasis.vector_layout`."""
+    (src, vals), (rows, cols, vals2) = block_map[transpose], block_map[2]
+    shape = (-1,) + (1,) * (np.ndim(a) - 1)
+    out = vals.reshape(shape) * a[src]
+    out += 0.0
+    dst, src = (cols, rows) if transpose else (rows, cols)
+    out[dst] += vals2.reshape(shape) * a[src]
     return out
 
 
@@ -107,7 +130,8 @@ class _ModalBasis:
     (``_profiles``), the mode slots (``_slots``, ``_modal``), the
     transforms' azimuthal weights (``_fourier``), the modes' degrees
     (``mode_degrees``), the meridian grid, each order's meridian mode table
-    (``meridian_modes``) and the vector blocks' layout (``vector_layout``).
+    (``meridian_modes``) and the vector blocks' layout with the per-node
+    factors of their Gram terms (``vector_layout``).
     Every array is read-only.
     """
 
@@ -172,36 +196,68 @@ class _ModalBasis:
 
     @cached_property
     def vector_layout(self):
-        """``(blocks, coords)``: each entry ``(M, groups, spans)`` of
-        ``blocks`` is the column groups (:func:`_vector_groups`) of the
-        vector block of total azimuthal order ``M`` and the ranges of block
-        coordinates it acts on (see :attr:`_ModalPack.vector_blocks`);
-        ``coords = (rows, cols, vals)`` holds the nonzeros of the orthogonal
-        map from modal coefficients to block coordinates.  Built on first
-        use, so a grid that only ever solves the scalar pencil skips it."""
-        nm, deg = self.nmodes, self.degree
-        blocks, rows, cols, vals, at = [], [], [], [], 0
+        """``(blocks, block_map)``: each entry ``(M, groups, spans)`` of
+        ``blocks`` is the column groups of the vector block of total
+        azimuthal order ``M`` and the ranges of block coordinates it acts
+        on (see :attr:`_ModalPack.vector_blocks`), a group ``(m, factors)``
+        for each ``(m, d)`` of :func:`_vector_groups`, with ``factors`` the
+        per-node dot products ``omega . d``, ``domega_dx . d`` and
+        ``domega_dy . d`` at the meridian as columns, one copy per
+        direction ``d``.  ``block_map`` holds the nonzeros of the
+        orthogonal map from modal coefficients to block coordinates
+        (:func:`_map_blocks`).  Every block coordinate and every
+        coefficient has one or two nonzeros, a pair spanning a 2 x 2
+        rotation, so the nonzeros first in both their row and their column,
+        and those first in neither, hit every row and every column once;
+        they are held as ``(cols, vals)`` in row order and ``(rows, vals)``
+        in column order, and the rest as ``(rows, cols, vals)``, at most one
+        per row and column.  Built on first use, so a grid that only ever
+        solves the scalar pencil skips it."""
+        nm, deg, mer = self.nmodes, self.degree, self.meridian
+        blocks, at, factors, hit = [], 0, {}, set()
+        parts = ([], [], []), ([], [], [])      # rows, cols, vals of each
         for M in range(deg + 2):
             for odd in (0, 1):
                 groups = _vector_groups(M, odd, deg)
                 size = sum(deg - m + 1 for m, _ in groups)
                 if not (odd and M):
-                    blocks.append((M, groups, []))
+                    blocks.append((M, [], []))
+                    for m, d in groups:
+                        key = d.tobytes()
+                        if key not in factors:
+                            factors[key] = tuple(
+                                (f @ d)[:, None] for f in
+                                (mer.omega, mer.domega_dx, mer.domega_dy))
+                        blocks[-1][1].append((m, factors[key]))
                 blocks[-1][2].append(slice(at, at + size))
                 for m, d in groups:
-                    J = deg - m + 1
+                    J, row_first = deg - m + 1, True
                     for comp in range(3):
                         for sin, coef in enumerate((d[comp].real,
                                                     -d[comp].imag)):
                             if coef and (m or not sin):   # sin 0 theta = 0
-                                rows.append(at + np.arange(J))
-                                cols.append(comp * nm + self._index(m, sin))
-                                vals.append(np.full(J, coef))
+                                # each range of a group's nonzeros covers
+                                # the modes (comp, m, sin) whole; its rows'
+                                # first nonzeros are the group's first range
+                                col_first = (comp, m, sin) not in hit
+                                hit.add((comp, m, sin))
+                                part = parts[row_first != col_first]
+                                row_first = False
+                                part[0].append(at + np.arange(J))
+                                part[1].append(comp * nm + self._index(m, sin))
+                                part[2].append(np.full(J, coef))
                     at += J
-        coords = tuple(np.concatenate(a) for a in (rows, cols, vals))
-        ch._freeze(*coords, *(d for _, groups, _ in blocks for _, d in groups))
+        (rows, cols, vals), second = (tuple(map(np.concatenate, part))
+                                      for part in parts)
+        by_row, by_col = (np.empty(at, int), np.empty(at)), \
+            (np.empty(at, int), np.empty(at))
+        by_row[0][rows], by_row[1][rows] = cols, vals
+        by_col[0][cols], by_col[1][cols] = rows, vals
+        block_map = by_row, by_col, second
+        ch._freeze(*(a for part in block_map for a in part),
+                   *(f for fs in factors.values() for f in fs))
         return [(M, groups, tuple(spans)) for M, groups, spans in blocks], \
-            coords
+            block_map
 
 
 # the two grids of a certificate job (n = 24, then 48) stay cached
@@ -248,7 +304,8 @@ class _ModalPack:
     by the packs of every ``k``; the pack's profiles, mode slots, weights,
     degrees and meridian are references to its read-only arrays.  At
     n = 48 a basis holds about 2.8 MB: 1.4 MB of profiles, 1.1 MB of
-    meridian mode tables and 0.22 MB of the vector blocks' map.  The Gram
+    meridian mode tables, 0.22 MB of the vector blocks' map and 12 kB of
+    per-node factors.  The Gram
     columns depend on the grid alone too, but they are not kept (about
     11 MB at n = 48).  What depends on ``k`` is the pack's own, built on
     first use: the densities, the vector and scalar blocks, the tangent
@@ -283,7 +340,7 @@ class _ModalPack:
 
     @cached_property
     def vector_blocks(self):
-        """``(blocks, coords)``: each entry ``(M, H, spans)`` of ``blocks``
+        """``(blocks, block_map)``: each entry ``(M, H, spans)`` of ``blocks``
         is the weak matrix ``H`` of ``r^2 J'(U)`` on the real vector modes of
         total azimuthal order ``M`` and the ranges of block coordinates it
         acts on, which follow each other: for ``M > 0`` even, then odd under
@@ -292,22 +349,20 @@ class _ModalPack:
         ``e3 Y`` for a scalar mode ``Y`` of order ``M``, ``e1 Y`` or ``e2 Y``
         for ``Y`` of order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2``
         for the cos/sin pair ``(Y, Y')`` of order ``M -+ 1``;
-        ``coords = (rows, cols, vals)`` holds the nonzeros of this
-        orthogonal map from modal coefficients to block coordinates.  The
-        layout and the map are the basis's."""
-        layout, coords = self.basis.vector_layout
+        ``block_map`` holds the nonzeros of this orthogonal map from modal
+        coefficients to block coordinates.  The layout and the map are the
+        basis's (:attr:`_ModalBasis.vector_layout`)."""
+        layout, block_map = self.basis.vector_layout
         return [(M, self._vector_gram(M, groups), spans)
-                for M, groups, spans in layout], coords
+                for M, groups, spans in layout], block_map
 
     def to_blocks(self, c):
         """Block coordinates of modal vector coefficients (or columns)."""
-        rows, cols, vals = self.basis.vector_layout[1]
-        return _sum_into(rows, cols, vals, c)
+        return _map_blocks(self.basis.vector_layout[1], c)
 
     def from_blocks(self, x):
         """Modal vector coefficients of block coordinates (or columns)."""
-        rows, cols, vals = self.basis.vector_layout[1]
-        return _sum_into(cols, rows, vals, x)
+        return _map_blocks(self.basis.vector_layout[1], x, transpose=True)
 
     def _vector_gram(self, M, groups):
         """One vector block's matrix, the sum of five terms
@@ -321,15 +376,12 @@ class _ModalPack:
 
         A group's columns are a scalar mode times its fixed direction ``d``,
         so a dot product with a nodal 3-vector ``a`` is the per-node factor
-        ``a . d`` times the group's meridian mode table: each term is a
-        column concatenation over the groups of such products, and no
-        complex vector field is formed."""
-        mer = self.meridian
+        ``a . d`` (held by the basis's layout) times the group's meridian
+        mode table: each term is a column concatenation over the groups of
+        such products, and no complex vector field is formed."""
         Ctan, C2, C3 = self._densities
         per_group = []
-        for m, d in groups:
-            a, b, c = ((f @ d)[:, None]
-                       for f in (mer.omega, mer.domega_dx, mer.domega_dy))
+        for m, (a, b, c) in groups:
             t0, tx, ty = self.basis.meridian_modes[m]
             per_group.append((b * tx - c * ty, c * tx + b * ty,
                               a * tx + b * t0, a * ty + c * t0, a * t0))
@@ -806,19 +858,63 @@ class SpectrumReport:
         }
 
 
+def _rules_out(K, bound, B=None, mass_floor=1.0):
+    """Whether one Cholesky factorization shows every eigenvalue of the
+    symmetric ``K`` (of the pencil ``(K, B)``, ``B`` positive definite with
+    smallest eigenvalue at least ``mass_floor``) above ``bound > 0``: by
+    Sylvester's law of inertia, ``K - c B`` is positive definite exactly
+    when every eigenvalue exceeds ``c``.  The shift is ``c = SKIP_MARGIN *
+    bound``, and the test holds only where the factorization's backward
+    error stays inside the margin (see :data:`SKIP_MARGIN`).  The
+    certificates leave a block unsolved when this holds; the tests switch
+    it off to compare against solving every block."""
+    if not bound > 0:
+        return False
+    shift = SKIP_MARGIN * bound
+    if B is None:
+        S = K.copy()
+        S.flat[::len(S) + 1] -= shift
+    else:
+        S = K - shift * B
+    error = (len(S) + 1) * np.finfo(float).eps * np.trace(S)
+    if not error < (SKIP_MARGIN - 1.0) * bound * mass_floor:
+        return False
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _spectrum_cut(low, count):
+    """The largest value a spectrum solves eigenvectors for, from the
+    ``count`` lowest block values ``low`` (ascending): the ``count``-th,
+    plus a cluster's width of slack, so that a block whose ``eigh`` values
+    could round below it is kept."""
+    return low[count - 1] + 1e-6 * max(1.0, abs(low[SPECTRUM_MIN_COUNT - 1]))
+
+
 def spectrum_normal(params, grid, count=8):
     """Lowest eigenpairs of the weighted eigenproblem on normal perturbations.
 
     Solves the modal pencil (stiffness ``K`` against the ``(omega3+k)^-3``
-    weighted mass ``B``) on each azimuthal block of the pack and merges the
+    weighted mass ``B``) on the azimuthal blocks of the pack and merges the
     block spectra.  Each pencil is reduced by the Cholesky factor
     ``B = L L^T`` to the symmetric ``L^-1 K L^-T``; a mass matrix that is
     not positive definite raises :class:`NumericsError` naming its order.
-    The eigenvalues of every reduced block (``eigvalsh``) choose the lowest
-    ``count``, and ``eigh`` solves only the blocks holding one, to within
-    the cluster width below (orders 0-2 at n = 24, k = 2); its values are
-    reported, and its lowest eigenvectors are mapped back by ``L^-T``, so
-    they are ``B``-orthonormal and their residuals are those of the pencil.
+    The blocks are walked by ascending order ``m``.  Each block's reduced
+    eigenvalues (``eigvalsh``) are taken until the blocks solved hold
+    ``count`` values (counting each parity range); from then on a block is
+    left unsolved when one Cholesky factorization of ``K - c B``, ``c``
+    just above the current cut (:func:`_rules_out`), shows that all of its
+    eigenvalues lie above that cut, which only falls as blocks are added:
+    none of them can be among the lowest ``count``.  At n = 48 and
+    k = 2 that solves 3 of the 43 blocks.  The lowest ``count`` values of
+    the solved blocks choose the cut, and ``eigh`` solves only the blocks
+    holding one, to within the cluster width below (orders 0-2 at n = 24,
+    k = 2); its values are reported, and its lowest eigenvectors are
+    mapped back by ``L^-T``, so they are ``B``-orthonormal and their
+    residuals are those of the pencil.
     A pair's residual is its normwise backward error on its block's pencil,
     ``|K v - lam B v| / ((||K||_2 + |lam| ||B||_2) |v|)``, for a block's
     pairs at once the column norms of ``K V - (B V) diag(lam)``.  It does
@@ -837,7 +933,7 @@ def spectrum_normal(params, grid, count=8):
     pack = operator_pack(grid, params)
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
-    reduced = []
+    reduced, low = [], np.empty(0)
     for m, K, B, spans in pack.scalar_blocks:
         try:
             L = np.linalg.cholesky(B)
@@ -845,13 +941,16 @@ def spectrum_normal(params, grid, count=8):
             raise NumericsError(f"the mass matrix of azimuthal order {m} "
                                 "is not positive definite") from None
         Linv = np.linalg.inv(L)
+        # 1 / lambda_min(B) = ||L^-1||_2^2 <= ||L^-1||_F^2
+        if low.size == count and _rules_out(
+                K, _spectrum_cut(low, count), B, 1.0 / np.sum(Linv**2)):
+            continue
         A = Linv @ K @ Linv.T
-        reduced.append((m, K, B, spans, Linv, A, np.linalg.eigvalsh(A)))
-    # the blocks holding the lowest count values; a cluster's width of
-    # slack keeps any block whose eigh values could round below the cut
-    low = np.sort(np.concatenate([np.tile(w[:count], len(spans))
-                                  for _, _, _, spans, _, _, w in reduced]))
-    cut = low[count - 1] + 1e-6 * max(1.0, abs(low[SPECTRUM_MIN_COUNT - 1]))
+        w = np.linalg.eigvalsh(A)
+        reduced.append((m, K, B, spans, Linv, A, w))
+        low = np.sort(np.concatenate([low, np.tile(w[:count], len(spans))]))
+        low = low[:count]
+    cut = _spectrum_cut(low, count)
     pairs = []
     for m, K, B, spans, Linv, A, w in reduced:
         if w[0] > cut:
@@ -887,6 +986,13 @@ def spectrum_normal(params, grid, count=8):
 
 @dataclass
 class KernelReport:
+    """A kernel certificate (:func:`kernel`): the dimension, the mass-
+    orthonormal nodal basis with each field's azimuthal order, the gap
+    ratio, and ``singular_values``, ascending: those of the blocks the
+    certificate solved, which include every value below the window's
+    bound; a block left unsolved has been shown to have every eigenvalue
+    above it."""
+
     dimension: int
     basis: list
     gap: float
@@ -949,23 +1055,41 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     (down to 1e-31 for the rotation about the z-axis), and their scales
     differ by many decades towards k = 1 (at k = 1.01, n = 128 the largest
     singular value is 5.9e16), so one floor for the whole operator would
-    lie above the whole jump from the kernel to the range.  The scan needs
-    only eigenvalues (``eigvalsh``); eigenvectors are computed (``eigh``)
-    only for the blocks with an eigenvalue within the cut, the few low
-    azimuthal orders that hold the kernel.  The returned nodal basis is
-    orthonormal in the mass inner product: the in-window block
-    eigenvectors, once per parity range, labelled by block order.
+    lie above the whole jump from the kernel to the range.
+
+    The scan reads only the smallest :data:`KERNEL_WINDOW` values.  The
+    blocks are walked by ascending order ``|M|``, and each one's
+    eigenvalues (``eigvalsh``) are taken until the blocks solved hold that
+    many (counting each parity range); from then on a block is left
+    unsolved when one Cholesky factorization of ``scale H - c I``, ``c``
+    just above the current window's largest value (:func:`_rules_out`),
+    shows that all of its eigenvalues lie above that value, which only
+    falls as blocks are added: none of them can enter the window.  At
+    n = 48 and k = 2 that solves 4 of the 45 blocks.  Eigenvectors are
+    computed (``eigh``) only for the solved blocks with an eigenvalue
+    within the cut, the few low azimuthal orders that hold the kernel.  The
+    returned nodal basis is orthonormal in the mass inner product: the
+    in-window block eigenvectors, once per parity range, labelled by block
+    order.  The report's ``singular_values`` are those of the solved
+    blocks, ascending, which include every value below the window's bound.
     """
     pack, (blocks, _) = system.pack, system.pack.vector_blocks
-    eigs = [np.linalg.eigvalsh(system.scale * H) for _, H, _ in blocks]
-    sigma = [np.abs(w) for (_, _, spans), w in zip(blocks, eigs)
-             for _ in spans]
+    solved, low = [], np.empty(0)
+    for M, H, spans in blocks:
+        A = system.scale * H
+        if low.size == KERNEL_WINDOW and _rules_out(A, low[-1]):
+            continue
+        w = np.linalg.eigvalsh(A)
+        solved.append((M, H, spans, w))
+        low = np.sort(np.concatenate([low, np.tile(np.abs(w), len(spans))]))
+        low = low[:KERNEL_WINDOW]
+    sigma = [np.abs(w) for _, _, spans, w in solved for _ in spans]
     floored = np.concatenate(
         [np.maximum(v, np.finfo(float).eps * v.max()) for v in sigma])
     sigma = np.concatenate(sigma)
     order = np.argsort(sigma)
     sigma, floored = sigma[order], floored[order]
-    window = min(16, sigma.size - 1)
+    window = min(KERNEL_WINDOW - 1, sigma.size - 1)
     ratios = sigma[1:window + 1] / floored[:window]
     split = int(np.argmax(ratios))
     if ratios[split] < gap_factor:
@@ -973,7 +1097,7 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     dim = split + 1
     cut = max(np.sqrt(sigma[dim - 1] * sigma[dim]), 1e-3 * sigma[dim])
     basis, orders = [], []
-    for (M, H, spans), w in zip(blocks, eigs):
+    for M, H, spans, w in solved:
         if not np.any(np.abs(w) <= cut):
             continue
         vals, vecs = np.linalg.eigh(system.scale * H)
@@ -988,4 +1112,3 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
         raise AmbiguousKernelError(sigma[dim - 1], sigma[dim], gap_factor)
     return KernelReport(dimension=dim, basis=basis, gap=float(ratios[split]),
                         singular_values=sigma, orders=orders)
-

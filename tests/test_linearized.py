@@ -268,43 +268,157 @@ def test_kernel_matches_full_eigensolve(n, k, monkeypatch):
                   / np.linalg.norm(B, axis=0)) <= 1e-12
 
 
+def _count_calls(monkeypatch, name):
+    """Record the shape of every matrix passed to ``np.linalg.<name>``."""
+    calls, solver = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name,
+                        lambda A: calls.append(A.shape) or solver(A))
+    return calls
+
+
 def test_kernel_solves_eigenvectors_only_where_the_kernel_is(grid24, params2,
                                                             monkeypatch):
-    # 21 blocks at n = 24; the kernel lies in the three of order |M| <= 1
+    # 21 blocks at n = 24; the kernel lies in the three of order |M| <= 1,
+    # and a Cholesky factorization rules out all but four blocks
     system = lin.assemble_linearized(params2, Q0, grid24)
     assert len(system.pack.vector_blocks[0]) == 21
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda A: calls.append(A.shape) or eigh(A))
+    calls = _count_calls(monkeypatch, "eigh")
+    scans = _count_calls(monkeypatch, "eigvalsh")
     rep = lin.kernel(system)
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(scans) == 4
     assert rep.dimension == 9 and sorted(set(rep.orders)) == [0, 1]
 
 
 def test_spectrum_solves_eigenvectors_only_where_kept_values_are(
         grid24, params2, monkeypatch):
-    # 19 scalar blocks at n = 24; the 8 lowest values lie in orders 0-2
+    # 19 scalar blocks at n = 24; the 8 lowest values lie in orders 0-2,
+    # and a Cholesky factorization rules out all the blocks past them
     assert len(lin.operator_pack(grid24, params2).scalar_blocks) == 19
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda A: calls.append(A.shape) or eigh(A))
+    calls = _count_calls(monkeypatch, "eigh")
+    scans = _count_calls(monkeypatch, "eigvalsh")
     rep = lin.spectrum_normal(params2, grid24, count=8)
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(scans) == 3
     assert sorted(set(rep.orders)) == [0, 1, 2]
+
+
+def _solve_every_block(monkeypatch):
+    """Switch the certificates' Cholesky exclusion off."""
+    monkeypatch.setattr(lin, "_rules_out", lambda *args: False)
+
+
+@pytest.mark.parametrize("n, k", [(16, 2.0), (24, 1.05), (48, 1.02),
+                                  (48, 1e8)])
+def test_kernel_matches_every_block(n, k, monkeypatch):
+    # the report is bit for bit the one from the eigenvalues of every
+    # block, as if no block were ruled out; (24, 1.05) finds 6
+    system = lin.assemble_linearized(bb.make_params(k), Q0, ch.build_grid(n))
+    rep = lin.kernel(system)
+    _solve_every_block(monkeypatch)
+    full = lin.kernel(system)
+    assert full.singular_values.size == system.size
+    assert rep.singular_values.size < system.size
+    assert (rep.dimension, rep.gap, rep.orders) == \
+        (full.dimension, full.gap, full.orders)
+    assert rep.singular_values[:17].tobytes() == \
+        full.singular_values[:17].tobytes()
+    assert _nodal_basis(rep).tobytes() == _nodal_basis(full).tobytes()
+    assert rep.dimension == (6 if k == 1.05 else 9)
 
 
 @pytest.mark.parametrize("n, k", [(16, 2.0), (24, 1.05), (48, 1.2)])
 def test_spectrum_matches_eigenvectors_on_every_block(n, k, monkeypatch):
     # the report is bit for bit the one from eigenpairs of every block,
-    # forced here by eigenvalue scans that select all blocks
+    # forced here by switching the Cholesky exclusion off and by eigenvalue
+    # scans that select all blocks
     grid, params = ch.build_grid(n), bb.make_params(k)
     rep = lin.spectrum_normal(params, grid, count=8)
+    _solve_every_block(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: np.zeros(len(A)))
     full = lin.spectrum_normal(params, grid, count=8)
     assert np.array_equal(rep.eigenvalues, full.eigenvalues)
     assert np.array_equal(rep.residuals, full.residuals)
     assert rep.orders == full.orders
     assert rep.multiplicities == full.multiplicities
+
+
+# a planted smallest eigenvalue relative to the bound: just below it, and
+# above it but inside the exclusion's margin
+PLANTED = [1.0 - 1e-3, 0.5 * (1.0 + lin.SKIP_MARGIN)]
+
+
+@pytest.mark.parametrize("factor", PLANTED)
+def test_kernel_solves_a_block_planted_below_the_bound(grid24, params2,
+                                                       factor, monkeypatch):
+    # the block of order 10 moved so that its smallest eigenvalue sits at
+    # factor times the window's bound: the Cholesky test fails, the block is
+    # solved, and the report is the one from every block of the moved
+    # operator, whose window takes the planted value only from below
+    system = lin.assemble_linearized(params2, Q0, grid24)
+    rep = lin.kernel(system)
+    bound = rep.singular_values[16]
+    blocks, parts = system.pack.vector_blocks
+    i = next(i for i, (M, _, _) in enumerate(blocks) if M == 10)
+    M, H, spans = blocks[i]
+    A = system.scale * H
+    low = np.linalg.eigvalsh(A)[0]
+    assert low > 10 * bound and lin._rules_out(A, bound)
+    moved = H - (low - factor * bound) / system.scale * np.eye(len(H))
+    assert not lin._rules_out(system.scale * moved, bound)
+    pack = lin._ModalPack(system.pack.grid, params2)
+    pack.vector_blocks = (blocks[:i] + [(M, moved, spans)] + blocks[i + 1:],
+                          parts)
+    planted = lin.LinearizedSystem(pack, system.scale)
+    scans = _count_calls(monkeypatch, "eigvalsh")
+    got = lin.kernel(planted)
+    assert len(got.singular_values) == len(rep.singular_values) + 2 * len(H)
+    assert (len(H),) * 2 in scans
+    window = got.singular_values[:17]
+    assert np.any(np.abs(window - factor * bound) <= 1e-9 * bound) \
+        == (factor < 1)
+    assert (window.tobytes() == rep.singular_values[:17].tobytes()) \
+        == (factor > 1)
+    _solve_every_block(monkeypatch)
+    full = lin.kernel(planted)
+    assert (got.dimension, got.gap, got.orders) == \
+        (full.dimension, full.gap, full.orders)
+    assert window.tobytes() == full.singular_values[:17].tobytes()
+
+
+@pytest.mark.parametrize("factor", PLANTED)
+def test_spectrum_solves_a_block_planted_below_the_cut(grid24, params2,
+                                                       factor, monkeypatch):
+    # the pencil of order 8 moved by a multiple of its mass so that its
+    # smallest eigenvalue sits at factor times the cut: the Cholesky test
+    # fails, the block is solved, and the spectrum is the one from every
+    # block of the moved pencils, which takes the planted value only from
+    # below
+    rep = lin.spectrum_normal(params2, grid24, count=8)
+    pack = lin.operator_pack(grid24, params2)
+    blocks = pack.scalar_blocks
+    m, K, B, spans = blocks[8]
+    Linv = np.linalg.inv(np.linalg.cholesky(B))
+    low = np.linalg.eigvalsh(Linv @ K @ Linv.T)[0]
+    floor = 1.0 / np.sum(Linv**2)
+    ev = rep.eigenvalues
+    cut = lin._spectrum_cut(ev, 8)
+    assert low > 10 * cut and lin._rules_out(K, cut, B, floor)
+    moved = K - (low - factor * cut) * B
+    assert not lin._rules_out(moved, cut, B, floor)
+    planted = lin._ModalPack(grid24, params2)
+    planted.scalar_blocks = blocks[:8] + [(m, moved, B, spans)] + blocks[9:]
+    monkeypatch.setattr(lin, "operator_pack", lambda grid, params: planted)
+    scans = _count_calls(monkeypatch, "eigvalsh")
+    got = lin.spectrum_normal(params2, grid24, count=8)
+    assert len(scans) == 4 and scans[-1] == K.shape
+    assert np.any(np.abs(got.eigenvalues - factor * cut) <= 1e-9 * cut) \
+        == (factor < 1)
+    assert (got.eigenvalues.tobytes() == ev.tobytes()) == (factor > 1)
+    _solve_every_block(monkeypatch)
+    full = lin.spectrum_normal(params2, grid24, count=8)
+    assert got.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    assert got.residuals.tobytes() == full.residuals.tobytes()
+    assert (got.orders, got.multiplicities) == \
+        (full.orders, full.multiplicities)
 
 
 def _move_eigenvectors(monkeypatch, shift):
@@ -736,6 +850,67 @@ def test_block_map_takes_matrices_column_by_column(grid24, params2, rng):
     for f in (pack.to_blocks, pack.from_blocks):
         assert np.array_equal(f(X), np.stack([f(x) for x in X.T], axis=1))
     assert np.max(np.abs(pack.from_blocks(pack.to_blocks(X)) - X)) <= 1e-14
+
+
+def _add_at(dst, src, vals, a):
+    """``out[dst] += vals * a[src]`` through ``np.add.at``, one column at a
+    time: the sums the block map made before its two-part gather."""
+    out = np.zeros(np.shape(a))
+    a, cols = a.reshape(len(a), -1), out.reshape(len(out), -1)
+    for j in range(cols.shape[1]):
+        np.add.at(cols[:, j], dst, vals * a[src, j])
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_block_map_sums_as_add_at(n, rng):
+    # the map holds each coordinate's first nonzero in coordinate order,
+    # for both directions, and the rest at most one per row and column;
+    # the gather sums give the bits of np.add.at's (0.0 + p1) + p2,
+    # signed zeros included: on all -0.0 that is +0.0 everywhere
+    pack = lin._ModalPack(ch.build_grid(n), bb.make_params(2.0))
+    (by_row, row_vals), (by_col, col_vals), second = \
+        pack.basis.vector_layout[1]
+    size = 3 * pack.nmodes
+    first = np.arange(size)
+    assert np.array_equal(by_col[by_row], first)
+    assert np.array_equal(col_vals[by_row], row_vals)
+    for index in second[:2]:
+        assert np.unique(index).size == index.size
+    rows, cols, vals = (np.concatenate(a) for a in zip(
+        (first, by_row, row_vals), second))
+    X = rng.standard_normal((size, 5))
+    X[rng.random(X.shape) < 0.3] = 0.0
+    X[rng.random(X.shape) < 0.3] = -0.0
+    X[:, 0] = -0.0
+    for x in (X, X[:, 1], X[:, 0]):
+        assert pack.to_blocks(x).tobytes() == \
+            _add_at(rows, cols, vals, x).tobytes()
+        assert pack.from_blocks(x).tobytes() == \
+            _add_at(cols, rows, vals, x).tobytes()
+    assert not np.signbit(pack.to_blocks(X[:, 0])).any()
+
+
+def test_layout_holds_each_directions_factors_once(grid24, params2):
+    # the per-node dot products of the vector Gram terms are the basis's,
+    # one read-only copy per direction, with the bits of the products
+    # taken per group
+    basis = lin._basis(grid24.n)
+    mer, deg = basis.meridian, basis.degree
+    shared = {}
+    # the layout holds order 0 once per parity, then each order once
+    for i, (M, groups, _) in enumerate(basis.vector_layout[0]):
+        odd = int(i == 1)
+        for (m, factors), (m2, d) in zip(groups,
+                                         lin._vector_groups(M, odd, deg)):
+            assert m == m2
+            for f, got in zip((mer.omega, mer.domega_dx, mer.domega_dy),
+                              factors):
+                assert got.tobytes() == (f @ d)[:, None].tobytes()
+                assert not got.flags.writeable
+            shared.setdefault(d.tobytes(), factors)
+            assert shared[d.tobytes()] is factors
+    assert len(shared) == 5
 
 
 @pytest.mark.parametrize("n", [16, 24, 48])
