@@ -177,9 +177,16 @@ def flow_coefficients(x, y):
     ]
 
 
+def normal_generators(params, grid):
+    """The frame's three normal-direction generators
+    ``2 C0 (k omega_l + delta_l3)`` at the nodes of ``grid``, as columns
+    ``(N, 3)``."""
+    return 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
+
+
 def tangent_frame(params, grid):
     """Frame of the nine nodal generators at curvature ``k`` on ``grid``,
-    built afresh; the operator pack's ``frame`` is the shared copy.  Each
+    built afresh on every call; no cache keeps one.  Each
     ``tau_j = cf (a d_x omega + b d_y omega)`` is held as values alone: a
     degree-2 polynomial field, which :func:`~cmc_hyp.chart.differentiate`
     differentiates exactly."""
@@ -187,8 +194,8 @@ def tangent_frame(params, grid):
     dox, doy = grid.domega_dx, grid.domega_dy
     tau = tuple(SphereField(grid, cf * (a[:, None] * dox + b[:, None] * doy))
                 for a, b, cf in flow_coefficients(x, y))
-    gamma = 2.0 * C0 * (params.k * grid.omega + np.array([0.0, 0.0, 1.0]))
-    return TangentFrame(grid=grid, tau=tau, gamma=gamma)
+    return TangentFrame(grid=grid, tau=tau,
+                        gamma=normal_generators(params, grid))
 
 
 def tangent_project(f, frame):

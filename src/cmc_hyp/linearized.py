@@ -188,18 +188,20 @@ class _ModalBasis:
         scalar modes ``P_{m,j}(s) e^{i m theta}`` of order ``m`` at the
         meridian nodes.  At ``theta = 0`` the chart's ``d/dx`` is the radial
         derivative ``mu d/ds`` and ``d/dy`` the angular one ``(1/rho)
-        d/dtheta``, which takes ``e^{i m theta}`` to ``i m``."""
+        d/dtheta``, which takes ``e^{i m theta}`` to ``i m``; the table
+        holds its real factor ``(1/rho) m P``, and the Gram terms take
+        ``1j`` times it."""
         P, dP_ds = self._profiles[m, :, :, :self.degree - m + 1]
         mer = self.meridian
         return (P, mer.mu[:, None] * dP_ds,
-                (1.0 / mer.rho)[:, None] * (1j * m * P))
+                (1.0 / mer.rho)[:, None] * (m * P))
 
     @cached_property
     def vector_layout(self):
         """``(blocks, block_map)``: each entry ``(M, groups, spans)`` of
         ``blocks`` is the column groups of the vector block of total
         azimuthal order ``M`` and the ranges of block coordinates it acts
-        on (see :attr:`_ModalPack.vector_blocks`), a group ``(m, factors)``
+        on (see :meth:`_ModalPack.vector_blocks`), a group ``(m, factors)``
         for each ``(m, d)`` of :func:`_vector_groups`, with ``factors`` the
         per-node dot products ``omega . d``, ``domega_dx . d`` and
         ``domega_dy . d`` at the meridian as columns, one copy per
@@ -303,19 +305,23 @@ class _ModalPack:
     (``basis``), cached by :func:`_basis` for the last two grids and shared
     by the packs of every ``k``; the pack's profiles, mode slots, weights,
     degrees and meridian are references to its read-only arrays.  At
-    n = 48 a basis holds about 2.8 MB: 1.4 MB of profiles, 1.1 MB of
-    meridian mode tables, 0.22 MB of the vector blocks' map and 12 kB of
-    per-node factors.  The Gram
+    n = 48 a basis holds about 2.5 MB: 1.4 MB of profiles, 0.73 MB of
+    meridian mode tables (the angular ones real), 0.22 MB of the vector
+    blocks' map and 12 kB of per-node factors.  The Gram
     columns depend on the grid alone too, but they are not kept (about
-    11 MB at n = 48).  What depends on ``k`` is the pack's own, built on
-    first use: the densities, the vector and scalar blocks, the tangent
-    frame (the one shared copy), its modal tables and the inverses of the
-    corrector's per-block saddle matrices.  :func:`_pack` keeps one pack:
-    every command and solve works at a single ``(n, k)``.  At n = 48 a
-    pack after a certificate and a solve holds about 5.6 MB of its own:
-    1.9 MB of vector blocks, 2.1 MB of saddle inverses, 0.77 MB of tangent
-    frame (0.66 MB of it the six tau fields, values only), 0.44 MB of
-    scalar pencils and 0.40 MB of the frame's modal tables.
+    11 MB at n = 48).  What depends on ``k`` is the pack's own, and it
+    keeps only what a caller reads more than once, built on first use:
+    the densities, the frame's modal tables (:attr:`frame_modal`) and
+    the inverses of the corrector's per-block saddle matrices.  The vector
+    blocks and the scalar pencils are walks (:meth:`vector_blocks`,
+    :meth:`scalar_blocks`) that assemble each block when a certificate or
+    the saddle set-up reaches it, and the tangent frame is built for its
+    projection and dropped.  :func:`_pack` keeps one pack: every command
+    and solve works at a single ``(n, k)``.  At n = 48 a pack holds
+    0.40 MB of its own after a certificate (the modal tables; 1.2 kB of
+    densities besides) and 2.46 MB after a certificate and a solve, the
+    saddle inverses being 2.06 MB of it.  A certificate holds only the
+    blocks it solves while it runs.
     """
 
     def __init__(self, grid, params):
@@ -338,23 +344,24 @@ class _ModalPack:
         tail = coeffs[:, self.mode_degrees >= 0.9 * self.degree]
         return float(tail.max() / top) if top > 0 else 0.0
 
-    @cached_property
     def vector_blocks(self):
-        """``(blocks, block_map)``: each entry ``(M, H, spans)`` of ``blocks``
-        is the weak matrix ``H`` of ``r^2 J'(U)`` on the real vector modes of
-        total azimuthal order ``M`` and the ranges of block coordinates it
-        acts on, which follow each other: for ``M > 0`` even, then odd under
-        ``y -> -y`` (the rotation by ``pi / 2M`` takes one onto the other),
-        and one entry per parity for ``M = 0``.  The block columns are
-        ``e3 Y`` for a scalar mode ``Y`` of order ``M``, ``e1 Y`` or ``e2 Y``
-        for ``Y`` of order 0 (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2``
-        for the cos/sin pair ``(Y, Y')`` of order ``M -+ 1``;
-        ``block_map`` holds the nonzeros of this orthogonal map from modal
+        """Walk the vector operator's blocks by ascending order ``M``: each
+        ``(M, H, spans)`` is the weak matrix ``H`` of ``r^2 J'(U)`` on the
+        real vector modes of total azimuthal order ``M`` and the ranges of
+        block coordinates it acts on, which follow each other: for
+        ``M > 0`` even, then odd under ``y -> -y`` (the rotation by
+        ``pi / 2M`` takes one onto the other), and one entry per parity for
+        ``M = 0``.  The block columns are ``e3 Y`` for a scalar mode ``Y``
+        of order ``M``, ``e1 Y`` or ``e2 Y`` for ``Y`` of order 0
+        (``M = 1``), and ``(Y e1 -+ Y' e2) / sqrt 2`` for the cos/sin pair
+        ``(Y, Y')`` of order ``M -+ 1``; :meth:`to_blocks` and
+        :meth:`from_blocks` apply this orthogonal map from modal
         coefficients to block coordinates.  The layout and the map are the
-        basis's (:attr:`_ModalBasis.vector_layout`)."""
-        layout, block_map = self.basis.vector_layout
-        return [(M, self._vector_gram(M, groups), spans)
-                for M, groups, spans in layout], block_map
+        basis's (:attr:`_ModalBasis.vector_layout`).  Each block is
+        assembled as the walk reaches it and is not kept: a caller holds
+        the blocks it solves."""
+        for M, groups, spans in self.basis.vector_layout[0]:
+            yield M, self._vector_gram(M, groups), spans
 
     def to_blocks(self, c):
         """Block coordinates of modal vector coefficients (or columns)."""
@@ -383,6 +390,7 @@ class _ModalPack:
         per_group = []
         for m, (a, b, c) in groups:
             t0, tx, ty = self.basis.meridian_modes[m]
+            ty = 1j * ty
             per_group.append((b * tx - c * ty, c * tx + b * ty,
                               a * tx + b * t0, a * ty + c * t0, a * t0))
         weights = (Ctan, Ctan, C2, C2, C3)
@@ -431,33 +439,39 @@ class _ModalPack:
                 f"the operator block of azimuthal order {M} is not finite")
         return 0.5 * (G + G.T)
 
-    @cached_property
     def scalar_blocks(self):
-        """``[(m, K, B, spans)]``: the scalar normal pencil (stiffness ``K``
-        and the ``(omega3+k)^-3`` weighted mass ``B``) on the scalar modes of
-        order ``m``, with the ranges of modal indices it acts on: the cos
-        modes, then for ``m > 0`` the sin modes, which are their rotations
-        by ``pi / 2m``."""
+        """Walk the scalar normal pencil's blocks by ascending order ``m``:
+        each ``(m, K, B, spans)`` is the stiffness ``K`` and the
+        ``(omega3+k)^-3`` weighted mass ``B`` on the scalar modes of order
+        ``m``, with the ranges of modal indices it acts on: the cos modes,
+        then for ``m > 0`` the sin modes, which are their rotations by
+        ``pi / 2m``.  Each pencil is assembled as the walk reaches it and
+        is not kept."""
         _, C2, C3 = self._densities
-        blocks, at = [], 0
+        at = 0
         for m in range(self.degree + 1):
             p0, px, py = self.basis.meridian_modes[m]
+            py = 1j * py
             K = self._meridian_gram(m, ((px, C2, 1.0), (py, C2, 1.0)))
             B = self._meridian_gram(m, ((p0, C3, 1.0),))
             J = self.degree - m + 1
             spans = [slice(at + i * J, at + (i + 1) * J)
                      for i in range(2 if m else 1)]     # sin 0 theta = 0
-            blocks.append((m, K, B, spans))
             at = spans[-1].stop
-        return blocks
-
-    @cached_property
-    def frame(self):
-        return tangent_frame(self.params, self.grid)
+            yield m, K, B, spans
 
     @cached_property
     def frame_modal(self):
-        return self.project_vector(np.stack(self.frame.generators()))
+        """The modal coefficients ``(9, 3 nmodes)`` of the nine frame
+        generators, projected three at a time from a frame built here and
+        dropped: :meth:`analysis` gives the same bits at any batch width,
+        and its transforms' temporaries stay a third of the size."""
+        gens = tangent_frame(self.params, self.grid).generators()
+        out = np.empty((len(gens), 3 * self.nmodes))
+        for i in range(0, len(gens), 3):
+            comps = np.stack([g.T for g in gens[i:i + 3]])  # component-major
+            out[i:i + 3] = self.analysis(comps).reshape(3, -1)
+        return out
 
     @cached_property
     def saddle_factors(self):
@@ -469,9 +483,11 @@ class _ModalPack:
         1e-12 relative, or :class:`NumericsError` is raised), which is
         bordered by its own generators ``gens``; the parity ranges of a
         block without generators share one unbordered inverse and are
-        solved together."""
-        Y, blocks = self.to_blocks(self.frame_modal.T), self.vector_blocks[0]
-        starts = np.array([s.start for _, _, ss in blocks for s in ss])
+        solved together.  The blocks are walked once and only the inverses
+        are kept."""
+        Y = self.to_blocks(self.frame_modal.T)
+        starts = np.array([s.start for _, _, ss in self.basis.vector_layout[0]
+                           for s in ss])
         norms = np.add.reduceat(Y**2, starts)
         main = np.argmax(norms, axis=0)
         for g, b in enumerate(main):
@@ -482,7 +498,7 @@ class _ModalPack:
                     f"blocks ({np.sqrt(off / norms[b, g]):.1e} relative "
                     "off its main one)")
         owner, entries = starts[main], []
-        for _, H, ss in blocks:
+        for _, H, ss in self.vector_blocks():
             gens = [np.flatnonzero(owner == s.start).tolist() for s in ss]
             if not any(gens):
                 entries.append((slice(ss[0].start, ss[-1].stop),
@@ -563,10 +579,11 @@ class _ModalPack:
         B = int(np.prod(batch))
         wv = grid.weights * values.reshape(B, grid.size)
         F = np.fft.rfft(wv.reshape(B, grid.n, grid.ntheta))[..., :D].T
+        del wv          # each temporary goes before the next is allocated
         G = np.empty((D, grid.n, 2 * B))              # m, node, cos/sin x B
         G[..., :B] = F.real
         np.negative(F.imag, out=G[..., B:])
-        del wv, F       # before the profile products allocate theirs
+        del F
         R = np.swapaxes(self._profiles[:, 0], 1, 2) @ G   # m, j, cos/sin x B
         R = R.reshape(-1, B)[self._slots].T
         return np.ascontiguousarray(R).reshape(batch + (self.nmodes,))
@@ -699,7 +716,7 @@ class LinearizedSystem:
     ``apply_modal`` applies the symmetric Galerkin matrix of the bilinear
     form ``(phi, psi) -> integral J'(U_q) phi . psi dz`` over the
     orthonormal modal vector basis (so the modal mass is the identity), one
-    symmetry block of the pack (``pack.vector_blocks``) at a time.
+    symmetry block of the pack's walk (``pack.vector_blocks()``) at a time.
     ``scale`` is the factor ``1 / (q3^2 r^2)`` that takes the pack's
     ``r^2``-normalized operator to the one at the base point.
     ``apply_direct`` evaluates the strong operator through collocation on
@@ -716,9 +733,11 @@ class LinearizedSystem:
 
     def apply_modal(self, c):
         """The Galerkin matrix times modal coefficients ``c``, a vector or
-        a matrix of column vectors, applied one block at a time."""
+        a matrix of column vectors, applied one block at a time as the
+        pack's walk assembles it; no block is kept, so each call assembles
+        them all again."""
         x = self.pack.to_blocks(c)
-        for _, H, spans in self.pack.vector_blocks[0]:
+        for _, H, spans in self.pack.vector_blocks():
             for s in spans:
                 x[s] = H @ x[s]
         return self.scale * self.pack.from_blocks(x)
@@ -746,12 +765,14 @@ def assemble_linearized(params, q, grid):
     """Assemble the linearized system at the sphere about ``q``.
 
     Translating the base point only rescales the operator by ``q3^-2``, so
-    the operator blocks are built once per ``(grid, k)``, here on first use,
-    and shared between base points.
+    the system is the pack of ``(grid, k)``, shared between base points,
+    and the scale ``1 / (q3^2 r^2)``.  It assembles nothing: the pack's
+    walks assemble each block where :func:`kernel` or
+    :meth:`LinearizedSystem.apply_modal` reaches it.  A scale that is not
+    finite raises :class:`NumericsError`.
     """
     q = HyperbolicPoint.of(q)
     pack = operator_pack(grid, params)
-    pack.vector_blocks
     with np.errstate(all="ignore"):
         scale = 1.0 / (q.p3**2 * params.r**2)
     if not np.isfinite(scale):
@@ -934,7 +955,7 @@ def spectrum_normal(params, grid, count=8):
     if count > pack.nmodes:
         raise ValueError("grid too coarse for that many eigenvalues")
     reduced, low = [], np.empty(0)
-    for m, K, B, spans in pack.scalar_blocks:
+    for m, K, B, spans in pack.scalar_blocks():
         try:
             L = np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
@@ -1073,9 +1094,8 @@ def kernel(system, gap_factor=KERNEL_GAP_FACTOR):
     order.  The report's ``singular_values`` are those of the solved
     blocks, ascending, which include every value below the window's bound.
     """
-    pack, (blocks, _) = system.pack, system.pack.vector_blocks
-    solved, low = [], np.empty(0)
-    for M, H, spans in blocks:
+    pack, solved, low = system.pack, [], np.empty(0)
+    for M, H, spans in pack.vector_blocks():
         A = system.scale * H
         if low.size == KERNEL_WINDOW and _rules_out(A, low[-1]):
             continue

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import chart as ch
-from .bubbles import C0, bubble, flow_coefficients
+from .bubbles import C0, bubble, flow_coefficients, normal_generators
 from .chart import SphereField
 from .energy import conformality_residual, energy_E
 from .errors import ConvergenceError, NoCriticalPointError, NumericsError
@@ -359,7 +359,7 @@ def interaction_matrix(state, params):
     """
     nu, grid = state.nu, state.nu.grid
     M, Theta = constant_matrices(params)
-    gamma = operator_pack(grid, params).frame.gamma
+    gamma = normal_generators(params, grid)
     x, y, w = grid.nodes[:, 0], grid.nodes[:, 1], grid.weights
     ca, cb = (np.array(rows) for rows in zip(
         *[(cf * a, cf * b) for a, b, cf in flow_coefficients(x, y)]))

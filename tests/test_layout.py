@@ -179,7 +179,8 @@ def test_projection_equals_the_row_oracle(n, params2):
     assert _same_bits(pack.project_vector(fields[1]), ref[1])
     assert _same_bits(pack.analysis(fields[1].T).ravel(), ref[1])
     assert _same_bits(pack.frame_modal,
-                      _project_rows(pack, np.stack(pack.frame.generators())))
+                      _project_rows(pack, np.stack(bb.tangent_frame(
+                          pack.params, pack.grid).generators())))
 
 
 def _design_cycle():
